@@ -202,36 +202,35 @@ main(int argc, char **argv)
     }
     json.endArray();
 
-    // Dead-logic elimination delta (DesignFlow): the RTL mesh with and
-    // without SimConfig::dead_elim on a compiled backend — emitted TU
-    // size, compile time and steady-state rate. The mesh is fully live
-    // (every router feeds the observed traffic models), so the numbers
-    // double as a no-regression gate: elimination must cost nothing
-    // when there is nothing to eliminate.
+    // Code generation on the RTL mesh: per-block (cpp-block) vs
+    // whole-design (cpp-design) compiled C++ — emitted TU size, kernel
+    // count (one per block type), compile time, steady-state rate and
+    // the arena's flop plan.
     rule('=');
-    std::printf("dead-logic elimination (RTL mesh)\n");
+    std::printf("code generation (RTL mesh)\n");
     rule('=');
-    json.key("dead_elim").beginArray();
+    json.key("codegen").beginArray();
     {
-        SimConfig base = CppJit::compilerAvailable()
-                             ? SimConfig::fromString("cpp-block")
-                             : SimConfig::fromString("bytecode");
-        for (bool elim : {false, true}) {
-            SimConfig cfg = base;
-            cfg.dead_elim = elim;
+        std::vector<SimConfig> cfgs;
+        if (CppJit::compilerAvailable()) {
+            cfgs.push_back(SimConfig::fromString("cpp-block"));
+            cfgs.push_back(SimConfig::fromString("cpp-design"));
+        } else {
+            cfgs.push_back(SimConfig::fromString("bytecode"));
+        }
+        for (const SimConfig &cfg : cfgs) {
             RateResult r = measureLevel(NetLevel::RTL, cfg);
             std::printf("%-14s %12.0f cycles/s  TU %8llu B  %d kernel(s) "
-                        "for %d block(s)  compile %6.0f ms  elided %d "
-                        "block(s)\n",
-                        elim ? "dead-elim" : "baseline",
-                        r.cycles_per_second,
+                        "for %d block(s)  compile %6.0f ms  %d "
+                        "words/phase  %d flop range(s)\n",
+                        cfg.toString().c_str(), r.cycles_per_second,
                         static_cast<unsigned long long>(
                             r.spec.emittedTuBytes),
                         r.spec.kernelTypes, r.spec.numSpecialized,
                         r.spec.compileSeconds * 1e3,
-                        r.spec.deadBlocksElided);
+                        r.layout.words_per_phase,
+                        r.layout.flop_memcpy_ranges);
             json.beginObject();
-            json.field("dead_elim", elim);
             json.field("backend", cfg.toString());
             json.field("cycles_per_second", r.cycles_per_second);
             json.field("emitted_tu_bytes",
@@ -239,75 +238,10 @@ main(int argc, char **argv)
             json.field("kernel_types", r.spec.kernelTypes);
             json.field("specialized_blocks", r.spec.numSpecialized);
             json.field("compile_ms", r.spec.compileSeconds * 1e3);
-            json.field("dead_blocks_elided", r.spec.deadBlocksElided);
-            json.field("dead_nets_elided", r.spec.deadNetsElided);
-            json.endObject();
-        }
-    }
-    json.endArray();
-
-    // Data layout policy (ArenaLayout): the RTL mesh on the compiled
-    // whole-design backend under the elab-order layout vs the
-    // profile-guided layout (island/producer grouping, narrow-net
-    // bit-packing, coalesced flop memcpy ranges, and — on the tiered
-    // backend — the mid-run heat-refined re-layout). State and VCD
-    // streams are bit-identical across policies (test_layout), so
-    // this table is pure throughput.
-    rule('=');
-    std::printf("data layout policy (RTL mesh)\n");
-    rule('=');
-    json.key("layout").beginArray();
-    {
-        SimConfig base = CppJit::compilerAvailable()
-                             ? SimConfig::fromString("cpp-design")
-                             : SimConfig::fromString("bytecode");
-        double elab_rate = 0.0, profile_rate = 0.0;
-        // Two alternating rounds per policy, best-of: a single 2 s
-        // window is exposed to scheduler/turbo noise larger than the
-        // layout delta under test.
-        RateResult best[2];
-        for (int round = 0; round < 2; ++round) {
-            for (int p = 0; p < 2; ++p) {
-                SimConfig cfg = base;
-                cfg.layout = p == 0 ? LayoutPolicy::Elab
-                                    : LayoutPolicy::Profile;
-                RateResult r = measureLevel(NetLevel::RTL, cfg);
-                if (r.cycles_per_second > best[p].cycles_per_second)
-                    best[p] = r;
-            }
-        }
-        for (LayoutPolicy policy :
-             {LayoutPolicy::Elab, LayoutPolicy::Profile}) {
-            const RateResult &r =
-                best[policy == LayoutPolicy::Elab ? 0 : 1];
-            (policy == LayoutPolicy::Elab ? elab_rate : profile_rate) =
-                r.cycles_per_second;
-            std::printf("%-14s %12.0f cycles/s  %5d words/phase  "
-                        "%4d packed (%lld bits saved)  %d flop "
-                        "range(s)%s\n",
-                        layoutPolicyName(policy), r.cycles_per_second,
-                        r.layout.words_per_phase, r.layout.packed_nets,
-                        static_cast<long long>(
-                            r.layout.packed_bits_saved),
-                        r.layout.flop_memcpy_ranges,
-                        r.layout.pgo ? "  [pgo]" : "");
-            json.beginObject();
-            json.field("policy", layoutPolicyName(policy));
-            json.field("backend", base.toString());
-            json.field("cycles_per_second", r.cycles_per_second);
-            json.field("pgo", r.layout.pgo);
-            json.field("packed_nets", r.layout.packed_nets);
-            json.field("packed_bits_saved",
-                       static_cast<uint64_t>(
-                           r.layout.packed_bits_saved));
             json.field("words_per_phase", r.layout.words_per_phase);
             json.field("flop_memcpy_ranges",
                        r.layout.flop_memcpy_ranges);
             json.endObject();
-        }
-        if (elab_rate > 0.0) {
-            std::printf("--> profile layout %.2fx over elab\n",
-                        profile_rate / elab_rate);
         }
     }
     json.endArray();

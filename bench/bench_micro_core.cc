@@ -110,7 +110,7 @@ BM_EngineSlotTreeWalk(benchmark::State &state)
 {
     EngineFixture f;
     SlotEvaluator eval(f.arena);
-    // The elab layout never packs, so raw word stores at the slot
+    // A net owns its arena words, so raw word stores at the slot
     // offset are exact — the same fast path the kernels use.
     uint64_t *w = f.arena.data();
     const int a = f.arena.offset(f.alu.a.netId());

@@ -154,8 +154,7 @@ measureRate(const std::function<std::unique_ptr<Simulator>()> &make,
     out.measured_cycles = cycles;
     out.cycles_per_second = static_cast<double>(cycles) / timer.elapsed();
     // Read spec stats after the run: a tiered backend fills in its
-    // compile time and tier-swap cycle only once the swap happens
-    // (and a PGO run reports the adopted heat-refined layout).
+    // compile time and tier-swap cycle only once the swap happens.
     out.spec = sim->specStats();
     out.layout = sim->layoutStats();
     return out;

@@ -62,8 +62,7 @@ flagValue(const char *arg, const char *name)
 std::string
 sideFileTag(const FuzzSide &side)
 {
-    std::string tag = side.backend + "_t" + std::to_string(side.threads) +
-                      "_" + side.layout;
+    std::string tag = side.backend + "_t" + std::to_string(side.threads);
     if (!side.gating)
         tag += "_ungated";
     for (char &c : tag)

@@ -10,7 +10,7 @@
  * Usage: mesh_network [fl|cl|clspec|rtl] [nrouters]
  *                     [--backend=<b>] [--threads N] [--profile[=json]]
  *                     [--traffic=pattern] [--seed=N]
- *                     [--cycles=N] [--vcd=path] [--audit] [--dead-elim]
+ *                     [--cycles=N] [--vcd=path] [--audit]
  *                     [--checkpoint=path[:N]] [--resume=path]
  *
  * --traffic picks the spatial/temporal traffic pattern (uniform,
@@ -21,8 +21,6 @@
  * --audit is a pure static mode: partition the design at the requested
  * thread count (at least 2) and run the race auditor over it, printing
  * the verdict and exiting nonzero on any violation — no simulation.
- * --dead-elim drops comb blocks that feed no observed sink from the
- * schedule and generated code; simulatorReport shows the elided count.
  *
  * --backend selects the execution backend by its canonical name
  * (interp, optinterp, bytecode, cpp-block, cpp-design, ...); the

@@ -1,7 +1,7 @@
 /**
  * @file
- * NetAccessor: the one layout-aware net access helper behind the
- * Simulator snap/poke hooks.
+ * NetAccessor: the one net access helper behind the Simulator
+ * snap/poke hooks.
  *
  * Both execution kernels used to duplicate the SimSnap state-capture
  * plumbing — readNetNext / pokeNet / pokeNetNext / dynamicFlopNets —
@@ -10,8 +10,7 @@
  * The kernels now bind a NetAccessor to their storage once and
  * delegate, so SimSnap (snap.h), which drives these hooks through the
  * Simulator interface, sees one code path regardless of kernel,
- * backend or arena layout. All value movement goes through ArenaStore
- * accessors, so packed nets are handled transparently.
+ * or backend. All value movement goes through the store accessors.
  *
  * Threading: poke/readNext are coordinator-side snapshot operations —
  * the accessor is not for worker-thread use (ParSim reads route by
@@ -38,7 +37,6 @@ class NetAccessor
     /**
      * Sequential-kernel binding: @p arena and/or @p boxed (either may
      * be null), with @p in_arena deciding hybrid ownership per token.
-     * Rebind after the arena is replaced (PGO layout adoption).
      */
     void bind(ArenaStore *arena, BoxedStore *boxed,
               std::function<bool(int)> in_arena);

@@ -194,16 +194,6 @@ walkCoverage(const std::vector<IrStmt> &stmts, Coverage &cov,
 
 // ------------------------------------------------------------ liveness
 
-std::vector<int>
-DataflowResult::deadCombBlocks() const
-{
-    std::vector<int> out;
-    for (size_t b = 0; b < liveBlock.size(); ++b)
-        if (!liveBlock[b])
-            out.push_back(static_cast<int>(b));
-    return out;
-}
-
 DataflowResult
 dataflowAnalyze(const Elaboration &elab, const DataflowOptions &opts)
 {

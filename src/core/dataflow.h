@@ -14,9 +14,7 @@
  *    whose writes include a live token reads it. Only IR combinational
  *    blocks are eliminable; tick blocks and host lambdas always run.
  *    Nets/blocks outside every sink's cone are reported as `dead-net`/
- *    `dead-block` findings, and simulators skip dead comb blocks when
- *    SimConfig::dead_elim is set (equivalent by construction for every
- *    observed value — see deadCombBlocks()).
+ *    `dead-block` findings.
  *
  *  - **X-propagation** (forward, reaching definitions): a net is
  *    *defined* when every reader sees a determinate value before its
@@ -90,14 +88,9 @@ struct DataflowResult
     // --------------------------------------------------- access info
     std::vector<char> netHasWriter; //!< per net id
     std::vector<char> netHasReader; //!< per net id
-
-    /** Block indices of eliminable (CombIr) blocks proven dead, in
-     *  schedule-stable ascending order. */
-    std::vector<int> deadCombBlocks() const;
 };
 
-/** Run both fixpoints over @p elab. Deterministic for a given design:
- *  sequential and parallel simulators derive identical dead sets. */
+/** Run both fixpoints over @p elab. Deterministic for a given design. */
 DataflowResult dataflowAnalyze(const Elaboration &elab,
                                const DataflowOptions &opts = {});
 

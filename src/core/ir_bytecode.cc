@@ -106,23 +106,6 @@ class Compiler
         return store_.offset(net) + store_.wordsPerPhase();
     }
 
-    /**
-     * Register holding a net's current value. Unpacked nets use
-     * their arena word directly; packed nets extract their field
-     * into scratch with the existing Slice op.
-     */
-    int32_t
-    loadCur(int net)
-    {
-        if (!store_.packed(net))
-            return curSlot(net);
-        int32_t dst = allocScratch();
-        emit({Bc::Slice, dst, curSlot(net), 0, 0, 0,
-              widthMask(store_.nbits(net)),
-              static_cast<uint8_t>(store_.shift(net))});
-        return dst;
-    }
-
     /** Compile an expression; returns the register holding the value. */
     int32_t
     compileExpr(const IrExprNode *e)
@@ -135,7 +118,7 @@ class Compiler
             return dst;
           }
           case IrExprNode::Kind::Ref:
-            return loadCur(e->sig->netId());
+            return curSlot(e->sig->netId());
           case IrExprNode::Kind::Temp:
             return temp_slot_[e->temp];
           case IrExprNode::Kind::BinOp: {
@@ -269,20 +252,13 @@ class Compiler
                     int net = s.sig->netId();
                     int32_t dst =
                         (seq && s.nonblocking) ? nxtSlot(net) : curSlot(net);
-                    int shift = store_.shift(net);
-                    if (s.width < 0 && !store_.packed(net)) {
+                    if (s.width < 0) {
                         emit({Bc::Mov, dst, rhs, 0, 0, 0,
                               widthMask(store_.nbits(net)), 0});
-                    } else if (s.width < 0) {
-                        // Packed full-width write: read-modify-write
-                        // the shared word so word-mates survive.
-                        emit({Bc::SetSlice, dst, rhs, 0, 0, 0,
-                              widthMask(store_.nbits(net)),
-                              static_cast<uint8_t>(shift)});
                     } else {
                         emit({Bc::SetSlice, dst, rhs, 0, 0, 0,
                               widthMask(s.width),
-                              static_cast<uint8_t>(shift + s.lsb)});
+                              static_cast<uint8_t>(s.lsb)});
                     }
                 }
                 break;

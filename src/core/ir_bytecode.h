@@ -72,7 +72,7 @@ struct BcProgram
 /** True iff the block is within the specializable subset. */
 bool bcSpecializable(const ElabBlock &blk, const ArenaStore &store);
 
-/** Compile an IR block against an arena layout. */
+/** Compile an IR block against the arena's word offsets. */
 BcProgram bcCompile(const ElabBlock &blk, const ArenaStore &store);
 
 /** Execute a compiled program. @p scratch must have >= nscratch slots. */

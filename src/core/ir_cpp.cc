@@ -30,8 +30,8 @@ constexpr char kSlotClose = '\x02';
  * base) becomes a slot, numbered in first-use order, and the text names
  * it only by that number. Two instances of one block type therefore
  * emit the same text whatever their arena placement; the text is the
- * block's fingerprint. Packed shifts and masks stay in the text, so
- * instances laid out differently fingerprint differently.
+ * block's fingerprint. Masks stay in the text, so instances whose
+ * nets differ in width fingerprint differently.
  */
 class BlockEmitter
 {
@@ -86,39 +86,23 @@ class BlockEmitter
                "]";
     }
 
-    /** Rvalue of a net's current value (field extract when packed). */
-    std::string
-    curRead(int net)
-    {
-        if (!store_.packed(net))
-            return cur(net);
-        std::string out = "((" + cur(net);
-        if (store_.shift(net))
-            out += " >> " + std::to_string(store_.shift(net));
-        return out + ") & " + maskHex(store_.nbits(net)) + ")";
-    }
-
     /**
-     * Emit "<dst> = <rhs>;" with the field insert semantics the
-     * layout demands: plain masked store for exclusive words,
-     * read-modify-write for packed or partial-width destinations.
+     * Emit "<dst> = <rhs>;": a plain masked store for a full-width
+     * assign, a read-modify-write of the field for a partial one.
      * @p lsb/@p width describe a partial assign (width < 0 = full).
      */
     void
     emitAssign(const std::string &dst, int net, int lsb, int width,
                const std::string &rhs)
     {
-        int shift = store_.shift(net);
-        if (width < 0 && !store_.packed(net)) {
+        if (width < 0) {
             os_ << dst << " = " << rhs << " & "
                 << maskHex(store_.nbits(net)) << ";\n";
             return;
         }
-        std::string m =
-            width < 0 ? maskHex(store_.nbits(net)) : maskHex(width);
-        int pos = width < 0 ? shift : shift + lsb;
-        os_ << dst << " = (" << dst << " & ~(" << m << " << " << pos
-            << ")) | ((" << rhs << " & " << m << ") << " << pos
+        std::string m = maskHex(width);
+        os_ << dst << " = (" << dst << " & ~(" << m << " << " << lsb
+            << ")) | ((" << rhs << " & " << m << ") << " << lsb
             << ");\n";
     }
 
@@ -152,7 +136,7 @@ class BlockEmitter
             return os.str();
           }
           case IrExprNode::Kind::Ref:
-            return curRead(e->sig->netId());
+            return cur(e->sig->netId());
           case IrExprNode::Kind::Temp:
             return "t" + std::to_string(e->temp);
           case IrExprNode::Kind::BinOp: {
@@ -397,7 +381,7 @@ cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
     std::vector<CppUnit> units(groups.size());
     for (size_t k = 0; k < groups.size(); ++k) {
         for (int blk : groups[k])
-            units[k].items.push_back(CppUnit::Item{blk, -1});
+            units[k].items.push_back(CppUnit::Item{blk});
     }
     return cppEmitProgram(elab, store, units);
 }
@@ -466,26 +450,6 @@ cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
                 os << "); // " << elab.blocks[item.block].name << "\n";
             } else if (item.unit >= 0) {
                 os << "    " << cppGroupSymbol(item.unit) << "(w);\n";
-            } else if (item.flopNet >= 0) {
-                // next -> current register copy. Packed nets copy
-                // only their field: word-mates may be combinational
-                // (dynamically registered flops) or flop separately.
-                int net = item.flopNet;
-                int cur = store.offset(net);
-                int nxt = cur + store.wordsPerPhase();
-                if (store.packed(net)) {
-                    std::string m = maskHex(store.nbits(net));
-                    int sh = store.shift(net);
-                    os << "    w[" << cur << "] = (w[" << cur
-                       << "] & ~(" << m << " << " << sh << ")) | (w["
-                       << nxt << "] & (" << m << " << " << sh
-                       << "));\n";
-                } else {
-                    for (int wd = 0; wd < store.nwords(net); ++wd) {
-                        os << "    w[" << cur + wd << "] = w["
-                           << nxt + wd << "];\n";
-                    }
-                }
             } else {
                 // Coalesced flop range: straight word copies, long
                 // runs as a loop the compiler turns into memmove.

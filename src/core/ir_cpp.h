@@ -2,7 +2,7 @@
  * @file
  * C++ source emission from IR blocks (SimJIT code generation stage).
  *
- * Given an elaborated design, an arena layout, and a grouping of
+ * Given an elaborated design, its word arena, and a grouping of
  * specialized block indices, emits a self-contained C++ translation
  * unit with one `extern "C" void cmtl_grp_<k>(uint64_t *w)` entry
  * point per group, each executing its blocks' logic directly on the
@@ -61,14 +61,13 @@ struct CppUnit
 {
     struct Item
     {
-        int block = -1;   //!< ElabBlock index to execute, or
-        int flopNet = -1; //!< net to copy next -> current (block < 0)
-        /** Whole-word flop range (block < 0, flopNet < 0): copy
-         *  rangeWords words next -> current starting at rangeOff.
-         *  Produced from ArenaLayout::flopPlan(). */
+        int block = -1; //!< ElabBlock index to execute, or
+        /** Whole-word flop range (block < 0): copy rangeWords words
+         *  next -> current starting at rangeOff. Produced from
+         *  ArenaStore::flopPlan(). */
         int rangeOff = -1;
         int rangeWords = 0;
-        /** Call an earlier unit's entry point (block, flopNet < 0). */
+        /** Call an earlier unit's entry point (block < 0). */
         int unit = -1;
     };
     std::vector<Item> items;

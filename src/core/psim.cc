@@ -5,7 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "dataflow.h"
 #include "ir_cpp.h"
 #include "timing.h"
 
@@ -41,18 +40,10 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
             "sequential-only");
     }
 
-    // One layout shared by every replica: identical physical slots by
-    // construction. The profile policy sees the real partition plan,
-    // so placement groups by owner island and packing never crosses an
-    // ownership boundary (whole-word pushes stay sound).
-    auto layout = std::make_shared<const ArenaLayout>(
-        cfg_.layout == LayoutPolicy::Profile
-            ? ArenaLayout::profiled(*elab_, &plan_, nullptr)
-            : ArenaLayout::elabOrder(*elab_));
     replicas_.reserve(plan_.nislands);
     evals_.reserve(plan_.nislands);
     for (int i = 0; i < plan_.nislands; ++i) {
-        replicas_.push_back(std::make_unique<ArenaStore>(*elab_, layout));
+        replicas_.push_back(std::make_unique<ArenaStore>(*elab_));
         evals_.push_back(std::make_unique<SlotEvaluator>(*replicas_[i]));
     }
 
@@ -63,14 +54,13 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
             markReaderIslandsDirty(net);
     });
 
-    // Per-island flop copy plans: layout invariants guarantee a word's
-    // residents share owner island and flop class, so an island's
-    // owned static flops coalesce into whole-word ranges (disjoint
-    // across islands by ownership).
+    // Per-island flop copy plans: an island's owned static flops
+    // coalesce into whole-word ranges (disjoint across islands by
+    // ownership, since a net never shares a word).
     island_flop_plans_.reserve(plan_.nislands);
     for (int i = 0; i < plan_.nislands; ++i)
         island_flop_plans_.push_back(
-            layout->flopPlan(plan_.islands[i].flopNets));
+            replicas_[0]->flopPlan(plan_.islands[i].flopNets));
 
     const size_t nnets = elab_->nets.size();
     is_main_flop_.assign(nnets, 0);
@@ -120,21 +110,6 @@ ParSimulationTool::buildIslandSchedules()
     const auto &blocks = elab_->blocks;
     spec_stats_.numBlocks = static_cast<int>(blocks.size());
 
-    // Dead-logic elimination: a comb block whose writes never reach an
-    // observed sink can be dropped from the island schedules. Pushes
-    // derive from the *scheduled* steps below, so a dead block's writes
-    // are never exchanged either — sound, because no live block reads
-    // them. The dead set is a pure function of the Elaboration, so the
-    // sequential and parallel kernels elide the same blocks.
-    dead_block_.assign(blocks.size(), 0);
-    if (cfg_.dead_elim) {
-        DataflowResult flow = dataflowAnalyze(*elab_);
-        for (int b : flow.deadCombBlocks())
-            dead_block_[b] = 1;
-        spec_stats_.deadBlocksElided = flow.deadBlocks;
-        spec_stats_.deadNetsElided = flow.deadNets;
-    }
-
     const int n = plan_.nislands;
     comb_steps_.resize(n);
     tick_steps_.resize(n);
@@ -159,8 +134,6 @@ ParSimulationTool::buildIslandSchedules()
     for (int i = 0; i < n; ++i) {
         const PartitionIsland &isl = plan_.islands[i];
         for (size_t k = 0; k < isl.combBlocks.size(); ++k) {
-            if (dead_block_[isl.combBlocks[k]])
-                continue;
             PStep step;
             step.block = isl.combBlocks[k];
             step.level = isl.combLevels[k];
@@ -198,28 +171,19 @@ ParSimulationTool::buildIslandSchedules()
             }
         }
 
-        // Packed word-mates map to the same physical word, so the
-        // per-token dedup above can leave byte-identical copies;
-        // collapse them (identical ops commute, dropping one is safe).
-        auto dedupe = [](std::vector<CopyOp> &ops) {
+        // Order each push list by (destination replica, word) so the
+        // copies walk every replica's arena in address order.
+        auto byTarget = [](std::vector<CopyOp> &ops) {
             std::sort(ops.begin(), ops.end(),
                       [](const CopyOp &a, const CopyOp &b) {
                           if (a.dst != b.dst)
                               return a.dst < b.dst;
-                          if (a.off != b.off)
-                              return a.off < b.off;
-                          return a.n < b.n;
+                          return a.off < b.off;
                       });
-            ops.erase(std::unique(ops.begin(), ops.end(),
-                                  [](const CopyOp &a, const CopyOp &b) {
-                                      return a.dst == b.dst &&
-                                             a.off == b.off && a.n == b.n;
-                                  }),
-                      ops.end());
         };
         for (auto &level : comb_pushes_[i])
-            dedupe(level);
-        dedupe(flop_pushes_[i]);
+            byTarget(level);
+        byTarget(flop_pushes_[i]);
     }
 }
 
@@ -422,7 +386,7 @@ ParSimulationTool::specializeDesign()
                 size_t j = k;
                 while (j < steps.size() && specialized_[steps[j].block] &&
                        (!levelBound || steps[j].level == steps[k].level)) {
-                    unit.items.push_back(CppUnit::Item{steps[j].block, -1});
+                    unit.items.push_back(CppUnit::Item{steps[j].block});
                     ++j;
                 }
                 PStep step;
@@ -440,14 +404,10 @@ ParSimulationTool::specializeDesign()
         fuse(nat_tick_steps_[i], false);
         // Island flop module over its owned statically flopped nets
         // (dynamic lambda flops stay on the coordinator), coalesced
-        // into whole-word copy ranges where the layout allows.
+        // into whole-word copy ranges.
         CppUnit flop_unit;
-        const FlopCopyPlan &fplan = island_flop_plans_[i];
-        for (const FlopRange &r : fplan.ranges)
-            flop_unit.items.push_back(
-                CppUnit::Item{-1, -1, r.off, r.nwords});
-        for (int net : fplan.rmw_nets)
-            flop_unit.items.push_back(CppUnit::Item{-1, net});
+        for (const FlopRange &r : island_flop_plans_[i])
+            flop_unit.items.push_back(CppUnit::Item{-1, r.off, r.nwords});
         island_flop_unit_[i] = static_cast<int>(units.size());
         units.push_back(std::move(flop_unit));
 
@@ -539,9 +499,9 @@ ParSimulationTool::tierPending() const
 LayoutStats
 ParSimulationTool::layoutStats() const
 {
-    LayoutStats s = replicas_[0]->layout().stats();
-    for (const FlopCopyPlan &fplan : island_flop_plans_)
-        s.flop_memcpy_ranges += static_cast<int>(fplan.ranges.size());
+    LayoutStats s{replicas_[0]->wordsPerPhase(), 0};
+    for (const auto &ranges : island_flop_plans_)
+        s.flop_memcpy_ranges += static_cast<int>(ranges.size());
     return s;
 }
 
@@ -800,12 +760,8 @@ ParSimulationTool::runIslandFlop(int island)
         if (changed)
             island_dirty_[island].store(1, std::memory_order_relaxed);
     } else {
-        // Whole-word range copies of the island's static flop set;
-        // packed stragglers keep a masked per-net copy.
-        const FlopCopyPlan &fplan = island_flop_plans_[island];
-        replicas_[island]->flopRanges(fplan.ranges);
-        for (int net : fplan.rmw_nets)
-            replicas_[island]->flop(net);
+        // Whole-word range copies of the island's static flop set.
+        replicas_[island]->flopRanges(island_flop_plans_[island]);
     }
     // Publish post-flop (and blocking-tick-written) current values.
     // No barrier needed before the pushes: each copied net is owned by

@@ -5,12 +5,10 @@
  * ParSimulationTool runs a statically partitioned design (partition.h)
  * on a persistent pool of worker threads, one per island, coordinated
  * by the calling thread. Each island owns a full-size *replica* of the
- * dense word arena: every replica is built over ONE shared ArenaLayout
- * (layout.h) — identical offsets by construction — so bytecode and
- * compiled-C++ programs run unchanged on any replica's data pointer.
- * Under the profile layout the partition plan itself shapes placement:
- * nets group by owner island and packed word-mates never cross an
- * ownership boundary, so whole-word boundary pushes stay sound.
+ * dense word arena: every replica lays nets out in elaboration order —
+ * identical offsets by construction — so bytecode and compiled-C++
+ * programs run unchanged on any replica's data pointer, and a net
+ * never shares a word, so whole-word boundary pushes stay sound.
  * Islands write only tokens they own and read everything from their
  * local replica; owners push boundary values into reader replicas at
  * phase ends, so all sharing is one-way word copies separated by
@@ -195,8 +193,8 @@ class ParSimulationTool : public Simulator
     /** Snap/poke hooks delegate here (accessor.h). */
     NetAccessor accessor_;
     /** Per-island flop phase coalesced into whole-word copy ranges
-     *  (shared layout, so ranges are valid in every replica). */
-    std::vector<FlopCopyPlan> island_flop_plans_;
+     *  (identical offsets, so ranges are valid in every replica). */
+    std::vector<std::vector<FlopRange>> island_flop_plans_;
 
     // Per-island schedules (comb steps sorted by superstep level).
     std::vector<std::vector<PStep>> comb_steps_;
@@ -212,7 +210,6 @@ class ParSimulationTool : public Simulator
     std::vector<std::vector<uint64_t>> bc_scratch_; //!< per island
     CppJitLibrary cpp_lib_;
     std::vector<char> specialized_;
-    std::vector<char> dead_block_; //!< comb blocks elided by dead_elim
 
     // --- cpp-design tiering ----------------------------------------
     // Tier 0 runs the per-island bytecode schedules; the fused native

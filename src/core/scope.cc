@@ -393,7 +393,7 @@ std::string
 SimScope::jsonSnapshot() const
 {
     std::ostringstream os;
-    os << "{\"scope_version\":1,\"kernel\":"
+    os << "{\"scope_version\":2,\"kernel\":"
        << (parsim_ ? "\"parsim\"" : "\"sequential\"")
        << ",\"backend\":";
     // Same canonical string SimConfig round-trips and
@@ -404,12 +404,7 @@ SimScope::jsonSnapshot() const
 
     {
         const LayoutStats lay = sim_.layoutStats();
-        os << ",\"layout\":{\"policy\":";
-        jsonString(os, layoutPolicyName(lay.policy));
-        os << ",\"pgo\":" << (lay.pgo ? "true" : "false")
-           << ",\"packed_nets\":" << lay.packed_nets
-           << ",\"packed_bits_saved\":" << lay.packed_bits_saved
-           << ",\"words_per_phase\":" << lay.words_per_phase
+        os << ",\"layout\":{\"words_per_phase\":" << lay.words_per_phase
            << ",\"flop_memcpy_ranges\":" << lay.flop_memcpy_ranges
            << "}";
     }

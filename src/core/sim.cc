@@ -4,7 +4,6 @@
 #include <queue>
 #include <stdexcept>
 
-#include "dataflow.h"
 #include "ir_cpp.h"
 #include "timing.h"
 
@@ -178,16 +177,8 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
 
     if (useBoxed())
         boxed_ = std::make_unique<BoxedStore>(*elab_);
-    if (!useBoxed() || cfg_.spec != SpecMode::None) {
-        // Sequential kernel: no partition plan, and heat arrives only
-        // later through the PGO loop — the static profile layout
-        // groups by producer-block schedule order for now.
-        auto lay = std::make_shared<const ArenaLayout>(
-            cfg_.layout == LayoutPolicy::Profile
-                ? ArenaLayout::profiled(*elab_, nullptr, nullptr)
-                : ArenaLayout::elabOrder(*elab_));
-        arena_ = std::make_unique<ArenaStore>(*elab_, std::move(lay));
-    }
+    if (!useBoxed() || cfg_.spec != SpecMode::None)
+        arena_ = std::make_unique<ArenaStore>(*elab_);
     if (boxed_)
         boxed_eval_ = std::make_unique<BoxedEvaluator>(*boxed_);
     if (arena_)
@@ -205,10 +196,10 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
     // The static flop set is final here; nets registered later (a
     // lambda's writeNext) append past this prefix and stay on the
     // per-net host loop. The copy plan coalesces the static set into
-    // whole-word ranges where the layout allows.
+    // whole-word ranges.
     n_static_flops_ = flopped_nets_.size();
     if (arena_)
-        flop_plan_ = arena_->layout().flopPlan(flopped_nets_);
+        flop_plan_ = arena_->flopPlan(flopped_nets_);
 
     // Arrays written by tick blocks re-trigger their readers each
     // cycle under event-driven scheduling.
@@ -219,15 +210,6 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
             if (token >= static_cast<int>(nnets))
                 tick_array_tokens_.push_back(token);
         }
-    }
-
-    dead_block_.assign(elab_->blocks.size(), 0);
-    if (cfg_.dead_elim) {
-        DataflowResult flow = dataflowAnalyze(*elab_);
-        for (int b : flow.deadCombBlocks())
-            dead_block_[b] = 1;
-        spec_stats_.deadBlocksElided = flow.deadBlocks;
-        spec_stats_.deadNetsElided = flow.deadNets;
     }
 
     buildSchedule();
@@ -312,11 +294,6 @@ SimulationTool::buildSchedule()
         }
     }
     for (int idx : comb_order) {
-        // Dead-logic elimination: proven-dead comb blocks never enter
-        // the schedule (their step index stays -1, which the
-        // event-driven enqueue path already skips).
-        if (dead_block_[idx])
-            continue;
         comb_step_of_block_[idx] = static_cast<int>(comb_steps_.size());
         comb_steps_.push_back(makeStep(idx));
     }
@@ -483,29 +460,8 @@ SimulationTool::specialize()
         }
         bc_scratch_.assign(static_cast<size_t>(max_scratch) + 1, 0);
         spec_stats_.codegenSeconds = sw.elapsed();
-        if (!design)
-            return;
-        if (pgoActive()) {
-            // Defer TU emission past the warm-up window: the bytecode
-            // tier runs while the probe gathers block heat, then
-            // startPgoBuild() derives the heat-refined layout and
-            // emits against it. An internal sampled probe stands in
-            // when no SimScope is attached.
-            can_ = can;
-            pgo_pending_ = true;
-            spec_stats_.tiered = true;
-            if (!probe_) {
-                pgo_probe_ = std::make_unique<ScopeProbe>();
-                pgo_probe_->exact = false;
-                pgo_probe_->block_seconds.assign(blocks.size(), 0.0);
-                pgo_probe_->block_calls.assign(blocks.size(), 0);
-                pgo_probe_->until_sample.assign(
-                    blocks.size(), pgo_probe_->sample_period);
-                probe_ = pgo_probe_.get();
-            }
-            return;
-        }
-        specializeDesign(can, nullptr);
+        if (design)
+            specializeDesign(can);
         return;
     }
 
@@ -524,8 +480,7 @@ SimulationTool::specialize()
 }
 
 std::vector<int>
-SimulationTool::designCombOrder(const std::vector<char> &can,
-                                const std::vector<double> *heat) const
+SimulationTool::designCombOrder(const std::vector<char> &can) const
 {
     // Any topological order of the comb dependency graph settles to
     // the same fixed point (each block runs once, after all writers of
@@ -536,55 +491,10 @@ SimulationTool::designCombOrder(const std::vector<char> &can,
     // compiled unit. Multiple writers of one token keep their relative
     // order from the baseline schedule via writer->writer chain edges.
     const auto &blocks = elab_->blocks;
-    // Dead blocks never reach the schedule; a live block never reads a
-    // dead block's output (that read would make the writer live), so
-    // dropping them here leaves a closed dependency graph.
-    std::vector<int> base;
-    base.reserve(elab_->combOrder.size());
-    for (int b : elab_->combOrder)
-        if (!dead_block_[b])
-            base.push_back(b);
+    const std::vector<int> &base = elab_->combOrder;
     std::vector<int> pos(blocks.size(), -1);
     for (size_t i = 0; i < base.size(); ++i)
         pos[base[i]] = static_cast<int>(i);
-    if (heat) {
-        // PGO: among ready blocks prefer the hottest first, so the
-        // fused unit executes hot logic in measured-heat order while
-        // the Kahn traversal keeps the order topological (any topo
-        // order settles to the same fixed point — see above). Sampled
-        // heat is noisy, and a total order by raw heat lets that
-        // jitter scramble the locality the baseline schedule already
-        // has — on a homogeneous design (the fig14 mesh) the shuffle
-        // costs 10-20% throughput for no gain. Quantize heat into
-        // power-of-two buckets instead: only order-of-magnitude
-        // differences move a block, ties keep the fusion-friendly
-        // schedule order.
-        std::vector<int> bucket(blocks.size(), 64);
-        double hmax = 0.0;
-        for (int b : base)
-            hmax = std::max(hmax, (*heat)[b]);
-        if (hmax > 0.0) {
-            for (int b : base) {
-                const double h = (*heat)[b];
-                if (h <= 0.0)
-                    continue;
-                int k = 0;
-                double t = hmax;
-                while (k < 63 && h < t / 8) {
-                    t /= 8;
-                    ++k;
-                }
-                bucket[b] = k;
-            }
-            std::vector<int> by_heat = base;
-            std::stable_sort(by_heat.begin(), by_heat.end(),
-                             [&](int a, int b) {
-                                 return bucket[a] < bucket[b];
-                             });
-            for (size_t i = 0; i < by_heat.size(); ++i)
-                pos[by_heat[i]] = static_cast<int>(i);
-        }
-    }
 
     const size_t ntokens = elab_->nets.size() + elab_->arrays.size();
     std::vector<std::vector<int>> writers(ntokens);
@@ -641,14 +551,9 @@ SimulationTool::designCombOrder(const std::vector<char> &can,
 }
 
 void
-SimulationTool::specializeDesign(const std::vector<char> &can,
-                                 const std::vector<double> *heat)
+SimulationTool::specializeDesign(const std::vector<char> &can)
 {
     Stopwatch sw;
-    // PGO emits against the heat-refined arena awaiting adoption; the
-    // plain path emits against the live one. Offsets baked into the
-    // module always match the arena it will run on.
-    ArenaStore &store = pgo_arena_ ? *pgo_arena_ : *arena_;
     // Native whole-design schedule: cluster the specializable blocks
     // with a class-aware levelization, fuse each contiguous run into
     // one emitted unit, and translate the flop phase itself.
@@ -665,7 +570,7 @@ SimulationTool::specializeDesign(const std::vector<char> &can,
         step.writes = &blk.writes;
         CppUnit unit;
         for (int b : run)
-            unit.items.push_back(CppUnit::Item{b, -1});
+            unit.items.push_back(CppUnit::Item{b});
         units.push_back(std::move(unit));
         out.push_back(step);
     };
@@ -686,23 +591,16 @@ SimulationTool::specializeDesign(const std::vector<char> &can,
         if (!run.empty())
             addNativeStep(run, out, seq);
     };
-    buildSteps(designCombOrder(can, heat), design_comb_steps_, false);
+    buildSteps(designCombOrder(can), design_comb_steps_, false);
     buildSteps(elab_->tickOrder, design_tick_steps_, true);
 
-    // The flop phase of the static flop set, coalesced into whole-word
-    // next->current copy ranges where the layout allows; packed nets
-    // sharing a word with non-flopped residents keep a per-net masked
-    // copy. Nets registered dynamically later (a lambda's writeNext)
-    // stay on the host loop — see doFlop.
-    std::vector<int> static_flops(flopped_nets_.begin(),
-                                  flopped_nets_.begin() +
-                                      static_cast<long>(n_static_flops_));
-    FlopCopyPlan plan = store.layout().flopPlan(static_flops);
+    // The flop phase of the static flop set as whole-word
+    // next->current copy ranges (flop_plan_). Nets registered
+    // dynamically later (a lambda's writeNext) stay on the host loop
+    // — see doFlop.
     CppUnit flop_unit;
-    for (const FlopRange &r : plan.ranges)
-        flop_unit.items.push_back(CppUnit::Item{-1, -1, r.off, r.nwords});
-    for (int net : plan.rmw_nets)
-        flop_unit.items.push_back(CppUnit::Item{-1, net});
+    for (const FlopRange &r : flop_plan_)
+        flop_unit.items.push_back(CppUnit::Item{-1, r.off, r.nwords});
     design_flop_unit_ = static_cast<int>(units.size());
     units.push_back(std::move(flop_unit));
 
@@ -732,7 +630,7 @@ SimulationTool::specializeDesign(const std::vector<char> &can,
         units.push_back(std::move(step_unit));
     }
 
-    CppProgram program = cppEmitProgram(*elab_, store, units);
+    CppProgram program = cppEmitProgram(*elab_, *arena_, units);
     design_source_ = std::move(program.source);
     design_nunits_ = static_cast<int>(units.size());
     spec_stats_.emittedTuBytes = design_source_.size();
@@ -780,8 +678,6 @@ SimulationTool::adoptNativeTier()
 void
 SimulationTool::maybeSwapTier()
 {
-    if (pgo_pending_ && numCycles() >= cfg_.pgo_warm_cycles)
-        startPgoBuild();
     if (!designMode() || design_native_ || tier_failed_ ||
         !cfg_.jit_tiered)
         return;
@@ -791,72 +687,15 @@ SimulationTool::maybeSwapTier()
         jit_thread_.join();
     if (jit_error_) {
         // Report the failure once; the bytecode tier stays active (it
-        // is correct, just slower — and under PGO it keeps the old
-        // layout, the pending arena is simply never adopted), so a
-        // caller may swallow this and keep simulating.
+        // is correct, just slower), so a caller may swallow this and
+        // keep simulating.
         tier_failed_ = true;
         std::exception_ptr err = jit_error_;
         jit_error_ = nullptr;
         std::rethrow_exception(err);
     }
     cpp_lib_ = std::move(pending_lib_);
-    if (pgo_arena_)
-        migrateArena();
     adoptNativeTier();
-}
-
-void
-SimulationTool::startPgoBuild()
-{
-    pgo_pending_ = false;
-    // Heat is consumed synchronously here (layout + schedule order);
-    // only the compile itself runs on the background thread.
-    const std::vector<double> *heat = nullptr;
-    if (probe_ && probe_->block_seconds.size() == elab_->blocks.size())
-        heat = &probe_->block_seconds;
-    auto lay = std::make_shared<const ArenaLayout>(
-        ArenaLayout::profiled(*elab_, nullptr, heat));
-    pgo_arena_ = std::make_unique<ArenaStore>(*elab_, std::move(lay));
-    specializeDesign(can_, heat);
-    // Drop the internal warm-up probe (an externally attached SimScope
-    // stays); its heat is already baked into the pending layout.
-    if (probe_ == pgo_probe_.get())
-        probe_ = nullptr;
-    pgo_probe_.reset();
-    can_.clear();
-    can_.shrink_to_fit();
-}
-
-void
-SimulationTool::migrateArena()
-{
-    // Per-net logical copy old arena -> heat-refined arena: values
-    // land in their new physical slots, so the native module and the
-    // migrated state agree from the first post-swap instruction.
-    const int nnets = static_cast<int>(elab_->nets.size());
-    for (int net = 0; net < nnets; ++net) {
-        pgo_arena_->write(net, arena_->read(net));
-        pgo_arena_->writeNext(net, arena_->readNext(net));
-    }
-    for (size_t a = 0; a < elab_->arrays.size(); ++a) {
-        const MemArray *array = elab_->arrays[a];
-        for (int i = 0; i < array->depth(); ++i) {
-            pgo_arena_->arrayWrite(static_cast<int>(a), i,
-                                   arena_->arrayRead(static_cast<int>(a),
-                                                     i));
-        }
-    }
-    arena_ = std::move(pgo_arena_);
-    slot_eval_ = std::make_unique<SlotEvaluator>(*arena_);
-    accessor_.bind(arena_.get(), boxed_.get(),
-                   [this](int token) { return tokenInArena(token); });
-    flop_plan_ = arena_->layout().flopPlan(
-        std::vector<int>(flopped_nets_.begin(),
-                         flopped_nets_.begin() +
-                             static_cast<long>(n_static_flops_)));
-    // The bytecode tier's programs still index the old layout, but
-    // they die with the swap: active_* swing to the design schedule in
-    // adoptNativeTier() and never swing back.
 }
 
 bool
@@ -871,9 +710,8 @@ SimulationTool::layoutStats() const
 {
     if (!arena_)
         return LayoutStats{};
-    LayoutStats s = arena_->layout().stats();
-    s.flop_memcpy_ranges = static_cast<int>(flop_plan_.ranges.size());
-    return s;
+    return LayoutStats{arena_->wordsPerPhase(),
+                       static_cast<int>(flop_plan_.size())};
 }
 
 void
@@ -1059,8 +897,8 @@ SimulationTool::runStep(const Step &step, std::vector<int> *changed)
     if (ScopeProbe *p = probe_) {
         // A fused bytecode group runs many blocks in one step; timing
         // the step as a whole would credit the entire group to one
-        // block id and starve every other member of heat (the PGO
-        // re-layout and SimScope rankings both read per-block heat).
+        // block id and starve every other member of heat (SimScope's
+        // rankings read per-block heat).
         // Descend and account each member program individually.
         if (step.kind == Step::Kind::Bytecode && step.group >= 0 &&
             group_blocks_[step.group].size() > 1 && !changed &&
@@ -1281,11 +1119,8 @@ SimulationTool::doFlop(std::vector<int> *changed)
     }
     if (arena_ && !useBoxed() && !changed && !gating_) {
         // No per-net change notification needed: copy the static flop
-        // set as whole-word ranges (plus the masked stragglers whose
-        // word-mates are not all flopped), then the dynamic tail.
-        arena_->flopRanges(flop_plan_.ranges);
-        for (int net : flop_plan_.rmw_nets)
-            arena_->flop(net);
+        // set as whole-word ranges, then the dynamic tail.
+        arena_->flopRanges(flop_plan_);
         for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i)
             arena_->flop(flopped_nets_[i]);
         return;

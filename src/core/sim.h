@@ -133,15 +133,6 @@ struct SimConfig
      */
     bool jit_tiered = true;
     /**
-     * Skip combinational IR blocks the whole-design dataflow analysis
-     * (dataflow.h) proves dead — outside every observed sink's cone of
-     * influence. Equivalent for every observed value; nets written
-     * only by skipped blocks retain their initial value, so designs
-     * with dead logic show different *dead* net values (and VCD bytes)
-     * than an unoptimized run. Off by default.
-     */
-    bool dead_elim = false;
-    /**
      * Activity gating: skip work that provably cannot change state.
      * The sequential kernel skips a combinational step when none of
      * its inputs changed since its last run (static schedules only —
@@ -155,22 +146,6 @@ struct SimConfig
      * default.
      */
     bool gating = true;
-    /**
-     * Arena data-layout policy (layout.h). Elab reproduces the
-     * historical elaboration-order layout; Profile groups nets by
-     * partition island and producer block, bit-packs narrow nets and
-     * coalesces the flop phase into contiguous word-copy ranges.
-     * Orthogonal to the backend string (not part of toString());
-     * results are bit- and VCD-identical across policies.
-     */
-    LayoutPolicy layout = LayoutPolicy::Elab;
-    /**
-     * cpp-design + Profile + jit_tiered only: cycles to run on the
-     * bytecode warm-up tier gathering block heat before the layout is
-     * re-derived from the measured profile and the fused translation
-     * unit is emitted and compiled in the background (the PGO loop).
-     */
-    uint64_t pgo_warm_cycles = 2000;
 
     /**
      * Normalize the config in place: derive backend from exec/spec
@@ -272,9 +247,6 @@ struct SpecStats
      *  (0 = before the first cycle, -1 = still on the warm-up tier). */
     int64_t tierSwapCycle = -1;
     bool tiered = false; //!< cpp-design with background compilation
-    // --- dead-logic elimination (SimConfig::dead_elim) -------------
-    int deadBlocksElided = 0;  //!< comb blocks skipped by the schedule
-    int deadNetsElided = 0;    //!< driven+read nets proven dead
     /** Bytes of the emitted C++ translation unit (cpp-block fused
      *  groups or the cpp-design whole-design unit); 0 for
      *  interpreter/bytecode backends. */
@@ -398,10 +370,9 @@ class Simulator : public SignalAccess
     ScopeProbe *scopeProbe() const { return probe_; }
 
     /**
-     * Data-layout observability: the active arena layout's counters
-     * with flop_memcpy_ranges filled in from the kernel's flop plan.
-     * Defaults (elab policy, zero counters) on storage without an
-     * arena (pure interp).
+     * Arena observability: words per phase and the number of
+     * whole-word copy ranges in the kernel's flop plan. Zero on
+     * storage without an arena (pure interp).
      */
     virtual LayoutStats layoutStats() const { return LayoutStats{}; }
 
@@ -506,20 +477,10 @@ class SimulationTool : public Simulator
     Step makeStep(int idx) const;
     void buildSchedule();
     void specialize();
-    void specializeDesign(const std::vector<char> &can,
-                          const std::vector<double> *heat);
-    std::vector<int> designCombOrder(const std::vector<char> &can,
-                                     const std::vector<double> *heat) const;
+    void specializeDesign(const std::vector<char> &can);
+    std::vector<int> designCombOrder(const std::vector<char> &can) const;
     void adoptNativeTier();
     void maybeSwapTier();
-    /** True when the layout will be re-derived from measured heat. */
-    bool pgoActive() const
-    {
-        return designMode() && cfg_.jit_tiered &&
-               cfg_.layout == LayoutPolicy::Profile;
-    }
-    void startPgoBuild();
-    void migrateArena();
     void runStep(const Step &step, std::vector<int> *changed);
     void runStepImpl(const Step &step, std::vector<int> *changed);
     void cycleProfiled();
@@ -591,17 +552,8 @@ class SimulationTool : public Simulator
     CppJitLibrary pending_lib_;
     std::exception_ptr jit_error_;
 
-    // --- profile-guided layout (cpp-design + Profile + tiered) -----
-    // TU emission is deferred past a warm-up window; the heat the
-    // probe gathered refines the layout and orders the fused schedule,
-    // then the normal background tier swap adopts module AND arena
-    // together (migrateArena).
-    bool pgo_pending_ = false;
-    std::vector<char> can_; //!< saved specializable mask for re-emit
-    std::unique_ptr<ScopeProbe> pgo_probe_; //!< internal heat source
-    std::unique_ptr<ArenaStore> pgo_arena_; //!< awaiting adoption
-    /** Static-flop copy plan for the active arena (doFlop fast path). */
-    FlopCopyPlan flop_plan_;
+    /** Static-flop copy plan for the arena (doFlop fast path). */
+    std::vector<FlopRange> flop_plan_;
 
     std::vector<BcProgram> bc_programs_; //!< per specialized block
     std::vector<uint64_t> bc_scratch_;
@@ -613,9 +565,6 @@ class SimulationTool : public Simulator
     std::vector<std::vector<int>> group_blocks_;
     std::vector<std::vector<int>> group_reads_;
     std::vector<std::vector<int>> group_writes_;
-
-    /** Comb blocks elided by dead-logic elimination (dead_elim). */
-    std::vector<char> dead_block_;
 
     std::vector<int> flopped_nets_;
     std::vector<char> is_flopped_;

@@ -173,7 +173,8 @@ constexpr uint32_t kTagNxts = fourcc('N', 'X', 'T', 'S');
 constexpr uint32_t kTagArry = fourcc('A', 'R', 'R', 'Y');
 constexpr uint32_t kTagFlop = fourcc('F', 'L', 'O', 'P');
 constexpr uint32_t kTagModl = fourcc('M', 'O', 'D', 'L');
-// v2: optional, informational — the capturing arena's layout policy.
+// v2: optional, informational — the capturing arena's layout name
+// (always "elab" since the arena has a single layout).
 constexpr uint32_t kTagLayt = fourcc('L', 'A', 'Y', 'T');
 
 std::string
@@ -539,7 +540,7 @@ snapSave(const Simulator &sim)
     }
 
     snap.dynamic_flops = sim.dynamicFlopNets();
-    snap.layout_policy = layoutPolicyName(sim.layoutStats().policy);
+    snap.layout_policy = "elab";
 
     for (Model *model : elab.models) {
         SnapWriter w;

@@ -27,10 +27,10 @@
  * (memory arrays), FLOP (dynamically registered flop net ids), MODL
  * (per-model opaque host-state blobs keyed by hierarchical name), and
  * since version 2 an optional informational LAYT section naming the
- * capturing simulator's arena layout policy. NETS/NXTS are logical
- * net-id ordered — the physical arena layout never leaks into the
- * state sections — so digests are layout-independent and any image
- * restores into any layout, backend and thread count; version 1
+ * capturing simulator's arena layout (writers always emit "elab";
+ * readers accept any string). NETS/NXTS are logical net-id ordered —
+ * the physical arena layout never leaks into the state sections — so
+ * any image restores into any backend and thread count; version 1
  * images (no LAYT) still load. Every load failure — bad magic,
  * unknown version, corrupted checksum, design mismatch — throws
  * SnapError with a diagnostic; a snapshot is never silently
@@ -146,10 +146,11 @@ struct SimSnapshot
     /** (hierarchical model name, opaque Model::snapSave blob). */
     std::vector<std::pair<std::string, std::string>> model_state;
     /**
-     * Arena layout policy of the capturing simulator ("elab" /
-     * "profile"; empty on version-1 images). Purely informational —
-     * excluded from digest(), never constrains restoration (state is
-     * logical-net ordered, so any layout restores any image).
+     * Arena layout name of the capturing simulator ("elab" from every
+     * current writer; older images may say "profile"; empty on
+     * version-1 images). Purely informational — excluded from
+     * digest(), never constrains restoration (state is logical-net
+     * ordered).
      */
     std::string layout_policy;
 

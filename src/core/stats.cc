@@ -49,19 +49,11 @@ simulatorReport(const Simulator &sim)
             os << buf;
         }
     }
-    if (cfg.dead_elim) {
-        os << "  dead-elim: " << spec.deadBlocksElided
-           << " comb block(s), " << spec.deadNetsElided
-           << " net(s) elided\n";
-    }
     {
         const LayoutStats lay = sim.layoutStats();
-        os << "  layout: " << layoutPolicyName(lay.policy)
-           << (lay.pgo ? " (pgo-refined)" : "") << ", "
-           << lay.words_per_phase << " words/phase, " << lay.packed_nets
-           << " net(s) packed saving " << lay.packed_bits_saved
-           << " bit(s), flop memcpy ranges " << lay.flop_memcpy_ranges
-           << "\n";
+        os << "  layout: " << lay.words_per_phase
+           << " words/phase, flop memcpy ranges "
+           << lay.flop_memcpy_ranges << "\n";
     }
     if (const auto *par = dynamic_cast<const ParSimulationTool *>(&sim)) {
         os << partitionReport(sim.elaboration(), par->plan());

@@ -81,43 +81,33 @@ BoxedStore::flop(int net)
 // ------------------------------------------------------------ ArenaStore
 
 ArenaStore::ArenaStore(const Elaboration &elab)
-    : ArenaStore(elab, std::make_shared<const ArenaLayout>(
-                           ArenaLayout::elabOrder(elab)))
-{
-}
-
-ArenaStore::ArenaStore(const Elaboration &elab,
-                       std::shared_ptr<const ArenaLayout> layout)
-    : layout_(std::move(layout))
 {
     const int nnets = static_cast<int>(elab.nets.size());
     offset_.resize(nnets);
-    shift_.resize(nnets);
-    packed_.resize(nnets);
     nwords_.resize(nnets);
     nbits_.resize(nnets);
     mask_.resize(nnets);
+    int off = 0;
     for (int i = 0; i < nnets; ++i) {
-        const LayoutSlot &s = layout_->slot(i);
-        offset_[i] = s.word_off;
-        shift_[i] = s.shift;
-        packed_[i] = layout_->packed(i) ? 1 : 0;
-        nwords_[i] = s.nwords;
-        nbits_[i] = s.nbits;
-        mask_[i] = s.mask;
+        const Net &net = elab.nets[i];
+        offset_[i] = off;
+        nwords_[i] = bitsToWords(net.nbits);
+        nbits_[i] = net.nbits;
+        mask_[i] = topWordMask(net.nbits);
+        off += nwords_[i];
     }
-    words_per_phase_ = layout_->wordsPerPhase();
+    words_per_phase_ = off;
 
     // Array storage lives past the two net phases.
-    for (size_t a = 0; a < elab.arrays.size(); ++a) {
-        const MemArray *array = elab.arrays[a];
-        array_offset_.push_back(
-            layout_->arrayOffset(static_cast<int>(a)));
+    int array_off = words_per_phase_ * 2;
+    for (const MemArray *array : elab.arrays) {
+        array_offset_.push_back(array_off);
         array_mask_.push_back(array->indexMask());
         array_vmask_.push_back(topWordMask(array->nbits()));
         array_nbits_.push_back(array->nbits());
+        array_off += array->depth();
     }
-    words_.assign(static_cast<size_t>(layout_->totalWords()), 0);
+    words_.assign(static_cast<size_t>(array_off), 0);
 }
 
 Bits
@@ -140,8 +130,7 @@ Bits
 ArenaStore::read(int net) const
 {
     if (nwords_[net] == 1)
-        return Bits(nbits_[net],
-                    (words_[offset_[net]] >> shift_[net]) & mask_[net]);
+        return Bits(nbits_[net], words_[offset_[net]]);
     std::vector<uint64_t> w(words_.begin() + offset_[net],
                             words_.begin() + offset_[net] + nwords_[net]);
     return Bits::fromWords(nbits_[net], w);
@@ -152,8 +141,7 @@ ArenaStore::readNext(int net) const
 {
     int base = offset_[net] + words_per_phase_;
     if (nwords_[net] == 1)
-        return Bits(nbits_[net],
-                    (words_[base] >> shift_[net]) & mask_[net]);
+        return Bits(nbits_[net], words_[base]);
     std::vector<uint64_t> w(words_.begin() + base,
                             words_.begin() + base + nwords_[net]);
     return Bits::fromWords(nbits_[net], w);
@@ -163,16 +151,6 @@ bool
 ArenaStore::write(int net, const Bits &value)
 {
     int base = offset_[net];
-    if (nwords_[net] == 1) {
-        // Masked read-modify-write: packed word-mates keep their
-        // bits; the change test covers only this net's field.
-        uint64_t v = value.word(0) & mask_[net];
-        uint64_t &w = words_[base];
-        if (((w >> shift_[net]) & mask_[net]) == v)
-            return false;
-        w = (w & ~(mask_[net] << shift_[net])) | (v << shift_[net]);
-        return true;
-    }
     bool changed = false;
     for (int i = 0; i < nwords_[net]; ++i) {
         uint64_t w = value.word(i);
@@ -190,12 +168,6 @@ void
 ArenaStore::writeNext(int net, const Bits &value)
 {
     int base = offset_[net] + words_per_phase_;
-    if (nwords_[net] == 1) {
-        uint64_t v = value.word(0) & mask_[net];
-        uint64_t &w = words_[base];
-        w = (w & ~(mask_[net] << shift_[net])) | (v << shift_[net]);
-        return;
-    }
     for (int i = 0; i < nwords_[net]; ++i) {
         uint64_t w = value.word(i);
         if (i == nwords_[net] - 1)
@@ -209,16 +181,6 @@ ArenaStore::flop(int net)
 {
     int cur = offset_[net];
     int nxt = cur + words_per_phase_;
-    if (nwords_[net] == 1) {
-        // Copy only this net's field: word-mates may not be flopped
-        // (dynamically registered flops can live in comb words).
-        uint64_t v = (words_[nxt] >> shift_[net]) & mask_[net];
-        uint64_t &w = words_[cur];
-        if (((w >> shift_[net]) & mask_[net]) == v)
-            return false;
-        w = (w & ~(mask_[net] << shift_[net])) | (v << shift_[net]);
-        return true;
-    }
     bool changed = false;
     for (int i = 0; i < nwords_[net]; ++i) {
         if (words_[cur + i] != words_[nxt + i]) {
@@ -227,6 +189,27 @@ ArenaStore::flop(int net)
         }
     }
     return changed;
+}
+
+std::vector<FlopRange>
+ArenaStore::flopPlan(const std::vector<int> &flop_nets) const
+{
+    std::vector<char> flopped(words_per_phase_, 0);
+    for (int net : flop_nets) {
+        for (int w = 0; w < nwords_[net]; ++w)
+            flopped[offset_[net] + w] = 1;
+    }
+    std::vector<FlopRange> ranges;
+    for (int w = 0; w < words_per_phase_; ++w) {
+        if (!flopped[w])
+            continue;
+        if (!ranges.empty() &&
+            ranges.back().off + ranges.back().nwords == w)
+            ++ranges.back().nwords;
+        else
+            ranges.push_back({w, 1});
+    }
+    return ranges;
 }
 
 void

@@ -15,12 +15,10 @@
  *    the next-value (non-blocking) region is words [W, 2W). Reads and
  *    writes are direct indexed loads/stores, the result of
  *    slot-binding every signal once, the way a tracing JIT's
- *    attribute caches do. Which physical word (and bit position,
- *    under bit packing) a net occupies is decided by an ArenaLayout
- *    (layout.h); the store is just the memory plus layout-aware
- *    accessors. Packed nets read with a shift+mask and write with a
- *    masked read-modify-write, so word sharing is invisible above
- *    this API.
+ *    attribute caches do. Nets take whole words in elaboration
+ *    order (a net never shares a word), so every specializer bakes
+ *    plain word offsets into its code; memory arrays follow the two
+ *    net phases.
  */
 
 #ifndef CMTL_CORE_STORE_H
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "bits.h"
-#include "layout.h"
 #include "model.h"
 
 namespace cmtl {
@@ -71,25 +68,26 @@ class BoxedStore
     std::unordered_map<std::string, std::vector<Box>> arrays_;
 };
 
+/** One whole-word next -> current copy run of the flop phase. */
+struct FlopRange
+{
+    int off = 0;    //!< first word (current-phase index)
+    int nwords = 0; //!< contiguous words to copy
+};
+
+/** Arena counters surfaced in simulatorReport / SimScope. */
+struct LayoutStats
+{
+    int words_per_phase = 0;
+    int flop_memcpy_ranges = 0; //!< ranges in the kernel's flop plan
+};
+
 /** Dense word-arena storage (PyPy/SimJIT analog). */
 class ArenaStore
 {
   public:
-    /** Historical behaviour: a fresh elaboration-order layout. */
+    /** Elaboration-order layout: one whole-word run per net. */
     explicit ArenaStore(const Elaboration &elab);
-    /**
-     * Arena over an explicit layout. ParSim replicas pass one shared
-     * instance so every replica's physical layout is identical by
-     * construction.
-     */
-    ArenaStore(const Elaboration &elab,
-               std::shared_ptr<const ArenaLayout> layout);
-
-    const ArenaLayout &layout() const { return *layout_; }
-    std::shared_ptr<const ArenaLayout> layoutPtr() const
-    {
-        return layout_;
-    }
 
     int wordsPerPhase() const { return words_per_phase_; }
     uint64_t *data() { return words_.data(); }
@@ -97,10 +95,6 @@ class ArenaStore
 
     /** First word of the net's slot within a phase. */
     int offset(int net) const { return offset_[net]; }
-    /** Bit position of the net within its word (0 unless packed). */
-    int shift(int net) const { return shift_[net]; }
-    /** True iff the net shares its word with other nets. */
-    bool packed(int net) const { return packed_[net] != 0; }
     int nwords(int net) const { return nwords_[net]; }
     int nbits(int net) const { return nbits_[net]; }
     uint64_t mask(int net) const { return mask_[net]; }
@@ -114,6 +108,11 @@ class ArenaStore
     void writeNext(int net, const Bits &value);
     bool flop(int net);
 
+    /**
+     * Coalesce @p flop_nets into whole-word next -> current copy
+     * ranges: nets own their words, so adjacent flopped nets merge.
+     */
+    std::vector<FlopRange> flopPlan(const std::vector<int> &flop_nets) const;
     /** Whole-word next -> current copies (precomputed flop plan). */
     void flopRanges(const std::vector<FlopRange> &ranges);
 
@@ -132,12 +131,8 @@ class ArenaStore
     void arrayWrite(int array_id, uint64_t index, const Bits &value);
 
   private:
-    std::shared_ptr<const ArenaLayout> layout_;
     std::vector<uint64_t> words_; //!< [cur][next][array storage]
-    // Flat copies of the layout's slot table (hot-path locality).
     std::vector<int> offset_;
-    std::vector<int> shift_;
-    std::vector<char> packed_;
     std::vector<int> nwords_;
     std::vector<int> nbits_;
     std::vector<uint64_t> mask_; //!< top-word value mask per net

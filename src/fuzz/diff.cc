@@ -16,7 +16,6 @@
 #include <unistd.h>
 
 #include "core/jit_cpp.h"
-#include "core/layout.h"
 #include "core/lint.h"
 #include "core/partition.h"
 #include "core/psim.h"
@@ -34,7 +33,6 @@ FuzzSide::toSimConfig() const
     SimConfig cfg;
     try {
         cfg = SimConfig::fromString(backend);
-        cfg.layout = layoutPolicyFromName(layout);
     } catch (const std::invalid_argument &e) {
         throw std::runtime_error(std::string("fuzz side: ") + e.what());
     }
@@ -50,7 +48,7 @@ std::string
 FuzzSide::str() const
 {
     std::ostringstream os;
-    os << backend << " t" << threads << " " << layout;
+    os << backend << " t" << threads;
     if (!gating)
         os << " ungated";
     return os.str();
@@ -67,41 +65,31 @@ FuzzSide::needsCompiler() const
 std::vector<FuzzSide>
 fuzzMatrix(bool full)
 {
-    auto side = [](const char *backend, int threads, const char *layout,
-                   bool gating = true) {
+    auto side = [](const char *backend, int threads, bool gating = true) {
         FuzzSide s;
         s.backend = backend;
         s.threads = threads;
-        s.layout = layout;
         s.gating = gating;
         return s;
     };
     std::vector<FuzzSide> m;
-    // Interpreter family: every thread x layout corner plus one
-    // gating-off point (gating must be value-invisible).
-    m.push_back(side("optinterp", 1, "elab"));
-    m.push_back(side("optinterp", 1, "profile"));
-    m.push_back(side("optinterp", 4, "elab"));
-    m.push_back(side("optinterp", 4, "profile"));
-    m.push_back(side("bytecode", 1, "elab"));
-    m.push_back(side("bytecode", 4, "profile"));
-    m.push_back(side("optinterp", 1, "elab", false));
+    // Interpreter family: every thread corner plus one gating-off
+    // point (gating must be value-invisible).
+    m.push_back(side("optinterp", 1));
+    m.push_back(side("optinterp", 4));
+    m.push_back(side("bytecode", 1));
+    m.push_back(side("bytecode", 4));
+    m.push_back(side("optinterp", 1, false));
     if (!full)
         return m;
-    m.push_back(side("bytecode", 1, "profile"));
-    m.push_back(side("bytecode", 4, "elab"));
-    m.push_back(side("cpp-block", 1, "elab"));
-    m.push_back(side("cpp-block", 1, "profile"));
-    m.push_back(side("cpp-block", 4, "elab"));
-    m.push_back(side("cpp-block", 4, "profile"));
-    m.push_back(side("cpp-design", 1, "elab"));
-    m.push_back(side("cpp-design", 1, "profile"));
-    m.push_back(side("cpp-design", 4, "elab"));
-    m.push_back(side("cpp-design", 4, "profile"));
+    m.push_back(side("cpp-block", 1));
+    m.push_back(side("cpp-block", 4));
+    m.push_back(side("cpp-design", 1));
+    m.push_back(side("cpp-design", 4));
     // Boxed hybrids are sequential-only (ParSim needs the arena).
-    m.push_back(side("interp+bytecode", 1, "elab"));
-    m.push_back(side("interp+cpp-block", 1, "elab"));
-    m.push_back(side("optinterp", 4, "profile", false));
+    m.push_back(side("interp+bytecode", 1));
+    m.push_back(side("interp+cpp-block", 1));
+    m.push_back(side("optinterp", 4, false));
     return m;
 }
 

@@ -6,11 +6,10 @@
  * across abstraction levels and execution engines — is proven in this
  * repo on a handful of hand-written designs. SimFuzz turns the claim
  * adversarial: a seeded generator elaborates randomized block/net
- * graphs (comb + tick IR blocks, wide and narrow nets for layout
- * bit-packing pressure, MemArrays, a val/rdy channel, a dynamic flop
- * driven from a host lambda) plus a randomized StimTape, then runs
- * every backend x thread-count x arena-layout combination against the
- * boxed-interpreter reference and compares state digests and VCD
+ * graphs (comb + tick IR blocks, wide and narrow nets, MemArrays, a
+ * val/rdy channel, a dynamic flop driven from a host lambda) plus a
+ * randomized StimTape, then runs every backend x thread-count x gating
+ * combination against the boxed-interpreter reference and compares state digests and VCD
  * bytes. On mismatch the DivergenceBisector pinpoints the first
  * divergent cycle and a graph-shrinking loop drops blocks, nets and
  * stimulus channels while the divergence still reproduces, emitting a
@@ -71,18 +70,20 @@ struct FuzzSide
 {
     std::string backend = "interp";
     int threads = 1;
-    std::string layout = "elab"; //!< "elab" | "profile"
     bool gating = true;
 
     /** Fully resolved simulator configuration. */
     SimConfig toSimConfig() const;
 
-    /** Human label, e.g. "optinterp t4 profile" / "... ungated". */
+    /** Human label, e.g. "optinterp t4" / "optinterp t1 ungated". */
     std::string str() const;
 
-    /** Repro-file encoding: "<backend> <threads> <layout> <gating>". */
+    /** Repro-file encoding: "<backend> <threads> <gating>". */
     std::string encode() const;
-    /** Parse encode()'s format; throws std::runtime_error on garbage. */
+    /**
+     * Parse encode()'s format; throws std::runtime_error on garbage,
+     * trailing tokens or threads < 1.
+     */
     static FuzzSide decode(const std::string &text);
 
     /** True when this side needs the host C++ compiler. */
@@ -140,21 +141,26 @@ struct FuzzSpec
     /**
      * Line-oriented text image:
      *
-     *   CMTLFUZZ v1
+     *   CMTLFUZZ v2
      *   seed <n>
      *   cycles <n>
-     *   side_a <backend> <threads> <layout> <gating>
-     *   side_b <backend> <threads> <layout> <gating>
+     *   side_a <backend> <threads> <gating>
+     *   side_b <backend> <threads> <gating>
      *   comb_off <id> <id> ...        (omitted when empty)
      *   tick_off ...
      *   stim_off ...
      *   fault <cycle> <net_ordinal> <bit>   (omitted when inactive)
      *   expect diverge|agree               (omitted when unspecified)
      *
-     * '#' starts a comment; blank lines are ignored.
+     * '#' starts a comment; blank lines are ignored. v1 images (whose
+     * side lines carried an arena-layout token) are rejected.
      */
     std::string encodeText() const;
-    /** Parse encodeText()'s format; throws std::runtime_error. */
+    /**
+     * Parse encodeText()'s format. Throws std::runtime_error with a
+     * "fuzz repro:" diagnostic on a missing or v1 header, an unknown
+     * key, a non-numeric count, trailing tokens or threads < 1.
+     */
     static FuzzSpec decodeText(const std::string &text);
 
     void saveFile(const std::string &path) const;
@@ -234,12 +240,12 @@ class FuzzDesign : public Model
 StimTape makeFuzzStim(const FuzzSpec &spec);
 
 /**
- * The differential backend matrix, reference excluded. quick covers
- * the interpreter-family backends (optinterp/bytecode x threads x
- * layouts plus a gating-off point); full adds the compiled backends
- * (cpp-block, cpp-design), the boxed hybrids and a parallel
- * gating-off point. Entries needing an unavailable host compiler are
- * the runner's problem to skip.
+ * The differential backend matrix, reference excluded. quick (5
+ * sides) covers the interpreter-family backends (optinterp/bytecode x
+ * 1/4 threads plus a gating-off point); full (12 sides) adds the
+ * compiled backends (cpp-block, cpp-design) at 1/4 threads, the boxed
+ * hybrids and a parallel gating-off point. Entries needing an
+ * unavailable host compiler are the runner's problem to skip.
  */
 std::vector<FuzzSide> fuzzMatrix(bool full);
 

@@ -8,6 +8,9 @@
 #include "fuzz.h"
 
 #include <cerrno>
+#include <climits>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -82,7 +85,7 @@ deriveShape(uint64_t seed)
     Shape sh;
 
     // Stimulus: 2-4 ports, port 0 always multiword so every design
-    // carries layout bit-packing pressure and unspecializable blocks.
+    // carries multiword nets and unspecializable blocks.
     int nstim = r.irange(2, 4);
     for (int i = 0; i < nstim; ++i)
         sh.stim_w.push_back(i == 0 ? r.irange(65, 96) : r.irange(1, 16));
@@ -158,12 +161,53 @@ FuzzSpec::stimOff(int id) const
     return false;
 }
 
+namespace {
+
+/** Parse a non-negative decimal count no larger than @p max. */
+uint64_t
+parseCount(const std::string &tok, const std::string &what,
+           uint64_t max = UINT64_MAX)
+{
+    if (tok.empty() || tok.find_first_not_of("0123456789") !=
+                           std::string::npos)
+        throw std::runtime_error("fuzz repro: bad " + what + " '" + tok +
+                                 "'");
+    errno = 0;
+    unsigned long long v = std::strtoull(tok.c_str(), nullptr, 10);
+    if (errno == ERANGE || v > max)
+        throw std::runtime_error("fuzz repro: " + what + " '" + tok +
+                                 "' out of range");
+    return v;
+}
+
+/** The next token of @p ls as a count; a missing token is an error. */
+uint64_t
+nextCount(std::istringstream &ls, const std::string &what,
+          uint64_t max = UINT64_MAX)
+{
+    std::string tok;
+    if (!(ls >> tok))
+        throw std::runtime_error("fuzz repro: missing " + what);
+    return parseCount(tok, what, max);
+}
+
+/** Reject anything left on a line after its last field. */
+void
+expectEnd(std::istringstream &ls, const std::string &line)
+{
+    std::string extra;
+    if (ls >> extra)
+        throw std::runtime_error("fuzz repro: trailing '" + extra +
+                                 "' on line '" + line + "'");
+}
+
+} // namespace
+
 std::string
 FuzzSide::encode() const
 {
     std::ostringstream os;
-    os << backend << " " << threads << " " << layout << " "
-       << (gating ? 1 : 0);
+    os << backend << " " << threads << " " << (gating ? 1 : 0);
     return os.str();
 }
 
@@ -172,11 +216,15 @@ FuzzSide::decode(const std::string &text)
 {
     std::istringstream is(text);
     FuzzSide side;
-    int gating = 1;
-    if (!(is >> side.backend >> side.threads >> side.layout >> gating))
+    if (!(is >> side.backend))
         throw std::runtime_error("fuzz repro: bad side spec '" + text +
                                  "'");
-    side.gating = gating != 0;
+    side.threads = static_cast<int>(nextCount(is, "threads", INT_MAX));
+    if (side.threads < 1)
+        throw std::runtime_error("fuzz repro: threads must be >= 1 in '" +
+                                 text + "'");
+    side.gating = nextCount(is, "gating flag", 1) != 0;
+    expectEnd(is, text);
     return side;
 }
 
@@ -184,7 +232,7 @@ std::string
 FuzzSpec::encodeText() const
 {
     std::ostringstream os;
-    os << "CMTLFUZZ v1\n";
+    os << "CMTLFUZZ v2\n";
     os << "seed " << seed << "\n";
     os << "cycles " << cycles << "\n";
     os << "side_a " << side_a.encode() << "\n";
@@ -215,38 +263,49 @@ FuzzSpec::decodeText(const std::string &text)
 {
     std::istringstream is(text);
     std::string line;
+    auto stripComment = [](std::string &l) {
+        size_t hash = l.find('#');
+        if (hash != std::string::npos)
+            l.erase(hash);
+    };
     // The header is the first line that is not blank or a comment.
-    bool have_header = false;
+    std::string magic, version;
     while (std::getline(is, line)) {
-        size_t at = line.find_first_not_of(" \t\r");
-        if (at == std::string::npos || line[at] == '#')
+        stripComment(line);
+        std::istringstream hs(line);
+        if (!(hs >> magic))
             continue;
-        have_header = line.rfind("CMTLFUZZ v1", at) == at;
+        hs >> version;
+        if (magic == "CMTLFUZZ" && version == "v1")
+            throw std::runtime_error(
+                "fuzz repro: CMTLFUZZ v1 is no longer accepted: v2 "
+                "removed the v1 layout token, side lines are now "
+                "'<backend> <threads> <gating>'");
+        expectEnd(hs, line);
         break;
     }
-    if (!have_header)
-        throw std::runtime_error("fuzz repro: missing CMTLFUZZ v1 "
+    if (magic != "CMTLFUZZ" || version != "v2")
+        throw std::runtime_error("fuzz repro: missing CMTLFUZZ v2 "
                                  "header");
     FuzzSpec spec;
     while (std::getline(is, line)) {
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
+        stripComment(line);
         std::istringstream ls(line);
         std::string key;
         if (!(ls >> key))
             continue;
-        auto ids = [&ls]() {
+        auto ids = [&ls, &key]() {
             std::vector<int> out;
-            int v;
-            while (ls >> v)
-                out.push_back(v);
+            std::string tok;
+            while (ls >> tok)
+                out.push_back(static_cast<int>(
+                    parseCount(tok, key + " id", INT_MAX)));
             return out;
         };
         if (key == "seed") {
-            ls >> spec.seed;
+            spec.seed = nextCount(ls, "seed");
         } else if (key == "cycles") {
-            ls >> spec.cycles;
+            spec.cycles = nextCount(ls, "cycles");
         } else if (key == "side_a" || key == "side_b") {
             std::string rest;
             std::getline(ls, rest);
@@ -260,9 +319,11 @@ FuzzSpec::decodeText(const std::string &text)
             spec.stim_off = ids();
         } else if (key == "fault") {
             spec.fault.active = true;
-            if (!(ls >> spec.fault.cycle >> spec.fault.net_ordinal >>
-                  spec.fault.bit))
-                throw std::runtime_error("fuzz repro: bad fault line");
+            spec.fault.cycle = nextCount(ls, "fault cycle");
+            spec.fault.net_ordinal =
+                static_cast<int>(nextCount(ls, "fault net", INT_MAX));
+            spec.fault.bit =
+                static_cast<int>(nextCount(ls, "fault bit", INT_MAX));
         } else if (key == "expect") {
             std::string what;
             ls >> what;
@@ -277,6 +338,7 @@ FuzzSpec::decodeText(const std::string &text)
             throw std::runtime_error("fuzz repro: unknown key '" + key +
                                      "'");
         }
+        expectEnd(ls, line);
     }
     if (spec.cycles == 0)
         throw std::runtime_error("fuzz repro: zero cycle budget");

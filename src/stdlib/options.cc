@@ -59,12 +59,12 @@ const char *
 SimOptions::usage()
 {
     return "[--backend=interp|optinterp|bytecode|cpp-block|cpp-design]"
-           " [--layout=elab|profile] [--threads=N] [--profile[=json]]"
+           " [--threads=N] [--profile[=json]]"
            " [--level=fl|cl|clspec|rtl]"
            " [--cycles=N] [--seed=N] [--traffic=pattern]"
            " [--vcd=path] [--checkpoint=path[:N]]"
            " [--resume=path] [--listen=socket] [--jobs=N] [--audit]"
-           " [--dead-elim] [--full] [--help]";
+           " [--full] [--help]";
 }
 
 const char *
@@ -76,12 +76,6 @@ SimOptions::helpTable()
         "                      bytecode | cpp-block | cpp-design |\n"
         "                      interp+bytecode | interp+cpp-block\n"
         "                      (\"cpp\" is accepted for cpp-block)\n"
-        "  --layout=<p>        arena data layout policy: elab (net\n"
-        "                      declaration order) | profile (group by\n"
-        "                      partition island and producer block,\n"
-        "                      bit-pack narrow nets, coalesce the flop\n"
-        "                      phase; with cpp-design tiering, re-lays\n"
-        "                      out from measured block heat)\n"
         "  --threads=<n>       host threads; >1 runs the parallel\n"
         "                      ParSim kernel (clamped to the hardware\n"
         "                      thread count with a warning)\n"
@@ -110,9 +104,6 @@ SimOptions::helpTable()
         "  --audit             run the static ParSim race auditor on\n"
         "                      the active partition and report the\n"
         "                      verdict (n/a on sequential runs)\n"
-        "  --dead-elim         drop comb blocks whose outputs never\n"
-        "                      reach an observed sink from the schedule\n"
-        "                      and from generated code\n"
         "  --full              paper-scale bench parameters (also\n"
         "                      CMTL_BENCH_FULL=1)\n"
         "  --help              print this table and exit\n";
@@ -131,13 +122,6 @@ SimOptions::parse(int argc, char **argv)
                 opts.cfg.exec = parsed.exec;
                 opts.cfg.spec = parsed.spec;
                 opts.backend_set = true;
-            } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-                std::exit(2);
-            }
-        } else if (optionValue("--layout", argc, argv, i, value)) {
-            try {
-                opts.cfg.layout = layoutPolicyFromName(value);
             } catch (const std::invalid_argument &e) {
                 std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
                 std::exit(2);
@@ -176,8 +160,6 @@ SimOptions::parse(int argc, char **argv)
             opts.full = true;
         } else if (!std::strcmp(argv[i], "--audit")) {
             opts.audit = true;
-        } else if (!std::strcmp(argv[i], "--dead-elim")) {
-            opts.cfg.dead_elim = true;
         } else if (optionValue("--cycles", argc, argv, i, value)) {
             opts.cycles = parseCount(argv[0], "--cycles", value);
         } else if (optionValue("--seed", argc, argv, i, value)) {

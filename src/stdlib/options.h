@@ -31,14 +31,11 @@
  *   --resume=<path>   restore simulator state from a checkpoint
  *   --help            print the full option table and exit
  *
- * Static-analysis options (dataflow.h / race_audit.h):
+ * Static-analysis options (race_audit.h):
  *
  *   --audit           run the static ParSim race auditor on the active
  *                     partition and fold a pass/fail line into
  *                     simulatorReport(); sequential runs report n/a
- *   --dead-elim       enable dead-logic elimination: comb blocks whose
- *                     outputs never reach an observed sink are dropped
- *                     from the schedule and from generated code
  *
  * SimServer daemon options (src/server/server.h):
  *

@@ -7,6 +7,7 @@
 #ifndef CMTL_TESTS_CORE_TEST_MODELS_H
 #define CMTL_TESTS_CORE_TEST_MODELS_H
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -125,18 +126,29 @@ class Counter : public Model
     }
 };
 
+/**
+ * Parameter of the Modes/ mode-matrix suites: a SimConfig plus 16
+ * reserved bytes. CTest registers each case under gtest's raw-byte
+ * dump of its parameter ("80-byte object <...>"); the padding keeps
+ * those registered names unchanged now that SimConfig is 64 bytes.
+ */
+struct ModeParam : SimConfig
+{
+    uint64_t reserved[2] = {0, 0};
+};
+
 /** All (exec, spec) configurations exercised by mode-matrix tests. */
-inline std::vector<SimConfig>
+inline std::vector<ModeParam>
 allModes(bool include_cpp = true)
 {
-    std::vector<SimConfig> modes;
+    std::vector<ModeParam> modes;
     for (ExecMode exec : {ExecMode::Interp, ExecMode::OptInterp}) {
         for (SpecMode spec :
              {SpecMode::None, SpecMode::Bytecode, SpecMode::Cpp}) {
             if (spec == SpecMode::Cpp &&
                 (!include_cpp || !CppJit::compilerAvailable()))
                 continue;
-            SimConfig cfg;
+            ModeParam cfg;
             cfg.exec = exec;
             cfg.spec = spec;
             modes.push_back(cfg);
@@ -164,6 +176,7 @@ modeName(const SimConfig &cfg)
 }
 
 } // namespace testmodels
+
 } // namespace cmtl
 
 #endif // CMTL_TESTS_CORE_TEST_MODELS_H

@@ -283,7 +283,7 @@ TEST(Scope, JsonSnapshotHasRequiredKeys)
 
     std::string json = scope.jsonSnapshot();
     for (const char *key :
-         {"\"scope_version\":1", "\"kernel\":\"sequential\"",
+         {"\"scope_version\":2", "\"kernel\":\"sequential\"",
           "\"timing\":\"exact\"", "\"cycles\":10", "\"phases\":",
           "\"islands\":", "\"blocks\":", "\"channels\":",
           "\"metrics\":", "\"user.widgets\":3",

@@ -15,7 +15,7 @@ using testmodels::Mux;
 using testmodels::MuxReg;
 using testmodels::Register;
 
-class SimModes : public ::testing::TestWithParam<SimConfig>
+class SimModes : public ::testing::TestWithParam<testmodels::ModeParam>
 {};
 
 TEST_P(SimModes, RegisterDelaysByOneCycle)
@@ -228,7 +228,7 @@ TEST_P(SimModes, SpecializationStatsAreReported)
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, SimModes, ::testing::ValuesIn(allModes()),
-    [](const ::testing::TestParamInfo<SimConfig> &info) {
+    [](const ::testing::TestParamInfo<testmodels::ModeParam> &info) {
         return modeName(info.param);
     });
 
@@ -306,6 +306,77 @@ TEST(SimLifecycle, CycleHooksFire)
     sim.onCycleEnd([&](uint64_t) { ++fired; });
     sim.cycle(7);
     EXPECT_EQ(fired, 7);
+}
+
+// ------------------------------------------------- corner net widths
+
+/**
+ * Nets at the arena's corner widths: 1, 3 and 17 bits sit in the low
+ * part of one word, 64 fills a word exactly and 65 spans two. Every
+ * port is mirrored through a register so both comb and flopped values
+ * cross the store's write -> flop -> read path.
+ */
+class WidthsTop : public Model
+{
+  public:
+    InPort in1, in1b, in3, in17, in64, in65;
+    OutPort out1, out1b, out3, out17, out64, out65;
+
+    explicit WidthsTop(const std::string &name)
+        : Model(nullptr, name), in1(this, "in1", 1),
+          in1b(this, "in1b", 1), in3(this, "in3", 3),
+          in17(this, "in17", 17), in64(this, "in64", 64),
+          in65(this, "in65", 65), out1(this, "out1", 1),
+          out1b(this, "out1b", 1), out3(this, "out3", 3),
+          out17(this, "out17", 17), out64(this, "out64", 64),
+          out65(this, "out65", 65)
+    {
+        auto &b = tickRtl("regs");
+        b.assign(out1, rd(in1));
+        b.assign(out1b, rd(in1b));
+        b.assign(out3, rd(in3));
+        b.assign(out17, rd(in17));
+        b.assign(out64, rd(in64));
+        b.assign(out65, rd(in65));
+    }
+
+    std::string typeName() const override { return "WidthsTop"; }
+};
+
+TEST(SimWidths, CornerWidthValuesRoundTrip)
+{
+    const Bits wide65 = Bits::fromWords(65, {0xdeadbeefcafef00dull, 1});
+    for (const char *backend : {"interp", "optinterp", "bytecode"}) {
+        WidthsTop top("top");
+        SimulationTool sim(top.elaborate(), SimConfig::fromString(backend));
+        sim.reset();
+        sim.pokeNet(top.in1.netId(), Bits(1, 1));
+        sim.pokeNet(top.in1b.netId(), Bits(1, 0));
+        sim.pokeNet(top.in3.netId(), Bits(3, 5));
+        sim.pokeNet(top.in17.netId(), Bits(17, 0x1ffff));
+        sim.pokeNet(top.in64.netId(), Bits(64, 0xa5a5a5a5a5a5a5a5ull));
+        sim.pokeNet(top.in65.netId(), wide65);
+        sim.cycle(2);
+
+        EXPECT_EQ(sim.readNet(top.out1.netId()), Bits(1, 1)) << backend;
+        EXPECT_EQ(sim.readNet(top.out1b.netId()), Bits(1, 0)) << backend;
+        EXPECT_EQ(sim.readNet(top.out3.netId()), Bits(3, 5)) << backend;
+        EXPECT_EQ(sim.readNet(top.out17.netId()), Bits(17, 0x1ffff))
+            << backend;
+        EXPECT_EQ(sim.readNet(top.out64.netId()),
+                  Bits(64, 0xa5a5a5a5a5a5a5a5ull))
+            << backend;
+        EXPECT_EQ(sim.readNet(top.out65.netId()), wide65) << backend;
+
+        // Rewriting one net leaves its arena neighbours untouched.
+        sim.pokeNet(top.in1.netId(), Bits(1, 0));
+        EXPECT_EQ(sim.readNet(top.in1b.netId()), Bits(1, 0)) << backend;
+        EXPECT_EQ(sim.readNet(top.in3.netId()), Bits(3, 5)) << backend;
+        sim.pokeNet(top.in3.netId(), Bits(3, 2));
+        EXPECT_EQ(sim.readNet(top.in3.netId()), Bits(3, 2)) << backend;
+        EXPECT_EQ(sim.readNet(top.in17.netId()), Bits(17, 0x1ffff))
+            << backend;
+    }
 }
 
 } // namespace

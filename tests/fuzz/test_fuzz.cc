@@ -113,7 +113,6 @@ TEST(FuzzSpecCodec, RoundTrip)
     spec.stim_off = {0};
     spec.side_b.backend = "bytecode";
     spec.side_b.threads = 4;
-    spec.side_b.layout = "profile";
     spec.side_b.gating = false;
     spec.fault.active = true;
     spec.fault.cycle = 55;
@@ -138,10 +137,41 @@ TEST(FuzzSpecCodec, RoundTrip)
 
 TEST(FuzzSpecCodec, RejectsGarbage)
 {
-    EXPECT_THROW(FuzzSpec::decodeText("not a repro"),
-                 std::runtime_error);
-    EXPECT_THROW(FuzzSpec::decodeText("CMTLFUZZ v1\nbogus_key 1\n"),
-                 std::runtime_error);
+    const std::string v2 = "CMTLFUZZ v2\n";
+    const std::vector<std::string> bad = {
+        "not a repro",
+        v2 + "bogus_key 1\n",
+        v2 + "seed abc\n",
+        v2 + "seed 5x\n",
+        v2 + "cycles -3\n",
+        v2 + "cycles\n",
+        v2 + "seed 5 6\n",
+        v2 + "side_a interp 1 1 trailing junk\n",
+        v2 + "side_b optinterp 0 1\n",
+        v2 + "comb_off 1 x\n",
+        v2 + "fault 30 5 2 9\n",
+        v2 + "expect agree now\n",
+        "CMTLFUZZ v2 extra\nseed 1\n",
+        // v1 side lines carried the retired arena-layout token.
+        "CMTLFUZZ v1\nseed 1\nside_a interp 1 elab 1\n",
+    };
+    for (const std::string &text : bad) {
+        try {
+            FuzzSpec::decodeText(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("fuzz repro:", 0), 0u)
+                << e.what();
+        }
+    }
+    try {
+        FuzzSpec::decodeText("CMTLFUZZ v1\nseed 1\n");
+        ADD_FAILURE() << "accepted a v1 header";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("layout token"),
+                  std::string::npos)
+            << e.what();
+    }
     EXPECT_THROW(FuzzSpec::loadFile("/nonexistent/repro.fuzz"),
                  std::runtime_error);
 }
