@@ -182,8 +182,22 @@ void
 Bits::setSlice(int lsb, const Bits &src)
 {
     assert(lsb >= 0 && lsb + src.nbits() <= nbits());
-    for (int i = 0; i < src.nbits(); ++i)
-        setBit(lsb + i, src.bit(i));
+    uint64_t *dst = words();
+    int word_off = lsb / 64;
+    int bit_off = lsb % 64;
+    // Source word i (n valid bits, already masked) lands at bit_off
+    // in word word_off + i; bits past the word spill into the next.
+    for (int i = 0; i < src.nwords(); ++i) {
+        int n = std::min(64, src.nbits() - 64 * i);
+        uint64_t m = n == 64 ? ~uint64_t(0) : (uint64_t(1) << n) - 1;
+        uint64_t v = src.words()[i];
+        uint64_t &lo = dst[word_off + i];
+        lo = (lo & ~(m << bit_off)) | (v << bit_off);
+        if (bit_off != 0 && n > 64 - bit_off) {
+            uint64_t &hi = dst[word_off + i + 1];
+            hi = (hi & ~(m >> (64 - bit_off))) | (v >> (64 - bit_off));
+        }
+    }
 }
 
 Bits

@@ -499,9 +499,14 @@ ParSimulationTool::tierPending() const
 LayoutStats
 ParSimulationTool::layoutStats() const
 {
-    LayoutStats s{replicas_[0]->wordsPerPhase(), 0};
+    LayoutStats s;
+    s.words_per_phase = replicas_[0]->wordsPerPhase();
     for (const auto &ranges : island_flop_plans_)
         s.flop_memcpy_ranges += static_cast<int>(ranges.size());
+    // Signals stay on the virtual path (the coordinator fans writes
+    // out to every replica); dynamic flops are flopped net by net.
+    s.dynamic_flops = static_cast<int>(main_flops_.size());
+    s.dynamic_flop_ranges = s.dynamic_flops;
     return s;
 }
 

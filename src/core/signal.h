@@ -10,6 +10,12 @@
  * on the signal are routed through the simulator's SignalAccess
  * backend, which differs per execution mode (boxed dictionary storage
  * for the CPython-analog interpreter, dense arena slots otherwise).
+ *
+ * The sequential arena kernel additionally slot-binds every narrow
+ * (<= 64-bit) signal: reads and non-blocking writes then load or store
+ * the net's arena word inline, with no virtual call and no Bits
+ * temporary. Blocking writes always take the virtual path, since they
+ * must schedule readers.
  */
 
 #ifndef CMTL_CORE_SIGNAL_H
@@ -74,28 +80,69 @@ class Signal
     // --- Run-time access (valid once a simulator is attached) ------
 
     /** Current value. */
-    Bits value() const;
+    Bits value() const { return slot_ ? Bits(nbits_, *slot_) : read(); }
     /** Current value as uint64 (low word). */
-    uint64_t u64() const { return value().toUint64(); }
+    uint64_t u64() const { return slot_ ? *slot_ : read().toUint64(); }
     /** Blocking write (".value =" in PyMTL). */
     void setValue(const Bits &v);
     void setValue(uint64_t v);
     /** Non-blocking write (".next =" in PyMTL). */
-    void setNext(const Bits &v);
-    void setNext(uint64_t v);
+    void
+    setNext(const Bits &v)
+    {
+        if (next_off_)
+            slot_[next_off_] = v.toUint64() & valueMask();
+        else
+            writeNext(v);
+    }
+    void
+    setNext(uint64_t v)
+    {
+        if (next_off_)
+            slot_[next_off_] = v & valueMask();
+        else
+            writeNext(Bits(nbits_, v));
+    }
 
     // --- Elaboration/simulator hooks (framework internal) ----------
     void setNetId(int id) { net_id_ = id; }
-    void setAccess(SignalAccess *access) { access_ = access; }
+    /** Route access through @p access; drops any slot binding. */
+    void
+    setAccess(SignalAccess *access)
+    {
+        access_ = access;
+        slot_ = nullptr;
+        next_off_ = 0;
+    }
     SignalAccess *access() const { return access_; }
+    /**
+     * Bind reads to the net's current-phase arena word (narrow nets
+     * only). The word must outlive the binding: the simulator owning
+     * it clears the binding through setAccess() before it goes away.
+     */
+    void bindSlot(uint64_t *slot) { slot_ = slot; }
+    /**
+     * Bind non-blocking writes too, to the word @p words_per_phase
+     * past the current one. Called once the net is registered as
+     * flopped, so the first setNext() always reaches the simulator.
+     */
+    void bindNextSlot(int words_per_phase) { next_off_ = words_per_phase; }
+    bool slotBound() const { return slot_ != nullptr; }
 
   private:
+    /** Virtual-path read/writeNext; throw outside a simulation. */
+    Bits read() const;
+    void writeNext(const Bits &v);
+    uint64_t valueMask() const { return ~uint64_t(0) >> (64 - nbits_); }
+
     Model *owner_;
     std::string name_;
     int nbits_;
     SignalDir dir_;
     int net_id_ = -1;
+    int next_off_ = 0; //!< next-phase word offset from slot_; 0 = unbound
     SignalAccess *access_ = nullptr;
+    uint64_t *slot_ = nullptr; //!< bound current-phase word, or null
 };
 
 /** An input port. */

@@ -194,10 +194,11 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
             markFlopped(net.id);
     }
     // The static flop set is final here; nets registered later (a
-    // lambda's writeNext) append past this prefix and stay on the
-    // per-net host loop. The copy plan coalesces the static set into
-    // whole-word ranges.
+    // lambda's writeNext) append past this prefix. The copy plan
+    // coalesces the static set into whole-word ranges; doFlop keeps a
+    // second plan for the dynamic tail.
     n_static_flops_ = flopped_nets_.size();
+    dyn_flop_planned_ = n_static_flops_;
     if (arena_)
         flop_plan_ = arena_->flopPlan(flopped_nets_);
 
@@ -236,6 +237,18 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         }
     }
     buildGating();
+
+    // Slot-bind every narrow signal to its arena word (signal.h): the
+    // lambda blocks' and test benches' reads and non-blocking writes
+    // then skip this object. Hybrid boxed hosts stay virtual, since
+    // ownership of a net is decided per token there.
+    if (!useBoxed()) {
+        for (Signal *sig : elab_->signals) {
+            const int net = sig->netId();
+            if (arena_->narrow(net))
+                sig->bindSlot(arena_->data() + arena_->offset(net));
+        }
+    }
 
     spec_stats_.simCreateSeconds =
         create_before_spec +
@@ -596,8 +609,8 @@ SimulationTool::specializeDesign(const std::vector<char> &can)
 
     // The flop phase of the static flop set as whole-word
     // next->current copy ranges (flop_plan_). Nets registered
-    // dynamically later (a lambda's writeNext) stay on the host loop
-    // — see doFlop.
+    // dynamically later (a lambda's writeNext) are copied by doFlop
+    // from its own range plan.
     CppUnit flop_unit;
     for (const FlopRange &r : flop_plan_)
         flop_unit.items.push_back(CppUnit::Item{-1, r.off, r.nwords});
@@ -708,10 +721,21 @@ SimulationTool::tierPending() const
 LayoutStats
 SimulationTool::layoutStats() const
 {
+    LayoutStats s;
+    s.dynamic_flops =
+        static_cast<int>(flopped_nets_.size() - n_static_flops_);
+    s.dynamic_flop_ranges = s.dynamic_flops; // per-net flop loop
     if (!arena_)
-        return LayoutStats{};
-    return LayoutStats{arena_->wordsPerPhase(),
-                       static_cast<int>(flop_plan_.size())};
+        return s;
+    s.words_per_phase = arena_->wordsPerPhase();
+    s.flop_memcpy_ranges = static_cast<int>(flop_plan_.size());
+    if (flopsByRange())
+        s.dynamic_flop_ranges = static_cast<int>(dynamicFlopPlan().size());
+    for (const Signal *sig : elab_->signals) {
+        if (sig->slotBound() && sig->access() == this)
+            ++s.slot_bound_signals;
+    }
+    return s;
 }
 
 void
@@ -1103,26 +1127,30 @@ SimulationTool::eval()
     settle();
 }
 
+std::vector<FlopRange>
+SimulationTool::dynamicFlopPlan() const
+{
+    return arena_->flopPlan(std::vector<int>(
+        flopped_nets_.begin() + static_cast<long>(n_static_flops_),
+        flopped_nets_.end()));
+}
+
 void
 SimulationTool::doFlop(std::vector<int> *changed)
 {
-    if (design_native_) {
-        // Statically flopped nets are copied by the compiled flop
-        // unit; the host loop covers only the dynamically registered
-        // tail. cpp-design is never event-driven, so no change
-        // notification is needed.
-        (void)changed;
-        cpp_lib_.group(design_flop_unit_)(arena_->data());
-        for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i)
-            arena_->flop(flopped_nets_[i]);
-        return;
-    }
-    if (arena_ && !useBoxed() && !changed && !gating_) {
+    if (flopsByRange()) {
         // No per-net change notification needed: copy the static flop
-        // set as whole-word ranges, then the dynamic tail.
-        arena_->flopRanges(flop_plan_);
-        for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i)
-            arena_->flop(flopped_nets_[i]);
+        // set (the compiled flop unit on the native tier), then the
+        // dynamically registered tail, as whole-word ranges.
+        if (design_native_)
+            cpp_lib_.group(design_flop_unit_)(arena_->data());
+        else
+            arena_->flopRanges(flop_plan_);
+        if (flopped_nets_.size() != dyn_flop_planned_) {
+            dyn_flop_plan_ = dynamicFlopPlan();
+            dyn_flop_planned_ = flopped_nets_.size();
+        }
+        arena_->flopRanges(dyn_flop_plan_);
         return;
     }
     for (int net : flopped_nets_) {
@@ -1199,6 +1227,10 @@ SimulationTool::writeNext(Signal &sig, const Bits &value)
         arena_->writeNext(net, value);
     else
         boxed_->writeNext(net, value);
+    // The net is flopped now, so the signal's later non-blocking
+    // writes may store its next-phase word directly.
+    if (sig.slotBound() && sig.access() == this)
+        sig.bindNextSlot(arena_->wordsPerPhase());
 }
 
 // ------------------------------------------- SimSnap state capture

@@ -507,6 +507,14 @@ class SimulationTool : public Simulator
     void settleEvent(std::vector<int> &seed);
     void enqueueReaders(int net);
     void markFlopped(int net);
+    /** True when the flop phase copies whole-word ranges with no
+     *  per-net change detection (not boxed, event-driven or gated). */
+    bool flopsByRange() const
+    {
+        return !useBoxed() && !eventDriven() && !gating_;
+    }
+    /** Copy ranges of the dynamically registered flops. */
+    std::vector<FlopRange> dynamicFlopPlan() const;
     void doFlop(std::vector<int> *changed);
     void buildGating();
     /** Settle-internal change: re-run the token's comb readers. */
@@ -554,6 +562,10 @@ class SimulationTool : public Simulator
 
     /** Static-flop copy plan for the arena (doFlop fast path). */
     std::vector<FlopRange> flop_plan_;
+    /** Copy plan of the dynamic tail of flopped_nets_, and the
+     *  flopped_nets_ size it was built for (rebuilt when it grows). */
+    std::vector<FlopRange> dyn_flop_plan_;
+    size_t dyn_flop_planned_ = 0;
 
     std::vector<BcProgram> bc_programs_; //!< per specialized block
     std::vector<uint64_t> bc_scratch_;

@@ -356,6 +356,40 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{128, 0, 128}, std::tuple{200, 120, 70},
                       std::tuple{65, 63, 2}));
 
+// setSlice works a word at a time; check it against a bit-by-bit
+// reference for every corner slice width at every lsb whose slice
+// touches or straddles a word boundary.
+TEST(BitsSlice, WordLevelSetSliceMatchesBitwiseReference)
+{
+    std::mt19937_64 rng(42);
+    const int total = 260; // five words, the last one partial
+    for (int len : {1, 7, 63, 64, 65, 127, 128, 130}) {
+        for (int lsb = 0; lsb + len <= total; ++lsb) {
+            const int msb = lsb + len - 1;
+            if (lsb % 64 != 0 && lsb / 64 == msb / 64 && (msb + 1) % 64)
+                continue; // inside one word, away from both edges
+            Bits whole = Bits::fromWords(
+                total, {rng(), rng(), rng(), rng(), rng()});
+            Bits part = Bits::fromWords(len, {rng(), rng(), rng()});
+            Bits expected = whole;
+            for (int i = 0; i < len; ++i)
+                expected.setBit(lsb + i, part.bit(i));
+            Bits got = whole;
+            got.setSlice(lsb, part);
+            ASSERT_EQ(got, expected) << "len " << len << " lsb " << lsb;
+            ASSERT_EQ(got.slice(lsb, len), part)
+                << "len " << len << " lsb " << lsb;
+        }
+    }
+    // A slice that fills the destination exactly, at each width.
+    for (int len : {1, 7, 63, 64, 65, 127, 128, 130}) {
+        Bits dst = Bits::fromWords(len, {rng(), rng(), rng()});
+        Bits src = Bits::fromWords(len, {rng(), rng(), rng()});
+        dst.setSlice(0, src);
+        EXPECT_EQ(dst, src) << "len " << len;
+    }
+}
+
 // Shift/truncation edge cases. These pin down the amounts where naive
 // implementations hit undefined behaviour (shifting a uint64_t by 64,
 // OR-ing an out-of-range sign mask); CI runs this suite under

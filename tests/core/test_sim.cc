@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "core/psim.h"
 #include "core/sim.h"
 #include "test_models.h"
 
@@ -306,6 +307,200 @@ TEST(SimLifecycle, CycleHooksFire)
     sim.onCycleEnd([&](uint64_t) { ++fired; });
     sim.cycle(7);
     EXPECT_EQ(fired, 7);
+}
+
+// ----------------------------------------------- slot-bound signals
+
+TEST(SimSlotBinding, AccessThrowsOnceTheSimulatorIsGone)
+{
+    auto top = std::make_unique<Register>(nullptr, "top", 8);
+    auto elab = top->elaborate();
+    {
+        SimulationTool sim(elab, SimConfig::fromString("optinterp"));
+        ASSERT_TRUE(top->in_.slotBound());
+        // The first setNext registers the flop; later ones store the
+        // bound next-phase word directly, masked to the width.
+        top->in_.setNext(uint64_t(3));
+        top->in_.setNext(Bits(16, 0x1234));
+        sim.cycle();
+        EXPECT_EQ(top->in_.u64(), 0x34u);
+        top->in_.setNext(uint64_t(0x1ff));
+        sim.cycle();
+        EXPECT_EQ(top->in_.value(), Bits(8, 0xff));
+        EXPECT_EQ(sim.layoutStats().slot_bound_signals,
+                  static_cast<int>(elab->signals.size()));
+    }
+    EXPECT_FALSE(top->in_.slotBound());
+    EXPECT_THROW(top->in_.u64(), std::logic_error);
+    EXPECT_THROW(top->in_.value(), std::logic_error);
+    EXPECT_THROW(top->in_.setNext(uint64_t(1)), std::logic_error);
+    EXPECT_THROW(top->in_.setNext(Bits(8, 1)), std::logic_error);
+}
+
+TEST(SimSlotBinding, DestroyingTheOlderSimulatorKeepsTheNewerBinding)
+{
+    auto top = std::make_unique<Register>(nullptr, "top", 8);
+    auto elab = top->elaborate();
+    const SimConfig cfg = SimConfig::fromString("bytecode");
+    auto older = std::make_unique<SimulationTool>(elab, cfg);
+    SimulationTool newer(elab, cfg);
+    EXPECT_EQ(older->layoutStats().slot_bound_signals, 0);
+    older.reset();
+
+    ASSERT_TRUE(top->in_.slotBound());
+    top->in_.setValue(uint64_t(7));
+    newer.cycle();
+    EXPECT_EQ(top->out.u64(), 7u);
+    EXPECT_EQ(newer.readNet(top->out.netId()), Bits(8, 7));
+    EXPECT_EQ(newer.layoutStats().slot_bound_signals,
+              static_cast<int>(elab->signals.size()));
+}
+
+TEST(SimSlotBinding, ParSimDropsTheSequentialBinding)
+{
+    auto top = std::make_unique<MuxReg>(nullptr, "top");
+    auto elab = top->elaborate();
+    SimConfig cfg = SimConfig::fromString("bytecode");
+    auto seq = std::make_unique<SimulationTool>(elab, cfg);
+    ASSERT_TRUE(top->sel.slotBound());
+
+    cfg.threads = 2;
+    auto par = makeSimulator(elab, cfg);
+    for (const Signal *sig : elab->signals)
+        EXPECT_FALSE(sig->slotBound()) << sig->fullName();
+    EXPECT_EQ(par->layoutStats().slot_bound_signals, 0);
+    seq.reset();
+
+    top->in_[2].setValue(uint64_t(0x5a));
+    top->sel.setValue(uint64_t(2));
+    par->cycle();
+    EXPECT_EQ(top->out.u64(), 0x5au);
+    EXPECT_EQ(par->readNet(top->out.netId()), Bits(8, 0x5a));
+}
+
+/** A comb lambda's blocking write feeds an IR comb block. */
+class CombLambdaChain : public Model
+{
+  public:
+    InPort in_;
+    Wire mid;
+    OutPort out;
+
+    CombLambdaChain()
+        : Model(nullptr, "chain"), in_(this, "in_", 16),
+          mid(this, "mid", 16), out(this, "out", 16)
+    {
+        combLambda(
+            "inc", [this] { mid.setValue(in_.u64() + 1); }, {&in_},
+            {&mid});
+        auto &c = combinational("dbl");
+        c.assign(out, rd(mid) * lit(16, 2));
+    }
+};
+
+TEST(SimSlotBinding, CombLambdaSetValueWakesReaders)
+{
+    SimConfig event = SimConfig::fromString("optinterp");
+    event.sched = SchedMode::Event;
+    std::vector<SimConfig> cfgs = {event,
+                                   SimConfig::fromString("optinterp"),
+                                   SimConfig::fromString("bytecode")};
+    for (const SimConfig &cfg : cfgs) {
+        const bool gated = cfg.sched != SchedMode::Event;
+        const std::string ctx = cfg.toString() + (gated ? " gated" : "");
+        CombLambdaChain top;
+        SimulationTool sim(top.elaborate(), cfg);
+        ASSERT_TRUE(top.in_.slotBound()) << ctx;
+        top.in_.setValue(uint64_t(1));
+        sim.eval();
+        EXPECT_EQ(top.out.u64(), 4u) << ctx;
+        top.in_.setValue(uint64_t(5));
+        sim.eval();
+        EXPECT_EQ(top.out.u64(), 12u) << ctx;
+        // An idle cycle settles without re-running the chain.
+        sim.cycle();
+        top.in_.setValue(uint64_t(20));
+        sim.cycle();
+        EXPECT_EQ(top.out.u64(), 42u) << ctx;
+        if (gated) {
+            EXPECT_GT(sim.gatedSteps(), 0u) << ctx;
+        }
+    }
+}
+
+/**
+ * A tick lambda that non-blocking-writes @c a from the first cycle and
+ * starts writing @c b, its arena neighbour, only after @p late cycles,
+ * growing the dynamic flop set after its copy plan was first built.
+ */
+class LateFlop : public Model
+{
+  public:
+    InPort in_;
+    Wire a, b;
+    OutPort out;
+    uint64_t n = 0;
+
+    explicit LateFlop(uint64_t late)
+        : Model(nullptr, "late"), in_(this, "in_", 8), a(this, "a", 16),
+          b(this, "b", 16), out(this, "out", 16)
+    {
+        tickFl("drive", [this, late] {
+            ++n;
+            a.setNext(n * 3 + in_.u64());
+            if (n > late)
+                b.setNext(n * 5);
+        });
+        auto &t = tickRtl("sum");
+        t.assign(out, rd(a) + rd(b));
+    }
+};
+
+TEST(SimDynamicFlops, GrowingSetRebuildsTheRangePlan)
+{
+    std::vector<SimConfig> cfgs = {SimConfig::fromString("optinterp"),
+                                   SimConfig::fromString("optinterp"),
+                                   SimConfig::fromString("bytecode")};
+    cfgs[1].gating = false; // whole-word flop ranges
+    cfgs[2].gating = false;
+    if (CppJit::compilerAvailable()) {
+        cfgs.push_back(SimConfig::fromString("cpp-design"));
+        cfgs.back().jit_tiered = false;
+    }
+    std::vector<std::vector<uint64_t>> traces;
+    for (const SimConfig &cfg : cfgs) {
+        LateFlop top(6);
+        SimulationTool sim(top.elaborate(), cfg);
+        std::vector<uint64_t> trace;
+        for (int c = 0; c < 20; ++c) {
+            top.in_.setValue(uint64_t(c * 7));
+            sim.cycle();
+            trace.push_back(top.out.u64());
+            trace.push_back(top.a.u64());
+            trace.push_back(top.b.u64());
+            if (c == 3) {
+                EXPECT_EQ(sim.layoutStats().dynamic_flops, 1)
+                    << cfg.toString();
+            }
+        }
+        LayoutStats lay = sim.layoutStats();
+        EXPECT_EQ(lay.dynamic_flops, 2) << cfg.toString();
+        // a and b are adjacent words: one coalesced range once the
+        // plan is rebuilt, one per net on the gated kernel's
+        // change-detecting loop (cpp-design ignores gating).
+        const bool per_net =
+            cfg.gating && cfg.backend != Backend::CppDesign;
+        EXPECT_EQ(lay.dynamic_flop_ranges, per_net ? 2 : 1)
+            << cfg.toString();
+        EXPECT_EQ(sim.dynamicFlopNets(),
+                  (std::vector<int>{top.a.netId(), top.b.netId()}));
+        traces.push_back(std::move(trace));
+    }
+    // b only starts moving after the growth.
+    EXPECT_EQ(traces[0][3 * 5 + 2], 0u);
+    EXPECT_EQ(traces[0].back(), 20u * 5);
+    for (size_t i = 1; i < traces.size(); ++i)
+        EXPECT_EQ(traces[i], traces[0]) << cfgs[i].toString();
 }
 
 // ------------------------------------------------- corner net widths

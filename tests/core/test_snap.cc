@@ -254,6 +254,55 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+/**
+ * The arena kernels slot-bind the traffic harness's signals and flop
+ * its dynamically registered nets as whole-word ranges. A snapshot
+ * taken mid-run restores into a fresh simulator of the same backend,
+ * which re-registers those flops, and the resumed run must end exactly
+ * where the uninterrupted one does: same state digest, same traffic
+ * statistics.
+ */
+TEST(SnapSlotBinding, MeshTrafficResumesOnTheSameBackend)
+{
+    const uint64_t snap_cycle = 50, end_cycle = 130;
+    auto makeTop = [] {
+        return std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16,
+                                                4, 0.3, 5);
+    };
+    for (const std::string backend : {"bytecode", "cpp-design"}) {
+        if (needsCompiler(backend) && !CppJit::compilerAvailable())
+            continue;
+        SimConfig cfg = SimConfig::fromString(backend);
+        cfg.jit_tiered = false;
+
+        auto gt = makeTop();
+        auto golden = makeSimulator(gt->elaborate(), cfg);
+        golden->reset();
+        golden->cycle(snap_cycle - golden->numCycles());
+        SimSnapshot snap = snapSave(*golden);
+        EXPECT_GT(golden->layoutStats().dynamic_flops, 0) << backend;
+        golden->cycle(end_cycle - snap_cycle);
+
+        auto rt = makeTop();
+        auto sim = makeSimulator(rt->elaborate(), cfg);
+        snapRestore(*sim, SimSnapshot::decode(snap.encode()));
+        EXPECT_EQ(stateDigest(*sim), snap.digest()) << backend;
+        EXPECT_EQ(sim->dynamicFlopNets(), golden->dynamicFlopNets())
+            << backend;
+        sim->cycle(end_cycle - snap_cycle);
+
+        EXPECT_EQ(stateDigest(*sim), stateDigest(*golden)) << backend;
+        const net::NetStats &a = gt->stats(), &b = rt->stats();
+        EXPECT_GT(a.received, 0u) << backend;
+        EXPECT_EQ(b.cycles, a.cycles) << backend;
+        EXPECT_EQ(b.generated, a.generated) << backend;
+        EXPECT_EQ(b.injected, a.injected) << backend;
+        EXPECT_EQ(b.received, a.received) << backend;
+        EXPECT_EQ(b.latency_sum, a.latency_sum) << backend;
+        EXPECT_EQ(b.latency_max, a.latency_max) << backend;
+    }
+}
+
 // ------------------------------------------- storage layout fixture
 
 /**
