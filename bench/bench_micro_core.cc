@@ -130,8 +130,8 @@ void
 BM_EngineBytecode(benchmark::State &state)
 {
     EngineFixture f;
-    BcProgram prog = bcCompile(f.elab->blocks[0], f.arena);
-    std::vector<uint64_t> scratch(prog.nscratch + 1);
+    BcModule mod(*f.elab, f.arena, {0});
+    std::vector<uint64_t> frame(mod.maxFrame() + 1);
     uint64_t *w = f.arena.data();
     const int a = f.arena.offset(f.alu.a.netId());
     const int b = f.arena.offset(f.alu.b.netId());
@@ -141,7 +141,7 @@ BM_EngineBytecode(benchmark::State &state)
     for (auto _ : state) {
         w[a] = ++i & am;
         w[b] = (i * 7) & bm;
-        bcRun(prog, f.arena.data(), scratch.data());
+        bcRun(mod.instance(0), f.arena.data(), frame.data());
     }
 }
 BENCHMARK(BM_EngineBytecode);

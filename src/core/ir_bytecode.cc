@@ -1,7 +1,9 @@
 #include "ir_bytecode.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace cmtl {
 
@@ -58,7 +60,13 @@ stmtsSpecializable(const std::vector<IrStmt> &stmts, const ArenaStore &store)
     return true;
 }
 
-/** Compiles one block into bytecode. */
+/**
+ * Compiles one block into bytecode. While compiling, a register is
+ * encoded by kind: a slot s as s, a constant k as kConstTag + k and a
+ * scratch word j as -(j + 1). Slot and constant counts are known only
+ * at the end, when relocate() turns every register into its frame
+ * index.
+ */
 class Compiler
 {
   public:
@@ -66,21 +74,34 @@ class Compiler
         : blk_(blk), store_(store)
     {}
 
-    BcProgram
+    BcBlock
     run()
     {
-        // Persistent scratch slots for declared temps.
-        temp_slot_.resize(blk_.ir->temps.size());
-        for (size_t i = 0; i < temp_slot_.size(); ++i)
-            temp_slot_[i] = allocScratch();
+        // Persistent scratch words for declared temps.
+        temp_reg_.resize(blk_.ir->temps.size());
+        for (size_t i = 0; i < temp_reg_.size(); ++i)
+            temp_reg_[i] = allocScratch();
         persistent_scratch_ = next_scratch_;
         compileStmts(blk_.ir->stmts);
-        prog_.nscratch = max_scratch_;
-        return std::move(prog_);
+
+        BcProgram &prog = out_.prog;
+        prog.nslots = static_cast<int>(out_.slots.size());
+        prog.nconsts = static_cast<int>(out_.consts.size());
+        prog.ntemps = persistent_scratch_;
+        prog.nscratch = max_scratch_;
+        for (BcInst &in : prog.insts)
+            relocate(in);
+        for (size_t s = 0; s < written_.size(); ++s) {
+            if (written_[s])
+                prog.written.push_back(static_cast<int32_t>(s));
+        }
+        return std::move(out_);
     }
 
   private:
-    int
+    static constexpr int32_t kConstTag = int32_t(1) << 30;
+
+    int32_t
     allocScratch()
     {
         int slot = next_scratch_++;
@@ -88,22 +109,63 @@ class Compiler
         return -(slot + 1);
     }
 
+    /**
+     * Local slot of arena word @p word, numbered in first-use order. A
+     * block touches few words, so a scan beats a hash map here.
+     */
+    int32_t
+    slot(int word)
+    {
+        auto it = std::find(out_.slots.begin(), out_.slots.end(), word);
+        if (it != out_.slots.end())
+            return static_cast<int32_t>(it - out_.slots.begin());
+        out_.slots.push_back(word);
+        written_.push_back(0);
+        return static_cast<int32_t>(out_.slots.size() - 1);
+    }
+
+    /** A fresh constant operand: numbered by occurrence, not value. */
+    int32_t
+    constant(uint64_t value)
+    {
+        out_.consts.push_back(value);
+        return kConstTag + static_cast<int32_t>(out_.consts.size() - 1);
+    }
+
+    void
+    relocate(BcInst &in) const
+    {
+        const int32_t nslots = static_cast<int32_t>(out_.slots.size());
+        const int32_t nconsts = static_cast<int32_t>(out_.consts.size());
+        auto frame = [&](int32_t &r) {
+            if (r < 0)
+                r = nslots + nconsts + (-r - 1);
+            else if (r >= kConstTag)
+                r = nslots + (r - kConstTag);
+        };
+        frame(in.dst);
+        frame(in.a);
+        frame(in.b);
+        if (in.op == Bc::Mux)
+            frame(in.c);
+    }
+
     void
     emit(BcInst inst)
     {
-        prog_.insts.push_back(inst);
+        out_.prog.insts.push_back(inst);
     }
 
     int32_t
-    curSlot(int net) const
+    curSlot(int net)
     {
-        return store_.offset(net);
+        return slot(store_.offset(net));
     }
 
     int32_t
-    nxtSlot(int net) const
+    nxtSlot(int net)
     {
-        return store_.offset(net) + store_.wordsPerPhase();
+        return slot(store_.offset(net) + store_.wordsPerPhase());
     }
 
     /** Compile an expression; returns the register holding the value. */
@@ -111,22 +173,18 @@ class Compiler
     compileExpr(const IrExprNode *e)
     {
         switch (e->kind) {
-          case IrExprNode::Kind::Const: {
-            int32_t dst = allocScratch();
-            emit({Bc::LdImm, dst, 0, 0, 0, e->cval.toUint64(),
-                  widthMask(e->nbits), 0});
-            return dst;
-          }
+          case IrExprNode::Kind::Const:
+            return constant(e->cval.toUint64() & widthMask(e->nbits));
           case IrExprNode::Kind::Ref:
             return curSlot(e->sig->netId());
           case IrExprNode::Kind::Temp:
-            return temp_slot_[e->temp];
+            return temp_reg_[e->temp];
           case IrExprNode::Kind::BinOp: {
             int32_t a = compileExpr(e->args[0].get());
             int32_t b = compileExpr(e->args[1].get());
             int32_t dst = allocScratch();
             Bc op = Bc::Add;
-            uint64_t imm = 0;
+            int32_t imm = 0;
             switch (e->op) {
               case IrOp::Add: op = Bc::Add; break;
               case IrOp::Sub: op = Bc::Sub; break;
@@ -151,32 +209,34 @@ class Compiler
               default:
                 throw std::logic_error("unhandled binop");
             }
-            emit({op, dst, a, b, 0, imm, widthMask(e->nbits), 0});
+            emit({op, 0, dst, a, b, 0, imm, widthMask(e->nbits)});
             return dst;
           }
           case IrExprNode::Kind::UnOp: {
             int32_t a = compileExpr(e->args[0].get());
             int32_t dst = allocScratch();
             Bc op = Bc::Inv;
-            uint64_t imm = 0;
+            uint64_t mask = widthMask(e->nbits);
             switch (e->unop) {
               case IrUnOp::Inv: op = Bc::Inv; break;
               case IrUnOp::LNot: op = Bc::LNot; break;
               case IrUnOp::ReduceOr: op = Bc::ROr; break;
               case IrUnOp::ReduceAnd:
+                // The result is one bit; mask carries the operand's
+                // all-ones value instead.
                 op = Bc::RAnd;
-                imm = widthMask(e->args[0]->nbits);
+                mask = widthMask(e->args[0]->nbits);
                 break;
               case IrUnOp::ReduceXor: op = Bc::RXor; break;
             }
-            emit({op, dst, a, 0, 0, imm, widthMask(e->nbits), 0});
+            emit({op, 0, dst, a, 0, 0, 0, mask});
             return dst;
           }
           case IrExprNode::Kind::Slice: {
             int32_t a = compileExpr(e->args[0].get());
             int32_t dst = allocScratch();
-            emit({Bc::Slice, dst, a, 0, 0, 0, widthMask(e->nbits),
-                  static_cast<uint8_t>(e->lsb)});
+            emit({Bc::Slice, static_cast<uint8_t>(e->lsb), dst, a, 0, 0, 0,
+                  widthMask(e->nbits)});
             return dst;
           }
           case IrExprNode::Kind::Concat: {
@@ -186,19 +246,16 @@ class Compiler
             for (const auto &argp : e->args) {
                 int32_t part = compileExpr(argp.get());
                 if (first) {
-                    emit({Bc::Mov, acc, part, 0, 0, 0,
-                          widthMask(argp->nbits), 0});
+                    emit({Bc::Mov, 0, acc, part, 0, 0, 0,
+                          widthMask(argp->nbits)});
                     first = false;
                 } else {
-                    // acc = (acc << part.nbits) | part
-                    int32_t amt = allocScratch();
-                    emit({Bc::LdImm, amt, 0, 0, 0,
-                          static_cast<uint64_t>(argp->nbits), ~uint64_t(0),
-                          0});
-                    emit({Bc::Shl, acc, acc, amt, 0, 0,
-                          widthMask(e->nbits), 0});
-                    emit({Bc::Or, acc, acc, part, 0, 0,
-                          widthMask(e->nbits), 0});
+                    int32_t amt =
+                        constant(static_cast<uint64_t>(argp->nbits));
+                    emit({Bc::Shl, 0, acc, acc, amt, 0, 0,
+                          widthMask(e->nbits)});
+                    emit({Bc::Or, 0, acc, acc, part, 0, 0,
+                          widthMask(e->nbits)});
                 }
             }
             return acc;
@@ -208,7 +265,7 @@ class Compiler
             int32_t a = compileExpr(e->args[1].get());
             int32_t b = compileExpr(e->args[2].get());
             int32_t dst = allocScratch();
-            emit({Bc::Mux, dst, a, b, c, 0, widthMask(e->nbits), 0});
+            emit({Bc::Mux, 0, dst, a, b, c, 0, widthMask(e->nbits)});
             return dst;
           }
           case IrExprNode::Kind::Zext:
@@ -217,19 +274,17 @@ class Compiler
           case IrExprNode::Kind::Sext: {
             int32_t a = compileExpr(e->args[0].get());
             int32_t dst = allocScratch();
-            emit({Bc::Sext, dst, a, 0, 0,
-                  static_cast<uint64_t>(e->args[0]->nbits),
-                  widthMask(e->nbits), 0});
+            emit({Bc::Sext, 0, dst, a, 0, 0, e->args[0]->nbits,
+                  widthMask(e->nbits)});
             return dst;
           }
           case IrExprNode::Kind::ARead: {
             int32_t idx = compileExpr(e->args[0].get());
             int32_t dst = allocScratch();
             int id = e->array->arrayId();
-            emit({Bc::ALoad, dst, idx, 0,
+            emit({Bc::ALoad, 0, dst, idx, 0,
                   static_cast<int32_t>(store_.arrayIndexMask(id)),
-                  static_cast<uint64_t>(store_.arrayOffset(id)),
-                  widthMask(e->nbits), 0});
+                  slot(store_.arrayOffset(id)), widthMask(e->nbits)});
             return dst;
           }
         }
@@ -246,19 +301,19 @@ class Compiler
               case IrStmt::Kind::Assign: {
                 int32_t rhs = compileExpr(s.rhs.get());
                 if (s.temp >= 0 && !s.sig) {
-                    emit({Bc::Mov, temp_slot_[s.temp], rhs, 0, 0, 0,
-                          widthMask(s.rhs->nbits), 0});
+                    emit({Bc::Mov, 0, temp_reg_[s.temp], rhs, 0, 0, 0,
+                          widthMask(s.rhs->nbits)});
                 } else {
                     int net = s.sig->netId();
                     int32_t dst =
                         (seq && s.nonblocking) ? nxtSlot(net) : curSlot(net);
+                    written_[dst] = 1;
                     if (s.width < 0) {
-                        emit({Bc::Mov, dst, rhs, 0, 0, 0,
-                              widthMask(store_.nbits(net)), 0});
+                        emit({Bc::Mov, 0, dst, rhs, 0, 0, 0,
+                              widthMask(store_.nbits(net))});
                     } else {
-                        emit({Bc::SetSlice, dst, rhs, 0, 0, 0,
-                              widthMask(s.width),
-                              static_cast<uint8_t>(s.lsb)});
+                        emit({Bc::SetSlice, static_cast<uint8_t>(s.lsb),
+                              dst, rhs, 0, 0, 0, widthMask(s.width)});
                     }
                 }
                 break;
@@ -267,25 +322,26 @@ class Compiler
                 int32_t idx = compileExpr(s.cond.get());
                 int32_t val = compileExpr(s.rhs.get());
                 int id = s.array->arrayId();
-                emit({Bc::AStore, 0, idx, val,
+                emit({Bc::AStore, 0, 0, idx, val,
                       static_cast<int32_t>(store_.arrayIndexMask(id)),
-                      static_cast<uint64_t>(store_.arrayOffset(id)),
-                      store_.arrayValueMask(id), 0});
+                      slot(store_.arrayOffset(id)),
+                      store_.arrayValueMask(id)});
                 break;
               }
               case IrStmt::Kind::If: {
+                auto &insts = out_.prog.insts;
                 int32_t cond = compileExpr(s.cond.get());
-                size_t jz_at = prog_.insts.size();
-                emit({Bc::Jz, 0, cond, 0, 0, 0, 0, 0});
+                size_t jz_at = insts.size();
+                emit({Bc::Jz, 0, 0, cond, 0, 0, 0, 0});
                 compileStmts(s.thenBody);
                 if (s.elseBody.empty()) {
-                    prog_.insts[jz_at].imm = prog_.insts.size();
+                    insts[jz_at].imm = static_cast<int32_t>(insts.size());
                 } else {
-                    size_t jmp_at = prog_.insts.size();
+                    size_t jmp_at = insts.size();
                     emit({Bc::Jmp, 0, 0, 0, 0, 0, 0, 0});
-                    prog_.insts[jz_at].imm = prog_.insts.size();
+                    insts[jz_at].imm = static_cast<int32_t>(insts.size());
                     compileStmts(s.elseBody);
-                    prog_.insts[jmp_at].imm = prog_.insts.size();
+                    insts[jmp_at].imm = static_cast<int32_t>(insts.size());
                 }
                 break;
               }
@@ -297,12 +353,44 @@ class Compiler
 
     const ElabBlock &blk_;
     const ArenaStore &store_;
-    BcProgram prog_;
-    std::vector<int32_t> temp_slot_;
+    BcBlock out_;
+    std::vector<char> written_; //!< per slot
+    std::vector<int32_t> temp_reg_;
     int next_scratch_ = 0;
     int max_scratch_ = 0;
     int persistent_scratch_ = 0;
 };
+
+/** Hash of everything that makes two programs interchangeable. */
+uint64_t
+fingerprint(const BcProgram &p)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&](uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ull;
+        h ^= h >> 29;
+    };
+    mix(static_cast<uint64_t>(p.nslots) << 32 |
+        static_cast<uint32_t>(p.nconsts));
+    for (const BcInst &in : p.insts) {
+        mix(static_cast<uint64_t>(in.op) | uint64_t(in.sh) << 8 |
+            static_cast<uint64_t>(static_cast<uint32_t>(in.dst)) << 32);
+        mix(static_cast<uint64_t>(static_cast<uint32_t>(in.a)) |
+            static_cast<uint64_t>(static_cast<uint32_t>(in.b)) << 32);
+        mix(static_cast<uint64_t>(static_cast<uint32_t>(in.c)) |
+            static_cast<uint64_t>(static_cast<uint32_t>(in.imm)) << 32);
+        mix(in.mask);
+    }
+    return h;
+}
+
+bool
+sameProgram(const BcProgram &x, const BcProgram &y)
+{
+    return x.nslots == y.nslots && x.nconsts == y.nconsts &&
+           x.insts == y.insts;
+}
 
 } // namespace
 
@@ -318,145 +406,196 @@ bcSpecializable(const ElabBlock &blk, const ArenaStore &store)
     return stmtsSpecializable(blk.ir->stmts, store);
 }
 
-BcProgram
+BcBlock
 bcCompile(const ElabBlock &blk, const ArenaStore &store)
 {
     return Compiler(blk, store).run();
 }
 
-void
-bcRun(const BcProgram &prog, uint64_t *words, uint64_t *scratch)
+BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
+                   const std::vector<int> &blocks)
 {
-    auto reg = [&](int32_t i) -> uint64_t & {
-        return i >= 0 ? words[i] : scratch[-i - 1];
+    // The instruction stream with its slot and constant counts is the
+    // fingerprint: scratch, temps and written slots follow from it.
+    struct Placed
+    {
+        int prog;
+        size_t slots;
+        size_t consts;
     };
+    std::vector<Placed> placed(elab.blocks.size(), Placed{-1, 0, 0});
+    std::unordered_multimap<uint64_t, int> prog_of;
+    for (int b : blocks) {
+        if (placed[b].prog >= 0)
+            continue;
+        BcBlock blk = bcCompile(elab.blocks[b], store);
+        uint64_t h = fingerprint(blk.prog);
+        int prog = -1;
+        auto [lo, hi] = prog_of.equal_range(h);
+        for (auto it = lo; it != hi && prog < 0; ++it) {
+            if (sameProgram(progs_[it->second], blk.prog))
+                prog = it->second;
+        }
+        if (prog < 0) {
+            prog = static_cast<int>(progs_.size());
+            prog_of.emplace(h, prog);
+            max_frame_ = std::max(max_frame_, blk.prog.frameSize());
+            progs_.push_back(std::move(blk.prog));
+        }
+        placed[b] = {prog, slot_pool_.size(), const_pool_.size()};
+        slot_pool_.insert(slot_pool_.end(), blk.slots.begin(),
+                          blk.slots.end());
+        const_pool_.insert(const_pool_.end(), blk.consts.begin(),
+                           blk.consts.end());
+    }
+    // The pools are final: resolve every instance's pointers.
+    insts_.resize(elab.blocks.size());
+    for (size_t b = 0; b < placed.size(); ++b) {
+        if (placed[b].prog >= 0) {
+            insts_[b] = {&progs_[placed[b].prog],
+                         slot_pool_.data() + placed[b].slots,
+                         const_pool_.data() + placed[b].consts};
+        }
+    }
+}
+
+void
+bcRun(const BcInstance &inst, uint64_t *words, uint64_t *frame)
+{
+    const BcProgram &prog = *inst.prog;
+    const int32_t *slots = inst.slots;
+    uint64_t *__restrict f = frame;
+    const int nslots = prog.nslots;
+    for (int i = 0; i < nslots; ++i)
+        f[i] = words[slots[i]];
+    std::copy_n(inst.consts, prog.nconsts, f + nslots);
+    std::fill_n(f + nslots + prog.nconsts, prog.ntemps, uint64_t(0));
+
     const BcInst *insts = prog.insts.data();
     const size_t n = prog.insts.size();
     size_t pc = 0;
     while (pc < n) {
         const BcInst &in = insts[pc];
         switch (in.op) {
-          case Bc::LdImm:
-            reg(in.dst) = in.imm & in.mask;
-            break;
           case Bc::Mov:
-            reg(in.dst) = reg(in.a) & in.mask;
+            f[in.dst] = f[in.a] & in.mask;
             break;
           case Bc::Add:
-            reg(in.dst) = (reg(in.a) + reg(in.b)) & in.mask;
+            f[in.dst] = (f[in.a] + f[in.b]) & in.mask;
             break;
           case Bc::Sub:
-            reg(in.dst) = (reg(in.a) - reg(in.b)) & in.mask;
+            f[in.dst] = (f[in.a] - f[in.b]) & in.mask;
             break;
           case Bc::Mul:
-            reg(in.dst) = (reg(in.a) * reg(in.b)) & in.mask;
+            f[in.dst] = (f[in.a] * f[in.b]) & in.mask;
             break;
           case Bc::And:
-            reg(in.dst) = (reg(in.a) & reg(in.b)) & in.mask;
+            f[in.dst] = (f[in.a] & f[in.b]) & in.mask;
             break;
           case Bc::Or:
-            reg(in.dst) = (reg(in.a) | reg(in.b)) & in.mask;
+            f[in.dst] = (f[in.a] | f[in.b]) & in.mask;
             break;
           case Bc::Xor:
-            reg(in.dst) = (reg(in.a) ^ reg(in.b)) & in.mask;
+            f[in.dst] = (f[in.a] ^ f[in.b]) & in.mask;
             break;
           case Bc::Shl: {
-            uint64_t amt = reg(in.b);
-            reg(in.dst) = amt >= 64 ? 0 : (reg(in.a) << amt) & in.mask;
+            uint64_t amt = f[in.b];
+            f[in.dst] = amt >= 64 ? 0 : (f[in.a] << amt) & in.mask;
             break;
           }
           case Bc::Shr: {
-            uint64_t amt = reg(in.b);
-            reg(in.dst) = amt >= 64 ? 0 : (reg(in.a) >> amt) & in.mask;
+            uint64_t amt = f[in.b];
+            f[in.dst] = amt >= 64 ? 0 : (f[in.a] >> amt) & in.mask;
             break;
           }
           case Bc::Sra: {
-            int nbits = static_cast<int>(in.imm);
-            int64_t v = static_cast<int64_t>(reg(in.a) << (64 - nbits)) >>
+            int nbits = in.imm;
+            int64_t v = static_cast<int64_t>(f[in.a] << (64 - nbits)) >>
                         (64 - nbits);
-            uint64_t amt = std::min<uint64_t>(reg(in.b), 63);
-            reg(in.dst) =
+            uint64_t amt = std::min<uint64_t>(f[in.b], 63);
+            f[in.dst] =
                 static_cast<uint64_t>(v >> static_cast<int>(amt)) & in.mask;
             break;
           }
           case Bc::Eq:
-            reg(in.dst) = reg(in.a) == reg(in.b);
+            f[in.dst] = f[in.a] == f[in.b];
             break;
           case Bc::Ne:
-            reg(in.dst) = reg(in.a) != reg(in.b);
+            f[in.dst] = f[in.a] != f[in.b];
             break;
           case Bc::Lt:
-            reg(in.dst) = reg(in.a) < reg(in.b);
+            f[in.dst] = f[in.a] < f[in.b];
             break;
           case Bc::Le:
-            reg(in.dst) = reg(in.a) <= reg(in.b);
+            f[in.dst] = f[in.a] <= f[in.b];
             break;
           case Bc::Gt:
-            reg(in.dst) = reg(in.a) > reg(in.b);
+            f[in.dst] = f[in.a] > f[in.b];
             break;
           case Bc::Ge:
-            reg(in.dst) = reg(in.a) >= reg(in.b);
+            f[in.dst] = f[in.a] >= f[in.b];
             break;
           case Bc::LAnd:
-            reg(in.dst) = (reg(in.a) != 0) && (reg(in.b) != 0);
+            f[in.dst] = (f[in.a] != 0) && (f[in.b] != 0);
             break;
           case Bc::LOr:
-            reg(in.dst) = (reg(in.a) != 0) || (reg(in.b) != 0);
+            f[in.dst] = (f[in.a] != 0) || (f[in.b] != 0);
             break;
           case Bc::Inv:
-            reg(in.dst) = ~reg(in.a) & in.mask;
+            f[in.dst] = ~f[in.a] & in.mask;
             break;
           case Bc::LNot:
-            reg(in.dst) = reg(in.a) == 0;
+            f[in.dst] = f[in.a] == 0;
             break;
           case Bc::ROr:
-            reg(in.dst) = reg(in.a) != 0;
+            f[in.dst] = f[in.a] != 0;
             break;
           case Bc::RAnd:
-            reg(in.dst) = reg(in.a) == in.imm;
+            f[in.dst] = f[in.a] == in.mask;
             break;
           case Bc::RXor:
-            reg(in.dst) = std::popcount(reg(in.a)) & 1;
+            f[in.dst] = std::popcount(f[in.a]) & 1;
             break;
           case Bc::Slice:
-            reg(in.dst) = (reg(in.a) >> in.sh) & in.mask;
+            f[in.dst] = (f[in.a] >> in.sh) & in.mask;
             break;
           case Bc::SetSlice:
-            reg(in.dst) = (reg(in.dst) & ~(in.mask << in.sh)) |
-                          ((reg(in.a) & in.mask) << in.sh);
+            f[in.dst] = (f[in.dst] & ~(in.mask << in.sh)) |
+                        ((f[in.a] & in.mask) << in.sh);
             break;
           case Bc::Mux:
-            reg(in.dst) = (reg(in.c) ? reg(in.a) : reg(in.b)) & in.mask;
+            f[in.dst] = (f[in.c] ? f[in.a] : f[in.b]) & in.mask;
             break;
           case Bc::Sext: {
-            int nbits = static_cast<int>(in.imm);
-            int64_t v = static_cast<int64_t>(reg(in.a) << (64 - nbits)) >>
+            int nbits = in.imm;
+            int64_t v = static_cast<int64_t>(f[in.a] << (64 - nbits)) >>
                         (64 - nbits);
-            reg(in.dst) = static_cast<uint64_t>(v) & in.mask;
+            f[in.dst] = static_cast<uint64_t>(v) & in.mask;
             break;
           }
           case Bc::ALoad:
-            reg(in.dst) =
-                words[in.imm + (reg(in.a) &
-                                static_cast<uint64_t>(in.c))];
+            f[in.dst] = words[slots[in.imm] +
+                              (f[in.a] & static_cast<uint64_t>(in.c))];
             break;
           case Bc::AStore:
-            words[in.imm +
-                  (reg(in.a) & static_cast<uint64_t>(in.c))] =
-                reg(in.b) & in.mask;
+            words[slots[in.imm] + (f[in.a] & static_cast<uint64_t>(in.c))] =
+                f[in.b] & in.mask;
             break;
           case Bc::Jz:
-            if (reg(in.a) == 0) {
-                pc = in.imm;
+            if (f[in.a] == 0) {
+                pc = static_cast<size_t>(in.imm);
                 continue;
             }
             break;
           case Bc::Jmp:
-            pc = in.imm;
+            pc = static_cast<size_t>(in.imm);
             continue;
         }
         ++pc;
     }
+
+    for (int32_t s : prog.written)
+        words[slots[s]] = f[s];
 }
 
 } // namespace cmtl

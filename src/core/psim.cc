@@ -261,34 +261,32 @@ ParSimulationTool::specialize()
 
     const bool design = designMode();
     if (cfg_.spec == SpecMode::Bytecode || design) {
-        // One shared program per block: programs address the arena by
-        // absolute offset, so every island runs them against its own
-        // replica's data pointer. Scratch is per island. For
+        // One shared program per block type: slot tables address the
+        // arena by absolute offset, so every island runs them against
+        // its own replica's data pointer. Frames are per island. For
         // cpp-design this is the warm-up tier executed while the
         // whole-design compile runs in the background.
-        bc_programs_.resize(blocks.size());
-        int max_scratch = 0;
-        auto compileSteps = [&](std::vector<PStep> &steps) {
+        std::vector<int> members;
+        auto markSteps = [&](std::vector<PStep> &steps) {
             for (PStep &step : steps) {
                 if (!specialized_[step.block])
                     continue;
                 step.kind = PStep::Kind::Bytecode;
-                if (bc_programs_[step.block].insts.empty()) {
-                    bc_programs_[step.block] =
-                        bcCompile(blocks[step.block], *replicas_[0]);
-                    max_scratch = std::max(
-                        max_scratch, bc_programs_[step.block].nscratch);
-                }
+                members.push_back(step.block);
             }
         };
         for (int i = 0; i < plan_.nislands; ++i) {
-            compileSteps(comb_steps_[i]);
-            compileSteps(tick_steps_[i]);
+            markSteps(comb_steps_[i]);
+            markSteps(tick_steps_[i]);
         }
-        bc_scratch_.assign(
-            plan_.nislands,
-            std::vector<uint64_t>(static_cast<size_t>(max_scratch) + 1, 0));
+        bc_ = BcModule(*elab_, *replicas_[0], members);
+        // Round each island's frame up to whole cache lines, plus one,
+        // so no two islands' frames share a line.
+        const size_t frame = (static_cast<size_t>(bc_.maxFrame()) + 15) &
+                             ~size_t(7);
+        bc_frames_.assign(plan_.nislands, std::vector<uint64_t>(frame, 0));
         spec_stats_.numGroups = spec_stats_.numSpecialized;
+        spec_stats_.kernelTypes = bc_.numPrograms();
         spec_stats_.codegenSeconds = sw.elapsed();
         if (!design)
             return;
@@ -671,8 +669,8 @@ ParSimulationTool::runPStepImpl(int island, const PStep &step)
         evals_[island]->run(elab_->blocks[step.block], nullptr);
         break;
       case PStep::Kind::Bytecode:
-        bcRun(bc_programs_[step.block], replicas_[island]->data(),
-              bc_scratch_[island].data());
+        bcRun(bc_.instance(step.block), replicas_[island]->data(),
+              bc_frames_[island].data());
         break;
       case PStep::Kind::Native:
         // cpp-design fused steps live in the island's own library

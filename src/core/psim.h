@@ -204,10 +204,10 @@ class ParSimulationTool : public Simulator
     /** flop_pushes_[island]: copies after the island's flops. */
     std::vector<std::vector<CopyOp>> flop_pushes_;
 
-    // Specialization (shared read-only across islands; programs use
-    // absolute arena offsets, identical in every replica).
-    std::vector<BcProgram> bc_programs_;
-    std::vector<std::vector<uint64_t>> bc_scratch_; //!< per island
+    // Specialization (shared read-only across islands; slot tables
+    // hold absolute arena offsets, identical in every replica).
+    BcModule bc_;
+    std::vector<std::vector<uint64_t>> bc_frames_; //!< per island
     CppJitLibrary cpp_lib_;
     std::vector<char> specialized_;
 

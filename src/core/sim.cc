@@ -458,20 +458,18 @@ SimulationTool::specialize()
     spec_stats_.numGroups = static_cast<int>(groups.size());
 
     if (cfg_.spec == SpecMode::Bytecode || design) {
-        bc_programs_.resize(blocks.size());
-        int max_scratch = 0;
+        std::vector<int> members;
+        for (const auto &group : groups)
+            members.insert(members.end(), group.begin(), group.end());
+        bc_ = BcModule(*elab_, *arena_, members);
         group_bc_.resize(groups.size());
-        group_blocks_.resize(groups.size());
         for (size_t g = 0; g < groups.size(); ++g) {
-            for (int blk : groups[g]) {
-                bc_programs_[blk] = bcCompile(blocks[blk], *arena_);
-                max_scratch =
-                    std::max(max_scratch, bc_programs_[blk].nscratch);
-                group_bc_[g].push_back(&bc_programs_[blk]);
-                group_blocks_[g].push_back(blk);
-            }
+            for (int blk : groups[g])
+                group_bc_[g].push_back(bc_.instance(blk));
         }
-        bc_scratch_.assign(static_cast<size_t>(max_scratch) + 1, 0);
+        group_blocks_ = std::move(groups);
+        bc_frame_.assign(static_cast<size_t>(bc_.maxFrame()) + 1, 0);
+        spec_stats_.kernelTypes = bc_.numPrograms();
         spec_stats_.codegenSeconds = sw.elapsed();
         if (design)
             specializeDesign(can);
@@ -932,12 +930,10 @@ SimulationTool::runStep(const Step &step, std::vector<int> *changed)
             for (size_t i = 0; i < progs.size(); ++i) {
                 if (p->shouldTime(blks[i])) {
                     Stopwatch sw;
-                    bcRun(*progs[i], arena_->data(),
-                          bc_scratch_.data());
+                    bcRun(progs[i], arena_->data(), bc_frame_.data());
                     p->addBlockTime(blks[i], sw.elapsed());
                 } else {
-                    bcRun(*progs[i], arena_->data(),
-                          bc_scratch_.data());
+                    bcRun(progs[i], arena_->data(), bc_frame_.data());
                 }
             }
             return;
@@ -978,8 +974,8 @@ SimulationTool::runStepImpl(const Step &step, std::vector<int> *changed)
         if (step.kind == Step::Kind::Native) {
             cpp_lib_.group(step.group)(arena_->data());
         } else {
-            for (const BcProgram *bc : group_bc_[step.group])
-                bcRun(*bc, arena_->data(), bc_scratch_.data());
+            for (const BcInstance &bc : group_bc_[step.group])
+                bcRun(bc, arena_->data(), bc_frame_.data());
         }
         if (track)
             diffWrites(step, changed);

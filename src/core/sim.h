@@ -251,8 +251,9 @@ struct SpecStats
      *  groups or the cpp-design whole-design unit); 0 for
      *  interpreter/bytecode backends. */
     size_t emittedTuBytes = 0;
-    /** Distinct block kernels in the emitted C++ (summed over ParSim
-     *  island units); instances of one block type share a kernel. */
+    /** Distinct block kernels: bytecode programs, or the kernels of
+     *  the emitted C++ (summed over ParSim island units); instances of
+     *  one block type share a kernel. */
     int kernelTypes = 0;
 };
 
@@ -567,11 +568,11 @@ class SimulationTool : public Simulator
     std::vector<FlopRange> dyn_flop_plan_;
     size_t dyn_flop_planned_ = 0;
 
-    std::vector<BcProgram> bc_programs_; //!< per specialized block
-    std::vector<uint64_t> bc_scratch_;
+    BcModule bc_; //!< one program per block type
+    std::vector<uint64_t> bc_frame_; //!< bcRun's frame
     CppJitLibrary cpp_lib_;
-    /** Per specialization group: member programs + marshal sets. */
-    std::vector<std::vector<const BcProgram *>> group_bc_;
+    /** Per specialization group: member instances + marshal sets. */
+    std::vector<std::vector<BcInstance>> group_bc_;
     /** Member block ids of each bytecode group, in execution order —
      *  lets a probe attribute time per block inside a fused step. */
     std::vector<std::vector<int>> group_blocks_;

@@ -22,12 +22,16 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <set>
 #include <thread>
+#include <typeinfo>
 
+#include "core/ir_bytecode.h"
 #include "core/jit_cpp.h"
 #include "core/psim.h"
 #include "core/scope.h"
 #include "core/sim.h"
+#include "core/snap.h"
 #include "core/stats.h"
 #include "core/vcd.h"
 #include "net/traffic.h"
@@ -394,6 +398,73 @@ TEST(BackendKernels, MeshEmitsOneKernelPerBlockType)
     EXPECT_NE(simulatorReport(sim).find(", 21 kernel(s)"),
               std::string::npos)
         << simulatorReport(sim);
+}
+
+/**
+ * The bytecode tier shares one program per block type too. Unlike the
+ * C++ kernels, constants are per-instance operands, so every router's
+ * route_comb shares one program despite its own coordinates: a block
+ * type is its model class plus its block name.
+ */
+TEST(BackendKernels, MeshSharesOneBytecodeProgramPerBlockType)
+{
+    auto makeTop = [] {
+        return std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16,
+                                                4, 0.3, 11);
+    };
+    auto top = makeTop();
+    auto elab = top->elaborate();
+    ArenaStore store(*elab);
+    std::vector<int> specialized;
+    std::set<std::string> types;
+    for (size_t b = 0; b < elab->blocks.size(); ++b) {
+        const ElabBlock &blk = elab->blocks[b];
+        if (!bcSpecializable(blk, store))
+            continue;
+        specialized.push_back(static_cast<int>(b));
+        types.insert(std::string(typeid(*blk.model).name()) + "." +
+                     blk.name.substr(blk.name.rfind('.') + 1));
+    }
+    BcModule mod(*elab, store, specialized);
+    EXPECT_EQ(mod.numPrograms(), static_cast<int>(types.size()));
+    std::set<const BcProgram *> route_progs;
+    for (int b : specialized) {
+        const std::string &name = elab->blocks[b].name;
+        if (name.size() > 11 &&
+            name.compare(name.size() - 11, 11, ".route_comb") == 0)
+            route_progs.insert(mod.instance(b).prog);
+    }
+    EXPECT_EQ(route_progs.size(), 1u);
+
+    auto gt = makeTop();
+    auto golden = makeSimulator(gt->elaborate(),
+                                SimConfig::fromString("optinterp"));
+    golden->reset();
+    golden->cycle(500);
+    for (int threads : {1, 2, 4}) {
+        SimConfig cfg = SimConfig::fromString("bytecode");
+        cfg.threads = threads;
+        auto t = makeTop();
+        auto sim = makeSimulator(t->elaborate(), cfg);
+        EXPECT_EQ(sim->specStats().kernelTypes, mod.numPrograms())
+            << threads;
+        EXPECT_NE(simulatorReport(*sim).find(
+                      ", " + std::to_string(mod.numPrograms()) +
+                      " kernel(s)"),
+                  std::string::npos)
+            << simulatorReport(*sim);
+        sim->reset();
+        sim->cycle(500);
+        EXPECT_EQ(stateDigest(*sim), stateDigest(*golden)) << threads;
+        const net::NetStats &a = gt->stats(), &b = t->stats();
+        EXPECT_GT(a.received, 0u);
+        EXPECT_EQ(b.cycles, a.cycles) << threads;
+        EXPECT_EQ(b.generated, a.generated) << threads;
+        EXPECT_EQ(b.injected, a.injected) << threads;
+        EXPECT_EQ(b.received, a.received) << threads;
+        EXPECT_EQ(b.latency_sum, a.latency_sum) << threads;
+        EXPECT_EQ(b.latency_max, a.latency_max) << threads;
+    }
 }
 
 /** A 16-bit register that adds one, reset to zero. */

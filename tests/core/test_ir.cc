@@ -3,7 +3,9 @@
 #include <random>
 
 #include "core/ir_bytecode.h"
+#include "core/psim.h"
 #include "core/sim.h"
+#include "core/snap.h"
 #include "test_models.h"
 
 namespace cmtl {
@@ -172,12 +174,246 @@ TEST(IrBytecode, ProgramsAreCompact)
     AluTorture alu(32);
     auto elab = alu.elaborate();
     ArenaStore store(*elab);
-    BcProgram prog = bcCompile(elab->blocks[0], store);
+    BcBlock blk = bcCompile(elab->blocks[0], store);
+    const BcProgram &prog = blk.prog;
     EXPECT_GT(prog.insts.size(), 10u);
     EXPECT_LT(prog.insts.size(), 200u);
     EXPECT_GT(prog.nscratch, 0);
     EXPECT_LT(prog.nscratch, 100);
+    // a, b and res are the block's slots; only res is written back.
+    EXPECT_EQ(prog.nslots, 3);
+    EXPECT_EQ(blk.slots.size(), 3u);
+    ASSERT_EQ(prog.written.size(), 1u);
+    EXPECT_EQ(blk.slots[prog.written[0]], store.offset(alu.res.netId()));
+    // Constants are operands, numbered by occurrence.
+    EXPECT_EQ(static_cast<size_t>(prog.nconsts), blk.consts.size());
+    EXPECT_GT(prog.nconsts, 0);
 }
+
+// ----------------------------------------------------------------------
+// Frame semantics. bcRun copies a block's slots into a frame, runs the
+// shared program there and copies back only the slots the program may
+// write. Each design below instantiates its block type twice (two
+// instances share one program, each with its own slot and constant
+// tables) and must stay bit-identical to optinterp, cycle by cycle,
+// on every bytecode schedule.
+
+/** Two instances of a leaf, driven from the test bench. */
+template <class Leaf>
+class Twin : public Model
+{
+  public:
+    Leaf x, y;
+    Twin() : Model(nullptr, "top"), x(this, "x"), y(this, "y") {}
+};
+
+/** A block that reads a net after writing it. */
+class ReadAfterWrite : public Model
+{
+  public:
+    InPort a;
+    OutPort mid, out;
+    std::vector<Signal *> inputs() { return {&a}; }
+
+    ReadAfterWrite(Model *parent, const std::string &name)
+        : Model(parent, name), a(this, "a", 12), mid(this, "mid", 12),
+          out(this, "out", 12)
+    {
+        auto &c = combinational("comb");
+        c.assign(mid, rd(a) + 3);
+        c.assign(out, (rd(mid) * rd(a)) ^ (rd(mid) >> lit(4, 1)));
+    }
+};
+
+/**
+ * Writes under an If without an else: a skipped write must leave the
+ * net as it was, on a comb net and on a register's next word.
+ */
+class SkippedWrite : public Model
+{
+  public:
+    InPort en, d;
+    OutPort lat, q;
+    std::vector<Signal *> inputs() { return {&en, &d}; }
+
+    SkippedWrite(Model *parent, const std::string &name)
+        : Model(parent, name), en(this, "en", 1), d(this, "d", 10),
+          lat(this, "lat", 10), q(this, "q", 10)
+    {
+        auto &c = combinational("comb");
+        c.if_(rd(en), [&] { c.assign(lat, rd(d) + 1); });
+        auto &t = tickRtl("seq");
+        t.if_(!rd(en), [&] { t.assign(q, rd(d) ^ rd(q)); });
+    }
+};
+
+/** Two blocks writing disjoint slices of one net. */
+class SplitWriters : public Model
+{
+  public:
+    InPort lo, hi;
+    OutPort q;
+    std::vector<Signal *> inputs() { return {&lo, &hi}; }
+
+    SplitWriters(Model *parent, const std::string &name)
+        : Model(parent, name), lo(this, "lo", 8), hi(this, "hi", 6),
+          q(this, "q", 14)
+    {
+        auto &a = tickRtl("seq_lo");
+        a.assignSlice(q, 0, 8, rd(lo) + rd(q).slice(8, 6).zext(8));
+        auto &b = tickRtl("seq_hi");
+        b.assignSlice(q, 8, 6, rd(hi) ^ rd(q).slice(0, 6));
+    }
+};
+
+/** A tick block writing a net's next word and reading its current. */
+class NextAndCurrent : public Model
+{
+  public:
+    InPort d;
+    OutPort acc, prev;
+    std::vector<Signal *> inputs() { return {&d}; }
+
+    NextAndCurrent(Model *parent, const std::string &name)
+        : Model(parent, name), d(this, "d", 16), acc(this, "acc", 16),
+          prev(this, "prev", 16)
+    {
+        auto &t = tickRtl("seq");
+        t.assign(acc, rd(acc) + rd(d));
+        // Reads the current word: acc's value before this edge.
+        t.assign(prev, rd(acc));
+    }
+};
+
+/** Array reads and writes whose indices need masking to the depth. */
+class MaskedArray : public Model
+{
+  public:
+    InPort waddr, wdata, wen, raddr;
+    OutPort rdata;
+    MemArray mem;
+    std::vector<Signal *> inputs() { return {&waddr, &wdata, &wen, &raddr}; }
+
+    MaskedArray(Model *parent, const std::string &name)
+        : Model(parent, name), waddr(this, "waddr", 5),
+          wdata(this, "wdata", 12), wen(this, "wen", 1),
+          raddr(this, "raddr", 6), rdata(this, "rdata", 12),
+          mem(this, "mem", 12, 8)
+    {
+        auto &t = tickRtl("seq");
+        t.if_(rd(wen), [&] {
+            t.writeArray(mem, rd(waddr) + 1, rd(wdata));
+        });
+        auto &c = combinational("comb");
+        c.assign(rdata, aread(mem, rd(raddr)) ^ aread(mem, rd(raddr) + 3));
+    }
+};
+
+/** Concats whose shift amounts are constant operands. */
+class ConstConcat : public Model
+{
+  public:
+    InPort a, b;
+    OutPort out;
+    std::vector<Signal *> inputs() { return {&a, &b}; }
+
+    ConstConcat(Model *parent, const std::string &name)
+        : Model(parent, name), a(this, "a", 7), b(this, "b", 9),
+          out(this, "out", 29)
+    {
+        auto &c = combinational("comb");
+        c.assign(out, cat({rd(a), lit(3, 5), rd(b).slice(2, 4), lit(1, 1),
+                           rd(a).slice(0, 5), rd(b) + lit(9, 7)}) ^
+                          cat(lit(20, 0x5a5a5), rd(b)));
+    }
+};
+
+/** Block temps, read back after re-assignment and across branches. */
+class Temps : public Model
+{
+  public:
+    InPort a, b;
+    OutPort out;
+    std::vector<Signal *> inputs() { return {&a, &b}; }
+
+    Temps(Model *parent, const std::string &name)
+        : Model(parent, name), a(this, "a", 10), b(this, "b", 10),
+          out(this, "out", 10)
+    {
+        auto &c = combinational("comb");
+        IrExpr t = c.let("t", rd(a) + rd(b));
+        IrExpr u = c.let("u", t * lit(10, 3));
+        c.if_(t > u, [&] { c.setTemp(t, u - rd(a)); },
+              [&] { c.setTemp(t, t ^ u); });
+        c.assign(out, t + u);
+    }
+};
+
+/** Bytecode schedules that must agree with optinterp. */
+std::vector<std::pair<std::string, SimConfig>>
+frameConfigs()
+{
+    std::vector<std::pair<std::string, SimConfig>> out;
+    SimConfig cfg = SimConfig::fromString("bytecode");
+    cfg.sched = SchedMode::Static;
+    cfg.gating = false;
+    out.emplace_back("static", cfg);
+    cfg.gating = true;
+    out.emplace_back("gated", cfg);
+    cfg.sched = SchedMode::Event;
+    out.emplace_back("event", cfg);
+    cfg = SimConfig::fromString("bytecode");
+    cfg.threads = 2;
+    out.emplace_back("parsim2", cfg);
+    return out;
+}
+
+/** Random stimulus, the state digest after every cycle. */
+template <class Leaf>
+std::vector<uint64_t>
+frameTrace(const SimConfig &cfg, int *programs = nullptr)
+{
+    Twin<Leaf> top;
+    auto sim = makeSimulator(top.elaborate(), cfg);
+    if (programs)
+        *programs = sim->specStats().kernelTypes;
+    std::vector<Signal *> ins = top.x.inputs();
+    for (Signal *sig : top.y.inputs())
+        ins.push_back(sig);
+    std::mt19937_64 rng(42);
+    std::vector<uint64_t> trace;
+    sim->reset();
+    for (int cyc = 0; cyc < 200; ++cyc) {
+        for (Signal *sig : ins)
+            sig->setValue(Bits(sig->nbits(), rng()));
+        sim->cycle();
+        trace.push_back(stateDigest(*sim));
+    }
+    return trace;
+}
+
+template <class Leaf>
+void
+expectFrameSemantics()
+{
+    const auto golden = frameTrace<Leaf>(SimConfig::fromString("optinterp"));
+    Twin<Leaf> top;
+    const int nblocks = static_cast<int>(top.elaborate()->blocks.size());
+    for (const auto &[name, cfg] : frameConfigs()) {
+        int programs = 0;
+        EXPECT_EQ(frameTrace<Leaf>(cfg, &programs), golden) << name;
+        // Both instances of each block share one program.
+        EXPECT_EQ(programs, nblocks / 2) << name;
+    }
+}
+
+TEST(BcFrame, ReadAfterWrite) { expectFrameSemantics<ReadAfterWrite>(); }
+TEST(BcFrame, SkippedWriteLeavesNet) { expectFrameSemantics<SkippedWrite>(); }
+TEST(BcFrame, DisjointSliceWriters) { expectFrameSemantics<SplitWriters>(); }
+TEST(BcFrame, TickNextAndCurrent) { expectFrameSemantics<NextAndCurrent>(); }
+TEST(BcFrame, ArrayIndexMasking) { expectFrameSemantics<MaskedArray>(); }
+TEST(BcFrame, ConcatConstants) { expectFrameSemantics<ConstConcat>(); }
+TEST(BcFrame, BlockTemps) { expectFrameSemantics<Temps>(); }
 
 } // namespace
 } // namespace cmtl
