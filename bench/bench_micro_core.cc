@@ -154,8 +154,9 @@ BM_EngineCompiledCpp(benchmark::State &state)
         return;
     }
     EngineFixture f;
+    BcModule mod(*f.elab, f.arena, {0});
     std::string source =
-        cppEmitProgram(*f.elab, f.arena, std::vector<std::vector<int>>{{0}})
+        cppEmitProgram(*f.elab, f.arena, mod, {CppUnit{{CppUnit::Item{0}}}})
             .source;
     CppJit jit;
     CppJitLibrary lib = jit.compile(source, 1);

@@ -10,11 +10,11 @@
  * available, and serves as the ablation point against the real
  * compiled-C++ backend (jit_cpp).
  *
- * Programs are shared per block type, the way the C++ backend shares
- * one kernel per type (ir_cpp.h). bcCompile numbers every arena word a
- * block touches (a net's current or next word, an array's base) as a
- * local slot in first-use order, and every IR constant occurrence as a
- * constant operand. The instruction stream names only those numbers,
+ * Programs are shared per block type, and the C++ backend translates
+ * each program into one kernel (ir_cpp.h). bcCompile numbers every
+ * arena word a block touches (a net's current or next word, an array's
+ * base) as a local slot in first-use order, and every IR constant
+ * occurrence as a constant operand. The instruction stream names only those numbers,
  * so instances of one block type compile to the same program; a
  * BcModule keeps one program per distinct stream and, per instance,
  * only its slot table (absolute arena words) and constant table.
@@ -125,6 +125,13 @@ class BcModule
     /** Block @p block's instance (prog is null if it was not built). */
     const BcInstance &instance(int block) const { return insts_[block]; }
     int numPrograms() const { return static_cast<int>(progs_.size()); }
+    /** Index of block @p block's program, or -1 if it was not built. */
+    int
+    programOf(int block) const
+    {
+        const BcProgram *prog = insts_[block].prog;
+        return prog ? static_cast<int>(prog - progs_.data()) : -1;
+    }
     /** Frame words bcRun needs for any instance of the module. */
     int maxFrame() const { return max_frame_; }
 

@@ -1,350 +1,294 @@
 #include "ir_cpp.h"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <map>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
-
-#include "analyze.h"
+#include <utility>
 
 namespace cmtl {
 
 namespace {
 
 std::string
-maskHex(int nbits)
+hex(uint64_t v)
 {
-    uint64_t mask =
-        nbits >= 64 ? ~uint64_t(0) : ((uint64_t(1) << nbits) - 1);
     std::ostringstream os;
-    os << "0x" << std::hex << mask << "ull";
+    os << "0x" << std::hex << v << "ull";
     return os.str();
 }
 
-/** Bracket a slot number inside a block body (see BlockEmitter). */
-constexpr char kSlotOpen = '\x01';
-constexpr char kSlotClose = '\x02';
-
-/**
- * Emits the body of one block against its local slots. Every arena
- * word the block touches (a net's current or next word, an array's
- * base) becomes a slot, numbered in first-use order, and the text names
- * it only by that number. Two instances of one block type therefore
- * emit the same text whatever their arena placement; the text is the
- * block's fingerprint. Masks stay in the text, so instances whose
- * nets differ in width fingerprint differently.
- */
-class BlockEmitter
-{
-  public:
-    BlockEmitter(const ElabBlock &blk, const ArenaStore &store)
-        : blk_(blk), store_(store)
-    {}
-
-    /** The fingerprint text. */
-    std::string
-    run()
-    {
-        for (size_t i = 0; i < blk_.ir->temps.size(); ++i) {
-            pad(4);
-            os_ << "uint64_t t" << i << " = 0; (void)t" << i << ";\n";
-        }
-        emitStmts(blk_.ir->stmts, 4);
-        return os_.str();
-    }
-
-    /** Absolute arena word of each slot, in slot order. */
-    const std::vector<int> &slots() const { return slots_; }
-
-  private:
-    void
-    pad(int indent)
-    {
-        os_ << std::string(indent, ' ');
-    }
-
-    /** Placeholder for the offset of arena word @p word from `b`. */
-    std::string
-    slot(int word)
-    {
-        auto [it, fresh] =
-            slot_of_.try_emplace(word, static_cast<int>(slots_.size()));
-        if (fresh)
-            slots_.push_back(word);
-        return kSlotOpen + std::to_string(it->second) + kSlotClose;
-    }
-
-    std::string
-    cur(int net)
-    {
-        return "b[" + slot(store_.offset(net)) + "]";
-    }
-
-    std::string
-    nxt(int net)
-    {
-        return "b[" + slot(store_.offset(net) + store_.wordsPerPhase()) +
-               "]";
-    }
-
-    /**
-     * Emit "<dst> = <rhs>;": a plain masked store for a full-width
-     * assign, a read-modify-write of the field for a partial one.
-     * @p lsb/@p width describe a partial assign (width < 0 = full).
-     */
-    void
-    emitAssign(const std::string &dst, int net, int lsb, int width,
-               const std::string &rhs)
-    {
-        if (width < 0) {
-            os_ << dst << " = " << rhs << " & "
-                << maskHex(store_.nbits(net)) << ";\n";
-            return;
-        }
-        std::string m = maskHex(width);
-        os_ << dst << " = (" << dst << " & ~(" << m << " << " << lsb
-            << ")) | ((" << rhs << " & " << m << ") << " << lsb
-            << ");\n";
-    }
-
-    /** Open-bracketed base of an array element access. */
-    std::string
-    arrayBase(int id)
-    {
-        return "b[" + slot(store_.arrayOffset(id)) + " + ";
-    }
-
-    // Sub-expressions are emitted in sequenced statements so slot
-    // numbering (first-use order) never depends on the unspecified
-    // evaluation order of operator+ operands.
-    std::string
-    expr(const IrExprNode *e)
-    {
-        // Collapse whole constant subtrees (the analyzer's folder
-        // shares exact simulation semantics, so the emitted literal
-        // matches what the interpreted backends compute).
-        if (e->kind != IrExprNode::Kind::Const && e->nbits <= 64) {
-            if (auto folded = irConstFold(e)) {
-                std::ostringstream os;
-                os << "0x" << std::hex << folded->toUint64() << "ull";
-                return os.str();
-            }
-        }
-        switch (e->kind) {
-          case IrExprNode::Kind::Const: {
-            std::ostringstream os;
-            os << "0x" << std::hex << e->cval.toUint64() << "ull";
-            return os.str();
-          }
-          case IrExprNode::Kind::Ref:
-            return cur(e->sig->netId());
-          case IrExprNode::Kind::Temp:
-            return "t" + std::to_string(e->temp);
-          case IrExprNode::Kind::BinOp: {
-            std::string a = expr(e->args[0].get());
-            std::string b = expr(e->args[1].get());
-            std::string m = maskHex(e->nbits);
-            switch (e->op) {
-              case IrOp::Add: return "((" + a + " + " + b + ") & " + m + ")";
-              case IrOp::Sub: return "((" + a + " - " + b + ") & " + m + ")";
-              case IrOp::Mul: return "((" + a + " * " + b + ") & " + m + ")";
-              case IrOp::And: return "(" + a + " & " + b + ")";
-              case IrOp::Or: return "(" + a + " | " + b + ")";
-              case IrOp::Xor: return "(" + a + " ^ " + b + ")";
-              case IrOp::Shl:
-                return "(cmtl_shl(" + a + ", " + b + ") & " + m + ")";
-              case IrOp::Shr:
-                return "cmtl_shr(" + a + ", " + b + ")";
-              case IrOp::Sra:
-                return "(cmtl_sra(" + a + ", " +
-                       std::to_string(e->args[0]->nbits) + ", " + b +
-                       ") & " + m + ")";
-              case IrOp::Eq: return "uint64_t(" + a + " == " + b + ")";
-              case IrOp::Ne: return "uint64_t(" + a + " != " + b + ")";
-              case IrOp::Lt: return "uint64_t(" + a + " < " + b + ")";
-              case IrOp::Le: return "uint64_t(" + a + " <= " + b + ")";
-              case IrOp::Gt: return "uint64_t(" + a + " > " + b + ")";
-              case IrOp::Ge: return "uint64_t(" + a + " >= " + b + ")";
-              case IrOp::LAnd:
-                return "uint64_t((" + a + " != 0) && (" + b + " != 0))";
-              case IrOp::LOr:
-                return "uint64_t((" + a + " != 0) || (" + b + " != 0))";
-            }
-            throw std::logic_error("unhandled binop");
-          }
-          case IrExprNode::Kind::UnOp: {
-            std::string a = expr(e->args[0].get());
-            switch (e->unop) {
-              case IrUnOp::Inv:
-                return "(~" + a + " & " + maskHex(e->nbits) + ")";
-              case IrUnOp::LNot:
-                return "uint64_t(" + a + " == 0)";
-              case IrUnOp::ReduceOr:
-                return "uint64_t(" + a + " != 0)";
-              case IrUnOp::ReduceAnd:
-                return "uint64_t(" + a +
-                       " == " + maskHex(e->args[0]->nbits) + ")";
-              case IrUnOp::ReduceXor:
-                return "(uint64_t)(__builtin_popcountll(" + a + ") & 1)";
-            }
-            throw std::logic_error("unhandled unop");
-          }
-          case IrExprNode::Kind::Slice: {
-            std::string a = expr(e->args[0].get());
-            return "((" + a + " >> " + std::to_string(e->lsb) + ") & " +
-                   maskHex(e->nbits) + ")";
-          }
-          case IrExprNode::Kind::Concat: {
-            // Most-significant part first.
-            std::string out;
-            int pos = e->nbits;
-            for (const auto &argp : e->args) {
-                pos -= argp->nbits;
-                std::string part = expr(argp.get());
-                if (pos != 0)
-                    part = "(" + part + " << " + std::to_string(pos) + ")";
-                out = out.empty() ? part : "(" + out + " | " + part + ")";
-            }
-            return out;
-          }
-          case IrExprNode::Kind::Mux: {
-            std::string c = expr(e->args[0].get());
-            std::string a = expr(e->args[1].get());
-            std::string b = expr(e->args[2].get());
-            return "((" + c + ") ? uint64_t(" + a + ") : uint64_t(" + b +
-                   "))";
-          }
-          case IrExprNode::Kind::Zext:
-            return expr(e->args[0].get());
-          case IrExprNode::Kind::Sext: {
-            std::string a = expr(e->args[0].get());
-            return "(cmtl_sext(" + a + ", " +
-                   std::to_string(e->args[0]->nbits) + ") & " +
-                   maskHex(e->nbits) + ")";
-          }
-          case IrExprNode::Kind::ARead: {
-            int id = e->array->arrayId();
-            std::string base = arrayBase(id);
-            std::string idx = expr(e->args[0].get());
-            return base + "((" + idx + ") & " +
-                   std::to_string(store_.arrayIndexMask(id)) + "ull)]";
-          }
-        }
-        throw std::logic_error("unhandled expr kind");
-    }
-
-    void
-    emitStmts(const std::vector<IrStmt> &stmts, int indent)
-    {
-        bool seq = blk_.ir->sequential;
-        for (const IrStmt &s : stmts) {
-            switch (s.kind) {
-              case IrStmt::Kind::Assign: {
-                pad(indent);
-                if (s.temp >= 0 && !s.sig) {
-                    os_ << "t" << s.temp << " = " << expr(s.rhs.get())
-                        << ";\n";
-                    break;
-                }
-                int net = s.sig->netId();
-                std::string dst =
-                    (seq && s.nonblocking) ? nxt(net) : cur(net);
-                emitAssign(dst, net, s.lsb, s.width, expr(s.rhs.get()));
-                break;
-              }
-              case IrStmt::Kind::If:
-                pad(indent);
-                os_ << "if (" << expr(s.cond.get()) << ") {\n";
-                emitStmts(s.thenBody, indent + 4);
-                if (!s.elseBody.empty()) {
-                    pad(indent);
-                    os_ << "} else {\n";
-                    emitStmts(s.elseBody, indent + 4);
-                }
-                pad(indent);
-                os_ << "}\n";
-                break;
-              case IrStmt::Kind::AWrite: {
-                pad(indent);
-                int id = s.array->arrayId();
-                os_ << arrayBase(id) << "((" << expr(s.cond.get())
-                    << ") & " << store_.arrayIndexMask(id)
-                    << "ull)] = " << expr(s.rhs.get()) << " & "
-                    << maskHex(s.array->nbits()) << ";\n";
-                break;
-              }
-            }
-        }
-    }
-
-    const ElabBlock &blk_;
-    const ArenaStore &store_;
-    std::ostringstream os_;
-    std::vector<int> slots_;
-    std::unordered_map<int, int> slot_of_;
-};
-
-/** One emitted kernel: a distinct block body and its instances. */
+/** One emitted kernel: a program and the instances the units run. */
 struct Kernel
 {
-    std::string body;    //!< fingerprint text
-    int first_block = 0; //!< an instance, named in the kernel comment
-    std::vector<std::vector<int>> slots; //!< per instance, per slot
-    std::vector<std::string> ref;        //!< per slot: offset from `b`
-    std::vector<int> row; //!< per instance: table row, or -1
+    const BcProgram *prog = nullptr;
+    std::vector<int> blocks; //!< instances, in order of first use
+    /** Per slot: its offset from `b`, a literal or a tabled local. */
+    std::vector<std::string> slot;
+    /** Per constant operand: its column, or -1 for a literal. */
+    std::vector<int> col;
+    int slotCols = 0;
+    int constCols = 0;
+    /** Per instance: base word, row in `tab`, row in `ctab`. */
+    std::vector<std::array<int, 3>> args;
 };
 
-/** The instance base: its first slot (0 for a block touching none). */
-int
-baseOf(const std::vector<int> &slots)
-{
-    return slots.empty() ? 0 : slots[0];
-}
-
 /**
- * Decide how each slot of @p k is addressed. A slot whose offset from
- * the instance base is the same on every instance is a constant; the
- * rest read the instance's row of @p table.
+ * Decide how each slot of @p k is addressed. The base is the first slot
+ * whose word differs across instances: a slot at the same offset from
+ * it on every instance is a literal; the rest read the instance's row
+ * of @p tab.
  */
 void
-resolveSlots(Kernel &k, std::vector<int32_t> &table)
+resolveSlots(Kernel &k, const BcModule &bc, std::vector<int32_t> &tab)
 {
-    const std::vector<int> &first = k.slots[0];
-    std::vector<size_t> tabled;
-    for (size_t s = 0; s < first.size(); ++s) {
-        const int rel = first[s] - first[0];
+    const int nslots = k.prog->nslots;
+    auto word = [&](size_t i, int s) {
+        return bc.instance(k.blocks[i]).slots[s];
+    };
+    int bs = -1;
+    for (int s = 0; s < nslots && bs < 0; ++s) {
+        for (size_t i = 1; i < k.blocks.size() && bs < 0; ++i) {
+            if (word(i, s) != word(0, s))
+                bs = s;
+        }
+    }
+    std::vector<int> base;
+    for (size_t i = 0; i < k.blocks.size(); ++i)
+        base.push_back(nslots ? word(i, bs < 0 ? 0 : bs) : 0);
+    std::vector<int> tabled;
+    for (int s = 0; s < nslots; ++s) {
+        const int rel = word(0, s) - base[0];
         bool fixed = true;
-        for (const std::vector<int> &inst : k.slots)
-            fixed = fixed && inst[s] - inst[0] == rel;
+        for (size_t i = 1; i < k.blocks.size() && fixed; ++i)
+            fixed = word(i, s) - base[i] == rel;
         if (fixed) {
-            k.ref.push_back(std::to_string(rel));
+            k.slot.push_back(std::to_string(rel));
         } else {
-            k.ref.push_back("o[" + std::to_string(tabled.size()) + "]");
+            k.slot.push_back("o" + std::to_string(tabled.size()));
             tabled.push_back(s);
         }
     }
-    for (const std::vector<int> &inst : k.slots) {
-        k.row.push_back(tabled.empty() ? -1
-                                       : static_cast<int>(table.size()));
-        for (size_t s : tabled)
-            table.push_back(inst[s] - inst[0]);
+    k.slotCols = static_cast<int>(tabled.size());
+    for (size_t i = 0; i < k.blocks.size(); ++i) {
+        k.args.push_back({base[i], static_cast<int>(tab.size()), 0});
+        for (int s : tabled)
+            tab.push_back(word(i, s) - base[i]);
     }
 }
 
-/** Substitute resolved slot offsets into a fingerprint. */
-std::string
-resolveBody(const std::string &body, const std::vector<std::string> &ref)
+/**
+ * Decide how each constant operand of @p k is read: a literal when it
+ * is equal on every instance, else a column of the instance's row of
+ * @p ctab. Operands whose values agree on every instance share one
+ * column.
+ */
+void
+resolveConsts(Kernel &k, const BcModule &bc, std::vector<uint64_t> &ctab)
 {
-    std::string out;
-    out.reserve(body.size());
-    size_t pos = 0;
-    for (size_t at; (at = body.find(kSlotOpen, pos)) != std::string::npos;) {
-        size_t end = body.find(kSlotClose, at);
-        out.append(body, pos, at - pos);
-        out += ref[std::stoul(body.substr(at + 1, end - at - 1))];
-        pos = end + 1;
+    auto value = [&](size_t i, int j) {
+        return bc.instance(k.blocks[i]).consts[j];
+    };
+    std::map<std::vector<uint64_t>, int> col_of;
+    std::vector<int> first; //!< per column: an operand holding it
+    for (int j = 0; j < k.prog->nconsts; ++j) {
+        bool same = true;
+        for (size_t i = 1; i < k.blocks.size() && same; ++i)
+            same = value(i, j) == value(0, j);
+        if (same) {
+            k.col.push_back(-1);
+            continue;
+        }
+        std::vector<uint64_t> values;
+        for (size_t i = 0; i < k.blocks.size(); ++i)
+            values.push_back(value(i, j));
+        auto [it, fresh] = col_of.try_emplace(
+            std::move(values), static_cast<int>(first.size()));
+        if (fresh)
+            first.push_back(j);
+        k.col.push_back(it->second);
     }
-    out.append(body, pos);
-    return out;
+    k.constCols = static_cast<int>(first.size());
+    for (size_t i = 0; i < k.blocks.size(); ++i) {
+        k.args[i][2] = static_cast<int>(ctab.size());
+        for (int j : first)
+            ctab.push_back(value(i, j));
+    }
+}
+
+/**
+ * Translate @p k's program into `static void T<t>`. Each instruction
+ * computes exactly what bcRun computes for it; slots are read and
+ * written in place, which is what bcRun's gather and scatter amount
+ * to, since a block's array words never alias its net slots.
+ *
+ * Scratch past the temps holds an expression's intermediate values:
+ * bcCompile defines each one once and reads it once, later in the same
+ * statement, with no store in between. Such a value is emitted inside
+ * the expression that reads it rather than as a statement of its own,
+ * which rebuilds the IR's expression trees: g++ then sees whole
+ * expressions, and Mux arms are evaluated lazily, as `?:`.
+ */
+void
+emitKernel(std::ostringstream &os, int t, const Kernel &k,
+           const BcModule &bc, const Elaboration &elab)
+{
+    const BcProgram &p = *k.prog;
+    const int nslots = p.nslots;
+    const int nconsts = p.nconsts;
+    const int scratch = nslots + nconsts;
+    const uint64_t *consts = bc.instance(k.blocks[0]).consts;
+    std::vector<std::string> pending(p.nscratch);
+    auto literal = [&](int32_t r) {
+        return r >= nslots && r < scratch && k.col[r - nslots] < 0;
+    };
+    auto inlined = [&](int32_t r) { return r >= scratch + p.ntemps; };
+    auto reg = [&](int32_t r) -> std::string {
+        if (r < nslots)
+            return "b[" + k.slot[r] + "]";
+        if (r < scratch) {
+            int col = k.col[r - nslots];
+            return col < 0 ? hex(consts[r - nslots])
+                           : "c" + std::to_string(col);
+        }
+        if (inlined(r)) {
+            assert(!pending[r - scratch].empty());
+            return "(" + std::exchange(pending[r - scratch], {}) + ")";
+        }
+        return "t" + std::to_string(r - scratch);
+    };
+    auto masked = [](const std::string &v, uint64_t mask) {
+        return mask == ~uint64_t(0) ? v : v + " & " + hex(mask);
+    };
+
+    os << "// " << k.blocks.size() << " instance(s) of "
+       << elab.blocks[k.blocks[0]].name << "\n"
+       << "static void T" << t
+       << "(uint64_t *b, const int32_t *o, const uint64_t *c)\n{\n";
+    for (int i = 0; i < k.slotCols; ++i)
+        os << "    const int32_t o" << i << " = o[" << i << "];\n";
+    for (int i = 0; i < k.constCols; ++i)
+        os << "    const uint64_t c" << i << " = c[" << i << "];\n";
+    for (int j = 0; j < p.ntemps; ++j)
+        os << (j ? ", t" : "    uint64_t t") << j << " = 0";
+    if (p.ntemps)
+        os << ";\n";
+
+    std::vector<char> target(p.insts.size() + 1, 0);
+    for (const BcInst &in : p.insts) {
+        if (in.op == Bc::Jz || in.op == Bc::Jmp)
+            target[in.imm] = 1;
+    }
+    for (size_t pc = 0; pc <= p.insts.size(); ++pc) {
+        if (target[pc])
+            os << "  L" << pc << ":;\n";
+        if (pc == p.insts.size())
+            break;
+        const BcInst &in = p.insts[pc];
+        const std::string m = std::to_string(in.imm);
+        std::string v;
+        auto binop = [&](const char *op) {
+            v = masked("(" + reg(in.a) + op + reg(in.b) + ")", in.mask);
+        };
+        auto compare = [&](const char *op) {
+            v = "uint64_t(" + reg(in.a) + op + reg(in.b) + ")";
+        };
+        switch (in.op) {
+          case Bc::Mov: v = masked(reg(in.a), in.mask); break;
+          case Bc::Add: binop(" + "); break;
+          case Bc::Sub: binop(" - "); break;
+          case Bc::Mul: binop(" * "); break;
+          case Bc::And: binop(" & "); break;
+          case Bc::Or: binop(" | "); break;
+          case Bc::Xor: binop(" ^ "); break;
+          case Bc::Shl:
+          case Bc::Shr: {
+            const bool left = in.op == Bc::Shl;
+            if (!literal(in.b)) {
+                v = masked(std::string(left ? "cmtl_shl(" : "cmtl_shr(") +
+                               reg(in.a) + ", " + reg(in.b) + ")",
+                           in.mask);
+            } else if (uint64_t amt = consts[in.b - nslots]; amt >= 64) {
+                v = "0";
+            } else {
+                v = masked("(" + reg(in.a) + (left ? " << " : " >> ") +
+                               std::to_string(amt) + ")",
+                           in.mask);
+            }
+            break;
+          }
+          case Bc::Sra:
+            v = masked("cmtl_sra(" + reg(in.a) + ", " + m + ", " +
+                           reg(in.b) + ")",
+                       in.mask);
+            break;
+          case Bc::Eq: compare(" == "); break;
+          case Bc::Ne: compare(" != "); break;
+          case Bc::Lt: compare(" < "); break;
+          case Bc::Le: compare(" <= "); break;
+          case Bc::Gt: compare(" > "); break;
+          case Bc::Ge: compare(" >= "); break;
+          case Bc::LAnd:
+            v = "uint64_t(" + reg(in.a) + " != 0 && " + reg(in.b) + " != 0)";
+            break;
+          case Bc::LOr:
+            v = "uint64_t(" + reg(in.a) + " != 0 || " + reg(in.b) + " != 0)";
+            break;
+          case Bc::Inv: v = masked("~" + reg(in.a), in.mask); break;
+          case Bc::LNot: v = "uint64_t(" + reg(in.a) + " == 0)"; break;
+          case Bc::ROr: v = "uint64_t(" + reg(in.a) + " != 0)"; break;
+          case Bc::RAnd:
+            v = "uint64_t(" + reg(in.a) + " == " + hex(in.mask) + ")";
+            break;
+          case Bc::RXor:
+            v = "uint64_t(__builtin_popcountll(" + reg(in.a) + ") & 1)";
+            break;
+          case Bc::Slice:
+            v = masked("(" + reg(in.a) + " >> " + std::to_string(in.sh) +
+                           ")",
+                       in.mask);
+            break;
+          case Bc::SetSlice: {
+            const std::string d = reg(in.dst);
+            v = "(" + d + " & " + hex(~(in.mask << in.sh)) + ") | ((" +
+                reg(in.a) + " & " + hex(in.mask) + ") << " +
+                std::to_string(in.sh) + ")";
+            break;
+          }
+          case Bc::Mux:
+            v = masked("(" + reg(in.c) + " ? " + reg(in.a) + " : " +
+                           reg(in.b) + ")",
+                       in.mask);
+            break;
+          case Bc::Sext:
+            v = masked("cmtl_sext(" + reg(in.a) + ", " + m + ")", in.mask);
+            break;
+          case Bc::ALoad:
+            v = "(b + " + k.slot[in.imm] + ")[" + reg(in.a) + " & " +
+                hex(static_cast<uint64_t>(in.c)) + "]";
+            break;
+          case Bc::AStore: {
+            const std::string idx = reg(in.a);
+            os << "    (b + " << k.slot[in.imm] << ")[" << idx << " & "
+               << hex(static_cast<uint64_t>(in.c))
+               << "] = " << masked(reg(in.b), in.mask) << ";\n";
+            continue;
+          }
+          case Bc::Jz:
+            os << "    if (!" << reg(in.a) << ") goto L" << m << ";\n";
+            continue;
+          case Bc::Jmp:
+            os << "    goto L" << m << ";\n";
+            continue;
+        }
+        if (inlined(in.dst))
+            pending[in.dst - scratch] = std::move(v);
+        else
+            os << "    " << reg(in.dst) << " = " << v << ";\n";
+    }
+    os << "}\n\n";
 }
 
 /** The shared translation-unit header (helpers used by every kernel). */
@@ -366,6 +310,17 @@ emitPrelude(std::ostringstream &os, const Elaboration &elab)
        << "\n";
 }
 
+template <class T>
+void
+emitTable(std::ostringstream &os, const char *type, const std::string &name,
+          const std::vector<T> &values)
+{
+    os << "static const " << type << " " << name << "[] = {";
+    for (size_t i = 0; i < values.size(); ++i)
+        os << (i % 16 ? " " : "\n    ") << values[i] << ",";
+    os << "\n};\n";
+}
+
 } // namespace
 
 std::string
@@ -376,23 +331,11 @@ cppGroupSymbol(int k)
 
 CppProgram
 cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
-               const std::vector<std::vector<int>> &groups)
+               const BcModule &bc, const std::vector<CppUnit> &units)
 {
-    std::vector<CppUnit> units(groups.size());
-    for (size_t k = 0; k < groups.size(); ++k) {
-        for (int blk : groups[k])
-            units[k].items.push_back(CppUnit::Item{blk});
-    }
-    return cppEmitProgram(elab, store, units);
-}
-
-CppProgram
-cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
-               const std::vector<CppUnit> &units)
-{
-    // Fingerprint every block once; identical bodies share a kernel.
+    // One kernel per program the units run, numbered by first use.
     std::vector<Kernel> kernels;
-    std::unordered_map<std::string, int> kernel_of;
+    std::unordered_map<const BcProgram *, int> kernel_of_prog;
     struct Call
     {
         int kernel = -1;
@@ -403,53 +346,82 @@ cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
         for (const CppUnit::Item &item : unit.items) {
             if (item.block < 0 || calls[item.block].kernel >= 0)
                 continue;
-            BlockEmitter em(elab.blocks[item.block], store);
-            std::string body = em.run();
-            auto [it, fresh] = kernel_of.try_emplace(
-                body, static_cast<int>(kernels.size()));
+            const BcProgram *prog = bc.instance(item.block).prog;
+            auto [it, fresh] = kernel_of_prog.try_emplace(
+                prog, static_cast<int>(kernels.size()));
             if (fresh)
-                kernels.push_back(Kernel{std::move(body), item.block});
+                kernels.emplace_back().prog = prog;
             Kernel &k = kernels[it->second];
             calls[item.block] = {it->second,
-                                 static_cast<int>(k.slots.size())};
-            k.slots.push_back(em.slots());
+                                 static_cast<int>(k.blocks.size())};
+            k.blocks.push_back(item.block);
         }
     }
-    std::vector<int32_t> table;
-    for (Kernel &k : kernels)
-        resolveSlots(k, table);
-
+    std::vector<int32_t> tab;
+    std::vector<uint64_t> ctab;
+    CppProgram out;
+    out.kernelTypes = static_cast<int>(kernels.size());
     std::ostringstream os;
     emitPrelude(os, elab);
     for (size_t t = 0; t < kernels.size(); ++t) {
-        const Kernel &k = kernels[t];
-        os << "// " << k.slots.size() << " instance(s) of "
-           << elab.blocks[k.first_block].name << "\n"
-           << "static void T" << t << "(uint64_t *b"
-           << (k.row[0] >= 0 ? ", const int32_t *o" : "") << ")\n{\n"
-           << resolveBody(k.body, k.ref) << "}\n\n";
+        resolveSlots(kernels[t], bc, tab);
+        resolveConsts(kernels[t], bc, ctab);
+        out.tabledSlots += kernels[t].slotCols;
+        emitKernel(os, static_cast<int>(t), kernels[t], bc, elab);
     }
-    if (!table.empty()) {
-        os << "static const int32_t tab[] = {";
-        for (size_t i = 0; i < table.size(); ++i)
-            os << (i % 16 ? " " : "\n    ") << table[i] << ",";
-        os << "\n};\n\n";
-    }
+    // Every call passes both tables, so both exist.
+    tab.resize(std::max<size_t>(tab.size(), 1));
+    ctab.resize(std::max<size_t>(ctab.size(), 1));
+    emitTable(os, "int32_t", "tab", tab);
+    std::vector<std::string> lits;
+    for (uint64_t v : ctab)
+        lits.push_back(hex(v));
+    emitTable(os, "uint64_t", "ctab", lits);
 
+    // Entry points; each run of one kernel's instances is one loop over
+    // its table of {base, tab row, ctab row} entries.
+    std::ostringstream entries;
+    int nruns = 0;
     for (size_t u = 0; u < units.size(); ++u) {
-        os << "extern \"C\" void " << cppGroupSymbol(static_cast<int>(u))
-           << "(uint64_t *w)\n{\n";
-        for (const CppUnit::Item &item : units[u].items) {
+        const std::vector<CppUnit::Item> &items = units[u].items;
+        entries << "extern \"C\" void "
+                << cppGroupSymbol(static_cast<int>(u))
+                << "(uint64_t *w)\n{\n";
+        for (size_t i = 0; i < items.size();) {
+            const CppUnit::Item &item = items[i];
             if (item.block >= 0) {
-                const Call &c = calls[item.block];
-                const Kernel &k = kernels[c.kernel];
-                os << "    T" << c.kernel << "(w + "
-                   << baseOf(k.slots[c.inst]);
-                if (k.row[c.inst] >= 0)
-                    os << ", tab + " << k.row[c.inst];
-                os << "); // " << elab.blocks[item.block].name << "\n";
-            } else if (item.unit >= 0) {
-                os << "    " << cppGroupSymbol(item.unit) << "(w);\n";
+                const int kn = calls[item.block].kernel;
+                const Kernel &k = kernels[kn];
+                size_t j = i + 1;
+                while (j < items.size() && items[j].block >= 0 &&
+                       calls[items[j].block].kernel == kn)
+                    ++j;
+                auto row = [&](const CppUnit::Item &it) {
+                    return k.args[calls[it.block].inst];
+                };
+                if (j - i == 1) {
+                    const std::array<int, 3> &r = row(item);
+                    entries << "    T" << kn << "(w + " << r[0] << ", tab + "
+                            << r[1] << ", ctab + " << r[2] << "); // "
+                            << elab.blocks[item.block].name << "\n";
+                } else {
+                    std::vector<int> run;
+                    for (size_t r = i; r < j; ++r) {
+                        const std::array<int, 3> &f = row(items[r]);
+                        run.insert(run.end(), f.begin(), f.end());
+                    }
+                    const std::string name = "run" + std::to_string(nruns++);
+                    emitTable(os, "int32_t", name, run);
+                    entries << "    for (const int32_t *e = " << name
+                            << "; e != " << name << " + " << run.size()
+                            << "; e += 3)\n        T" << kn
+                            << "(w + e[0], tab + e[1], ctab + e[2]);\n";
+                }
+                i = j;
+                continue;
+            }
+            if (item.unit >= 0) {
+                entries << "    " << cppGroupSymbol(item.unit) << "(w);\n";
             } else {
                 // Coalesced flop range: straight word copies, long
                 // runs as a loop the compiler turns into memmove.
@@ -457,19 +429,22 @@ cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
                 int nxt = cur + store.wordsPerPhase();
                 if (item.rangeWords <= 4) {
                     for (int wd = 0; wd < item.rangeWords; ++wd) {
-                        os << "    w[" << cur + wd << "] = w["
-                           << nxt + wd << "];\n";
+                        entries << "    w[" << cur + wd << "] = w["
+                                << nxt + wd << "];\n";
                     }
                 } else {
-                    os << "    for (int i = 0; i < " << item.rangeWords
-                       << "; ++i) w[" << cur << " + i] = w[" << nxt
-                       << " + i];\n";
+                    entries << "    for (int i = 0; i < " << item.rangeWords
+                            << "; ++i) w[" << cur << " + i] = w[" << nxt
+                            << " + i];\n";
                 }
             }
+            ++i;
         }
-        os << "}\n\n";
+        entries << "}\n\n";
     }
-    return CppProgram{os.str(), static_cast<int>(kernels.size())};
+    os << "\n" << entries.str();
+    out.source = os.str();
+    return out;
 }
 
 } // namespace cmtl

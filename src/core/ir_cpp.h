@@ -2,24 +2,38 @@
  * @file
  * C++ source emission from IR blocks (SimJIT code generation stage).
  *
- * Given an elaborated design, its word arena, and a grouping of
- * specialized block indices, emits a self-contained C++ translation
+ * Given an elaborated design, its word arena, the design's bytecode
+ * module and a list of units, emits a self-contained C++ translation
  * unit with one `extern "C" void cmtl_grp_<k>(uint64_t *w)` entry
- * point per group, each executing its blocks' logic directly on the
+ * point per unit, each executing its blocks' logic directly on the
  * ArenaStore word arena. This is the exact pipeline shape of PyMTL's
  * SimJIT: generate C++ from the elaborated model instance, compile it
  * to a shared library (see jit_cpp.h), and call it through a C ABI.
  *
- * Blocks compile to one kernel per block type, not one body per
- * instance. Each block body is first emitted with its arena references
- * as local slot numbers; that text is the block's fingerprint, and
- * every distinct fingerprint becomes one
- * `static void T<k>(uint64_t *b[, const int32_t *o])`. An entry point
- * is a list of calls, one per instance: `T<k>(w + base[, tab + row])`.
- * The base is the instance's first slot. A slot at the same offset
- * from the base on every instance of the type is a constant, `b[c]`;
- * only the others read the instance's row of one int32 table,
- * `b[o[i]]`.
+ * Both compiled tiers share one front end: every C++ kernel is
+ * translated from a BcProgram of the BcModule (ir_bytecode.h), so
+ * blocks compile to one kernel per program, that is per block type.
+ * Stores and temps become statements, Jz/Jmp become labels and gotos,
+ * and every other instruction is emitted inside the expression that
+ * reads its value, which rebuilds the IR's expression trees (Mux arms
+ * stay lazy). A kernel is
+ * `static void T<k>(uint64_t *b, const int32_t *o, const uint64_t *c)`:
+ *
+ *  - Slots. The instance base `b` is the instance's word of the first
+ *    slot whose word differs across instances. A slot at the same
+ *    offset from the base on every instance is a literal, `b[7]`; only
+ *    the others read the instance's row of one int32 table, `o`.
+ *  - Constants. An operand equal on every instance is a literal, so
+ *    g++ still folds masks and shifts. The rest read the instance's
+ *    row of one uint64 table, `c`, one column per distinct per-instance
+ *    value vector. Rows are copied into const locals at kernel entry.
+ *
+ * An entry point runs its items in order. Consecutive instances of one
+ * kernel form a run, emitted as one loop over the run's table of
+ * {base, slot row, constant row} triples; a run of one is a direct
+ * call. Orders that keep instances of one type together (see
+ * SimulationTool::designCombOrder) therefore make a few loops out of
+ * a whole phase.
  *
  * The specializable subset matches the bytecode backend: all nets and
  * intermediates must fit in 64 bits (checked via bcSpecializable).
@@ -31,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "ir_bytecode.h"
 #include "model.h"
 #include "store.h"
 
@@ -41,21 +56,15 @@ struct CppProgram
 {
     std::string source;
     int kernelTypes = 0; //!< distinct block kernels in the source
+    int tabledSlots = 0; //!< slot columns read from the table, all kernels
 };
 
 /**
- * Emit the C++ source for the given groups of specialized blocks.
- * Each inner vector lists ElabBlock indices fused into one entry
- * point, executed in order.
- */
-CppProgram cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
-                          const std::vector<std::vector<int>> &groups);
-
-/**
- * One whole-design specialization unit (the cpp-design backend): an
- * ordered mix of block executions, register flops and calls to other
- * units, emitted into a single entry point. A unit calling the tick,
- * flop and comb units in turn is a complete step() function.
+ * One specialization unit: an ordered mix of block executions,
+ * register flops and calls to other units, emitted into a single entry
+ * point. A cpp-block group is a unit of one block; a cpp-design unit
+ * calling the tick, flop and comb units in turn is a complete step()
+ * function.
  */
 struct CppUnit
 {
@@ -74,14 +83,14 @@ struct CppUnit
 };
 
 /**
- * Emit the C++ source for whole-design units. The group overload is
- * this one with each group a unit of block items; flop items compile
- * to straight-line word copies.
+ * Emit the C++ source for @p units. Every block item must have a
+ * program in @p bc; flop items compile to straight-line word copies.
  */
 CppProgram cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
+                          const BcModule &bc,
                           const std::vector<CppUnit> &units);
 
-/** Symbol name of group @p k in the emitted source. */
+/** Symbol name of unit @p k in the emitted source. */
 std::string cppGroupSymbol(int k);
 
 } // namespace cmtl

@@ -334,7 +334,16 @@ ParSimulationTool::specialize()
     }
     spec_stats_.numGroups = static_cast<int>(groups.size());
 
-    CppProgram program = cppEmitProgram(*elab_, *replicas_[0], groups);
+    std::vector<int> members;
+    std::vector<CppUnit> units(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+        for (int blk : groups[g]) {
+            members.push_back(blk);
+            units[g].items.push_back(CppUnit::Item{blk});
+        }
+    }
+    bc_ = BcModule(*elab_, *replicas_[0], members);
+    CppProgram program = cppEmitProgram(*elab_, *replicas_[0], bc_, units);
     spec_stats_.emittedTuBytes = program.source.size();
     spec_stats_.kernelTypes = program.kernelTypes;
     spec_stats_.codegenSeconds = sw.elapsed();
@@ -411,7 +420,8 @@ ParSimulationTool::specializeDesign()
 
         // Replica 0's offsets are every replica's offsets, so one
         // emission serves whichever replica the code later runs on.
-        CppProgram program = cppEmitProgram(*elab_, *replicas_[0], units);
+        CppProgram program =
+            cppEmitProgram(*elab_, *replicas_[0], bc_, units);
         island_sources_[i] = std::move(program.source);
         island_nunits_[i] = static_cast<int>(units.size());
         spec_stats_.emittedTuBytes += island_sources_[i].size();

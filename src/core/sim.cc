@@ -1,7 +1,6 @@
 #include "sim.h"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 #include "ir_cpp.h"
@@ -457,11 +456,13 @@ SimulationTool::specialize()
 
     spec_stats_.numGroups = static_cast<int>(groups.size());
 
+    // One program per block type; the C++ kernels are emitted from it.
+    std::vector<int> members;
+    for (const auto &group : groups)
+        members.insert(members.end(), group.begin(), group.end());
+    bc_ = BcModule(*elab_, *arena_, members);
+    spec_stats_.kernelTypes = bc_.numPrograms();
     if (cfg_.spec == SpecMode::Bytecode || design) {
-        std::vector<int> members;
-        for (const auto &group : groups)
-            members.insert(members.end(), group.begin(), group.end());
-        bc_ = BcModule(*elab_, *arena_, members);
         group_bc_.resize(groups.size());
         for (size_t g = 0; g < groups.size(); ++g) {
             for (int blk : groups[g])
@@ -469,14 +470,18 @@ SimulationTool::specialize()
         }
         group_blocks_ = std::move(groups);
         bc_frame_.assign(static_cast<size_t>(bc_.maxFrame()) + 1, 0);
-        spec_stats_.kernelTypes = bc_.numPrograms();
         spec_stats_.codegenSeconds = sw.elapsed();
         if (design)
             specializeDesign(can);
         return;
     }
 
-    CppProgram program = cppEmitProgram(*elab_, *arena_, groups);
+    std::vector<CppUnit> units(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+        for (int blk : groups[g])
+            units[g].items.push_back(CppUnit::Item{blk});
+    }
+    CppProgram program = cppEmitProgram(*elab_, *arena_, bc_, units);
     spec_stats_.codegenSeconds = sw.elapsed();
     spec_stats_.emittedTuBytes = program.source.size();
     spec_stats_.kernelTypes = program.kernelTypes;
@@ -491,22 +496,99 @@ SimulationTool::specialize()
 }
 
 std::vector<int>
+SimulationTool::typeBatchedOrder(const std::vector<int> &base,
+                                 const std::vector<std::vector<int>> &succ,
+                                 std::vector<int> indeg,
+                                 const std::vector<char> &can) const
+{
+    // A block's type is its program, or -1 when it is not specialized.
+    const size_t nblocks = elab_->blocks.size();
+    std::vector<int> type(nblocks, -1), pos(nblocks, -1);
+    int ntypes = 0;
+    for (size_t i = 0; i < base.size(); ++i) {
+        const int b = base[i];
+        pos[b] = static_cast<int>(i);
+        if (can[b])
+            type[b] = bc_.programOf(b);
+        ntypes = std::max(ntypes, type[b] + 1);
+    }
+    // Min-heaps by base position: ready blocks per type (index type + 1)
+    // and all ready specialized blocks (pruned lazily).
+    auto later = [&](int a, int b) { return pos[a] > pos[b]; };
+    auto push = [&](std::vector<int> &heap, int b) {
+        heap.push_back(b);
+        std::push_heap(heap.begin(), heap.end(), later);
+    };
+    auto pop = [&](std::vector<int> &heap) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        const int b = heap.back();
+        heap.pop_back();
+        return b;
+    };
+    std::vector<std::vector<int>> ready(ntypes + 1);
+    std::vector<int> any;
+    std::vector<char> taken(nblocks, 0);
+    auto makeReady = [&](int b) {
+        push(ready[type[b] + 1], b);
+        if (type[b] >= 0)
+            push(any, b);
+    };
+    for (int b : base) {
+        if (indeg[b] == 0)
+            makeReady(b);
+    }
+
+    std::vector<int> order;
+    order.reserve(base.size());
+    bool spec = true, stalled = false;
+    int cur = -1;
+    while (order.size() < base.size()) {
+        int b = -1;
+        if (spec) {
+            if (cur < 0 || ready[cur + 1].empty()) {
+                while (!any.empty() && taken[any.front()])
+                    pop(any);
+                cur = any.empty() ? -1 : type[any.front()];
+            }
+            if (cur >= 0)
+                b = pop(ready[cur + 1]);
+        } else if (!ready[0].empty()) {
+            b = pop(ready[0]);
+        }
+        if (b < 0) {
+            if (stalled)
+                break;
+            stalled = true;
+            spec = !spec;
+            continue;
+        }
+        stalled = false;
+        taken[b] = 1;
+        order.push_back(b);
+        for (int s : succ[b]) {
+            if (--indeg[s] == 0)
+                makeReady(s);
+        }
+    }
+    if (order.size() != base.size())
+        return base; // defensive: fall back to the baseline order
+    return order;
+}
+
+std::vector<int>
 SimulationTool::designCombOrder(const std::vector<char> &can) const
 {
     // Any topological order of the comb dependency graph settles to
     // the same fixed point (each block runs once, after all writers of
-    // its inputs), so we are free to re-levelize for fusion: a Kahn
-    // traversal that prefers to keep emitting blocks of the current
-    // specialization class clusters the specializable blocks into the
-    // fewest contiguous runs — ideally the whole phase becomes one
-    // compiled unit. Multiple writers of one token keep their relative
-    // order from the baseline schedule via writer->writer chain edges.
+    // its inputs), so we are free to re-levelize for fusion and
+    // batching: typeBatchedOrder clusters the specializable blocks
+    // into the fewest contiguous runs — ideally the whole phase
+    // becomes one compiled unit — and, inside them, instances of one
+    // type into runs of one kernel. Multiple writers of one token
+    // keep their relative order from the baseline schedule via
+    // writer->writer chain edges.
     const auto &blocks = elab_->blocks;
     const std::vector<int> &base = elab_->combOrder;
-    std::vector<int> pos(blocks.size(), -1);
-    for (size_t i = 0; i < base.size(); ++i)
-        pos[base[i]] = static_cast<int>(i);
-
     const size_t ntokens = elab_->nets.size() + elab_->arrays.size();
     std::vector<std::vector<int>> writers(ntokens);
     for (int b : base) {
@@ -531,34 +613,55 @@ SimulationTool::designCombOrder(const std::vector<char> &can) const
         for (size_t i = 1; i < ws.size(); ++i)
             addEdge(ws[i - 1], ws[i]);
     }
+    return typeBatchedOrder(base, succ, std::move(indeg), can);
+}
 
-    auto later = [&](int a, int b) { return pos[a] > pos[b]; };
-    using Queue = std::priority_queue<int, std::vector<int>, decltype(later)>;
-    Queue ready[2] = {Queue(later), Queue(later)};
+std::vector<int>
+SimulationTool::designTickOrder(const std::vector<char> &can) const
+{
+    // Tick blocks run in declaration order, and two of them commute
+    // unless both touch one token and one of them writes it. So the
+    // edges are the RAW, WAR and WAW hazards in that order. Lambda
+    // blocks declare no accesses: each is ordered after every earlier
+    // block and before every later one.
+    const auto &blocks = elab_->blocks;
+    const std::vector<int> &base = elab_->tickOrder;
+    const size_t ntokens = elab_->nets.size() + elab_->arrays.size();
+    std::vector<int> last_writer(ntokens, -1);
+    std::vector<std::vector<int>> readers(ntokens);
+    std::vector<std::vector<int>> succ(blocks.size());
+    std::vector<int> indeg(blocks.size(), 0);
+    auto addEdge = [&](int a, int b) {
+        if (a < 0 || a == b)
+            return;
+        succ[a].push_back(b);
+        ++indeg[b];
+    };
+    int barrier = -1;
+    std::vector<int> since_barrier;
     for (int b : base) {
-        if (indeg[b] == 0)
-            ready[can[b] ? 1 : 0].push(b);
-    }
-    std::vector<int> order;
-    order.reserve(base.size());
-    int cls = 1;
-    while (order.size() < base.size()) {
-        if (ready[cls].empty()) {
-            if (ready[1 - cls].empty())
-                break;
-            cls = 1 - cls;
+        addEdge(barrier, b);
+        if (!blocks[b].ir) {
+            for (int a : since_barrier)
+                addEdge(a, b);
+            since_barrier.clear();
+            barrier = b;
+            continue;
         }
-        int b = ready[cls].top();
-        ready[cls].pop();
-        order.push_back(b);
-        for (int s : succ[b]) {
-            if (--indeg[s] == 0)
-                ready[can[s] ? 1 : 0].push(s);
+        since_barrier.push_back(b);
+        for (int tok : blocks[b].reads) {
+            addEdge(last_writer[tok], b);
+            readers[tok].push_back(b);
+        }
+        for (int tok : blocks[b].writes) {
+            addEdge(last_writer[tok], b);
+            for (int r : readers[tok])
+                addEdge(r, b);
+            readers[tok].clear();
+            last_writer[tok] = b;
         }
     }
-    if (order.size() != base.size())
-        return base; // defensive: fall back to the baseline order
-    return order;
+    return typeBatchedOrder(base, succ, std::move(indeg), can);
 }
 
 void
@@ -566,7 +669,7 @@ SimulationTool::specializeDesign(const std::vector<char> &can)
 {
     Stopwatch sw;
     // Native whole-design schedule: cluster the specializable blocks
-    // with a class-aware levelization, fuse each contiguous run into
+    // with a type-aware levelization, fuse each contiguous run into
     // one emitted unit, and translate the flop phase itself.
     std::vector<CppUnit> units;
     auto addNativeStep = [&](const std::vector<int> &run,
@@ -603,7 +706,7 @@ SimulationTool::specializeDesign(const std::vector<char> &can)
             addNativeStep(run, out, seq);
     };
     buildSteps(designCombOrder(can), design_comb_steps_, false);
-    buildSteps(elab_->tickOrder, design_tick_steps_, true);
+    buildSteps(designTickOrder(can), design_tick_steps_, true);
 
     // The flop phase of the static flop set as whole-word
     // next->current copy ranges (flop_plan_). Nets registered
@@ -641,7 +744,7 @@ SimulationTool::specializeDesign(const std::vector<char> &can)
         units.push_back(std::move(step_unit));
     }
 
-    CppProgram program = cppEmitProgram(*elab_, *arena_, units);
+    CppProgram program = cppEmitProgram(*elab_, *arena_, bc_, units);
     design_source_ = std::move(program.source);
     design_nunits_ = static_cast<int>(units.size());
     spec_stats_.emittedTuBytes = design_source_.size();

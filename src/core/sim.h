@@ -479,7 +479,20 @@ class SimulationTool : public Simulator
     void buildSchedule();
     void specialize();
     void specializeDesign(const std::vector<char> &can);
+    /**
+     * Kahn traversal of the DAG @p succ over @p base that keeps taking
+     * ready blocks of the type it took last: specialized blocks of one
+     * program (bc_) while any is ready, then the earliest ready
+     * specialized block; unspecialized blocks only when no specialized
+     * block is ready, and then while any is. Ties go to the earlier
+     * position in @p base. Returns @p base if the graph has a cycle.
+     */
+    std::vector<int> typeBatchedOrder(const std::vector<int> &base,
+                                      const std::vector<std::vector<int>> &succ,
+                                      std::vector<int> indeg,
+                                      const std::vector<char> &can) const;
     std::vector<int> designCombOrder(const std::vector<char> &can) const;
+    std::vector<int> designTickOrder(const std::vector<char> &can) const;
     void adoptNativeTier();
     void maybeSwapTier();
     void runStep(const Step &step, std::vector<int> *changed);

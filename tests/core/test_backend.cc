@@ -21,12 +21,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <set>
 #include <thread>
 #include <typeinfo>
 
 #include "core/ir_bytecode.h"
+#include "core/ir_cpp.h"
 #include "core/jit_cpp.h"
 #include "core/psim.h"
 #include "core/scope.h"
@@ -380,24 +382,113 @@ TEST(BackendTierSwap, ParSimMidRunSwapBitIdentical)
 
 // ------------------------------------------------ per-type kernels
 
+std::unique_ptr<MeshTrafficTop>
+makeKernelMesh()
+{
+    return std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16, 4, 0.3,
+                                            11);
+}
+
+/** Every NetStats field of a run equals the golden run's. */
+void
+expectSameNetStats(const net::NetStats &a, const net::NetStats &b,
+                   const std::string &label)
+{
+    EXPECT_GT(a.received, 0u);
+    EXPECT_EQ(b.cycles, a.cycles) << label;
+    EXPECT_EQ(b.generated, a.generated) << label;
+    EXPECT_EQ(b.injected, a.injected) << label;
+    EXPECT_EQ(b.received, a.received) << label;
+    EXPECT_EQ(b.latency_sum, a.latency_sum) << label;
+    EXPECT_EQ(b.latency_max, a.latency_max) << label;
+}
+
 /**
- * Instances of one block type share a compiled kernel. Each router of
- * the mesh repeats the same block shapes; only route_comb bakes in the
- * router's own coordinates, so 16 routers x 22 blocks take 5 shared
- * kernels plus one route_comb per router.
+ * Instances of one block type share a compiled kernel. The C++ is
+ * emitted from the bytecode module, so the kernel count is its program
+ * count, and every router's route_comb shares one kernel: its
+ * coordinates come from the instance's constant row. Batched runs of
+ * one kernel stay bit-identical to optinterp on both C++ backends.
  */
 TEST(BackendKernels, MeshEmitsOneKernelPerBlockType)
 {
     if (!CppJit::compilerAvailable())
         GTEST_SKIP() << "no host compiler";
-    auto top = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16,
-                                                4, 0.3, 11);
-    SimulationTool sim(top->elaborate(), SimConfig::fromString("cpp-design"));
-    EXPECT_EQ(sim.specStats().numSpecialized, 352);
-    EXPECT_EQ(sim.specStats().kernelTypes, 21);
-    EXPECT_NE(simulatorReport(sim).find(", 21 kernel(s)"),
-              std::string::npos)
-        << simulatorReport(sim);
+    auto top = makeKernelMesh();
+    auto elab = top->elaborate();
+    ArenaStore store(*elab);
+    std::vector<int> specialized;
+    CppUnit unit;
+    for (size_t b = 0; b < elab->blocks.size(); ++b) {
+        if (bcSpecializable(elab->blocks[b], store)) {
+            specialized.push_back(static_cast<int>(b));
+            unit.items.push_back(CppUnit::Item{static_cast<int>(b)});
+        }
+    }
+    BcModule mod(*elab, store, specialized);
+    EXPECT_EQ(mod.numPrograms(), 6);
+    const CppProgram prog = cppEmitProgram(*elab, store, mod, {unit});
+    EXPECT_EQ(prog.kernelTypes, mod.numPrograms());
+    std::istringstream lines(prog.source);
+    std::vector<std::string> route_kernels;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("// ", 0) == 0 && line.size() > 11 &&
+            line.compare(line.size() - 11, 11, ".route_comb") == 0)
+            route_kernels.push_back(line);
+    }
+    ASSERT_EQ(route_kernels.size(), 1u) << prog.source;
+    EXPECT_EQ(route_kernels[0].rfind("// 16 instance(s) of ", 0), 0u)
+        << route_kernels[0];
+
+    // With the first slot as every instance's base, the shared reset
+    // net (arena word 0) would be every tick kernel's base, and every
+    // other slot of it tabled.
+    std::map<const BcProgram *, std::vector<int>> instances;
+    for (int b : specialized)
+        instances[mod.instance(b).prog].push_back(b);
+    int first_slot_tabled = 0;
+    for (const auto &[p, blocks] : instances) {
+        const int32_t *first = mod.instance(blocks[0]).slots;
+        for (int s = 1; s < p->nslots; ++s) {
+            bool fixed = true;
+            for (int b : blocks) {
+                const int32_t *slots = mod.instance(b).slots;
+                fixed = fixed && slots[s] - slots[0] == first[s] - first[0];
+            }
+            first_slot_tabled += !fixed;
+        }
+    }
+    EXPECT_LT(prog.tabledSlots, first_slot_tabled);
+
+    auto gt = makeKernelMesh();
+    auto golden = makeSimulator(gt->elaborate(),
+                                SimConfig::fromString("optinterp"));
+    golden->reset();
+    golden->cycle(500);
+    for (const char *backend : {"cpp-block", "cpp-design"}) {
+        for (int threads : {1, 2, 4}) {
+            const std::string label =
+                std::string(backend) + " t" + std::to_string(threads);
+            SimConfig cfg = SimConfig::fromString(backend);
+            cfg.jit_tiered = false;
+            cfg.threads = threads;
+            auto t = makeKernelMesh();
+            auto sim = makeSimulator(t->elaborate(), cfg);
+            EXPECT_EQ(sim->specStats().numSpecialized, 352) << label;
+            // ParSim's cpp-design emits one unit per island and sums
+            // their kernels.
+            if (threads == 1 || cfg.backend == Backend::CppBlock) {
+                EXPECT_EQ(sim->specStats().kernelTypes, 6) << label;
+                EXPECT_NE(simulatorReport(*sim).find(", 6 kernel(s)"),
+                          std::string::npos)
+                    << simulatorReport(*sim);
+            }
+            sim->reset();
+            sim->cycle(500);
+            EXPECT_EQ(stateDigest(*sim), stateDigest(*golden)) << label;
+            expectSameNetStats(gt->stats(), t->stats(), label);
+        }
+    }
 }
 
 /**
@@ -408,11 +499,7 @@ TEST(BackendKernels, MeshEmitsOneKernelPerBlockType)
  */
 TEST(BackendKernels, MeshSharesOneBytecodeProgramPerBlockType)
 {
-    auto makeTop = [] {
-        return std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16,
-                                                4, 0.3, 11);
-    };
-    auto top = makeTop();
+    auto top = makeKernelMesh();
     auto elab = top->elaborate();
     ArenaStore store(*elab);
     std::vector<int> specialized;
@@ -436,7 +523,7 @@ TEST(BackendKernels, MeshSharesOneBytecodeProgramPerBlockType)
     }
     EXPECT_EQ(route_progs.size(), 1u);
 
-    auto gt = makeTop();
+    auto gt = makeKernelMesh();
     auto golden = makeSimulator(gt->elaborate(),
                                 SimConfig::fromString("optinterp"));
     golden->reset();
@@ -444,7 +531,7 @@ TEST(BackendKernels, MeshSharesOneBytecodeProgramPerBlockType)
     for (int threads : {1, 2, 4}) {
         SimConfig cfg = SimConfig::fromString("bytecode");
         cfg.threads = threads;
-        auto t = makeTop();
+        auto t = makeKernelMesh();
         auto sim = makeSimulator(t->elaborate(), cfg);
         EXPECT_EQ(sim->specStats().kernelTypes, mod.numPrograms())
             << threads;
@@ -456,14 +543,8 @@ TEST(BackendKernels, MeshSharesOneBytecodeProgramPerBlockType)
         sim->reset();
         sim->cycle(500);
         EXPECT_EQ(stateDigest(*sim), stateDigest(*golden)) << threads;
-        const net::NetStats &a = gt->stats(), &b = t->stats();
-        EXPECT_GT(a.received, 0u);
-        EXPECT_EQ(b.cycles, a.cycles) << threads;
-        EXPECT_EQ(b.generated, a.generated) << threads;
-        EXPECT_EQ(b.injected, a.injected) << threads;
-        EXPECT_EQ(b.received, a.received) << threads;
-        EXPECT_EQ(b.latency_sum, a.latency_sum) << threads;
-        EXPECT_EQ(b.latency_max, a.latency_max) << threads;
+        expectSameNetStats(gt->stats(), t->stats(),
+                           "bytecode t" + std::to_string(threads));
     }
 }
 

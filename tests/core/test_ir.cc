@@ -3,6 +3,8 @@
 #include <random>
 
 #include "core/ir_bytecode.h"
+#include "core/ir_cpp.h"
+#include "core/jit_cpp.h"
 #include "core/psim.h"
 #include "core/sim.h"
 #include "core/snap.h"
@@ -349,7 +351,94 @@ class Temps : public Model
     }
 };
 
-/** Bytecode schedules that must agree with optinterp. */
+/**
+ * Constants that differ between the two instances, and one that is
+ * equal on both. The C++ kernel reads the differing ones from the
+ * instance's constant row (the two shift amounts share one column) and
+ * keeps the equal one a literal.
+ */
+class PerInstanceConstants : public Model
+{
+  public:
+    InPort a;
+    OutPort sum, rot;
+    std::vector<Signal *> inputs() { return {&a}; }
+
+    PerInstanceConstants(Model *parent, const std::string &name)
+        : Model(parent, name), a(this, "a", 16), sum(this, "sum", 16),
+          rot(this, "rot", 16)
+    {
+        const uint64_t k = name == "x" ? 0x1234 : 0x4321;
+        const uint64_t s = name == "x" ? 3 : 9;
+        auto &c = combinational("comb");
+        c.assign(sum, (rd(a) + lit(16, k)) ^ lit(16, 0xabc));
+        c.assign(rot, (rd(a) << lit(5, s)) | (rd(a) >> lit(5, s)));
+    }
+};
+
+/** Shifts by amounts at and past 64, as literals and as values. */
+class ShiftPastWidth : public Model
+{
+  public:
+    InPort a, w, amt;
+    OutPort lo, hi, lit_out;
+    std::vector<Signal *> inputs() { return {&a, &w, &amt}; }
+
+    ShiftPastWidth(Model *parent, const std::string &name)
+        : Model(parent, name), a(this, "a", 8), w(this, "w", 64),
+          amt(this, "amt", 7), lo(this, "lo", 8), hi(this, "hi", 64),
+          lit_out(this, "lit_out", 64)
+    {
+        auto &c = combinational("comb");
+        // amt spans 0..127: past the 8-bit and the 64-bit widths.
+        c.assign(lo, (rd(a) << rd(amt)) ^ sra(rd(a), rd(amt)));
+        c.assign(hi, (rd(w) << rd(amt)) ^ (rd(w) >> rd(amt)) ^
+                         sra(rd(w), rd(amt)));
+        c.assign(lit_out, (rd(w) << lit(7, 64)) | (rd(w) >> lit(7, 100)) |
+                              (sra(rd(w), lit(7, 90)) ^
+                               (rd(w) >> lit(7, 63))));
+    }
+};
+
+/**
+ * Two tick-block types, interleaved across two instances: `write`
+ * stores to one memory, which takes effect at once, and `read` reads
+ * the other instance's memory. x.read must run before y.write, and
+ * y.read after x.write, whatever order batches the types.
+ */
+class TickHazard : public Model
+{
+  public:
+    InPort waddr, wdata, raddr;
+    OutPort q;
+    std::vector<Signal *> inputs() { return {&waddr, &wdata, &raddr}; }
+
+    TickHazard(Model *parent, const std::string &name, MemArray &own,
+               MemArray &peer)
+        : Model(parent, name), waddr(this, "waddr", 2),
+          wdata(this, "wdata", 12), raddr(this, "raddr", 2),
+          q(this, "q", 12)
+    {
+        auto &w = tickRtl("write");
+        w.writeArray(own, rd(waddr), rd(wdata));
+        auto &r = tickRtl("read");
+        r.assign(q, aread(peer, rd(raddr)) + rd(q));
+    }
+};
+
+class TickHazardTop : public Model
+{
+  public:
+    MemArray mx, my;
+    TickHazard x, y;
+
+    TickHazardTop()
+        : Model(nullptr, "top"), mx(this, "mx", 12, 4), my(this, "my", 12, 4),
+          x(this, "x", mx, my), y(this, "y", my, mx)
+    {}
+};
+
+/** Bytecode and C++ schedules that must agree with optinterp. */
 std::vector<std::pair<std::string, SimConfig>>
 frameConfigs()
 {
@@ -365,15 +454,21 @@ frameConfigs()
     cfg = SimConfig::fromString("bytecode");
     cfg.threads = 2;
     out.emplace_back("parsim2", cfg);
+    if (CppJit::compilerAvailable()) {
+        out.emplace_back("cpp-block", SimConfig::fromString("cpp-block"));
+        cfg = SimConfig::fromString("cpp-design");
+        cfg.jit_tiered = false;
+        out.emplace_back("cpp-design", cfg);
+    }
     return out;
 }
 
 /** Random stimulus, the state digest after every cycle. */
-template <class Leaf>
+template <class Top>
 std::vector<uint64_t>
 frameTrace(const SimConfig &cfg, int *programs = nullptr)
 {
-    Twin<Leaf> top;
+    Top top;
     auto sim = makeSimulator(top.elaborate(), cfg);
     if (programs)
         *programs = sim->specStats().kernelTypes;
@@ -392,28 +487,61 @@ frameTrace(const SimConfig &cfg, int *programs = nullptr)
     return trace;
 }
 
-template <class Leaf>
+template <class Top>
 void
 expectFrameSemantics()
 {
-    const auto golden = frameTrace<Leaf>(SimConfig::fromString("optinterp"));
-    Twin<Leaf> top;
+    const auto golden = frameTrace<Top>(SimConfig::fromString("optinterp"));
+    Top top;
     const int nblocks = static_cast<int>(top.elaborate()->blocks.size());
     for (const auto &[name, cfg] : frameConfigs()) {
         int programs = 0;
-        EXPECT_EQ(frameTrace<Leaf>(cfg, &programs), golden) << name;
-        // Both instances of each block share one program.
+        EXPECT_EQ(frameTrace<Top>(cfg, &programs), golden) << name;
+        // Both instances of each block share one program (kernel).
         EXPECT_EQ(programs, nblocks / 2) << name;
     }
 }
 
-TEST(BcFrame, ReadAfterWrite) { expectFrameSemantics<ReadAfterWrite>(); }
-TEST(BcFrame, SkippedWriteLeavesNet) { expectFrameSemantics<SkippedWrite>(); }
-TEST(BcFrame, DisjointSliceWriters) { expectFrameSemantics<SplitWriters>(); }
-TEST(BcFrame, TickNextAndCurrent) { expectFrameSemantics<NextAndCurrent>(); }
-TEST(BcFrame, ArrayIndexMasking) { expectFrameSemantics<MaskedArray>(); }
-TEST(BcFrame, ConcatConstants) { expectFrameSemantics<ConstConcat>(); }
-TEST(BcFrame, BlockTemps) { expectFrameSemantics<Temps>(); }
+TEST(BcFrame, ReadAfterWrite) { expectFrameSemantics<Twin<ReadAfterWrite>>(); }
+TEST(BcFrame, SkippedWriteLeavesNet)
+{
+    expectFrameSemantics<Twin<SkippedWrite>>();
+}
+TEST(BcFrame, DisjointSliceWriters)
+{
+    expectFrameSemantics<Twin<SplitWriters>>();
+}
+TEST(BcFrame, TickNextAndCurrent)
+{
+    expectFrameSemantics<Twin<NextAndCurrent>>();
+}
+TEST(BcFrame, ArrayIndexMasking) { expectFrameSemantics<Twin<MaskedArray>>(); }
+TEST(BcFrame, ConcatConstants) { expectFrameSemantics<Twin<ConstConcat>>(); }
+TEST(BcFrame, BlockTemps) { expectFrameSemantics<Twin<Temps>>(); }
+TEST(BcFrame, ShiftPastWidth) { expectFrameSemantics<Twin<ShiftPastWidth>>(); }
+TEST(BcFrame, TickHazardOrder) { expectFrameSemantics<TickHazardTop>(); }
+
+TEST(BcFrame, PerInstanceConstants)
+{
+    expectFrameSemantics<Twin<PerInstanceConstants>>();
+
+    // One kernel. The constant equal on both instances stays a literal;
+    // the two that differ become two row columns, since both shift
+    // amounts hold the same per-instance values.
+    Twin<PerInstanceConstants> top;
+    auto elab = top.elaborate();
+    ArenaStore store(*elab);
+    BcModule mod(*elab, store, {0, 1});
+    CppProgram prog =
+        cppEmitProgram(*elab, store, mod, {CppUnit{{{0}, {1}}}});
+    EXPECT_EQ(prog.kernelTypes, 1);
+    EXPECT_NE(prog.source.find("^ 0xabcull"), std::string::npos)
+        << prog.source;
+    EXPECT_NE(prog.source.find("const uint64_t c1 = c[1];"),
+              std::string::npos)
+        << prog.source;
+    EXPECT_EQ(prog.source.find("c2 = "), std::string::npos) << prog.source;
+}
 
 } // namespace
 } // namespace cmtl
