@@ -20,13 +20,16 @@ using namespace cmtl::bench;
 using namespace cmtl::net;
 
 double
-rate(NetLevel level, const SimConfig &cfg, double injection = 0.3)
+rate(NetLevel level, Backend backend, SchedMode sched = SchedMode::Auto)
 {
+    SimConfig cfg;
+    cfg.backend = backend;
+    cfg.sched = sched;
     return measureRate(
                [&] {
                    static std::unique_ptr<MeshTrafficTop> top;
                    top = std::make_unique<MeshTrafficTop>(
-                       "top", level, 16, 4, injection, 1);
+                       "top", level, 16, 4, 0.3, 1);
                    auto elab = top->elaborate();
                    return std::make_unique<SimulationTool>(elab, cfg);
                },
@@ -48,16 +51,12 @@ main(int argc, char **argv)
     std::printf("%-8s %-8s %12s %12s %9s\n", "net", "storage", "event",
                 "static", "ratio");
     for (NetLevel level : {NetLevel::CLSpec, NetLevel::RTL}) {
-        for (ExecMode exec : {ExecMode::Interp, ExecMode::OptInterp}) {
-            SimConfig ev{exec, SpecMode::None, SchedMode::Event, "",
-                         true};
-            SimConfig st{exec, SpecMode::None, SchedMode::Static, "",
-                         true};
-            double r_ev = rate(level, ev);
-            double r_st = rate(level, st);
+        for (Backend backend : {Backend::Interp, Backend::OptInterp}) {
+            double r_ev = rate(level, backend, SchedMode::Event);
+            double r_st = rate(level, backend, SchedMode::Static);
             std::printf("%-8s %-8s %12.0f %12.0f %8.2fx\n",
                         netLevelName(level),
-                        exec == ExecMode::Interp ? "boxed" : "slot",
+                        backend == Backend::Interp ? "boxed" : "slot",
                         r_ev, r_st, r_st / r_ev);
         }
     }
@@ -69,12 +68,8 @@ main(int argc, char **argv)
                 "ratio");
     for (NetLevel level :
          {NetLevel::FL, NetLevel::CLSpec, NetLevel::RTL}) {
-        SimConfig boxed{ExecMode::Interp, SpecMode::None,
-                        SchedMode::Static, "", true};
-        SimConfig slot{ExecMode::OptInterp, SpecMode::None,
-                       SchedMode::Static, "", true};
-        double r_b = rate(level, boxed);
-        double r_s = rate(level, slot);
+        double r_b = rate(level, Backend::Interp, SchedMode::Static);
+        double r_s = rate(level, Backend::OptInterp, SchedMode::Static);
         std::printf("%-8s %12.0f %12.0f %8.2fx\n", netLevelName(level),
                     r_b, r_s, r_s / r_b);
     }
@@ -83,21 +78,13 @@ main(int argc, char **argv)
     std::printf("3. specialization engine (slot storage, RTL mesh)\n");
     rule('=');
     std::printf("%-12s %12s\n", "engine", "cycles/s");
-    {
-        SimConfig none{ExecMode::OptInterp, SpecMode::None,
-                       SchedMode::Auto, "", true};
-        SimConfig bc{ExecMode::OptInterp, SpecMode::Bytecode,
-                     SchedMode::Auto, "", true};
-        std::printf("%-12s %12.0f\n", "tree-walk",
-                    rate(NetLevel::RTL, none));
-        std::printf("%-12s %12.0f\n", "bytecode",
-                    rate(NetLevel::RTL, bc));
-        if (CppJit::compilerAvailable()) {
-            SimConfig cpp{ExecMode::OptInterp, SpecMode::Cpp,
-                          SchedMode::Auto, "", true};
-            std::printf("%-12s %12.0f\n", "compiled C++",
-                        rate(NetLevel::RTL, cpp));
-        }
+    std::printf("%-12s %12.0f\n", "tree-walk",
+                rate(NetLevel::RTL, Backend::OptInterp));
+    std::printf("%-12s %12.0f\n", "bytecode",
+                rate(NetLevel::RTL, Backend::Bytecode));
+    if (CppJit::compilerAvailable()) {
+        std::printf("%-12s %12.0f\n", "compiled C++",
+                    rate(NetLevel::RTL, Backend::CppBlock));
     }
     return 0;
 }

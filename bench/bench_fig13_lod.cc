@@ -86,8 +86,8 @@ main(int argc, char **argv)
         iss_time = sw.elapsed() / reps;
     }
 
-    SimConfig cpython{ExecMode::Interp, SpecMode::None, SchedMode::Auto,
-                      "", true};
+    SimConfig cpython;
+    cpython.backend = Backend::Interp;
     SimConfig simjit = simjitConfig(opts);
 
     std::printf("Figure 13: simulator performance vs level of detail\n");

@@ -102,8 +102,7 @@ main(int argc, char **argv)
 
         std::vector<std::pair<ModeSpec, RateResult>> results;
         for (const ModeSpec &mode : modes) {
-            if (level == NetLevel::FL &&
-                mode.cfg.spec != SpecMode::None)
+            if (level == NetLevel::FL && specializes(mode.cfg.backend))
                 continue; // no FL specializer exists (paper Sec IV)
             results.emplace_back(mode,
                                  measureLevel(level, mode.cfg));

@@ -36,7 +36,7 @@ struct Overheads
 };
 
 Overheads
-measure(NetLevel level, int nodes, ExecMode exec, bool use_cache,
+measure(NetLevel level, int nodes, Backend backend, bool use_cache,
         const std::string &cache_dir)
 {
     Overheads out{};
@@ -58,8 +58,7 @@ measure(NetLevel level, int nodes, ExecMode exec, bool use_cache,
     }
 
     SimConfig cfg;
-    cfg.exec = exec;
-    cfg.spec = SpecMode::Cpp;
+    cfg.backend = backend;
     cfg.jit_cache = use_cache;
     cfg.jit_cache_dir = cache_dir;
     SimulationTool sim(elab, cfg);
@@ -108,14 +107,13 @@ main(int argc, char **argv)
 
     for (NetLevel level : {NetLevel::CLSpec, NetLevel::RTL}) {
         for (int nodes : {16, 64}) {
-            for (ExecMode exec :
-                 {ExecMode::Interp, ExecMode::OptInterp}) {
-                Overheads o = measure(level, nodes, exec,
+            for (Backend backend :
+                 {Backend::InterpCppBlock, Backend::CppBlock}) {
+                Overheads o = measure(level, nodes, backend,
                                       /*use_cache=*/false, cold_dir);
                 printRow(level == NetLevel::CLSpec ? "CL" : "RTL",
                          nodes,
-                         exec == ExecMode::Interp ? "CPython" : "PyPy",
-                         o);
+                         boxedHost(backend) ? "CPython" : "PyPy", o);
             }
         }
     }
@@ -123,7 +121,7 @@ main(int argc, char **argv)
     rule();
     std::printf("with the translation cache warm (second run of the "
                 "same design):\n");
-    Overheads warm = measure(NetLevel::RTL, 64, ExecMode::OptInterp,
+    Overheads warm = measure(NetLevel::RTL, 64, Backend::CppBlock,
                              true, cold_dir);
     printRow("RTL", 64, "PyPy", warm);
 

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scope.h"
@@ -42,24 +43,23 @@ struct ModeSpec
 
 /**
  * The four framework configurations of the paper's Figure 14, in
- * order. SimJIT rows use the compiled-C++ specializer when a host
- * compiler is available, else the bytecode engine (reported).
+ * order, as labels over backend names. SimJIT rows use the per-block
+ * compiled-C++ specializer when a host compiler is available, else
+ * the bytecode engine (reported).
  */
 inline std::vector<ModeSpec>
 paperModes()
 {
-    SpecMode spec = CppJit::compilerAvailable() ? SpecMode::Cpp
-                                                : SpecMode::Bytecode;
+    const bool cc = CppJit::compilerAvailable();
+    const std::pair<const char *, const char *> labels[] = {
+        {"CPython", "interp"},
+        {"PyPy", "optinterp"},
+        {"SimJIT", cc ? "interp+cpp-block" : "interp+bytecode"},
+        {"SimJIT+PyPy", cc ? "cpp-block" : "bytecode"},
+    };
     std::vector<ModeSpec> modes;
-    modes.push_back({"CPython", {ExecMode::Interp, SpecMode::None,
-                                 SchedMode::Auto, "", true}});
-    modes.push_back({"PyPy", {ExecMode::OptInterp, SpecMode::None,
-                              SchedMode::Auto, "", true}});
-    modes.push_back(
-        {"SimJIT", {ExecMode::Interp, spec, SchedMode::Auto, "", true}});
-    modes.push_back({"SimJIT+PyPy",
-                     {ExecMode::OptInterp, spec, SchedMode::Auto, "",
-                      true}});
+    for (const auto &[label, backend] : labels)
+        modes.push_back({label, SimConfig::fromString(backend)});
     return modes;
 }
 
@@ -75,10 +75,9 @@ paperModes(const SimOptions &opts)
         return paperModes();
     SimConfig chosen = opts.cfg;
     chosen.threads = 1;
-    chosen.resolve();
     std::vector<ModeSpec> modes;
     modes.push_back(paperModes().front()); // CPython baseline
-    if (chosen.toString() != "interp")
+    if (chosen.backend != Backend::Interp)
         modes.push_back({chosen.toString(), chosen});
     return modes;
 }
@@ -102,13 +101,10 @@ simjitConfig(const SimOptions &opts)
     if (opts.backend_set) {
         cfg = opts.cfg;
         cfg.threads = 1;
-        cfg.resolve();
         return cfg;
     }
-    cfg.exec = ExecMode::OptInterp;
-    cfg.spec = CppJit::compilerAvailable() ? SpecMode::Cpp
-                                           : SpecMode::Bytecode;
-    cfg.resolve();
+    cfg.backend = CppJit::compilerAvailable() ? Backend::CppBlock
+                                              : Backend::Bytecode;
     return cfg;
 }
 

@@ -30,9 +30,10 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
 {
     Stopwatch sw;
 
-    if (cfg_.exec != ExecMode::OptInterp) {
+    if (boxed_host_) {
         throw std::logic_error(
-            "ParSim requires ExecMode::OptInterp (dense arena storage)");
+            "ParSim needs an arena-hosted backend; got '" +
+            cfg_.toString() + "'");
     }
     if (cfg_.sched == SchedMode::Event) {
         throw std::logic_error(
@@ -76,7 +77,7 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
         buildIslandSchedules();
         buildGating();
         double create_before_spec = sw.elapsed();
-        if (cfg_.spec != SpecMode::None)
+        if (specializes_)
             specialize();
         startWorkers();
         spec_stats_.simCreateSeconds =
@@ -260,7 +261,7 @@ ParSimulationTool::specialize()
     }
 
     const bool design = designMode();
-    if (cfg_.spec == SpecMode::Bytecode || design) {
+    if (!native_blocks_) {
         // One shared program per block type: slot tables address the
         // arena by absolute offset, so every island runs them against
         // its own replica's data pointer. Frames are per island. For
@@ -294,43 +295,23 @@ ParSimulationTool::specialize()
         return;
     }
 
-    // SpecMode::Cpp per-block (cpp-block): every specialized block is
-    // its own compiled entry point, invoked with the island's replica
-    // data pointer — one C-ABI crossing per block per phase, the same
-    // granularity as the sequential kernel.
-    const bool per_block = cfg_.backend == Backend::CppBlock;
+    // cpp-block: every specialized block is its own compiled entry
+    // point, invoked with the island's replica data pointer — one C-ABI
+    // crossing per block per phase, the same granularity as the
+    // sequential kernel.
     std::vector<std::vector<int>> groups;
-    auto groupSteps = [&](std::vector<PStep> &steps, bool levelBound) {
-        std::vector<PStep> out;
-        size_t i = 0;
-        while (i < steps.size()) {
-            if (!specialized_[steps[i].block]) {
-                out.push_back(steps[i]);
-                ++i;
+    auto markSteps = [&](std::vector<PStep> &steps) {
+        for (PStep &step : steps) {
+            if (!specialized_[step.block])
                 continue;
-            }
-            std::vector<int> group;
-            size_t j = i;
-            while (j < steps.size() && specialized_[steps[j].block] &&
-                   (!levelBound || steps[j].level == steps[i].level) &&
-                   (group.empty() || !per_block)) {
-                group.push_back(steps[j].block);
-                ++j;
-            }
-            PStep step;
             step.kind = PStep::Kind::Native;
-            step.block = steps[i].block;
             step.group = static_cast<int>(groups.size());
-            step.level = steps[i].level;
-            groups.push_back(std::move(group));
-            out.push_back(step);
-            i = j;
+            groups.push_back({step.block});
         }
-        steps = std::move(out);
     };
     for (int i = 0; i < plan_.nislands; ++i) {
-        groupSteps(comb_steps_[i], true);
-        groupSteps(tick_steps_[i], false);
+        markSteps(comb_steps_[i]);
+        markSteps(tick_steps_[i]);
     }
     spec_stats_.numGroups = static_cast<int>(groups.size());
 

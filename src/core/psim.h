@@ -46,9 +46,9 @@
  * (already tick-order-fragile sequentially); blocking communication
  * between IR tick blocks is detected and the blocks are co-located.
  *
- * Requires ExecMode::OptInterp and a statically schedulable design
- * (no combinational cycles); composes with SpecMode::None, ::Bytecode
- * and ::Cpp.
+ * Requires an arena-hosted backend (optinterp, bytecode, cpp-block or
+ * cpp-design; the boxed interp and interp+* hosts are rejected) and a
+ * statically schedulable design (no combinational cycles).
  */
 
 #ifndef CMTL_CORE_PSIM_H

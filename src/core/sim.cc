@@ -1,6 +1,7 @@
 #include "sim.h"
 
 #include <algorithm>
+#include <ostream>
 #include <stdexcept>
 
 #include "ir_cpp.h"
@@ -10,104 +11,90 @@ namespace cmtl {
 
 // -------------------------------------------------------------- SimConfig
 
-void
-SimConfig::resolve()
+namespace {
+
+constexpr BackendName kBackendNames[] = {
+    {Backend::Interp, "interp"},
+    {Backend::OptInterp, "optinterp"},
+    {Backend::Bytecode, "bytecode"},
+    {Backend::CppBlock, "cpp-block"},
+    {Backend::CppDesign, "cpp-design"},
+    {Backend::InterpBytecode, "interp+bytecode"},
+    {Backend::InterpCppBlock, "interp+cpp-block"},
+};
+
+constexpr bool
+tableInEnumOrder()
 {
-    if (backend == Backend::Auto) {
-        // Legacy call sites speak exec/spec; give their combination a
-        // canonical name without changing what runs.
-        switch (spec) {
-          case SpecMode::None:
-            backend = exec == ExecMode::Interp ? Backend::Interp
-                                               : Backend::OptInterp;
-            break;
-          case SpecMode::Bytecode:
-            backend = Backend::Bytecode;
-            break;
-          case SpecMode::Cpp:
-            backend = Backend::CppBlock;
-            break;
-        }
-        return;
+    for (size_t i = 0; i < std::size(kBackendNames); ++i) {
+        if (static_cast<size_t>(kBackendNames[i].backend) != i)
+            return false;
     }
-    // Explicit backend: project onto the deprecated fields so code
-    // still reading exec/spec observes a consistent configuration.
-    switch (backend) {
-      case Backend::Auto: // unreachable
-        break;
-      case Backend::Interp:
-        exec = ExecMode::Interp;
-        spec = SpecMode::None;
-        break;
-      case Backend::OptInterp:
-        exec = ExecMode::OptInterp;
-        spec = SpecMode::None;
-        break;
-      case Backend::Bytecode:
-        // exec is preserved: Interp selects the boxed-host hybrid.
-        spec = SpecMode::Bytecode;
-        break;
-      case Backend::CppBlock:
-        spec = SpecMode::Cpp;
-        break;
-      case Backend::CppDesign:
-        exec = ExecMode::OptInterp;
-        spec = SpecMode::Cpp;
-        break;
-    }
+    return true;
+}
+static_assert(tableInEnumOrder(), "nameOf indexes kBackendNames");
+
+const char *
+nameOf(Backend backend)
+{
+    return kBackendNames[static_cast<size_t>(backend)].name;
+}
+
+} // namespace
+
+std::span<const BackendName>
+backendNames()
+{
+    return kBackendNames;
 }
 
 std::string
 SimConfig::toString() const
 {
-    SimConfig r = *this;
-    r.resolve();
-    const bool hybrid = r.exec == ExecMode::Interp;
-    switch (r.backend) {
-      case Backend::Auto: // resolve() never leaves Auto
-        break;
-      case Backend::Interp: return "interp";
-      case Backend::OptInterp: return "optinterp";
-      case Backend::Bytecode:
-        return hybrid ? "interp+bytecode" : "bytecode";
-      case Backend::CppBlock:
-        return hybrid ? "interp+cpp-block" : "cpp-block";
-      case Backend::CppDesign: return "cpp-design";
-    }
-    return "interp";
+    return nameOf(backend);
 }
 
 SimConfig
 SimConfig::fromString(const std::string &name)
 {
-    SimConfig cfg;
-    if (name == "interp") {
-        cfg.backend = Backend::Interp;
-    } else if (name == "optinterp") {
-        cfg.backend = Backend::OptInterp;
-    } else if (name == "bytecode") {
-        cfg.backend = Backend::Bytecode;
-    } else if (name == "cpp-block" || name == "cpp") {
-        cfg.backend = Backend::CppBlock;
-    } else if (name == "cpp-design") {
-        cfg.backend = Backend::CppDesign;
-    } else if (name == "interp+bytecode") {
-        cfg.backend = Backend::Bytecode;
-        cfg.exec = ExecMode::Interp;
-    } else if (name == "interp+cpp-block" || name == "interp+cpp") {
-        cfg.backend = Backend::CppBlock;
-        cfg.exec = ExecMode::Interp;
-    } else {
-        throw std::invalid_argument(
-            "unknown backend '" + name +
-            "' (expected interp, optinterp, bytecode, cpp-block, "
-            "cpp-design, interp+bytecode or interp+cpp-block)");
+    for (const BackendName &row : kBackendNames) {
+        if (name == row.name) {
+            SimConfig cfg;
+            cfg.backend = row.backend;
+            return cfg;
+        }
     }
-    cfg.resolve();
-    return cfg;
+    std::string expected;
+    for (const BackendName &row : kBackendNames) {
+        if (!expected.empty())
+            expected += &row == std::end(kBackendNames) - 1 ? " or " : ", ";
+        expected += row.name;
+    }
+    throw std::invalid_argument("unknown backend '" + name +
+                                "' (expected " + expected + ")");
+}
+
+std::ostream &
+operator<<(std::ostream &os, Backend backend)
+{
+    return os << nameOf(backend);
+}
+
+std::ostream &
+operator<<(std::ostream &os, const SimConfig &cfg)
+{
+    return os << cfg.backend;
 }
 
 // ------------------------------------------------------------- Simulator
+
+Simulator::Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg)
+    : elab_(std::move(elab)), cfg_(cfg),
+      boxed_host_(boxedHost(cfg.backend)),
+      specializes_(specializes(cfg.backend)),
+      native_blocks_(nativeBlocks(cfg.backend))
+{
+}
 
 void
 Simulator::cycle(uint64_t n)
@@ -162,7 +149,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
 
     event_driven_ =
         cfg_.sched == SchedMode::Event ||
-        (cfg_.sched == SchedMode::Auto && cfg_.exec == ExecMode::Interp);
+        (cfg_.sched == SchedMode::Auto && useBoxed());
     if (designMode() && event_driven_) {
         throw std::logic_error(
             "cpp-design fuses the static levelized schedule; "
@@ -176,7 +163,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
 
     if (useBoxed())
         boxed_ = std::make_unique<BoxedStore>(*elab_);
-    if (!useBoxed() || cfg_.spec != SpecMode::None)
+    if (!useBoxed() || specializes_)
         arena_ = std::make_unique<ArenaStore>(*elab_);
     if (boxed_)
         boxed_eval_ = std::make_unique<BoxedEvaluator>(*boxed_);
@@ -214,7 +201,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
 
     buildSchedule();
     double create_before_spec = sw.elapsed();
-    if (cfg_.spec != SpecMode::None)
+    if (specializes_)
         specialize();
 
     accessor_.bind(arena_.get(), boxed_.get(),
@@ -372,7 +359,6 @@ SimulationTool::specialize()
     // describe its bytecode warm-up tier; the fused native schedule is
     // built separately in specializeDesign().
     const bool design = designMode();
-    const bool per_block = cfg_.backend == Backend::CppBlock;
     std::vector<std::vector<int>> groups;
     auto groupSteps = [&](std::vector<Step> &steps) {
         std::vector<Step> out;
@@ -388,7 +374,7 @@ SimulationTool::specialize()
             size_t j = i;
             while (j < steps.size() && can[steps[j].block] &&
                    steps[j].sequential == steps[i].sequential &&
-                   (group.empty() || !per_block)) {
+                   (group.empty() || !native_blocks_)) {
                 group.push_back(steps[j].block);
                 const ElabBlock &blk = blocks[steps[j].block];
                 reads.insert(reads.end(), blk.reads.begin(),
@@ -405,9 +391,8 @@ SimulationTool::specialize()
                          writes.end());
 
             Step step;
-            step.kind = (cfg_.spec == SpecMode::Cpp && !design)
-                            ? Step::Kind::Native
-                            : Step::Kind::Bytecode;
+            step.kind = native_blocks_ ? Step::Kind::Native
+                                       : Step::Kind::Bytecode;
             step.block = steps[i].block;
             step.group = static_cast<int>(groups.size());
             step.sequential = steps[i].sequential;
@@ -462,7 +447,7 @@ SimulationTool::specialize()
         members.insert(members.end(), group.begin(), group.end());
     bc_ = BcModule(*elab_, *arena_, members);
     spec_stats_.kernelTypes = bc_.numPrograms();
-    if (cfg_.spec == SpecMode::Bytecode || design) {
+    if (!native_blocks_) {
         group_bc_.resize(groups.size());
         for (size_t g = 0; g < groups.size(); ++g) {
             for (int blk : groups[g])

@@ -2,30 +2,31 @@
  * @file
  * SimulationTool: the CMTL simulator generator.
  *
- * Consumes an Elaboration and builds a simulator for it. The execution
- * strategy reproduces the performance axes studied in the PyMTL paper:
+ * Consumes an Elaboration and builds a simulator for it. SimConfig::
+ * backend picks the execution strategy; the canonical names cover the
+ * performance axes studied in the PyMTL paper:
  *
- *   ExecMode::Interp    "CPython"  boxed dictionary storage, dynamic
- *                                  event-driven scheduling, tree-walk
- *                                  IR evaluation over boxed values
- *   ExecMode::OptInterp "PyPy"     dense arena storage, slot-bound
- *                                  accessors, statically levelized
- *                                  scheduling, by-value tree-walk IR
+ *   "interp"      "CPython"  boxed dictionary storage, dynamic
+ *                            event-driven scheduling, tree-walk IR
+ *                            evaluation over boxed values
+ *   "optinterp"   "PyPy"     dense arena storage, slot-bound
+ *                            accessors, statically levelized
+ *                            scheduling, by-value tree-walk IR
+ *   "bytecode"    "SimJIT"   IR blocks compiled to a flat
+ *                            register-machine bytecode over the arena
+ *                            at simulator construction
+ *   "cpp-block"   "SimJIT"   IR blocks translated to C++, compiled
+ *                            with the system compiler, dlopen'ed and
+ *                            called natively, one entry per block
+ *   "cpp-design"             the whole design fused into one compiled
+ *                            unit (see Backend)
  *
- *   SpecMode::None                 no specialization
- *   SpecMode::Bytecode  "SimJIT"   IR blocks compiled to a flat
- *                                  register-machine bytecode over the
- *                                  arena at simulator construction
- *   SpecMode::Cpp       "SimJIT"   IR blocks translated to C++,
- *                                  compiled with the system compiler,
- *                                  dlopen'ed and called natively
- *
- * Combining SpecMode != None with ExecMode::Interp reproduces the
- * paper's "SimJIT under CPython" configuration: specialized blocks run
- * on the arena, but every entry/exit crosses a boxed<->arena marshal
- * boundary (the CFFI wrapper overhead); unspecialized lambda blocks
- * stay fully boxed. With ExecMode::OptInterp the arena is shared and
- * boundary crossings vanish (the "SimJIT+PyPy" configuration).
+ * "interp+bytecode" and "interp+cpp-block" reproduce the paper's
+ * "SimJIT under CPython" configuration: specialized blocks run on the
+ * arena, but every entry/exit crosses a boxed<->arena marshal boundary
+ * (the CFFI wrapper overhead); unspecialized lambda blocks stay fully
+ * boxed. On the arena-hosted backends the arena is shared and boundary
+ * crossings vanish (the "SimJIT+PyPy" configuration).
  *
  * Cycle semantics (two-phase): cycle() settles combinational logic,
  * runs all tick blocks (which read current values and write next
@@ -40,7 +41,9 @@
 #include <atomic>
 #include <exception>
 #include <functional>
+#include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,32 +57,17 @@
 
 namespace cmtl {
 
-/**
- * Host-execution strategy (the CPython/PyPy axis).
- * @deprecated Set SimConfig::backend instead; kept so existing call
- * sites compile (resolved into a Backend by SimConfig::resolve()).
- */
-enum class ExecMode { Interp, OptInterp };
-
-/**
- * Specialization strategy (the SimJIT axis).
- * @deprecated Set SimConfig::backend instead; kept so existing call
- * sites compile (resolved into a Backend by SimConfig::resolve()).
- */
-enum class SpecMode { None, Bytecode, Cpp };
-
 /** Combinational scheduling policy. */
 enum class SchedMode
 {
-    Auto,   //!< event-driven under Interp, static under OptInterp
+    Auto,   //!< event-driven on boxed hosts, static on the arena
     Event,  //!< dynamic event-driven with sensitivity lists
     Static, //!< statically levelized (rejects combinational cycles)
 };
 
 /**
- * Unified backend descriptor: the one front door that replaces the
- * ExecMode x SpecMode matrix. Canonical strings (SimConfig::toString /
- * fromString round-trip):
+ * The one backend selector. Canonical strings (SimConfig::toString /
+ * fromString round-trip through backendNames()):
  *
  *   "interp"      boxed storage, event-driven, tree-walk  ("CPython")
  *   "optinterp"   arena storage, static levelized schedule  ("PyPy")
@@ -91,27 +79,60 @@ enum class SchedMode
  *                 the simulator starts on the bytecode tier and
  *                 hot-swaps to the native module at a cycle boundary
  *                 when the background compile finishes
- *
- * Hybrid boxed-host configurations keep their own spellings:
- * "interp+bytecode" and "interp+cpp-block" (specialized blocks run on
- * the arena, every entry/exit crosses the boxed<->arena marshal
- * boundary — the CFFI overhead configuration of the paper).
+ *   "interp+bytecode", "interp+cpp-block"
+ *                 the boxed-host hybrids: specialized blocks run on
+ *                 the arena, every entry/exit crosses the boxed<->arena
+ *                 marshal boundary (the CFFI overhead configuration of
+ *                 the paper)
  */
 enum class Backend
 {
-    Auto,      //!< derive from the deprecated exec/spec fields
-    Interp,    //!< "interp"
-    OptInterp, //!< "optinterp"
-    Bytecode,  //!< "bytecode" (exec selects the hybrid variant)
-    CppBlock,  //!< "cpp-block" (exec selects the hybrid variant)
-    CppDesign, //!< "cpp-design" (always arena-hosted)
+    Interp,         //!< "interp"
+    OptInterp,      //!< "optinterp"
+    Bytecode,       //!< "bytecode"
+    CppBlock,       //!< "cpp-block"
+    CppDesign,      //!< "cpp-design"
+    InterpBytecode, //!< "interp+bytecode"
+    InterpCppBlock, //!< "interp+cpp-block"
 };
+
+/** One row of the backend name table. */
+struct BackendName
+{
+    Backend backend;
+    const char *name;
+};
+
+/** Every backend with its canonical name, in enumerator order: the one
+ *  table SimConfig::toString and fromString read. */
+std::span<const BackendName> backendNames();
+
+/** Signals live in boxed storage: interp and the interp+* hybrids. */
+constexpr bool
+boxedHost(Backend b)
+{
+    return b == Backend::Interp || b == Backend::InterpBytecode ||
+           b == Backend::InterpCppBlock;
+}
+
+/** IR blocks are specialized: every backend but interp and optinterp. */
+constexpr bool
+specializes(Backend b)
+{
+    return b != Backend::Interp && b != Backend::OptInterp;
+}
+
+/** Every specialized block is its own compiled C++ entry point:
+ *  cpp-block and interp+cpp-block. */
+constexpr bool
+nativeBlocks(Backend b)
+{
+    return b == Backend::CppBlock || b == Backend::InterpCppBlock;
+}
 
 /** Simulator configuration. */
 struct SimConfig
 {
-    ExecMode exec = ExecMode::OptInterp; //!< @deprecated use backend
-    SpecMode spec = SpecMode::None;      //!< @deprecated use backend
     SchedMode sched = SchedMode::Auto;
     std::string jit_cache_dir; //!< empty = CppJit::defaultCacheDir()
     bool jit_cache = true;     //!< reuse compiled libraries on disk
@@ -120,12 +141,7 @@ struct SimConfig
      * 1 = the sequential kernel below; makeSimulator() dispatches.
      */
     int threads = 1;
-    /**
-     * The unified backend selector. Auto derives the backend from the
-     * deprecated exec/spec pair, so legacy configurations keep their
-     * exact meaning; any other value overrides exec/spec.
-     */
-    Backend backend = Backend::Auto;
+    Backend backend = Backend::OptInterp; //!< how the design executes
     /**
      * cpp-design only: run on the bytecode tier while the compiler
      * runs in a background thread, hot-swapping at a cycle boundary
@@ -147,24 +163,19 @@ struct SimConfig
      */
     bool gating = true;
 
-    /**
-     * Normalize the config in place: derive backend from exec/spec
-     * when Auto, otherwise project the backend onto the deprecated
-     * fields so legacy code reading them keeps working. Idempotent;
-     * simulators call this on construction.
-     */
-    void resolve();
-
     /** Canonical backend string ("cpp-design", "interp+bytecode", ...). */
     std::string toString() const;
 
     /**
-     * Parse a canonical backend string (accepts the deprecated alias
-     * "cpp" for "cpp-block"). Other fields take their defaults.
-     * Throws std::invalid_argument on an unknown name.
+     * Parse a canonical backend string. Other fields take their
+     * defaults. Throws std::invalid_argument on an unknown name.
      */
     static SimConfig fromString(const std::string &name);
 };
+
+/** Print the canonical backend name (also gtest's parameter names). */
+std::ostream &operator<<(std::ostream &os, Backend backend);
+std::ostream &operator<<(std::ostream &os, const SimConfig &cfg);
 
 /**
  * Instrumentation sink filled by the execution kernels while a
@@ -271,11 +282,7 @@ struct SpecStats
 class Simulator : public SignalAccess
 {
   public:
-    Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg)
-        : elab_(std::move(elab)), cfg_(cfg)
-    {
-        cfg_.resolve();
-    }
+    Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg);
 
     /** Advance one clock cycle. */
     virtual void cycle() = 0;
@@ -412,6 +419,11 @@ class Simulator : public SignalAccess
   protected:
     std::shared_ptr<Elaboration> elab_;
     SimConfig cfg_;
+    // boxedHost() / specializes() / nativeBlocks() of cfg_.backend,
+    // derived once so the per-cycle paths test a plain bool.
+    const bool boxed_host_;
+    const bool specializes_;
+    const bool native_blocks_;
     SpecStats spec_stats_;
     /**
      * Atomic so progress monitors (SimServer job status) may read the
@@ -471,7 +483,7 @@ class SimulationTool : public Simulator
         bool sequential = false;
     };
 
-    bool useBoxed() const { return cfg_.exec == ExecMode::Interp; }
+    bool useBoxed() const { return boxed_host_; }
     bool eventDriven() const { return event_driven_; }
     bool designMode() const { return cfg_.backend == Backend::CppDesign; }
 

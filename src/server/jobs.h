@@ -57,7 +57,7 @@ struct JobSpec
 {
     std::string design = "mesh"; //!< registered corpus name
     std::string level = "rtl";   //!< abstraction level (mesh designs)
-    /** Backend + threads + jit cache; resolve()d before use. */
+    /** Backend + threads + jit cache. */
     SimConfig cfg;
     uint64_t cycles = 1000; //!< run length (from cycle 0)
     // Traffic parameters (interpreted by the design factory).

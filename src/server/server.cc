@@ -49,10 +49,7 @@ specFromJson(const Json &req, JobSpec *spec, std::string *error)
     }
     if (const Json *v = req.find("backend")) {
         try {
-            SimConfig parsed = SimConfig::fromString(v->asStr());
-            out.cfg.backend = parsed.backend;
-            out.cfg.exec = parsed.exec;
-            out.cfg.spec = parsed.spec;
+            out.cfg.backend = SimConfig::fromString(v->asStr()).backend;
         } catch (const std::invalid_argument &e) {
             *error = e.what();
             return false;
@@ -232,10 +229,8 @@ SimServer::prewarm()
         spec.design = name;
         spec.cycles = 1;
         try {
-            SimConfig parsed = SimConfig::fromString(cfg_.prewarm_backend);
-            spec.cfg.backend = parsed.backend;
-            spec.cfg.exec = parsed.exec;
-            spec.cfg.spec = parsed.spec;
+            spec.cfg.backend =
+                SimConfig::fromString(cfg_.prewarm_backend).backend;
         } catch (const std::invalid_argument &) {
             return;
         }
@@ -487,11 +482,8 @@ SimServer::handleSweep(int fd, uint64_t conn_id, const Json &req)
     for (const std::string &backend : backends) {
         SimConfig cfg;
         try {
-            SimConfig parsed = SimConfig::fromString(backend);
             cfg = base.cfg;
-            cfg.backend = parsed.backend;
-            cfg.exec = parsed.exec;
-            cfg.spec = parsed.spec;
+            cfg.backend = SimConfig::fromString(backend).backend;
         } catch (const std::invalid_argument &e) {
             Json err = Json::object();
             err.set("ok", Json::boolean(false));

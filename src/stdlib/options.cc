@@ -75,7 +75,6 @@ SimOptions::helpTable()
         "  --backend=<name>    execution backend: interp | optinterp |\n"
         "                      bytecode | cpp-block | cpp-design |\n"
         "                      interp+bytecode | interp+cpp-block\n"
-        "                      (\"cpp\" is accepted for cpp-block)\n"
         "  --threads=<n>       host threads; >1 runs the parallel\n"
         "                      ParSim kernel (clamped to the hardware\n"
         "                      thread count with a warning)\n"
@@ -117,10 +116,7 @@ SimOptions::parse(int argc, char **argv)
         std::string value;
         if (optionValue("--backend", argc, argv, i, value)) {
             try {
-                SimConfig parsed = SimConfig::fromString(value);
-                opts.cfg.backend = parsed.backend;
-                opts.cfg.exec = parsed.exec;
-                opts.cfg.spec = parsed.spec;
+                opts.cfg.backend = SimConfig::fromString(value).backend;
                 opts.backend_set = true;
             } catch (const std::invalid_argument &e) {
                 std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

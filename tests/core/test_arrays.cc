@@ -62,7 +62,7 @@ TEST(MemArrayBasics, WriteOnlyInSequentialBlocks)
     BadComb bad;
 }
 
-class ArrayModes : public ::testing::TestWithParam<testmodels::ModeParam>
+class ArrayModes : public ::testing::TestWithParam<SimConfig>
 {};
 
 TEST_P(ArrayModes, RegFileWritesThenReads)
@@ -143,7 +143,7 @@ TEST_P(ArrayModes, RandomizedAgainstReferenceModel)
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ArrayModes, ::testing::ValuesIn(testmodels::allModes()),
-    [](const ::testing::TestParamInfo<testmodels::ModeParam> &info) {
+    [](const ::testing::TestParamInfo<SimConfig> &info) {
         return testmodels::modeName(info.param);
     });
 
@@ -188,7 +188,7 @@ TEST(MemArrayTools, SpecializableWithArrays)
     RegFile rf(32, 16);
     auto elab = rf.elaborate();
     SimConfig cfg;
-    cfg.spec = SpecMode::Bytecode;
+    cfg.backend = Backend::Bytecode;
     SimulationTool sim(elab, cfg);
     EXPECT_EQ(sim.specStats().numSpecialized, 2);
 }

@@ -8,8 +8,8 @@
  * design to byte-identical state and byte-identical VCD streams, at
  * any supported thread count, including across the bytecode->native
  * tier boundary of cpp-design. Plus: canonical-name round-trips,
- * deprecated-enum aliasing, report/SimScope naming, SimOptions CLI
- * parsing, and the JIT cache LRU size cap.
+ * report/SimScope naming, SimOptions CLI parsing, and the JIT cache LRU
+ * size cap.
  */
 
 #include <gtest/gtest.h>
@@ -65,52 +65,35 @@ allBackends()
 
 TEST(BackendNames, FromStringToStringRoundTrips)
 {
-    for (const std::string &name : allBackends())
-        EXPECT_EQ(SimConfig::fromString(name).toString(), name) << name;
+    // The name table lists every enumerator in order: a row missing or
+    // out of place breaks the index check, a bad name the round trip.
+    std::set<std::string> seen;
+    size_t i = 0;
+    for (const BackendName &row : backendNames()) {
+        EXPECT_EQ(static_cast<size_t>(row.backend), i++) << row.name;
+        EXPECT_TRUE(seen.insert(row.name).second) << row.name;
+        SimConfig cfg = SimConfig::fromString(row.name);
+        EXPECT_EQ(cfg.backend, row.backend) << row.name;
+        EXPECT_EQ(cfg.toString(), row.name);
+        std::ostringstream os;
+        os << row.backend;
+        EXPECT_EQ(os.str(), row.name);
+    }
+    const std::vector<std::string> names = allBackends();
+    EXPECT_EQ(seen, std::set<std::string>(names.begin(), names.end()));
 }
 
-TEST(BackendNames, DeprecatedAliasesResolve)
+TEST(BackendNames, RemovedAliasesThrow)
 {
-    EXPECT_EQ(SimConfig::fromString("cpp").toString(), "cpp-block");
-    EXPECT_EQ(SimConfig::fromString("interp+cpp").toString(),
-              "interp+cpp-block");
+    EXPECT_THROW(SimConfig::fromString("cpp"), std::invalid_argument);
+    EXPECT_THROW(SimConfig::fromString("interp+cpp"),
+                 std::invalid_argument);
 }
 
 TEST(BackendNames, UnknownNameThrows)
 {
     EXPECT_THROW(SimConfig::fromString("pypy"), std::invalid_argument);
     EXPECT_THROW(SimConfig::fromString(""), std::invalid_argument);
-}
-
-TEST(BackendNames, LegacyEnumPairsGetCanonicalNames)
-{
-    // Old call sites set exec/spec only; resolve() must give their
-    // combination the same canonical name the new front door uses.
-    auto name = [](ExecMode e, SpecMode s) {
-        SimConfig cfg;
-        cfg.exec = e;
-        cfg.spec = s;
-        return cfg.toString();
-    };
-    EXPECT_EQ(name(ExecMode::Interp, SpecMode::None), "interp");
-    EXPECT_EQ(name(ExecMode::OptInterp, SpecMode::None), "optinterp");
-    EXPECT_EQ(name(ExecMode::OptInterp, SpecMode::Bytecode), "bytecode");
-    EXPECT_EQ(name(ExecMode::OptInterp, SpecMode::Cpp), "cpp-block");
-    EXPECT_EQ(name(ExecMode::Interp, SpecMode::Bytecode),
-              "interp+bytecode");
-    EXPECT_EQ(name(ExecMode::Interp, SpecMode::Cpp), "interp+cpp-block");
-}
-
-TEST(BackendNames, ExplicitBackendProjectsOntoLegacyEnums)
-{
-    // Code that still reads the deprecated fields must observe a
-    // configuration consistent with the chosen backend.
-    SimConfig cfg = SimConfig::fromString("cpp-design");
-    EXPECT_EQ(cfg.exec, ExecMode::OptInterp);
-    EXPECT_EQ(cfg.spec, SpecMode::Cpp);
-    cfg = SimConfig::fromString("interp+bytecode");
-    EXPECT_EQ(cfg.exec, ExecMode::Interp);
-    EXPECT_EQ(cfg.spec, SpecMode::Bytecode);
 }
 
 // -------------------------------------------- report/scope naming
@@ -175,7 +158,7 @@ class BackendEquiv
         // The parallel kernel requires dense arena storage; boxed
         // (interp-hosted) backends exist only on the sequential one.
         if (threads > 1 &&
-            backendCfg(backend, threads).exec == ExecMode::Interp)
+            boxedHost(backendCfg(backend, threads).backend))
             GTEST_SKIP() << "boxed backends are sequential-only";
     }
 };

@@ -31,11 +31,10 @@ using net::MeshTrafficTop;
 using net::NetLevel;
 
 SimConfig
-gateCfg(SpecMode spec, int threads, bool gating)
+gateCfg(Backend backend, int threads, bool gating)
 {
     SimConfig cfg;
-    cfg.exec = ExecMode::OptInterp;
-    cfg.spec = spec;
+    cfg.backend = backend;
     cfg.threads = threads;
     cfg.gating = gating;
     return cfg;
@@ -77,16 +76,17 @@ slurp(const std::string &path)
  * when gating considered their steps clean).
  */
 void
-runGatingEquiv(SpecMode spec, int threads, int cycles, uint64_t seed)
+runGatingEquiv(Backend backend, int threads, int cycles, uint64_t seed)
 {
     auto ta = makeTop(seed);
     auto tb = makeTop(seed);
-    auto on = makeSimulator(ta->elaborate(), gateCfg(spec, threads, true));
+    auto on =
+        makeSimulator(ta->elaborate(), gateCfg(backend, threads, true));
     auto off =
-        makeSimulator(tb->elaborate(), gateCfg(spec, threads, false));
+        makeSimulator(tb->elaborate(), gateCfg(backend, threads, false));
 
     std::ostringstream ctx;
-    ctx << "spec=" << static_cast<int>(spec) << " threads=" << threads;
+    ctx << "backend=" << backend << " threads=" << threads;
 
     on->reset();
     off->reset();
@@ -114,22 +114,20 @@ runGatingEquiv(SpecMode spec, int threads, int cycles, uint64_t seed)
 }
 
 class GatingEquiv
-    : public ::testing::TestWithParam<std::tuple<int, SpecMode>>
+    : public ::testing::TestWithParam<std::tuple<int, Backend>>
 {};
 
 TEST_P(GatingEquiv, StateAndStatsMatchUngated)
 {
-    int threads = 0;
-    SpecMode spec{};
-    std::tie(threads, spec) = GetParam();
-    runGatingEquiv(spec, threads, 128, 31 + threads);
+    auto [threads, backend] = GetParam();
+    runGatingEquiv(backend, threads, 128, 31 + threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndSpec, GatingEquiv,
     ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(SpecMode::None,
-                                         SpecMode::Bytecode)));
+                       ::testing::Values(Backend::OptInterp,
+                                         Backend::Bytecode)));
 
 TEST(GatingVcd, ByteIdenticalWaveformsBothKernels)
 {
@@ -141,7 +139,7 @@ TEST(GatingVcd, ByteIdenticalWaveformsBothKernels)
         {
             auto on = makeSimulator(
                 ta->elaborate(),
-                gateCfg(SpecMode::Bytecode, threads, true));
+                gateCfg(Backend::Bytecode, threads, true));
             VcdWriter vcd(*on, on_path);
             on->reset();
             on->cycle(96);
@@ -150,7 +148,7 @@ TEST(GatingVcd, ByteIdenticalWaveformsBothKernels)
         {
             auto off = makeSimulator(
                 tb->elaborate(),
-                gateCfg(SpecMode::Bytecode, threads, false));
+                gateCfg(Backend::Bytecode, threads, false));
             VcdWriter vcd(*off, off_path);
             off->reset();
             off->cycle(96);
@@ -169,22 +167,20 @@ TEST(GatingVcd, ByteIdenticalWaveformsBothKernels)
  * A design with no stimulus goes fully quiescent: after reset settles,
  * every subsequent sequential comb step / ParSim island superstep that
  * recomputes an unchanged value must be skipped, so the gated-step
- * counter grows every cycle — on both kernels and both static-schedule
- * spec modes.
+ * counter grows every cycle — on both kernels, unspecialized and on
+ * bytecode.
  */
 class GatingQuiescence
-    : public ::testing::TestWithParam<std::tuple<int, SpecMode>>
+    : public ::testing::TestWithParam<std::tuple<int, Backend>>
 {};
 
 TEST_P(GatingQuiescence, IdleDesignSkipsMostWork)
 {
-    int threads = 0;
-    SpecMode spec{};
-    std::tie(threads, spec) = GetParam();
+    auto [threads, backend] = GetParam();
     auto top = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16,
                                                 4, 0.0, 3);
     auto sim =
-        makeSimulator(top->elaborate(), gateCfg(spec, threads, true));
+        makeSimulator(top->elaborate(), gateCfg(backend, threads, true));
     sim->reset();
     sim->cycle(8); // drain any reset transient
     uint64_t before = sim->gatedSteps();
@@ -199,8 +195,8 @@ TEST_P(GatingQuiescence, IdleDesignSkipsMostWork)
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndSpec, GatingQuiescence,
     ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(SpecMode::None,
-                                         SpecMode::Bytecode)));
+                       ::testing::Values(Backend::OptInterp,
+                                         Backend::Bytecode)));
 
 } // namespace
 } // namespace cmtl

@@ -48,7 +48,7 @@ class MixedOwnership : public Model
     }
 };
 
-class HybridModes : public ::testing::TestWithParam<testmodels::ModeParam>
+class HybridModes : public ::testing::TestWithParam<SimConfig>
 {};
 
 TEST_P(HybridModes, TestBenchSeesInternalSpecializedState)
@@ -85,7 +85,7 @@ TEST_P(HybridModes, PokingSpecializedInputsTakesEffect)
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, HybridModes, ::testing::ValuesIn(testmodels::allModes()),
-    [](const ::testing::TestParamInfo<testmodels::ModeParam> &info) {
+    [](const ::testing::TestParamInfo<SimConfig> &info) {
         return testmodels::modeName(info.param);
     });
 
@@ -103,7 +103,7 @@ TEST(JitCache, WarmRunIsCacheHitWithIdenticalBehaviour)
         Counter top(nullptr, "top", 8);
         auto elab = top.elaborate();
         SimConfig cfg;
-        cfg.spec = SpecMode::Cpp;
+        cfg.backend = Backend::CppBlock;
         cfg.jit_cache_dir = dir;
         SimulationTool sim(elab, cfg);
         top.en.setValue(uint64_t(1));
@@ -127,7 +127,7 @@ TEST(JitCache, CacheDisabledAlwaysCompiles)
         Counter top(nullptr, "top", 8);
         auto elab = top.elaborate();
         SimConfig cfg;
-        cfg.spec = SpecMode::Cpp;
+        cfg.backend = Backend::CppBlock;
         cfg.jit_cache = false;
         cfg.jit_cache_dir = dir;
         SimulationTool sim(elab, cfg);

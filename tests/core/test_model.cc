@@ -144,7 +144,7 @@ TEST(Elaboration, CombCycleIsDetected)
     auto elab = loop.elaborate();
     EXPECT_TRUE(elab->hasCombCycle);
     SimConfig cfg;
-    cfg.exec = ExecMode::OptInterp; // static scheduling
+    cfg.backend = Backend::OptInterp; // static scheduling
     EXPECT_THROW(SimulationTool(elab, cfg), std::logic_error);
 }
 

@@ -7,6 +7,7 @@
 #ifndef CMTL_TESTS_CORE_TEST_MODELS_H
 #define CMTL_TESTS_CORE_TEST_MODELS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -127,51 +128,31 @@ class Counter : public Model
 };
 
 /**
- * Parameter of the Modes/ mode-matrix suites: a SimConfig plus 16
- * reserved bytes. CTest registers each case under gtest's raw-byte
- * dump of its parameter ("80-byte object <...>"); the padding keeps
- * those registered names unchanged now that SimConfig is 64 bytes.
+ * The backends the Modes/ mode-matrix suites exercise: each host (boxed
+ * interp, arena optinterp) unspecialized, on bytecode and on per-block
+ * C++. gtest prints a SimConfig as its canonical backend name.
  */
-struct ModeParam : SimConfig
+inline std::vector<SimConfig>
+allModes()
 {
-    uint64_t reserved[2] = {0, 0};
-};
-
-/** All (exec, spec) configurations exercised by mode-matrix tests. */
-inline std::vector<ModeParam>
-allModes(bool include_cpp = true)
-{
-    std::vector<ModeParam> modes;
-    for (ExecMode exec : {ExecMode::Interp, ExecMode::OptInterp}) {
-        for (SpecMode spec :
-             {SpecMode::None, SpecMode::Bytecode, SpecMode::Cpp}) {
-            if (spec == SpecMode::Cpp &&
-                (!include_cpp || !CppJit::compilerAvailable()))
-                continue;
-            ModeParam cfg;
-            cfg.exec = exec;
-            cfg.spec = spec;
+    std::vector<SimConfig> modes;
+    for (const char *name : {"interp", "interp+bytecode", "interp+cpp-block",
+                             "optinterp", "bytecode", "cpp-block"}) {
+        SimConfig cfg = SimConfig::fromString(name);
+        if (!nativeBlocks(cfg.backend) || CppJit::compilerAvailable())
             modes.push_back(cfg);
-        }
     }
     return modes;
 }
 
+/** The backend name as a gtest parameter name ("interp_cpp_block"). */
 inline std::string
 modeName(const SimConfig &cfg)
 {
-    std::string out =
-        cfg.exec == ExecMode::Interp ? "Interp" : "OptInterp";
-    switch (cfg.spec) {
-      case SpecMode::None: break;
-      case SpecMode::Bytecode: out += "_Bytecode"; break;
-      case SpecMode::Cpp: out += "_Cpp"; break;
-    }
-    switch (cfg.sched) {
-      case SchedMode::Auto: break;
-      case SchedMode::Event: out += "_Event"; break;
-      case SchedMode::Static: out += "_Static"; break;
-    }
+    std::string out = cfg.toString();
+    std::replace_if(
+        out.begin(), out.end(), [](char c) { return c == '+' || c == '-'; },
+        '_');
     return out;
 }
 

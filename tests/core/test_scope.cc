@@ -121,7 +121,7 @@ TEST(Scope, ParSimPhaseTimingAcrossThreadCounts)
             "top", NetLevel::RTL, 16, 4, 0.30, 1);
         auto elab = top->elaborate();
         SimConfig cfg;
-        cfg.exec = ExecMode::OptInterp;
+        cfg.backend = Backend::OptInterp;
         cfg.threads = threads;
         auto sim = makeSimulator(elab, cfg);
 

@@ -16,7 +16,7 @@ using testmodels::Mux;
 using testmodels::MuxReg;
 using testmodels::Register;
 
-class SimModes : public ::testing::TestWithParam<testmodels::ModeParam>
+class SimModes : public ::testing::TestWithParam<SimConfig>
 {};
 
 TEST_P(SimModes, RegisterDelaysByOneCycle)
@@ -176,7 +176,7 @@ TEST_P(SimModes, WideSignalsFallBackGracefully)
     auto top = std::make_unique<WidePass>();
     auto elab = top->elaborate();
     SimulationTool sim(elab, GetParam());
-    if (GetParam().spec != SpecMode::None) {
+    if (specializes(GetParam().backend)) {
         EXPECT_EQ(sim.specStats().numSpecialized, 0);
     }
 
@@ -219,7 +219,7 @@ TEST_P(SimModes, SpecializationStatsAreReported)
     SimulationTool sim(elab, GetParam());
     const SpecStats &stats = sim.specStats();
     EXPECT_EQ(stats.numBlocks, 2);
-    if (GetParam().spec == SpecMode::None) {
+    if (!specializes(GetParam().backend)) {
         EXPECT_EQ(stats.numSpecialized, 0);
     } else {
         EXPECT_EQ(stats.numSpecialized, 2);
@@ -229,7 +229,7 @@ TEST_P(SimModes, SpecializationStatsAreReported)
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, SimModes, ::testing::ValuesIn(allModes()),
-    [](const ::testing::TestParamInfo<testmodels::ModeParam> &info) {
+    [](const ::testing::TestParamInfo<SimConfig> &info) {
         return modeName(info.param);
     });
 
@@ -264,14 +264,14 @@ TEST(SimEquivalence, AllModesProduceIdenticalTraces)
 
 TEST(SimEquivalence, EventAndStaticSchedulesAgree)
 {
-    for (ExecMode exec : {ExecMode::Interp, ExecMode::OptInterp}) {
+    for (Backend backend : {Backend::Interp, Backend::OptInterp}) {
         std::vector<uint64_t> traces[2];
         int t = 0;
         for (SchedMode sched : {SchedMode::Event, SchedMode::Static}) {
             auto top = std::make_unique<Counter>(nullptr, "top", 8);
             auto elab = top->elaborate();
             SimConfig cfg;
-            cfg.exec = exec;
+            cfg.backend = backend;
             cfg.sched = sched;
             SimulationTool sim(elab, cfg);
             top->en.setValue(uint64_t(1));

@@ -35,10 +35,7 @@ clSpec(uint64_t cycles, double injection = 0.30,
     spec.level = "cl";
     spec.cycles = cycles;
     spec.injection = injection;
-    SimConfig parsed = SimConfig::fromString(backend);
-    spec.cfg.backend = parsed.backend;
-    spec.cfg.exec = parsed.exec;
-    spec.cfg.spec = parsed.spec;
+    spec.cfg.backend = SimConfig::fromString(backend).backend;
     return spec;
 }
 
@@ -278,11 +275,8 @@ TEST(SweepProtocol, GridStreamsEveryPointWithOneShotDigests)
         spec.level = "cl";
         spec.cycles = 400;
         spec.injection = grid_inj[kv.first % 3];
-        SimConfig parsed =
-            SimConfig::fromString(frame.find("backend")->asStr());
-        spec.cfg.backend = parsed.backend;
-        spec.cfg.exec = parsed.exec;
-        spec.cfg.spec = parsed.spec;
+        spec.cfg.backend =
+            SimConfig::fromString(frame.find("backend")->asStr()).backend;
         JobResult oneshot = runOneShot(spec, defaultCorpusFactory());
         EXPECT_EQ(frame.find("digest")->asStr(), hexU64(oneshot.digest))
             << "index " << kv.first;

@@ -167,7 +167,7 @@ TEST(StdlibQueue, IsFullySpecializable)
     RtlQueue top(nullptr, "top", 16, 2);
     auto elab = top.elaborate();
     SimConfig cfg;
-    cfg.spec = SpecMode::Bytecode;
+    cfg.backend = Backend::Bytecode;
     SimulationTool sim(elab, cfg);
     EXPECT_EQ(sim.specStats().numSpecialized, sim.specStats().numBlocks);
 }

@@ -170,7 +170,7 @@ TEST(ProcRtl5, FullySpecializable)
     ProcRTL5 proc(nullptr, "proc");
     auto elab = proc.elaborate();
     SimConfig cfg;
-    cfg.spec = SpecMode::Bytecode;
+    cfg.backend = Backend::Bytecode;
     SimulationTool sim(elab, cfg);
     EXPECT_EQ(sim.specStats().numSpecialized,
               sim.specStats().numBlocks);

@@ -97,9 +97,9 @@ TEST(TileSpec, RtlTileRunsUnderAllBackends)
 {
     Workload w = makeMvmultAccel(4);
     auto expect = expectedMvmult(w);
-    for (SpecMode spec : {SpecMode::None, SpecMode::Bytecode,
-                          SpecMode::Cpp}) {
-        if (spec == SpecMode::Cpp && !CppJit::compilerAvailable())
+    for (Backend backend :
+         {Backend::OptInterp, Backend::Bytecode, Backend::CppBlock}) {
+        if (nativeBlocks(backend) && !CppJit::compilerAvailable())
             continue;
         auto t = std::make_unique<Tile>("tile", Level::RTL, Level::RTL,
                                         Level::RTL);
@@ -107,7 +107,7 @@ TEST(TileSpec, RtlTileRunsUnderAllBackends)
         loadMvmultData(t->mem(), w);
         auto elab = t->elaborate();
         SimConfig cfg;
-        cfg.spec = spec;
+        cfg.backend = backend;
         SimulationTool sim(elab, cfg);
         runWorkload(*t, sim);
         checkMvmultResult(*t, w);
@@ -123,7 +123,7 @@ TEST(TileSpec, RtlTileRunsUnderBoxedInterp)
     loadMvmultData(t->mem(), w);
     auto elab = t->elaborate();
     SimConfig cfg;
-    cfg.exec = ExecMode::Interp;
+    cfg.backend = Backend::Interp;
     SimulationTool sim(elab, cfg);
     runWorkload(*t, sim);
     checkMvmultResult(*t, w);
