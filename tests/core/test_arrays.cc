@@ -62,7 +62,7 @@ TEST(MemArrayBasics, WriteOnlyInSequentialBlocks)
     BadComb bad;
 }
 
-class ArrayModes : public ::testing::TestWithParam<SimConfig>
+class ArrayModes : public ::testing::TestWithParam<testmodels::ModeParam>
 {};
 
 TEST_P(ArrayModes, RegFileWritesThenReads)
@@ -143,7 +143,7 @@ TEST_P(ArrayModes, RandomizedAgainstReferenceModel)
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ArrayModes, ::testing::ValuesIn(testmodels::allModes()),
-    [](const ::testing::TestParamInfo<SimConfig> &info) {
+    [](const ::testing::TestParamInfo<testmodels::ModeParam> &info) {
         return testmodels::modeName(info.param);
     });
 

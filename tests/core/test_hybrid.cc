@@ -48,7 +48,7 @@ class MixedOwnership : public Model
     }
 };
 
-class HybridModes : public ::testing::TestWithParam<SimConfig>
+class HybridModes : public ::testing::TestWithParam<testmodels::ModeParam>
 {};
 
 TEST_P(HybridModes, TestBenchSeesInternalSpecializedState)
@@ -85,7 +85,7 @@ TEST_P(HybridModes, PokingSpecializedInputsTakesEffect)
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, HybridModes, ::testing::ValuesIn(testmodels::allModes()),
-    [](const ::testing::TestParamInfo<SimConfig> &info) {
+    [](const ::testing::TestParamInfo<testmodels::ModeParam> &info) {
         return testmodels::modeName(info.param);
     });
 

@@ -121,10 +121,10 @@ TEST_P(IrBackendEquiv, AllBackendsAgreeOnTortureAlu)
     stimuli.emplace_back(1, 0);
 
     std::vector<std::vector<uint64_t>> results;
-    for (const SimConfig &cfg : testmodels::allModes()) {
+    for (const testmodels::ModeParam &mode : testmodels::allModes()) {
         AluTorture alu(nbits);
         auto elab = alu.elaborate();
-        SimulationTool sim(elab, cfg);
+        SimulationTool sim(elab, mode);
         std::vector<uint64_t> outs;
         for (auto [x, y] : stimuli) {
             alu.a.setValue(Bits(nbits, x));

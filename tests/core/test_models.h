@@ -7,7 +7,6 @@
 #ifndef CMTL_TESTS_CORE_TEST_MODELS_H
 #define CMTL_TESTS_CORE_TEST_MODELS_H
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -128,32 +127,62 @@ class Counter : public Model
 };
 
 /**
- * The backends the Modes/ mode-matrix suites exercise: each host (boxed
- * interp, arena optinterp) unspecialized, on bytecode and on per-block
- * C++. gtest prints a SimConfig as its canonical backend name.
+ * One point of the Modes/ mode matrix: a host (0 boxed interp, 1 arena)
+ * crossed with its block kernels (0 none, 1 bytecode, 2 per-block C++).
+ * CTest registers each case under gtest's raw-byte dump of this struct
+ * ("80-byte object <...>"), so the layout, zero padding included, keeps
+ * the names the suites are registered under. It holds no pointer, so
+ * the dump, and every name, is the same from run to run.
  */
-inline std::vector<SimConfig>
+struct ModeParam
+{
+    int32_t host = 0;
+    int32_t kernels = 0;
+    int32_t reserved[18] = {};
+
+    Backend
+    backend() const
+    {
+        static constexpr Backend table[2][3] = {
+            {Backend::Interp, Backend::InterpBytecode, Backend::InterpCppBlock},
+            {Backend::OptInterp, Backend::Bytecode, Backend::CppBlock}};
+        return table[host][kernels];
+    }
+
+    operator SimConfig() const
+    {
+        SimConfig cfg;
+        cfg.backend = backend();
+        return cfg;
+    }
+};
+static_assert(sizeof(ModeParam) == 80, "ModeParam size fixes test names");
+
+/** The Modes/ matrix: both hosts, each bare, on bytecode and on C++. */
+inline std::vector<ModeParam>
 allModes()
 {
-    std::vector<SimConfig> modes;
-    for (const char *name : {"interp", "interp+bytecode", "interp+cpp-block",
-                             "optinterp", "bytecode", "cpp-block"}) {
-        SimConfig cfg = SimConfig::fromString(name);
-        if (!nativeBlocks(cfg.backend) || CppJit::compilerAvailable())
-            modes.push_back(cfg);
+    std::vector<ModeParam> modes;
+    for (int32_t host : {0, 1}) {
+        for (int32_t kernels : {0, 1, 2}) {
+            ModeParam mode;
+            mode.host = host;
+            mode.kernels = kernels;
+            if (!nativeBlocks(mode.backend()) ||
+                CppJit::compilerAvailable())
+                modes.push_back(mode);
+        }
     }
     return modes;
 }
 
-/** The backend name as a gtest parameter name ("interp_cpp_block"). */
+/** The gtest parameter name of a mode ("Interp_Cpp"). */
 inline std::string
-modeName(const SimConfig &cfg)
+modeName(const ModeParam &mode)
 {
-    std::string out = cfg.toString();
-    std::replace_if(
-        out.begin(), out.end(), [](char c) { return c == '+' || c == '-'; },
-        '_');
-    return out;
+    static const char *const hosts[] = {"Interp", "OptInterp"};
+    static const char *const kernels[] = {"", "_Bytecode", "_Cpp"};
+    return std::string(hosts[mode.host]) + kernels[mode.kernels];
 }
 
 } // namespace testmodels

@@ -16,7 +16,7 @@ using testmodels::Mux;
 using testmodels::MuxReg;
 using testmodels::Register;
 
-class SimModes : public ::testing::TestWithParam<SimConfig>
+class SimModes : public ::testing::TestWithParam<testmodels::ModeParam>
 {};
 
 TEST_P(SimModes, RegisterDelaysByOneCycle)
@@ -176,7 +176,7 @@ TEST_P(SimModes, WideSignalsFallBackGracefully)
     auto top = std::make_unique<WidePass>();
     auto elab = top->elaborate();
     SimulationTool sim(elab, GetParam());
-    if (specializes(GetParam().backend)) {
+    if (specializes(GetParam().backend())) {
         EXPECT_EQ(sim.specStats().numSpecialized, 0);
     }
 
@@ -219,7 +219,7 @@ TEST_P(SimModes, SpecializationStatsAreReported)
     SimulationTool sim(elab, GetParam());
     const SpecStats &stats = sim.specStats();
     EXPECT_EQ(stats.numBlocks, 2);
-    if (!specializes(GetParam().backend)) {
+    if (!specializes(GetParam().backend())) {
         EXPECT_EQ(stats.numSpecialized, 0);
     } else {
         EXPECT_EQ(stats.numSpecialized, 2);
@@ -229,7 +229,7 @@ TEST_P(SimModes, SpecializationStatsAreReported)
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, SimModes, ::testing::ValuesIn(allModes()),
-    [](const ::testing::TestParamInfo<SimConfig> &info) {
+    [](const ::testing::TestParamInfo<testmodels::ModeParam> &info) {
         return modeName(info.param);
     });
 
