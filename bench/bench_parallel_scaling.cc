@@ -16,9 +16,9 @@
  * measured with spin-barrier workers time-slicing against each other
  * is an overhead datapoint, not a scaling claim. Each parallel point
  * also records the partition quality both ways (refined cut_tokens vs
- * the chunked seed's cut_tokens_chunked), the barrier wait and the
- * supersteps skipped by activity gating, so scaling regressions can be
- * attributed to partitioning, synchronization or wasted compute.
+ * the chunked seed's cut_tokens_chunked) and the barrier wait, so
+ * scaling regressions can be attributed to partitioning or
+ * synchronization.
  */
 
 #include <thread>
@@ -147,8 +147,8 @@ main(int argc, char **argv)
         std::printf("%s (backend %s)\n", sc.name.c_str(),
                     backendName(sc.backend).c_str());
         rule('=');
-        std::printf("%8s %14s %10s %10s %10s %12s\n", "threads",
-                    "cycles/s", "speedup", "islands", "cut", "gated");
+        std::printf("%8s %14s %10s %10s %10s\n", "threads",
+                    "cycles/s", "speedup", "islands", "cut");
 
         json.beginObject();
         json.field("name", sc.name);
@@ -168,8 +168,7 @@ main(int argc, char **argv)
             // Partition shape and per-phase breakdown at this thread
             // count (threads=1 is the sequential kernel: one island,
             // no barriers). The probe run is short and SimScope'd:
-            // island compute vs barrier-wait vs boundary traffic vs
-            // gated (skipped) supersteps.
+            // island compute vs barrier-wait vs boundary traffic.
             int nislands = 1, nlevels = 1, cut = 0, cut_chunked = 0;
             int refine_passes = 0;
             double imbalance = 1.0;
@@ -193,17 +192,11 @@ main(int argc, char **argv)
             scope.detach();
 
             if (oversubscribed) {
-                std::printf("%8d %14.0f %10s %10d %10d %12llu\n",
-                            threads, r.cycles_per_second, "oversub",
-                            nislands, cut,
-                            static_cast<unsigned long long>(
-                                pb.gated_supersteps));
+                std::printf("%8d %14.0f %10s %10d %10d\n", threads,
+                            r.cycles_per_second, "oversub", nislands, cut);
             } else {
-                std::printf("%8d %14.0f %9.2fx %10d %10d %12llu\n",
-                            threads, r.cycles_per_second, speedup,
-                            nislands, cut,
-                            static_cast<unsigned long long>(
-                                pb.gated_supersteps));
+                std::printf("%8d %14.0f %9.2fx %10d %10d\n", threads,
+                            r.cycles_per_second, speedup, nislands, cut);
             }
             std::printf(
                 "         phase: compute %.4fs  barrier %.4fs  "
@@ -234,7 +227,6 @@ main(int argc, char **argv)
             json.field("imbalance", imbalance);
             json.field("probe_cycles", sc.probe_cycles);
             json.field("barrier_seconds", pb.barrier_seconds);
-            json.field("gated_supersteps", pb.gated_supersteps);
             json.key("metrics").rawValue(metrics);
             json.endObject();
         }

@@ -63,8 +63,6 @@ std::string
 sideFileTag(const FuzzSide &side)
 {
     std::string tag = side.backend + "_t" + std::to_string(side.threads);
-    if (!side.gating)
-        tag += "_ungated";
     for (char &c : tag)
         if (c == '+' || c == '-')
             c = '_';

@@ -49,11 +49,7 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
     }
 
     accessor_.bindReplicas(&replicas_, &plan_.ownerOf);
-    accessor_.onPokeChanged([this](int net) {
-        dirty_ = true;
-        if (gating_)
-            markReaderIslandsDirty(net);
-    });
+    accessor_.onPokeChanged([this](int) { dirty_ = true; });
 
     // Per-island flop copy plans: an island's owned static flops
     // coalesce into whole-word ranges (disjoint across islands by
@@ -75,7 +71,6 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
         sig->setAccess(this);
     try {
         buildIslandSchedules();
-        buildGating();
         double create_before_spec = sw.elapsed();
         if (specializes_)
             specialize();
@@ -186,65 +181,6 @@ ParSimulationTool::buildIslandSchedules()
             byTarget(level);
         byTarget(flop_pushes_[i]);
     }
-}
-
-void
-ParSimulationTool::buildGating()
-{
-    // The fused cpp-design tier runs each settle level as one compiled
-    // call per island with no change detection anywhere, so gating
-    // stays off there (matching the sequential kernel's policy).
-    gating_ = cfg_.gating && !designMode();
-    if (!gating_)
-        return;
-    const int n = plan_.nislands;
-    island_dirty_ = std::vector<std::atomic<uint8_t>>(n);
-    for (auto &flag : island_dirty_)
-        flag.store(1, std::memory_order_relaxed);
-    settle_active_.assign(n, 1);
-
-    comb_push_islands_.assign(n, {});
-    for (int i = 0; i < n; ++i) {
-        std::vector<char> seen(n, 0);
-        for (const auto &level : comb_pushes_[i]) {
-            for (const CopyOp &op : level) {
-                if (!seen[op.dst]) {
-                    seen[op.dst] = 1;
-                    comb_push_islands_[i].push_back(op.dst);
-                }
-            }
-        }
-    }
-
-    // Islands whose tick blocks write blockingly — an array, or a net
-    // that is never statically flopped — mutate their own comb inputs
-    // without change detection; mark them dirty every cycle. (The
-    // cross-island half of a blocking write is change-detected by the
-    // flop-phase pushes.)
-    tick_dirty_island_.assign(n, 0);
-    for (int i = 0; i < n; ++i) {
-        for (const PStep &step : tick_steps_[i]) {
-            for (int t : elab_->blocks[step.block].writes) {
-                if (t >= static_cast<int>(elab_->nets.size()) ||
-                    !elab_->nets[t].floppedStatic) {
-                    tick_dirty_island_[i] = 1;
-                    break;
-                }
-            }
-            if (tick_dirty_island_[i])
-                break;
-        }
-    }
-}
-
-void
-ParSimulationTool::markReaderIslandsDirty(int token)
-{
-    for (int isl : plan_.readerIslands[token])
-        island_dirty_[isl].store(1, std::memory_order_relaxed);
-    int owner = plan_.ownerOf[token];
-    if (owner >= 0)
-        island_dirty_[owner].store(1, std::memory_order_relaxed);
 }
 
 void
@@ -616,11 +552,8 @@ ParSimulationTool::runPhase(Cmd cmd)
         // replica yields the same current value everywhere. These nets
         // are disjoint from every island's flop and push targets.
         for (int net : main_flops_) {
-            bool ch = false;
             for (auto &replica : replicas_)
-                ch |= replica->flop(net);
-            if (ch && gating_)
-                markReaderIslandsDirty(net);
+                replica->flop(net);
         }
     }
     bar_all_.arriveAndWait(); // done
@@ -678,14 +611,6 @@ ParSimulationTool::pushCur(int island, const CopyOp &op)
     const uint64_t *src = replicas_[island]->data() + op.off;
     uint64_t *dst = replicas_[op.dst]->data() + op.off;
     const size_t bytes = static_cast<size_t>(op.n) * sizeof(uint64_t);
-    if (gating_) {
-        // Compare before copying: an identical push changes nothing in
-        // the destination replica, so it neither copies nor dirties
-        // the destination island.
-        if (std::memcmp(dst, src, bytes) == 0)
-            return;
-        island_dirty_[op.dst].store(1, std::memory_order_relaxed);
-    }
     std::memcpy(dst, src, bytes);
     if (ScopeProbe *p = probe_) {
         p->island_boundary_bytes[island] += bytes;
@@ -695,23 +620,6 @@ ParSimulationTool::pushCur(int island, const CopyOp &op)
 void
 ParSimulationTool::runIslandSettle(int island)
 {
-    if (gating_ && !settle_active_[island]) {
-        // Quiescent island: no input changed since its last settle, so
-        // every step would recompute the value its replica already
-        // holds and every push would copy bytes the destinations
-        // already have. Peers still wait on the superstep barriers, so
-        // only those are joined.
-        for (int lvl = 0; lvl + 1 < plan_.nlevels; ++lvl) {
-            if (ScopeProbe *p = probe_) {
-                Stopwatch sw;
-                bar_workers_.arriveAndWait();
-                p->island_barrier_seconds[island] += sw.elapsed();
-            } else {
-                bar_workers_.arriveAndWait();
-            }
-        }
-        return;
-    }
     const std::vector<PStep> &steps = comb_steps_[island];
     size_t k = 0;
     for (int lvl = 0; lvl < plan_.nlevels; ++lvl) {
@@ -746,13 +654,6 @@ ParSimulationTool::runIslandFlop(int island)
     if (design_native_) {
         island_libs_[island].group(island_flop_unit_[island])(
             replicas_[island]->data());
-    } else if (gating_) {
-        // Gating needs per-net change detection to dirty the island.
-        bool changed = false;
-        for (int net : plan_.islands[island].flopNets)
-            changed |= replicas_[island]->flop(net);
-        if (changed)
-            island_dirty_[island].store(1, std::memory_order_relaxed);
     } else {
         // Whole-word range copies of the island's static flop set.
         replicas_[island]->flopRanges(island_flop_plans_[island]);
@@ -770,51 +671,7 @@ ParSimulationTool::runIslandFlop(int island)
 void
 ParSimulationTool::settlePhase()
 {
-    if (gating_) {
-        // Publish the phase's active set: the dirty islands, closed
-        // transitively over the static push graph (an active island's
-        // outputs may change mid-settle, so every island it pushes to
-        // must run too). Workers read settle_active_ after the start
-        // barrier inside runPhase.
-        const int n = plan_.nislands;
-        std::vector<int> frontier;
-        for (int i = 0; i < n; ++i) {
-            settle_active_[i] =
-                island_dirty_[i].load(std::memory_order_relaxed) ? 1
-                                                                 : 0;
-            if (settle_active_[i])
-                frontier.push_back(i);
-        }
-        while (!frontier.empty()) {
-            int i = frontier.back();
-            frontier.pop_back();
-            for (int j : comb_push_islands_[i]) {
-                if (!settle_active_[j]) {
-                    settle_active_[j] = 1;
-                    frontier.push_back(j);
-                }
-            }
-        }
-        runPhase(Cmd::Settle);
-        for (int i = 0; i < n; ++i) {
-            if (!settle_active_[i]) {
-                gated_steps_ +=
-                    static_cast<uint64_t>(plan_.nlevels);
-                if (probe_ &&
-                    static_cast<int>(
-                        probe_->island_gated_supersteps.size()) > i) {
-                    probe_->island_gated_supersteps[i] +=
-                        static_cast<uint64_t>(plan_.nlevels);
-                }
-            }
-            // Active islands just settled; quiescent ones were clean
-            // already. Mid-phase marks (pushes between active islands)
-            // were consumed by the later supersteps of this phase.
-            island_dirty_[i].store(0, std::memory_order_relaxed);
-        }
-    } else {
-        runPhase(Cmd::Settle);
-    }
+    runPhase(Cmd::Settle);
     dirty_ = false;
 }
 
@@ -825,12 +682,6 @@ ParSimulationTool::cycle()
     if (dirty_)
         settlePhase();
     runPhase(Cmd::Tick);
-    if (gating_) {
-        for (int i = 0; i < plan_.nislands; ++i) {
-            if (tick_dirty_island_[i])
-                island_dirty_[i].store(1, std::memory_order_relaxed);
-        }
-    }
     runPhase(Cmd::Flop);
     settlePhase();
     uint64_t now = ncycles_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -893,11 +744,8 @@ ParSimulationTool::write(Signal &sig, const Bits &value)
     bool changed = replicaFor(net).write(net, value);
     for (auto &replica : replicas_)
         replica->write(net, value);
-    if (changed) {
+    if (changed)
         dirty_ = true;
-        if (gating_)
-            markReaderIslandsDirty(net);
-    }
 }
 
 void
@@ -964,8 +812,6 @@ ParSimulationTool::writeArray(MemArray &array, uint64_t index,
     replicas_[owner >= 0 ? owner : 0]->arrayWrite(array.arrayId(), index,
                                                   value);
     dirty_ = true;
-    if (gating_)
-        markReaderIslandsDirty(elab_->arrayToken(array.arrayId()));
 }
 
 // ---------------------------------------------------------- factory

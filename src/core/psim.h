@@ -162,12 +162,6 @@ class ParSimulationTool : public Simulator
     bool designMode() const { return cfg_.backend == Backend::CppDesign; }
 
     void buildIslandSchedules();
-    void buildGating();
-    /** Mark every island with a static reader of @p token (plus its
-     *  owner, whose driver must overwrite externally poked values)
-     *  as having seen an input change. Coordinator-side marks only;
-     *  workers mark through pushCur / runIslandFlop. */
-    void markReaderIslandsDirty(int token);
     void specialize();
     void specializeDesign();
     void adoptNativeTier();
@@ -241,35 +235,6 @@ class ParSimulationTool : public Simulator
     std::vector<int> main_flops_;
     std::vector<char> is_main_flop_;
     std::vector<char> static_island_flop_;
-
-    // --- activity gating (SimConfig::gating) -----------------------
-    // An island whose inputs did not change since its last settle
-    // holds exactly the values a re-settle would recompute, so its
-    // worker skips the superstep compute and pushes, joining only the
-    // barriers. Dirt sources: its own flops changing value, boundary
-    // pushes that actually changed its replica (pushCur compares
-    // before copying), its own tick blocks' blocking writes
-    // (conservative, per cycle), and coordinator-side writes. Before
-    // each settle the coordinator closes the dirty set transitively
-    // over the static island push graph — an active island's comb
-    // outputs may change mid-settle, so every island it pushes to
-    // must run as well — then clears all flags once the phase ends.
-    bool gating_ = false;
-    /** Flagged islands saw an input change since their last settle.
-     *  Atomic because several islands may push into one destination
-     *  concurrently during the flop phase; all accesses are relaxed —
-     *  the phase barriers order them. */
-    std::vector<std::atomic<uint8_t>> island_dirty_;
-    /** Published by the coordinator before each settle start barrier:
-     *  islands that must run the phase (dirty set, closed over the
-     *  push graph). */
-    std::vector<char> settle_active_;
-    /** Static island adjacency: comb_push_islands_[i] lists islands
-     *  island i's settle pushes target (any level). */
-    std::vector<std::vector<int>> comb_push_islands_;
-    /** Island has a tick block writing an array or a never-flopped
-     *  net: its own comb inputs may change blockingly every cycle. */
-    std::vector<char> tick_dirty_island_;
 
     // Thread pool and phase coordination.
     std::vector<std::thread> workers_;

@@ -188,7 +188,6 @@ SimScope::SimScope(Simulator &sim, Options opt)
         probe_.island_flop_seconds.assign(n, 0.0);
         probe_.island_barrier_seconds.assign(n, 0.0);
         probe_.island_boundary_bytes.assign(n, 0);
-        probe_.island_gated_supersteps.assign(n, 0);
     }
 
     sim.attachScope(&probe_);
@@ -323,13 +322,11 @@ SimScope::phaseBreakdown() const
             pb.flop_seconds += probe_.island_flop_seconds[i];
             pb.barrier_seconds += probe_.island_barrier_seconds[i];
             pb.boundary_bytes += probe_.island_boundary_bytes[i];
-            pb.gated_supersteps += probe_.island_gated_supersteps[i];
         }
     } else {
         pb.settle_seconds = probe_.settle_seconds;
         pb.tick_seconds = probe_.tick_seconds;
         pb.flop_seconds = probe_.flop_seconds;
-        pb.gated_supersteps = probe_.gated_steps;
     }
     return pb;
 }
@@ -358,7 +355,6 @@ SimScope::exportMetrics(MetricsRegistry &reg) const
     reg.setGauge("scope.phase.settle_seconds", pb.settle_seconds);
     reg.setGauge("scope.phase.tick_seconds", pb.tick_seconds);
     reg.setGauge("scope.phase.flop_seconds", pb.flop_seconds);
-    reg.setCounter("scope.gated_supersteps", pb.gated_supersteps);
     if (parsim_) {
         reg.setGauge("scope.phase.barrier_seconds", pb.barrier_seconds);
         reg.setCounter("scope.boundary_bytes", pb.boundary_bytes);
@@ -374,11 +370,6 @@ SimScope::exportMetrics(MetricsRegistry &reg) const
                            probe_.island_boundary_bytes[i]);
         }
     }
-    for (const BlockCost &b : hotBlocks(20)) {
-        reg.setGauge("scope.block." + b.path + ".self_seconds",
-                     b.seconds);
-        reg.setCounter("scope.block." + b.path + ".calls", b.calls);
-    }
     for (const ChannelStats &ch : state_->channels) {
         std::string base = "scope.channel." + ch.name;
         reg.setCounter(base + ".transfers", ch.transfers);
@@ -393,7 +384,7 @@ std::string
 SimScope::jsonSnapshot() const
 {
     std::ostringstream os;
-    os << "{\"scope_version\":2,\"kernel\":"
+    os << "{\"scope_version\":3,\"kernel\":"
        << (parsim_ ? "\"parsim\"" : "\"sequential\"")
        << ",\"backend\":";
     // Same canonical string SimConfig round-trips and
@@ -419,7 +410,6 @@ SimScope::jsonSnapshot() const
     os << ",\"barrier_seconds\":";
     jsonNum(os, pb.barrier_seconds);
     os << ",\"boundary_bytes\":" << pb.boundary_bytes
-       << ",\"gated_supersteps\":" << pb.gated_supersteps
        << ",\"islands\":[";
     if (parsim_) {
         for (int i = 0; i < pb.nislands; ++i) {
@@ -436,9 +426,7 @@ SimScope::jsonSnapshot() const
             os << ",\"barrier_seconds\":";
             jsonNum(os, probe_.island_barrier_seconds[i]);
             os << ",\"boundary_bytes\":"
-               << probe_.island_boundary_bytes[i]
-               << ",\"gated_supersteps\":"
-               << probe_.island_gated_supersteps[i] << "}";
+               << probe_.island_boundary_bytes[i] << "}";
         }
     } else {
         // The sequential kernel is one island with no barriers, so
@@ -507,28 +495,20 @@ SimScope::report(size_t nblocks) const
                       pb.barrier_seconds);
         os << buf;
     }
-    if (pb.gated_supersteps > 0) {
-        std::snprintf(buf, sizeof(buf), "  gated %llu",
-                      static_cast<unsigned long long>(
-                          pb.gated_supersteps));
-        os << buf;
-    }
     os << "\n";
     if (parsim_) {
         for (int i = 0; i < pb.nislands; ++i) {
             std::snprintf(
                 buf, sizeof(buf),
                 "  island %d: compute %.4fs  barrier %.4fs  boundary "
-                "%llu B  gated %llu\n",
+                "%llu B\n",
                 i,
                 probe_.island_settle_seconds[i] +
                     probe_.island_tick_seconds[i] +
                     probe_.island_flop_seconds[i],
                 probe_.island_barrier_seconds[i],
                 static_cast<unsigned long long>(
-                    probe_.island_boundary_bytes[i]),
-                static_cast<unsigned long long>(
-                    probe_.island_gated_supersteps[i]));
+                    probe_.island_boundary_bytes[i]));
             os << buf;
         }
     }

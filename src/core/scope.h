@@ -221,9 +221,6 @@ class SimScope
         double flop_seconds = 0.0;
         double barrier_seconds = 0.0;  //!< ParSim only
         uint64_t boundary_bytes = 0;   //!< ParSim only
-        /** Work units skipped by activity gating: comb steps on the
-         *  sequential kernel, island supersteps on ParSim. */
-        uint64_t gated_supersteps = 0;
         int nislands = 1;
     };
     PhaseBreakdown phaseBreakdown() const;
@@ -238,7 +235,7 @@ class SimScope
     void exportMetrics(MetricsRegistry &reg) const;
 
     /**
-     * One-line JSON snapshot: {"scope_version":1,"kernel":..,
+     * One-line JSON snapshot: {"scope_version":3,"kernel":..,
      * "timing":..,"cycles":..,"phases":{..},"blocks":[..],
      * "channels":[..],"metrics":{..}}.
      */

@@ -210,8 +210,6 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         dirty_ = true;
         if (eventDriven())
             enqueueReaders(net);
-        else if (gating_)
-            markTokenStepsDirty(net);
     });
 
     in_worklist_.assign(comb_steps_.size(), 0);
@@ -222,7 +220,6 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
             in_worklist_[i] = 1;
         }
     }
-    buildGating();
 
     // Slot-bind every narrow signal to its arena word (signal.h): the
     // lambda blocks' and test benches' reads and non-blocking writes
@@ -845,62 +842,6 @@ SimulationTool::enqueueReaders(int net)
     }
 }
 
-void
-SimulationTool::buildGating()
-{
-    // The event-driven scheduler is already change-driven, and the
-    // fused cpp-design tiers run the whole settle as one compiled
-    // call — gating applies to the static per-step schedules only.
-    gating_ = cfg_.gating && !eventDriven() && !designMode();
-    if (!gating_)
-        return;
-    step_dirty_.assign(comb_steps_.size(), 1);
-
-    writer_steps_of_token_.assign(elab_->nets.size() +
-                                      elab_->arrays.size(),
-                                  {});
-    for (size_t i = 0; i < comb_steps_.size(); ++i) {
-        for (int token : *comb_steps_[i].writes)
-            writer_steps_of_token_[token].push_back(
-                static_cast<int>(i));
-    }
-
-    // Tokens tick blocks may write with blocking semantics: plain
-    // nets that are not statically flopped (a flopped net's blocking
-    // write is clobbered by the flop before the post-tick settle can
-    // read it) and every tick-written array. A net that only later
-    // becomes a dynamic flop stays on the list — marking it is merely
-    // conservative.
-    for (const Step &step : tick_steps_) {
-        for (int token : *step.writes) {
-            if (isArrayToken(token) || !is_flopped_[token])
-                tick_dirty_tokens_.push_back(token);
-        }
-    }
-    std::sort(tick_dirty_tokens_.begin(), tick_dirty_tokens_.end());
-    tick_dirty_tokens_.erase(std::unique(tick_dirty_tokens_.begin(),
-                                         tick_dirty_tokens_.end()),
-                             tick_dirty_tokens_.end());
-}
-
-void
-SimulationTool::markReaderStepsDirty(int token)
-{
-    for (int blk : elab_->netReaders[token]) {
-        int step = comb_step_of_block_[blk];
-        if (step >= 0)
-            step_dirty_[step] = 1;
-    }
-}
-
-void
-SimulationTool::markTokenStepsDirty(int token)
-{
-    markReaderStepsDirty(token);
-    for (int step : writer_steps_of_token_[token])
-        step_dirty_[step] = 1;
-}
-
 bool
 SimulationTool::isArrayToken(int token) const
 {
@@ -1096,32 +1037,6 @@ SimulationTool::settle()
             }
         }
         worklist_.clear();
-    } else if (gating_) {
-        // Static order, change-driven execution: a step whose inputs
-        // did not change since its last run recomputes values it
-        // already holds, so it is skipped. Dirty bits set mid-loop
-        // belong to later steps (the schedule is topological), so one
-        // pass still settles fully.
-        std::vector<int> changed;
-        for (size_t i = 0; i < comb_steps_.size(); ++i) {
-            if (!step_dirty_[i]) {
-                ++gated_steps_;
-                if (probe_)
-                    ++probe_->gated_steps;
-                continue;
-            }
-            step_dirty_[i] = 0;
-            changed.clear();
-            runStep(comb_steps_[i], &changed);
-            for (int net : changed)
-                markReaderStepsDirty(net);
-            // Array writes elude word-diff change detection: re-run
-            // the readers of every array this step may have touched.
-            for (int token : *comb_steps_[i].writes) {
-                if (isArrayToken(token))
-                    markReaderStepsDirty(token);
-            }
-        }
     } else {
         for (const Step &step : *active_comb_)
             runStep(step, nullptr);
@@ -1149,10 +1064,6 @@ SimulationTool::cycle()
             settle();
         for (const Step &step : *active_tick_)
             runStep(step, nullptr);
-        if (gating_) {
-            for (int token : tick_dirty_tokens_)
-                markTokenStepsDirty(token);
-        }
         std::vector<int> changed;
         doFlop(eventDriven() ? &changed : nullptr);
         if (eventDriven()) {
@@ -1178,10 +1089,6 @@ SimulationTool::cycleProfiled()
     sw.restart();
     for (const Step &step : *active_tick_)
         runStep(step, nullptr);
-    if (gating_) {
-        for (int token : tick_dirty_tokens_)
-            markTokenStepsDirty(token);
-    }
     p->tick_seconds += sw.elapsed();
 
     sw.restart();
@@ -1240,12 +1147,8 @@ SimulationTool::doFlop(std::vector<int> *changed)
     for (int net : flopped_nets_) {
         bool ch = tokenInArena(net) ? arena_->flop(net)
                                     : boxed_->flop(net);
-        if (ch) {
-            if (changed)
-                enqueueReaders(net);
-            if (gating_)
-                markTokenStepsDirty(net);
-        }
+        if (ch && changed)
+            enqueueReaders(net);
     }
 }
 
@@ -1276,8 +1179,6 @@ SimulationTool::writeArray(MemArray &array, uint64_t index,
     dirty_ = true;
     if (eventDriven())
         enqueueReaders(elab_->arrayToken(id));
-    else if (gating_)
-        markTokenStepsDirty(elab_->arrayToken(id));
 }
 
 Bits
@@ -1297,8 +1198,6 @@ SimulationTool::write(Signal &sig, const Bits &value)
         dirty_ = true;
         if (eventDriven())
             enqueueReaders(net);
-        else if (gating_)
-            markTokenStepsDirty(net);
     }
 }
 

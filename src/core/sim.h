@@ -148,20 +148,6 @@ struct SimConfig
      * (false = block in the constructor until the module is built).
      */
     bool jit_tiered = true;
-    /**
-     * Activity gating: skip work that provably cannot change state.
-     * The sequential kernel skips a combinational step when none of
-     * its inputs changed since its last run (static schedules only —
-     * the event-driven scheduler is already change-driven); ParSim
-     * skips a whole island's settle superstep when the island saw no
-     * input change, the island only joining the barriers. Results are
-     * bit- and VCD-identical to an ungated run by construction: a
-     * step/island is skipped only when re-running it would recompute
-     * the values it already holds. Ignored by the fused cpp-design
-     * native tier (the whole cycle is one compiled call). On by
-     * default.
-     */
-    bool gating = true;
 
     /** Canonical backend string ("cpp-design", "interp+bytecode", ...). */
     std::string toString() const;
@@ -214,12 +200,6 @@ struct ScopeProbe
     std::vector<double> island_flop_seconds;
     std::vector<double> island_barrier_seconds;
     std::vector<uint64_t> island_boundary_bytes;
-
-    // Activity gating (SimConfig::gating). Sequential kernel: comb
-    // steps skipped because no input changed. ParSim: per-island
-    // settle supersteps skipped because the island was quiescent.
-    uint64_t gated_steps = 0;
-    std::vector<uint64_t> island_gated_supersteps;
 
     /** Count a block call; true when this execution should be timed. */
     bool
@@ -301,13 +281,11 @@ class Simulator : public SignalAccess
     const SpecStats &specStats() const { return spec_stats_; }
 
     /**
-     * Units of work skipped by activity gating (SimConfig::gating)
-     * since construction: combinational steps on the sequential
-     * kernel, island settle supersteps on ParSim. 0 when gating is
-     * off or the backend ignores it. Updated between cycles only —
-     * read it from the cycling thread.
+     * Always 0: every static schedule runs every step of every cycle.
+     * Kept only because perfbench/cmtl_round.cc reads it for its
+     * psim.gated_supersteps metric.
      */
-    uint64_t gatedSteps() const { return gated_steps_; }
+    uint64_t gatedSteps() const { return 0; }
 
     // --- cooperative pause (SimServer scheduler, debugger) ---------
 
@@ -434,7 +412,6 @@ class Simulator : public SignalAccess
     std::atomic<bool> pause_requested_{false};
     std::vector<std::function<void(uint64_t)>> cycle_hooks_;
     ScopeProbe *probe_ = nullptr;
-    uint64_t gated_steps_ = 0;
 };
 
 /**
@@ -534,22 +511,11 @@ class SimulationTool : public Simulator
     void enqueueReaders(int net);
     void markFlopped(int net);
     /** True when the flop phase copies whole-word ranges with no
-     *  per-net change detection (not boxed, event-driven or gated). */
-    bool flopsByRange() const
-    {
-        return !useBoxed() && !eventDriven() && !gating_;
-    }
+     *  per-net change detection (not boxed or event-driven). */
+    bool flopsByRange() const { return !useBoxed() && !eventDriven(); }
     /** Copy ranges of the dynamically registered flops. */
     std::vector<FlopRange> dynamicFlopPlan() const;
     void doFlop(std::vector<int> *changed);
-    void buildGating();
-    /** Settle-internal change: re-run the token's comb readers. */
-    void markReaderStepsDirty(int token);
-    /** External change (testbench write, flop, poke): re-run the
-     *  token's comb readers AND its comb driver, so a poked value a
-     *  driver would overwrite is overwritten exactly as when every
-     *  step runs unconditionally. */
-    void markTokenStepsDirty(int token);
 
     std::unique_ptr<BoxedStore> boxed_;
     std::unique_ptr<ArenaStore> arena_;
@@ -613,18 +579,6 @@ class SimulationTool : public Simulator
     // Event-driven worklist state.
     std::vector<int> worklist_;
     std::vector<char> in_worklist_;
-
-    // Activity gating (static schedules only; see SimConfig::gating).
-    bool gating_ = false;
-    std::vector<char> step_dirty_; //!< comb step must re-run
-    /** token -> comb step(s) writing it (specialized groups count as
-     *  one step); used to re-run drivers over externally poked nets. */
-    std::vector<std::vector<int>> writer_steps_of_token_;
-    /** Tokens tick blocks write with blocking semantics (plain nets
-     *  never statically flopped, and every tick-written array): their
-     *  readers re-run each cycle; the flop phase change-detects the
-     *  registered rest. */
-    std::vector<int> tick_dirty_tokens_;
 
     bool dirty_ = true;
 };

@@ -37,7 +37,6 @@ FuzzSide::toSimConfig() const
         throw std::runtime_error(std::string("fuzz side: ") + e.what());
     }
     cfg.threads = threads;
-    cfg.gating = gating;
     // Tiered cpp-design hot-swaps mid-run on compiler timing; force the
     // blocking compile so fuzz runs are scheduling-independent.
     cfg.jit_tiered = false;
@@ -49,8 +48,6 @@ FuzzSide::str() const
 {
     std::ostringstream os;
     os << backend << " t" << threads;
-    if (!gating)
-        os << " ungated";
     return os.str();
 }
 
@@ -65,21 +62,18 @@ FuzzSide::needsCompiler() const
 std::vector<FuzzSide>
 fuzzMatrix(bool full)
 {
-    auto side = [](const char *backend, int threads, bool gating = true) {
+    auto side = [](const char *backend, int threads) {
         FuzzSide s;
         s.backend = backend;
         s.threads = threads;
-        s.gating = gating;
         return s;
     };
     std::vector<FuzzSide> m;
-    // Interpreter family: every thread corner plus one gating-off
-    // point (gating must be value-invisible).
+    // Interpreter family: every thread corner.
     m.push_back(side("optinterp", 1));
     m.push_back(side("optinterp", 4));
     m.push_back(side("bytecode", 1));
     m.push_back(side("bytecode", 4));
-    m.push_back(side("optinterp", 1, false));
     if (!full)
         return m;
     m.push_back(side("cpp-block", 1));
@@ -89,7 +83,6 @@ fuzzMatrix(bool full)
     // Boxed hybrids are sequential-only (ParSim needs the arena).
     m.push_back(side("interp+bytecode", 1));
     m.push_back(side("interp+cpp-block", 1));
-    m.push_back(side("optinterp", 4, false));
     return m;
 }
 

@@ -8,12 +8,12 @@
  * adversarial: a seeded generator elaborates randomized block/net
  * graphs (comb + tick IR blocks, wide and narrow nets, MemArrays, a
  * val/rdy channel, a dynamic flop driven from a host lambda) plus a
- * randomized StimTape, then runs every backend x thread-count x gating
- * combination against the boxed-interpreter reference and compares state digests and VCD
- * bytes. On mismatch the DivergenceBisector pinpoints the first
- * divergent cycle and a graph-shrinking loop drops blocks, nets and
- * stimulus channels while the divergence still reproduces, emitting a
- * minimal repro file that replays standalone.
+ * randomized StimTape, then runs every backend x thread-count
+ * combination against the boxed-interpreter reference and compares
+ * state digests and VCD bytes. On mismatch the DivergenceBisector
+ * pinpoints the first divergent cycle and a graph-shrinking loop drops
+ * blocks, nets and stimulus channels while the divergence still
+ * reproduces, emitting a minimal repro file that replays standalone.
  *
  * Everything is deterministic in the seed: entity i draws from its own
  * SplitMix64 stream keyed by (seed, kind, i), so disabling entity j
@@ -70,15 +70,14 @@ struct FuzzSide
 {
     std::string backend = "interp";
     int threads = 1;
-    bool gating = true;
 
     /** Fully resolved simulator configuration. */
     SimConfig toSimConfig() const;
 
-    /** Human label, e.g. "optinterp t4" / "optinterp t1 ungated". */
+    /** Human label, e.g. "optinterp t4". */
     std::string str() const;
 
-    /** Repro-file encoding: "<backend> <threads> <gating>". */
+    /** Repro-file encoding: "<backend> <threads>". */
     std::string encode() const;
     /**
      * Parse encode()'s format; throws std::runtime_error on garbage,
@@ -141,19 +140,20 @@ struct FuzzSpec
     /**
      * Line-oriented text image:
      *
-     *   CMTLFUZZ v2
+     *   CMTLFUZZ v3
      *   seed <n>
      *   cycles <n>
-     *   side_a <backend> <threads> <gating>
-     *   side_b <backend> <threads> <gating>
+     *   side_a <backend> <threads>
+     *   side_b <backend> <threads>
      *   comb_off <id> <id> ...        (omitted when empty)
      *   tick_off ...
      *   stim_off ...
      *   fault <cycle> <net_ordinal> <bit>   (omitted when inactive)
      *   expect diverge|agree               (omitted when unspecified)
      *
-     * '#' starts a comment; blank lines are ignored. v1 images (whose
-     * side lines carried an arena-layout token) are rejected.
+     * '#' starts a comment; blank lines are ignored. v1 and v2 images
+     * are rejected with a diagnostic naming the side-line token each
+     * carried that v3 no longer has.
      */
     std::string encodeText() const;
     /**
@@ -240,12 +240,12 @@ class FuzzDesign : public Model
 StimTape makeFuzzStim(const FuzzSpec &spec);
 
 /**
- * The differential backend matrix, reference excluded. quick (5
+ * The differential backend matrix, reference excluded. quick (4
  * sides) covers the interpreter-family backends (optinterp/bytecode x
- * 1/4 threads plus a gating-off point); full (12 sides) adds the
- * compiled backends (cpp-block, cpp-design) at 1/4 threads, the boxed
- * hybrids and a parallel gating-off point. Entries needing an
- * unavailable host compiler are the runner's problem to skip.
+ * 1/4 threads); full (10 sides) adds the compiled backends
+ * (cpp-block, cpp-design) at 1/4 threads and the boxed hybrids.
+ * Entries needing an unavailable host compiler are the runner's
+ * problem to skip.
  */
 std::vector<FuzzSide> fuzzMatrix(bool full);
 

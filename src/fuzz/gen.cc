@@ -207,7 +207,7 @@ std::string
 FuzzSide::encode() const
 {
     std::ostringstream os;
-    os << backend << " " << threads << " " << (gating ? 1 : 0);
+    os << backend << " " << threads;
     return os.str();
 }
 
@@ -223,7 +223,6 @@ FuzzSide::decode(const std::string &text)
     if (side.threads < 1)
         throw std::runtime_error("fuzz repro: threads must be >= 1 in '" +
                                  text + "'");
-    side.gating = nextCount(is, "gating flag", 1) != 0;
     expectEnd(is, text);
     return side;
 }
@@ -232,7 +231,7 @@ std::string
 FuzzSpec::encodeText() const
 {
     std::ostringstream os;
-    os << "CMTLFUZZ v2\n";
+    os << "CMTLFUZZ v3\n";
     os << "seed " << seed << "\n";
     os << "cycles " << cycles << "\n";
     os << "side_a " << side_a.encode() << "\n";
@@ -276,16 +275,19 @@ FuzzSpec::decodeText(const std::string &text)
         if (!(hs >> magic))
             continue;
         hs >> version;
-        if (magic == "CMTLFUZZ" && version == "v1")
+        if (magic == "CMTLFUZZ" && (version == "v1" || version == "v2"))
             throw std::runtime_error(
-                "fuzz repro: CMTLFUZZ v1 is no longer accepted: v2 "
-                "removed the v1 layout token, side lines are now "
-                "'<backend> <threads> <gating>'");
+                "fuzz repro: CMTLFUZZ " + version +
+                " is no longer accepted: " +
+                (version == "v1" ? "v2 removed the v1 layout token and "
+                                 : "") +
+                "v3 removed the <gating> token, side lines are now "
+                "'<backend> <threads>'");
         expectEnd(hs, line);
         break;
     }
-    if (magic != "CMTLFUZZ" || version != "v2")
-        throw std::runtime_error("fuzz repro: missing CMTLFUZZ v2 "
+    if (magic != "CMTLFUZZ" || version != "v3")
+        throw std::runtime_error("fuzz repro: missing CMTLFUZZ v3 "
                                  "header");
     FuzzSpec spec;
     while (std::getline(is, line)) {

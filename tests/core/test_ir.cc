@@ -445,10 +445,7 @@ frameConfigs()
     std::vector<std::pair<std::string, SimConfig>> out;
     SimConfig cfg = SimConfig::fromString("bytecode");
     cfg.sched = SchedMode::Static;
-    cfg.gating = false;
     out.emplace_back("static", cfg);
-    cfg.gating = true;
-    out.emplace_back("gated", cfg);
     cfg.sched = SchedMode::Event;
     out.emplace_back("event", cfg);
     cfg = SimConfig::fromString("bytecode");

@@ -71,12 +71,40 @@ runMeshEquiv(NetLevel level, int nrouters, Backend backend, int threads,
     ctx << "level=" << static_cast<int>(level) << " backend=" << backend
         << " threads=" << threads;
 
+    // Every comb-driven net a tick block reads is poked halfway through
+    // the run: the next cycle's pre-tick settle must overwrite each with
+    // its driver's value on both kernels.
+    std::vector<char> tick_read(ea->nets.size() + ea->arrays.size(), 0);
+    for (const ElabBlock &blk : ea->blocks) {
+        if (isTick(blk.kind))
+            for (int token : blk.reads)
+                tick_read[token] = 1;
+    }
+    std::vector<int> comb_nets;
+    for (const ElabBlock &blk : ea->blocks) {
+        if (blk.kind != BlockKind::CombIr)
+            continue;
+        for (int token : blk.writes) {
+            if (token < static_cast<int>(ea->nets.size()) &&
+                tick_read[token])
+                comb_nets.push_back(token);
+        }
+    }
+    ASSERT_FALSE(comb_nets.empty());
+
     seq.reset();
     par.reset();
     for (int c = 0; c < cycles; ++c) {
+        if (c == cycles / 2) {
+            for (int net : comb_nets) {
+                Bits v = ~seq.readNet(net);
+                seq.pokeNet(net, v);
+                par.pokeNet(net, v);
+            }
+        }
         seq.cycle();
         par.cycle();
-        if (c % 16 == 15)
+        if (c == cycles / 2 || c % 16 == 15)
             expectSameState(seq, par, ctx.str());
     }
     expectSameState(seq, par, ctx.str());

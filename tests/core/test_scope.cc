@@ -283,13 +283,15 @@ TEST(Scope, JsonSnapshotHasRequiredKeys)
 
     std::string json = scope.jsonSnapshot();
     for (const char *key :
-         {"\"scope_version\":2", "\"kernel\":\"sequential\"",
+         {"\"scope_version\":3", "\"kernel\":\"sequential\"",
           "\"timing\":\"exact\"", "\"cycles\":10", "\"phases\":",
           "\"islands\":", "\"blocks\":", "\"channels\":",
           "\"metrics\":", "\"user.widgets\":3",
           "\"scope.cycles\":10"}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
+    // Per-block costs live in "blocks" only, not mirrored as metrics.
+    EXPECT_EQ(json.find("\"scope.block."), std::string::npos);
     // Single-line output (embeddable as a raw JSON value).
     EXPECT_EQ(json.find('\n'), std::string::npos);
 }

@@ -406,8 +406,9 @@ TEST(SimSlotBinding, CombLambdaSetValueWakesReaders)
                                    SimConfig::fromString("optinterp"),
                                    SimConfig::fromString("bytecode")};
     for (const SimConfig &cfg : cfgs) {
-        const bool gated = cfg.sched != SchedMode::Event;
-        const std::string ctx = cfg.toString() + (gated ? " gated" : "");
+        const std::string ctx =
+            cfg.toString() +
+            (cfg.sched == SchedMode::Event ? " event" : " static");
         CombLambdaChain top;
         SimulationTool sim(top.elaborate(), cfg);
         ASSERT_TRUE(top.in_.slotBound()) << ctx;
@@ -417,14 +418,11 @@ TEST(SimSlotBinding, CombLambdaSetValueWakesReaders)
         top.in_.setValue(uint64_t(5));
         sim.eval();
         EXPECT_EQ(top.out.u64(), 12u) << ctx;
-        // An idle cycle settles without re-running the chain.
+        // An idle cycle, then a write the next cycle must propagate.
         sim.cycle();
         top.in_.setValue(uint64_t(20));
         sim.cycle();
         EXPECT_EQ(top.out.u64(), 42u) << ctx;
-        if (gated) {
-            EXPECT_GT(sim.gatedSteps(), 0u) << ctx;
-        }
     }
 }
 
@@ -459,10 +457,7 @@ class LateFlop : public Model
 TEST(SimDynamicFlops, GrowingSetRebuildsTheRangePlan)
 {
     std::vector<SimConfig> cfgs = {SimConfig::fromString("optinterp"),
-                                   SimConfig::fromString("optinterp"),
                                    SimConfig::fromString("bytecode")};
-    cfgs[1].gating = false; // whole-word flop ranges
-    cfgs[2].gating = false;
     if (CppJit::compilerAvailable()) {
         cfgs.push_back(SimConfig::fromString("cpp-design"));
         cfgs.back().jit_tiered = false;
@@ -486,12 +481,8 @@ TEST(SimDynamicFlops, GrowingSetRebuildsTheRangePlan)
         LayoutStats lay = sim.layoutStats();
         EXPECT_EQ(lay.dynamic_flops, 2) << cfg.toString();
         // a and b are adjacent words: one coalesced range once the
-        // plan is rebuilt, one per net on the gated kernel's
-        // change-detecting loop (cpp-design ignores gating).
-        const bool per_net =
-            cfg.gating && cfg.backend != Backend::CppDesign;
-        EXPECT_EQ(lay.dynamic_flop_ranges, per_net ? 2 : 1)
-            << cfg.toString();
+        // plan is rebuilt.
+        EXPECT_EQ(lay.dynamic_flop_ranges, 1) << cfg.toString();
         EXPECT_EQ(sim.dynamicFlopNets(),
                   (std::vector<int>{top.a.netId(), top.b.netId()}));
         traces.push_back(std::move(trace));

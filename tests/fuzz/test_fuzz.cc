@@ -113,7 +113,6 @@ TEST(FuzzSpecCodec, RoundTrip)
     spec.stim_off = {0};
     spec.side_b.backend = "bytecode";
     spec.side_b.threads = 4;
-    spec.side_b.gating = false;
     spec.fault.active = true;
     spec.fault.cycle = 55;
     spec.fault.net_ordinal = 3;
@@ -129,7 +128,6 @@ TEST(FuzzSpecCodec, RoundTrip)
     EXPECT_EQ(back.stim_off, spec.stim_off);
     EXPECT_EQ(back.side_b.backend, "bytecode");
     EXPECT_EQ(back.side_b.threads, 4);
-    EXPECT_FALSE(back.side_b.gating);
     EXPECT_TRUE(back.fault.active);
     EXPECT_EQ(back.fault.cycle, 55u);
     EXPECT_EQ(back.expect, 1);
@@ -137,23 +135,25 @@ TEST(FuzzSpecCodec, RoundTrip)
 
 TEST(FuzzSpecCodec, RejectsGarbage)
 {
-    const std::string v2 = "CMTLFUZZ v2\n";
+    const std::string v3 = "CMTLFUZZ v3\n";
     const std::vector<std::string> bad = {
         "not a repro",
-        v2 + "bogus_key 1\n",
-        v2 + "seed abc\n",
-        v2 + "seed 5x\n",
-        v2 + "cycles -3\n",
-        v2 + "cycles\n",
-        v2 + "seed 5 6\n",
-        v2 + "side_a interp 1 1 trailing junk\n",
-        v2 + "side_b optinterp 0 1\n",
-        v2 + "comb_off 1 x\n",
-        v2 + "fault 30 5 2 9\n",
-        v2 + "expect agree now\n",
-        "CMTLFUZZ v2 extra\nseed 1\n",
+        v3 + "bogus_key 1\n",
+        v3 + "seed abc\n",
+        v3 + "seed 5x\n",
+        v3 + "cycles -3\n",
+        v3 + "cycles\n",
+        v3 + "seed 5 6\n",
+        v3 + "side_a interp 1 trailing junk\n",
+        v3 + "side_b optinterp 0\n",
+        v3 + "comb_off 1 x\n",
+        v3 + "fault 30 5 2 9\n",
+        v3 + "expect agree now\n",
+        "CMTLFUZZ v3 extra\nseed 1\n",
         // v1 side lines carried the retired arena-layout token.
         "CMTLFUZZ v1\nseed 1\nside_a interp 1 elab 1\n",
+        // v2 side lines carried the retired gating token.
+        "CMTLFUZZ v2\nseed 1\nside_a interp 1 1\n",
     };
     for (const std::string &text : bad) {
         try {
@@ -169,6 +169,14 @@ TEST(FuzzSpecCodec, RejectsGarbage)
         ADD_FAILURE() << "accepted a v1 header";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("layout token"),
+                  std::string::npos)
+            << e.what();
+    }
+    try {
+        FuzzSpec::decodeText("CMTLFUZZ v2\nseed 1\n");
+        ADD_FAILURE() << "accepted a v2 header";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("<gating> token"),
                   std::string::npos)
             << e.what();
     }
