@@ -15,10 +15,9 @@
  * marked "oversubscribed": true and carry NO speedup field — a number
  * measured with spin-barrier workers time-slicing against each other
  * is an overhead datapoint, not a scaling claim. Each parallel point
- * also records the partition quality both ways (refined cut_tokens vs
- * the chunked seed's cut_tokens_chunked) and the barrier wait, so
- * scaling regressions can be attributed to partitioning or
- * synchronization.
+ * also records the partition quality (cut_tokens, imbalance) and the
+ * barrier wait, so scaling regressions can be attributed to
+ * partitioning or synchronization.
  */
 
 #include <thread>
@@ -169,8 +168,7 @@ main(int argc, char **argv)
             // count (threads=1 is the sequential kernel: one island,
             // no barriers). The probe run is short and SimScope'd:
             // island compute vs barrier-wait vs boundary traffic.
-            int nislands = 1, nlevels = 1, cut = 0, cut_chunked = 0;
-            int refine_passes = 0;
+            int nislands = 1, nlevels = 1, cut = 0;
             double imbalance = 1.0;
             std::unique_ptr<Simulator> probe =
                 sc.make(sc.backend, threads);
@@ -179,8 +177,6 @@ main(int argc, char **argv)
                 nislands = par->plan().nislands;
                 nlevels = par->plan().nlevels;
                 cut = par->plan().cutTokens;
-                cut_chunked = par->plan().seedCutTokens;
-                refine_passes = par->plan().refinePasses;
                 imbalance = par->plan().imbalance();
                 if (threads == thread_counts[1])
                     std::printf("%s", simulatorReport(*par).c_str());
@@ -222,8 +218,6 @@ main(int argc, char **argv)
             json.field("islands", nislands);
             json.field("settle_supersteps", nlevels);
             json.field("cut_tokens", cut);
-            json.field("cut_tokens_chunked", cut_chunked);
-            json.field("refine_passes", refine_passes);
             json.field("imbalance", imbalance);
             json.field("probe_cycles", sc.probe_cycles);
             json.field("barrier_seconds", pb.barrier_seconds);

@@ -1,12 +1,9 @@
 #include "partition.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_map>
 
 namespace cmtl {
@@ -86,393 +83,9 @@ assignable(const ElabBlock &blk)
     return false;
 }
 
-// ------------------------------------------------------------------
-// Min-cut refinement machinery (KLFM over a multilevel hierarchy).
-//
-// The refiner works on "units": atomic clusters at the finest level,
-// and heavy-edge-matched groups of them at coarser levels. Coarsening
-// matters because the locality-chunked seed is a *local* optimum for
-// single-cluster moves on regular designs (a mesh strip boundary
-// cannot be improved one cluster at a time — every move trades one
-// cut link for two), while at coarse granularity whole-subtree moves
-// expose zero-gain corner cascades that rotate a long strip cut into
-// a shorter tile cut, exactly the restructuring min-cut needs.
-// ------------------------------------------------------------------
-
-/** One potentially-cut token: unique writer unit, reader units. */
-struct MovToken
-{
-    int wc;
-    std::vector<int> readers; // distinct, != wc
-};
-
-/** Comb writer->reader occurrences between two distinct units. */
-struct CombPair
-{
-    int a, b; // a < b
-    int count;
-};
-
-/** Cut bookkeeping over the movable units of one coarsening level. */
-struct CutGraph
-{
-    int n = 0;
-    std::vector<long> weight;
-    std::vector<int> key; // locality key (min member model pre-order)
-    std::vector<MovToken> toks;
-    std::vector<CombPair> pairs;
-    std::vector<std::vector<int>> tokOf, pairOf; // unit -> entry ids
-
-    void
-    buildIncidence()
-    {
-        tokOf.assign(n, {});
-        pairOf.assign(n, {});
-        for (size_t i = 0; i < toks.size(); ++i) {
-            tokOf[toks[i].wc].push_back(static_cast<int>(i));
-            for (int rc : toks[i].readers)
-                tokOf[rc].push_back(static_cast<int>(i));
-        }
-        for (size_t i = 0; i < pairs.size(); ++i) {
-            pairOf[pairs[i].a].push_back(static_cast<int>(i));
-            pairOf[pairs[i].b].push_back(static_cast<int>(i));
-        }
-    }
-};
-
-/** Token contribution with unit @p u hypothetically on island @p isl
- *  (u = -1 evaluates the assignment as-is). */
-long
-tokenCutAt(const MovToken &e, int u, int isl,
-           const std::vector<int> &island)
-{
-    int wi = e.wc == u ? isl : island[e.wc];
-    for (int rc : e.readers) {
-        if ((rc == u ? isl : island[rc]) != wi)
-            return 1;
-    }
-    return 0;
-}
-
-long
-pairCutAt(const CombPair &p, int u, int isl,
-          const std::vector<int> &island)
-{
-    int ia = p.a == u ? isl : island[p.a];
-    int ib = p.b == u ? isl : island[p.b];
-    return ia != ib ? p.count : 0;
-}
-
-/** Lexicographic (cut tokens, cut comb edges) packed into one long. */
-long
-cutScore(long tok, long edge)
-{
-    return tok * (1L << 20) + edge;
-}
-
 /**
- * Coarsen @p g by deterministic heavy-edge matching: merge the
- * most-connected unit pairs (token incidences weigh far more than
- * comb-edge multiplicity) whose combined weight stays under
- * @p maxUnitWeight. @p map receives fine-unit -> coarse-unit.
- */
-CutGraph
-coarsenGraph(const CutGraph &g, long maxUnitWeight,
-             std::vector<int> &map)
-{
-    std::unordered_map<uint64_t, long> adj;
-    auto key = [](int a, int b) {
-        int lo = std::min(a, b), hi = std::max(a, b);
-        return (static_cast<uint64_t>(lo) << 32) |
-               static_cast<uint32_t>(hi);
-    };
-    for (const MovToken &e : g.toks) {
-        for (int rc : e.readers)
-            adj[key(e.wc, rc)] += 1L << 8;
-    }
-    for (const CombPair &p : g.pairs)
-        adj[key(p.a, p.b)] += std::min<long>(p.count, 255);
-
-    struct Edge
-    {
-        long w;
-        int a, b;
-    };
-    std::vector<Edge> edges;
-    edges.reserve(adj.size());
-    for (const auto &[k, w] : adj) {
-        edges.push_back({w, static_cast<int>(k >> 32),
-                         static_cast<int>(k & 0xffffffffu)});
-    }
-    std::sort(edges.begin(), edges.end(), [](const Edge &x, const Edge &y) {
-        if (x.w != y.w)
-            return x.w > y.w;
-        if (x.a != y.a)
-            return x.a < y.a;
-        return x.b < y.b;
-    });
-
-    std::vector<int> match(g.n, -1);
-    for (const Edge &e : edges) {
-        if (match[e.a] >= 0 || match[e.b] >= 0)
-            continue;
-        if (g.weight[e.a] + g.weight[e.b] > maxUnitWeight)
-            continue;
-        match[e.a] = e.b;
-        match[e.b] = e.a;
-    }
-
-    map.assign(g.n, -1);
-    CutGraph cg;
-    for (int u = 0; u < g.n; ++u) {
-        if (match[u] >= 0 && match[u] < u)
-            continue; // merged into its earlier partner
-        int id = cg.n++;
-        map[u] = id;
-        long w = g.weight[u];
-        int k = g.key[u];
-        if (match[u] > u) {
-            map[match[u]] = id;
-            w += g.weight[match[u]];
-            k = std::min(k, g.key[match[u]]);
-        }
-        cg.weight.push_back(w);
-        cg.key.push_back(k);
-    }
-    for (const MovToken &e : g.toks) {
-        MovToken ce;
-        ce.wc = map[e.wc];
-        for (int rc : e.readers) {
-            int m = map[rc];
-            if (m != ce.wc)
-                ce.readers.push_back(m);
-        }
-        if (ce.readers.empty())
-            continue; // became unit-internal
-        std::sort(ce.readers.begin(), ce.readers.end());
-        ce.readers.erase(
-            std::unique(ce.readers.begin(), ce.readers.end()),
-            ce.readers.end());
-        cg.toks.push_back(std::move(ce));
-    }
-    std::unordered_map<uint64_t, int> pairIndex;
-    for (const CombPair &p : g.pairs) {
-        int a = map[p.a], b = map[p.b];
-        if (a == b)
-            continue;
-        int lo = std::min(a, b), hi = std::max(a, b);
-        uint64_t k = (static_cast<uint64_t>(lo) << 32) |
-                     static_cast<uint32_t>(hi);
-        auto [it, inserted] =
-            pairIndex.try_emplace(k, static_cast<int>(cg.pairs.size()));
-        if (inserted)
-            cg.pairs.push_back({lo, hi, 0});
-        cg.pairs[it->second].count += p.count;
-    }
-    cg.buildIncidence();
-    return cg;
-}
-
-/**
- * One multi-way KLFM refinement run over @p g: repeated passes of
- * best-gain boundary moves (zero and negative gains allowed, each
- * unit locked after moving) with best-prefix rollback, until a pass
- * stops improving. Moves keep every island non-empty and no island
- * above @p bound. Returns true if the cut improved.
- */
-bool
-klfmRefine(const CutGraph &g, std::vector<int> &island, int nislands,
-           long bound, int maxPasses, int maxBadStreak, int &passes,
-           int &moves)
-{
-    std::vector<long> islandWeight(nislands, 0);
-    std::vector<int> islandUnits(nislands, 0);
-    for (int u = 0; u < g.n; ++u) {
-        islandWeight[island[u]] += g.weight[u];
-        ++islandUnits[island[u]];
-    }
-    long curTok = 0, curEdge = 0;
-    for (const MovToken &e : g.toks)
-        curTok += tokenCutAt(e, -1, 0, island);
-    for (const CombPair &p : g.pairs)
-        curEdge += pairCutAt(p, -1, 0, island);
-    const long startScore = cutScore(curTok, curEdge);
-
-    struct Cand
-    {
-        long gain; // scoreBefore - scoreAfter; positive = better
-        int unit;
-        int to;
-        long dTok, dEdge;
-        bool operator<(const Cand &o) const
-        { // max-heap: highest gain first, lowest unit id on ties
-            if (gain != o.gain)
-                return gain < o.gain;
-            if (unit != o.unit)
-                return unit > o.unit;
-            return to > o.to;
-        }
-    };
-
-    // Best feasible move of unit u, or false if none exists.
-    auto bestMove = [&](int u, Cand &out) -> bool {
-        int from = island[u];
-        if (islandUnits[from] <= 1)
-            return false; // never empty an island
-        std::vector<int> targets;
-        for (int i : g.tokOf[u]) {
-            const MovToken &e = g.toks[i];
-            targets.push_back(island[e.wc]);
-            for (int rc : e.readers)
-                targets.push_back(island[rc]);
-        }
-        for (int i : g.pairOf[u]) {
-            targets.push_back(island[g.pairs[i].a]);
-            targets.push_back(island[g.pairs[i].b]);
-        }
-        std::sort(targets.begin(), targets.end());
-        targets.erase(std::unique(targets.begin(), targets.end()),
-                      targets.end());
-        bool found = false;
-        for (int to : targets) {
-            if (to == from || islandWeight[to] + g.weight[u] > bound)
-                continue;
-            long dTok = 0, dEdge = 0;
-            for (int i : g.tokOf[u]) {
-                dTok += tokenCutAt(g.toks[i], u, to, island) -
-                        tokenCutAt(g.toks[i], -1, 0, island);
-            }
-            for (int i : g.pairOf[u]) {
-                dEdge += pairCutAt(g.pairs[i], u, to, island) -
-                         pairCutAt(g.pairs[i], -1, 0, island);
-            }
-            long gain = -cutScore(dTok, dEdge);
-            if (!found || gain > out.gain ||
-                (gain == out.gain && to < out.to)) {
-                out = {gain, u, to, dTok, dEdge};
-                found = true;
-            }
-        }
-        return found;
-    };
-
-    bool improvedEver = false;
-    bool improved = true;
-    for (int pass = 0; improved && pass < std::max(1, maxPasses);
-         ++pass) {
-        improved = false;
-        std::vector<char> locked(g.n, 0);
-        std::priority_queue<Cand> heap;
-        for (int u = 0; u < g.n; ++u) {
-            bool boundary = false;
-            for (int i : g.pairOf[u]) {
-                if (pairCutAt(g.pairs[i], -1, 0, island) > 0) {
-                    boundary = true;
-                    break;
-                }
-            }
-            if (!boundary) {
-                for (int i : g.tokOf[u]) {
-                    if (tokenCutAt(g.toks[i], -1, 0, island) > 0) {
-                        boundary = true;
-                        break;
-                    }
-                }
-            }
-            Cand cand;
-            if (boundary && bestMove(u, cand))
-                heap.push(cand);
-        }
-
-        struct Move
-        {
-            int unit, from, to;
-            long dTok, dEdge;
-        };
-        std::vector<Move> trail;
-        long runTok = curTok, runEdge = curEdge;
-        long bestScore = cutScore(curTok, curEdge);
-        size_t bestLen = 0;
-        int badStreak = 0;
-        while (!heap.empty() && badStreak < maxBadStreak) {
-            Cand top = heap.top();
-            heap.pop();
-            if (locked[top.unit])
-                continue;
-            Cand fresh;
-            if (!bestMove(top.unit, fresh))
-                continue;
-            if (fresh.gain < top.gain) {
-                heap.push(fresh); // stale entry: re-rank and retry
-                continue;
-            }
-            int u = fresh.unit, from = island[u];
-            island[u] = fresh.to;
-            islandWeight[from] -= g.weight[u];
-            islandWeight[fresh.to] += g.weight[u];
-            --islandUnits[from];
-            ++islandUnits[fresh.to];
-            runTok += fresh.dTok;
-            runEdge += fresh.dEdge;
-            locked[u] = 1;
-            trail.push_back({u, from, fresh.to, fresh.dTok, fresh.dEdge});
-            long score = cutScore(runTok, runEdge);
-            if (score < bestScore) {
-                bestScore = score;
-                bestLen = trail.size();
-                badStreak = 0;
-            } else {
-                ++badStreak;
-            }
-            // Rescore every unlocked unit sharing an entry with u.
-            std::vector<int> affected;
-            for (int i : g.tokOf[u]) {
-                affected.push_back(g.toks[i].wc);
-                for (int rc : g.toks[i].readers)
-                    affected.push_back(rc);
-            }
-            for (int i : g.pairOf[u]) {
-                affected.push_back(g.pairs[i].a);
-                affected.push_back(g.pairs[i].b);
-            }
-            std::sort(affected.begin(), affected.end());
-            affected.erase(
-                std::unique(affected.begin(), affected.end()),
-                affected.end());
-            for (int d : affected) {
-                if (d == u || locked[d])
-                    continue;
-                Cand cand;
-                if (bestMove(d, cand))
-                    heap.push(cand);
-            }
-        }
-        // Roll back to the best prefix of the move sequence.
-        while (trail.size() > bestLen) {
-            const Move &m = trail.back();
-            island[m.unit] = m.from;
-            islandWeight[m.to] -= g.weight[m.unit];
-            islandWeight[m.from] += g.weight[m.unit];
-            ++islandUnits[m.from];
-            --islandUnits[m.to];
-            runTok -= m.dTok;
-            runEdge -= m.dEdge;
-            trail.pop_back();
-        }
-        curTok = runTok;
-        curEdge = runEdge;
-        ++passes;
-        moves += static_cast<int>(bestLen);
-        improved = bestLen > 0;
-        improvedEver = improvedEver || improved;
-    }
-    return improvedEver && cutScore(curTok, curEdge) < startScore;
-}
-
-/**
- * Weight-balanced contiguous chunking of units in locality-key order
- * into @p nislands spans — the same heuristic at every granularity
- * (atomic clusters for the seed, matched groups at coarse levels).
+ * Weight-balanced contiguous chunking of atomic clusters in
+ * locality-key order into @p nislands spans.
  */
 std::vector<int>
 chunkAssign(const std::vector<long> &weight,
@@ -503,136 +116,6 @@ chunkAssign(const std::vector<long> &weight,
     return island;
 }
 
-/**
- * Multilevel min-cut refinement: coarsen the cluster graph by heavy-
- * edge matching, seed a fresh chunked assignment at the coarsest
- * level (where subtree-sized moves can restructure the cut — e.g.
- * rotate a mesh strip boundary into a shorter tile boundary), refine
- * it, then uncoarsen level by level with a polishing run at each.
- * The result replaces @p islandOfCluster only if it beats both the
- * seed and a flat single-level KLFM polish of the seed, under the
- * balance bound; otherwise the better of those is kept, so
- * refinement never regresses cut or balance.
- */
-void
-refineMultilevel(const CutGraph &fine, std::vector<int> &islandOfCluster,
-                 int nislands, long totalWeight,
-                 const PartitionOptions &opts, int &passes, int &moves)
-{
-    // Global balance bound shared by every level: the seed's maximum
-    // island weight, or (1+slack)*mean, whichever is looser.
-    std::vector<long> seedWeight(nislands, 0);
-    for (int u = 0; u < fine.n; ++u)
-        seedWeight[islandOfCluster[u]] += fine.weight[u];
-    long seedMax =
-        *std::max_element(seedWeight.begin(), seedWeight.end());
-    double mean =
-        static_cast<double>(totalWeight) / static_cast<double>(nislands);
-    const long bound = std::max(
-        seedMax,
-        static_cast<long>(std::ceil((1.0 + opts.balanceSlack) * mean)));
-    const int maxPasses = std::max(1, opts.maxRefinePasses);
-
-    auto evaluate = [&](const std::vector<int> &island) {
-        long tok = 0, edge = 0;
-        for (const MovToken &e : fine.toks)
-            tok += tokenCutAt(e, -1, 0, island);
-        for (const CombPair &p : fine.pairs)
-            edge += pairCutAt(p, -1, 0, island);
-        std::vector<long> w(nislands, 0);
-        for (int u = 0; u < fine.n; ++u)
-            w[island[u]] += fine.weight[u];
-        long maxw = *std::max_element(w.begin(), w.end());
-        bool nonEmpty = true;
-        for (int i = 0; i < nislands; ++i)
-            nonEmpty = nonEmpty && w[i] > 0;
-        return std::make_tuple(cutScore(tok, edge), maxw, nonEmpty);
-    };
-    long bestScore = 0, bestMaxW = 0;
-    bool seedNonEmpty = false;
-    std::tie(bestScore, bestMaxW, seedNonEmpty) =
-        evaluate(islandOfCluster);
-    std::vector<int> best = islandOfCluster;
-
-    auto consider = [&](const std::vector<int> &cand) {
-        auto [score, maxw, nonEmpty] = evaluate(cand);
-        if (!nonEmpty || maxw > bound)
-            return;
-        if (score < bestScore ||
-            (score == bestScore && maxw < bestMaxW)) {
-            bestScore = score;
-            bestMaxW = maxw;
-            best = cand;
-        }
-    };
-
-    // Candidate 1: flat KLFM polish of the chunked seed. Catches the
-    // cheap wins (clusters stranded on the wrong side of a chunk
-    // boundary) and is monotone, so it never loses to the seed.
-    {
-        std::vector<int> cand = islandOfCluster;
-        klfmRefine(fine, cand, nislands, bound, maxPasses, 64, passes,
-                   moves);
-        consider(cand);
-    }
-
-    // Candidate 2: multilevel rebuild. Units must stay small enough
-    // to move freely under the bound, and the coarsest level keeps
-    // enough of them per island for chunking + KLFM to work with.
-    // Granularity is a real trade-off (coarse units restructure
-    // further per move, fine units pack tighter), so we run the whole
-    // V-cycle at a few unit sizes; the bound-checked acceptance above
-    // keeps only winners, so extra tries can never hurt the plan.
-    auto multilevel = [&](int unitDivisor, int targetPerIsland) {
-        const long maxUnitWeight =
-            std::max<long>(1, totalWeight / (nislands * unitDivisor));
-        struct HLevel
-        {
-            CutGraph g;
-            std::vector<int> toCoarse; // finer-level unit -> this level
-        };
-        std::vector<HLevel> levels;
-        levels.push_back({fine, {}});
-        const int coarseTarget =
-            std::max(64, targetPerIsland * nislands);
-        while (levels.back().g.n > coarseTarget) {
-            std::vector<int> map;
-            CutGraph cg =
-                coarsenGraph(levels.back().g, maxUnitWeight, map);
-            if (cg.n >= levels.back().g.n - levels.back().g.n / 20)
-                break; // matching stalled (<5% reduction)
-            levels.push_back({std::move(cg), std::move(map)});
-        }
-
-        // Fresh chunked seed at the coarsest level, then refine down.
-        // Coarse levels get a generous bad-move streak (restructuring
-        // crosses zero-gain plateaus); finer levels only polish.
-        std::vector<int> assign =
-            chunkAssign(levels.back().g.weight, levels.back().g.key,
-                        nislands);
-        for (size_t L = levels.size(); L-- > 0;) {
-            if (L + 1 < levels.size()) {
-                const std::vector<int> &up = assign;
-                std::vector<int> down(levels[L].g.n);
-                for (int u = 0; u < levels[L].g.n; ++u)
-                    down[u] = up[levels[L + 1].toCoarse[u]];
-                assign = std::move(down);
-            }
-            int streak = L + 1 == levels.size()
-                             ? std::max(64, levels[L].g.n)
-                             : 64;
-            klfmRefine(levels[L].g, assign, nislands, bound, maxPasses,
-                       streak, passes, moves);
-        }
-        consider(assign);
-    };
-    multilevel(8, 16);
-    multilevel(4, 8);
-
-    (void)seedNonEmpty;
-    islandOfCluster = std::move(best);
-}
-
 } // namespace
 
 double
@@ -650,13 +133,6 @@ PartitionPlan::imbalance() const
 
 PartitionPlan
 partitionDesign(const Elaboration &elab, int nislands)
-{
-    return partitionDesign(elab, nislands, PartitionOptions{});
-}
-
-PartitionPlan
-partitionDesign(const Elaboration &elab, int nislands,
-                const PartitionOptions &opts)
 {
     if (elab.hasCombCycle) {
         throw std::logic_error(
@@ -778,91 +254,7 @@ partitionDesign(const Elaboration &elab, int nislands,
         chunkAssign(clusterWeight, clusterKey, nislands);
 
     // ---------------------------------------------------------------
-    // 2b. Cluster-granularity cut model shared by the seed metrics
-    //     and the refinement pass. A token can cross islands only if
-    //     its (unique, by rule (a)) writer cluster differs from some
-    //     reader cluster; a comb edge only if writer and reader block
-    //     live in different clusters. Tokens with no static writer
-    //     are coordinator-broadcast and cost the same everywhere.
-    // ---------------------------------------------------------------
-    CutGraph graph;
-    graph.n = nclusters;
-    graph.weight = clusterWeight;
-    graph.key = clusterKey;
-    int constantCutTokens = 0;
-    for (int t = 0; t < ntokens; ++t) {
-        const bool isArray = t >= static_cast<int>(elab.nets.size());
-        if (tokenWriters[t].empty()) {
-            // Writerless arrays co-locate with their (single, merged)
-            // reader cluster; writerless nets are external-owned and
-            // count as cut under any assignment.
-            if (!isArray && !tokenReaders[t].empty())
-                ++constantCutTokens;
-            continue;
-        }
-        MovToken e;
-        e.wc = clusterOf[tokenWriters[t][0]];
-        for (int r : tokenReaders[t]) {
-            int c = clusterOf[r];
-            if (c != e.wc)
-                e.readers.push_back(c);
-        }
-        if (e.readers.empty())
-            continue; // intra-cluster forever: can never be cut
-        std::sort(e.readers.begin(), e.readers.end());
-        e.readers.erase(
-            std::unique(e.readers.begin(), e.readers.end()),
-            e.readers.end());
-        graph.toks.push_back(std::move(e));
-    }
-    {
-        std::unordered_map<uint64_t, int> pairIndex;
-        for (int b : elab.combOrder) {
-            int cb = clusterOf[b];
-            for (int t : blocks[b].reads) {
-                for (int w : tokenCombWriters[t]) {
-                    if (w == b)
-                        continue;
-                    int cw = clusterOf[w];
-                    if (cw == cb)
-                        continue;
-                    int lo = std::min(cw, cb), hi = std::max(cw, cb);
-                    uint64_t key =
-                        (static_cast<uint64_t>(lo) << 32) |
-                        static_cast<uint32_t>(hi);
-                    auto [it, inserted] = pairIndex.try_emplace(
-                        key, static_cast<int>(graph.pairs.size()));
-                    if (inserted)
-                        graph.pairs.push_back({lo, hi, 0});
-                    ++graph.pairs[it->second].count;
-                }
-            }
-        }
-    }
-    graph.buildIncidence();
-
-    {
-        long seedTok = 0, seedEdge = 0;
-        for (const MovToken &e : graph.toks)
-            seedTok += tokenCutAt(e, -1, 0, islandOfCluster);
-        for (const CombPair &p : graph.pairs)
-            seedEdge += pairCutAt(p, -1, 0, islandOfCluster);
-        plan.seedCutTokens =
-            static_cast<int>(seedTok) + constantCutTokens;
-        plan.seedCutCombEdges = static_cast<int>(seedEdge);
-    }
-
-    // ---------------------------------------------------------------
-    // 2c. Multilevel KLFM min-cut refinement over the chunked seed.
-    // ---------------------------------------------------------------
-    if (opts.refine && nislands > 1 && nclusters > nislands) {
-        refineMultilevel(graph, islandOfCluster, nislands,
-                         plan.totalWeight, opts, plan.refinePasses,
-                         plan.refineMoves);
-    }
-
-    // ---------------------------------------------------------------
-    // 2d. Compact islands the chunker left empty (possible when big
+    // 2b. Compact islands the chunker left empty (possible when big
     //     clusters front-load the weight targets): the plan only ever
     //     exposes islands that own at least one cluster, so workers
     //     and imbalance statistics never see zero-weight islands.
@@ -1021,12 +413,6 @@ partitionReport(const Elaboration &elab, const PartitionPlan &plan)
     os << "  cut: " << plan.cutTokens << " boundary token(s), "
        << plan.cutCombEdges << " cross-island comb edge(s), imbalance "
        << plan.imbalance() << "\n";
-    if (plan.refinePasses > 0)
-        os << "  refinement: seed cut " << plan.seedCutTokens
-           << " token(s) / " << plan.seedCutCombEdges << " edge(s) -> "
-           << plan.cutTokens << " / " << plan.cutCombEdges << " in "
-           << plan.refineMoves << " move(s), " << plan.refinePasses
-           << " pass(es)\n";
     for (size_t i = 0; i < plan.islands.size(); ++i) {
         const PartitionIsland &isl = plan.islands[i];
         os << "  island " << i << ": weight " << isl.weight << " ("

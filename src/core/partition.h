@@ -3,17 +3,20 @@
  * ParSim static design partitioner.
  *
  * Cuts the elaborated block/net graph into load-balanced *islands* for
- * the bulk-synchronous parallel simulator (psim.h). The cut follows
- * the structure the paper's concurrent-structural designs expose:
- * sequential (flop) boundaries cost nothing to cross — a flopped net
- * changes only at the clock edge, so its value is exchanged once per
- * cycle — while combinational edges that cross islands are legal but
- * force an extra settle *superstep* (a barrier-separated exchange
- * round). Val/rdy channels between components cut cheaply because the
- * stdlib queues drive their handshake outputs from registered state,
- * so a channel contributes at most one cross-island comb edge (the
- * backward rdy path), giving a two-superstep settle for meshes of any
- * size.
+ * the bulk-synchronous parallel simulator (psim.h) in two steps:
+ * union-find groups the blocks that must share an island into atomic
+ * clusters, then the clusters, sorted by a locality key (model
+ * pre-order), are chunked into contiguous weight-balanced spans. The
+ * cut follows the structure the paper's concurrent-structural designs
+ * expose: sequential (flop) boundaries cost nothing to cross — a
+ * flopped net changes only at the clock edge, so its value is
+ * exchanged once per cycle — while combinational edges that cross
+ * islands are legal but force an extra settle *superstep* (a
+ * barrier-separated exchange round). Val/rdy channels between
+ * components cut cheaply because the stdlib queues drive their
+ * handshake outputs from registered state, so a channel contributes
+ * at most one cross-island comb edge (the backward rdy path), giving
+ * a two-superstep settle for meshes of any size.
  *
  * Only blocks with statically known effects are assigned to islands:
  * IR blocks (CombIr/TickIr, whose read/write sets come from the IR)
@@ -40,22 +43,6 @@ namespace cmtl {
 
 /** Island index of the external participant (main thread). */
 constexpr int kExternalIsland = -1;
-
-/** Tuning knobs for partitionDesign(). */
-struct PartitionOptions
-{
-    /**
-     * Run the KLFM-style min-cut refinement pass over the chunked
-     * seed: iteratively move boundary clusters between islands when
-     * the move shrinks the cut (tokens first, comb edges as the
-     * tiebreak) without exceeding the balance bound.
-     */
-    bool refine = true;
-    /** Maximum refinement passes (a pass locks each moved cluster). */
-    int maxRefinePasses = 8;
-    /** An island may grow to (1+slack)*mean weight (or the seed max). */
-    double balanceSlack = 0.10;
-};
 
 /** One island of the partitioned design. */
 struct PartitionIsland
@@ -114,14 +101,6 @@ struct PartitionPlan
      */
     int requestedIslands = 0;
 
-    /** Cut of the weight-balanced seed, before refinement. */
-    int seedCutTokens = 0;
-    int seedCutCombEdges = 0;
-
-    /** Refinement effort actually spent. */
-    int refinePasses = 0;
-    int refineMoves = 0;
-
     /** max island weight / mean island weight (1.0 = perfect). */
     double imbalance() const;
 };
@@ -132,13 +111,9 @@ struct PartitionPlan
  * @p nislands is clamped to [1, number of atomic clusters], and
  * islands the weight-balancer leaves empty are compacted away — the
  * plan's nislands is the effective count, requestedIslands the ask.
- * By default the weight-balanced seed is improved by a KLFM-style
- * min-cut refinement pass (see PartitionOptions). Throws
- * std::logic_error if the design has a combinational cycle (ParSim is
- * statically scheduled, like SchedMode::Static).
+ * Throws std::logic_error if the design has a combinational cycle
+ * (ParSim is statically scheduled, like SchedMode::Static).
  */
-PartitionPlan partitionDesign(const Elaboration &elab, int nislands,
-                              const PartitionOptions &opts);
 PartitionPlan partitionDesign(const Elaboration &elab, int nislands);
 
 /** Human-readable partition-quality report (one line per island). */

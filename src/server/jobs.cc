@@ -133,6 +133,9 @@ JobScheduler::submit(JobSpec spec, uint64_t owner, std::string *error)
     auto job = std::make_shared<Job>();
     job->id = next_id_++;
     job->spec = std::move(spec);
+    // A job runs with the threads it is charged for, so ParSim never
+    // spins more workers than the budget units it holds.
+    job->spec.cfg.threads = costOf(job->spec);
     job->owner = owner;
     jobs_.emplace(job->id, job);
     ++nonterminal_;

@@ -11,7 +11,8 @@
  *
  * Scheduling: shortest-remaining-cycles first over the queued set. A
  * job with cfg.threads = T draws min(T, budget) units of the thread
- * budget, so ParSim jobs and sequential jobs share one pool.
+ * budget and runs with that many threads, so ParSim jobs and
+ * sequential jobs share one pool.
  * Preemption composes the two cooperative primitives grown for it:
  * Simulator::requestPause() stops the victim at the next cycle
  * boundary, snapSave() captures its complete architectural state into
@@ -111,7 +112,8 @@ class JobScheduler
   public:
     /**
      * @param thread_budget total concurrent host threads for jobs
-     *        (a job costs min(max(1, cfg.threads), thread_budget))
+     *        (a job costs min(max(1, cfg.threads), thread_budget)
+     *        and runs with that many threads)
      * @param queue_cap     max jobs waiting or running; submits beyond
      *        it are rejected, keeping the daemon's memory bounded
      * @param make_design   factory resolving spec.design (throws on

@@ -1,6 +1,8 @@
 #include "proto.h"
 
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -123,7 +125,12 @@ Json::asU64(uint64_t dflt) const
 int
 Json::asInt(int dflt) const
 {
-    return kind == Kind::Num ? static_cast<int>(num) : dflt;
+    // Only an integral number inside int's range converts: 2.7, 1e20
+    // and inf yield the default instead of truncating or overflowing.
+    if (kind != Kind::Num || num != std::trunc(num) || num < INT_MIN ||
+        num > INT_MAX)
+        return dflt;
+    return static_cast<int>(num);
 }
 
 std::string

@@ -56,7 +56,7 @@ specFromJson(const Json &req, JobSpec *spec, std::string *error)
         }
     }
     if (const Json *v = req.find("threads")) {
-        out.cfg.threads = v->asInt(1);
+        out.cfg.threads = v->asInt(0);
         if (out.cfg.threads < 1) {
             *error = "threads wants a positive integer";
             return false;
@@ -74,7 +74,7 @@ specFromJson(const Json &req, JobSpec *spec, std::string *error)
     if (const Json *v = req.find("seed"))
         out.seed = v->asU64(out.seed);
     if (const Json *v = req.find("nrouters")) {
-        out.nrouters = v->asInt(out.nrouters);
+        out.nrouters = v->asInt(0);
         if (out.nrouters < 1) {
             *error = "nrouters wants a positive integer";
             return false;

@@ -1,5 +1,8 @@
 #include "options.h"
 
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,19 +41,44 @@ isLevelToken(const char *arg)
            !std::strcmp(arg, "clspec") || !std::strcmp(arg, "rtl");
 }
 
+/** Decimal digits only, no sign or blanks, and within @p max. */
+bool
+parseDigits(const std::string &text, unsigned long long max,
+            unsigned long long &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    out = std::strtoull(text.c_str(), nullptr, 10);
+    return errno != ERANGE && out <= max;
+}
+
 /** Parse an unsigned cycle/interval count; exits(2) on garbage. */
 uint64_t
 parseCount(const char *prog, const char *flag, const std::string &text)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || end == nullptr || *end != '\0') {
+    unsigned long long v = 0;
+    if (!parseDigits(text, UINT64_MAX, v)) {
         std::fprintf(stderr, "%s: %s wants a non-negative integer, "
                              "got '%s'\n",
                      prog, flag, text.c_str());
         std::exit(2);
     }
     return static_cast<uint64_t>(v);
+}
+
+/** Parse a positive int count (--threads, --jobs); exits(2) on garbage. */
+int
+parsePositive(const char *prog, const char *flag, const std::string &text)
+{
+    unsigned long long v = 0;
+    if (!parseDigits(text, INT_MAX, v) || v == 0) {
+        std::fprintf(stderr, "%s: %s wants a positive integer, got '%s'\n",
+                     prog, flag, text.c_str());
+        std::exit(2);
+    }
+    return static_cast<int>(v);
 }
 
 } // namespace
@@ -123,13 +151,7 @@ SimOptions::parse(int argc, char **argv)
                 std::exit(2);
             }
         } else if (optionValue("--threads", argc, argv, i, value)) {
-            opts.threads = std::atoi(value.c_str());
-            if (opts.threads < 1) {
-                std::fprintf(stderr, "%s: --threads wants a positive "
-                                     "integer, got '%s'\n",
-                             argv[0], value.c_str());
-                std::exit(2);
-            }
+            opts.threads = parsePositive(argv[0], "--threads", value);
             // Oversubscribing ParSim's spin-barrier workers is strictly
             // counterproductive (spinners time-slice against each
             // other), so the CLI clamps to the hardware. Programmatic
@@ -201,13 +223,7 @@ SimOptions::parse(int argc, char **argv)
             }
             opts.listen = value;
         } else if (optionValue("--jobs", argc, argv, i, value)) {
-            opts.jobs = std::atoi(value.c_str());
-            if (opts.jobs < 1) {
-                std::fprintf(stderr, "%s: --jobs wants a positive "
-                                     "integer, got '%s'\n",
-                             argv[0], value.c_str());
-                std::exit(2);
-            }
+            opts.jobs = parsePositive(argv[0], "--jobs", value);
         } else if (!std::strcmp(argv[i], "--help")) {
             std::printf("usage: %s [options]\n%s", argv[0],
                         helpTable());

@@ -588,7 +588,7 @@ TEST(MaxBound, TracksConstantsWidthsAndRefinements)
     EXPECT_EQ(irMaxBound(lit(8, 5).node()), 5u);
     EXPECT_EQ(irMaxBound(rd(top.narrow).node()), 7u);
     EXPECT_EQ(irMaxBound(rd(top.wide).node()), 255u);
-    // Slices and masks refine the bound below the width's maximum.
+    // Slices and masks tighten the bound below the width's maximum.
     EXPECT_EQ(irMaxBound(rd(top.wide).slice(0, 2).node()), 3u);
     EXPECT_EQ(irMaxBound((rd(top.wide) & lit(8, 0x7)).node()), 7u);
     // Comparisons are 1-bit.

@@ -766,6 +766,25 @@ TEST(SimOptionsParse, ThreadsClampToHardwareConcurrency)
     EXPECT_EQ(opts.cfg.threads, static_cast<int>(hw));
 }
 
+TEST(SimOptionsParseDeath, BadThreadsAndJobsValuesExit2)
+{
+    // Parsed as strictly as --cycles: a trailing suffix, a sign, a
+    // fraction or an int overflow is a diagnostic, not a truncation.
+    for (const char *flag : {"--threads", "--jobs"}) {
+        for (const char *bad : {"2x", "", "0", "-1", "+2", " 2", "2.5",
+                                "4294967298"}) {
+            std::vector<std::string> args = {
+                "prog", std::string(flag) + "=" + bad};
+            auto argv = argvOf(args);
+            EXPECT_EXIT(cmtl::stdlib::SimOptions::parse(
+                            static_cast<int>(argv.size()), argv.data()),
+                        ::testing::ExitedWithCode(2),
+                        "wants a positive integer")
+                << flag << "=" << bad;
+        }
+    }
+}
+
 TEST(SimOptionsParse, DefaultsWhenNothingGiven)
 {
     ::unsetenv("CMTL_BENCH_FULL");
@@ -819,11 +838,14 @@ TEST(SimOptionsParseDeath, HelpPrintsTheOptionTableAndExits0)
 
 TEST(SimOptionsParseDeath, BadCyclesValueExits2)
 {
-    std::vector<std::string> args = {"prog", "--cycles=soon"};
-    auto argv = argvOf(args);
-    EXPECT_EXIT(cmtl::stdlib::SimOptions::parse(
-                    static_cast<int>(argv.size()), argv.data()),
-                ::testing::ExitedWithCode(2), "non-negative integer");
+    for (const char *bad : {"--cycles=soon", "--cycles=-1"}) {
+        std::vector<std::string> args = {"prog", bad};
+        auto argv = argvOf(args);
+        EXPECT_EXIT(cmtl::stdlib::SimOptions::parse(
+                        static_cast<int>(argv.size()), argv.data()),
+                    ::testing::ExitedWithCode(2), "non-negative integer")
+            << bad;
+    }
 }
 
 TEST(SimOptionsParse, CheckpointVcdAndResumeOptions)

@@ -303,44 +303,6 @@ TEST(Partition, BalancesMeshAcrossIslands)
     EXPECT_LT(plan.imbalance(), 1.25);
 }
 
-TEST(Partition, RefinementShrinksMeshCut)
-{
-    auto top = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 64,
-                                                4, 0.2, 3);
-    auto elab = top->elaborate();
-    for (int n : {2, 4, 8}) {
-        PartitionOptions chunked;
-        chunked.refine = false;
-        PartitionPlan seed = partitionDesign(*elab, n, chunked);
-        PartitionPlan refined = partitionDesign(*elab, n);
-
-        // The refined plan records the seed it started from, and the
-        // recorded seed matches an actual chunked run.
-        ASSERT_EQ(refined.seedCutTokens, seed.cutTokens)
-            << "islands=" << n;
-        ASSERT_EQ(refined.seedCutCombEdges, seed.cutCombEdges)
-            << "islands=" << n;
-        EXPECT_EQ(seed.refineMoves, 0);
-
-        // Refinement never regresses the cut, and must strictly
-        // shrink it wherever the chunked strips are suboptimal: at 4+
-        // islands a mesh admits tilings with shorter boundaries than
-        // the locality-sorted row strips. (At 2 islands the single
-        // strip boundary is already globally minimal, so equality is
-        // the correct answer there.)
-        EXPECT_LE(refined.cutTokens, seed.cutTokens) << "islands=" << n;
-        if (n >= 4) {
-            EXPECT_LT(refined.cutTokens, seed.cutTokens)
-                << "islands=" << n;
-        }
-        EXPECT_GT(refined.refinePasses, 0);
-
-        // ...without blowing the balance bound.
-        EXPECT_LE(refined.imbalance(),
-                  std::max(seed.imbalance(), 1.11));
-    }
-}
-
 TEST(Partition, ClampsAndCompactsDegenerateIslandCounts)
 {
     auto top = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 4,

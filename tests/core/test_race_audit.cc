@@ -41,25 +41,17 @@ TEST(RaceAudit, MeshPartitionsPassAtEveryIslandCount)
     }
 }
 
-TEST(RaceAudit, RefinedAndChunkedPlansPassOnCorpus)
+TEST(RaceAudit, PlansPassOnCorpus)
 {
-    // Both the weight-balanced seed and the KLFM-refined plan must
-    // prove every audit invariant, on every corpus design, at every
-    // island count — refinement may only move whole atomic clusters,
-    // so nothing it does can introduce a race.
+    // The chunked plan must prove every audit invariant, on every
+    // corpus design, at every island count.
     auto check = [](const Elaboration &elab, const char *what) {
         for (int islands : {2, 4, 8}) {
-            for (bool refine : {false, true}) {
-                PartitionOptions opts;
-                opts.refine = refine;
-                PartitionPlan plan =
-                    partitionDesign(elab, islands, opts);
-                RaceAuditReport report = auditPartition(elab, plan);
-                EXPECT_TRUE(report.ok())
-                    << what << " islands=" << islands
-                    << " refine=" << refine << "\n" << report.format();
-                EXPECT_LE(plan.cutTokens, plan.seedCutTokens);
-            }
+            PartitionPlan plan = partitionDesign(elab, islands);
+            RaceAuditReport report = auditPartition(elab, plan);
+            EXPECT_TRUE(report.ok())
+                << what << " islands=" << islands << "\n"
+                << report.format();
         }
     };
     net::MeshNetworkRTL mesh(nullptr, "mesh", 4, 16, 16, 2);

@@ -69,6 +69,17 @@ TEST(Json, SetOverwritesKey)
     EXPECT_EQ(obj.find("k")->asInt(), 2);
 }
 
+TEST(Json, AsIntRejectsNonIntegralAndOutOfRange)
+{
+    EXPECT_EQ(jsonParse("3").asInt(-1), 3);
+    EXPECT_EQ(jsonParse("-5.0").asInt(-1), -5);
+    EXPECT_EQ(jsonParse("2147483647").asInt(-1), 2147483647);
+    EXPECT_EQ(jsonParse("-2147483648").asInt(-1), -2147483647 - 1);
+    for (const char *text : {"2.7", "-0.5", "2147483648", "-2147483649",
+                             "1e20", "1e999", "\"3\"", "null"})
+        EXPECT_EQ(jsonParse(text).asInt(-1), -1) << text;
+}
+
 TEST(Json, MalformedInputsThrow)
 {
     const char *bad[] = {

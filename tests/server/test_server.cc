@@ -72,6 +72,49 @@ TEST(JobScheduler, ParSimJobMatchesSequential)
     EXPECT_EQ(info.result.digest, oneshot.digest);
 }
 
+TEST(JobScheduler, OverBudgetThreadsRunAtTheirCharge)
+{
+    // A job asking for more threads than the budget is charged the
+    // whole budget, and runs (and reports) exactly that many.
+    JobScheduler sched(2, 16, defaultCorpusFactory());
+    JobSpec par = clSpec(500);
+    par.cfg.threads = 8;
+    std::string error;
+    int id = sched.submit(par, 0, &error);
+    ASSERT_GE(id, 0) << error;
+    std::vector<JobInfo> st = sched.status(id);
+    ASSERT_EQ(st.size(), 1u);
+    EXPECT_EQ(st[0].spec.cfg.threads, 2);
+    JobInfo info = sched.awaitResult(id);
+    ASSERT_EQ(info.state, JobState::Done) << info.result.error;
+    EXPECT_EQ(info.spec.cfg.threads, 2);
+    EXPECT_EQ(info.result.digest,
+              runOneShot(clSpec(500), defaultCorpusFactory()).digest);
+}
+
+TEST(SpecFromJson, RejectsNonIntegralAndOutOfRangeCounts)
+{
+    for (const char *key : {"threads", "nrouters"}) {
+        for (const char *bad :
+             {"2.7", "1e20", "3000000000", "0", "-1", "\"4\"", "true"}) {
+            Json req = jsonParse(std::string("{\"") + key + "\":" + bad +
+                                 "}");
+            JobSpec spec;
+            std::string error;
+            EXPECT_FALSE(specFromJson(req, &spec, &error))
+                << key << "=" << bad;
+            EXPECT_EQ(error, std::string(key) + " wants a positive integer")
+                << key << "=" << bad;
+        }
+    }
+    Json req = jsonParse("{\"threads\":4,\"nrouters\":16.0}");
+    JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(specFromJson(req, &spec, &error)) << error;
+    EXPECT_EQ(spec.cfg.threads, 4);
+    EXPECT_EQ(spec.nrouters, 16);
+}
+
 // The headline preemption property: pause -> snapshot -> teardown ->
 // rebuild -> restore -> finish is invisible in the final digest.
 TEST(JobScheduler, PreemptedJobFinishesBitIdentical)
