@@ -459,7 +459,9 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
     }
 }
 
-void
+// The dispatch loop's speed depends on where it sits relative to cache
+// lines: pin it to one, so code size changes elsewhere cannot move it.
+[[gnu::aligned(64)]] void
 bcRun(const BcInstance &inst, uint64_t *words, uint64_t *frame)
 {
     const BcProgram &prog = *inst.prog;

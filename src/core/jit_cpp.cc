@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -106,34 +107,10 @@ makeDirs(const std::string &path)
 
 } // namespace
 
-CppJitLibrary::~CppJitLibrary()
+void
+CppJitLibrary::Close::operator()(void *handle) const
 {
-    if (handle_)
-        ::dlclose(handle_);
-}
-
-CppJitLibrary::CppJitLibrary(CppJitLibrary &&other) noexcept
-    : handle_(other.handle_), groups_(std::move(other.groups_)),
-      cache_hit_(other.cache_hit_), compile_seconds_(other.compile_seconds_),
-      wrap_seconds_(other.wrap_seconds_)
-{
-    other.handle_ = nullptr;
-}
-
-CppJitLibrary &
-CppJitLibrary::operator=(CppJitLibrary &&other) noexcept
-{
-    if (this != &other) {
-        if (handle_)
-            ::dlclose(handle_);
-        handle_ = other.handle_;
-        groups_ = std::move(other.groups_);
-        cache_hit_ = other.cache_hit_;
-        compile_seconds_ = other.compile_seconds_;
-        wrap_seconds_ = other.wrap_seconds_;
-        other.handle_ = nullptr;
-    }
-    return *this;
+    ::dlclose(handle);
 }
 
 CppJit::CppJit(std::string cache_dir, bool use_cache,
@@ -200,13 +177,27 @@ CppJit::flagString() const
 uint64_t
 CppJit::cacheMaxBytes()
 {
-    if (const char *env = std::getenv("CMTL_JIT_CACHE_MAX_MB")) {
-        char *end = nullptr;
-        unsigned long long mb = std::strtoull(env, &end, 10);
-        if (end != env)
-            return static_cast<uint64_t>(mb) * 1024 * 1024;
+    constexpr uint64_t kDefaultMb = 256;
+    constexpr uint64_t kMaxMb = UINT64_MAX >> 20; // MiB that fit in bytes
+    const char *env = std::getenv("CMTL_JIT_CACHE_MAX_MB");
+    if (!env)
+        return kDefaultMb << 20;
+    // Plain digits only: strtoull would read "12abc" as 12, wrap "-1"
+    // around, and a huge count would overflow when scaled to bytes.
+    uint64_t mb = 0;
+    bool ok = *env != '\0';
+    for (const char *c = env; ok && *c; ++c) {
+        const uint64_t digit = static_cast<uint64_t>(*c - '0');
+        ok = digit <= 9 && mb <= (kMaxMb - digit) / 10;
+        mb = mb * 10 + digit;
     }
-    return 256ull * 1024 * 1024;
+    if (ok)
+        return mb << 20;
+    std::fprintf(stderr,
+                 "SimJIT: ignoring CMTL_JIT_CACHE_MAX_MB='%s' (wants a "
+                 "whole number of MiB); using the 256 MiB default\n",
+                 env);
+    return kDefaultMb << 20;
 }
 
 void
@@ -322,13 +313,13 @@ CppJit::compile(const std::string &source, int ngroups)
     lib.compile_seconds_ = seconds() - t0;
 
     double t1 = seconds();
-    lib.handle_ = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+    lib.handle_.reset(::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL));
     if (!lib.handle_)
         throw std::runtime_error(std::string("SimJIT: dlopen failed: ") +
                                  ::dlerror());
     for (int k = 0; k < ngroups; ++k) {
         std::string sym = "cmtl_grp_" + std::to_string(k);
-        void *fn = ::dlsym(lib.handle_, sym.c_str());
+        void *fn = ::dlsym(lib.handle_.get(), sym.c_str());
         if (!fn)
             throw std::runtime_error("SimJIT: missing symbol " + sym);
         lib.groups_.push_back(
@@ -336,20 +327,6 @@ CppJit::compile(const std::string &source, int ngroups)
     }
     lib.wrap_seconds_ = seconds() - t1;
     return lib;
-}
-
-std::vector<CppJitLibrary>
-CppJit::compileMany(const std::vector<std::string> &sources,
-                    const std::vector<int> &ngroups)
-{
-    if (sources.size() != ngroups.size())
-        throw std::logic_error(
-            "SimJIT: compileMany sources/ngroups size mismatch");
-    std::vector<CppJitLibrary> libs;
-    libs.reserve(sources.size());
-    for (size_t i = 0; i < sources.size(); ++i)
-        libs.push_back(compile(sources[i], ngroups[i]));
-    return libs;
 }
 
 } // namespace cmtl

@@ -21,23 +21,18 @@
 #ifndef CMTL_CORE_JIT_CPP_H
 #define CMTL_CORE_JIT_CPP_H
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace cmtl {
 
-/** A loaded specialized library. Owns the dlopen handle. */
+/** A loaded specialized library. Owns the dlopen handle (move-only). */
 class CppJitLibrary
 {
   public:
     using GroupFn = void (*)(uint64_t *);
-
-    CppJitLibrary() = default;
-    ~CppJitLibrary();
-    CppJitLibrary(CppJitLibrary &&other) noexcept;
-    CppJitLibrary &operator=(CppJitLibrary &&other) noexcept;
-    CppJitLibrary(const CppJitLibrary &) = delete;
-    CppJitLibrary &operator=(const CppJitLibrary &) = delete;
 
     bool loaded() const { return handle_ != nullptr; }
     GroupFn group(int k) const { return groups_.at(k); }
@@ -49,7 +44,11 @@ class CppJitLibrary
 
   private:
     friend class CppJit;
-    void *handle_ = nullptr;
+    struct Close
+    {
+        void operator()(void *handle) const;
+    };
+    std::unique_ptr<void, Close> handle_;
     std::vector<GroupFn> groups_;
     bool cache_hit_ = false;
     double compile_seconds_ = 0.0;
@@ -97,8 +96,10 @@ class CppJit
 
     /**
      * Cache size cap in bytes: $CMTL_JIT_CACHE_MAX_MB, default 256
-     * MiB. After every publish the cache is trimmed back under the
-     * cap by deleting the least-recently-used entries (cache hits
+     * MiB. The variable must be plain decimal digits whose MiB fit in
+     * 64 bits; any other value prints a warning and keeps the
+     * default. After every publish the cache is trimmed back under
+     * the cap by deleting the least-recently-used entries (cache hits
      * refresh an entry's mtime).
      */
     static uint64_t cacheMaxBytes();
@@ -117,17 +118,6 @@ class CppJit
      * compiler failure.
      */
     CppJitLibrary compile(const std::string &source, int ngroups);
-
-    /**
-     * Compile several independent translation units — one library per
-     * source, each with its own cache entry, so per-unit cache hits
-     * survive edits to the others. ParSim's cpp-design tier uses this
-     * for its one-TU-per-island modules. @p ngroups must parallel
-     * @p sources. Throws on the first failing compile.
-     */
-    std::vector<CppJitLibrary>
-    compileMany(const std::vector<std::string> &sources,
-                const std::vector<int> &ngroups);
 
   private:
     std::string cache_dir_;

@@ -91,8 +91,6 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
 
 ParSimulationTool::~ParSimulationTool()
 {
-    if (jit_thread_.joinable())
-        jit_thread_.join();
     shutdownWorkers();
     for (Signal *sig : elab_->signals) {
         if (sig->access() == this)
@@ -249,7 +247,6 @@ ParSimulationTool::specialize()
         markSteps(comb_steps_[i]);
         markSteps(tick_steps_[i]);
     }
-    spec_stats_.numGroups = static_cast<int>(groups.size());
 
     std::vector<int> members;
     std::vector<CppUnit> units(groups.size());
@@ -261,72 +258,55 @@ ParSimulationTool::specialize()
     }
     bc_ = BcModule(*elab_, *replicas_[0], members);
     CppProgram program = cppEmitProgram(*elab_, *replicas_[0], bc_, units);
-    spec_stats_.emittedTuBytes = program.source.size();
-    spec_stats_.kernelTypes = program.kernelTypes;
     spec_stats_.codegenSeconds = sw.elapsed();
-
-    CppJit jit(cfg_.jit_cache_dir.empty() ? CppJit::defaultCacheDir()
-                                          : cfg_.jit_cache_dir,
-               cfg_.jit_cache);
-    cpp_lib_ = jit.compile(program.source, static_cast<int>(groups.size()));
-    spec_stats_.compileSeconds = cpp_lib_.compileSeconds();
-    spec_stats_.wrapSeconds = cpp_lib_.wrapSeconds();
-    spec_stats_.cacheHit = cpp_lib_.cacheHit();
+    buildNative(std::move(program), static_cast<int>(units.size()));
 }
 
 void
 ParSimulationTool::specializeDesign()
 {
     Stopwatch sw;
-    // Native tier: each island's schedule fused into whole-island
-    // modules (one per superstep level for comb — the bulk-synchronous
-    // push points are immovable — one for the tick list, one for the
-    // flop phase), built over the bytecode-marked schedules so
-    // unspecialized blocks keep their slot-evaluated steps. One
-    // translation unit is emitted PER ISLAND (group indices are local
-    // to the island's library): each island's module gets its own
-    // cache entry, so repartitioning or editing one island's logic
-    // recompiles only the TUs whose source actually changed.
+    // Native tier: each island's schedule fused into island units (one
+    // per superstep level for comb — the bulk-synchronous push points
+    // are immovable — one for the tick list, one for the flop phase),
+    // built over the bytecode-marked schedules so unspecialized blocks
+    // keep their slot-evaluated steps. Every island's units go into
+    // one translation unit, so each block kernel is emitted once.
     nat_comb_steps_ = comb_steps_;
     nat_tick_steps_ = tick_steps_;
     island_flop_unit_.assign(plan_.nislands, -1);
-    island_sources_.assign(plan_.nislands, {});
-    island_nunits_.assign(plan_.nislands, 0);
-    design_nunits_ = 0;
-    spec_stats_.emittedTuBytes = 0;
-    spec_stats_.kernelTypes = 0;
-    for (int i = 0; i < plan_.nislands; ++i) {
-        std::vector<CppUnit> units;
-        auto fuse = [&](std::vector<PStep> &steps, bool levelBound) {
-            std::vector<PStep> out;
-            size_t k = 0;
-            while (k < steps.size()) {
-                if (!specialized_[steps[k].block]) {
-                    out.push_back(steps[k]);
-                    ++k;
-                    continue;
-                }
-                CppUnit unit;
-                size_t j = k;
-                while (j < steps.size() && specialized_[steps[j].block] &&
-                       (!levelBound || steps[j].level == steps[k].level)) {
-                    unit.items.push_back(CppUnit::Item{steps[j].block});
-                    ++j;
-                }
-                PStep step;
-                step.kind = PStep::Kind::Native;
-                step.block = steps[k].block;
-                step.group = static_cast<int>(units.size());
-                step.level = steps[k].level;
-                units.push_back(std::move(unit));
-                out.push_back(step);
-                k = j;
+    std::vector<CppUnit> units;
+    auto fuse = [&](std::vector<PStep> &steps, bool levelBound) {
+        std::vector<PStep> out;
+        size_t k = 0;
+        while (k < steps.size()) {
+            if (!specialized_[steps[k].block]) {
+                out.push_back(steps[k]);
+                ++k;
+                continue;
             }
-            steps = std::move(out);
-        };
+            CppUnit unit;
+            size_t j = k;
+            while (j < steps.size() && specialized_[steps[j].block] &&
+                   (!levelBound || steps[j].level == steps[k].level)) {
+                unit.items.push_back(CppUnit::Item{steps[j].block});
+                ++j;
+            }
+            PStep step;
+            step.kind = PStep::Kind::Native;
+            step.block = steps[k].block;
+            step.group = static_cast<int>(units.size());
+            step.level = steps[k].level;
+            units.push_back(std::move(unit));
+            out.push_back(step);
+            k = j;
+        }
+        steps = std::move(out);
+    };
+    for (int i = 0; i < plan_.nislands; ++i) {
         fuse(nat_comb_steps_[i], true);
         fuse(nat_tick_steps_[i], false);
-        // Island flop module over its owned statically flopped nets
+        // Island flop unit over its owned statically flopped nets
         // (dynamic lambda flops stay on the coordinator), coalesced
         // into whole-word copy ranges.
         CppUnit flop_unit;
@@ -334,91 +314,21 @@ ParSimulationTool::specializeDesign()
             flop_unit.items.push_back(CppUnit::Item{-1, r.off, r.nwords});
         island_flop_unit_[i] = static_cast<int>(units.size());
         units.push_back(std::move(flop_unit));
-
-        // Replica 0's offsets are every replica's offsets, so one
-        // emission serves whichever replica the code later runs on.
-        CppProgram program =
-            cppEmitProgram(*elab_, *replicas_[0], bc_, units);
-        island_sources_[i] = std::move(program.source);
-        island_nunits_[i] = static_cast<int>(units.size());
-        spec_stats_.emittedTuBytes += island_sources_[i].size();
-        spec_stats_.kernelTypes += program.kernelTypes;
-        design_nunits_ += island_nunits_[i];
     }
+    // Replica 0's offsets are every replica's offsets, so one emission
+    // serves whichever replica the code later runs on.
+    CppProgram program = cppEmitProgram(*elab_, *replicas_[0], bc_, units);
     spec_stats_.codegenSeconds += sw.elapsed();
-    spec_stats_.tiered = cfg_.jit_tiered;
-
-    std::string cache_dir = cfg_.jit_cache_dir.empty()
-                                ? CppJit::defaultCacheDir()
-                                : cfg_.jit_cache_dir;
-    if (!cfg_.jit_tiered) {
-        // Workers have not started yet, so adopting here is trivially
-        // safe; the first cycle runs native.
-        CppJit jit(cache_dir, cfg_.jit_cache, CppJit::kWholeDesignFlags);
-        island_libs_ = jit.compileMany(island_sources_, island_nunits_);
-        adoptNativeTier();
-        return;
-    }
-    jit_thread_ = std::thread([this, cache_dir] {
-        try {
-            CppJit jit(cache_dir, cfg_.jit_cache,
-                       CppJit::kWholeDesignFlags);
-            pending_libs_ =
-                jit.compileMany(island_sources_, island_nunits_);
-        } catch (...) {
-            jit_error_ = std::current_exception();
-        }
-        jit_ready_.store(true, std::memory_order_release);
-    });
+    buildNative(std::move(program), static_cast<int>(units.size()));
 }
 
 void
-ParSimulationTool::adoptNativeTier()
+ParSimulationTool::useNativeSchedule()
 {
-    // Aggregate over the per-island libraries: total build time, and
-    // a cache hit only when every island's TU hit.
-    spec_stats_.compileSeconds = 0.0;
-    spec_stats_.wrapSeconds = 0.0;
-    spec_stats_.cacheHit = !island_libs_.empty();
-    for (const CppJitLibrary &lib : island_libs_) {
-        spec_stats_.compileSeconds += lib.compileSeconds();
-        spec_stats_.wrapSeconds += lib.wrapSeconds();
-        spec_stats_.cacheHit = spec_stats_.cacheHit && lib.cacheHit();
-    }
-    spec_stats_.numGroups = design_nunits_;
-    spec_stats_.tierSwapCycle = static_cast<int64_t>(numCycles());
+    // Workers are parked before the next start barrier (or not started
+    // yet); the barrier that releases them publishes the new schedules.
     comb_steps_ = std::move(nat_comb_steps_);
     tick_steps_ = std::move(nat_tick_steps_);
-    design_native_ = true;
-}
-
-void
-ParSimulationTool::maybeSwapTier()
-{
-    if (!designMode() || design_native_ || tier_failed_ ||
-        !cfg_.jit_tiered)
-        return;
-    if (!jit_ready_.load(std::memory_order_acquire))
-        return;
-    if (jit_thread_.joinable())
-        jit_thread_.join();
-    if (jit_error_) {
-        tier_failed_ = true;
-        std::exception_ptr err = jit_error_;
-        jit_error_ = nullptr;
-        std::rethrow_exception(err);
-    }
-    island_libs_ = std::move(pending_libs_);
-    // Every worker is parked before the next start barrier; the
-    // barrier that releases them also publishes the swapped schedules.
-    adoptNativeTier();
-}
-
-bool
-ParSimulationTool::tierPending() const
-{
-    return designMode() && cfg_.jit_tiered && !design_native_ &&
-           !tier_failed_;
 }
 
 LayoutStats
@@ -597,10 +507,7 @@ ParSimulationTool::runPStepImpl(int island, const PStep &step)
               bc_frames_[island].data());
         break;
       case PStep::Kind::Native:
-        // cpp-design fused steps live in the island's own library
-        // (island-local group indices); cpp-block groups share one.
-        (design_native_ ? island_libs_[island] : cpp_lib_)
-            .group(step.group)(replicas_[island]->data());
+        cpp_lib_.group(step.group)(replicas_[island]->data());
         break;
     }
 }
@@ -652,8 +559,7 @@ void
 ParSimulationTool::runIslandFlop(int island)
 {
     if (design_native_) {
-        island_libs_[island].group(island_flop_unit_[island])(
-            replicas_[island]->data());
+        cpp_lib_.group(island_flop_unit_[island])(replicas_[island]->data());
     } else {
         // Whole-word range copies of the island's static flop set.
         replicas_[island]->flopRanges(island_flop_plans_[island]);

@@ -127,7 +127,6 @@ class ParSimulationTool : public Simulator
     std::vector<int> dynamicFlopNets() const override;
     void registerDynamicFlops(const std::vector<int> &nets) override;
 
-    bool tierPending() const override;
     LayoutStats layoutStats() const override;
 
     // --- SignalAccess ----------------------------------------------
@@ -159,13 +158,10 @@ class ParSimulationTool : public Simulator
         int n;
     };
 
-    bool designMode() const { return cfg_.backend == Backend::CppDesign; }
-
     void buildIslandSchedules();
     void specialize();
     void specializeDesign();
-    void adoptNativeTier();
-    void maybeSwapTier();
+    void useNativeSchedule() override;
     void startWorkers();
     void shutdownWorkers();
     void workerLoop(int island);
@@ -202,33 +198,19 @@ class ParSimulationTool : public Simulator
     // hold absolute arena offsets, identical in every replica).
     BcModule bc_;
     std::vector<std::vector<uint64_t>> bc_frames_; //!< per island
-    CppJitLibrary cpp_lib_;
     std::vector<char> specialized_;
 
     // --- cpp-design tiering ----------------------------------------
     // Tier 0 runs the per-island bytecode schedules; the fused native
     // schedules below replace comb_steps_/tick_steps_ wholesale when
-    // the background compile is adopted. The swap happens on the
-    // coordinator while every worker is parked before a start barrier,
-    // which also publishes the new schedules to them. Codegen is one
-    // translation unit PER ISLAND — island_libs_[i] holds island i's
-    // fused modules and design-native PStep::group indices are local
-    // to that island's library — so each island's module caches
-    // independently and only an island's own code is resident on its
-    // worker.
+    // the compiled library is adopted (Simulator::maybeSwapTier). The
+    // swap happens on the coordinator while every worker is parked
+    // before a start barrier, which also publishes the new schedules
+    // to them. Every island's units share one translation unit:
+    // native PStep::group and island_flop_unit_ index into cpp_lib_.
     std::vector<std::vector<PStep>> nat_comb_steps_;
     std::vector<std::vector<PStep>> nat_tick_steps_;
-    std::vector<int> island_flop_unit_; //!< island-local flop module
-    std::vector<std::string> island_sources_;
-    std::vector<int> island_nunits_;
-    std::vector<CppJitLibrary> island_libs_;
-    int design_nunits_ = 0; //!< total units across island TUs
-    bool design_native_ = false;
-    bool tier_failed_ = false;
-    std::thread jit_thread_;
-    std::atomic<bool> jit_ready_{false};
-    std::vector<CppJitLibrary> pending_libs_;
-    std::exception_ptr jit_error_;
+    std::vector<int> island_flop_unit_; //!< island flop unit in cpp_lib_
 
     // Nets flopped by the coordinating thread (registered dynamically
     // by lambda writeNext; statically flopped nets belong to islands).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "ir_cpp.h"
 #include "timing.h"
@@ -94,6 +95,72 @@ Simulator::Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg)
       specializes_(specializes(cfg.backend)),
       native_blocks_(nativeBlocks(cfg.backend))
 {
+}
+
+Simulator::~Simulator()
+{
+    if (jit_thread_.joinable())
+        jit_thread_.join();
+}
+
+void
+Simulator::buildNative(CppProgram program, int nunits)
+{
+    spec_stats_.emittedTuBytes = program.source.size();
+    spec_stats_.kernelTypes = program.kernelTypes;
+    const bool design = designMode();
+    auto compile = [dir = cfg_.jit_cache_dir.empty()
+                              ? CppJit::defaultCacheDir()
+                              : cfg_.jit_cache_dir,
+                    use_cache = cfg_.jit_cache,
+                    flags = design ? CppJit::kWholeDesignFlags : "",
+                    source = std::move(program.source), nunits] {
+        return CppJit(dir, use_cache, flags).compile(source, nunits);
+    };
+    spec_stats_.tiered = design && cfg_.jit_tiered;
+    if (!spec_stats_.tiered) {
+        adoptLibrary(compile());
+        return;
+    }
+    // Tiered warm-up: the kernel keeps simulating on its bytecode
+    // schedule while the compiler runs; maybeSwapTier() adopts the
+    // library at the next cycle boundary after the thread finishes.
+    jit_thread_ = std::thread([this, compile = std::move(compile)] {
+        try {
+            pending_lib_ = compile();
+        } catch (...) {
+            jit_error_ = std::current_exception();
+        }
+        jit_ready_.store(true, std::memory_order_release);
+    });
+}
+
+void
+Simulator::adoptLibrary(CppJitLibrary lib)
+{
+    cpp_lib_ = std::move(lib);
+    spec_stats_.compileSeconds = cpp_lib_.compileSeconds();
+    spec_stats_.wrapSeconds = cpp_lib_.wrapSeconds();
+    spec_stats_.cacheHit = cpp_lib_.cacheHit();
+    spec_stats_.numGroups = cpp_lib_.numGroups();
+    if (!designMode())
+        return;
+    spec_stats_.tierSwapCycle = static_cast<int64_t>(numCycles());
+    design_native_ = true;
+    useNativeSchedule();
+}
+
+void
+Simulator::maybeSwapTier()
+{
+    if (!tierPending() || !jit_ready_.load(std::memory_order_acquire))
+        return;
+    jit_thread_.join();
+    if (jit_error_) {
+        tier_failed_ = true;
+        std::rethrow_exception(std::exchange(jit_error_, nullptr));
+    }
+    adoptLibrary(std::move(pending_lib_));
 }
 
 void
@@ -241,8 +308,6 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
 
 SimulationTool::~SimulationTool()
 {
-    if (jit_thread_.joinable())
-        jit_thread_.join();
     for (Signal *sig : elab_->signals) {
         if (sig->access() == this)
             sig->setAccess(nullptr);
@@ -465,16 +530,7 @@ SimulationTool::specialize()
     }
     CppProgram program = cppEmitProgram(*elab_, *arena_, bc_, units);
     spec_stats_.codegenSeconds = sw.elapsed();
-    spec_stats_.emittedTuBytes = program.source.size();
-    spec_stats_.kernelTypes = program.kernelTypes;
-
-    CppJit jit(cfg_.jit_cache_dir.empty() ? CppJit::defaultCacheDir()
-                                          : cfg_.jit_cache_dir,
-               cfg_.jit_cache);
-    cpp_lib_ = jit.compile(program.source, static_cast<int>(groups.size()));
-    spec_stats_.compileSeconds = cpp_lib_.compileSeconds();
-    spec_stats_.wrapSeconds = cpp_lib_.wrapSeconds();
-    spec_stats_.cacheHit = cpp_lib_.cacheHit();
+    buildNative(std::move(program), static_cast<int>(units.size()));
 }
 
 std::vector<int>
@@ -727,78 +783,15 @@ SimulationTool::specializeDesign(const std::vector<char> &can)
     }
 
     CppProgram program = cppEmitProgram(*elab_, *arena_, bc_, units);
-    design_source_ = std::move(program.source);
-    design_nunits_ = static_cast<int>(units.size());
-    spec_stats_.emittedTuBytes = design_source_.size();
-    spec_stats_.kernelTypes = program.kernelTypes;
     spec_stats_.codegenSeconds += sw.elapsed();
-    spec_stats_.tiered = cfg_.jit_tiered;
-
-    std::string cache_dir = cfg_.jit_cache_dir.empty()
-                                ? CppJit::defaultCacheDir()
-                                : cfg_.jit_cache_dir;
-    if (!cfg_.jit_tiered) {
-        CppJit jit(cache_dir, cfg_.jit_cache, CppJit::kWholeDesignFlags);
-        cpp_lib_ = jit.compile(design_source_, design_nunits_);
-        adoptNativeTier();
-        return;
-    }
-    // Tiered warm-up: keep simulating on the bytecode schedule while
-    // the compiler runs; maybeSwapTier() adopts the module at the next
-    // cycle boundary after the thread finishes.
-    jit_thread_ = std::thread([this, cache_dir] {
-        try {
-            CppJit jit(cache_dir, cfg_.jit_cache,
-                       CppJit::kWholeDesignFlags);
-            pending_lib_ = jit.compile(design_source_, design_nunits_);
-        } catch (...) {
-            jit_error_ = std::current_exception();
-        }
-        jit_ready_.store(true, std::memory_order_release);
-    });
+    buildNative(std::move(program), static_cast<int>(units.size()));
 }
 
 void
-SimulationTool::adoptNativeTier()
+SimulationTool::useNativeSchedule()
 {
-    spec_stats_.compileSeconds = cpp_lib_.compileSeconds();
-    spec_stats_.wrapSeconds = cpp_lib_.wrapSeconds();
-    spec_stats_.cacheHit = cpp_lib_.cacheHit();
-    spec_stats_.numGroups = design_nunits_;
-    spec_stats_.tierSwapCycle = static_cast<int64_t>(numCycles());
     active_comb_ = &design_comb_steps_;
     active_tick_ = &design_tick_steps_;
-    design_native_ = true;
-}
-
-void
-SimulationTool::maybeSwapTier()
-{
-    if (!designMode() || design_native_ || tier_failed_ ||
-        !cfg_.jit_tiered)
-        return;
-    if (!jit_ready_.load(std::memory_order_acquire))
-        return;
-    if (jit_thread_.joinable())
-        jit_thread_.join();
-    if (jit_error_) {
-        // Report the failure once; the bytecode tier stays active (it
-        // is correct, just slower), so a caller may swallow this and
-        // keep simulating.
-        tier_failed_ = true;
-        std::exception_ptr err = jit_error_;
-        jit_error_ = nullptr;
-        std::rethrow_exception(err);
-    }
-    cpp_lib_ = std::move(pending_lib_);
-    adoptNativeTier();
-}
-
-bool
-SimulationTool::tierPending() const
-{
-    return designMode() && cfg_.jit_tiered && !design_native_ &&
-           !tier_failed_;
 }
 
 LayoutStats

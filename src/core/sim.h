@@ -57,6 +57,8 @@
 
 namespace cmtl {
 
+struct CppProgram;
+
 /** Combinational scheduling policy. */
 enum class SchedMode
 {
@@ -243,8 +245,7 @@ struct SpecStats
      *  interpreter/bytecode backends. */
     size_t emittedTuBytes = 0;
     /** Distinct block kernels: bytecode programs, or the kernels of
-     *  the emitted C++ (summed over ParSim island units); instances of
-     *  one block type share a kernel. */
+     *  the emitted C++; instances of one block type share a kernel. */
     int kernelTypes = 0;
 };
 
@@ -263,6 +264,8 @@ class Simulator : public SignalAccess
 {
   public:
     Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg);
+    /** Joins a background compile that is still running. */
+    ~Simulator() override;
 
     /** Advance one clock cycle. */
     virtual void cycle() = 0;
@@ -329,10 +332,15 @@ class Simulator : public SignalAccess
 
     /**
      * True while a tiered cpp-design simulator is still executing on
-     * the bytecode warm-up tier (the background compile has not been
-     * adopted yet). Benches drain this before measuring steady state.
+     * the bytecode warm-up tier (the background compile has neither
+     * been adopted nor failed). Benches drain this before measuring
+     * steady state.
      */
-    virtual bool tierPending() const { return false; }
+    bool
+    tierPending() const
+    {
+        return spec_stats_.tiered && !design_native_ && !tier_failed_;
+    }
     const Elaboration &elaboration() const { return *elab_; }
     const SimConfig &config() const { return cfg_; }
 
@@ -395,6 +403,19 @@ class Simulator : public SignalAccess
     }
 
   protected:
+    bool designMode() const { return cfg_.backend == Backend::CppDesign; }
+    /**
+     * The one path from a kernel to CppJit: build @p program into
+     * cpp_lib_. A tiered cpp-design build compiles on a background
+     * thread and maybeSwapTier() adopts the library later.
+     */
+    void buildNative(CppProgram program, int nunits);
+    /** At a cycle boundary: adopt a finished background compile, or
+     *  rethrow its failure once (the warm-up tier stays active). */
+    void maybeSwapTier();
+    /** cpp-design hook: switch to the native schedule over cpp_lib_. */
+    virtual void useNativeSchedule() = 0;
+
     std::shared_ptr<Elaboration> elab_;
     SimConfig cfg_;
     // boxedHost() / specializes() / nativeBlocks() of cfg_.backend,
@@ -412,6 +433,19 @@ class Simulator : public SignalAccess
     std::atomic<bool> pause_requested_{false};
     std::vector<std::function<void(uint64_t)>> cycle_hooks_;
     ScopeProbe *probe_ = nullptr;
+    CppJitLibrary cpp_lib_; //!< cpp-block, or the adopted cpp-design
+    bool design_native_ = false; //!< cpp-design native schedule is live
+
+  private:
+    void adoptLibrary(CppJitLibrary lib);
+
+    // The background compile touches only these and its own copy of
+    // the source, so ~Simulator can join it after the kernel is gone.
+    std::atomic<bool> jit_ready_{false};
+    CppJitLibrary pending_lib_;
+    std::exception_ptr jit_error_;
+    std::thread jit_thread_;
+    bool tier_failed_ = false;
 };
 
 /**
@@ -439,7 +473,6 @@ class SimulationTool : public Simulator
     std::vector<int> dynamicFlopNets() const override;
     void registerDynamicFlops(const std::vector<int> &nets) override;
 
-    bool tierPending() const override;
     LayoutStats layoutStats() const override;
 
     // --- SignalAccess ----------------------------------------------
@@ -462,7 +495,6 @@ class SimulationTool : public Simulator
 
     bool useBoxed() const { return boxed_host_; }
     bool eventDriven() const { return event_driven_; }
-    bool designMode() const { return cfg_.backend == Backend::CppDesign; }
 
     Step makeStep(int idx) const;
     void buildSchedule();
@@ -482,8 +514,7 @@ class SimulationTool : public Simulator
                                       const std::vector<char> &can) const;
     std::vector<int> designCombOrder(const std::vector<char> &can) const;
     std::vector<int> designTickOrder(const std::vector<char> &can) const;
-    void adoptNativeTier();
-    void maybeSwapTier();
+    void useNativeSchedule() override;
     void runStep(const Step &step, std::vector<int> *changed);
     void runStepImpl(const Step &step, std::vector<int> *changed);
     void cycleProfiled();
@@ -540,17 +571,9 @@ class SimulationTool : public Simulator
     std::vector<Step> design_tick_steps_;
     std::vector<Step> *active_comb_ = &comb_steps_;
     std::vector<Step> *active_tick_ = &tick_steps_;
-    std::string design_source_;
-    int design_nunits_ = 0;
     int design_flop_unit_ = -1;
     int design_step_unit_ = -1; //!< fused whole-cycle entry, or -1
     size_t n_static_flops_ = 0;
-    bool design_native_ = false;
-    bool tier_failed_ = false;
-    std::thread jit_thread_;
-    std::atomic<bool> jit_ready_{false};
-    CppJitLibrary pending_lib_;
-    std::exception_ptr jit_error_;
 
     /** Static-flop copy plan for the arena (doFlop fast path). */
     std::vector<FlopRange> flop_plan_;
@@ -561,7 +584,6 @@ class SimulationTool : public Simulator
 
     BcModule bc_; //!< one program per block type
     std::vector<uint64_t> bc_frame_; //!< bcRun's frame
-    CppJitLibrary cpp_lib_;
     /** Per specialization group: member instances + marshal sets. */
     std::vector<std::vector<BcInstance>> group_bc_;
     /** Member block ids of each bytecode group, in execution order —

@@ -118,8 +118,12 @@ Json::asNum(double dflt) const
 uint64_t
 Json::asU64(uint64_t dflt) const
 {
-    return kind == Kind::Num && num >= 0 ? static_cast<uint64_t>(num)
-                                         : dflt;
+    // Only an integral number in [0, 2^64) converts, as for asInt;
+    // 2^64 itself is the first double the cast would overflow on.
+    if (kind != Kind::Num || num != std::trunc(num) || num < 0 ||
+        num >= 18446744073709551616.0)
+        return dflt;
+    return static_cast<uint64_t>(num);
 }
 
 int

@@ -86,8 +86,8 @@ struct Json
     const Json *find(const std::string &key) const;
 
     // Typed accessors with defaults (never throw; a missing or
-    // differently-typed value yields the default, and asInt also
-    // yields it for a number that is not an integer in int's range).
+    // differently-typed value yields the default, and asU64 and asInt
+    // also yield it for a number that is not an integer in range).
     bool asBool(bool dflt = false) const;
     double asNum(double dflt = 0.0) const;
     uint64_t asU64(uint64_t dflt = 0) const;

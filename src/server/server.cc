@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -38,6 +39,15 @@ bool
 specFromJson(const Json &req, JobSpec *spec, std::string *error)
 {
     JobSpec out;
+    // An optional count must be an integer in [0, 2^64). No double
+    // converts to 2^64 - 1, so asU64 yields it only for a bad value.
+    auto readCount = [&](const char *key, uint64_t &field) {
+        const Json *v = req.find(key);
+        if (!v || (field = v->asU64(UINT64_MAX)) != UINT64_MAX)
+            return true;
+        *error = std::string(key) + " wants a non-negative integer";
+        return false;
+    };
     if (const Json *v = req.find("design"))
         out.design = v->asStr(out.design);
     if (const Json *v = req.find("level"))
@@ -62,8 +72,8 @@ specFromJson(const Json &req, JobSpec *spec, std::string *error)
             return false;
         }
     }
-    if (const Json *v = req.find("cycles"))
-        out.cycles = v->asU64(out.cycles);
+    if (!readCount("cycles", out.cycles))
+        return false;
     if (const Json *v = req.find("injection")) {
         out.injection = v->asNum(out.injection);
         if (out.injection < 0.0 || out.injection > 1.0) {
@@ -71,8 +81,8 @@ specFromJson(const Json &req, JobSpec *spec, std::string *error)
             return false;
         }
     }
-    if (const Json *v = req.find("seed"))
-        out.seed = v->asU64(out.seed);
+    if (!readCount("seed", out.seed))
+        return false;
     if (const Json *v = req.find("nrouters")) {
         out.nrouters = v->asInt(0);
         if (out.nrouters < 1) {
@@ -86,8 +96,8 @@ specFromJson(const Json &req, JobSpec *spec, std::string *error)
         out.vcd = v->asStr();
     if (const Json *v = req.find("checkpoint"))
         out.checkpoint = v->asStr();
-    if (const Json *v = req.find("checkpoint_every"))
-        out.checkpoint_every = v->asU64(out.checkpoint_every);
+    if (!readCount("checkpoint_every", out.checkpoint_every))
+        return false;
     *spec = std::move(out);
     return true;
 }

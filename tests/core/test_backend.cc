@@ -18,8 +18,10 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -261,6 +263,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------- mid-run tier swap
 
+namespace fs = std::filesystem;
+
+/** A fresh, empty directory for a test's private JIT cache. */
+fs::path
+freshCacheDir(const std::string &tag)
+{
+    fs::path dir = fs::path(::testing::TempDir()) /
+                   (tag + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir;
+}
+
+/** Libraries CppJit has published into the private cache @p dir. */
+long
+publishedLibraries(const fs::path &dir)
+{
+    return std::count_if(fs::directory_iterator(dir), {},
+                         [](const fs::directory_entry &e) {
+                             return e.path().extension() == ".so";
+                         });
+}
+
 /**
  * Force a genuine mid-run bytecode->native swap: with the on-disk
  * cache disabled the background g++ run takes real wall time, so the
@@ -317,7 +342,7 @@ TEST(BackendTierSwap, MidRunSwapKeepsStateAndCycleCount)
     expectSameState(*golden, sim, "native tier");
 }
 
-/** Same forcing on the parallel kernel: per-island fused modules. */
+/** Same forcing on the parallel kernel: fused island units. */
 TEST(BackendTierSwap, ParSimMidRunSwapBitIdentical)
 {
     if (!CppJit::compilerAvailable())
@@ -330,8 +355,10 @@ TEST(BackendTierSwap, ParSimMidRunSwapBitIdentical)
     auto golden =
         makeSimulator(ta->elaborate(), backendCfg("optinterp", 1));
 
+    const fs::path dir = freshCacheDir("parsim_swap");
     SimConfig cfg = backendCfg("cpp-design", 4);
     cfg.jit_cache = false;
+    cfg.jit_cache_dir = dir;
     ParSimulationTool sim(tb->elaborate(), cfg);
     ASSERT_TRUE(sim.tierPending());
 
@@ -348,11 +375,11 @@ TEST(BackendTierSwap, ParSimMidRunSwapBitIdentical)
     }
     ASSERT_FALSE(sim.tierPending()) << "compile never finished";
     EXPECT_GT(sim.specStats().tierSwapCycle, 0);
-    // Per-island fused codegen: every island gets its own translation
-    // unit with at least a flop module, so the adopted tier carries at
-    // least nislands compiled units (and a real compile, not a hit —
-    // the cache was disabled above).
-    EXPECT_GE(sim.specStats().numGroups, sim.plan().nislands);
+    // Every island's units share one translation unit: one library,
+    // each block kernel emitted once, and a real compile, not a hit
+    // (the cache was disabled above).
+    EXPECT_EQ(publishedLibraries(dir), 1);
+    EXPECT_EQ(sim.specStats().kernelTypes, 6);
     EXPECT_FALSE(sim.specStats().cacheHit);
     EXPECT_GT(sim.specStats().compileSeconds, 0.0);
 
@@ -361,6 +388,7 @@ TEST(BackendTierSwap, ParSimMidRunSwapBitIdentical)
     driven += 200;
     EXPECT_EQ(sim.numCycles(), driven);
     expectSameState(*golden, sim, "parsim native tier");
+    fs::remove_all(dir);
 }
 
 // ------------------------------------------------ per-type kernels
@@ -458,20 +486,39 @@ TEST(BackendKernels, MeshEmitsOneKernelPerBlockType)
             auto t = makeKernelMesh();
             auto sim = makeSimulator(t->elaborate(), cfg);
             EXPECT_EQ(sim->specStats().numSpecialized, 352) << label;
-            // ParSim's cpp-design emits one unit per island and sums
-            // their kernels.
-            if (threads == 1 || cfg.backend == Backend::CppBlock) {
-                EXPECT_EQ(sim->specStats().kernelTypes, 6) << label;
-                EXPECT_NE(simulatorReport(*sim).find(", 6 kernel(s)"),
-                          std::string::npos)
-                    << simulatorReport(*sim);
-            }
+            EXPECT_EQ(sim->specStats().kernelTypes, 6) << label;
+            EXPECT_NE(simulatorReport(*sim).find(", 6 kernel(s)"),
+                      std::string::npos)
+                << label << "\n" << simulatorReport(*sim);
             sim->reset();
             sim->cycle(500);
             EXPECT_EQ(stateDigest(*sim), stateDigest(*golden)) << label;
             expectSameNetStats(gt->stats(), t->stats(), label);
         }
     }
+}
+
+/**
+ * ParSim's cpp-design tier builds one library for all its islands: a
+ * cold build publishes one cache entry, and an identical rebuild hits
+ * it.
+ */
+TEST(BackendKernels, ParSimDesignPublishesOneCachedLibrary)
+{
+    if (!CppJit::compilerAvailable())
+        GTEST_SKIP() << "no host compiler";
+    const fs::path dir = freshCacheDir("parsim_one_lib");
+    SimConfig cfg = backendCfg("cpp-design", 4);
+    cfg.jit_tiered = false;
+    cfg.jit_cache_dir = dir;
+    for (bool warm : {false, true}) {
+        auto t = makeKernelMesh();
+        ParSimulationTool sim(t->elaborate(), cfg);
+        ASSERT_EQ(sim.plan().nislands, 4);
+        EXPECT_EQ(publishedLibraries(dir), 1) << "warm " << warm;
+        EXPECT_EQ(sim.specStats().cacheHit, warm);
+    }
+    fs::remove_all(dir);
 }
 
 /**
@@ -672,6 +719,19 @@ TEST_F(JitCacheLru, UnderCapIsUntouched)
     CppJit::evictCache(dir_, 1 << 20, "");
     EXPECT_TRUE(exists("cmtl_a.so"));
     EXPECT_TRUE(exists("cmtl_b.so"));
+}
+
+TEST_F(JitCacheLru, MalformedCapKeepsTheDefault)
+{
+    // Trailing junk, a sign, and a MiB count whose bytes overflow.
+    for (const char *bad : {"12abc", "-1", "99999999999999999"}) {
+        ::setenv("CMTL_JIT_CACHE_MAX_MB", bad, 1);
+        EXPECT_EQ(CppJit::cacheMaxBytes(), 256ull << 20) << bad;
+    }
+    // The largest count that fits in bytes is still taken as given.
+    ::setenv("CMTL_JIT_CACHE_MAX_MB", "17592186044415", 1);
+    EXPECT_EQ(CppJit::cacheMaxBytes(), 17592186044415ull << 20);
+    ::unsetenv("CMTL_JIT_CACHE_MAX_MB");
 }
 
 TEST(JitCacheCap, EnvOverridesDefault)

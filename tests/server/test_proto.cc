@@ -80,6 +80,20 @@ TEST(Json, AsIntRejectsNonIntegralAndOutOfRange)
         EXPECT_EQ(jsonParse(text).asInt(-1), -1) << text;
 }
 
+TEST(Json, AsU64RejectsNonIntegralAndOutOfRange)
+{
+    EXPECT_EQ(jsonParse("0").asU64(7), 0u);
+    EXPECT_EQ(jsonParse("2.0").asU64(7), 2u);
+    EXPECT_EQ(jsonParse("1e19").asU64(7), 10000000000000000000ull);
+    // The largest double below 2^64.
+    EXPECT_EQ(jsonParse("18446744073709549568").asU64(7),
+              18446744073709549568ull);
+    for (const char *text : {"2.5", "-1", "-0.5", "1e20",
+                             "18446744073709551616", "1e999", "\"3\"",
+                             "null"})
+        EXPECT_EQ(jsonParse(text).asU64(7), 7u) << text;
+}
+
 TEST(Json, MalformedInputsThrow)
 {
     const char *bad[] = {

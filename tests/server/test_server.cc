@@ -115,6 +115,32 @@ TEST(SpecFromJson, RejectsNonIntegralAndOutOfRangeCounts)
     EXPECT_EQ(spec.nrouters, 16);
 }
 
+TEST(SpecFromJson, RejectsNonIntegralAndOutOfRangeU64Fields)
+{
+    for (const char *key : {"cycles", "seed", "checkpoint_every"}) {
+        for (const char *bad : {"2.5", "-1", "1e20", "18446744073709551616",
+                                "\"4\"", "true"}) {
+            Json req = jsonParse(std::string("{\"") + key + "\":" + bad +
+                                 "}");
+            JobSpec spec;
+            std::string error;
+            EXPECT_FALSE(specFromJson(req, &spec, &error))
+                << key << "=" << bad;
+            EXPECT_EQ(error,
+                      std::string(key) + " wants a non-negative integer")
+                << key << "=" << bad;
+        }
+    }
+    Json req =
+        jsonParse("{\"cycles\":0,\"seed\":1e19,\"checkpoint_every\":5.0}");
+    JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(specFromJson(req, &spec, &error)) << error;
+    EXPECT_EQ(spec.cycles, 0u);
+    EXPECT_EQ(spec.seed, 10000000000000000000ull);
+    EXPECT_EQ(spec.checkpoint_every, 5u);
+}
+
 // The headline preemption property: pause -> snapshot -> teardown ->
 // rebuild -> restore -> finish is invisible in the final digest.
 TEST(JobScheduler, PreemptedJobFinishesBitIdentical)
