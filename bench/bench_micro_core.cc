@@ -10,12 +10,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <numeric>
+
 #include "core/ir_bytecode.h"
 #include "core/ir_eval.h"
 #include "core/jit_cpp.h"
 #include "core/ir_cpp.h"
 #include "core/model.h"
 #include "core/store.h"
+#include "core/timing.h"
 
 namespace {
 
@@ -69,8 +73,9 @@ class TortureAlu : public Model
   public:
     InPort a, b;
     OutPort res;
-    TortureAlu()
-        : Model(nullptr, "alu"), a(this, "a", 32), b(this, "b", 32),
+    explicit TortureAlu(Model *parent = nullptr,
+                        const std::string &name = "alu")
+        : Model(parent, name), a(this, "a", 32), b(this, "b", 32),
           res(this, "res", 32)
     {
         auto &c = combinational("comb");
@@ -126,25 +131,72 @@ BM_EngineSlotTreeWalk(benchmark::State &state)
 }
 BENCHMARK(BM_EngineSlotTreeWalk);
 
+/** Independent torture ALUs: one block type, one lane per instance. */
+class AluArray : public Model
+{
+  public:
+    std::vector<std::unique_ptr<TortureAlu>> alus;
+    explicit AluArray(int n) : Model(nullptr, "top")
+    {
+        for (int i = 0; i < n; ++i) {
+            alus.push_back(
+                std::make_unique<TortureAlu>(this, "alu" + std::to_string(i)));
+        }
+    }
+};
+
+/**
+ * One batch of state.range(0) torture-ALU lanes per iteration. The
+ * inputs keep a != b, so every lane takes the else side of the block's
+ * if; ns_per_lane_inst divides the run time by the instructions each
+ * lane executes on that path, which shows what batching saves of the
+ * per-instruction dispatch.
+ */
 void
 BM_EngineBytecode(benchmark::State &state)
 {
-    EngineFixture f;
-    BcModule mod(*f.elab, f.arena, {0});
-    std::vector<uint64_t> frame(mod.maxFrame() + 1);
-    uint64_t *w = f.arena.data();
-    const int a = f.arena.offset(f.alu.a.netId());
-    const int b = f.arena.offset(f.alu.b.netId());
-    const uint64_t am = f.arena.mask(f.alu.a.netId());
-    const uint64_t bm = f.arena.mask(f.alu.b.netId());
-    uint64_t i = 0;
-    for (auto _ : state) {
-        w[a] = ++i & am;
-        w[b] = (i * 7) & bm;
-        bcRun(mod.instance(0), f.arena.data(), frame.data());
+    const int lanes = static_cast<int>(state.range(0));
+    AluArray top(lanes);
+    std::shared_ptr<Elaboration> elab = top.elaborate();
+    ArenaStore arena(*elab);
+    std::vector<int> blocks(lanes);
+    std::iota(blocks.begin(), blocks.end(), 0);
+    BcModule mod(*elab, arena, blocks);
+    const BcBatch batch = mod.batch(blocks);
+    std::vector<uint64_t> frame(mod.frameWords());
+
+    uint64_t path = 0;
+    const auto &insts = batch.prog->insts;
+    for (size_t pc = 0; pc < insts.size(); ++path) {
+        const BcInst &in = insts[pc];
+        pc = in.op == Bc::Jz || in.op == Bc::Jmp
+                 ? static_cast<size_t>(in.imm)
+                 : pc + 1;
     }
+
+    uint64_t *w = arena.data();
+    std::vector<int> a, b;
+    for (const auto &alu : top.alus) {
+        a.push_back(arena.offset(alu->a.netId()));
+        b.push_back(arena.offset(alu->b.netId()));
+    }
+    const uint64_t m = arena.mask(top.alus[0]->a.netId());
+    uint64_t i = 0;
+    Stopwatch sw;
+    for (auto _ : state) {
+        ++i;
+        for (int l = 0; l < lanes; ++l) {
+            w[a[l]] = (i + l) & m;
+            w[b[l]] = ((i + l) * 7 + 1) & m;
+        }
+        bcRunBatch(batch, arena.data(), frame.data());
+    }
+    const double lane_insts = static_cast<double>(state.iterations()) *
+                              lanes * static_cast<double>(path);
+    state.counters["ns_per_lane_inst"] = sw.elapsed() * 1e9 / lane_insts;
+    state.SetItemsProcessed(state.iterations() * lanes);
 }
-BENCHMARK(BM_EngineBytecode);
+BENCHMARK(BM_EngineBytecode)->Arg(1)->Arg(32);
 
 void
 BM_EngineCompiledCpp(benchmark::State &state)

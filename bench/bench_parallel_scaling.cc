@@ -11,13 +11,19 @@
  * design and backend), the honest number for a bulk-synchronous
  * kernel: it includes every barrier and boundary-push cost.
  *
- * Points whose thread count exceeds the host's hardware threads are
- * marked "oversubscribed": true and carry NO speedup field — a number
+ * Each point is the median of measureRate's repeated rounds, with the
+ * rounds' min and max. A point counts the OS threads it runs: ParSim
+ * runs one worker per island plus the coordinating thread. Points
+ * whose OS threads exceed the host's hardware threads are marked
+ * "oversubscribed": true and carry NO speedup field — a number
  * measured with spin-barrier workers time-slicing against each other
  * is an overhead datapoint, not a scaling claim. Each parallel point
  * also records the partition quality (cut_tokens, imbalance) and the
  * barrier wait, so scaling regressions can be attributed to
- * partitioning or synchronization.
+ * partitioning or synchronization. The file records the host's CPU
+ * count and L2 size: a speedup above the thread count on a design
+ * that outgrows one core's cache comes from cache capacity, not from
+ * parallel work.
  */
 
 #include <thread>
@@ -128,16 +134,15 @@ main(int argc, char **argv)
     }
 
     std::printf("ParSim thread scaling (host cpus: %d)\n", host_cpus);
-    if (host_cpus < thread_counts.back()) {
-        std::printf("NOTE: thread counts above %d host cpus are marked "
-                    "oversubscribed (no speedup claim)\n",
-                    host_cpus);
-    }
+    std::printf("NOTE: points running more OS threads (islands + 1 "
+                "coordinator) than %d host cpus are marked "
+                "oversubscribed (no speedup claim)\n",
+                host_cpus);
 
     JsonWriter json("BENCH_parallel_scaling.json");
     json.beginObject();
     json.field("bench", "parallel_scaling");
-    json.field("host_cpus", host_cpus);
+    hostFields(json);
     json.field("full", full);
     json.key("scenarios").beginArray();
 
@@ -156,7 +161,6 @@ main(int argc, char **argv)
 
         double base_rate = 0.0;
         for (int threads : thread_counts) {
-            bool oversubscribed = host_cpus > 0 && threads > host_cpus;
             RateResult r = measureRate(
                 [&] { return sc.make(sc.backend, threads); }, budget);
             if (threads == 1)
@@ -168,7 +172,7 @@ main(int argc, char **argv)
             // count (threads=1 is the sequential kernel: one island,
             // no barriers). The probe run is short and SimScope'd:
             // island compute vs barrier-wait vs boundary traffic.
-            int nislands = 1, nlevels = 1, cut = 0;
+            int nislands = 1, nlevels = 1, cut = 0, os_threads = 1;
             double imbalance = 1.0;
             std::unique_ptr<Simulator> probe =
                 sc.make(sc.backend, threads);
@@ -178,9 +182,12 @@ main(int argc, char **argv)
                 nlevels = par->plan().nlevels;
                 cut = par->plan().cutTokens;
                 imbalance = par->plan().imbalance();
+                os_threads = nislands + 1;
                 if (threads == thread_counts[1])
                     std::printf("%s", simulatorReport(*par).c_str());
             }
+            const bool oversubscribed =
+                host_cpus > 0 && os_threads > host_cpus;
             SimScope scope(*probe);
             probe->cycle(sc.probe_cycles);
             SimScope::PhaseBreakdown pb = scope.phaseBreakdown();
@@ -194,6 +201,10 @@ main(int argc, char **argv)
                 std::printf("%8d %14.0f %9.2fx %10d %10d\n", threads,
                             r.cycles_per_second, speedup, nislands, cut);
             }
+            std::printf("         rate: median of %d rounds, min %.0f, "
+                        "max %.0f; %d OS threads\n",
+                        r.rounds, r.min_cycles_per_second,
+                        r.max_cycles_per_second, os_threads);
             std::printf(
                 "         phase: compute %.4fs  barrier %.4fs  "
                 "boundary %llu B (%llu cycles)\n",
@@ -204,7 +215,11 @@ main(int argc, char **argv)
 
             json.beginObject();
             json.field("threads", threads);
+            json.field("os_threads", os_threads);
             json.field("cycles_per_second", r.cycles_per_second);
+            json.field("min_cycles_per_second", r.min_cycles_per_second);
+            json.field("max_cycles_per_second", r.max_cycles_per_second);
+            json.field("rounds", r.rounds);
             if (oversubscribed) {
                 // No speedup claim for a point that time-sliced its
                 // spin-barrier workers on too few cores.

@@ -15,11 +15,15 @@
 #ifndef CMTL_BENCH_COMMON_H
 #define CMTL_BENCH_COMMON_H
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -111,21 +115,28 @@ simjitConfig(const SimOptions &opts)
 /** Result of an adaptive rate measurement. */
 struct RateResult
 {
-    double cycles_per_second = 0.0;
+    double cycles_per_second = 0.0; //!< median over the rounds
+    double min_cycles_per_second = 0.0;
+    double max_cycles_per_second = 0.0;
+    int rounds = 0;
     double setup_seconds = 0.0; //!< simulator construction (this run)
     SpecStats spec;
     LayoutStats layout;
-    uint64_t measured_cycles = 0;
+    uint64_t measured_cycles = 0; //!< over all rounds
 };
 
 /**
  * Measure the steady-state simulation rate of a simulator produced by
  * @p make_sim. The factory owns its model; the callback returns a
  * ready simulator (either kernel behind the Simulator interface).
+ * After warm-up, @p rounds timed rounds split @p budget_seconds
+ * evenly, each running at least @p min_round_cycles cycles; the
+ * result is their median rate with its min and max.
  */
 inline RateResult
 measureRate(const std::function<std::unique_ptr<Simulator>()> &make,
-            double budget_seconds = 2.0, uint64_t warmup_cycles = 64)
+            double budget_seconds = 2.0, uint64_t warmup_cycles = 64,
+            int rounds = 5, uint64_t min_round_cycles = 16)
 {
     RateResult out;
     Stopwatch setup;
@@ -138,17 +149,31 @@ measureRate(const std::function<std::unique_ptr<Simulator>()> &make,
     // setup_seconds-equivalent territory via spec.tierSwapCycle.
     while (sim->tierPending())
         sim->cycle(warmup_cycles);
+    // The first round grows the chunk until one chunk is a sizable
+    // share of a round; later rounds keep it.
+    const double round_budget = budget_seconds / rounds;
     uint64_t chunk = std::max<uint64_t>(16, warmup_cycles / 4);
-    Stopwatch timer;
-    uint64_t cycles = 0;
-    while (timer.elapsed() < budget_seconds) {
-        sim->cycle(chunk);
-        cycles += chunk;
-        if (timer.elapsed() < budget_seconds / 8)
-            chunk *= 2;
+    std::vector<double> rates;
+    for (int r = 0; r < rounds; ++r) {
+        Stopwatch timer;
+        uint64_t cycles = 0;
+        while (timer.elapsed() < round_budget || cycles < min_round_cycles) {
+            sim->cycle(chunk);
+            cycles += chunk;
+            if (r == 0 && timer.elapsed() < round_budget / 8)
+                chunk *= 2;
+        }
+        rates.push_back(static_cast<double>(cycles) / timer.elapsed());
+        out.measured_cycles += cycles;
     }
-    out.measured_cycles = cycles;
-    out.cycles_per_second = static_cast<double>(cycles) / timer.elapsed();
+    std::sort(rates.begin(), rates.end());
+    const size_t mid = rates.size() / 2;
+    out.cycles_per_second = rates.size() % 2
+                                ? rates[mid]
+                                : (rates[mid - 1] + rates[mid]) / 2;
+    out.min_cycles_per_second = rates.front();
+    out.max_cycles_per_second = rates.back();
+    out.rounds = rounds;
     // Read spec stats after the run: a tiered backend fills in its
     // compile time and tier-swap cycle only once the swap happens.
     out.spec = sim->specStats();
@@ -420,6 +445,22 @@ class JsonWriter
     std::vector<bool> fresh_; //!< per nesting level: no entry yet
     bool pending_value_ = false;
 };
+
+/**
+ * Record the host a BENCH file was measured on: CPU count, L2 size
+ * per core (0 when the C library cannot tell), and the compiler and
+ * flags the bench was built with.
+ */
+inline void
+hostFields(JsonWriter &json)
+{
+    json.field("host_cpus",
+               static_cast<int>(std::thread::hardware_concurrency()));
+    const long l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    json.field("l2_cache_bytes", static_cast<uint64_t>(l2 > 0 ? l2 : 0));
+    json.field("compiler", CMTL_BENCH_COMPILER);
+    json.field("cxx_flags", CMTL_BENCH_CXX_FLAGS);
+}
 
 } // namespace bench
 } // namespace cmtl

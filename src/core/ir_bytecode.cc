@@ -392,6 +392,13 @@ sameProgram(const BcProgram &x, const BcProgram &y)
            x.insts == y.insts;
 }
 
+/** All ones when a shift by @p amt keeps any bit (amt < 64), else 0. */
+inline uint64_t
+inRange(uint64_t amt)
+{
+    return ~uint64_t(0) + (amt >= 64);
+}
+
 } // namespace
 
 bool
@@ -459,145 +466,272 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
     }
 }
 
+BcBatch
+BcModule::batch(const std::vector<int> &blocks) const
+{
+    BcBatch out;
+    out.prog = insts_[blocks.front()].prog;
+    out.nlanes = static_cast<int>(blocks.size());
+    out.blocks = blocks;
+    const int nslots = out.prog->nslots;
+    const int nconsts = out.prog->nconsts;
+    const size_t w = kBcLanes;
+    const size_t chunks = (blocks.size() + w - 1) / w;
+    // Lanes past the end of the last chunk are never gathered, loaded
+    // through or scattered; zeros keep them harmless.
+    out.slots.assign(chunks * nslots * w, 0);
+    out.consts.assign(chunks * nconsts * w, 0);
+    std::vector<char> varies(nconsts, 0);
+    for (size_t i = 0; i < blocks.size(); ++i) {
+        const BcInstance &inst = insts_[blocks[i]];
+        if (inst.prog != out.prog)
+            throw std::logic_error("batch lanes run different programs");
+        const size_t c = i / w, l = i % w;
+        for (int s = 0; s < nslots; ++s)
+            out.slots[(c * nslots + s) * w + l] = inst.slots[s];
+        for (int k = 0; k < nconsts; ++k) {
+            out.consts[(c * nconsts + k) * w + l] = inst.consts[k];
+            varies[k] |= inst.consts[k] != insts_[blocks[0]].consts[k];
+        }
+    }
+    for (int k = 0; k < nconsts; ++k) {
+        if (varies[k])
+            out.varying.push_back(k);
+    }
+    return out;
+}
+
 // The dispatch loop's speed depends on where it sits relative to cache
 // lines: pin it to one, so code size changes elsewhere cannot move it.
 [[gnu::aligned(64)]] void
-bcRun(const BcInstance &inst, uint64_t *words, uint64_t *frame)
+bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
 {
-    const BcProgram &prog = *inst.prog;
-    const int32_t *slots = inst.slots;
-    uint64_t *__restrict f = frame;
+    constexpr int W = kBcLanes;
+    const BcProgram &prog = *batch.prog;
+    const int nlanes = batch.nlanes;
     const int nslots = prog.nslots;
-    for (int i = 0; i < nslots; ++i)
-        f[i] = words[slots[i]];
-    std::copy_n(inst.consts, prog.nconsts, f + nslots);
-    std::fill_n(f + nslots + prog.nconsts, prog.ntemps, uint64_t(0));
-
+    const int nconsts = prog.nconsts;
     const BcInst *insts = prog.insts.data();
-    const size_t n = prog.insts.size();
-    size_t pc = 0;
-    while (pc < n) {
-        const BcInst &in = insts[pc];
-        switch (in.op) {
-          case Bc::Mov:
-            f[in.dst] = f[in.a] & in.mask;
-            break;
-          case Bc::Add:
-            f[in.dst] = (f[in.a] + f[in.b]) & in.mask;
-            break;
-          case Bc::Sub:
-            f[in.dst] = (f[in.a] - f[in.b]) & in.mask;
-            break;
-          case Bc::Mul:
-            f[in.dst] = (f[in.a] * f[in.b]) & in.mask;
-            break;
-          case Bc::And:
-            f[in.dst] = (f[in.a] & f[in.b]) & in.mask;
-            break;
-          case Bc::Or:
-            f[in.dst] = (f[in.a] | f[in.b]) & in.mask;
-            break;
-          case Bc::Xor:
-            f[in.dst] = (f[in.a] ^ f[in.b]) & in.mask;
-            break;
-          case Bc::Shl: {
-            uint64_t amt = f[in.b];
-            f[in.dst] = amt >= 64 ? 0 : (f[in.a] << amt) & in.mask;
-            break;
-          }
-          case Bc::Shr: {
-            uint64_t amt = f[in.b];
-            f[in.dst] = amt >= 64 ? 0 : (f[in.a] >> amt) & in.mask;
-            break;
-          }
-          case Bc::Sra: {
-            int nbits = in.imm;
-            int64_t v = static_cast<int64_t>(f[in.a] << (64 - nbits)) >>
-                        (64 - nbits);
-            uint64_t amt = std::min<uint64_t>(f[in.b], 63);
-            f[in.dst] =
-                static_cast<uint64_t>(v >> static_cast<int>(amt)) & in.mask;
-            break;
-          }
-          case Bc::Eq:
-            f[in.dst] = f[in.a] == f[in.b];
-            break;
-          case Bc::Ne:
-            f[in.dst] = f[in.a] != f[in.b];
-            break;
-          case Bc::Lt:
-            f[in.dst] = f[in.a] < f[in.b];
-            break;
-          case Bc::Le:
-            f[in.dst] = f[in.a] <= f[in.b];
-            break;
-          case Bc::Gt:
-            f[in.dst] = f[in.a] > f[in.b];
-            break;
-          case Bc::Ge:
-            f[in.dst] = f[in.a] >= f[in.b];
-            break;
-          case Bc::LAnd:
-            f[in.dst] = (f[in.a] != 0) && (f[in.b] != 0);
-            break;
-          case Bc::LOr:
-            f[in.dst] = (f[in.a] != 0) || (f[in.b] != 0);
-            break;
-          case Bc::Inv:
-            f[in.dst] = ~f[in.a] & in.mask;
-            break;
-          case Bc::LNot:
-            f[in.dst] = f[in.a] == 0;
-            break;
-          case Bc::ROr:
-            f[in.dst] = f[in.a] != 0;
-            break;
-          case Bc::RAnd:
-            f[in.dst] = f[in.a] == in.mask;
-            break;
-          case Bc::RXor:
-            f[in.dst] = std::popcount(f[in.a]) & 1;
-            break;
-          case Bc::Slice:
-            f[in.dst] = (f[in.a] >> in.sh) & in.mask;
-            break;
-          case Bc::SetSlice:
-            f[in.dst] = (f[in.dst] & ~(in.mask << in.sh)) |
-                        ((f[in.a] & in.mask) << in.sh);
-            break;
-          case Bc::Mux:
-            f[in.dst] = (f[in.c] ? f[in.a] : f[in.b]) & in.mask;
-            break;
-          case Bc::Sext: {
-            int nbits = in.imm;
-            int64_t v = static_cast<int64_t>(f[in.a] << (64 - nbits)) >>
-                        (64 - nbits);
-            f[in.dst] = static_cast<uint64_t>(v) & in.mask;
-            break;
-          }
-          case Bc::ALoad:
-            f[in.dst] = words[slots[in.imm] +
-                              (f[in.a] & static_cast<uint64_t>(in.c))];
-            break;
-          case Bc::AStore:
-            words[slots[in.imm] + (f[in.a] & static_cast<uint64_t>(in.c))] =
-                f[in.b] & in.mask;
-            break;
-          case Bc::Jz:
-            if (f[in.a] == 0) {
+    const size_t ninsts = prog.insts.size();
+    uint64_t *__restrict f = frame;
+
+    for (int first = 0; first < nlanes; first += W) {
+        const int n = std::min(W, nlanes - first);
+        const int32_t *slots = batch.slots.data() + first * nslots;
+        const uint64_t *consts = batch.consts.data() + first * nconsts;
+        for (int s = 0; s < nslots; ++s) {
+            const int32_t *row = slots + s * W;
+            uint64_t *dst = f + s * W;
+            for (int l = 0; l < n; ++l)
+                dst[l] = words[row[l]];
+        }
+        uint64_t *fconst = f + nslots * W;
+        if (first == 0) {
+            std::copy_n(consts, nconsts * W, fconst);
+        } else {
+            for (int32_t k : batch.varying)
+                std::copy_n(consts + k * W, n, fconst + k * W);
+        }
+        std::fill_n(f + (nslots + nconsts) * W, prog.ntemps * W,
+                    uint64_t(0));
+
+        // The active lanes are lane[lo, hi). A Jz whose lanes disagree
+        // splits them: the taken side waits in `pending` while the
+        // rest run to the end of the program, so the sides never need
+        // to reconverge. Sides are disjoint runs of `lane`, so at most
+        // n of them are ever pending.
+        uint8_t lane[W];
+        for (int l = 0; l < n; ++l)
+            lane[l] = static_cast<uint8_t>(l);
+        struct Side
+        {
+            size_t pc;
+            int lo, hi;
+        };
+        Side pending[W];
+        int npending = 0;
+        size_t pc = 0;
+        int lo = 0, hi = n;
+
+// Run BODY for every active lane l; all lanes active is a plain loop.
+#define CMTL_LANES(BODY)                                                 \
+    do {                                                                 \
+        if (hi - lo == n) {                                              \
+            for (int l = 0; l < n; ++l) {                                \
+                BODY;                                                    \
+            }                                                            \
+        } else {                                                         \
+            for (int k = lo; k < hi; ++k) {                              \
+                const int l = lane[k];                                   \
+                BODY;                                                    \
+            }                                                            \
+        }                                                                \
+    } while (0)
+
+        for (;;) {
+            if (pc >= ninsts) {
+                if (npending == 0)
+                    break;
+                const Side &side = pending[--npending];
+                pc = side.pc;
+                lo = side.lo;
+                hi = side.hi;
+                continue;
+            }
+            const BcInst &in = insts[pc];
+            uint64_t *d = f + in.dst * W;
+            const uint64_t *a = f + in.a * W;
+            const uint64_t *b = f + in.b * W;
+            const uint64_t m = in.mask;
+            switch (in.op) {
+              case Bc::Mov:
+                CMTL_LANES(d[l] = a[l] & m);
+                break;
+              case Bc::Add:
+                CMTL_LANES(d[l] = (a[l] + b[l]) & m);
+                break;
+              case Bc::Sub:
+                CMTL_LANES(d[l] = (a[l] - b[l]) & m);
+                break;
+              case Bc::Mul:
+                CMTL_LANES(d[l] = (a[l] * b[l]) & m);
+                break;
+              case Bc::And:
+                CMTL_LANES(d[l] = (a[l] & b[l]) & m);
+                break;
+              case Bc::Or:
+                CMTL_LANES(d[l] = (a[l] | b[l]) & m);
+                break;
+              case Bc::Xor:
+                CMTL_LANES(d[l] = (a[l] ^ b[l]) & m);
+                break;
+              case Bc::Shl:
+                CMTL_LANES(d[l] = (a[l] << (b[l] & 63)) & m & inRange(b[l]));
+                break;
+              case Bc::Shr:
+                CMTL_LANES(d[l] = (a[l] >> (b[l] & 63)) & m & inRange(b[l]));
+                break;
+              case Bc::Sra: {
+                const int up = 64 - in.imm;
+                CMTL_LANES({
+                    const int64_t v = static_cast<int64_t>(a[l] << up) >> up;
+                    const uint64_t amt = std::min<uint64_t>(b[l], 63);
+                    d[l] = static_cast<uint64_t>(v >> static_cast<int>(amt)) &
+                           m;
+                });
+                break;
+              }
+              case Bc::Eq:
+                CMTL_LANES(d[l] = a[l] == b[l]);
+                break;
+              case Bc::Ne:
+                CMTL_LANES(d[l] = a[l] != b[l]);
+                break;
+              case Bc::Lt:
+                CMTL_LANES(d[l] = a[l] < b[l]);
+                break;
+              case Bc::Le:
+                CMTL_LANES(d[l] = a[l] <= b[l]);
+                break;
+              case Bc::Gt:
+                CMTL_LANES(d[l] = a[l] > b[l]);
+                break;
+              case Bc::Ge:
+                CMTL_LANES(d[l] = a[l] >= b[l]);
+                break;
+              case Bc::LAnd:
+                CMTL_LANES(d[l] = (a[l] != 0) & (b[l] != 0));
+                break;
+              case Bc::LOr:
+                CMTL_LANES(d[l] = (a[l] | b[l]) != 0);
+                break;
+              case Bc::Inv:
+                CMTL_LANES(d[l] = ~a[l] & m);
+                break;
+              case Bc::LNot:
+                CMTL_LANES(d[l] = a[l] == 0);
+                break;
+              case Bc::ROr:
+                CMTL_LANES(d[l] = a[l] != 0);
+                break;
+              case Bc::RAnd:
+                CMTL_LANES(d[l] = a[l] == m);
+                break;
+              case Bc::RXor:
+                CMTL_LANES(d[l] = std::popcount(a[l]) & 1);
+                break;
+              case Bc::Slice: {
+                const int sh = in.sh;
+                CMTL_LANES(d[l] = (a[l] >> sh) & m);
+                break;
+              }
+              case Bc::SetSlice: {
+                const int sh = in.sh;
+                const uint64_t keep = ~(m << sh);
+                CMTL_LANES(d[l] = (d[l] & keep) | ((a[l] & m) << sh));
+                break;
+              }
+              case Bc::Mux: {
+                const uint64_t *c = f + in.c * W;
+                CMTL_LANES({
+                    const uint64_t take = ~uint64_t(0) + (c[l] == 0);
+                    d[l] = ((a[l] & take) | (b[l] & ~take)) & m;
+                });
+                break;
+              }
+              case Bc::Sext: {
+                const int up = 64 - in.imm;
+                CMTL_LANES(d[l] = static_cast<uint64_t>(
+                                      static_cast<int64_t>(a[l] << up) >>
+                                      up) &
+                                  m);
+                break;
+              }
+              case Bc::ALoad: {
+                const int32_t *base = slots + in.imm * W;
+                const uint64_t idx = static_cast<uint64_t>(in.c);
+                CMTL_LANES(d[l] = words[base[l] + (a[l] & idx)]);
+                break;
+              }
+              case Bc::AStore: {
+                const int32_t *base = slots + in.imm * W;
+                const uint64_t idx = static_cast<uint64_t>(in.c);
+                CMTL_LANES(words[base[l] + (a[l] & idx)] = b[l] & m);
+                break;
+              }
+              case Bc::Jz: {
+                // Lanes that fall through go to lane[lo, mid).
+                int mid = lo;
+                for (int k = lo; k < hi; ++k) {
+                    if (a[lane[k]] != 0)
+                        std::swap(lane[k], lane[mid++]);
+                }
+                if (mid == lo) {
+                    pc = static_cast<size_t>(in.imm);
+                    continue;
+                }
+                if (mid < hi) {
+                    pending[npending++] = {static_cast<size_t>(in.imm), mid,
+                                           hi};
+                    hi = mid;
+                }
+                break;
+              }
+              case Bc::Jmp:
                 pc = static_cast<size_t>(in.imm);
                 continue;
             }
-            break;
-          case Bc::Jmp:
-            pc = static_cast<size_t>(in.imm);
-            continue;
+            ++pc;
         }
-        ++pc;
-    }
+#undef CMTL_LANES
 
-    for (int32_t s : prog.written)
-        words[slots[s]] = f[s];
+        for (int32_t s : prog.written) {
+            const int32_t *row = slots + s * W;
+            const uint64_t *src = f + s * W;
+            for (int l = 0; l < n; ++l)
+                words[row[l]] = src[l];
+        }
+    }
 }
 
 } // namespace cmtl

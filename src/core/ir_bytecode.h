@@ -14,15 +14,28 @@
  * each program into one kernel (ir_cpp.h). bcCompile numbers every
  * arena word a block touches (a net's current or next word, an array's
  * base) as a local slot in first-use order, and every IR constant
- * occurrence as a constant operand. The instruction stream names only those numbers,
- * so instances of one block type compile to the same program; a
- * BcModule keeps one program per distinct stream and, per instance,
- * only its slot table (absolute arena words) and constant table.
+ * occurrence as a constant operand. The instruction stream names only
+ * those numbers, so instances of one block type compile to the same
+ * program; a BcModule keeps one program per distinct stream and, per
+ * instance, only its slot table (absolute arena words) and constant
+ * table.
  *
- * bcRun gathers an instance's slots and constants into a contiguous
- * frame [slots | consts | scratch], runs the program with every operand
- * a frame index, and scatters the program's written slots back to the
- * arena. Array accesses address the arena through the slot table.
+ * The VM runs a program across a *batch* of instances at once. A
+ * BcBatch holds its instances' tables lane-major, one lane per
+ * instance. bcRunBatch works through the batch kBcLanes lanes at a
+ * time: it gathers every lane's slots and constants into a lane-major
+ * frame [slot][lane], runs each instruction across all active lanes
+ * before dispatching the next, and scatters the written slots of every
+ * lane back to the arena. Dispatch is paid once per chunk of lanes,
+ * not once per instance. A Jz whose lanes disagree splits the active
+ * set, and each side runs to the end of the program. Array accesses
+ * address the arena through each lane's own slot table. A single
+ * instance is a batch of one lane.
+ *
+ * A batch must be an antichain: no lane reads or writes a token that
+ * another lane writes. Then gathering all lanes first and scattering
+ * them last computes what running the instances one by one would.
+ * typeBatches (sim.h) builds such batches for both kernels.
  *
  * Restrictions (the "specializable subset", mirroring SimJIT's
  * restricted-Python subset): every referenced net and every
@@ -96,7 +109,7 @@ struct BcBlock
     std::vector<uint64_t> consts; //!< value of each constant operand
 };
 
-/** One instance as bcRun sees it; the pointers belong to a BcModule. */
+/** One instance's tables; the pointers belong to a BcModule. */
 struct BcInstance
 {
     const BcProgram *prog = nullptr;
@@ -105,11 +118,39 @@ struct BcInstance
 };
 
 /**
+ * Lanes bcRunBatch runs per pass; a pass's frame is kBcLanes times a
+ * program's frame. At 32 lanes the largest mesh frame (the RTL
+ * router's, 170 words) takes 43.5 KB, which stays cache-resident,
+ * while dispatch is already spread over 32 instances.
+ */
+inline constexpr int kBcLanes = 32;
+
+/**
+ * Instances of one program that bcRunBatch runs together, as chunks of
+ * kBcLanes lanes (the last chunk may be partial). The tables are laid
+ * out as the frame is: per chunk, one row of kBcLanes words per slot
+ * or constant, so lane l of chunk c has slot s at
+ * slots[(c * nslots + s) * kBcLanes + l]. Built once at schedule time
+ * by BcModule::batch.
+ */
+struct BcBatch
+{
+    const BcProgram *prog = nullptr;
+    int nlanes = 0;
+    std::vector<int> blocks;      //!< each lane's ElabBlock index
+    std::vector<int32_t> slots;   //!< [chunk][slot][lane]: arena word
+    std::vector<uint64_t> consts; //!< [chunk][const][lane]
+    /** Constants whose value differs across lanes. The others are the
+     *  same in every chunk, so a run loads them once. */
+    std::vector<int32_t> varying;
+};
+
+/**
  * The bytecode of a set of blocks: every block compiled once, and
  * blocks with identical programs sharing one. Slot tables hold absolute
  * offsets, so the module runs against any arena with @p store's
  * layout (every ParSim replica). Immutable once built; moving it keeps
- * its instances valid.
+ * its instances and batches valid.
  */
 class BcModule
 {
@@ -132,8 +173,17 @@ class BcModule
         const BcProgram *prog = insts_[block].prog;
         return prog ? static_cast<int>(prog - progs_.data()) : -1;
     }
-    /** Frame words bcRun needs for any instance of the module. */
-    int maxFrame() const { return max_frame_; }
+    /**
+     * The batch of @p blocks, in that lane order. Every block must
+     * share one program; the caller guarantees the antichain.
+     */
+    BcBatch batch(const std::vector<int> &blocks) const;
+    /** Frame words bcRunBatch needs for any batch of the module. */
+    size_t
+    frameWords() const
+    {
+        return static_cast<size_t>(max_frame_) * kBcLanes;
+    }
 
   private:
     std::vector<BcProgram> progs_;
@@ -150,10 +200,10 @@ bool bcSpecializable(const ElabBlock &blk, const ArenaStore &store);
 BcBlock bcCompile(const ElabBlock &blk, const ArenaStore &store);
 
 /**
- * Run one instance against @p words. @p frame must hold at least
- * prog->frameSize() words and must not overlap @p words.
+ * Run every lane of @p batch against @p words. @p frame must hold at
+ * least BcModule::frameWords() words and must not overlap @p words.
  */
-void bcRun(const BcInstance &inst, uint64_t *words, uint64_t *frame);
+void bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame);
 
 } // namespace cmtl
 

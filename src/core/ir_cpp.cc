@@ -120,9 +120,10 @@ resolveConsts(Kernel &k, const BcModule &bc, std::vector<uint64_t> &ctab)
 
 /**
  * Translate @p k's program into `static void T<t>`. Each instruction
- * computes exactly what bcRun computes for it; slots are read and
- * written in place, which is what bcRun's gather and scatter amount
- * to, since a block's array words never alias its net slots.
+ * computes exactly what bcRunBatch computes for one lane; slots are
+ * read and written in place, which is what bcRunBatch's gather and
+ * scatter amount to, since a block's array words never alias its net
+ * slots.
  *
  * Scratch past the temps holds an expression's intermediate values:
  * bcCompile defines each one once and reads it once, later in the same

@@ -202,23 +202,19 @@ ParSimulationTool::specialize()
         // cpp-design this is the warm-up tier executed while the
         // whole-design compile runs in the background.
         std::vector<int> members;
-        auto markSteps = [&](std::vector<PStep> &steps) {
-            for (PStep &step : steps) {
-                if (!specialized_[step.block])
-                    continue;
-                step.kind = PStep::Kind::Bytecode;
-                members.push_back(step.block);
-            }
-        };
-        for (int i = 0; i < plan_.nislands; ++i) {
-            markSteps(comb_steps_[i]);
-            markSteps(tick_steps_[i]);
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            if (specialized_[b])
+                members.push_back(static_cast<int>(b));
         }
         bc_ = BcModule(*elab_, *replicas_[0], members);
+        const std::vector<int> type = blockTypes(specialized_);
+        for (int i = 0; i < plan_.nislands; ++i) {
+            batchSteps(comb_steps_[i], type);
+            batchSteps(tick_steps_[i], type);
+        }
         // Round each island's frame up to whole cache lines, plus one,
         // so no two islands' frames share a line.
-        const size_t frame = (static_cast<size_t>(bc_.maxFrame()) + 15) &
-                             ~size_t(7);
+        const size_t frame = (bc_.frameWords() + 15) & ~size_t(7);
         bc_frames_.assign(plan_.nislands, std::vector<uint64_t>(frame, 0));
         spec_stats_.numGroups = spec_stats_.numSpecialized;
         spec_stats_.kernelTypes = bc_.numPrograms();
@@ -263,6 +259,34 @@ ParSimulationTool::specialize()
 }
 
 void
+ParSimulationTool::batchSteps(std::vector<PStep> &steps,
+                              const std::vector<int> &type)
+{
+    // Batch each settle level (the tick list is all level 0) apart:
+    // the push points between levels are immovable.
+    std::vector<PStep> out;
+    size_t k = 0;
+    while (k < steps.size()) {
+        const int level = steps[k].level;
+        std::vector<int> seq;
+        for (; k < steps.size() && steps[k].level == level; ++k)
+            seq.push_back(steps[k].block);
+        for (const auto &lanes : hazardBatches(*elab_, seq, type)) {
+            PStep step;
+            step.block = lanes.front();
+            step.level = level;
+            if (type[step.block] >= 0) {
+                step.kind = PStep::Kind::Bytecode;
+                step.batch = static_cast<int>(bc_batches_.size());
+                bc_batches_.push_back(bc_.batch(lanes));
+            }
+            out.push_back(step);
+        }
+    }
+    steps = std::move(out);
+}
+
+void
 ParSimulationTool::specializeDesign()
 {
     Stopwatch sw;
@@ -280,16 +304,18 @@ ParSimulationTool::specializeDesign()
         std::vector<PStep> out;
         size_t k = 0;
         while (k < steps.size()) {
-            if (!specialized_[steps[k].block]) {
+            if (steps[k].kind != PStep::Kind::Bytecode) {
                 out.push_back(steps[k]);
                 ++k;
                 continue;
             }
             CppUnit unit;
             size_t j = k;
-            while (j < steps.size() && specialized_[steps[j].block] &&
+            while (j < steps.size() &&
+                   steps[j].kind == PStep::Kind::Bytecode &&
                    (!levelBound || steps[j].level == steps[k].level)) {
-                unit.items.push_back(CppUnit::Item{steps[j].block});
+                for (int b : bc_batches_[steps[j].batch].blocks)
+                    unit.items.push_back(CppUnit::Item{b});
                 ++j;
             }
             PStep step;
@@ -483,8 +509,9 @@ ParSimulationTool::runPStep(int island, const PStep &step)
 {
     // Per-block counters are written only by the executing island's
     // worker (each block belongs to exactly one island), so the probe
-    // needs no synchronization here.
-    if (ScopeProbe *p = probe_) {
+    // needs no synchronization here. A bytecode batch times itself
+    // (runBatch).
+    if (ScopeProbe *p = probe_; p && step.kind != PStep::Kind::Bytecode) {
         if (p->shouldTime(step.block)) {
             Stopwatch sw;
             runPStepImpl(island, step);
@@ -503,8 +530,8 @@ ParSimulationTool::runPStepImpl(int island, const PStep &step)
         evals_[island]->run(elab_->blocks[step.block], nullptr);
         break;
       case PStep::Kind::Bytecode:
-        bcRun(bc_.instance(step.block), replicas_[island]->data(),
-              bc_frames_[island].data());
+        runBatch(bc_batches_[step.batch], replicas_[island]->data(),
+                 bc_frames_[island].data());
         break;
       case PStep::Kind::Native:
         cpp_lib_.group(step.group)(replicas_[island]->data());

@@ -38,10 +38,12 @@
  *   settle  - as above, always runs.
  *
  * Determinism: islands execute their blocks in the global static
- * schedule restricted to the island, values cross islands only at
- * barriers, and tick lambdas always run on one thread in declaration
- * order — so results are bit-identical to SimulationTool at any thread
- * count. The one pattern outside the guarantee is a design whose tick
+ * schedule restricted to the island (bytecode reorders a level or the
+ * tick list into batches only where no hazard forbids it; see
+ * hazardBatches in sim.h), values cross islands only at barriers, and
+ * tick lambdas always run on one thread in declaration order — so
+ * results are bit-identical to SimulationTool at any thread count.
+ * The one pattern outside the guarantee is a design whose tick
  * blocks communicate through *blocking* writes with a tick lambda
  * (already tick-order-fragile sequentially); blocking communication
  * between IR tick blocks is detected and the blocks are co-located.
@@ -147,6 +149,7 @@ class ParSimulationTool : public Simulator
         Kind kind = Kind::Slot;
         int block = -1; //!< ElabBlock index (Slot/Bytecode)
         int group = -1; //!< compiled-C++ group index (Native)
+        int batch = -1; //!< bc_batches_ index (Bytecode)
         int level = 0;  //!< settle superstep (comb steps only)
     };
 
@@ -160,6 +163,7 @@ class ParSimulationTool : public Simulator
 
     void buildIslandSchedules();
     void specialize();
+    void batchSteps(std::vector<PStep> &steps, const std::vector<int> &type);
     void specializeDesign();
     void useNativeSchedule() override;
     void startWorkers();
@@ -194,9 +198,9 @@ class ParSimulationTool : public Simulator
     /** flop_pushes_[island]: copies after the island's flops. */
     std::vector<std::vector<CopyOp>> flop_pushes_;
 
-    // Specialization (shared read-only across islands; slot tables
-    // hold absolute arena offsets, identical in every replica).
-    BcModule bc_;
+    // Specialization (bc_ and bc_batches_ are shared read-only across
+    // islands; slot tables hold absolute arena offsets, identical in
+    // every replica).
     std::vector<std::vector<uint64_t>> bc_frames_; //!< per island
     std::vector<char> specialized_;
 

@@ -191,6 +191,30 @@ Simulator::reset(int ncycles)
     elab_->top->reset.setValue(uint64_t(0));
 }
 
+void
+Simulator::runBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
+{
+    ScopeProbe *p = probe_;
+    if (p && p->shouldTimeBatch(batch.blocks)) {
+        Stopwatch sw;
+        bcRunBatch(batch, words, frame);
+        p->addBatchTime(batch.blocks, sw.elapsed());
+        return;
+    }
+    bcRunBatch(batch, words, frame);
+}
+
+std::vector<int>
+Simulator::blockTypes(const std::vector<char> &can) const
+{
+    std::vector<int> type(elab_->blocks.size(), -1);
+    for (size_t b = 0; b < type.size(); ++b) {
+        if (can[b])
+            type[b] = bc_.programOf(static_cast<int>(b));
+    }
+    return type;
+}
+
 std::string
 Simulator::lineTrace() const
 {
@@ -510,16 +534,19 @@ SimulationTool::specialize()
     bc_ = BcModule(*elab_, *arena_, members);
     spec_stats_.kernelTypes = bc_.numPrograms();
     if (!native_blocks_) {
-        group_bc_.resize(groups.size());
-        for (size_t g = 0; g < groups.size(); ++g) {
-            for (int blk : groups[g])
-                group_bc_[g].push_back(bc_.instance(blk));
+        // Each group runs as batches of one block type, ordered by the
+        // hazards of running the group's members in schedule order.
+        const std::vector<int> type = blockTypes(can);
+        group_batch_begin_.assign(1, 0);
+        for (const auto &group : groups) {
+            for (const auto &lanes : hazardBatches(*elab_, group, type))
+                bc_batches_.push_back(bc_.batch(lanes));
+            group_batch_begin_.push_back(bc_batches_.size());
         }
-        group_blocks_ = std::move(groups);
-        bc_frame_.assign(static_cast<size_t>(bc_.maxFrame()) + 1, 0);
+        bc_frame_.assign(bc_.frameWords(), 0);
         spec_stats_.codegenSeconds = sw.elapsed();
         if (design)
-            specializeDesign(can);
+            specializeDesign(type);
         return;
     }
 
@@ -533,25 +560,21 @@ SimulationTool::specialize()
     buildNative(std::move(program), static_cast<int>(units.size()));
 }
 
-std::vector<int>
-SimulationTool::typeBatchedOrder(const std::vector<int> &base,
-                                 const std::vector<std::vector<int>> &succ,
-                                 std::vector<int> indeg,
-                                 const std::vector<char> &can) const
+std::vector<std::vector<int>>
+typeBatches(const std::vector<int> &base,
+            const std::vector<std::vector<int>> &succ,
+            std::vector<int> indeg, const std::vector<int> &type)
 {
-    // A block's type is its program, or -1 when it is not specialized.
-    const size_t nblocks = elab_->blocks.size();
-    std::vector<int> type(nblocks, -1), pos(nblocks, -1);
+    const size_t nblocks = type.size();
+    std::vector<int> pos(nblocks, -1);
     int ntypes = 0;
     for (size_t i = 0; i < base.size(); ++i) {
-        const int b = base[i];
-        pos[b] = static_cast<int>(i);
-        if (can[b])
-            type[b] = bc_.programOf(b);
-        ntypes = std::max(ntypes, type[b] + 1);
+        pos[base[i]] = static_cast<int>(i);
+        ntypes = std::max(ntypes, type[base[i]] + 1);
     }
-    // Min-heaps by base position: ready blocks per type (index type + 1)
-    // and all ready specialized blocks (pruned lazily).
+    // Ready blocks per type (index type + 1; the unspecialized ones a
+    // min-heap by base position), and a min-heap of every ready
+    // specialized block (pruned lazily).
     auto later = [&](int a, int b) { return pos[a] > pos[b]; };
     auto push = [&](std::vector<int> &heap, int b) {
         heap.push_back(b);
@@ -567,33 +590,39 @@ SimulationTool::typeBatchedOrder(const std::vector<int> &base,
     std::vector<int> any;
     std::vector<char> taken(nblocks, 0);
     auto makeReady = [&](int b) {
-        push(ready[type[b] + 1], b);
-        if (type[b] >= 0)
+        if (type[b] < 0) {
+            push(ready[0], b);
+        } else {
+            ready[type[b] + 1].push_back(b);
             push(any, b);
+        }
     };
     for (int b : base) {
         if (indeg[b] == 0)
             makeReady(b);
     }
 
-    std::vector<int> order;
-    order.reserve(base.size());
+    std::vector<std::vector<int>> out;
+    size_t placed = 0;
     bool spec = true, stalled = false;
     int cur = -1;
-    while (order.size() < base.size()) {
-        int b = -1;
+    while (placed < base.size()) {
+        std::vector<int> batch;
         if (spec) {
             if (cur < 0 || ready[cur + 1].empty()) {
                 while (!any.empty() && taken[any.front()])
                     pop(any);
                 cur = any.empty() ? -1 : type[any.front()];
             }
-            if (cur >= 0)
-                b = pop(ready[cur + 1]);
+            if (cur >= 0) {
+                batch.swap(ready[cur + 1]);
+                std::sort(batch.begin(), batch.end(),
+                          [&](int a, int b) { return pos[a] < pos[b]; });
+            }
         } else if (!ready[0].empty()) {
-            b = pop(ready[0]);
+            batch.push_back(pop(ready[0]));
         }
-        if (b < 0) {
+        if (batch.empty()) {
             if (stalled)
                 break;
             stalled = true;
@@ -601,25 +630,103 @@ SimulationTool::typeBatchedOrder(const std::vector<int> &base,
             continue;
         }
         stalled = false;
-        taken[b] = 1;
-        order.push_back(b);
-        for (int s : succ[b]) {
-            if (--indeg[s] == 0)
-                makeReady(s);
+        for (int b : batch)
+            taken[b] = 1;
+        placed += batch.size();
+        for (int b : batch) {
+            for (int s : succ[b]) {
+                if (--indeg[s] == 0)
+                    makeReady(s);
+            }
+        }
+        out.push_back(std::move(batch));
+    }
+    if (placed != base.size()) {
+        // Defensive: fall back to the baseline order.
+        out.clear();
+        for (int b : base)
+            out.push_back({b});
+    }
+    return out;
+}
+
+std::vector<std::vector<int>>
+hazardBatches(const Elaboration &elab, const std::vector<int> &seq,
+              const std::vector<int> &type)
+{
+    // The graph is built over positions in seq. Per token: its last
+    // writer, and the readers since then as a list through `link`.
+    const size_t n = seq.size();
+    const size_t ntokens = elab.nets.size() + elab.arrays.size();
+    std::vector<int> local(n), ltype(n);
+    std::vector<std::vector<int>> succ(n);
+    std::vector<int> indeg(n, 0);
+    auto addEdge = [&](int a, int b) {
+        if (a < 0 || a == b)
+            return;
+        succ[a].push_back(b);
+        ++indeg[b];
+    };
+    std::vector<int> last_writer(ntokens, -1), readers(ntokens, -1);
+    std::vector<std::pair<int, int>> link; //!< (reader, next link)
+    int barrier = -1;
+    std::vector<int> since_barrier;
+    for (size_t i = 0; i < n; ++i) {
+        const int b = static_cast<int>(i);
+        const ElabBlock &blk = elab.blocks[seq[i]];
+        local[i] = b;
+        ltype[i] = type[seq[i]];
+        addEdge(barrier, b);
+        if (!blk.ir) {
+            for (int a : since_barrier)
+                addEdge(a, b);
+            since_barrier.clear();
+            barrier = b;
+            continue;
+        }
+        since_barrier.push_back(b);
+        for (int tok : blk.reads) {
+            addEdge(last_writer[tok], b);
+            link.emplace_back(b, readers[tok]);
+            readers[tok] = static_cast<int>(link.size()) - 1;
+        }
+        for (int tok : blk.writes) {
+            addEdge(last_writer[tok], b);
+            for (int r = readers[tok]; r >= 0; r = link[r].second)
+                addEdge(link[r].first, b);
+            readers[tok] = -1;
+            last_writer[tok] = b;
         }
     }
-    if (order.size() != base.size())
-        return base; // defensive: fall back to the baseline order
+    std::vector<std::vector<int>> batches =
+        typeBatches(local, succ, std::move(indeg), ltype);
+    for (auto &batch : batches) {
+        for (int &b : batch)
+            b = seq[b];
+    }
+    return batches;
+}
+
+namespace {
+
+std::vector<int>
+flatten(const std::vector<std::vector<int>> &batches)
+{
+    std::vector<int> order;
+    for (const auto &batch : batches)
+        order.insert(order.end(), batch.begin(), batch.end());
     return order;
 }
 
+} // namespace
+
 std::vector<int>
-SimulationTool::designCombOrder(const std::vector<char> &can) const
+SimulationTool::designCombOrder(const std::vector<int> &type) const
 {
     // Any topological order of the comb dependency graph settles to
     // the same fixed point (each block runs once, after all writers of
     // its inputs), so we are free to re-levelize for fusion and
-    // batching: typeBatchedOrder clusters the specializable blocks
+    // batching: typeBatches clusters the specializable blocks
     // into the fewest contiguous runs — ideally the whole phase
     // becomes one compiled unit — and, inside them, instances of one
     // type into runs of one kernel. Multiple writers of one token
@@ -651,59 +758,19 @@ SimulationTool::designCombOrder(const std::vector<char> &can) const
         for (size_t i = 1; i < ws.size(); ++i)
             addEdge(ws[i - 1], ws[i]);
     }
-    return typeBatchedOrder(base, succ, std::move(indeg), can);
+    return flatten(typeBatches(base, succ, std::move(indeg), type));
 }
 
 std::vector<int>
-SimulationTool::designTickOrder(const std::vector<char> &can) const
+SimulationTool::designTickOrder(const std::vector<int> &type) const
 {
     // Tick blocks run in declaration order, and two of them commute
-    // unless both touch one token and one of them writes it. So the
-    // edges are the RAW, WAR and WAW hazards in that order. Lambda
-    // blocks declare no accesses: each is ordered after every earlier
-    // block and before every later one.
-    const auto &blocks = elab_->blocks;
-    const std::vector<int> &base = elab_->tickOrder;
-    const size_t ntokens = elab_->nets.size() + elab_->arrays.size();
-    std::vector<int> last_writer(ntokens, -1);
-    std::vector<std::vector<int>> readers(ntokens);
-    std::vector<std::vector<int>> succ(blocks.size());
-    std::vector<int> indeg(blocks.size(), 0);
-    auto addEdge = [&](int a, int b) {
-        if (a < 0 || a == b)
-            return;
-        succ[a].push_back(b);
-        ++indeg[b];
-    };
-    int barrier = -1;
-    std::vector<int> since_barrier;
-    for (int b : base) {
-        addEdge(barrier, b);
-        if (!blocks[b].ir) {
-            for (int a : since_barrier)
-                addEdge(a, b);
-            since_barrier.clear();
-            barrier = b;
-            continue;
-        }
-        since_barrier.push_back(b);
-        for (int tok : blocks[b].reads) {
-            addEdge(last_writer[tok], b);
-            readers[tok].push_back(b);
-        }
-        for (int tok : blocks[b].writes) {
-            addEdge(last_writer[tok], b);
-            for (int r : readers[tok])
-                addEdge(r, b);
-            readers[tok].clear();
-            last_writer[tok] = b;
-        }
-    }
-    return typeBatchedOrder(base, succ, std::move(indeg), can);
+    // unless both touch one token and one of them writes it.
+    return flatten(hazardBatches(*elab_, elab_->tickOrder, type));
 }
 
 void
-SimulationTool::specializeDesign(const std::vector<char> &can)
+SimulationTool::specializeDesign(const std::vector<int> &type)
 {
     Stopwatch sw;
     // Native whole-design schedule: cluster the specializable blocks
@@ -730,7 +797,7 @@ SimulationTool::specializeDesign(const std::vector<char> &can)
                           std::vector<Step> &out, bool seq) {
         std::vector<int> run;
         for (int b : order) {
-            if (can[b]) {
+            if (type[b] >= 0) {
                 run.push_back(b);
                 continue;
             }
@@ -743,8 +810,8 @@ SimulationTool::specializeDesign(const std::vector<char> &can)
         if (!run.empty())
             addNativeStep(run, out, seq);
     };
-    buildSteps(designCombOrder(can), design_comb_steps_, false);
-    buildSteps(designTickOrder(can), design_tick_steps_, true);
+    buildSteps(designCombOrder(type), design_comb_steps_, false);
+    buildSteps(designTickOrder(type), design_tick_steps_, true);
 
     // The flop phase of the static flop set as whole-word
     // next->current copy ranges (flop_plan_). Nets registered
@@ -942,22 +1009,12 @@ SimulationTool::runStep(const Step &step, std::vector<int> *changed)
         // A fused bytecode group runs many blocks in one step; timing
         // the step as a whole would credit the entire group to one
         // block id and starve every other member of heat (SimScope's
-        // rankings read per-block heat).
-        // Descend and account each member program individually.
-        if (step.kind == Step::Kind::Bytecode && step.group >= 0 &&
-            group_blocks_[step.group].size() > 1 && !changed &&
-            !useBoxed()) {
-            const auto &blks = group_blocks_[step.group];
-            const auto &progs = group_bc_[step.group];
-            for (size_t i = 0; i < progs.size(); ++i) {
-                if (p->shouldTime(blks[i])) {
-                    Stopwatch sw;
-                    bcRun(progs[i], arena_->data(), bc_frame_.data());
-                    p->addBlockTime(blks[i], sw.elapsed());
-                } else {
-                    bcRun(progs[i], arena_->data(), bc_frame_.data());
-                }
-            }
+        // rankings read per-block heat). Time each batch instead, and
+        // credit its lanes evenly.
+        if (step.kind == Step::Kind::Bytecode && !changed && !useBoxed()) {
+            for (size_t i = group_batch_begin_[step.group];
+                 i < group_batch_begin_[step.group + 1]; ++i)
+                runBatch(bc_batches_[i], arena_->data(), bc_frame_.data());
             return;
         }
         if (p->shouldTime(step.block)) {
@@ -996,8 +1053,9 @@ SimulationTool::runStepImpl(const Step &step, std::vector<int> *changed)
         if (step.kind == Step::Kind::Native) {
             cpp_lib_.group(step.group)(arena_->data());
         } else {
-            for (const BcInstance &bc : group_bc_[step.group])
-                bcRun(bc, arena_->data(), bc_frame_.data());
+            for (size_t i = group_batch_begin_[step.group];
+                 i < group_batch_begin_[step.group + 1]; ++i)
+                bcRunBatch(bc_batches_[i], arena_->data(), bc_frame_.data());
         }
         if (track)
             diffWrites(step, changed);

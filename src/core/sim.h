@@ -183,8 +183,9 @@ struct ScopeProbe
     bool exact = true;
     uint32_t sample_period = 64;
 
-    // Per-block self time, indexed by ElabBlock id. Fused
-    // specialization groups attribute to the group's first block.
+    // Per-block self time, indexed by ElabBlock id. Fused native
+    // groups attribute to the group's first block; a bytecode batch
+    // splits its time evenly over its lanes.
     std::vector<double> block_seconds;
     std::vector<uint64_t> block_calls;
     std::vector<uint32_t> until_sample;
@@ -222,6 +223,28 @@ struct ScopeProbe
     addBlockTime(int block, double seconds)
     {
         block_seconds[block] += exact ? seconds : seconds * sample_period;
+    }
+
+    /**
+     * Count a call of every lane of a bytecode batch; true when this
+     * run should be timed. The lanes share one stopwatch, so the first
+     * lane's sample counter decides for all of them.
+     */
+    bool
+    shouldTimeBatch(const std::vector<int> &lanes)
+    {
+        for (size_t i = 1; i < lanes.size(); ++i)
+            ++block_calls[lanes[i]];
+        return shouldTime(lanes.front());
+    }
+
+    /** Credit one timed batch run evenly to its lanes. */
+    void
+    addBatchTime(const std::vector<int> &lanes, double seconds)
+    {
+        const double share = seconds / static_cast<double>(lanes.size());
+        for (int block : lanes)
+            addBlockTime(block, share);
     }
 };
 
@@ -344,6 +367,15 @@ class Simulator : public SignalAccess
     const Elaboration &elaboration() const { return *elab_; }
     const SimConfig &config() const { return cfg_; }
 
+    /**
+     * Every bytecode batch the kernel runs (empty unless it runs
+     * bytecode). Each batch is an antichain of one block type.
+     */
+    const std::vector<BcBatch> &bytecodeBatches() const
+    {
+        return bc_batches_;
+    }
+
     /** Concatenated lineTrace() of every model, pre-order. */
     std::string lineTrace() const;
 
@@ -415,6 +447,13 @@ class Simulator : public SignalAccess
     void maybeSwapTier();
     /** cpp-design hook: switch to the native schedule over cpp_lib_. */
     virtual void useNativeSchedule() = 0;
+    /**
+     * Run @p batch against @p words. With a probe attached, one
+     * stopwatch times the whole batch and credits its lanes evenly.
+     */
+    void runBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame);
+    /** Each block's program in bc_, or -1 where @p can is 0. */
+    std::vector<int> blockTypes(const std::vector<char> &can) const;
 
     std::shared_ptr<Elaboration> elab_;
     SimConfig cfg_;
@@ -434,6 +473,8 @@ class Simulator : public SignalAccess
     std::vector<std::function<void(uint64_t)>> cycle_hooks_;
     ScopeProbe *probe_ = nullptr;
     CppJitLibrary cpp_lib_; //!< cpp-block, or the adopted cpp-design
+    BcModule bc_; //!< one program per block type
+    std::vector<BcBatch> bc_batches_; //!< bytecode schedule's batches
     bool design_native_ = false; //!< cpp-design native schedule is live
 
   private:
@@ -447,6 +488,37 @@ class Simulator : public SignalAccess
     std::thread jit_thread_;
     bool tier_failed_ = false;
 };
+
+/**
+ * Batches of the blocks of @p base, for a kernel that runs a batch of
+ * one block type at a time: a Kahn traversal of the DAG @p succ (with
+ * in-degrees @p indeg) that takes *every* ready block of one type as
+ * one batch and then releases the batch's successors. The members of
+ * a batch are ready together, so none depends on another: each batch
+ * is an antichain. @p type holds each block's program, or -1 for an
+ * unspecialized block, which always forms a batch of its own. The
+ * traversal keeps the type of its last batch while a block of it is
+ * ready, then takes the type of the earliest ready specialized block;
+ * it takes unspecialized blocks only when no specialized block is
+ * ready, and then while any is. Members and ties follow @p base order.
+ * Returns one batch per block, in @p base order, if the graph has a
+ * cycle.
+ */
+std::vector<std::vector<int>>
+typeBatches(const std::vector<int> &base,
+            const std::vector<std::vector<int>> &succ,
+            std::vector<int> indeg, const std::vector<int> &type);
+
+/**
+ * typeBatches over @p seq, constrained only by the hazards of running
+ * its blocks in @p seq order: a block follows every earlier block that
+ * touches one of its tokens when either of them writes it (RAW, WAR
+ * and WAW). A block without IR declares no accesses, so it stays after
+ * every earlier block and before every later one.
+ */
+std::vector<std::vector<int>> hazardBatches(const Elaboration &elab,
+                                            const std::vector<int> &seq,
+                                            const std::vector<int> &type);
 
 /**
  * The sequential simulator generator (the paper's kernel).
@@ -499,21 +571,9 @@ class SimulationTool : public Simulator
     Step makeStep(int idx) const;
     void buildSchedule();
     void specialize();
-    void specializeDesign(const std::vector<char> &can);
-    /**
-     * Kahn traversal of the DAG @p succ over @p base that keeps taking
-     * ready blocks of the type it took last: specialized blocks of one
-     * program (bc_) while any is ready, then the earliest ready
-     * specialized block; unspecialized blocks only when no specialized
-     * block is ready, and then while any is. Ties go to the earlier
-     * position in @p base. Returns @p base if the graph has a cycle.
-     */
-    std::vector<int> typeBatchedOrder(const std::vector<int> &base,
-                                      const std::vector<std::vector<int>> &succ,
-                                      std::vector<int> indeg,
-                                      const std::vector<char> &can) const;
-    std::vector<int> designCombOrder(const std::vector<char> &can) const;
-    std::vector<int> designTickOrder(const std::vector<char> &can) const;
+    void specializeDesign(const std::vector<int> &type);
+    std::vector<int> designCombOrder(const std::vector<int> &type) const;
+    std::vector<int> designTickOrder(const std::vector<int> &type) const;
     void useNativeSchedule() override;
     void runStep(const Step &step, std::vector<int> *changed);
     void runStepImpl(const Step &step, std::vector<int> *changed);
@@ -582,13 +642,11 @@ class SimulationTool : public Simulator
     std::vector<FlopRange> dyn_flop_plan_;
     size_t dyn_flop_planned_ = 0;
 
-    BcModule bc_; //!< one program per block type
-    std::vector<uint64_t> bc_frame_; //!< bcRun's frame
-    /** Per specialization group: member instances + marshal sets. */
-    std::vector<std::vector<BcInstance>> group_bc_;
-    /** Member block ids of each bytecode group, in execution order —
-     *  lets a probe attribute time per block inside a fused step. */
-    std::vector<std::vector<int>> group_blocks_;
+    std::vector<uint64_t> bc_frame_; //!< bcRunBatch's frame
+    /** Bytecode group g runs bc_batches_[group_batch_begin_[g] ..
+     *  group_batch_begin_[g + 1]). */
+    std::vector<size_t> group_batch_begin_;
+    /** Per specialization group: marshal sets. */
     std::vector<std::vector<int>> group_reads_;
     std::vector<std::vector<int>> group_writes_;
 

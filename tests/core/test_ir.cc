@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <set>
 
 #include "core/ir_bytecode.h"
 #include "core/ir_cpp.h"
@@ -8,6 +10,7 @@
 #include "core/psim.h"
 #include "core/sim.h"
 #include "core/snap.h"
+#include "net/traffic.h"
 #include "test_models.h"
 
 namespace cmtl {
@@ -193,12 +196,13 @@ TEST(IrBytecode, ProgramsAreCompact)
 }
 
 // ----------------------------------------------------------------------
-// Frame semantics. bcRun copies a block's slots into a frame, runs the
-// shared program there and copies back only the slots the program may
-// write. Each design below instantiates its block type twice (two
-// instances share one program, each with its own slot and constant
-// tables) and must stay bit-identical to optinterp, cycle by cycle,
-// on every bytecode schedule.
+// Frame semantics. bcRunBatch copies the slots of a batch of instances
+// into a lane-major frame, runs their shared program there across all
+// lanes and copies back only the slots the program may write. Each
+// design below instantiates its block types more than once (instances
+// share one program, each with its own slot and constant tables) and
+// must stay bit-identical to optinterp, cycle by cycle, on every
+// bytecode schedule.
 
 /** Two instances of a leaf, driven from the test bench. */
 template <class Leaf>
@@ -207,6 +211,15 @@ class Twin : public Model
   public:
     Leaf x, y;
     Twin() : Model(nullptr, "top"), x(this, "x"), y(this, "y") {}
+
+    std::vector<Signal *>
+    inputs()
+    {
+        std::vector<Signal *> ins = x.inputs();
+        for (Signal *sig : y.inputs())
+            ins.push_back(sig);
+        return ins;
+    }
 };
 
 /** A block that reads a net after writing it. */
@@ -436,6 +449,165 @@ class TickHazardTop : public Model
         : Model(nullptr, "top"), mx(this, "mx", 12, 4), my(this, "my", 12, 4),
           x(this, "x", mx, my), y(this, "y", my, mx)
     {}
+
+    std::vector<Signal *>
+    inputs()
+    {
+        std::vector<Signal *> ins = x.inputs();
+        for (Signal *sig : y.inputs())
+            ins.push_back(sig);
+        return ins;
+    }
+};
+
+/** One link of a chain of identical comb blocks. */
+class Link : public Model
+{
+  public:
+    InPort in;
+    OutPort out;
+
+    Link(Model *parent, const std::string &name)
+        : Model(parent, name), in(this, "in", 16), out(this, "out", 16)
+    {
+        auto &c = combinational("comb");
+        c.assign(out, (rd(in) * lit(16, 3)) ^ (rd(in) >> lit(16, 2)));
+    }
+};
+
+/**
+ * Links that each read the previous link's output: every link depends
+ * on the one before it, so no two may share a batch.
+ */
+class ChainTop : public Model
+{
+  public:
+    static constexpr int kLinks = 6;
+    InPort in;
+    std::vector<std::unique_ptr<Link>> links;
+
+    ChainTop() : Model(nullptr, "top"), in(this, "in", 16)
+    {
+        for (int i = 0; i < kLinks; ++i) {
+            links.push_back(
+                std::make_unique<Link>(this, "l" + std::to_string(i)));
+        }
+        connect(in, links[0]->in);
+        for (int i = 1; i < kLinks; ++i)
+            connect(links[i - 1]->out, links[i]->in);
+    }
+
+    std::vector<Signal *> inputs() { return {&in}; }
+};
+
+/**
+ * An accumulator with a comb output: one tick and one comb type. The
+ * comb block's last constant differs per instance (a hash of the
+ * name), so every chunk of a batch must load its own values of it.
+ */
+class Acc : public Model
+{
+  public:
+    InPort d;
+    OutPort acc, out;
+
+    Acc(Model *parent, const std::string &name)
+        : Model(parent, name), d(this, "d", 10), acc(this, "acc", 10),
+          out(this, "out", 10)
+    {
+        uint64_t tag = 0;
+        for (char ch : name)
+            tag = tag * 31 + static_cast<uint8_t>(ch);
+        auto &t = tickRtl("seq");
+        t.assign(acc, rd(acc) + rd(d));
+        auto &c = combinational("comb");
+        c.assign(out, rd(acc) ^ (rd(d) << lit(4, 3)) ^ lit(10, tag & 0x3ff));
+    }
+
+    std::vector<Signal *> inputs() { return {&d}; }
+};
+
+/**
+ * Independent instances of one leaf, two lane chunks and one more: a
+ * batch of them crosses chunk boundaries and ends in a partial chunk.
+ */
+template <class Leaf, int N>
+class Many : public Model
+{
+  public:
+    std::vector<std::unique_ptr<Leaf>> leaves;
+
+    Many() : Model(nullptr, "top")
+    {
+        for (int i = 0; i < N; ++i) {
+            leaves.push_back(
+                std::make_unique<Leaf>(this, "i" + std::to_string(i)));
+        }
+    }
+
+    std::vector<Signal *>
+    inputs()
+    {
+        std::vector<Signal *> ins;
+        for (auto &leaf : leaves) {
+            for (Signal *sig : leaf->inputs())
+                ins.push_back(sig);
+        }
+        return ins;
+    }
+};
+
+/**
+ * An if/else in which only the taken side stores to memory. The
+ * condition is a shared input XOR a per-instance constant, so the
+ * instances split into two camps that take opposite sides every cycle.
+ */
+class BranchStore : public Model
+{
+  public:
+    InPort sel, waddr, wdata, raddr;
+    OutPort q;
+    MemArray mem;
+
+    BranchStore(Model *parent, const std::string &name, uint64_t flip)
+        : Model(parent, name), sel(this, "sel", 1), waddr(this, "waddr", 3),
+          wdata(this, "wdata", 12), raddr(this, "raddr", 3),
+          q(this, "q", 12), mem(this, "mem", 12, 8)
+    {
+        auto &t = tickRtl("seq");
+        t.if_(rd(sel) ^ lit(1, flip),
+              [&] { t.writeArray(mem, rd(waddr), rd(wdata)); },
+              [&] { t.assign(q, aread(mem, rd(raddr)) + rd(q)); });
+    }
+};
+
+class BranchTop : public Model
+{
+  public:
+    static constexpr int kInstances = 6;
+    InPort sel;
+    std::vector<std::unique_ptr<BranchStore>> insts;
+
+    BranchTop() : Model(nullptr, "top"), sel(this, "sel", 1)
+    {
+        for (int i = 0; i < kInstances; ++i) {
+            insts.push_back(std::make_unique<BranchStore>(
+                this, "b" + std::to_string(i), i % 2));
+            connect(sel, insts.back()->sel);
+        }
+    }
+
+    std::vector<Signal *>
+    inputs()
+    {
+        std::vector<Signal *> ins = {&sel};
+        for (auto &b : insts) {
+            ins.push_back(&b->waddr);
+            ins.push_back(&b->wdata);
+            ins.push_back(&b->raddr);
+        }
+        return ins;
+    }
 };
 
 /** Bytecode and C++ schedules that must agree with optinterp. */
@@ -460,18 +632,26 @@ frameConfigs()
     return out;
 }
 
+/** What a simulator reports about its programs and batches. */
+struct FrameShape
+{
+    int programs = 0;
+    std::vector<std::vector<int>> batches; //!< each batch's lanes
+};
+
 /** Random stimulus, the state digest after every cycle. */
 template <class Top>
 std::vector<uint64_t>
-frameTrace(const SimConfig &cfg, int *programs = nullptr)
+frameTrace(const SimConfig &cfg, FrameShape *shape = nullptr)
 {
     Top top;
     auto sim = makeSimulator(top.elaborate(), cfg);
-    if (programs)
-        *programs = sim->specStats().kernelTypes;
-    std::vector<Signal *> ins = top.x.inputs();
-    for (Signal *sig : top.y.inputs())
-        ins.push_back(sig);
+    if (shape) {
+        shape->programs = sim->specStats().kernelTypes;
+        for (const BcBatch &batch : sim->bytecodeBatches())
+            shape->batches.push_back(batch.blocks);
+    }
+    std::vector<Signal *> ins = top.inputs();
     std::mt19937_64 rng(42);
     std::vector<uint64_t> trace;
     sim->reset();
@@ -484,19 +664,34 @@ frameTrace(const SimConfig &cfg, int *programs = nullptr)
     return trace;
 }
 
+/**
+ * Every side of frameConfigs() agrees with optinterp on @p Top, and
+ * every side reports @p programs kernels (all instances of one block
+ * type share one). Returns each side's shape.
+ */
+template <class Top>
+std::vector<std::pair<std::string, FrameShape>>
+expectFrameSemantics(int programs)
+{
+    const auto golden = frameTrace<Top>(SimConfig::fromString("optinterp"));
+    std::vector<std::pair<std::string, FrameShape>> shapes;
+    for (const auto &[name, cfg] : frameConfigs()) {
+        FrameShape shape;
+        EXPECT_EQ(frameTrace<Top>(cfg, &shape), golden) << name;
+        EXPECT_EQ(shape.programs, programs) << name;
+        shapes.emplace_back(name, std::move(shape));
+    }
+    return shapes;
+}
+
+/** expectFrameSemantics for a design of two instances of each type. */
 template <class Top>
 void
 expectFrameSemantics()
 {
-    const auto golden = frameTrace<Top>(SimConfig::fromString("optinterp"));
     Top top;
-    const int nblocks = static_cast<int>(top.elaborate()->blocks.size());
-    for (const auto &[name, cfg] : frameConfigs()) {
-        int programs = 0;
-        EXPECT_EQ(frameTrace<Top>(cfg, &programs), golden) << name;
-        // Both instances of each block share one program (kernel).
-        EXPECT_EQ(programs, nblocks / 2) << name;
-    }
+    expectFrameSemantics<Top>(
+        static_cast<int>(top.elaborate()->blocks.size()) / 2);
 }
 
 TEST(BcFrame, ReadAfterWrite) { expectFrameSemantics<Twin<ReadAfterWrite>>(); }
@@ -517,6 +712,76 @@ TEST(BcFrame, ConcatConstants) { expectFrameSemantics<Twin<ConstConcat>>(); }
 TEST(BcFrame, BlockTemps) { expectFrameSemantics<Twin<Temps>>(); }
 TEST(BcFrame, ShiftPastWidth) { expectFrameSemantics<Twin<ShiftPastWidth>>(); }
 TEST(BcFrame, TickHazardOrder) { expectFrameSemantics<TickHazardTop>(); }
+
+TEST(BcFrame, ChainSplitsIntoOneBatchPerLink)
+{
+    for (const auto &[name, shape] :
+         expectFrameSemantics<ChainTop>(1)) {
+        if (shape.batches.empty())
+            continue; // cpp-block runs no bytecode
+        EXPECT_EQ(shape.batches.size(), size_t(ChainTop::kLinks)) << name;
+        for (const auto &lanes : shape.batches)
+            EXPECT_EQ(lanes.size(), 1u) << name;
+    }
+}
+
+TEST(BcFrame, BatchCrossesLaneChunks)
+{
+    constexpr int kN = 2 * kBcLanes + 1;
+    for (const auto &[name, shape] :
+         expectFrameSemantics<Many<Acc, kN>>(2)) {
+        if (shape.batches.empty())
+            continue;
+        // Sequentially, each phase runs all instances as one batch.
+        if (name == "static" || name == "event" || name == "cpp-design") {
+            ASSERT_EQ(shape.batches.size(), 2u) << name;
+            for (const auto &lanes : shape.batches)
+                EXPECT_EQ(lanes.size(), size_t(kN)) << name;
+        }
+    }
+}
+
+TEST(BcFrame, DivergentBranchStoresOnOneSide)
+{
+    for (const auto &[name, shape] : expectFrameSemantics<BranchTop>(1)) {
+        if (name == "static")
+            ASSERT_EQ(shape.batches.size(), 1u) << name;
+    }
+}
+
+TEST(BcFrame, MeshBatchesAreAntichains)
+{
+    // No lane of a batch may read or write a token that another lane
+    // of the batch writes, on either kernel.
+    for (int threads : {1, 2}) {
+        net::MeshTrafficTop top("top", net::NetLevel::RTL, 256, 4, 0.30, 1);
+        SimConfig cfg = SimConfig::fromString("bytecode");
+        cfg.threads = threads;
+        auto sim = makeSimulator(top.elaborate(), cfg);
+        const auto &blocks = sim->elaboration().blocks;
+        ASSERT_FALSE(sim->bytecodeBatches().empty());
+        int conflicts = 0;
+        std::set<int> seen;
+        for (const BcBatch &batch : sim->bytecodeBatches()) {
+            std::map<int, int> writer;
+            for (int b : batch.blocks) {
+                EXPECT_TRUE(seen.insert(b).second) << "block " << b;
+                for (int tok : blocks[b].writes)
+                    conflicts += !writer.emplace(tok, b).second;
+            }
+            for (int b : batch.blocks) {
+                for (int tok : blocks[b].reads) {
+                    auto it = writer.find(tok);
+                    conflicts += it != writer.end() && it->second != b;
+                }
+            }
+        }
+        EXPECT_EQ(conflicts, 0) << "threads " << threads;
+        EXPECT_EQ(seen.size(),
+                  static_cast<size_t>(sim->specStats().numSpecialized))
+            << "threads " << threads;
+    }
+}
 
 TEST(BcFrame, PerInstanceConstants)
 {

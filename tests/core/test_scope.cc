@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 
 #include "core/jit_cpp.h"
@@ -144,6 +145,41 @@ TEST(Scope, ParSimPhaseTimingAcrossThreadCounts)
             EXPECT_EQ(pb.boundary_bytes, 0u);
             EXPECT_EQ(pb.barrier_seconds, 0.0);
         }
+        scope.detach();
+    }
+}
+
+TEST(Scope, BytecodeBatchesHeatEverySpecializedBlock)
+{
+    // A batch is timed by one stopwatch and credited evenly to its
+    // lanes, so every specialized block still ranks with its own heat
+    // and one call per run.
+    for (int threads : {1, 2}) {
+        auto top = std::make_unique<MeshTrafficTop>(
+            "top", NetLevel::RTL, 16, 4, 0.30, 1);
+        auto elab = top->elaborate();
+        SimConfig cfg = SimConfig::fromString("bytecode");
+        cfg.threads = threads;
+        auto sim = makeSimulator(elab, cfg);
+        SimScope scope(*sim);
+        sim->cycle(64);
+
+        std::map<std::string, SimScope::BlockCost> cost;
+        for (const SimScope::BlockCost &b :
+             scope.hotBlocks(elab->blocks.size()))
+            cost[b.path] = b;
+        int specialized = 0;
+        for (const BcBatch &batch : sim->bytecodeBatches()) {
+            for (int b : batch.blocks) {
+                const std::string &path = elab->blocks[b].name;
+                ASSERT_TRUE(cost.count(path)) << path;
+                EXPECT_GT(cost[path].seconds, 0.0) << path;
+                EXPECT_GE(cost[path].calls, 64u) << path;
+                ++specialized;
+            }
+        }
+        EXPECT_EQ(specialized, sim->specStats().numSpecialized)
+            << "threads " << threads;
         scope.detach();
     }
 }
