@@ -26,7 +26,6 @@
  * parallel work.
  */
 
-#include <thread>
 
 #include "common.h"
 #include "core/psim.h"
@@ -108,8 +107,6 @@ main(int argc, char **argv)
     bool full = opts.full;
     double budget = full ? 4.0 : 1.0;
     std::vector<int> thread_counts = {1, 2, 4, 8, 16};
-    int host_cpus =
-        static_cast<int>(std::thread::hardware_concurrency());
 
     std::vector<Scenario> scenarios = {
         {"mesh_rtl_8x8", Backend::OptInterp, meshFactory(64), 192},
@@ -133,17 +130,17 @@ main(int argc, char **argv)
         };
     }
 
+    JsonWriter json("BENCH_parallel_scaling.json");
+    json.beginObject();
+    json.field("bench", "parallel_scaling");
+    const int host_cpus = hostFields(json);
+    json.field("full", full);
+
     std::printf("ParSim thread scaling (host cpus: %d)\n", host_cpus);
     std::printf("NOTE: points running more OS threads (islands + 1 "
                 "coordinator) than %d host cpus are marked "
                 "oversubscribed (no speedup claim)\n",
                 host_cpus);
-
-    JsonWriter json("BENCH_parallel_scaling.json");
-    json.beginObject();
-    json.field("bench", "parallel_scaling");
-    hostFields(json);
-    json.field("full", full);
     json.key("scenarios").beginArray();
 
     for (const Scenario &sc : scenarios) {

@@ -129,15 +129,14 @@ struct RateResult
  * Measure the steady-state simulation rate of a simulator produced by
  * @p make_sim. The factory owns its model; the callback returns a
  * ready simulator (either kernel behind the Simulator interface).
- * After warm-up, @p rounds timed rounds split @p budget_seconds
- * evenly, each running at least @p min_round_cycles cycles; the
- * result is their median rate with its min and max.
+ * After warm-up, five timed rounds split @p budget_seconds evenly;
+ * the result is their median rate with its min and max.
  */
 inline RateResult
 measureRate(const std::function<std::unique_ptr<Simulator>()> &make,
-            double budget_seconds = 2.0, uint64_t warmup_cycles = 64,
-            int rounds = 5, uint64_t min_round_cycles = 16)
+            double budget_seconds = 2.0, uint64_t warmup_cycles = 64)
 {
+    constexpr int rounds = 5;
     RateResult out;
     Stopwatch setup;
     std::unique_ptr<Simulator> sim = make();
@@ -157,7 +156,7 @@ measureRate(const std::function<std::unique_ptr<Simulator>()> &make,
     for (int r = 0; r < rounds; ++r) {
         Stopwatch timer;
         uint64_t cycles = 0;
-        while (timer.elapsed() < round_budget || cycles < min_round_cycles) {
+        while (timer.elapsed() < round_budget) {
             sim->cycle(chunk);
             cycles += chunk;
             if (r == 0 && timer.elapsed() < round_budget / 8)
@@ -449,17 +448,19 @@ class JsonWriter
 /**
  * Record the host a BENCH file was measured on: CPU count, L2 size
  * per core (0 when the C library cannot tell), and the compiler and
- * flags the bench was built with.
+ * flags the bench was built with. Returns the CPU count it wrote.
  */
-inline void
+inline int
 hostFields(JsonWriter &json)
 {
-    json.field("host_cpus",
-               static_cast<int>(std::thread::hardware_concurrency()));
+    const int host_cpus =
+        static_cast<int>(std::thread::hardware_concurrency());
+    json.field("host_cpus", host_cpus);
     const long l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
     json.field("l2_cache_bytes", static_cast<uint64_t>(l2 > 0 ? l2 : 0));
     json.field("compiler", CMTL_BENCH_COMPILER);
     json.field("cxx_flags", CMTL_BENCH_CXX_FLAGS);
+    return host_cpus;
 }
 
 } // namespace bench

@@ -475,13 +475,13 @@ BcModule::batch(const std::vector<int> &blocks) const
     out.blocks = blocks;
     const int nslots = out.prog->nslots;
     const int nconsts = out.prog->nconsts;
-    const size_t w = kBcLanes;
+    const size_t w = std::min<size_t>(blocks.size(), kBcLanes);
+    out.width = static_cast<int>(w);
     const size_t chunks = (blocks.size() + w - 1) / w;
     // Lanes past the end of the last chunk are never gathered, loaded
     // through or scattered; zeros keep them harmless.
     out.slots.assign(chunks * nslots * w, 0);
     out.consts.assign(chunks * nconsts * w, 0);
-    std::vector<char> varies(nconsts, 0);
     for (size_t i = 0; i < blocks.size(); ++i) {
         const BcInstance &inst = insts_[blocks[i]];
         if (inst.prog != out.prog)
@@ -489,14 +489,8 @@ BcModule::batch(const std::vector<int> &blocks) const
         const size_t c = i / w, l = i % w;
         for (int s = 0; s < nslots; ++s)
             out.slots[(c * nslots + s) * w + l] = inst.slots[s];
-        for (int k = 0; k < nconsts; ++k) {
+        for (int k = 0; k < nconsts; ++k)
             out.consts[(c * nconsts + k) * w + l] = inst.consts[k];
-            varies[k] |= inst.consts[k] != insts_[blocks[0]].consts[k];
-        }
-    }
-    for (int k = 0; k < nconsts; ++k) {
-        if (varies[k])
-            out.varying.push_back(k);
     }
     return out;
 }
@@ -506,7 +500,7 @@ BcModule::batch(const std::vector<int> &blocks) const
 [[gnu::aligned(64)]] void
 bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
 {
-    constexpr int W = kBcLanes;
+    const int W = batch.width;
     const BcProgram &prog = *batch.prog;
     const int nlanes = batch.nlanes;
     const int nslots = prog.nslots;
@@ -525,13 +519,10 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
             for (int l = 0; l < n; ++l)
                 dst[l] = words[row[l]];
         }
-        uint64_t *fconst = f + nslots * W;
-        if (first == 0) {
-            std::copy_n(consts, nconsts * W, fconst);
-        } else {
-            for (int32_t k : batch.varying)
-                std::copy_n(consts + k * W, n, fconst + k * W);
-        }
+        // Rows are as wide as the batch, so a one-lane batch loads
+        // no more than its own words. Only a partial last chunk also
+        // loads padding lanes, which no instruction reads.
+        std::copy_n(consts, nconsts * W, f + nslots * W);
         std::fill_n(f + (nslots + nconsts) * W, prog.ntemps * W,
                     uint64_t(0));
 
@@ -540,7 +531,7 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
         // rest run to the end of the program, so the sides never need
         // to reconverge. Sides are disjoint runs of `lane`, so at most
         // n of them are ever pending.
-        uint8_t lane[W];
+        uint8_t lane[kBcLanes];
         for (int l = 0; l < n; ++l)
             lane[l] = static_cast<uint8_t>(l);
         struct Side
@@ -548,7 +539,7 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
             size_t pc;
             int lo, hi;
         };
-        Side pending[W];
+        Side pending[kBcLanes];
         int npending = 0;
         size_t pc = 0;
         int lo = 0, hi = n;

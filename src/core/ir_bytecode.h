@@ -118,31 +118,29 @@ struct BcInstance
 };
 
 /**
- * Lanes bcRunBatch runs per pass; a pass's frame is kBcLanes times a
- * program's frame. At 32 lanes the largest mesh frame (the RTL
- * router's, 170 words) takes 43.5 KB, which stays cache-resident,
- * while dispatch is already spread over 32 instances.
+ * Most lanes bcRunBatch runs per pass; a pass's frame is up to
+ * kBcLanes times a program's frame. At 32 lanes the largest mesh
+ * frame (the RTL router's, 170 words) takes 43.5 KB, which stays
+ * cache-resident, while dispatch is already spread over 32 instances.
  */
 inline constexpr int kBcLanes = 32;
 
 /**
  * Instances of one program that bcRunBatch runs together, as chunks of
  * kBcLanes lanes (the last chunk may be partial). The tables are laid
- * out as the frame is: per chunk, one row of kBcLanes words per slot
- * or constant, so lane l of chunk c has slot s at
- * slots[(c * nslots + s) * kBcLanes + l]. Built once at schedule time
- * by BcModule::batch.
+ * out as the frame is: per chunk, one row of `width` words per slot or
+ * constant, so lane l of chunk c has slot s at
+ * slots[(c * nslots + s) * width + l]. Built once at schedule time by
+ * BcModule::batch.
  */
 struct BcBatch
 {
     const BcProgram *prog = nullptr;
     int nlanes = 0;
+    int width = 0;                //!< lanes per row: min(nlanes, kBcLanes)
     std::vector<int> blocks;      //!< each lane's ElabBlock index
     std::vector<int32_t> slots;   //!< [chunk][slot][lane]: arena word
     std::vector<uint64_t> consts; //!< [chunk][const][lane]
-    /** Constants whose value differs across lanes. The others are the
-     *  same in every chunk, so a run loads them once. */
-    std::vector<int32_t> varying;
 };
 
 /**

@@ -744,8 +744,9 @@ TEST(BcFrame, BatchCrossesLaneChunks)
 TEST(BcFrame, DivergentBranchStoresOnOneSide)
 {
     for (const auto &[name, shape] : expectFrameSemantics<BranchTop>(1)) {
-        if (name == "static")
+        if (name == "static") {
             ASSERT_EQ(shape.batches.size(), 1u) << name;
+        }
     }
 }
 
