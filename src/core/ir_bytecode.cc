@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 
 namespace cmtl {
@@ -361,6 +364,455 @@ class Compiler
     int persistent_scratch_ = 0;
 };
 
+// ------------------------------------------------------------ optimizer
+
+/** What an optimizer register names; Val is a single-def scratch value. */
+enum class Rk : uint8_t
+{
+    Slot, Col, Imm, Temp, Val
+};
+
+struct Reg
+{
+    Rk k = Rk::Slot;
+    int32_t i = 0;
+
+    bool operator==(const Reg &) const = default;
+};
+
+/** An instruction with its operands as Regs; `in` keeps the rest. */
+struct OInst
+{
+    BcInst in;
+    Reg dst, a, b, c;
+};
+
+bool
+isJump(Bc op)
+{
+    return op == Bc::Jz || op == Bc::Jmp;
+}
+
+/** Result is the raw value & mask, so a narrower mask may be folded in. */
+bool
+masksResult(Bc op)
+{
+    return op <= Bc::Sra || op == Bc::Inv || op == Bc::Slice ||
+           op == Bc::Mux || op == Bc::Sext;
+}
+
+/** Result is 0 or 1; the mask is unused or names the operand's width. */
+bool
+boolResult(Bc op)
+{
+    return (op >= Bc::Eq && op <= Bc::LOr) ||
+           (op >= Bc::LNot && op <= Bc::RXor);
+}
+
+bool
+commutes(Bc op)
+{
+    switch (op) {
+      case Bc::Add: case Bc::Mul: case Bc::And: case Bc::Or: case Bc::Xor:
+      case Bc::Eq: case Bc::Ne: case Bc::LAnd: case Bc::LOr:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** Call @p f on every register operand @p x reads. */
+template <class F>
+void
+forReads(OInst &x, F f)
+{
+    bcForEachRead(x.in.op, x.a, x.b, x.c, x.dst, f);
+}
+
+/**
+ * The per-module optimization pass of ir_bytecode.h over one program:
+ * constants, value numbering, forwarding and scratch compaction.
+ */
+class Optimizer
+{
+  public:
+    /**
+     * @p raw is a bcCompile program; @p consts holds, per instance of
+     * it in the module, that instance's constant table.
+     */
+    Optimizer(const BcProgram &raw,
+              const std::vector<const uint64_t *> &consts)
+        : raw_(raw)
+    {
+        classifyConsts(consts);
+        decode();
+    }
+
+    /**
+     * The optimized program. @p cols receives, per constant column of
+     * it, the raw constant operand whose per-instance values it holds.
+     */
+    BcProgram
+    run(std::vector<int> &cols)
+    {
+        numberValues();
+        forward();
+        return encode(cols);
+    }
+
+  private:
+    /** Constant operands equal everywhere are immediates, by value. */
+    void
+    classifyConsts(const std::vector<const uint64_t *> &consts)
+    {
+        std::unordered_map<uint64_t, int> imm_of;
+        std::map<std::vector<uint64_t>, int> col_of;
+        for (int j = 0; j < raw_.nconsts; ++j) {
+            const uint64_t v = consts[0][j];
+            bool same = true;
+            for (size_t i = 1; i < consts.size() && same; ++i)
+                same = consts[i][j] == v;
+            if (same) {
+                auto [it, fresh] = imm_of.try_emplace(
+                    v, static_cast<int>(imm_vals_.size()));
+                if (fresh)
+                    imm_vals_.push_back(v);
+                const_reg_.push_back({Rk::Imm, it->second});
+                continue;
+            }
+            std::vector<uint64_t> column;
+            for (const uint64_t *row : consts)
+                column.push_back(row[j]);
+            auto [it, fresh] = col_of.try_emplace(
+                std::move(column), static_cast<int>(col_src_.size()));
+            if (fresh)
+                col_src_.push_back(j);
+            const_reg_.push_back({Rk::Col, it->second});
+        }
+    }
+
+    /**
+     * Turn frame indices into Regs, renaming each definition of an
+     * expression scratch word to a fresh Val (scratch never lives
+     * across a block boundary), and mark where blocks start.
+     */
+    void
+    decode()
+    {
+        const size_t n = raw_.insts.size();
+        start_.assign(n + 1, 0);
+        start_[0] = 1;
+        for (size_t pc = 0; pc < n; ++pc) {
+            const BcInst &in = raw_.insts[pc];
+            if (isJump(in.op)) {
+                start_[in.imm] = 1;
+                start_[pc + 1] = 1;
+            }
+        }
+        const int cbase = raw_.nslots;
+        const int tbase = cbase + raw_.nconsts;
+        const int sbase = tbase + raw_.ntemps;
+        std::vector<int> val_of(raw_.nscratch, -1);
+        auto reg = [&](int32_t r) -> Reg {
+            if (r < cbase)
+                return {Rk::Slot, r};
+            if (r < tbase)
+                return const_reg_[r - cbase];
+            if (r < sbase)
+                return {Rk::Temp, r - tbase};
+            if (val_of[r - sbase] < 0)
+                throw std::logic_error("bytecode scratch read across blocks");
+            return {Rk::Val, val_of[r - sbase]};
+        };
+        for (size_t pc = 0; pc < n; ++pc) {
+            if (start_[pc])
+                std::fill(val_of.begin(), val_of.end(), -1);
+            OInst x{raw_.insts[pc], {}, {}, {}, {}};
+            const Bc op = x.in.op;
+            if (op != Bc::Jmp)
+                x.a = reg(x.in.a);
+            if (bcReadsB(op))
+                x.b = reg(x.in.b);
+            if (op == Bc::Mux)
+                x.c = reg(x.in.c);
+            if (bcWritesDst(op)) {
+                if (x.in.dst >= sbase) {
+                    val_of[x.in.dst - sbase] = nvals_;
+                    x.dst = {Rk::Val, nvals_++};
+                } else {
+                    x.dst = reg(x.in.dst);
+                }
+            }
+            code_.push_back(x);
+        }
+    }
+
+    /** A new value number for a value that sets only @p bound's bits. */
+    int
+    newValue(uint64_t bound)
+    {
+        bound_.push_back(bound);
+        return static_cast<int>(bound_.size() - 1);
+    }
+
+    /**
+     * Value-number each basic block. A pure instruction whose value the
+     * block already holds in a Val, an immediate or a column is
+     * dropped, and its readers read that holder; then definitions
+     * nothing reads are dropped.
+     */
+    void
+    numberValues()
+    {
+        using Key = std::tuple<int, int, int32_t, int32_t, uint64_t, int,
+                               int, int, int>;
+        std::map<Key, int> table;
+        std::map<std::pair<Rk, int32_t>, int> word_vn; //!< current values
+        std::map<int, Reg> holder;                     //!< immutable holder
+        std::map<int32_t, int> epoch;                  //!< per array slot
+        std::vector<int> val_vn(nvals_, -1);
+        std::vector<Reg> repl(nvals_);
+        for (int v = 0; v < nvals_; ++v)
+            repl[v] = {Rk::Val, v};
+        std::vector<char> keep(code_.size(), 1);
+
+        auto vnOf = [&](const Reg &r) {
+            if (r.k == Rk::Val)
+                return val_vn[r.i];
+            auto [it, added] = word_vn.try_emplace({r.k, r.i}, -1);
+            if (added) {
+                it->second = newValue(r.k == Rk::Imm ? imm_vals_[r.i]
+                                                     : ~uint64_t(0));
+                if (r.k == Rk::Imm || r.k == Rk::Col)
+                    holder.emplace(it->second, r);
+            }
+            return it->second;
+        };
+
+        for (size_t pc = 0; pc < code_.size(); ++pc) {
+            if (start_[pc]) {
+                table.clear();
+                word_vn.clear();
+                holder.clear();
+                epoch.clear();
+            }
+            OInst &x = code_[pc];
+            forReads(x, [&](Reg &r) {
+                if (r.k == Rk::Val)
+                    r = repl[r.i];
+            });
+            const Bc op = x.in.op;
+            if (isJump(op))
+                continue;
+            if (op == Bc::AStore) {
+                ++epoch[x.in.imm];
+                continue;
+            }
+            if (op == Bc::SetSlice) {
+                word_vn[{x.dst.k, x.dst.i}] = newValue(~uint64_t(0));
+                continue;
+            }
+            int va = vnOf(x.a);
+            int vb = bcReadsB(op) ? vnOf(x.b) : -1;
+            const int vc = op == Bc::Mux ? vnOf(x.c) : -1;
+            if (commutes(op) && vb < va)
+                std::swap(va, vb);
+            int vn;
+            if (op == Bc::Mov && (bound_[va] & ~x.in.mask) == 0) {
+                vn = va; // the mask keeps every bit the value can have
+            } else {
+                const bool load = op == Bc::ALoad;
+                Key key{static_cast<int>(op), x.in.sh, x.in.imm,
+                        load ? x.in.c : 0, x.in.mask, va, vb, vc,
+                        load ? epoch[x.in.imm] : 0};
+                auto [it, added] = table.try_emplace(key, -1);
+                if (added) {
+                    it->second = newValue(masksResult(op)   ? x.in.mask
+                                          : boolResult(op) ? 1
+                                                           : ~uint64_t(0));
+                }
+                vn = it->second;
+            }
+            if (x.dst.k != Rk::Val) {
+                word_vn[{x.dst.k, x.dst.i}] = vn;
+                continue;
+            }
+            auto h = holder.find(vn);
+            if (h != holder.end()) {
+                repl[x.dst.i] = h->second;
+                keep[pc] = 0;
+                continue;
+            }
+            holder.emplace(vn, x.dst);
+            val_vn[x.dst.i] = vn;
+        }
+
+        std::vector<char> live(nvals_, 0);
+        for (size_t pc = code_.size(); pc-- > 0;) {
+            OInst &x = code_[pc];
+            if (!keep[pc])
+                continue;
+            if (x.dst.k == Rk::Val && bcWritesDst(x.in.op) &&
+                !live[x.dst.i]) {
+                keep[pc] = 0;
+                continue;
+            }
+            forReads(x, [&](Reg &r) {
+                if (r.k == Rk::Val)
+                    live[r.i] = 1;
+            });
+        }
+        drop(keep);
+    }
+
+    /** Remove the instructions @p keep clears, retargeting jumps. */
+    void
+    drop(const std::vector<char> &keep)
+    {
+        std::vector<int32_t> at(code_.size() + 1);
+        std::vector<OInst> kept;
+        for (size_t pc = 0; pc < code_.size(); ++pc) {
+            at[pc] = static_cast<int32_t>(kept.size());
+            if (keep[pc])
+                kept.push_back(code_[pc]);
+        }
+        at[code_.size()] = static_cast<int32_t>(kept.size());
+        for (OInst &x : kept) {
+            if (isJump(x.in.op))
+                x.in.imm = at[x.in.imm];
+        }
+        code_ = std::move(kept);
+    }
+
+    /**
+     * Write a Val straight into the slot or temp of the Mov that is its
+     * only reader and follows it.
+     */
+    void
+    forward()
+    {
+        std::vector<int> uses(nvals_, 0);
+        for (OInst &x : code_) {
+            forReads(x, [&](Reg &r) {
+                if (r.k == Rk::Val)
+                    ++uses[r.i];
+            });
+        }
+        std::vector<char> keep(code_.size(), 1);
+        for (size_t pc = 0; pc + 1 < code_.size(); ++pc) {
+            OInst &x = code_[pc];
+            OInst &mov = code_[pc + 1];
+            if (x.dst.k != Rk::Val || uses[x.dst.i] != 1 ||
+                mov.in.op != Bc::Mov || mov.a != x.dst ||
+                (mov.dst.k != Rk::Slot && mov.dst.k != Rk::Temp))
+                continue;
+            if (masksResult(x.in.op))
+                x.in.mask &= mov.in.mask;
+            else if (!boolResult(x.in.op) || !(mov.in.mask & 1))
+                continue;
+            x.dst = mov.dst;
+            keep[pc + 1] = 0;
+        }
+        drop(keep);
+    }
+
+    /**
+     * Number the immediates and columns the code still reads, pack Vals
+     * into scratch words by linear scan over their live ranges, and
+     * emit frame indices.
+     */
+    BcProgram
+    encode(std::vector<int> &cols)
+    {
+        BcProgram out;
+        std::vector<int> imm_at(imm_vals_.size(), -1);
+        std::vector<int> col_at(col_src_.size(), -1);
+        std::vector<int> last(nvals_, -1);
+        for (size_t pc = 0; pc < code_.size(); ++pc) {
+            forReads(code_[pc], [&](Reg &r) {
+                if (r.k == Rk::Imm && imm_at[r.i] < 0) {
+                    imm_at[r.i] = static_cast<int>(out.imms.size());
+                    out.imms.push_back(imm_vals_[r.i]);
+                } else if (r.k == Rk::Col && col_at[r.i] < 0) {
+                    col_at[r.i] = static_cast<int>(cols.size());
+                    cols.push_back(col_src_[r.i]);
+                } else if (r.k == Rk::Val) {
+                    last[r.i] = static_cast<int>(pc);
+                }
+            });
+        }
+
+        // A word is free again at its value's last read; the same
+        // instruction may define into it, since every lane reads its
+        // operands before it writes its result.
+        std::vector<int> word(nvals_, -1);
+        std::set<int> free;
+        int nwords = 0;
+        for (size_t pc = 0; pc < code_.size(); ++pc) {
+            OInst &x = code_[pc];
+            forReads(x, [&](Reg &r) {
+                if (r.k == Rk::Val && last[r.i] == static_cast<int>(pc))
+                    free.insert(word[r.i]);
+            });
+            if (bcWritesDst(x.in.op) && x.dst.k == Rk::Val) {
+                if (free.empty()) {
+                    word[x.dst.i] = nwords++;
+                } else {
+                    word[x.dst.i] = *free.begin();
+                    free.erase(free.begin());
+                }
+            }
+        }
+
+        out.nslots = raw_.nslots;
+        out.nconsts = static_cast<int>(cols.size());
+        out.ntemps = raw_.ntemps;
+        out.nscratch = raw_.ntemps + nwords;
+        const int temps = out.scratchBase();
+        auto frame = [&](const Reg &r) -> int32_t {
+            switch (r.k) {
+              case Rk::Slot: return r.i;
+              case Rk::Col: return out.nslots + col_at[r.i];
+              case Rk::Imm: return out.immBase() + imm_at[r.i];
+              case Rk::Temp: return temps + r.i;
+              case Rk::Val: return temps + out.ntemps + word[r.i];
+            }
+            return 0;
+        };
+        std::vector<char> written(out.nslots, 0);
+        for (const OInst &x : code_) {
+            BcInst in = x.in;
+            const Bc op = in.op;
+            if (op != Bc::Jmp)
+                in.a = frame(x.a);
+            if (bcReadsB(op))
+                in.b = frame(x.b);
+            if (op == Bc::Mux)
+                in.c = frame(x.c);
+            if (bcWritesDst(op)) {
+                in.dst = frame(x.dst);
+                if (x.dst.k == Rk::Slot)
+                    written[x.dst.i] = 1;
+            }
+            out.insts.push_back(in);
+        }
+        for (int s = 0; s < out.nslots; ++s) {
+            if (written[s])
+                out.written.push_back(s);
+        }
+        return out;
+    }
+
+    const BcProgram &raw_;
+    std::vector<Reg> const_reg_; //!< per raw constant operand
+    std::vector<uint64_t> imm_vals_;
+    std::vector<int> col_src_; //!< per column: a raw operand
+    std::vector<OInst> code_;
+    std::vector<char> start_; //!< per raw pc, and the end: a block starts
+    int nvals_ = 0;
+    std::vector<uint64_t> bound_; //!< per value number: bits it may set
+};
+
 /** Hash of everything that makes two programs interchangeable. */
 uint64_t
 fingerprint(const BcProgram &p)
@@ -431,6 +883,9 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
         size_t consts;
     };
     std::vector<Placed> placed(elab.blocks.size(), Placed{-1, 0, 0});
+    std::vector<BcProgram> raw;
+    std::vector<std::vector<int>> members; //!< per program: its blocks
+    std::vector<uint64_t> raw_consts;
     std::unordered_multimap<uint64_t, int> prog_of;
     for (int b : blocks) {
         if (placed[b].prog >= 0)
@@ -440,20 +895,37 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
         int prog = -1;
         auto [lo, hi] = prog_of.equal_range(h);
         for (auto it = lo; it != hi && prog < 0; ++it) {
-            if (sameProgram(progs_[it->second], blk.prog))
+            if (sameProgram(raw[it->second], blk.prog))
                 prog = it->second;
         }
         if (prog < 0) {
-            prog = static_cast<int>(progs_.size());
+            prog = static_cast<int>(raw.size());
             prog_of.emplace(h, prog);
-            max_frame_ = std::max(max_frame_, blk.prog.frameSize());
-            progs_.push_back(std::move(blk.prog));
+            raw.push_back(std::move(blk.prog));
+            members.emplace_back();
         }
-        placed[b] = {prog, slot_pool_.size(), const_pool_.size()};
+        members[prog].push_back(b);
+        placed[b] = {prog, slot_pool_.size(), raw_consts.size()};
         slot_pool_.insert(slot_pool_.end(), blk.slots.begin(),
                           blk.slots.end());
-        const_pool_.insert(const_pool_.end(), blk.consts.begin(),
-                           blk.consts.end());
+        raw_consts.insert(raw_consts.end(), blk.consts.begin(),
+                          blk.consts.end());
+    }
+    // Optimize each program once, against the constants of all its
+    // instances; each instance keeps only the columns that vary.
+    std::vector<size_t> const_at(elab.blocks.size(), 0);
+    for (size_t p = 0; p < raw.size(); ++p) {
+        std::vector<const uint64_t *> consts;
+        for (int b : members[p])
+            consts.push_back(raw_consts.data() + placed[b].consts);
+        std::vector<int> cols;
+        progs_.push_back(Optimizer(raw[p], consts).run(cols));
+        max_frame_ = std::max(max_frame_, progs_.back().frameSize());
+        for (size_t i = 0; i < members[p].size(); ++i) {
+            const_at[members[p][i]] = const_pool_.size();
+            for (int j : cols)
+                const_pool_.push_back(consts[i][j]);
+        }
     }
     // The pools are final: resolve every instance's pointers.
     insts_.resize(elab.blocks.size());
@@ -461,7 +933,7 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
         if (placed[b].prog >= 0) {
             insts_[b] = {&progs_[placed[b].prog],
                          slot_pool_.data() + placed[b].slots,
-                         const_pool_.data() + placed[b].consts};
+                         const_pool_.data() + const_at[b]};
         }
     }
 }
@@ -509,6 +981,11 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
     const size_t ninsts = prog.insts.size();
     uint64_t *__restrict f = frame;
 
+    // Immediates are equal on every lane and no instruction writes
+    // them, so their rows are filled once for all chunks.
+    for (size_t k = 0; k < prog.imms.size(); ++k)
+        std::fill_n(f + (prog.immBase() + k) * W, W, prog.imms[k]);
+
     for (int first = 0; first < nlanes; first += W) {
         const int n = std::min(W, nlanes - first);
         const int32_t *slots = batch.slots.data() + first * nslots;
@@ -523,7 +1000,7 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
         // no more than its own words. Only a partial last chunk also
         // loads padding lanes, which no instruction reads.
         std::copy_n(consts, nconsts * W, f + nslots * W);
-        std::fill_n(f + (nslots + nconsts) * W, prog.ntemps * W,
+        std::fill_n(f + prog.scratchBase() * W, prog.ntemps * W,
                     uint64_t(0));
 
         // The active lanes are lane[lo, hi). A Jz whose lanes disagree

@@ -20,6 +20,30 @@
  * instance, only its slot table (absolute arena words) and constant
  * table.
  *
+ * Constants are folded per module, not numbered per occurrence. Once
+ * per distinct program, after deduplication and before any batch is
+ * built, BcModule runs one optimization pass over the instances of the
+ * program it holds:
+ *
+ *  1. Constants. An operand equal on every instance becomes a
+ *     program-owned immediate (BcProgram::imms, one per distinct
+ *     value). The rest stay per-instance columns, and operands whose
+ *     values agree on every instance share one column.
+ *  2. Value numbering within each basic block (Jz and Jmp end one,
+ *     and every jump target starts one). An instruction that computes
+ *     a value the block already holds in scratch is dropped and its
+ *     readers read that scratch word. A write to a slot or temp,
+ *     SetSlice included, gives the word a new value number, so nothing
+ *     read before the write matches anything read after it; an ALoad
+ *     never matches one from before an AStore to its array.
+ *  3. Forwarding. An expression whose only reader is the Mov right
+ *     after it writes straight into that Mov's slot or temp.
+ *  4. Scratch compaction. A linear scan packs expression scratch into
+ *     as few words as the live ranges allow.
+ *
+ * In an optimized program, an expression scratch word (past the temps)
+ * is written and read within one basic block.
+ *
  * The VM runs a program across a *batch* of instances at once. A
  * BcBatch holds its instances' tables lane-major, one lane per
  * instance. bcRunBatch works through the batch kBcLanes lanes at a
@@ -72,6 +96,40 @@ enum class Bc : uint8_t
     Jmp,      //!< pc = imm
 };
 
+/** True iff @p op reads register operand b. */
+inline bool
+bcReadsB(Bc op)
+{
+    return (op >= Bc::Add && op <= Bc::LOr) || op == Bc::Mux ||
+           op == Bc::AStore;
+}
+
+/** True iff @p op writes register dst. */
+inline bool
+bcWritesDst(Bc op)
+{
+    return op != Bc::AStore && op != Bc::Jz && op != Bc::Jmp;
+}
+
+/**
+ * Call @p f on each of the register fields @p a, @p b, @p c and @p dst
+ * (of an instruction, or of an image of one) that @p op reads.
+ */
+template <class R, class F>
+void
+bcForEachRead(Bc op, R &a, R &b, R &c, R &dst, F &&f)
+{
+    if (op == Bc::Jmp)
+        return;
+    f(a);
+    if (bcReadsB(op))
+        f(b);
+    if (op == Bc::Mux)
+        f(c);
+    if (op == Bc::SetSlice)
+        f(dst);
+}
+
 /** One bytecode instruction; register operands are frame indices. */
 struct BcInst
 {
@@ -87,18 +145,29 @@ struct BcInst
     bool operator==(const BcInst &) const = default;
 };
 
-/** One block type's program, shared by all its instances. */
+/**
+ * One block type's program, shared by all its instances. A frame is
+ * laid out as [slots | constant columns | immediates | temps |
+ * expression scratch]; bcCompile's programs have no immediates.
+ */
 struct BcProgram
 {
     std::vector<BcInst> insts;
     /** Slots the program may write, scattered back after a run. */
     std::vector<int32_t> written;
+    /** Immediate values, equal on every instance of the module. */
+    std::vector<uint64_t> imms;
     int nslots = 0;
-    int nconsts = 0;
+    int nconsts = 0;  //!< per-instance constant columns
     int ntemps = 0;   //!< leading scratch words, zeroed per run
     int nscratch = 0; //!< temps included
 
-    int frameSize() const { return nslots + nconsts + nscratch; }
+    int immBase() const { return nslots + nconsts; }
+    int scratchBase() const
+    {
+        return immBase() + static_cast<int>(imms.size());
+    }
+    int frameSize() const { return scratchBase() + nscratch; }
 };
 
 /** A freshly compiled block: its program and its instance tables. */
@@ -114,14 +183,14 @@ struct BcInstance
 {
     const BcProgram *prog = nullptr;
     const int32_t *slots = nullptr;
-    const uint64_t *consts = nullptr;
+    const uint64_t *consts = nullptr; //!< one value per column
 };
 
 /**
  * Most lanes bcRunBatch runs per pass; a pass's frame is up to
- * kBcLanes times a program's frame. At 32 lanes the largest mesh
- * frame (the RTL router's, 170 words) takes 43.5 KB, which stays
- * cache-resident, while dispatch is already spread over 32 instances.
+ * kBcLanes times a program's frame. At 32 lanes the largest frame of
+ * the optimized RTL mesh, 58 words, takes 14.5 KB, which fits in L1,
+ * while dispatch is already spread over 32 instances.
  */
 inline constexpr int kBcLanes = 32;
 
@@ -129,9 +198,9 @@ inline constexpr int kBcLanes = 32;
  * Instances of one program that bcRunBatch runs together, as chunks of
  * kBcLanes lanes (the last chunk may be partial). The tables are laid
  * out as the frame is: per chunk, one row of `width` words per slot or
- * constant, so lane l of chunk c has slot s at
- * slots[(c * nslots + s) * width + l]. Built once at schedule time by
- * BcModule::batch.
+ * constant column, so lane l of chunk c has slot s at
+ * slots[(c * nslots + s) * width + l]. Immediates are the program's,
+ * not the batch's. Built once at schedule time by BcModule::batch.
  */
 struct BcBatch
 {
@@ -140,12 +209,13 @@ struct BcBatch
     int width = 0;                //!< lanes per row: min(nlanes, kBcLanes)
     std::vector<int> blocks;      //!< each lane's ElabBlock index
     std::vector<int32_t> slots;   //!< [chunk][slot][lane]: arena word
-    std::vector<uint64_t> consts; //!< [chunk][const][lane]
+    std::vector<uint64_t> consts; //!< [chunk][column][lane]
 };
 
 /**
- * The bytecode of a set of blocks: every block compiled once, and
- * blocks with identical programs sharing one. Slot tables hold absolute
+ * The bytecode of a set of blocks: every block compiled once, blocks
+ * with identical programs sharing one, and each shared program
+ * optimized once against its instances. Slot tables hold absolute
  * offsets, so the module runs against any arena with @p store's
  * layout (every ParSim replica). Immutable once built; moving it keeps
  * its instances and batches valid.
@@ -194,7 +264,10 @@ class BcModule
 /** True iff the block is within the specializable subset. */
 bool bcSpecializable(const ElabBlock &blk, const ArenaStore &store);
 
-/** Compile an IR block against the arena's word offsets. */
+/**
+ * Compile an IR block against the arena's word offsets: one instruction
+ * per IR node and one constant operand per IR constant, unoptimized.
+ */
 BcBlock bcCompile(const ElabBlock &blk, const ArenaStore &store);
 
 /**

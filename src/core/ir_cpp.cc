@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <map>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -27,10 +26,7 @@ struct Kernel
     std::vector<int> blocks; //!< instances, in order of first use
     /** Per slot: its offset from `b`, a literal or a tabled local. */
     std::vector<std::string> slot;
-    /** Per constant operand: its column, or -1 for a literal. */
-    std::vector<int> col;
     int slotCols = 0;
-    int constCols = 0;
     /** Per instance: base word, row in `tab`, row in `ctab`. */
     std::vector<std::array<int, 3>> args;
 };
@@ -80,42 +76,99 @@ resolveSlots(Kernel &k, const BcModule &bc, std::vector<int32_t> &tab)
 }
 
 /**
- * Decide how each constant operand of @p k is read: a literal when it
- * is equal on every instance, else a column of the instance's row of
- * @p ctab. Operands whose values agree on every instance share one
- * column.
+ * Append each of @p k's instances' constant columns to @p ctab. The
+ * BcModule already made every constant equal on all its instances an
+ * immediate and merged identical columns, so a row is the instance's
+ * column table as it stands.
  */
 void
-resolveConsts(Kernel &k, const BcModule &bc, std::vector<uint64_t> &ctab)
+tableConsts(Kernel &k, const BcModule &bc, std::vector<uint64_t> &ctab)
 {
-    auto value = [&](size_t i, int j) {
-        return bc.instance(k.blocks[i]).consts[j];
-    };
-    std::map<std::vector<uint64_t>, int> col_of;
-    std::vector<int> first; //!< per column: an operand holding it
-    for (int j = 0; j < k.prog->nconsts; ++j) {
-        bool same = true;
-        for (size_t i = 1; i < k.blocks.size() && same; ++i)
-            same = value(i, j) == value(0, j);
-        if (same) {
-            k.col.push_back(-1);
-            continue;
-        }
-        std::vector<uint64_t> values;
-        for (size_t i = 0; i < k.blocks.size(); ++i)
-            values.push_back(value(i, j));
-        auto [it, fresh] = col_of.try_emplace(
-            std::move(values), static_cast<int>(first.size()));
-        if (fresh)
-            first.push_back(j);
-        k.col.push_back(it->second);
-    }
-    k.constCols = static_cast<int>(first.size());
     for (size_t i = 0; i < k.blocks.size(); ++i) {
+        const uint64_t *row = bc.instance(k.blocks[i]).consts;
         k.args[i][2] = static_cast<int>(ctab.size());
-        for (int j : first)
-            ctab.push_back(value(i, j));
+        ctab.insert(ctab.end(), row, row + k.prog->nconsts);
     }
+}
+
+/**
+ * How emitKernel reads each expression scratch definition (a write to
+ * a word past the temps): inside the one expression that reads it, or
+ * from a local `s<n>` of its own. Optimized programs read such a
+ * definition only within its basic block, but may read it more than
+ * once (value numbering shares it), and forwarding may move a write to
+ * a slot between it and its reader. So a definition is inlined only
+ * when it has exactly one reader and nothing between it and that
+ * reader writes a slot, temp or array its expression, inlined operands
+ * included, reads. Returns, per pc, -1 for an inlined definition or
+ * not a definition, else the definition's local number.
+ */
+std::vector<int>
+scratchLocals(const BcProgram &p)
+{
+    const size_t n = p.insts.size();
+    const int scratch = p.scratchBase() + p.ntemps;
+    std::vector<char> target(n + 1, 0);
+    for (const BcInst &in : p.insts) {
+        if (in.op == Bc::Jz || in.op == Bc::Jmp)
+            target[in.imm] = 1;
+    }
+    auto readsOf = [](BcInst in) {
+        std::vector<int32_t> r;
+        bcForEachRead(in.op, in.a, in.b, in.c, in.dst,
+                      [&](int32_t x) { r.push_back(x); });
+        return r;
+    };
+    // A location is a frame word, or an array as -(slot + 1).
+    std::vector<std::vector<int32_t>> reads(n);
+    std::vector<int> local(n, -1);
+    std::vector<int> def_of(p.nscratch, -1); //!< per scratch word
+    int nlocals = 0;
+    for (size_t pc = 0; pc < n; ++pc) {
+        if (target[pc])
+            std::fill(def_of.begin(), def_of.end(), -1);
+        const BcInst &in = p.insts[pc];
+        std::vector<int32_t> &rs = reads[pc];
+        for (int32_t r : readsOf(in)) {
+            if (r >= scratch) {
+                const int d = def_of[r - scratch];
+                assert(d >= 0);
+                if (local[d] < 0)
+                    rs.insert(rs.end(), reads[d].begin(), reads[d].end());
+            } else if (r < p.nslots || r >= p.scratchBase()) {
+                rs.push_back(r); // a slot or a temp; constants never change
+            }
+        }
+        if (in.op == Bc::ALoad)
+            rs.push_back(-(in.imm + 1));
+        if (in.op == Bc::Jz || in.op == Bc::Jmp)
+            std::fill(def_of.begin(), def_of.end(), -1);
+        if (!bcWritesDst(in.op) || in.dst < scratch)
+            continue;
+        def_of[in.dst - scratch] = static_cast<int>(pc);
+        // Find the readers up to the next write of the word or the end
+        // of the block, and any clobber before the first of them.
+        int nreads = 0;
+        bool clobbered = false;
+        for (size_t q = pc + 1; q < n && !target[q]; ++q) {
+            const BcInst &u = p.insts[q];
+            for (int32_t r : readsOf(u))
+                nreads += r == in.dst;
+            if (nreads == 0 && !clobbered) {
+                int32_t loc = u.op == Bc::AStore ? -(u.imm + 1)
+                              : bcWritesDst(u.op)        ? u.dst
+                                                 : scratch;
+                clobbered = loc < scratch &&
+                            std::find(rs.begin(), rs.end(), loc) != rs.end();
+            }
+            if ((bcWritesDst(u.op) && u.dst == in.dst) || u.op == Bc::Jz ||
+                u.op == Bc::Jmp || nreads > 1)
+                break;
+        }
+        if (nreads != 1 || clobbered)
+            local[pc] = nlocals++;
+    }
+    return local;
 }
 
 /**
@@ -123,42 +176,41 @@ resolveConsts(Kernel &k, const BcModule &bc, std::vector<uint64_t> &ctab)
  * computes exactly what bcRunBatch computes for one lane; slots are
  * read and written in place, which is what bcRunBatch's gather and
  * scatter amount to, since a block's array words never alias its net
- * slots.
+ * slots. Immediates are literals, so g++ still folds masks and shifts.
  *
- * Scratch past the temps holds an expression's intermediate values:
- * bcCompile defines each one once and reads it once, later in the same
- * statement, with no store in between. Such a value is emitted inside
- * the expression that reads it rather than as a statement of its own,
- * which rebuilds the IR's expression trees: g++ then sees whole
- * expressions, and Mux arms are evaluated lazily, as `?:`.
+ * Scratch past the temps holds intermediate values. A definition that
+ * scratchLocals lets inline is emitted inside the expression that reads
+ * it rather than as a statement of its own, which rebuilds the IR's
+ * expression trees: g++ then sees whole expressions, and Mux arms are
+ * evaluated lazily, as `?:`. Any other definition is assigned to its
+ * own local.
  */
 void
 emitKernel(std::ostringstream &os, int t, const Kernel &k,
-           const BcModule &bc, const Elaboration &elab)
+           const Elaboration &elab)
 {
     const BcProgram &p = *k.prog;
     const int nslots = p.nslots;
-    const int nconsts = p.nconsts;
-    const int scratch = nslots + nconsts;
-    const uint64_t *consts = bc.instance(k.blocks[0]).consts;
+    const int imms = p.immBase();
+    const int temps = p.scratchBase();
+    const int scratch = temps + p.ntemps;
+    const std::vector<int> local = scratchLocals(p);
     std::vector<std::string> pending(p.nscratch);
-    auto literal = [&](int32_t r) {
-        return r >= nslots && r < scratch && k.col[r - nslots] < 0;
-    };
-    auto inlined = [&](int32_t r) { return r >= scratch + p.ntemps; };
+    std::vector<int> local_of(p.nscratch, -1); //!< per word: its local
+    auto literal = [&](int32_t r) { return r >= imms && r < temps; };
     auto reg = [&](int32_t r) -> std::string {
         if (r < nslots)
             return "b[" + k.slot[r] + "]";
-        if (r < scratch) {
-            int col = k.col[r - nslots];
-            return col < 0 ? hex(consts[r - nslots])
-                           : "c" + std::to_string(col);
-        }
-        if (inlined(r)) {
-            assert(!pending[r - scratch].empty());
+        if (r < imms)
+            return "c" + std::to_string(r - nslots);
+        if (r < temps)
+            return hex(p.imms[r - imms]);
+        if (r < scratch)
+            return "t" + std::to_string(r - temps);
+        if (!pending[r - scratch].empty())
             return "(" + std::exchange(pending[r - scratch], {}) + ")";
-        }
-        return "t" + std::to_string(r - scratch);
+        assert(local_of[r - scratch] >= 0);
+        return "s" + std::to_string(local_of[r - scratch]);
     };
     auto masked = [](const std::string &v, uint64_t mask) {
         return mask == ~uint64_t(0) ? v : v + " & " + hex(mask);
@@ -170,11 +222,18 @@ emitKernel(std::ostringstream &os, int t, const Kernel &k,
        << "(uint64_t *b, const int32_t *o, const uint64_t *c)\n{\n";
     for (int i = 0; i < k.slotCols; ++i)
         os << "    const int32_t o" << i << " = o[" << i << "];\n";
-    for (int i = 0; i < k.constCols; ++i)
+    for (int i = 0; i < p.nconsts; ++i)
         os << "    const uint64_t c" << i << " = c[" << i << "];\n";
     for (int j = 0; j < p.ntemps; ++j)
         os << (j ? ", t" : "    uint64_t t") << j << " = 0";
     if (p.ntemps)
+        os << ";\n";
+    int nlocals = 0;
+    for (int l : local)
+        nlocals = std::max(nlocals, l + 1);
+    for (int j = 0; j < nlocals; ++j)
+        os << (j ? ", s" : "    uint64_t s") << j;
+    if (nlocals)
         os << ";\n";
 
     std::vector<char> target(p.insts.size() + 1, 0);
@@ -211,7 +270,7 @@ emitKernel(std::ostringstream &os, int t, const Kernel &k,
                 v = masked(std::string(left ? "cmtl_shl(" : "cmtl_shr(") +
                                reg(in.a) + ", " + reg(in.b) + ")",
                            in.mask);
-            } else if (uint64_t amt = consts[in.b - nslots]; amt >= 64) {
+            } else if (uint64_t amt = p.imms[in.b - imms]; amt >= 64) {
                 v = "0";
             } else {
                 v = masked("(" + reg(in.a) + (left ? " << " : " >> ") +
@@ -284,10 +343,14 @@ emitKernel(std::ostringstream &os, int t, const Kernel &k,
             os << "    goto L" << m << ";\n";
             continue;
         }
-        if (inlined(in.dst))
-            pending[in.dst - scratch] = std::move(v);
-        else
+        if (in.dst < scratch) {
             os << "    " << reg(in.dst) << " = " << v << ";\n";
+        } else if (local[pc] < 0) {
+            pending[in.dst - scratch] = std::move(v);
+        } else {
+            local_of[in.dst - scratch] = local[pc];
+            os << "    s" << local[pc] << " = " << v << ";\n";
+        }
     }
     os << "}\n\n";
 }
@@ -366,9 +429,9 @@ cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
     emitPrelude(os, elab);
     for (size_t t = 0; t < kernels.size(); ++t) {
         resolveSlots(kernels[t], bc, tab);
-        resolveConsts(kernels[t], bc, ctab);
+        tableConsts(kernels[t], bc, ctab);
         out.tabledSlots += kernels[t].slotCols;
-        emitKernel(os, static_cast<int>(t), kernels[t], bc, elab);
+        emitKernel(os, static_cast<int>(t), kernels[t], elab);
     }
     // Every call passes both tables, so both exist.
     tab.resize(std::max<size_t>(tab.size(), 1));

@@ -13,20 +13,22 @@
  * Both compiled tiers share one front end: every C++ kernel is
  * translated from a BcProgram of the BcModule (ir_bytecode.h), so
  * blocks compile to one kernel per program, that is per block type.
- * Stores and temps become statements, Jz/Jmp become labels and gotos,
- * and every other instruction is emitted inside the expression that
- * reads its value, which rebuilds the IR's expression trees (Mux arms
- * stay lazy). A kernel is
+ * Programs arrive optimized (see the pass in ir_bytecode.h). Stores
+ * and temps become statements, Jz/Jmp become labels and gotos, and an
+ * intermediate value read once, with no write to what it reads before
+ * that read, is emitted inside the expression that reads it, which
+ * rebuilds the IR's expression trees (Mux arms stay lazy). Any other
+ * intermediate value gets a local of its own. A kernel is
  * `static void T<k>(uint64_t *b, const int32_t *o, const uint64_t *c)`:
  *
  *  - Slots. The instance base `b` is the instance's word of the first
  *    slot whose word differs across instances. A slot at the same
  *    offset from the base on every instance is a literal, `b[7]`; only
  *    the others read the instance's row of one int32 table, `o`.
- *  - Constants. An operand equal on every instance is a literal, so
- *    g++ still folds masks and shifts. The rest read the instance's
- *    row of one uint64 table, `c`, one column per distinct per-instance
- *    value vector. Rows are copied into const locals at kernel entry.
+ *  - Constants. A program immediate (equal on every instance of the
+ *    module) is a literal, so g++ still folds masks and shifts. The
+ *    program's constant columns read the instance's row of one uint64
+ *    table, `c`, copied into const locals at kernel entry.
  *
  * An entry point runs its items in order. Consecutive instances of one
  * kernel form a run, emitted as one loop over the run's table of

@@ -365,9 +365,10 @@ ParSimulationTool::layoutStats() const
     for (const auto &ranges : island_flop_plans_)
         s.flop_memcpy_ranges += static_cast<int>(ranges.size());
     // Signals stay on the virtual path (the coordinator fans writes
-    // out to every replica); dynamic flops are flopped net by net.
+    // out to every replica); dynamic flops are copied as word ranges.
     s.dynamic_flops = static_cast<int>(main_flops_.size());
-    s.dynamic_flop_ranges = s.dynamic_flops;
+    s.dynamic_flop_ranges =
+        static_cast<int>(replicas_[0]->flopPlan(main_flops_).size());
     return s;
 }
 
@@ -486,11 +487,14 @@ ParSimulationTool::runPhase(Cmd cmd)
         // Dynamically registered flops were written into every
         // replica's next region at writeNext time; flopping each
         // replica yields the same current value everywhere. These nets
-        // are disjoint from every island's flop and push targets.
-        for (int net : main_flops_) {
-            for (auto &replica : replicas_)
-                replica->flop(net);
+        // are disjoint from every island's flop and push targets. They
+        // are copied as whole-word ranges, replanned when the set grows.
+        if (main_flops_.size() != main_flops_planned_) {
+            main_flop_plan_ = replicas_[0]->flopPlan(main_flops_);
+            main_flops_planned_ = main_flops_.size();
         }
+        for (auto &replica : replicas_)
+            replica->flopRanges(main_flop_plan_);
     }
     bar_all_.arriveAndWait(); // done
     if (failed_.load(std::memory_order_acquire)) {

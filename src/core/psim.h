@@ -219,6 +219,8 @@ class ParSimulationTool : public Simulator
     // Nets flopped by the coordinating thread (registered dynamically
     // by lambda writeNext; statically flopped nets belong to islands).
     std::vector<int> main_flops_;
+    std::vector<FlopRange> main_flop_plan_; //!< main_flops_ as word ranges
+    size_t main_flops_planned_ = 0;         //!< main_flops_ size it covers
     std::vector<char> is_main_flop_;
     std::vector<char> static_island_flop_;
 

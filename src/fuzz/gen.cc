@@ -404,36 +404,66 @@ genLeaf(FuzzRng &rng, const std::vector<Signal *> &pool, int w)
 }
 
 /**
- * Random expression of width @p w over @p pool and @p arrs. Slices,
- * shifts and aread indexes are in-bounds by construction; multiplies
- * are capped at 32-bit operands so the compiled and tree-walk paths
- * agree on the (identical) truncated product.
+ * Subexpressions one block has built so far. genExpr draws from it
+ * again, so one block shares subexpressions across statements, across
+ * writes to what they read and across the arms of an if/else, which
+ * is what the bytecode optimizer's value numbering must get right.
+ */
+using ExprPool = std::vector<IrExpr>;
+
+IrExpr genFresh(FuzzRng &rng, const std::vector<Signal *> &pool,
+                const std::vector<MemArray *> &arrs, int w, int depth,
+                ExprPool &reuse);
+
+/**
+ * Random expression of width @p w over @p pool and @p arrs: a leaf at
+ * depth 0, else sometimes a subexpression from @p reuse, else a fresh
+ * one, which joins @p reuse.
  */
 IrExpr
 genExpr(FuzzRng &rng, const std::vector<Signal *> &pool,
-        const std::vector<MemArray *> &arrs, int w, int depth)
+        const std::vector<MemArray *> &arrs, int w, int depth,
+        ExprPool &reuse)
 {
     if (depth <= 0)
         return genLeaf(rng, pool, w);
+    if (!reuse.empty() && rng.chance(15))
+        return fit(reuse[rng.range(reuse.size())], w);
+    IrExpr e = genFresh(rng, pool, arrs, w, depth, reuse);
+    reuse.push_back(e);
+    return e;
+}
+
+/**
+ * A fresh compound expression for genExpr. Slices, shifts and aread
+ * indexes are in-bounds by construction; multiplies are capped at
+ * 32-bit operands so the compiled and tree-walk paths agree on the
+ * (identical) truncated product.
+ */
+IrExpr
+genFresh(FuzzRng &rng, const std::vector<Signal *> &pool,
+         const std::vector<MemArray *> &arrs, int w, int depth,
+         ExprPool &reuse)
+{
     switch (rng.range(12)) {
       case 0:
       case 1:
         return genLeaf(rng, pool, w);
       case 2: { // add/sub at the target width
-        IrExpr a = genExpr(rng, pool, arrs, w, depth - 1);
-        IrExpr b = genExpr(rng, pool, arrs, w, depth - 1);
+        IrExpr a = genExpr(rng, pool, arrs, w, depth - 1, reuse);
+        IrExpr b = genExpr(rng, pool, arrs, w, depth - 1, reuse);
         return rng.chance(50) ? fit(a, w) + fit(b, w)
                               : fit(a, w) - fit(b, w);
       }
       case 3: { // narrow multiply
         int mw = w < 32 ? w : 32;
-        IrExpr a = fit(genExpr(rng, pool, arrs, mw, depth - 1), mw);
-        IrExpr b = fit(genExpr(rng, pool, arrs, mw, depth - 1), mw);
+        IrExpr a = fit(genExpr(rng, pool, arrs, mw, depth - 1, reuse), mw);
+        IrExpr b = fit(genExpr(rng, pool, arrs, mw, depth - 1, reuse), mw);
         return fit(a * b, w);
       }
       case 4: { // bitwise
-        IrExpr a = fit(genExpr(rng, pool, arrs, w, depth - 1), w);
-        IrExpr b = fit(genExpr(rng, pool, arrs, w, depth - 1), w);
+        IrExpr a = fit(genExpr(rng, pool, arrs, w, depth - 1, reuse), w);
+        IrExpr b = fit(genExpr(rng, pool, arrs, w, depth - 1, reuse), w);
         switch (rng.range(3)) {
           case 0: return a & b;
           case 1: return a | b;
@@ -441,7 +471,7 @@ genExpr(FuzzRng &rng, const std::vector<Signal *> &pool,
         }
       }
       case 5: { // shift by an in-range constant
-        IrExpr a = fit(genExpr(rng, pool, arrs, w, depth - 1), w);
+        IrExpr a = fit(genExpr(rng, pool, arrs, w, depth - 1, reuse), w);
         IrExpr k = lit(8, rng.range(static_cast<uint64_t>(w)));
         switch (rng.range(3)) {
           case 0: return a << k;
@@ -450,15 +480,15 @@ genExpr(FuzzRng &rng, const std::vector<Signal *> &pool,
         }
       }
       case 6: { // mux
-        IrExpr c = fit(genExpr(rng, pool, arrs, 1, depth - 1), 1);
-        IrExpr a = fit(genExpr(rng, pool, arrs, w, depth - 1), w);
-        IrExpr b = fit(genExpr(rng, pool, arrs, w, depth - 1), w);
+        IrExpr c = fit(genExpr(rng, pool, arrs, 1, depth - 1, reuse), 1);
+        IrExpr a = fit(genExpr(rng, pool, arrs, w, depth - 1, reuse), w);
+        IrExpr b = fit(genExpr(rng, pool, arrs, w, depth - 1, reuse), w);
         return mux(c, a, b);
       }
       case 7: { // comparison, widened back up
         int cw = rng.irange(1, 32);
-        IrExpr a = fit(genExpr(rng, pool, arrs, cw, depth - 1), cw);
-        IrExpr b = fit(genExpr(rng, pool, arrs, cw, depth - 1), cw);
+        IrExpr a = fit(genExpr(rng, pool, arrs, cw, depth - 1, reuse), cw);
+        IrExpr b = fit(genExpr(rng, pool, arrs, cw, depth - 1, reuse), cw);
         IrExpr c;
         switch (rng.range(4)) {
           case 0: c = (a == b); break;
@@ -469,7 +499,7 @@ genExpr(FuzzRng &rng, const std::vector<Signal *> &pool,
         return fit(c, w);
       }
       case 8: { // unary / reductions / sign extension
-        IrExpr a = fit(genExpr(rng, pool, arrs, w, depth - 1), w);
+        IrExpr a = fit(genExpr(rng, pool, arrs, w, depth - 1, reuse), w);
         switch (rng.range(4)) {
           case 0: return ~a;
           case 1: return fit(a.reduceXor(), w);
@@ -478,7 +508,7 @@ genExpr(FuzzRng &rng, const std::vector<Signal *> &pool,
             if (w < 2)
                 return ~a;
             int sw = rng.irange(1, w - 1);
-            return fit(genExpr(rng, pool, arrs, sw, depth - 1), sw)
+            return fit(genExpr(rng, pool, arrs, sw, depth - 1, reuse), sw)
                 .sext(w);
           }
         }
@@ -487,13 +517,14 @@ genExpr(FuzzRng &rng, const std::vector<Signal *> &pool,
         if (w < 2)
             return genLeaf(rng, pool, w);
         int k = rng.irange(1, w - 1);
-        IrExpr hi = fit(genExpr(rng, pool, arrs, w - k, depth - 1), w - k);
-        IrExpr lo = fit(genExpr(rng, pool, arrs, k, depth - 1), k);
+        IrExpr hi =
+            fit(genExpr(rng, pool, arrs, w - k, depth - 1, reuse), w - k);
+        IrExpr lo = fit(genExpr(rng, pool, arrs, k, depth - 1, reuse), k);
         return cat(hi, lo);
       }
       case 10: { // in-bounds slice of a wider value
         int ew = w + rng.irange(1, 16);
-        IrExpr e = fit(genExpr(rng, pool, arrs, ew, depth - 1), ew);
+        IrExpr e = fit(genExpr(rng, pool, arrs, ew, depth - 1, reuse), ew);
         int lsb = static_cast<int>(
             rng.range(static_cast<uint64_t>(ew - w + 1)));
         return e.slice(lsb, w);
@@ -503,7 +534,7 @@ genExpr(FuzzRng &rng, const std::vector<Signal *> &pool,
             return genLeaf(rng, pool, w);
         MemArray *arr = arrs[rng.range(arrs.size())];
         int iw = bitsFor(static_cast<uint64_t>(arr->depth()));
-        IrExpr idx = fit(genExpr(rng, pool, arrs, iw, depth - 1), iw);
+        IrExpr idx = fit(genExpr(rng, pool, arrs, iw, depth - 1, reuse), iw);
         return fit(aread(*arr, idx), w);
       }
     }
@@ -594,6 +625,7 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
         Wire &out = comb_out_[i];
         int w = out.nbits();
         std::vector<Signal *> pool = combPool(sh.combs[i].level);
+        ExprPool reuse;
 
         if (w >= 4 && rng.chance(25)) {
             // Build the whole value from width-covering slice assigns
@@ -604,25 +636,34 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
             // self-loop the event-driven scheduler cannot settle.
             int k = rng.irange(1, w - 1);
             b.assignSlice(out, 0, k,
-                          fit(genExpr(rng, pool, arrs, k, 2), k));
+                          fit(genExpr(rng, pool, arrs, k, 2, reuse), k));
             b.assignSlice(out, k, w - k,
-                          fit(genExpr(rng, pool, arrs, w - k, 2),
+                          fit(genExpr(rng, pool, arrs, w - k, 2, reuse),
                               w - k));
             continue;
         }
-        IrExpr main = genExpr(rng, pool, arrs, w, 3);
+        IrExpr main = genExpr(rng, pool, arrs, w, 3, reuse);
+        IrExpr t;
         if (rng.chance(40)) {
             // Route part of the computation through a let-temp.
-            IrExpr t = b.let("t" + std::to_string(i),
-                             genExpr(rng, pool, arrs, w, 2));
+            t = b.let("t" + std::to_string(i),
+                      genExpr(rng, pool, arrs, w, 2, reuse));
             main = fit(main, w) ^ fit(t, w);
+            reuse.push_back(main);
         }
         b.assign(out, fit(main, w));
         if (rng.chance(40)) {
             // Conditional override after the full default assignment —
             // exercises if_ without inferring a latch.
-            IrExpr cond = fit(genExpr(rng, pool, arrs, 1, 2), 1);
-            IrExpr alt = fit(genExpr(rng, pool, arrs, w, 2), w);
+            IrExpr cond = fit(genExpr(rng, pool, arrs, 1, 2, reuse), 1);
+            IrExpr alt = fit(genExpr(rng, pool, arrs, w, 2, reuse), w);
+            if (t.valid() && rng.chance(50)) {
+                // Write the temp main reads, then read main again: its
+                // value must follow the new temp.
+                b.setTemp(t, fit(genExpr(rng, pool, arrs, w, 2, reuse),
+                                 t.nbits()));
+                alt = fit(main, w) + alt;
+            }
             b.if_(cond, [&] { b.assign(out, alt); });
         }
     }
@@ -637,7 +678,8 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
         for (Wire &r : regs_)
             pool.push_back(&r);
         pool.push_back(&dyn);
-        b.assign(ch_rdy, fit(genExpr(rng, pool, arrs, 1, 2), 1));
+        ExprPool reuse;
+        b.assign(ch_rdy, fit(genExpr(rng, pool, arrs, 1, 2, reuse), 1));
     }
 
     // --- generated tick blocks -------------------------------------
@@ -646,12 +688,16 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
             continue;
         FuzzRng rng(spec.seed, "tick", static_cast<uint64_t>(k));
         auto &b = tickRtl("tick_blk" + std::to_string(k));
+        // One pool for the block: later registers may reuse what an
+        // earlier one's next value read, after that register's write.
+        ExprPool reuse;
         for (size_t r = 0; r < regs_.size(); ++r) {
             if (static_cast<int>(r) % sh.ntick != k)
                 continue;
             Wire &reg = regs_[r];
             int w = reg.nbits();
-            IrExpr next = fit(genExpr(rng, seq_pool_rdy, arrs, w, 3), w);
+            IrExpr next =
+                fit(genExpr(rng, seq_pool_rdy, arrs, w, 3, reuse), w);
             int style = rng.irange(0, 3);
             if (style == 0) {
                 // Synchronous reset idiom.
@@ -659,15 +705,17 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
                       [&] { b.assign(reg, next); });
             } else if (style == 1) {
                 IrExpr cond =
-                    fit(genExpr(rng, seq_pool_rdy, arrs, 1, 2), 1);
+                    fit(genExpr(rng, seq_pool_rdy, arrs, 1, 2, reuse), 1);
                 IrExpr alt =
-                    fit(genExpr(rng, seq_pool_rdy, arrs, w, 2), w);
+                    fit(genExpr(rng, seq_pool_rdy, arrs, w, 2, reuse), w);
+                if (rng.chance(40))
+                    alt = alt ^ next; // next in both arms
                 b.if_(cond, [&] { b.assign(reg, next); },
                       [&] { b.assign(reg, alt); });
             } else if (style == 2) {
                 // Partial update: sequential hold is legal (no latch).
                 IrExpr cond =
-                    fit(genExpr(rng, seq_pool_rdy, arrs, 1, 2), 1);
+                    fit(genExpr(rng, seq_pool_rdy, arrs, 1, 2, reuse), 1);
                 b.if_(cond, [&] { b.assign(reg, next); });
             } else {
                 b.assign(reg, next);
@@ -679,13 +727,13 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
             MemArray &mem = mems_[m];
             int iw = bitsFor(static_cast<uint64_t>(mem.depth()));
             IrExpr idx =
-                fit(genExpr(rng, seq_pool_rdy, arrs, iw, 2), iw);
+                fit(genExpr(rng, seq_pool_rdy, arrs, iw, 2, reuse), iw);
             IrExpr val = fit(
-                genExpr(rng, seq_pool_rdy, arrs, mem.nbits(), 3),
+                genExpr(rng, seq_pool_rdy, arrs, mem.nbits(), 3, reuse),
                 mem.nbits());
             if (rng.chance(50)) {
                 IrExpr cond =
-                    fit(genExpr(rng, seq_pool_rdy, arrs, 1, 2), 1);
+                    fit(genExpr(rng, seq_pool_rdy, arrs, 1, 2, reuse), 1);
                 b.if_(cond, [&] { b.writeArray(mem, idx, val); });
             } else {
                 b.writeArray(mem, idx, val);
@@ -697,9 +745,10 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
     if (!spec.tickOff(sh.ntick)) {
         FuzzRng rng(spec.seed, "chprod", 0);
         auto &b = tickRtl("ch_prod");
-        IrExpr val = fit(genExpr(rng, seq_pool, arrs, 1, 2), 1);
+        ExprPool reuse;
+        IrExpr val = fit(genExpr(rng, seq_pool, arrs, 1, 2, reuse), 1);
         IrExpr msg =
-            fit(genExpr(rng, seq_pool, arrs, ch_msg.nbits(), 3),
+            fit(genExpr(rng, seq_pool, arrs, ch_msg.nbits(), 3, reuse),
                 ch_msg.nbits());
         // Classic producer: refill when the consumer took the message
         // (or the channel is empty).

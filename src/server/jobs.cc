@@ -109,10 +109,30 @@ JobScheduler::remainingOf(const Job &job)
     return job.spec.cycles > job.cycle ? job.spec.cycles - job.cycle : 0;
 }
 
+namespace {
+
+/** OS threads a run with @p threads runs: ParSim adds a coordinator. */
+int
+osThreads(int threads)
+{
+    return threads > 1 ? threads + 1 : 1;
+}
+
+} // namespace
+
 int
 JobScheduler::costOf(const JobSpec &spec) const
 {
-    return std::min(std::max(1, spec.cfg.threads), budget_total_);
+    return osThreads(spec.cfg.threads);
+}
+
+int
+JobScheduler::threadsWithin(int threads) const
+{
+    threads = std::max(1, threads);
+    if (osThreads(threads) > budget_total_)
+        threads = budget_total_ - 1;
+    return threads > 1 ? threads : 1;
 }
 
 int
@@ -133,9 +153,9 @@ JobScheduler::submit(JobSpec spec, uint64_t owner, std::string *error)
     auto job = std::make_shared<Job>();
     job->id = next_id_++;
     job->spec = std::move(spec);
-    // A job runs with the threads it is charged for, so ParSim never
-    // spins more workers than the budget units it holds.
-    job->spec.cfg.threads = costOf(job->spec);
+    // A job runs with the most threads, up to those it asked for, whose
+    // OS threads fit the budget, and is charged those OS threads.
+    job->spec.cfg.threads = threadsWithin(job->spec.cfg.threads);
     job->owner = owner;
     jobs_.emplace(job->id, job);
     ++nonterminal_;

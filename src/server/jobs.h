@@ -10,9 +10,11 @@
  * cache — the second job with the same design/backend pays no compile.
  *
  * Scheduling: shortest-remaining-cycles first over the queued set. A
- * job with cfg.threads = T draws min(T, budget) units of the thread
- * budget and runs with that many threads, so ParSim jobs and
- * sequential jobs share one pool.
+ * budget unit is one OS thread. A sequential job costs one; a ParSim
+ * job with cfg.threads = T runs T island threads plus its coordinator
+ * and costs T + 1. A job asking for more than the budget holds runs
+ * with the most threads that fit (sequentially when not even two
+ * islands fit), so ParSim jobs and sequential jobs share one pool.
  * Preemption composes the two cooperative primitives grown for it:
  * Simulator::requestPause() stops the victim at the next cycle
  * boundary, snapSave() captures its complete architectural state into
@@ -111,9 +113,9 @@ class JobScheduler
 {
   public:
     /**
-     * @param thread_budget total concurrent host threads for jobs
-     *        (a job costs min(max(1, cfg.threads), thread_budget)
-     *        and runs with that many threads)
+     * @param thread_budget total concurrent OS threads for jobs (a
+     *        job costs the OS threads its cfg.threads runs, after
+     *        submit lowers cfg.threads to fit the budget)
      * @param queue_cap     max jobs waiting or running; submits beyond
      *        it are rejected, keeping the daemon's memory bounded
      * @param make_design   factory resolving spec.design (throws on
@@ -188,7 +190,10 @@ class JobScheduler
     /** Next admissible queued job (shortest remaining first). */
     std::shared_ptr<Job> pickLocked();
     void runJob(const std::shared_ptr<Job> &job);
+    /** Budget units (OS threads) a job runs. */
     int costOf(const JobSpec &spec) const;
+    /** The most threads, up to @p threads, whose cost fits the budget. */
+    int threadsWithin(int threads) const;
     void maybePreemptLocked(const Job &incoming);
     static bool terminal(JobState s);
     static uint64_t remainingOf(const Job &job);

@@ -806,5 +806,318 @@ TEST(BcFrame, PerInstanceConstants)
     EXPECT_EQ(prog.source.find("c2 = "), std::string::npos) << prog.source;
 }
 
+// ----------------------------------------------------------------------
+// The per-module optimization pass. Each test pins one rewrite's limit
+// on a block built to tempt it, by the shape of the optimized program
+// and by running it once, on the VM and as an emitted kernel, against
+// known inputs.
+
+/**
+ * The optimized program of a one-block design, run once on either
+ * engine: the VM, or the kernel the C++ emitter makes of it.
+ */
+struct OneBlock
+{
+    std::shared_ptr<Elaboration> elab;
+    ArenaStore store;
+    BcModule mod;
+
+    explicit OneBlock(Model &top)
+        : elab(top.elaborate()), store(*elab), mod(*elab, store, {0})
+    {
+        EXPECT_EQ(elab->blocks.size(), 1u);
+    }
+
+    const BcProgram &prog() const { return *mod.instance(0).prog; }
+
+    void
+    set(Signal &sig, uint64_t v)
+    {
+        store.write(sig.netId(), Bits(sig.nbits(), v));
+    }
+
+    uint64_t
+    get(Signal &sig) const
+    {
+        return store.read(sig.netId()).toUint64();
+    }
+
+    void
+    run(bool native)
+    {
+        if (!native) {
+            std::vector<uint64_t> frame(mod.frameWords(), 0);
+            bcRunBatch(mod.batch({0}), store.data(), frame.data());
+            return;
+        }
+        CppProgram prog = cppEmitProgram(*elab, store, mod, {CppUnit{{{0}}}});
+        CppJit jit(::testing::TempDir() + "cmtl_bcopt", false);
+        jit.compile(prog.source, 1).group(0)(store.data());
+    }
+};
+
+/** The engines a OneBlock can run on here. */
+std::vector<bool>
+engines()
+{
+    if (CppJit::compilerAvailable())
+        return {false, true};
+    return {false};
+}
+
+int
+countOps(const BcProgram &prog, Bc op)
+{
+    return static_cast<int>(std::count_if(
+        prog.insts.begin(), prog.insts.end(),
+        [op](const BcInst &in) { return in.op == op; }));
+}
+
+/** Recomputes x ^ b after each kind of write to x, and a ^ b twice. */
+class RecomputeAfterWrite : public Model
+{
+  public:
+    InPort a, b;
+    OutPort x, y, p, q, r, s, u, v, n;
+
+    RecomputeAfterWrite()
+        : Model(nullptr, "top"), a(this, "a", 8), b(this, "b", 8),
+          x(this, "x", 8), y(this, "y", 8), p(this, "p", 8),
+          q(this, "q", 8), r(this, "r", 8), s(this, "s", 8),
+          u(this, "u", 8), v(this, "v", 8), n(this, "n", 8)
+    {
+        auto &c = combinational("comb");
+        c.assign(x, rd(a) + 1);
+        c.assign(p, rd(x) ^ rd(b));
+        c.assign(x, rd(a) + 2); // a whole write to x
+        c.assign(q, rd(x) ^ rd(b));
+        c.assign(y, rd(a));
+        c.assign(r, rd(y) ^ rd(b));
+        c.assignSlice(y, 0, 4, rd(b).slice(0, 4)); // a partial write
+        c.assign(s, rd(y) ^ rd(b));
+        c.assign(u, rd(a) ^ rd(b));
+        c.assign(v, rd(b) ^ rd(a)); // nothing in between
+        // p's value: its Xor read x before x was written again.
+        c.assign(n, (rd(a) + 1) ^ rd(b));
+    }
+};
+
+TEST(BcOpt, NoMergeAcrossWriteToReadSlot)
+{
+    RecomputeAfterWrite top;
+    OneBlock blk(top);
+    // p, q, r and s each need their own Xor; u and v share one, and n
+    // reuses p's.
+    EXPECT_EQ(countOps(blk.prog(), Bc::Xor), 5);
+    for (bool native : engines()) {
+        blk.set(top.a, 0x35);
+        blk.set(top.b, 0x9c);
+        blk.run(native);
+        EXPECT_EQ(blk.get(top.p), 0x36u ^ 0x9c) << native;
+        EXPECT_EQ(blk.get(top.q), 0x37u ^ 0x9c) << native;
+        EXPECT_EQ(blk.get(top.r), 0x35u ^ 0x9c) << native;
+        EXPECT_EQ(blk.get(top.s), 0x3cu ^ 0x9c) << native;
+        EXPECT_EQ(blk.get(top.u), 0x35u ^ 0x9c) << native;
+        EXPECT_EQ(blk.get(top.v), 0x35u ^ 0x9c) << native;
+        EXPECT_EQ(blk.get(top.n), 0x36u ^ 0x9c) << native;
+    }
+}
+
+/** Computes a + b before a branch, in each arm and after the join. */
+class AcrossBranches : public Model
+{
+  public:
+    InPort a, b, c1, c2;
+    OutPort p, q, s, r;
+
+    AcrossBranches()
+        : Model(nullptr, "top"), a(this, "a", 8), b(this, "b", 8),
+          c1(this, "c1", 1), c2(this, "c2", 1), p(this, "p", 8),
+          q(this, "q", 8), s(this, "s", 8), r(this, "r", 8)
+    {
+        auto &c = combinational("comb");
+        c.assign(p, rd(a) + rd(b));
+        c.if_(rd(c1), [&] { c.assign(q, rd(a) + rd(b)); },
+              [&] { c.assign(q, rd(a) - rd(b)); });
+        c.if_(rd(c2), [&] { c.assign(s, rd(a) ^ rd(b)); },
+              [&] { c.assign(s, rd(a) + rd(b)); });
+        c.assign(r, rd(a) + rd(b)); // after a join
+    }
+};
+
+TEST(BcOpt, NoMergeAcrossJzOrJoin)
+{
+    AcrossBranches top;
+    OneBlock blk(top);
+    // Before the first Jz, after it, in the second else arm, and after
+    // the join that arm falls into.
+    EXPECT_EQ(countOps(blk.prog(), Bc::Add), 4);
+    for (bool native : engines()) {
+        for (uint64_t cond : {0, 1}) {
+            blk.set(top.a, 0x35);
+            blk.set(top.b, 0x21);
+            blk.set(top.c1, cond);
+            blk.set(top.c2, cond);
+            blk.run(native);
+            EXPECT_EQ(blk.get(top.p), 0x56u) << cond << native;
+            EXPECT_EQ(blk.get(top.q), cond ? 0x56u : 0x14u) << cond;
+            EXPECT_EQ(blk.get(top.s), cond ? 0x14u : 0x56u) << cond;
+            EXPECT_EQ(blk.get(top.r), 0x56u) << cond << native;
+        }
+    }
+}
+
+/** An expression read only by a SetSlice, next to a forwardable one. */
+class SliceTarget : public Model
+{
+  public:
+    InPort a, b;
+    OutPort y, w;
+
+    SliceTarget()
+        : Model(nullptr, "top"), a(this, "a", 4), b(this, "b", 4),
+          y(this, "y", 8), w(this, "w", 4)
+    {
+        auto &c = combinational("comb");
+        c.assign(y, rd(a).zext(8));
+        c.assignSlice(y, 4, 4, rd(a) + rd(b));
+        c.assign(w, rd(a) ^ rd(b));
+    }
+};
+
+TEST(BcOpt, NoForwardIntoSetSlice)
+{
+    SliceTarget top;
+    OneBlock blk(top);
+    const BcProgram &prog = blk.prog();
+    const int scratch = prog.scratchBase() + prog.ntemps;
+    ASSERT_EQ(countOps(prog, Bc::SetSlice), 1);
+    for (const BcInst &in : prog.insts) {
+        if (in.op == Bc::Add || in.op == Bc::SetSlice)
+            EXPECT_GE(in.op == Bc::Add ? in.dst : in.a, scratch);
+        if (in.op == Bc::Xor)
+            EXPECT_LT(in.dst, prog.nslots); // forwarded into w
+    }
+    for (bool native : engines()) {
+        blk.set(top.a, 0x9);
+        blk.set(top.b, 0xc);
+        blk.run(native);
+        EXPECT_EQ(blk.get(top.y), 0x59u) << native;
+        EXPECT_EQ(blk.get(top.w), 0x5u) << native;
+    }
+}
+
+/** Loads of one address before and after a store to the array. */
+class LoadStoreLoad : public Model
+{
+  public:
+    InPort i, j, d;
+    OutPort q1, q2, q3;
+    MemArray mem;
+
+    LoadStoreLoad()
+        : Model(nullptr, "top"), i(this, "i", 3), j(this, "j", 3),
+          d(this, "d", 8), q1(this, "q1", 8), q2(this, "q2", 8),
+          q3(this, "q3", 8), mem(this, "mem", 8, 8)
+    {
+        auto &t = tickRtl("seq");
+        t.assign(q1, aread(mem, rd(i)));
+        t.writeArray(mem, rd(j), rd(d));
+        t.assign(q2, aread(mem, rd(i)));
+        t.assign(q3, aread(mem, rd(i)));
+    }
+};
+
+TEST(BcOpt, NoLoadMergedPastStore)
+{
+    LoadStoreLoad top;
+    OneBlock blk(top);
+    // q2 and q3 share a load; q1's comes before the store.
+    EXPECT_EQ(countOps(blk.prog(), Bc::ALoad), 2);
+    for (bool native : engines()) {
+        blk.store.arrayWrite(top.mem.arrayId(), 5, Bits(8, 0x11));
+        blk.set(top.i, 5);
+        blk.set(top.j, 5);
+        blk.set(top.d, 0x77);
+        blk.run(native);
+        auto next = [&](Signal &q) {
+            return blk.store.readNext(q.netId()).toUint64();
+        };
+        EXPECT_EQ(next(top.q1), 0x11u) << native;
+        EXPECT_EQ(next(top.q2), 0x77u) << native;
+        EXPECT_EQ(next(top.q3), 0x77u) << native;
+    }
+}
+
+/** Uses its per-instance constant k twice, and one constant all share. */
+class LaneConst : public Model
+{
+  public:
+    InPort a;
+    OutPort p;
+    const uint64_t k;
+
+    LaneConst(Model *parent, const std::string &name, uint64_t k)
+        : Model(parent, name), a(this, "a", 8), p(this, "p", 8), k(k)
+    {
+        auto &c = combinational("comb");
+        c.assign(p, ((rd(a) + lit(8, k)) ^ (rd(a) & lit(8, k))) +
+                        lit(8, 0x5a));
+    }
+};
+
+TEST(BcOpt, VaryingConstantsStayPerLane)
+{
+    class Top : public Model
+    {
+      public:
+        std::vector<std::unique_ptr<LaneConst>> leaves;
+        Top() : Model(nullptr, "top")
+        {
+            for (uint64_t k : {0x11, 0x22, 0x33}) {
+                leaves.push_back(std::make_unique<LaneConst>(
+                    this, "l" + std::to_string(k), k));
+            }
+        }
+    } top;
+    auto elab = top.elaborate();
+    ArenaStore store(*elab);
+    ASSERT_EQ(elab->blocks.size(), 3u);
+    BcModule mod(*elab, store, {0, 1, 2});
+    ASSERT_EQ(mod.numPrograms(), 1);
+    const BcProgram &prog = *mod.instance(0).prog;
+    // Both occurrences of k share one column; 0x5a is an immediate.
+    EXPECT_EQ(prog.nconsts, 1);
+    EXPECT_EQ(prog.imms, std::vector<uint64_t>{0x5a});
+    for (auto &leaf : top.leaves)
+        store.write(leaf->a.netId(), Bits(8, 0x0f));
+    std::vector<uint64_t> frame(mod.frameWords(), 0);
+    bcRunBatch(mod.batch({0, 1, 2}), store.data(), frame.data());
+    for (auto &leaf : top.leaves) {
+        const uint64_t k = leaf->k;
+        EXPECT_EQ(store.read(leaf->p.netId()).toUint64(),
+                  (((0x0f + k) ^ (0x0f & k)) + 0x5a) & 0xff)
+            << k;
+    }
+}
+
+TEST(BcOpt, MeshProgramsStayCompact)
+{
+    // Lane-instructions per cycle, counted statically (a batch runs
+    // each instruction of its program once per lane), and the largest
+    // frame, on the 16x16 RTL mesh.
+    net::MeshTrafficTop top("top", net::NetLevel::RTL, 256, 4, 0.30, 1);
+    auto sim =
+        makeSimulator(top.elaborate(), SimConfig::fromString("bytecode"));
+    size_t lane_insts = 0;
+    int frame = 0;
+    for (const BcBatch &batch : sim->bytecodeBatches()) {
+        lane_insts += batch.prog->insts.size() * batch.nlanes;
+        frame = std::max(frame, batch.prog->frameSize());
+    }
+    EXPECT_LE(lane_insts, 180000u);
+    EXPECT_LE(frame, 64);
+}
+
 } // namespace
 } // namespace cmtl

@@ -462,28 +462,31 @@ TEST(SimDynamicFlops, GrowingSetRebuildsTheRangePlan)
         cfgs.push_back(SimConfig::fromString("cpp-design"));
         cfgs.back().jit_tiered = false;
     }
+    // ParSim's coordinator flops them on every replica the same way.
+    cfgs.push_back(SimConfig::fromString("bytecode"));
+    cfgs.back().threads = 2;
     std::vector<std::vector<uint64_t>> traces;
     for (const SimConfig &cfg : cfgs) {
         LateFlop top(6);
-        SimulationTool sim(top.elaborate(), cfg);
+        auto sim = makeSimulator(top.elaborate(), cfg);
         std::vector<uint64_t> trace;
         for (int c = 0; c < 20; ++c) {
             top.in_.setValue(uint64_t(c * 7));
-            sim.cycle();
+            sim->cycle();
             trace.push_back(top.out.u64());
             trace.push_back(top.a.u64());
             trace.push_back(top.b.u64());
             if (c == 3) {
-                EXPECT_EQ(sim.layoutStats().dynamic_flops, 1)
+                EXPECT_EQ(sim->layoutStats().dynamic_flops, 1)
                     << cfg.toString();
             }
         }
-        LayoutStats lay = sim.layoutStats();
+        LayoutStats lay = sim->layoutStats();
         EXPECT_EQ(lay.dynamic_flops, 2) << cfg.toString();
         // a and b are adjacent words: one coalesced range once the
         // plan is rebuilt.
         EXPECT_EQ(lay.dynamic_flop_ranges, 1) << cfg.toString();
-        EXPECT_EQ(sim.dynamicFlopNets(),
+        EXPECT_EQ(sim->dynamicFlopNets(),
                   (std::vector<int>{top.a.netId(), top.b.netId()}));
         traces.push_back(std::move(trace));
     }

@@ -58,9 +58,9 @@ TEST(JobScheduler, DigestParityWithOneShot)
 
 TEST(JobScheduler, ParSimJobMatchesSequential)
 {
-    JobScheduler sched(2, 16, defaultCorpusFactory());
+    JobScheduler sched(3, 16, defaultCorpusFactory());
     JobSpec par = clSpec(500);
-    par.cfg.threads = 2; // draws the whole budget
+    par.cfg.threads = 2; // two islands and a coordinator: the budget
     std::string error;
     int id = sched.submit(par, 0, &error);
     ASSERT_GE(id, 0) << error;
@@ -74,22 +74,27 @@ TEST(JobScheduler, ParSimJobMatchesSequential)
 
 TEST(JobScheduler, OverBudgetThreadsRunAtTheirCharge)
 {
-    // A job asking for more threads than the budget is charged the
-    // whole budget, and runs (and reports) exactly that many.
-    JobScheduler sched(2, 16, defaultCorpusFactory());
-    JobSpec par = clSpec(500);
-    par.cfg.threads = 8;
-    std::string error;
-    int id = sched.submit(par, 0, &error);
-    ASSERT_GE(id, 0) << error;
-    std::vector<JobInfo> st = sched.status(id);
-    ASSERT_EQ(st.size(), 1u);
-    EXPECT_EQ(st[0].spec.cfg.threads, 2);
-    JobInfo info = sched.awaitResult(id);
-    ASSERT_EQ(info.state, JobState::Done) << info.result.error;
-    EXPECT_EQ(info.spec.cfg.threads, 2);
-    EXPECT_EQ(info.result.digest,
-              runOneShot(clSpec(500), defaultCorpusFactory()).digest);
+    // A budget unit is an OS thread, and a ParSim job with T threads
+    // runs T + 1 of them (its coordinator). A job asking for more than
+    // the budget holds runs (and reports) the most threads that fit:
+    // {budget, asked} -> runs.
+    const int cases[][3] = {{3, 8, 2}, {4, 3, 3}, {4, 4, 3}, {2, 2, 1}};
+    for (const auto &[budget, asked, runs] : cases) {
+        JobScheduler sched(budget, 16, defaultCorpusFactory());
+        JobSpec par = clSpec(500);
+        par.cfg.threads = asked;
+        std::string error;
+        int id = sched.submit(par, 0, &error);
+        ASSERT_GE(id, 0) << error;
+        std::vector<JobInfo> st = sched.status(id);
+        ASSERT_EQ(st.size(), 1u);
+        EXPECT_EQ(st[0].spec.cfg.threads, runs) << budget << " " << asked;
+        JobInfo info = sched.awaitResult(id);
+        ASSERT_EQ(info.state, JobState::Done) << info.result.error;
+        EXPECT_EQ(info.spec.cfg.threads, runs);
+        EXPECT_EQ(info.result.digest,
+                  runOneShot(clSpec(500), defaultCorpusFactory()).digest);
+    }
 }
 
 TEST(SpecFromJson, RejectsNonIntegralAndOutOfRangeCounts)
