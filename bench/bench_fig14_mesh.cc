@@ -53,9 +53,9 @@ main(int argc, char **argv)
     if (full)
         targets.push_back(10000000);
 
-    // The paper's four configurations plus the whole-design tiered
-    // JIT (SimJIT v2); --backend=<b> restricts the sweep to the
-    // CPython baseline and that one backend.
+    // The paper's four configurations plus the tiered per-batch JIT
+    // (SimJIT v2); --backend=<b> restricts the sweep to the CPython
+    // baseline and that one backend.
     std::vector<ModeSpec> modes = paperModes(opts);
     if (!opts.backend_set && CppJit::compilerAvailable())
         modes.push_back(
@@ -84,6 +84,7 @@ main(int argc, char **argv)
     JsonWriter json("BENCH_fig14_mesh.json");
     json.beginObject();
     json.field("bench", "fig14_mesh");
+    hostFields(json);
     json.field("nodes", kNodes);
     json.field("injection_rate", kInjection);
     json.field("handcpp_cycles_per_second", ref_rate);
@@ -176,9 +177,9 @@ main(int argc, char **argv)
                         best_mode.name.c_str(),
                         ref_rate / best.cycles_per_second,
                         level == NetLevel::RTL ? "6x" : "4x");
-            // The tentpole gate: whole-design fusion vs per-block
-            // compiled C++ (same specializer, one C-ABI crossing per
-            // cycle instead of one per block per phase).
+            // cpp-design vs cpp-block: the same kernels, one C-ABI
+            // crossing per batch of same-type blocks instead of one
+            // per block.
             const RateResult *block = nullptr, *design = nullptr;
             for (const auto &[mode, r] : results) {
                 std::string b = mode.cfg.toString();
@@ -202,9 +203,9 @@ main(int argc, char **argv)
     json.endArray();
 
     // Code generation on the RTL mesh: per-block (cpp-block) vs
-    // whole-design (cpp-design) compiled C++ — emitted TU size, kernel
-    // count (one per block type), compile time, steady-state rate and
-    // the arena's flop plan.
+    // per-batch (cpp-design) calls of one library — emitted TU size
+    // and kernel count (one per block type, equal on both), compile
+    // time, steady-state rate and the arena's flop plan.
     rule('=');
     std::printf("code generation (RTL mesh)\n");
     rule('=');

@@ -15,8 +15,8 @@
 
 #include "core/ir_bytecode.h"
 #include "core/ir_eval.h"
-#include "core/jit_cpp.h"
 #include "core/ir_cpp.h"
+#include "core/jit_cpp.h"
 #include "core/model.h"
 #include "core/store.h"
 #include "core/timing.h"
@@ -146,58 +146,70 @@ class AluArray : public Model
 };
 
 /**
- * One batch of state.range(0) torture-ALU lanes per iteration. The
- * inputs keep a != b, so every lane takes the else side of the block's
- * if; ns_per_lane_inst divides the run time by the instructions each
- * lane executes on that path, which shows what batching saves of the
- * per-instruction dispatch.
+ * state.range(0) torture-ALU lanes of one program, and their inputs.
+ * The inputs keep a != b, so every lane takes the else side of the
+ * block's if.
  */
-void
-BM_EngineBytecode(benchmark::State &state)
+struct AluLanes
 {
-    const int lanes = static_cast<int>(state.range(0));
-    AluArray top(lanes);
+    AluArray top;
     std::shared_ptr<Elaboration> elab = top.elaborate();
-    ArenaStore arena(*elab);
-    std::vector<int> blocks(lanes);
-    std::iota(blocks.begin(), blocks.end(), 0);
-    BcModule mod(*elab, arena, blocks);
-    const BcBatch batch = mod.batch(blocks);
-    std::vector<uint64_t> frame(mod.frameWords());
-
-    uint64_t path = 0;
-    const auto &insts = batch.prog->insts;
-    for (size_t pc = 0; pc < insts.size(); ++path) {
-        const BcInst &in = insts[pc];
-        pc = in.op == Bc::Jz || in.op == Bc::Jmp
-                 ? static_cast<size_t>(in.imm)
-                 : pc + 1;
-    }
-
-    uint64_t *w = arena.data();
+    ArenaStore arena{*elab};
+    std::vector<int> blocks;
+    BcModule mod;
     std::vector<int> a, b;
-    for (const auto &alu : top.alus) {
-        a.push_back(arena.offset(alu->a.netId()));
-        b.push_back(arena.offset(alu->b.netId()));
+
+    explicit AluLanes(int lanes) : top(lanes), blocks(lanes)
+    {
+        std::iota(blocks.begin(), blocks.end(), 0);
+        mod = BcModule(*elab, arena, blocks);
+        for (const auto &alu : top.alus) {
+            a.push_back(arena.offset(alu->a.netId()));
+            b.push_back(arena.offset(alu->b.netId()));
+        }
     }
-    const uint64_t m = arena.mask(top.alus[0]->a.netId());
-    uint64_t i = 0;
-    Stopwatch sw;
-    for (auto _ : state) {
-        ++i;
-        for (int l = 0; l < lanes; ++l) {
+
+    void
+    drive(uint64_t i)
+    {
+        uint64_t *w = arena.data();
+        const uint64_t m = arena.mask(top.alus[0]->a.netId());
+        for (size_t l = 0; l < a.size(); ++l) {
             w[a[l]] = (i + l) & m;
             w[b[l]] = ((i + l) * 7 + 1) & m;
         }
-        bcRunBatch(batch, arena.data(), frame.data());
     }
-    const double lane_insts = static_cast<double>(state.iterations()) *
-                              lanes * static_cast<double>(path);
-    state.counters["ns_per_lane_inst"] = sw.elapsed() * 1e9 / lane_insts;
-    state.SetItemsProcessed(state.iterations() * lanes);
+
+    /** ns_per_lane: the time of one batch run over its lane count. */
+    void
+    report(benchmark::State &state, double seconds) const
+    {
+        const double lanes = static_cast<double>(state.iterations()) *
+                             static_cast<double>(blocks.size());
+        state.counters["ns_per_lane"] = seconds * 1e9 / lanes;
+        state.SetItemsProcessed(state.iterations() *
+                                static_cast<int64_t>(blocks.size()));
+    }
+};
+
+/** One bytecode batch of all lanes per iteration. */
+void
+BM_EngineBytecode(benchmark::State &state)
+{
+    AluLanes f(static_cast<int>(state.range(0)));
+    const BcBatch batch = f.mod.batch(f.blocks);
+    std::vector<uint64_t> frame(f.mod.frameWords());
+    uint64_t i = 0;
+    Stopwatch sw;
+    for (auto _ : state) {
+        f.drive(++i);
+        bcRunBatch(batch, f.arena.data(), frame.data());
+    }
+    f.report(state, sw.elapsed());
 }
 BENCHMARK(BM_EngineBytecode)->Arg(1)->Arg(32);
 
+/** The same batch as one call of its compiled kernel. */
 void
 BM_EngineCompiledCpp(benchmark::State &state)
 {
@@ -205,26 +217,21 @@ BM_EngineCompiledCpp(benchmark::State &state)
         state.SkipWithError("no host compiler");
         return;
     }
-    EngineFixture f;
-    BcModule mod(*f.elab, f.arena, {0});
-    std::string source =
-        cppEmitProgram(*f.elab, f.arena, mod, {CppUnit{{CppUnit::Item{0}}}})
-            .source;
+    AluLanes f(static_cast<int>(state.range(0)));
+    const CppProgram prog = cppEmitProgram(f.mod);
+    const CppBatch call = cppBatch(prog, f.mod, f.blocks);
     CppJit jit;
-    CppJitLibrary lib = jit.compile(source, 1);
-    uint64_t *w = f.arena.data();
-    const int a = f.arena.offset(f.alu.a.netId());
-    const int b = f.arena.offset(f.alu.b.netId());
-    const uint64_t am = f.arena.mask(f.alu.a.netId());
-    const uint64_t bm = f.arena.mask(f.alu.b.netId());
+    CppJitLibrary lib = jit.compile(prog.source, f.mod.numPrograms());
+    const CppJitLibrary::KernelFn kernel = lib.kernel(call.kernel);
     uint64_t i = 0;
+    Stopwatch sw;
     for (auto _ : state) {
-        w[a] = ++i & am;
-        w[b] = (i * 7) & bm;
-        lib.group(0)(f.arena.data());
+        f.drive(++i);
+        kernel(f.arena.data(), call.rows.data(), call.consts.data(), call.n);
     }
+    f.report(state, sw.elapsed());
 }
-BENCHMARK(BM_EngineCompiledCpp);
+BENCHMARK(BM_EngineCompiledCpp)->Arg(1)->Arg(32);
 
 // ------------------------------------------------- storage backends
 

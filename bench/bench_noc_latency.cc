@@ -100,6 +100,7 @@ main(int argc, char **argv)
     JsonWriter json("BENCH_noc_latency.json");
     json.beginObject();
     json.field("bench", "noc_latency");
+    hostFields(json);
     json.field("nrouters", nrouters);
     json.field("nentries", nentries);
     json.field("seed", seed);

@@ -23,7 +23,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <thread>
 #include <cstdlib>
 #include <map>
 
@@ -137,11 +136,9 @@ main(int argc, char **argv)
         .field("cycles_per_job", cycles)
         .field("sweep_points", sweep_points)
         .field("backend", backend)
-        .field("jit_available", jit)
-        .field("host_cpus",
-               static_cast<int>(std::thread::hardware_concurrency()))
-        .key("results")
-        .beginArray();
+        .field("jit_available", jit);
+    hostFields(json);
+    json.key("results").beginArray();
 
     std::printf("%6s %6s %10s %12s %10s %12s\n", "jobs", "cache",
                 "wall_s", "jobs_per_min", "errors", "mismatches");

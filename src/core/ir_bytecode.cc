@@ -884,7 +884,6 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
     };
     std::vector<Placed> placed(elab.blocks.size(), Placed{-1, 0, 0});
     std::vector<BcProgram> raw;
-    std::vector<std::vector<int>> members; //!< per program: its blocks
     std::vector<uint64_t> raw_consts;
     std::unordered_multimap<uint64_t, int> prog_of;
     for (int b : blocks) {
@@ -902,9 +901,9 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
             prog = static_cast<int>(raw.size());
             prog_of.emplace(h, prog);
             raw.push_back(std::move(blk.prog));
-            members.emplace_back();
+            members_.emplace_back();
         }
-        members[prog].push_back(b);
+        members_[prog].push_back(b);
         placed[b] = {prog, slot_pool_.size(), raw_consts.size()};
         slot_pool_.insert(slot_pool_.end(), blk.slots.begin(),
                           blk.slots.end());
@@ -916,13 +915,13 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
     std::vector<size_t> const_at(elab.blocks.size(), 0);
     for (size_t p = 0; p < raw.size(); ++p) {
         std::vector<const uint64_t *> consts;
-        for (int b : members[p])
+        for (int b : members_[p])
             consts.push_back(raw_consts.data() + placed[b].consts);
         std::vector<int> cols;
         progs_.push_back(Optimizer(raw[p], consts).run(cols));
         max_frame_ = std::max(max_frame_, progs_.back().frameSize());
-        for (size_t i = 0; i < members[p].size(); ++i) {
-            const_at[members[p][i]] = const_pool_.size();
+        for (size_t i = 0; i < members_[p].size(); ++i) {
+            const_at[members_[p][i]] = const_pool_.size();
             for (int j : cols)
                 const_pool_.push_back(consts[i][j]);
         }

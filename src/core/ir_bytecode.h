@@ -234,6 +234,12 @@ class BcModule
     /** Block @p block's instance (prog is null if it was not built). */
     const BcInstance &instance(int block) const { return insts_[block]; }
     int numPrograms() const { return static_cast<int>(progs_.size()); }
+    /** The blocks running program @p prog, in module order. */
+    const std::vector<int> &
+    instancesOf(int prog) const
+    {
+        return members_[prog];
+    }
     /** Index of block @p block's program, or -1 if it was not built. */
     int
     programOf(int block) const
@@ -255,6 +261,7 @@ class BcModule
 
   private:
     std::vector<BcProgram> progs_;
+    std::vector<std::vector<int>> members_; //!< per program: its blocks
     std::vector<int32_t> slot_pool_;
     std::vector<uint64_t> const_pool_;
     std::vector<BcInstance> insts_; //!< per elaborated block

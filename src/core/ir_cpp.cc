@@ -1,10 +1,8 @@
 #include "ir_cpp.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 namespace cmtl {
@@ -19,76 +17,43 @@ hex(uint64_t v)
     return os.str();
 }
 
-/** One emitted kernel: a program and the instances the units run. */
-struct Kernel
-{
-    const BcProgram *prog = nullptr;
-    std::vector<int> blocks; //!< instances, in order of first use
-    /** Per slot: its offset from `b`, a literal or a tabled local. */
-    std::vector<std::string> slot;
-    int slotCols = 0;
-    /** Per instance: base word, row in `tab`, row in `ctab`. */
-    std::vector<std::array<int, 3>> args;
-};
-
 /**
- * Decide how each slot of @p k is addressed. The base is the first slot
- * whose word differs across instances: a slot at the same offset from
- * it on every instance is a literal; the rest read the instance's row
- * of @p tab.
+ * Decide how @p prog's kernel addresses each slot over the module's
+ * instances @p blocks of it. The base is the first slot whose word
+ * differs across instances: a slot at the same offset from it on every
+ * instance is a literal; the rest are read from the row. Returns each
+ * slot's offset from `b` as the kernel spells it.
  */
-void
-resolveSlots(Kernel &k, const BcModule &bc, std::vector<int32_t> &tab)
+std::vector<std::string>
+resolveSlots(CppKernel &k, const BcProgram &prog, const BcModule &bc,
+             const std::vector<int> &blocks)
 {
-    const int nslots = k.prog->nslots;
+    const int nslots = prog.nslots;
     auto word = [&](size_t i, int s) {
-        return bc.instance(k.blocks[i]).slots[s];
+        return bc.instance(blocks[i]).slots[s];
     };
     int bs = -1;
     for (int s = 0; s < nslots && bs < 0; ++s) {
-        for (size_t i = 1; i < k.blocks.size() && bs < 0; ++i) {
+        for (size_t i = 1; i < blocks.size() && bs < 0; ++i) {
             if (word(i, s) != word(0, s))
                 bs = s;
         }
     }
-    std::vector<int> base;
-    for (size_t i = 0; i < k.blocks.size(); ++i)
-        base.push_back(nslots ? word(i, bs < 0 ? 0 : bs) : 0);
-    std::vector<int> tabled;
+    k.baseSlot = std::max(bs, 0);
+    std::vector<std::string> slot;
     for (int s = 0; s < nslots; ++s) {
-        const int rel = word(0, s) - base[0];
+        const int rel = word(0, s) - word(0, k.baseSlot);
         bool fixed = true;
-        for (size_t i = 1; i < k.blocks.size() && fixed; ++i)
-            fixed = word(i, s) - base[i] == rel;
+        for (size_t i = 1; i < blocks.size() && fixed; ++i)
+            fixed = word(i, s) - word(i, k.baseSlot) == rel;
         if (fixed) {
-            k.slot.push_back(std::to_string(rel));
+            slot.push_back(std::to_string(rel));
         } else {
-            k.slot.push_back("o" + std::to_string(tabled.size()));
-            tabled.push_back(s);
+            slot.push_back("o" + std::to_string(k.tabled.size()));
+            k.tabled.push_back(s);
         }
     }
-    k.slotCols = static_cast<int>(tabled.size());
-    for (size_t i = 0; i < k.blocks.size(); ++i) {
-        k.args.push_back({base[i], static_cast<int>(tab.size()), 0});
-        for (int s : tabled)
-            tab.push_back(word(i, s) - base[i]);
-    }
-}
-
-/**
- * Append each of @p k's instances' constant columns to @p ctab. The
- * BcModule already made every constant equal on all its instances an
- * immediate and merged identical columns, so a row is the instance's
- * column table as it stands.
- */
-void
-tableConsts(Kernel &k, const BcModule &bc, std::vector<uint64_t> &ctab)
-{
-    for (size_t i = 0; i < k.blocks.size(); ++i) {
-        const uint64_t *row = bc.instance(k.blocks[i]).consts;
-        k.args[i][2] = static_cast<int>(ctab.size());
-        ctab.insert(ctab.end(), row, row + k.prog->nconsts);
-    }
+    return slot;
 }
 
 /**
@@ -172,11 +137,13 @@ scratchLocals(const BcProgram &p)
 }
 
 /**
- * Translate @p k's program into `static void T<t>`. Each instruction
- * computes exactly what bcRunBatch computes for one lane; slots are
- * read and written in place, which is what bcRunBatch's gather and
- * scatter amount to, since a block's array words never alias its net
- * slots. Immediates are literals, so g++ still folds masks and shifts.
+ * Translate program @p t into the kernel `cmtl_k<t>`: a loop over
+ * n rows whose body is the program. Each instruction computes exactly
+ * what bcRunBatch computes for one lane; slots are read and written in
+ * place, which is what bcRunBatch's gather and scatter amount to,
+ * since a block's array words never alias its net slots. @p slot spells
+ * each slot's offset from the row's base `b`. Immediates are literals,
+ * so g++ still folds masks and shifts.
  *
  * Scratch past the temps holds intermediate values. A definition that
  * scratchLocals lets inline is emitted inside the expression that reads
@@ -186,10 +153,9 @@ scratchLocals(const BcProgram &p)
  * own local.
  */
 void
-emitKernel(std::ostringstream &os, int t, const Kernel &k,
-           const Elaboration &elab)
+emitKernel(std::ostringstream &os, int t, const BcProgram &p,
+           const CppKernel &k, const std::vector<std::string> &slot)
 {
-    const BcProgram &p = *k.prog;
     const int nslots = p.nslots;
     const int imms = p.immBase();
     const int temps = p.scratchBase();
@@ -200,7 +166,7 @@ emitKernel(std::ostringstream &os, int t, const Kernel &k,
     auto literal = [&](int32_t r) { return r >= imms && r < temps; };
     auto reg = [&](int32_t r) -> std::string {
         if (r < nslots)
-            return "b[" + k.slot[r] + "]";
+            return "b[" + slot[r] + "]";
         if (r < imms)
             return "c" + std::to_string(r - nslots);
         if (r < temps)
@@ -216,23 +182,32 @@ emitKernel(std::ostringstream &os, int t, const Kernel &k,
         return mask == ~uint64_t(0) ? v : v + " & " + hex(mask);
     };
 
-    os << "// " << k.blocks.size() << " instance(s) of "
-       << elab.blocks[k.blocks[0]].name << "\n"
-       << "static void T" << t
-       << "(uint64_t *b, const int32_t *o, const uint64_t *c)\n{\n";
-    for (int i = 0; i < k.slotCols; ++i)
-        os << "    const int32_t o" << i << " = o[" << i << "];\n";
+    const size_t ntabled = k.tabled.size();
+    os << "// program " << t << ": " << nslots << " slot(s), " << ntabled
+       << " tabled, " << p.nconsts << " constant column(s)\n"
+       << "extern \"C\" void cmtl_k" << t
+       << "(uint64_t *w, const int32_t *rows, const uint64_t *consts, "
+          "int n)\n{\n"
+       << "    for (int i = 0; i < n; ++i, rows += " << 1 + ntabled;
+    if (p.nconsts)
+        os << ", consts += " << p.nconsts;
+    os << ") {\n"
+       << "        uint64_t *const b = w + rows[0];\n";
+    for (size_t i = 0; i < ntabled; ++i)
+        os << "        const int32_t o" << i << " = rows[" << i + 1
+           << "];\n";
     for (int i = 0; i < p.nconsts; ++i)
-        os << "    const uint64_t c" << i << " = c[" << i << "];\n";
+        os << "        const uint64_t c" << i << " = consts[" << i
+           << "];\n";
     for (int j = 0; j < p.ntemps; ++j)
-        os << (j ? ", t" : "    uint64_t t") << j << " = 0";
+        os << (j ? ", t" : "        uint64_t t") << j << " = 0";
     if (p.ntemps)
         os << ";\n";
     int nlocals = 0;
     for (int l : local)
         nlocals = std::max(nlocals, l + 1);
     for (int j = 0; j < nlocals; ++j)
-        os << (j ? ", s" : "    uint64_t s") << j;
+        os << (j ? ", s" : "        uint64_t s") << j;
     if (nlocals)
         os << ";\n";
 
@@ -243,7 +218,7 @@ emitKernel(std::ostringstream &os, int t, const Kernel &k,
     }
     for (size_t pc = 0; pc <= p.insts.size(); ++pc) {
         if (target[pc])
-            os << "  L" << pc << ":;\n";
+            os << "      L" << pc << ":;\n";
         if (pc == p.insts.size())
             break;
         const BcInst &in = p.insts[pc];
@@ -326,41 +301,40 @@ emitKernel(std::ostringstream &os, int t, const Kernel &k,
             v = masked("cmtl_sext(" + reg(in.a) + ", " + m + ")", in.mask);
             break;
           case Bc::ALoad:
-            v = "(b + " + k.slot[in.imm] + ")[" + reg(in.a) + " & " +
+            v = "(b + " + slot[in.imm] + ")[" + reg(in.a) + " & " +
                 hex(static_cast<uint64_t>(in.c)) + "]";
             break;
           case Bc::AStore: {
             const std::string idx = reg(in.a);
-            os << "    (b + " << k.slot[in.imm] << ")[" << idx << " & "
+            os << "        (b + " << slot[in.imm] << ")[" << idx << " & "
                << hex(static_cast<uint64_t>(in.c))
                << "] = " << masked(reg(in.b), in.mask) << ";\n";
             continue;
           }
           case Bc::Jz:
-            os << "    if (!" << reg(in.a) << ") goto L" << m << ";\n";
+            os << "        if (!" << reg(in.a) << ") goto L" << m << ";\n";
             continue;
           case Bc::Jmp:
-            os << "    goto L" << m << ";\n";
+            os << "        goto L" << m << ";\n";
             continue;
         }
         if (in.dst < scratch) {
-            os << "    " << reg(in.dst) << " = " << v << ";\n";
+            os << "        " << reg(in.dst) << " = " << v << ";\n";
         } else if (local[pc] < 0) {
             pending[in.dst - scratch] = std::move(v);
         } else {
             local_of[in.dst - scratch] = local[pc];
-            os << "    s" << local[pc] << " = " << v << ";\n";
+            os << "        s" << local[pc] << " = " << v << ";\n";
         }
     }
-    os << "}\n\n";
+    os << "    }\n}\n\n";
 }
 
 /** The shared translation-unit header (helpers used by every kernel). */
 void
-emitPrelude(std::ostringstream &os, const Elaboration &elab)
+emitPrelude(std::ostringstream &os)
 {
-    os << "// Generated by CMTL SimJIT-C++ specializer.\n"
-       << "// Design: " << elab.top->fullName() << "\n"
+    os << "// Generated by CMTL SimJIT-C++: one kernel per block type.\n"
        << "#include <cstdint>\n\n"
        << "static inline uint64_t cmtl_shl(uint64_t a, uint64_t n)\n"
        << "{ return n >= 64 ? 0 : a << n; }\n"
@@ -374,140 +348,44 @@ emitPrelude(std::ostringstream &os, const Elaboration &elab)
        << "\n";
 }
 
-template <class T>
-void
-emitTable(std::ostringstream &os, const char *type, const std::string &name,
-          const std::vector<T> &values)
-{
-    os << "static const " << type << " " << name << "[] = {";
-    for (size_t i = 0; i < values.size(); ++i)
-        os << (i % 16 ? " " : "\n    ") << values[i] << ",";
-    os << "\n};\n";
-}
-
 } // namespace
 
-std::string
-cppGroupSymbol(int k)
+CppProgram
+cppEmitProgram(const BcModule &bc)
 {
-    return "cmtl_grp_" + std::to_string(k);
+    CppProgram out;
+    std::ostringstream os;
+    emitPrelude(os);
+    for (int t = 0; t < bc.numPrograms(); ++t) {
+        const std::vector<int> &blocks = bc.instancesOf(t);
+        const BcProgram &prog = *bc.instance(blocks.front()).prog;
+        CppKernel &k = out.kernels.emplace_back();
+        const std::vector<std::string> slot =
+            resolveSlots(k, prog, bc, blocks);
+        out.tabledSlots += static_cast<int>(k.tabled.size());
+        emitKernel(os, t, prog, k, slot);
+    }
+    out.source = os.str();
+    return out;
 }
 
-CppProgram
-cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
-               const BcModule &bc, const std::vector<CppUnit> &units)
+CppBatch
+cppBatch(const CppProgram &prog, const BcModule &bc,
+         const std::vector<int> &blocks)
 {
-    // One kernel per program the units run, numbered by first use.
-    std::vector<Kernel> kernels;
-    std::unordered_map<const BcProgram *, int> kernel_of_prog;
-    struct Call
-    {
-        int kernel = -1;
-        int inst = -1;
-    };
-    std::vector<Call> calls(elab.blocks.size());
-    for (const CppUnit &unit : units) {
-        for (const CppUnit::Item &item : unit.items) {
-            if (item.block < 0 || calls[item.block].kernel >= 0)
-                continue;
-            const BcProgram *prog = bc.instance(item.block).prog;
-            auto [it, fresh] = kernel_of_prog.try_emplace(
-                prog, static_cast<int>(kernels.size()));
-            if (fresh)
-                kernels.emplace_back().prog = prog;
-            Kernel &k = kernels[it->second];
-            calls[item.block] = {it->second,
-                                 static_cast<int>(k.blocks.size())};
-            k.blocks.push_back(item.block);
-        }
+    CppBatch out;
+    out.kernel = bc.programOf(blocks.front());
+    out.n = static_cast<int>(blocks.size());
+    const CppKernel &k = prog.kernels[out.kernel];
+    for (int b : blocks) {
+        const BcInstance &inst = bc.instance(b);
+        const int base = inst.prog->nslots ? inst.slots[k.baseSlot] : 0;
+        out.rows.push_back(base);
+        for (int s : k.tabled)
+            out.rows.push_back(inst.slots[s] - base);
+        out.consts.insert(out.consts.end(), inst.consts,
+                          inst.consts + inst.prog->nconsts);
     }
-    std::vector<int32_t> tab;
-    std::vector<uint64_t> ctab;
-    CppProgram out;
-    out.kernelTypes = static_cast<int>(kernels.size());
-    std::ostringstream os;
-    emitPrelude(os, elab);
-    for (size_t t = 0; t < kernels.size(); ++t) {
-        resolveSlots(kernels[t], bc, tab);
-        tableConsts(kernels[t], bc, ctab);
-        out.tabledSlots += kernels[t].slotCols;
-        emitKernel(os, static_cast<int>(t), kernels[t], elab);
-    }
-    // Every call passes both tables, so both exist.
-    tab.resize(std::max<size_t>(tab.size(), 1));
-    ctab.resize(std::max<size_t>(ctab.size(), 1));
-    emitTable(os, "int32_t", "tab", tab);
-    std::vector<std::string> lits;
-    for (uint64_t v : ctab)
-        lits.push_back(hex(v));
-    emitTable(os, "uint64_t", "ctab", lits);
-
-    // Entry points; each run of one kernel's instances is one loop over
-    // its table of {base, tab row, ctab row} entries.
-    std::ostringstream entries;
-    int nruns = 0;
-    for (size_t u = 0; u < units.size(); ++u) {
-        const std::vector<CppUnit::Item> &items = units[u].items;
-        entries << "extern \"C\" void "
-                << cppGroupSymbol(static_cast<int>(u))
-                << "(uint64_t *w)\n{\n";
-        for (size_t i = 0; i < items.size();) {
-            const CppUnit::Item &item = items[i];
-            if (item.block >= 0) {
-                const int kn = calls[item.block].kernel;
-                const Kernel &k = kernels[kn];
-                size_t j = i + 1;
-                while (j < items.size() && items[j].block >= 0 &&
-                       calls[items[j].block].kernel == kn)
-                    ++j;
-                auto row = [&](const CppUnit::Item &it) {
-                    return k.args[calls[it.block].inst];
-                };
-                if (j - i == 1) {
-                    const std::array<int, 3> &r = row(item);
-                    entries << "    T" << kn << "(w + " << r[0] << ", tab + "
-                            << r[1] << ", ctab + " << r[2] << "); // "
-                            << elab.blocks[item.block].name << "\n";
-                } else {
-                    std::vector<int> run;
-                    for (size_t r = i; r < j; ++r) {
-                        const std::array<int, 3> &f = row(items[r]);
-                        run.insert(run.end(), f.begin(), f.end());
-                    }
-                    const std::string name = "run" + std::to_string(nruns++);
-                    emitTable(os, "int32_t", name, run);
-                    entries << "    for (const int32_t *e = " << name
-                            << "; e != " << name << " + " << run.size()
-                            << "; e += 3)\n        T" << kn
-                            << "(w + e[0], tab + e[1], ctab + e[2]);\n";
-                }
-                i = j;
-                continue;
-            }
-            if (item.unit >= 0) {
-                entries << "    " << cppGroupSymbol(item.unit) << "(w);\n";
-            } else {
-                // Coalesced flop range: straight word copies, long
-                // runs as a loop the compiler turns into memmove.
-                int cur = item.rangeOff;
-                int nxt = cur + store.wordsPerPhase();
-                if (item.rangeWords <= 4) {
-                    for (int wd = 0; wd < item.rangeWords; ++wd) {
-                        entries << "    w[" << cur + wd << "] = w["
-                                << nxt + wd << "];\n";
-                    }
-                } else {
-                    entries << "    for (int i = 0; i < " << item.rangeWords
-                            << "; ++i) w[" << cur << " + i] = w[" << nxt
-                            << " + i];\n";
-                }
-            }
-            ++i;
-        }
-        entries << "}\n\n";
-    }
-    os << "\n" << entries.str();
-    out.source = os.str();
     return out;
 }
 

@@ -1,41 +1,39 @@
 /**
  * @file
- * C++ source emission from IR blocks (SimJIT code generation stage).
+ * C++ source emission from bytecode programs (SimJIT code generation).
  *
- * Given an elaborated design, its word arena, the design's bytecode
- * module and a list of units, emits a self-contained C++ translation
- * unit with one `extern "C" void cmtl_grp_<k>(uint64_t *w)` entry
- * point per unit, each executing its blocks' logic directly on the
- * ArenaStore word arena. This is the exact pipeline shape of PyMTL's
- * SimJIT: generate C++ from the elaborated model instance, compile it
- * to a shared library (see jit_cpp.h), and call it through a C ABI.
+ * The emitted translation unit is a function of a BcModule alone: one
+ * kernel per program, that is per block type,
  *
- * Both compiled tiers share one front end: every C++ kernel is
- * translated from a BcProgram of the BcModule (ir_bytecode.h), so
- * blocks compile to one kernel per program, that is per block type.
+ *   extern "C" void cmtl_k<p>(uint64_t *w, const int32_t *rows,
+ *                             const uint64_t *consts, int n)
+ *
+ * which runs program p's logic for n instances against the word arena
+ * @p w, one instance per row. It names no design, no instance and no
+ * schedule: the host keeps the schedule (the kernel's bytecode batch
+ * list) and each batch's row and constant tables (CppBatch) as data,
+ * and calls a batch's kernel once per run. Designs with the same
+ * programs and slot layout therefore share one compiled library, as
+ * do the cpp-block and cpp-design backends and ParSim runs of one
+ * design. This is PyMTL's SimJIT pipeline with the block type as the
+ * unit of translation: generate C++, compile it to a shared library
+ * (see jit_cpp.h), and call it through a C ABI.
+ *
  * Programs arrive optimized (see the pass in ir_bytecode.h). Stores
  * and temps become statements, Jz/Jmp become labels and gotos, and an
  * intermediate value read once, with no write to what it reads before
  * that read, is emitted inside the expression that reads it, which
  * rebuilds the IR's expression trees (Mux arms stay lazy). Any other
- * intermediate value gets a local of its own. A kernel is
- * `static void T<k>(uint64_t *b, const int32_t *o, const uint64_t *c)`:
+ * intermediate value gets a local of its own. Per row:
  *
- *  - Slots. The instance base `b` is the instance's word of the first
- *    slot whose word differs across instances. A slot at the same
- *    offset from the base on every instance is a literal, `b[7]`; only
- *    the others read the instance's row of one int32 table, `o`.
+ *  - Slots. The instance base `b = w + row[0]` is the instance's word
+ *    of the first slot whose word differs across the module's
+ *    instances of the program. A slot at the same offset from the base
+ *    on every instance is a literal, `b[7]`; only the others read the
+ *    rest of the row (CppKernel::tabled).
  *  - Constants. A program immediate (equal on every instance of the
  *    module) is a literal, so g++ still folds masks and shifts. The
- *    program's constant columns read the instance's row of one uint64
- *    table, `c`, copied into const locals at kernel entry.
- *
- * An entry point runs its items in order. Consecutive instances of one
- * kernel form a run, emitted as one loop over the run's table of
- * {base, slot row, constant row} triples; a run of one is a direct
- * call. Orders that keep instances of one type together (see
- * SimulationTool::designCombOrder) therefore make a few loops out of
- * a whole phase.
+ *    program's constant columns are the instance's row of `consts`.
  *
  * The specializable subset matches the bytecode backend: all nets and
  * intermediates must fit in 64 bits (checked via bcSpecializable).
@@ -48,52 +46,46 @@
 #include <vector>
 
 #include "ir_bytecode.h"
-#include "model.h"
-#include "store.h"
 
 namespace cmtl {
+
+/** How one kernel addresses its instances' slots. */
+struct CppKernel
+{
+    int baseSlot = 0;        //!< slot whose word a row's base is
+    std::vector<int> tabled; //!< slots read from a row, after the base
+};
 
 /** An emitted translation unit. */
 struct CppProgram
 {
     std::string source;
-    int kernelTypes = 0; //!< distinct block kernels in the source
-    int tabledSlots = 0; //!< slot columns read from the table, all kernels
+    std::vector<CppKernel> kernels; //!< per program of the module
+    int tabledSlots = 0; //!< slot columns read from rows, all kernels
 };
 
 /**
- * One specialization unit: an ordered mix of block executions,
- * register flops and calls to other units, emitted into a single entry
- * point. A cpp-block group is a unit of one block; a cpp-design unit
- * calling the tick, flop and comb units in turn is a complete step()
- * function.
+ * The arguments of one kernel call over a batch: per lane, a row of
+ * 1 + tabled.size() words (the base word, then each tabled slot's
+ * offset from it) and a row of the program's constant columns.
  */
-struct CppUnit
+struct CppBatch
 {
-    struct Item
-    {
-        int block = -1; //!< ElabBlock index to execute, or
-        /** Whole-word flop range (block < 0): copy rangeWords words
-         *  next -> current starting at rangeOff. Produced from
-         *  ArenaStore::flopPlan(). */
-        int rangeOff = -1;
-        int rangeWords = 0;
-        /** Call an earlier unit's entry point (block < 0). */
-        int unit = -1;
-    };
-    std::vector<Item> items;
+    int kernel = -1;
+    int n = 0;
+    std::vector<int32_t> rows;
+    std::vector<uint64_t> consts;
 };
 
-/**
- * Emit the C++ source for @p units. Every block item must have a
- * program in @p bc; flop items compile to straight-line word copies.
- */
-CppProgram cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
-                          const BcModule &bc,
-                          const std::vector<CppUnit> &units);
+/** Emit one kernel per program of @p bc. */
+CppProgram cppEmitProgram(const BcModule &bc);
 
-/** Symbol name of unit @p k in the emitted source. */
-std::string cppGroupSymbol(int k);
+/**
+ * The call of @p prog's kernel over @p blocks, which must share one
+ * program of @p bc, the module @p prog was emitted from.
+ */
+CppBatch cppBatch(const CppProgram &prog, const BcModule &bc,
+                  const std::vector<int> &blocks);
 
 } // namespace cmtl
 

@@ -262,7 +262,7 @@ CppJit::cachePathFor(const std::string &source) const
 }
 
 CppJitLibrary
-CppJit::compile(const std::string &source, int ngroups)
+CppJit::compile(const std::string &source, int nkernels)
 {
     CppJitLibrary lib;
     std::string so_path = cachePathFor(source);
@@ -307,7 +307,7 @@ CppJit::compile(const std::string &source, int ngroups)
         std::remove(cc_path.c_str());
         std::remove(log_path.c_str());
         // Keep the cache directory bounded (it otherwise grows by one
-        // .so per distinct design/flag/compiler combination, forever).
+        // .so per distinct program set/flag/compiler combination).
         evictCache(cache_dir_, cacheMaxBytes(), so_path);
     }
     lib.compile_seconds_ = seconds() - t0;
@@ -317,13 +317,13 @@ CppJit::compile(const std::string &source, int ngroups)
     if (!lib.handle_)
         throw std::runtime_error(std::string("SimJIT: dlopen failed: ") +
                                  ::dlerror());
-    for (int k = 0; k < ngroups; ++k) {
-        std::string sym = "cmtl_grp_" + std::to_string(k);
+    for (int p = 0; p < nkernels; ++p) {
+        std::string sym = "cmtl_k" + std::to_string(p);
         void *fn = ::dlsym(lib.handle_.get(), sym.c_str());
         if (!fn)
             throw std::runtime_error("SimJIT: missing symbol " + sym);
-        lib.groups_.push_back(
-            reinterpret_cast<CppJitLibrary::GroupFn>(fn));
+        lib.kernels_.push_back(
+            reinterpret_cast<CppJitLibrary::KernelFn>(fn));
     }
     lib.wrap_seconds_ = seconds() - t1;
     return lib;

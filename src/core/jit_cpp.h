@@ -4,10 +4,12 @@
  *
  * Mirrors PyMTL's SimJIT pipeline: the generated source is compiled
  * with the system C++ compiler into a shared library, loaded with
- * dlopen, and its entry points bound as function pointers. Compiled
- * libraries are cached on disk, the analog of SimJIT-RTL's translation
- * cache: a warm cache converts the (dominant) compile overhead into a
- * one-time cost.
+ * dlopen, and its kernels (ir_cpp.h) bound as function pointers.
+ * Compiled libraries are cached on disk, the analog of SimJIT-RTL's
+ * translation cache: a warm cache converts the (dominant) compile
+ * overhead into a one-time cost. The source holds only per-type
+ * kernels, so every simulator with the same program set (cpp-block
+ * or cpp-design, sequential or ParSim) hits one cache entry.
  *
  * Cache key: FNV-1a over a cache-format version tag, the compiler
  * version (g++ -dumpfullversion -dumpversion), the exact flag string
@@ -32,11 +34,12 @@ namespace cmtl {
 class CppJitLibrary
 {
   public:
-    using GroupFn = void (*)(uint64_t *);
+    /** `cmtl_k<p>(w, rows, consts, n)`: program p over n rows. */
+    using KernelFn = void (*)(uint64_t *, const int32_t *,
+                              const uint64_t *, int);
 
     bool loaded() const { return handle_ != nullptr; }
-    GroupFn group(int k) const { return groups_.at(k); }
-    int numGroups() const { return static_cast<int>(groups_.size()); }
+    KernelFn kernel(int p) const { return kernels_[p]; }
 
     bool cacheHit() const { return cache_hit_; }
     double compileSeconds() const { return compile_seconds_; }
@@ -49,7 +52,7 @@ class CppJitLibrary
         void operator()(void *handle) const;
     };
     std::unique_ptr<void, Close> handle_;
-    std::vector<GroupFn> groups_;
+    std::vector<KernelFn> kernels_;
     bool cache_hit_ = false;
     double compile_seconds_ = 0.0;
     double wrap_seconds_ = 0.0;
@@ -60,10 +63,9 @@ class CppJit
 {
   public:
     /**
-     * Extra flags for whole-design (cpp-design) translation units.
-     * Kept at the base -O1. The -O2 measurement behind that choice
-     * (10x slower builds, slower steady-state code) was taken on the
-     * old per-instance TUs; -O2 on per-type kernels is unmeasured.
+     * Extra flags perfbench records as its cpp-design flags. Empty:
+     * every backend compiles one translation unit with the base flags,
+     * so that cpp-block and cpp-design share one library.
      */
     static constexpr const char *kWholeDesignFlags = "";
     /**
@@ -113,11 +115,11 @@ class CppJit
                            const std::string &keep);
 
     /**
-     * Compile @p source (with @p ngroups cmtl_grp_<k> entry points)
-     * and bind the group symbols. Throws std::runtime_error on
-     * compiler failure.
+     * Compile @p source (with @p nkernels kernels cmtl_k<p>) and bind
+     * the kernel symbols. Throws std::runtime_error on compiler
+     * failure or a missing symbol.
      */
-    CppJitLibrary compile(const std::string &source, int ngroups);
+    CppJitLibrary compile(const std::string &source, int nkernels);
 
   private:
     std::string cache_dir_;

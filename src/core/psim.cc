@@ -5,7 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "ir_cpp.h"
 #include "timing.h"
 
 namespace cmtl {
@@ -194,68 +193,22 @@ ParSimulationTool::specialize()
         }
     }
 
-    const bool design = designMode();
-    if (!native_blocks_) {
-        // One shared program per block type: slot tables address the
-        // arena by absolute offset, so every island runs them against
-        // its own replica's data pointer. Frames are per island. For
-        // cpp-design this is the warm-up tier executed while the
-        // whole-design compile runs in the background.
-        std::vector<int> members;
-        for (size_t b = 0; b < blocks.size(); ++b) {
-            if (specialized_[b])
-                members.push_back(static_cast<int>(b));
-        }
-        bc_ = BcModule(*elab_, *replicas_[0], members);
-        const std::vector<int> type = blockTypes(specialized_);
-        for (int i = 0; i < plan_.nislands; ++i) {
-            batchSteps(comb_steps_[i], type);
-            batchSteps(tick_steps_[i], type);
-        }
-        // Round each island's frame up to whole cache lines, plus one,
-        // so no two islands' frames share a line.
-        const size_t frame = (bc_.frameWords() + 15) & ~size_t(7);
-        bc_frames_.assign(plan_.nislands, std::vector<uint64_t>(frame, 0));
-        spec_stats_.numGroups = spec_stats_.numSpecialized;
-        spec_stats_.kernelTypes = bc_.numPrograms();
-        spec_stats_.codegenSeconds = sw.elapsed();
-        if (!design)
-            return;
-        specializeDesign();
-        return;
-    }
-
-    // cpp-block: every specialized block is its own compiled entry
-    // point, invoked with the island's replica data pointer — one C-ABI
-    // crossing per block per phase, the same granularity as the
-    // sequential kernel.
-    std::vector<std::vector<int>> groups;
-    auto markSteps = [&](std::vector<PStep> &steps) {
-        for (PStep &step : steps) {
-            if (!specialized_[step.block])
-                continue;
-            step.kind = PStep::Kind::Native;
-            step.group = static_cast<int>(groups.size());
-            groups.push_back({step.block});
-        }
-    };
+    // One shared program per block type: slot tables address the
+    // arena by absolute offset, so every island runs them against its
+    // own replica's data pointer. Frames are per island.
+    const std::vector<int> type = buildModule(specialized_, *replicas_[0]);
     for (int i = 0; i < plan_.nislands; ++i) {
-        markSteps(comb_steps_[i]);
-        markSteps(tick_steps_[i]);
+        batchSteps(comb_steps_[i], type);
+        batchSteps(tick_steps_[i], type);
     }
-
-    std::vector<int> members;
-    std::vector<CppUnit> units(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-        for (int blk : groups[g]) {
-            members.push_back(blk);
-            units[g].items.push_back(CppUnit::Item{blk});
-        }
-    }
-    bc_ = BcModule(*elab_, *replicas_[0], members);
-    CppProgram program = cppEmitProgram(*elab_, *replicas_[0], bc_, units);
+    // Round each island's frame up to whole cache lines, plus one,
+    // so no two islands' frames share a line.
+    const size_t frame = (bc_.frameWords() + 15) & ~size_t(7);
+    bc_frames_.assign(plan_.nislands, std::vector<uint64_t>(frame, 0));
+    spec_stats_.numGroups = spec_stats_.numSpecialized;
     spec_stats_.codegenSeconds = sw.elapsed();
-    buildNative(std::move(program), static_cast<int>(units.size()));
+    if (native_blocks_ || designMode())
+        buildNative();
 }
 
 void
@@ -263,7 +216,9 @@ ParSimulationTool::batchSteps(std::vector<PStep> &steps,
                               const std::vector<int> &type)
 {
     // Batch each settle level (the tick list is all level 0) apart:
-    // the push points between levels are immovable.
+    // the push points between levels are immovable. cpp-block crosses
+    // the C ABI once per block, as the sequential kernel does: every
+    // block is a batch of its own, in schedule order.
     std::vector<PStep> out;
     size_t k = 0;
     while (k < steps.size()) {
@@ -271,12 +226,19 @@ ParSimulationTool::batchSteps(std::vector<PStep> &steps,
         std::vector<int> seq;
         for (; k < steps.size() && steps[k].level == level; ++k)
             seq.push_back(steps[k].block);
-        for (const auto &lanes : hazardBatches(*elab_, seq, type)) {
+        std::vector<std::vector<int>> batches;
+        if (native_blocks_) {
+            for (int b : seq)
+                batches.push_back({b});
+        } else {
+            batches = hazardBatches(*elab_, seq, type);
+        }
+        for (const auto &lanes : batches) {
             PStep step;
             step.block = lanes.front();
             step.level = level;
             if (type[step.block] >= 0) {
-                step.kind = PStep::Kind::Bytecode;
+                step.kind = PStep::Kind::Batch;
                 step.batch = static_cast<int>(bc_batches_.size());
                 bc_batches_.push_back(bc_.batch(lanes));
             }
@@ -284,77 +246,6 @@ ParSimulationTool::batchSteps(std::vector<PStep> &steps,
         }
     }
     steps = std::move(out);
-}
-
-void
-ParSimulationTool::specializeDesign()
-{
-    Stopwatch sw;
-    // Native tier: each island's schedule fused into island units (one
-    // per superstep level for comb — the bulk-synchronous push points
-    // are immovable — one for the tick list, one for the flop phase),
-    // built over the bytecode-marked schedules so unspecialized blocks
-    // keep their slot-evaluated steps. Every island's units go into
-    // one translation unit, so each block kernel is emitted once.
-    nat_comb_steps_ = comb_steps_;
-    nat_tick_steps_ = tick_steps_;
-    island_flop_unit_.assign(plan_.nislands, -1);
-    std::vector<CppUnit> units;
-    auto fuse = [&](std::vector<PStep> &steps, bool levelBound) {
-        std::vector<PStep> out;
-        size_t k = 0;
-        while (k < steps.size()) {
-            if (steps[k].kind != PStep::Kind::Bytecode) {
-                out.push_back(steps[k]);
-                ++k;
-                continue;
-            }
-            CppUnit unit;
-            size_t j = k;
-            while (j < steps.size() &&
-                   steps[j].kind == PStep::Kind::Bytecode &&
-                   (!levelBound || steps[j].level == steps[k].level)) {
-                for (int b : bc_batches_[steps[j].batch].blocks)
-                    unit.items.push_back(CppUnit::Item{b});
-                ++j;
-            }
-            PStep step;
-            step.kind = PStep::Kind::Native;
-            step.block = steps[k].block;
-            step.group = static_cast<int>(units.size());
-            step.level = steps[k].level;
-            units.push_back(std::move(unit));
-            out.push_back(step);
-            k = j;
-        }
-        steps = std::move(out);
-    };
-    for (int i = 0; i < plan_.nislands; ++i) {
-        fuse(nat_comb_steps_[i], true);
-        fuse(nat_tick_steps_[i], false);
-        // Island flop unit over its owned statically flopped nets
-        // (dynamic lambda flops stay on the coordinator), coalesced
-        // into whole-word copy ranges.
-        CppUnit flop_unit;
-        for (const FlopRange &r : island_flop_plans_[i])
-            flop_unit.items.push_back(CppUnit::Item{-1, r.off, r.nwords});
-        island_flop_unit_[i] = static_cast<int>(units.size());
-        units.push_back(std::move(flop_unit));
-    }
-    // Replica 0's offsets are every replica's offsets, so one emission
-    // serves whichever replica the code later runs on.
-    CppProgram program = cppEmitProgram(*elab_, *replicas_[0], bc_, units);
-    spec_stats_.codegenSeconds += sw.elapsed();
-    buildNative(std::move(program), static_cast<int>(units.size()));
-}
-
-void
-ParSimulationTool::useNativeSchedule()
-{
-    // Workers are parked before the next start barrier (or not started
-    // yet); the barrier that releases them publishes the new schedules.
-    comb_steps_ = std::move(nat_comb_steps_);
-    tick_steps_ = std::move(nat_tick_steps_);
 }
 
 LayoutStats
@@ -513,34 +404,20 @@ ParSimulationTool::runPStep(int island, const PStep &step)
 {
     // Per-block counters are written only by the executing island's
     // worker (each block belongs to exactly one island), so the probe
-    // needs no synchronization here. A bytecode batch times itself
-    // (runBatch).
-    if (ScopeProbe *p = probe_; p && step.kind != PStep::Kind::Bytecode) {
-        if (p->shouldTime(step.block)) {
-            Stopwatch sw;
-            runPStepImpl(island, step);
-            p->addBlockTime(step.block, sw.elapsed());
-            return;
-        }
-    }
-    runPStepImpl(island, step);
-}
-
-void
-ParSimulationTool::runPStepImpl(int island, const PStep &step)
-{
-    switch (step.kind) {
-      case PStep::Kind::Slot:
-        evals_[island]->run(elab_->blocks[step.block], nullptr);
-        break;
-      case PStep::Kind::Bytecode:
-        runBatch(bc_batches_[step.batch], replicas_[island]->data(),
+    // needs no synchronization here. A batch times itself (runBatch).
+    if (step.kind == PStep::Kind::Batch) {
+        runBatch(step.batch, replicas_[island]->data(),
                  bc_frames_[island].data());
-        break;
-      case PStep::Kind::Native:
-        cpp_lib_.group(step.group)(replicas_[island]->data());
-        break;
+        return;
     }
+    const ElabBlock &blk = elab_->blocks[step.block];
+    if (ScopeProbe *p = probe_; p && p->shouldTime(step.block)) {
+        Stopwatch sw;
+        evals_[island]->run(blk, nullptr);
+        p->addBlockTime(step.block, sw.elapsed());
+        return;
+    }
+    evals_[island]->run(blk, nullptr);
 }
 
 void
@@ -589,12 +466,8 @@ ParSimulationTool::runIslandTick(int island)
 void
 ParSimulationTool::runIslandFlop(int island)
 {
-    if (design_native_) {
-        cpp_lib_.group(island_flop_unit_[island])(replicas_[island]->data());
-    } else {
-        // Whole-word range copies of the island's static flop set.
-        replicas_[island]->flopRanges(island_flop_plans_[island]);
-    }
+    // Whole-word range copies of the island's static flop set.
+    replicas_[island]->flopRanges(island_flop_plans_[island]);
     // Publish post-flop (and blocking-tick-written) current values.
     // No barrier needed before the pushes: each copied net is owned by
     // exactly one island, and flop targets are island-owned too, so

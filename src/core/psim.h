@@ -145,11 +145,10 @@ class ParSimulationTool : public Simulator
     /** One scheduled unit of an island. */
     struct PStep
     {
-        enum class Kind { Slot, Bytecode, Native };
+        enum class Kind { Slot, Batch };
         Kind kind = Kind::Slot;
-        int block = -1; //!< ElabBlock index (Slot/Bytecode)
-        int group = -1; //!< compiled-C++ group index (Native)
-        int batch = -1; //!< bc_batches_ index (Bytecode)
+        int block = -1; //!< ElabBlock index (Slot), first lane (Batch)
+        int batch = -1; //!< bc_batches_ index (Batch)
         int level = 0;  //!< settle superstep (comb steps only)
     };
 
@@ -164,15 +163,12 @@ class ParSimulationTool : public Simulator
     void buildIslandSchedules();
     void specialize();
     void batchSteps(std::vector<PStep> &steps, const std::vector<int> &type);
-    void specializeDesign();
-    void useNativeSchedule() override;
     void startWorkers();
     void shutdownWorkers();
     void workerLoop(int island);
     void runPhase(Cmd cmd);
     void settlePhase();
     void runPStep(int island, const PStep &step);
-    void runPStepImpl(int island, const PStep &step);
     void runIslandSettle(int island);
     void runIslandTick(int island);
     void runIslandFlop(int island);
@@ -198,23 +194,14 @@ class ParSimulationTool : public Simulator
     /** flop_pushes_[island]: copies after the island's flops. */
     std::vector<std::vector<CopyOp>> flop_pushes_;
 
-    // Specialization (bc_ and bc_batches_ are shared read-only across
-    // islands; slot tables hold absolute arena offsets, identical in
-    // every replica).
+    // Specialization (bc_, bc_batches_ and cpp_batches_ are shared
+    // read-only across islands; slot tables and kernel rows hold
+    // absolute arena offsets, identical in every replica). The
+    // cpp-design tier swap (Simulator::maybeSwapTier) switches every
+    // island's batches to their kernels on the coordinator, while
+    // every worker is parked before a start barrier.
     std::vector<std::vector<uint64_t>> bc_frames_; //!< per island
     std::vector<char> specialized_;
-
-    // --- cpp-design tiering ----------------------------------------
-    // Tier 0 runs the per-island bytecode schedules; the fused native
-    // schedules below replace comb_steps_/tick_steps_ wholesale when
-    // the compiled library is adopted (Simulator::maybeSwapTier). The
-    // swap happens on the coordinator while every worker is parked
-    // before a start barrier, which also publishes the new schedules
-    // to them. Every island's units share one translation unit:
-    // native PStep::group and island_flop_unit_ index into cpp_lib_.
-    std::vector<std::vector<PStep>> nat_comb_steps_;
-    std::vector<std::vector<PStep>> nat_tick_steps_;
-    std::vector<int> island_flop_unit_; //!< island flop unit in cpp_lib_
 
     // Nets flopped by the coordinating thread (registered dynamically
     // by lambda writeNext; statically flopped nets belong to islands).

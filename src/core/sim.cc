@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ir_cpp.h"
 #include "timing.h"
 
 namespace cmtl {
@@ -104,27 +103,30 @@ Simulator::~Simulator()
 }
 
 void
-Simulator::buildNative(CppProgram program, int nunits)
+Simulator::buildNative()
 {
+    Stopwatch sw;
+    CppProgram program = cppEmitProgram(bc_);
+    for (const BcBatch &batch : bc_batches_)
+        cpp_batches_.push_back(cppBatch(program, bc_, batch.blocks));
+    spec_stats_.codegenSeconds += sw.elapsed();
     spec_stats_.emittedTuBytes = program.source.size();
-    spec_stats_.kernelTypes = program.kernelTypes;
-    const bool design = designMode();
     auto compile = [dir = cfg_.jit_cache_dir.empty()
                               ? CppJit::defaultCacheDir()
                               : cfg_.jit_cache_dir,
                     use_cache = cfg_.jit_cache,
-                    flags = design ? CppJit::kWholeDesignFlags : "",
-                    source = std::move(program.source), nunits] {
-        return CppJit(dir, use_cache, flags).compile(source, nunits);
+                    source = std::move(program.source),
+                    nkernels = bc_.numPrograms()] {
+        return CppJit(dir, use_cache).compile(source, nkernels);
     };
-    spec_stats_.tiered = design && cfg_.jit_tiered;
+    spec_stats_.tiered = designMode() && cfg_.jit_tiered;
     if (!spec_stats_.tiered) {
         adoptLibrary(compile());
         return;
     }
-    // Tiered warm-up: the kernel keeps simulating on its bytecode
-    // schedule while the compiler runs; maybeSwapTier() adopts the
-    // library at the next cycle boundary after the thread finishes.
+    // Tiered warm-up: the kernel keeps running its batches as bytecode
+    // while the compiler runs; maybeSwapTier() adopts the library at
+    // the next cycle boundary after the thread finishes.
     jit_thread_ = std::thread([this, compile = std::move(compile)] {
         try {
             pending_lib_ = compile();
@@ -142,12 +144,11 @@ Simulator::adoptLibrary(CppJitLibrary lib)
     spec_stats_.compileSeconds = cpp_lib_.compileSeconds();
     spec_stats_.wrapSeconds = cpp_lib_.wrapSeconds();
     spec_stats_.cacheHit = cpp_lib_.cacheHit();
-    spec_stats_.numGroups = cpp_lib_.numGroups();
-    if (!designMode())
-        return;
-    spec_stats_.tierSwapCycle = static_cast<int64_t>(numCycles());
-    design_native_ = true;
-    useNativeSchedule();
+    if (designMode())
+        spec_stats_.tierSwapCycle = static_cast<int64_t>(numCycles());
+    // ParSim workers are parked before a start barrier here, which
+    // publishes the switch to them.
+    native_ = true;
 }
 
 void
@@ -192,26 +193,31 @@ Simulator::reset(int ncycles)
 }
 
 void
-Simulator::runBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
+Simulator::runBatch(size_t i, uint64_t *words, uint64_t *frame)
 {
     ScopeProbe *p = probe_;
-    if (p && p->shouldTimeBatch(batch.blocks)) {
+    if (p && p->shouldTimeBatch(bc_batches_[i].blocks)) {
         Stopwatch sw;
-        bcRunBatch(batch, words, frame);
-        p->addBatchTime(batch.blocks, sw.elapsed());
+        execBatch(i, words, frame);
+        p->addBatchTime(bc_batches_[i].blocks, sw.elapsed());
         return;
     }
-    bcRunBatch(batch, words, frame);
+    execBatch(i, words, frame);
 }
 
 std::vector<int>
-Simulator::blockTypes(const std::vector<char> &can) const
+Simulator::buildModule(const std::vector<char> &can, const ArenaStore &store)
 {
-    std::vector<int> type(elab_->blocks.size(), -1);
-    for (size_t b = 0; b < type.size(); ++b) {
+    std::vector<int> members;
+    for (size_t b = 0; b < can.size(); ++b) {
         if (can[b])
-            type[b] = bc_.programOf(static_cast<int>(b));
+            members.push_back(static_cast<int>(b));
     }
+    bc_ = BcModule(*elab_, store, members);
+    spec_stats_.kernelTypes = bc_.numPrograms();
+    std::vector<int> type(can.size(), -1);
+    for (int b : members)
+        type[b] = bc_.programOf(b);
     return type;
 }
 
@@ -243,7 +249,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         (cfg_.sched == SchedMode::Auto && useBoxed());
     if (designMode() && event_driven_) {
         throw std::logic_error(
-            "cpp-design fuses the static levelized schedule; "
+            "cpp-design runs the static levelized schedule; "
             "SchedMode::Event is incompatible");
     }
     if (!event_driven_ && elab_->hasCombCycle) {
@@ -431,20 +437,17 @@ SimulationTool::specialize()
     }
 
     // Fuse contiguous runs of specializable blocks into groups, the
-    // way SimJIT translates a whole component subtree into one
-    // compiled unit: one entry point, one marshal boundary. Fusing
+    // way SimJIT wraps a whole component subtree: one step, one
+    // marshal boundary, run as batches of one block type each. Fusing
     // combinational blocks is legal because the comb schedule is a
     // fixed topological order and running a comb block with unchanged
     // inputs is idempotent; under event-driven scheduling the fused
     // group simply becomes the scheduling unit.
     //
     // cpp-block deliberately does NOT fuse: every specialized block is
-    // its own compiled entry point, crossing the C ABI once per block
-    // per phase (the paper's per-component SimJIT granularity and the
-    // baseline cpp-design is measured against). cpp-design groups here
-    // describe its bytecode warm-up tier; the fused native schedule is
-    // built separately in specializeDesign().
-    const bool design = designMode();
+    // a group, and so a batch, of its own, crossing the C ABI once per
+    // block per phase (the paper's per-component SimJIT granularity
+    // and the baseline cpp-design is measured against).
     std::vector<std::vector<int>> groups;
     auto groupSteps = [&](std::vector<Step> &steps) {
         std::vector<Step> out;
@@ -477,8 +480,7 @@ SimulationTool::specialize()
                          writes.end());
 
             Step step;
-            step.kind = native_blocks_ ? Step::Kind::Native
-                                       : Step::Kind::Bytecode;
+            step.kind = Step::Kind::Batches;
             step.block = steps[i].block;
             step.group = static_cast<int>(groups.size());
             step.sequential = steps[i].sequential;
@@ -527,37 +529,19 @@ SimulationTool::specialize()
 
     spec_stats_.numGroups = static_cast<int>(groups.size());
 
-    // One program per block type; the C++ kernels are emitted from it.
-    std::vector<int> members;
-    for (const auto &group : groups)
-        members.insert(members.end(), group.begin(), group.end());
-    bc_ = BcModule(*elab_, *arena_, members);
-    spec_stats_.kernelTypes = bc_.numPrograms();
-    if (!native_blocks_) {
-        // Each group runs as batches of one block type, ordered by the
-        // hazards of running the group's members in schedule order.
-        const std::vector<int> type = blockTypes(can);
-        group_batch_begin_.assign(1, 0);
-        for (const auto &group : groups) {
-            for (const auto &lanes : hazardBatches(*elab_, group, type))
-                bc_batches_.push_back(bc_.batch(lanes));
-            group_batch_begin_.push_back(bc_batches_.size());
-        }
-        bc_frame_.assign(bc_.frameWords(), 0);
-        spec_stats_.codegenSeconds = sw.elapsed();
-        if (design)
-            specializeDesign(type);
-        return;
+    // Each group runs as batches of one block type, ordered by the
+    // hazards of running the group's members in schedule order.
+    const std::vector<int> type = buildModule(can, *arena_);
+    group_batch_begin_.assign(1, 0);
+    for (const auto &group : groups) {
+        for (const auto &lanes : hazardBatches(*elab_, group, type))
+            bc_batches_.push_back(bc_.batch(lanes));
+        group_batch_begin_.push_back(bc_batches_.size());
     }
-
-    std::vector<CppUnit> units(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-        for (int blk : groups[g])
-            units[g].items.push_back(CppUnit::Item{blk});
-    }
-    CppProgram program = cppEmitProgram(*elab_, *arena_, bc_, units);
+    bc_frame_.assign(bc_.frameWords(), 0);
     spec_stats_.codegenSeconds = sw.elapsed();
-    buildNative(std::move(program), static_cast<int>(units.size()));
+    if (native_blocks_ || designMode())
+        buildNative();
 }
 
 std::vector<std::vector<int>>
@@ -707,160 +691,6 @@ hazardBatches(const Elaboration &elab, const std::vector<int> &seq,
     return batches;
 }
 
-namespace {
-
-std::vector<int>
-flatten(const std::vector<std::vector<int>> &batches)
-{
-    std::vector<int> order;
-    for (const auto &batch : batches)
-        order.insert(order.end(), batch.begin(), batch.end());
-    return order;
-}
-
-} // namespace
-
-std::vector<int>
-SimulationTool::designCombOrder(const std::vector<int> &type) const
-{
-    // Any topological order of the comb dependency graph settles to
-    // the same fixed point (each block runs once, after all writers of
-    // its inputs), so we are free to re-levelize for fusion and
-    // batching: typeBatches clusters the specializable blocks
-    // into the fewest contiguous runs — ideally the whole phase
-    // becomes one compiled unit — and, inside them, instances of one
-    // type into runs of one kernel. Multiple writers of one token
-    // keep their relative order from the baseline schedule via
-    // writer->writer chain edges.
-    const auto &blocks = elab_->blocks;
-    const std::vector<int> &base = elab_->combOrder;
-    const size_t ntokens = elab_->nets.size() + elab_->arrays.size();
-    std::vector<std::vector<int>> writers(ntokens);
-    for (int b : base) {
-        for (int tok : blocks[b].writes)
-            writers[tok].push_back(b);
-    }
-    std::vector<std::vector<int>> succ(blocks.size());
-    std::vector<int> indeg(blocks.size(), 0);
-    auto addEdge = [&](int a, int b) {
-        if (a == b)
-            return;
-        succ[a].push_back(b);
-        ++indeg[b];
-    };
-    for (int b : base) {
-        for (int tok : blocks[b].reads) {
-            for (int wtr : writers[tok])
-                addEdge(wtr, b);
-        }
-    }
-    for (const auto &ws : writers) {
-        for (size_t i = 1; i < ws.size(); ++i)
-            addEdge(ws[i - 1], ws[i]);
-    }
-    return flatten(typeBatches(base, succ, std::move(indeg), type));
-}
-
-std::vector<int>
-SimulationTool::designTickOrder(const std::vector<int> &type) const
-{
-    // Tick blocks run in declaration order, and two of them commute
-    // unless both touch one token and one of them writes it.
-    return flatten(hazardBatches(*elab_, elab_->tickOrder, type));
-}
-
-void
-SimulationTool::specializeDesign(const std::vector<int> &type)
-{
-    Stopwatch sw;
-    // Native whole-design schedule: cluster the specializable blocks
-    // with a type-aware levelization, fuse each contiguous run into
-    // one emitted unit, and translate the flop phase itself.
-    std::vector<CppUnit> units;
-    auto addNativeStep = [&](const std::vector<int> &run,
-                             std::vector<Step> &out, bool seq) {
-        Step step;
-        step.kind = Step::Kind::Native;
-        step.block = run.front();
-        step.group = static_cast<int>(units.size());
-        step.sequential = seq;
-        const ElabBlock &blk = elab_->blocks[run.front()];
-        step.reads = &blk.reads; // unused on the pure-arena path
-        step.writes = &blk.writes;
-        CppUnit unit;
-        for (int b : run)
-            unit.items.push_back(CppUnit::Item{b});
-        units.push_back(std::move(unit));
-        out.push_back(step);
-    };
-    auto buildSteps = [&](const std::vector<int> &order,
-                          std::vector<Step> &out, bool seq) {
-        std::vector<int> run;
-        for (int b : order) {
-            if (type[b] >= 0) {
-                run.push_back(b);
-                continue;
-            }
-            if (!run.empty()) {
-                addNativeStep(run, out, seq);
-                run.clear();
-            }
-            out.push_back(makeStep(b));
-        }
-        if (!run.empty())
-            addNativeStep(run, out, seq);
-    };
-    buildSteps(designCombOrder(type), design_comb_steps_, false);
-    buildSteps(designTickOrder(type), design_tick_steps_, true);
-
-    // The flop phase of the static flop set as whole-word
-    // next->current copy ranges (flop_plan_). Nets registered
-    // dynamically later (a lambda's writeNext) are copied by doFlop
-    // from its own range plan.
-    CppUnit flop_unit;
-    for (const FlopRange &r : flop_plan_)
-        flop_unit.items.push_back(CppUnit::Item{-1, r.off, r.nwords});
-    design_flop_unit_ = static_cast<int>(units.size());
-    units.push_back(std::move(flop_unit));
-
-    // When every tick and comb block fused, also emit one whole-cycle
-    // step() entry point: it calls the tick, flop and comb units.
-    bool comb_native =
-        design_comb_steps_.empty() ||
-        (design_comb_steps_.size() == 1 &&
-         design_comb_steps_[0].kind == Step::Kind::Native);
-    bool tick_native =
-        design_tick_steps_.empty() ||
-        (design_tick_steps_.size() == 1 &&
-         design_tick_steps_[0].kind == Step::Kind::Native);
-    if (comb_native && tick_native) {
-        CppUnit step_unit;
-        auto call = [&](int unit) {
-            CppUnit::Item item;
-            item.unit = unit;
-            step_unit.items.push_back(item);
-        };
-        if (!design_tick_steps_.empty())
-            call(design_tick_steps_[0].group);
-        call(design_flop_unit_);
-        if (!design_comb_steps_.empty())
-            call(design_comb_steps_[0].group);
-        design_step_unit_ = static_cast<int>(units.size());
-        units.push_back(std::move(step_unit));
-    }
-
-    CppProgram program = cppEmitProgram(*elab_, *arena_, bc_, units);
-    spec_stats_.codegenSeconds += sw.elapsed();
-    buildNative(std::move(program), static_cast<int>(units.size()));
-}
-
-void
-SimulationTool::useNativeSchedule()
-{
-    active_comb_ = &design_comb_steps_;
-    active_tick_ = &design_tick_steps_;
-}
-
 LayoutStats
 SimulationTool::layoutStats() const
 {
@@ -1006,15 +836,15 @@ void
 SimulationTool::runStep(const Step &step, std::vector<int> *changed)
 {
     if (ScopeProbe *p = probe_) {
-        // A fused bytecode group runs many blocks in one step; timing
-        // the step as a whole would credit the entire group to one
-        // block id and starve every other member of heat (SimScope's
-        // rankings read per-block heat). Time each batch instead, and
-        // credit its lanes evenly.
-        if (step.kind == Step::Kind::Bytecode && !changed && !useBoxed()) {
+        // A fused group runs many blocks in one step; timing the step
+        // as a whole would credit the entire group to one block id and
+        // starve every other member of heat (SimScope's rankings read
+        // per-block heat). Time each batch instead, and credit its
+        // lanes evenly.
+        if (step.kind == Step::Kind::Batches && !changed && !useBoxed()) {
             for (size_t i = group_batch_begin_[step.group];
                  i < group_batch_begin_[step.group + 1]; ++i)
-                runBatch(bc_batches_[i], arena_->data(), bc_frame_.data());
+                runBatch(i, arena_->data(), bc_frame_.data());
             return;
         }
         if (p->shouldTime(step.block)) {
@@ -1043,20 +873,15 @@ SimulationTool::runStepImpl(const Step &step, std::vector<int> *changed)
       case Step::Kind::SlotIr:
         slot_eval_->run(elab_->blocks[step.block], changed);
         break;
-      case Step::Kind::Bytecode:
-      case Step::Kind::Native: {
+      case Step::Kind::Batches: {
         if (hybrid)
             syncIn(step);
         bool track = changed && !step.sequential;
         if (track)
             snapshotWrites(step);
-        if (step.kind == Step::Kind::Native) {
-            cpp_lib_.group(step.group)(arena_->data());
-        } else {
-            for (size_t i = group_batch_begin_[step.group];
-                 i < group_batch_begin_[step.group + 1]; ++i)
-                bcRunBatch(bc_batches_[i], arena_->data(), bc_frame_.data());
-        }
+        for (size_t i = group_batch_begin_[step.group];
+             i < group_batch_begin_[step.group + 1]; ++i)
+            execBatch(i, arena_->data(), bc_frame_.data());
         if (track)
             diffWrites(step, changed);
         if (hybrid)
@@ -1089,7 +914,7 @@ SimulationTool::settle()
         }
         worklist_.clear();
     } else {
-        for (const Step &step : *active_comb_)
+        for (const Step &step : comb_steps_)
             runStep(step, nullptr);
     }
     dirty_ = false;
@@ -1101,19 +926,10 @@ SimulationTool::cycle()
     maybeSwapTier();
     if (probe_) {
         cycleProfiled();
-    } else if (design_native_ && design_step_unit_ >= 0 &&
-               flopped_nets_.size() == n_static_flops_) {
-        // Whole cycle in one native call: ticks, flops, settle. Legal
-        // only while no dynamically registered flops exist; settle()
-        // here runs no lambdas (everything fused), so the flop set
-        // cannot change under us.
-        if (dirty_)
-            settle();
-        cpp_lib_.group(design_step_unit_)(arena_->data());
     } else {
         if (eventDriven() || dirty_)
             settle();
-        for (const Step &step : *active_tick_)
+        for (const Step &step : tick_steps_)
             runStep(step, nullptr);
         std::vector<int> changed;
         doFlop(eventDriven() ? &changed : nullptr);
@@ -1138,7 +954,7 @@ SimulationTool::cycleProfiled()
     p->settle_seconds += sw.elapsed();
 
     sw.restart();
-    for (const Step &step : *active_tick_)
+    for (const Step &step : tick_steps_)
         runStep(step, nullptr);
     p->tick_seconds += sw.elapsed();
 
@@ -1182,12 +998,9 @@ SimulationTool::doFlop(std::vector<int> *changed)
 {
     if (flopsByRange()) {
         // No per-net change notification needed: copy the static flop
-        // set (the compiled flop unit on the native tier), then the
-        // dynamically registered tail, as whole-word ranges.
-        if (design_native_)
-            cpp_lib_.group(design_flop_unit_)(arena_->data());
-        else
-            arena_->flopRanges(flop_plan_);
+        // set, then the dynamically registered tail, as whole-word
+        // ranges.
+        arena_->flopRanges(flop_plan_);
         if (flopped_nets_.size() != dyn_flop_planned_) {
             dyn_flop_plan_ = dynamicFlopPlan();
             dyn_flop_planned_ = flopped_nets_.size();

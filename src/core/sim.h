@@ -17,9 +17,10 @@
  *                            at simulator construction
  *   "cpp-block"   "SimJIT"   IR blocks translated to C++, compiled
  *                            with the system compiler, dlopen'ed and
- *                            called natively, one entry per block
- *   "cpp-design"             the whole design fused into one compiled
- *                            unit (see Backend)
+ *                            called natively, one kernel call per block
+ *   "cpp-design"             the same kernels, one call per batch of
+ *                            same-type blocks, with tiered warm-up
+ *                            (see Backend)
  *
  * "interp+bytecode" and "interp+cpp-block" reproduce the paper's
  * "SimJIT under CPython" configuration: specialized blocks run on the
@@ -50,14 +51,13 @@
 
 #include "accessor.h"
 #include "ir_bytecode.h"
+#include "ir_cpp.h"
 #include "ir_eval.h"
 #include "jit_cpp.h"
 #include "model.h"
 #include "store.h"
 
 namespace cmtl {
-
-struct CppProgram;
 
 /** Combinational scheduling policy. */
 enum class SchedMode
@@ -74,13 +74,13 @@ enum class SchedMode
  *   "interp"      boxed storage, event-driven, tree-walk  ("CPython")
  *   "optinterp"   arena storage, static levelized schedule  ("PyPy")
  *   "bytecode"    arena + per-block register bytecode     ("SimJIT")
- *   "cpp-block"   per-block compiled C++, one C-ABI call per block
- *                 per phase (the paper's per-component SimJIT)
- *   "cpp-design"  the whole elaborated design fused into a single
- *                 compiled translation unit with tiered warm-up:
- *                 the simulator starts on the bytecode tier and
- *                 hot-swaps to the native module at a cycle boundary
- *                 when the background compile finishes
+ *   "cpp-block"   compiled C++ per block type, one C-ABI call per
+ *                 block per phase (the paper's per-component SimJIT)
+ *   "cpp-design"  the same per-type kernels, one C-ABI call per
+ *                 bytecode batch, with tiered warm-up: the simulator
+ *                 starts on the bytecode tier and switches each batch
+ *                 to its kernel at a cycle boundary when the background
+ *                 compile finishes
  *   "interp+bytecode", "interp+cpp-block"
  *                 the boxed-host hybrids: specialized blocks run on
  *                 the arena, every entry/exit crosses the boxed<->arena
@@ -124,8 +124,8 @@ specializes(Backend b)
     return b != Backend::Interp && b != Backend::OptInterp;
 }
 
-/** Every specialized block is its own compiled C++ entry point:
- *  cpp-block and interp+cpp-block. */
+/** Every specialized block is a batch of its own, so it crosses the
+ *  C ABI once per run: cpp-block and interp+cpp-block. */
 constexpr bool
 nativeBlocks(Backend b)
 {
@@ -146,8 +146,8 @@ struct SimConfig
     Backend backend = Backend::OptInterp; //!< how the design executes
     /**
      * cpp-design only: run on the bytecode tier while the compiler
-     * runs in a background thread, hot-swapping at a cycle boundary
-     * (false = block in the constructor until the module is built).
+     * runs in a background thread, switching to the kernels at a cycle
+     * boundary (false = block in the constructor until they are built).
      */
     bool jit_tiered = true;
 
@@ -183,9 +183,9 @@ struct ScopeProbe
     bool exact = true;
     uint32_t sample_period = 64;
 
-    // Per-block self time, indexed by ElabBlock id. Fused native
-    // groups attribute to the group's first block; a bytecode batch
-    // splits its time evenly over its lanes.
+    // Per-block self time, indexed by ElabBlock id. A batch, run as
+    // bytecode or as one kernel call, splits its time evenly over its
+    // lanes.
     std::vector<double> block_seconds;
     std::vector<uint64_t> block_calls;
     std::vector<uint32_t> until_sample;
@@ -263,8 +263,8 @@ struct SpecStats
      *  (0 = before the first cycle, -1 = still on the warm-up tier). */
     int64_t tierSwapCycle = -1;
     bool tiered = false; //!< cpp-design with background compilation
-    /** Bytes of the emitted C++ translation unit (cpp-block fused
-     *  groups or the cpp-design whole-design unit); 0 for
+    /** Bytes of the emitted C++ translation unit (one kernel per
+     *  block type, the same on cpp-block and cpp-design); 0 for
      *  interpreter/bytecode backends. */
     size_t emittedTuBytes = 0;
     /** Distinct block kernels: bytecode programs, or the kernels of
@@ -362,14 +362,15 @@ class Simulator : public SignalAccess
     bool
     tierPending() const
     {
-        return spec_stats_.tiered && !design_native_ && !tier_failed_;
+        return spec_stats_.tiered && !native_ && !tier_failed_;
     }
     const Elaboration &elaboration() const { return *elab_; }
     const SimConfig &config() const { return cfg_; }
 
     /**
-     * Every bytecode batch the kernel runs (empty unless it runs
-     * bytecode). Each batch is an antichain of one block type.
+     * Every batch the kernel runs, on the bytecode tier or as one
+     * native kernel call (empty unless it specializes). Each batch is
+     * an antichain of one block type.
      */
     const std::vector<BcBatch> &bytecodeBatches() const
     {
@@ -437,23 +438,41 @@ class Simulator : public SignalAccess
   protected:
     bool designMode() const { return cfg_.backend == Backend::CppDesign; }
     /**
-     * The one path from a kernel to CppJit: build @p program into
-     * cpp_lib_. A tiered cpp-design build compiles on a background
-     * thread and maybeSwapTier() adopts the library later.
+     * The one path from a kernel to CppJit: emit bc_'s kernels, build
+     * each batch's row and constant tables, and compile the kernels
+     * into cpp_lib_. A tiered cpp-design build compiles on a
+     * background thread and maybeSwapTier() adopts the library later.
      */
-    void buildNative(CppProgram program, int nunits);
+    void buildNative();
     /** At a cycle boundary: adopt a finished background compile, or
      *  rethrow its failure once (the warm-up tier stays active). */
     void maybeSwapTier();
-    /** cpp-design hook: switch to the native schedule over cpp_lib_. */
-    virtual void useNativeSchedule() = 0;
     /**
-     * Run @p batch against @p words. With a probe attached, one
-     * stopwatch times the whole batch and credits its lanes evenly.
+     * Run bc_batches_[@p i] against @p words: with bcRunBatch on the
+     * bytecode tier, or as one call of its kernel once a library is
+     * adopted. With a probe attached, one stopwatch times the whole
+     * batch and credits its lanes evenly.
      */
-    void runBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame);
-    /** Each block's program in bc_, or -1 where @p can is 0. */
-    std::vector<int> blockTypes(const std::vector<char> &can) const;
+    void runBatch(size_t i, uint64_t *words, uint64_t *frame);
+    /** runBatch without the probe. */
+    void
+    execBatch(size_t i, uint64_t *words, uint64_t *frame)
+    {
+        if (native_) {
+            const CppBatch &c = cpp_batches_[i];
+            cpp_lib_.kernel(c.kernel)(words, c.rows.data(), c.consts.data(),
+                                      c.n);
+        } else {
+            bcRunBatch(bc_batches_[i], words, frame);
+        }
+    }
+    /**
+     * Build bc_ over the blocks where @p can is set, in ElabBlock
+     * order, so both kernels build one module, and so one TU, for a
+     * design. Returns each block's program, or -1 where @p can is 0.
+     */
+    std::vector<int> buildModule(const std::vector<char> &can,
+                                 const ArenaStore &store);
 
     std::shared_ptr<Elaboration> elab_;
     SimConfig cfg_;
@@ -472,10 +491,11 @@ class Simulator : public SignalAccess
     std::atomic<bool> pause_requested_{false};
     std::vector<std::function<void(uint64_t)>> cycle_hooks_;
     ScopeProbe *probe_ = nullptr;
-    CppJitLibrary cpp_lib_; //!< cpp-block, or the adopted cpp-design
+    CppJitLibrary cpp_lib_; //!< the adopted library, once native_
     BcModule bc_; //!< one program per block type
-    std::vector<BcBatch> bc_batches_; //!< bytecode schedule's batches
-    bool design_native_ = false; //!< cpp-design native schedule is live
+    std::vector<BcBatch> bc_batches_; //!< the schedule's batches
+    std::vector<CppBatch> cpp_batches_; //!< their kernel calls
+    bool native_ = false; //!< batches run as kernel calls
 
   private:
     void adoptLibrary(CppJitLibrary lib);
@@ -555,10 +575,10 @@ class SimulationTool : public Simulator
   private:
     struct Step
     {
-        enum class Kind { Lambda, BoxedIr, SlotIr, Bytecode, Native };
+        enum class Kind { Lambda, BoxedIr, SlotIr, Batches };
         Kind kind;
         int block = -1; //!< ElabBlock index (Lambda/Ir)
-        int group = -1; //!< specialization group index
+        int group = -1; //!< specialization group index (Batches)
         /** Nets to marshal for hybrid boxed+specialized execution. */
         const std::vector<int> *reads = nullptr;
         const std::vector<int> *writes = nullptr;
@@ -571,10 +591,6 @@ class SimulationTool : public Simulator
     Step makeStep(int idx) const;
     void buildSchedule();
     void specialize();
-    void specializeDesign(const std::vector<int> &type);
-    std::vector<int> designCombOrder(const std::vector<int> &type) const;
-    std::vector<int> designTickOrder(const std::vector<int> &type) const;
-    void useNativeSchedule() override;
     void runStep(const Step &step, std::vector<int> *changed);
     void runStepImpl(const Step &step, std::vector<int> *changed);
     void cycleProfiled();
@@ -619,20 +635,6 @@ class SimulationTool : public Simulator
     std::vector<Step> comb_steps_; //!< static order (or event pool)
     std::vector<Step> tick_steps_;
     std::vector<int> comb_step_of_block_; //!< block idx -> comb step idx
-
-    // --- cpp-design tiering ----------------------------------------
-    // Tier 0 runs the bytecode schedule in comb_steps_/tick_steps_;
-    // the native whole-design schedule below is adopted by swinging
-    // the active_* pointers at a cycle boundary once the background
-    // compile lands. Bit-identical by construction: the native order
-    // is a valid topological order of the same blocks and the flop
-    // unit copies exactly the statically flopped nets.
-    std::vector<Step> design_comb_steps_;
-    std::vector<Step> design_tick_steps_;
-    std::vector<Step> *active_comb_ = &comb_steps_;
-    std::vector<Step> *active_tick_ = &tick_steps_;
-    int design_flop_unit_ = -1;
-    int design_step_unit_ = -1; //!< fused whole-cycle entry, or -1
     size_t n_static_flops_ = 0;
 
     /** Static-flop copy plan for the arena (doFlop fast path). */
@@ -643,8 +645,8 @@ class SimulationTool : public Simulator
     size_t dyn_flop_planned_ = 0;
 
     std::vector<uint64_t> bc_frame_; //!< bcRunBatch's frame
-    /** Bytecode group g runs bc_batches_[group_batch_begin_[g] ..
-     *  group_batch_begin_[g + 1]). */
+    /** Specialization group g runs bc_batches_[group_batch_begin_[g]
+     *  .. group_batch_begin_[g + 1]). */
     std::vector<size_t> group_batch_begin_;
     /** Per specialization group: marshal sets. */
     std::vector<std::vector<int>> group_reads_;

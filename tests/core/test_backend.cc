@@ -3,7 +3,7 @@
  *
  * The contract under test: every backend the `SimConfig::fromString`
  * front door can name — tree-walk interpreter, optimized interpreter,
- * bytecode, per-block compiled C++, whole-design compiled C++ with
+ * bytecode, per-block compiled C++, per-batch compiled C++ with
  * tiered warm-up, and the boxed-host hybrids — simulates the same
  * design to byte-identical state and byte-identical VCD streams, at
  * any supported thread count, including across the bytecode->native
@@ -23,7 +23,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <set>
 #include <thread>
@@ -342,7 +341,7 @@ TEST(BackendTierSwap, MidRunSwapKeepsStateAndCycleCount)
     expectSameState(*golden, sim, "native tier");
 }
 
-/** Same forcing on the parallel kernel: fused island units. */
+/** Same forcing on the parallel kernel: every island switches at once. */
 TEST(BackendTierSwap, ParSimMidRunSwapBitIdentical)
 {
     if (!CppJit::compilerAvailable())
@@ -414,12 +413,24 @@ expectSameNetStats(const net::NetStats &a, const net::NetStats &b,
     EXPECT_EQ(b.latency_max, a.latency_max) << label;
 }
 
+/** The module both kernels build: the specialized blocks in order. */
+BcModule
+specializedModule(const Elaboration &elab, const ArenaStore &store)
+{
+    std::vector<int> specialized;
+    for (size_t b = 0; b < elab.blocks.size(); ++b) {
+        if (bcSpecializable(elab.blocks[b], store))
+            specialized.push_back(static_cast<int>(b));
+    }
+    return BcModule(elab, store, specialized);
+}
+
 /**
  * Instances of one block type share a compiled kernel. The C++ is
- * emitted from the bytecode module, so the kernel count is its program
- * count, and every router's route_comb shares one kernel: its
- * coordinates come from the instance's constant row. Batched runs of
- * one kernel stay bit-identical to optinterp on both C++ backends.
+ * emitted from the bytecode module, one `cmtl_k<p>` per program, and
+ * every router's route_comb shares one kernel: its coordinates come
+ * from the instance's constant row. Batched runs of one kernel stay
+ * bit-identical to optinterp on both C++ backends.
  */
 TEST(BackendKernels, MeshEmitsOneKernelPerBlockType)
 {
@@ -428,39 +439,35 @@ TEST(BackendKernels, MeshEmitsOneKernelPerBlockType)
     auto top = makeKernelMesh();
     auto elab = top->elaborate();
     ArenaStore store(*elab);
-    std::vector<int> specialized;
-    CppUnit unit;
-    for (size_t b = 0; b < elab->blocks.size(); ++b) {
-        if (bcSpecializable(elab->blocks[b], store)) {
-            specialized.push_back(static_cast<int>(b));
-            unit.items.push_back(CppUnit::Item{static_cast<int>(b)});
-        }
-    }
-    BcModule mod(*elab, store, specialized);
+    const BcModule mod = specializedModule(*elab, store);
     EXPECT_EQ(mod.numPrograms(), 6);
-    const CppProgram prog = cppEmitProgram(*elab, store, mod, {unit});
-    EXPECT_EQ(prog.kernelTypes, mod.numPrograms());
-    std::istringstream lines(prog.source);
-    std::vector<std::string> route_kernels;
-    for (std::string line; std::getline(lines, line);) {
-        if (line.rfind("// ", 0) == 0 && line.size() > 11 &&
-            line.compare(line.size() - 11, 11, ".route_comb") == 0)
-            route_kernels.push_back(line);
+    const CppProgram prog = cppEmitProgram(mod);
+    ASSERT_EQ(prog.kernels.size(), 6u);
+    std::set<int> route_progs;
+    for (size_t b = 0; b < elab->blocks.size(); ++b) {
+        const std::string &name = elab->blocks[b].name;
+        if (mod.programOf(static_cast<int>(b)) >= 0 && name.size() > 11 &&
+            name.compare(name.size() - 11, 11, ".route_comb") == 0)
+            route_progs.insert(mod.programOf(static_cast<int>(b)));
     }
-    ASSERT_EQ(route_kernels.size(), 1u) << prog.source;
-    EXPECT_EQ(route_kernels[0].rfind("// 16 instance(s) of ", 0), 0u)
-        << route_kernels[0];
+    ASSERT_EQ(route_progs.size(), 1u);
+    EXPECT_EQ(mod.instancesOf(*route_progs.begin()).size(), 16u);
+    for (int p = 0; p < 6; ++p) {
+        EXPECT_NE(prog.source.find("extern \"C\" void cmtl_k" +
+                                   std::to_string(p) + "("),
+                  std::string::npos)
+            << p;
+    }
+    EXPECT_EQ(prog.source.find("cmtl_k6"), std::string::npos);
 
     // With the first slot as every instance's base, the shared reset
     // net (arena word 0) would be every tick kernel's base, and every
     // other slot of it tabled.
-    std::map<const BcProgram *, std::vector<int>> instances;
-    for (int b : specialized)
-        instances[mod.instance(b).prog].push_back(b);
     int first_slot_tabled = 0;
-    for (const auto &[p, blocks] : instances) {
+    for (int p = 0; p < mod.numPrograms(); ++p) {
+        const std::vector<int> &blocks = mod.instancesOf(p);
         const int32_t *first = mod.instance(blocks[0]).slots;
-        for (int s = 1; s < p->nslots; ++s) {
+        for (int s = 1; s < mod.instance(blocks[0]).prog->nslots; ++s) {
             bool fixed = true;
             for (int b : blocks) {
                 const int32_t *slots = mod.instance(b).slots;
@@ -517,6 +524,48 @@ TEST(BackendKernels, ParSimDesignPublishesOneCachedLibrary)
         ASSERT_EQ(sim.plan().nislands, 4);
         EXPECT_EQ(publishedLibraries(dir), 1) << "warm " << warm;
         EXPECT_EQ(sim.specStats().cacheHit, warm);
+    }
+    fs::remove_all(dir);
+}
+
+/**
+ * The translation unit is the module's kernels alone, so every native
+ * configuration of one design compiles one library: on one cache dir,
+ * sequential cpp-design builds it, and ParSim cpp-design and cpp-block
+ * hit it. The source names no design and no instance.
+ */
+TEST(BackendKernels, NativeConfigurationsShareOneLibrary)
+{
+    if (!CppJit::compilerAvailable())
+        GTEST_SKIP() << "no host compiler";
+    const fs::path dir = freshCacheDir("shared_lib");
+    const std::pair<const char *, int> runs[] = {
+        {"cpp-design", 1}, {"cpp-design", 2}, {"cpp-block", 1}};
+    for (size_t r = 0; r < std::size(runs); ++r) {
+        const auto [backend, threads] = runs[r];
+        const std::string label =
+            std::string(backend) + " t" + std::to_string(threads);
+        SimConfig cfg = backendCfg(backend, threads);
+        cfg.jit_tiered = false;
+        cfg.jit_cache_dir = dir;
+        auto t = makeKernelMesh();
+        auto sim = makeSimulator(t->elaborate(), cfg);
+        EXPECT_EQ(sim->specStats().cacheHit, r > 0) << label;
+        EXPECT_EQ(publishedLibraries(dir), 1) << label;
+    }
+
+    auto top = makeKernelMesh();
+    auto elab = top->elaborate();
+    ArenaStore store(*elab);
+    const std::string source =
+        cppEmitProgram(specializedModule(*elab, store)).source;
+    EXPECT_TRUE(fs::exists(CppJit(dir).cachePathFor(source)));
+    EXPECT_EQ(source.find(elab->top->fullName()), std::string::npos);
+    for (const ElabBlock &blk : elab->blocks)
+        EXPECT_EQ(source.find(blk.name), std::string::npos) << blk.name;
+    for (const Model *m : elab->models) {
+        EXPECT_EQ(source.find(m->fullName()), std::string::npos)
+            << m->fullName();
     }
     fs::remove_all(dir);
 }
@@ -753,9 +802,11 @@ TEST(JitCacheCap, PublishTrimsTheCacheDirectory)
                       std::to_string(::getpid());
     ::setenv("CMTL_JIT_CACHE_MAX_MB", "0", 1);
     const char *src_a = "#include <cstdint>\n// variant a\n"
-                        "extern \"C\" void cmtl_grp_0(uint64_t *) {}\n";
+                        "extern \"C\" void cmtl_k0(uint64_t *, "
+                        "const int32_t *, const uint64_t *, int) {}\n";
     const char *src_b = "#include <cstdint>\n// variant b\n"
-                        "extern \"C\" void cmtl_grp_0(uint64_t *) {}\n";
+                        "extern \"C\" void cmtl_k0(uint64_t *, "
+                        "const int32_t *, const uint64_t *, int) {}\n";
     CppJit jit(dir, /*use_cache=*/true);
     std::string so_a = jit.cachePathFor(src_a);
     std::string so_b = jit.cachePathFor(src_b);

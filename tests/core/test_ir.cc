@@ -795,12 +795,11 @@ TEST(BcFrame, PerInstanceConstants)
     auto elab = top.elaborate();
     ArenaStore store(*elab);
     BcModule mod(*elab, store, {0, 1});
-    CppProgram prog =
-        cppEmitProgram(*elab, store, mod, {CppUnit{{{0}, {1}}}});
-    EXPECT_EQ(prog.kernelTypes, 1);
+    CppProgram prog = cppEmitProgram(mod);
+    EXPECT_EQ(prog.kernels.size(), 1u);
     EXPECT_NE(prog.source.find("^ 0xabcull"), std::string::npos)
         << prog.source;
-    EXPECT_NE(prog.source.find("const uint64_t c1 = c[1];"),
+    EXPECT_NE(prog.source.find("const uint64_t c1 = consts[1];"),
               std::string::npos)
         << prog.source;
     EXPECT_EQ(prog.source.find("c2 = "), std::string::npos) << prog.source;
@@ -850,9 +849,11 @@ struct OneBlock
             bcRunBatch(mod.batch({0}), store.data(), frame.data());
             return;
         }
-        CppProgram prog = cppEmitProgram(*elab, store, mod, {CppUnit{{{0}}}});
+        CppProgram prog = cppEmitProgram(mod);
+        const CppBatch call = cppBatch(prog, mod, {0});
         CppJit jit(::testing::TempDir() + "cmtl_bcopt", false);
-        jit.compile(prog.source, 1).group(0)(store.data());
+        jit.compile(prog.source, 1).kernel(0)(store.data(), call.rows.data(),
+                                              call.consts.data(), call.n);
     }
 };
 

@@ -12,6 +12,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -180,6 +181,40 @@ TEST(Scope, BytecodeBatchesHeatEverySpecializedBlock)
         }
         EXPECT_EQ(specialized, sim->specStats().numSpecialized)
             << "threads " << threads;
+        scope.detach();
+    }
+}
+
+TEST(Scope, NativeKernelsHeatEveryBlockType)
+{
+    // cpp-design runs the bytecode batch list as kernel calls, each
+    // inside the same stopwatch bracket as a bytecode batch, so every
+    // kernel type has blocks with heat of their own.
+    if (!CppJit::compilerAvailable())
+        GTEST_SKIP() << "no host compiler";
+    for (int threads : {1, 2}) {
+        auto top = std::make_unique<MeshTrafficTop>(
+            "top", NetLevel::RTL, 16, 4, 0.30, 1);
+        auto elab = top->elaborate();
+        SimConfig cfg = SimConfig::fromString("cpp-design");
+        cfg.jit_tiered = false;
+        cfg.threads = threads;
+        auto sim = makeSimulator(elab, cfg);
+        ASSERT_EQ(sim->specStats().tierSwapCycle, 0);
+        SimScope scope(*sim);
+        sim->cycle(64);
+
+        std::map<const BcProgram *, double> hottest;
+        for (const BcBatch &batch : sim->bytecodeBatches()) {
+            for (int b : batch.blocks) {
+                hottest[batch.prog] = std::max(
+                    hottest[batch.prog], scope.probe().block_seconds[b]);
+            }
+        }
+        EXPECT_EQ(static_cast<int>(hottest.size()),
+                  sim->specStats().kernelTypes);
+        for (const auto &[prog, seconds] : hottest)
+            EXPECT_GT(seconds, 0.0) << "threads " << threads;
         scope.detach();
     }
 }
@@ -396,7 +431,8 @@ class JitCacheTest : public ::testing::Test
 };
 
 const char *kTrivialSource =
-    "extern \"C\" void cmtl_grp_0(unsigned long long *) {}\n";
+    "extern \"C\" void cmtl_k0(unsigned long long *, const int *,\n"
+    "                            const unsigned long long *, int) {}\n";
 
 TEST_F(JitCacheTest, KeyChangesWhenFlagsChange)
 {
