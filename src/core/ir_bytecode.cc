@@ -465,7 +465,6 @@ class Optimizer
     void
     classifyConsts(const std::vector<const uint64_t *> &consts)
     {
-        std::unordered_map<uint64_t, int> imm_of;
         std::map<std::vector<uint64_t>, int> col_of;
         for (int j = 0; j < raw_.nconsts; ++j) {
             const uint64_t v = consts[0][j];
@@ -473,11 +472,7 @@ class Optimizer
             for (size_t i = 1; i < consts.size() && same; ++i)
                 same = consts[i][j] == v;
             if (same) {
-                auto [it, fresh] = imm_of.try_emplace(
-                    v, static_cast<int>(imm_vals_.size()));
-                if (fresh)
-                    imm_vals_.push_back(v);
-                const_reg_.push_back({Rk::Imm, it->second});
+                const_reg_.push_back(immediate(v));
                 continue;
             }
             std::vector<uint64_t> column;
@@ -547,6 +542,83 @@ class Optimizer
         }
     }
 
+    /** The immediate holding @p v, one per distinct value. */
+    Reg
+    immediate(uint64_t v)
+    {
+        auto [it, fresh] =
+            imm_of_.try_emplace(v, static_cast<int>(imm_vals_.size()));
+        if (fresh)
+            imm_vals_.push_back(v);
+        return {Rk::Imm, it->second};
+    }
+
+    /**
+     * Fold @p x if it computes a value from immediates alone, so that
+     * it becomes an immediate (or, when it writes a slot or temp, a Mov
+     * of one); a Mux with an immediate select becomes a Mov of the arm
+     * it selects, and a Jz on an immediate a Jmp or nothing. Returns
+     * false if @p x is to be dropped.
+     */
+    bool
+    fold(OInst &x, std::vector<Reg> &repl)
+    {
+        const Bc op = x.in.op;
+        if (op == Bc::Jz) {
+            if (x.a.k != Rk::Imm)
+                return true;
+            if (imm_vals_[x.a.i] != 0)
+                return false; // never taken
+            x.in.op = Bc::Jmp;
+            return true;
+        }
+        if (isJump(op) || op == Bc::ALoad || op == Bc::AStore ||
+            op == Bc::SetSlice)
+            return true;
+        bool all_imm = true;
+        forReads(x, [&](Reg &r) { all_imm &= r.k == Rk::Imm; });
+        if (all_imm) {
+            auto val = [&](const Reg &r) {
+                return r.k == Rk::Imm ? imm_vals_[r.i] : 0;
+            };
+            const Reg imm =
+                immediate(evaluate(x.in, val(x.a), val(x.b), val(x.c)));
+            if (x.dst.k == Rk::Val) {
+                repl[x.dst.i] = imm;
+                return false;
+            }
+            x.in = BcInst{};
+            x.a = imm;
+        } else if (op == Bc::Mux && x.c.k == Rk::Imm) {
+            x.in.op = Bc::Mov;
+            x.a = imm_vals_[x.c.i] ? x.a : x.b;
+        }
+        return true;
+    }
+
+    /**
+     * What @p in computes from the values @p a, @p b and @p c of its
+     * operands: the VM runs it once, on one lane.
+     */
+    static uint64_t
+    evaluate(BcInst in, uint64_t a, uint64_t b, uint64_t c)
+    {
+        BcProgram prog;
+        prog.imms = {a, b, c};
+        prog.nscratch = 1;
+        in.a = 0;
+        in.b = 1;
+        in.c = 2;
+        in.dst = prog.scratchBase();
+        prog.insts = {in};
+        BcBatch batch;
+        batch.prog = &prog;
+        batch.nlanes = batch.width = 1;
+        uint64_t frame[4] = {};
+        bcRunBatch(batch, nullptr, frame);
+        return frame[in.dst];
+    }
+
     /** A new value number for a value that sets only @p bound's bits. */
     int
     newValue(uint64_t bound)
@@ -601,6 +673,10 @@ class Optimizer
                 if (r.k == Rk::Val)
                     r = repl[r.i];
             });
+            if (!fold(x, repl)) {
+                keep[pc] = 0;
+                continue;
+            }
             const Bc op = x.in.op;
             if (isJump(op))
                 continue;
@@ -806,6 +882,7 @@ class Optimizer
     const BcProgram &raw_;
     std::vector<Reg> const_reg_; //!< per raw constant operand
     std::vector<uint64_t> imm_vals_;
+    std::unordered_map<uint64_t, int> imm_of_; //!< index in imm_vals_
     std::vector<int> col_src_; //!< per column: a raw operand
     std::vector<OInst> code_;
     std::vector<char> start_; //!< per raw pc, and the end: a block starts
@@ -966,9 +1043,22 @@ BcModule::batch(const std::vector<int> &blocks) const
     return out;
 }
 
+// One copy of the VM per x86-64 ISA level; the loader picks the widest
+// the host runs, so the lane loops below use AVX2 or AVX-512 where the
+// host has them. Elsewhere the VM is built for the baseline target, and
+// so it is under TSan, whose runtime is not up yet when the loader runs
+// the clones' resolver (g++ 12: the program crashes before main).
+#if defined(__x86_64__) && defined(__linux__) && !defined(__clang__) && \
+    __GNUC__ >= 11 && !defined(__SANITIZE_THREAD__)
+#define CMTL_ISA_CLONES \
+    [[gnu::target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")]]
+#else
+#define CMTL_ISA_CLONES
+#endif
+
 // The dispatch loop's speed depends on where it sits relative to cache
 // lines: pin it to one, so code size changes elsewhere cannot move it.
-[[gnu::aligned(64)]] void
+CMTL_ISA_CLONES [[gnu::aligned(64)]] void
 bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
 {
     const int W = batch.width;
@@ -989,9 +1079,13 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
         const int n = std::min(W, nlanes - first);
         const int32_t *slots = batch.slots.data() + first * nslots;
         const uint64_t *consts = batch.consts.data() + first * nconsts;
+        // The frame never overlaps the arena, and a row names each
+        // word at most once (a batch is an antichain), so the gather
+        // and scatter loops carry no dependence.
         for (int s = 0; s < nslots; ++s) {
             const int32_t *row = slots + s * W;
             uint64_t *dst = f + s * W;
+#pragma GCC ivdep
             for (int l = 0; l < n; ++l)
                 dst[l] = words[row[l]];
         }
@@ -1021,10 +1115,17 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
         int lo = 0, hi = n;
 
 // Run BODY for every active lane l; all lanes active is a plain loop.
+// Frame rows are either one row or disjoint, and BODY reads lane l and
+// writes lane l only, so even with d == a the loop has no dependence
+// from one lane to the next and g++ may vectorize it. A one-lane chunk
+// runs BODY once, past the vector loop's set-up.
 #define CMTL_LANES(BODY)                                                 \
     do {                                                                 \
-        if (hi - lo == n) {                                              \
-            for (int l = 0; l < n; ++l) {                                \
+        if (n == 1) {                                                    \
+            const int l = 0;                                             \
+            BODY;                                                        \
+        } else if (hi - lo == n) {                                       \
+            _Pragma("GCC ivdep") for (int l = 0; l < n; ++l) {           \
                 BODY;                                                    \
             }                                                            \
         } else {                                                         \
@@ -1195,6 +1296,7 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
         for (int32_t s : prog.written) {
             const int32_t *row = slots + s * W;
             const uint64_t *src = f + s * W;
+#pragma GCC ivdep
             for (int l = 0; l < n; ++l)
                 words[row[l]] = src[l];
         }

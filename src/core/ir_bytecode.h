@@ -30,7 +30,12 @@
  *     value). The rest stay per-instance columns, and operands whose
  *     values agree on every instance share one column.
  *  2. Value numbering within each basic block (Jz and Jmp end one,
- *     and every jump target starts one). An instruction that computes
+ *     and every jump target starts one). An instruction whose operands
+ *     are all immediates is computed once, by the VM on one lane: its
+ *     value becomes an immediate (a Mov of one, if it writes a slot or
+ *     temp). A Mux on an immediate select becomes a Mov of the arm it
+ *     selects, and a Jz on an immediate a Jmp or nothing. An
+ *     instruction that computes
  *     a value the block already holds in scratch is dropped and its
  *     readers read that scratch word. A write to a slot or temp,
  *     SetSlice included, gives the word a new value number, so nothing
@@ -55,6 +60,20 @@
  * set, and each side runs to the end of the program. Array accesses
  * address the arena through each lane's own slot table. A single
  * instance is a batch of one lane.
+ *
+ * Vector lanes. With every lane active, an instruction runs as one
+ * counted loop over the lanes that reads lane l of its operand rows and
+ * writes lane l of its destination row. Frame rows are either the same
+ * row or disjoint, so the loop has no dependence from one lane to the
+ * next even when the destination is an operand, and g++ vectorizes it
+ * (the file is built with -fvect-cost-model=dynamic, since the lane
+ * count is known only at run time); the gather and scatter loops
+ * likewise. On x86-64, bcRunBatch is compiled once per ISA level
+ * (target_clones: x86-64-v4 with AVX-512, x86-64-v3 with AVX2, and the
+ * baseline), and the loader picks the widest the host runs. Vectors
+ * are 256 bits wide and the remainder stays scalar, which keeps the
+ * VM small for batches of a few lanes; a batch of one lane runs each
+ * instruction once, outside the loop.
  *
  * A batch must be an antichain: no lane reads or writes a token that
  * another lane writes. Then gathering all lanes first and scattering

@@ -68,6 +68,7 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
 
     for (Signal *sig : elab_->signals)
         sig->setAccess(this);
+    bindSignals();
     try {
         buildIslandSchedules();
         double create_before_spec = sw.elapsed();
@@ -94,6 +95,32 @@ ParSimulationTool::~ParSimulationTool()
     for (Signal *sig : elab_->signals) {
         if (sig->access() == this)
             sig->setAccess(nullptr);
+    }
+}
+
+void
+ParSimulationTool::bindSignals()
+{
+    // Worker threads run comb lambdas against their own replica, so
+    // the signals those touch stay on the virtual path; the rest are
+    // read and non-blockingly written only by the coordinator, which
+    // addresses each net in its home replica.
+    std::vector<char> island_lambda(elab_->nets.size(), 0);
+    for (const ElabBlock &blk : elab_->blocks) {
+        if (blk.kind != BlockKind::CombLambda)
+            continue;
+        for (const std::vector<int> *tokens : {&blk.reads, &blk.writes}) {
+            for (int t : *tokens) {
+                if (t < static_cast<int>(island_lambda.size()))
+                    island_lambda[t] = 1;
+            }
+        }
+    }
+    for (Signal *sig : elab_->signals) {
+        const int net = sig->netId();
+        ArenaStore &home = *replicas_[homeReplica(net)];
+        if (home.narrow(net) && !island_lambda[net])
+            sig->bindSlot(home.data() + home.offset(net));
     }
 }
 
@@ -205,7 +232,6 @@ ParSimulationTool::specialize()
     // so no two islands' frames share a line.
     const size_t frame = (bc_.frameWords() + 15) & ~size_t(7);
     bc_frames_.assign(plan_.nislands, std::vector<uint64_t>(frame, 0));
-    spec_stats_.numGroups = spec_stats_.numSpecialized;
     spec_stats_.codegenSeconds = sw.elapsed();
     if (native_blocks_ || designMode())
         buildNative();
@@ -255,11 +281,13 @@ ParSimulationTool::layoutStats() const
     s.words_per_phase = replicas_[0]->wordsPerPhase();
     for (const auto &ranges : island_flop_plans_)
         s.flop_memcpy_ranges += static_cast<int>(ranges.size());
-    // Signals stay on the virtual path (the coordinator fans writes
-    // out to every replica); dynamic flops are copied as word ranges.
     s.dynamic_flops = static_cast<int>(main_flops_.size());
     s.dynamic_flop_ranges =
         static_cast<int>(replicas_[0]->flopPlan(main_flops_).size());
+    for (const Signal *sig : elab_->signals) {
+        if (sig->slotBound() && sig->access() == this)
+            ++s.slot_bound_signals;
+    }
     return s;
 }
 
@@ -375,17 +403,7 @@ ParSimulationTool::runPhase(Cmd cmd)
             }
         }
     } else if (cmd == Cmd::Flop) {
-        // Dynamically registered flops were written into every
-        // replica's next region at writeNext time; flopping each
-        // replica yields the same current value everywhere. These nets
-        // are disjoint from every island's flop and push targets. They
-        // are copied as whole-word ranges, replanned when the set grows.
-        if (main_flops_.size() != main_flops_planned_) {
-            main_flop_plan_ = replicas_[0]->flopPlan(main_flops_);
-            main_flops_planned_ = main_flops_.size();
-        }
-        for (auto &replica : replicas_)
-            replica->flopRanges(main_flop_plan_);
+        flopMainNets();
     }
     bar_all_.arriveAndWait(); // done
     if (failed_.load(std::memory_order_acquire)) {
@@ -394,6 +412,43 @@ ParSimulationTool::runPhase(Cmd cmd)
         std::exception_ptr err = worker_error_;
         worker_error_ = nullptr;
         std::rethrow_exception(err);
+    }
+}
+
+void
+ParSimulationTool::flopMainNets()
+{
+    // A dynamically registered flop's next value is current in its
+    // home replica (a slot-bound setNext stores only there): flop it
+    // there, then copy the new current words into every other
+    // replica. These nets are disjoint from every island's flop and
+    // push targets. Both steps copy whole-word ranges, replanned when
+    // the set grows.
+    if (main_flops_.size() != main_flops_planned_) {
+        std::vector<std::vector<int>> by_home(replicas_.size());
+        for (int net : main_flops_)
+            by_home[homeReplica(net)].push_back(net);
+        main_flop_plans_.clear();
+        for (const std::vector<int> &nets : by_home)
+            main_flop_plans_.push_back(replicas_[0]->flopPlan(nets));
+        main_flops_planned_ = main_flops_.size();
+    }
+    for (size_t home = 0; home < main_flop_plans_.size(); ++home) {
+        const std::vector<FlopRange> &plan = main_flop_plans_[home];
+        if (plan.empty())
+            continue;
+        replicas_[home]->flopRanges(plan);
+        const uint64_t *src = replicas_[home]->data();
+        for (size_t r = 0; r < replicas_.size(); ++r) {
+            if (r == home)
+                continue;
+            uint64_t *dst = replicas_[r]->data();
+            for (const FlopRange &range : plan) {
+                std::memcpy(dst + range.off, src + range.off,
+                            static_cast<size_t>(range.nwords) *
+                                sizeof(uint64_t));
+            }
+        }
     }
 }
 
@@ -410,14 +465,22 @@ ParSimulationTool::runPStep(int island, const PStep &step)
                  bc_frames_[island].data());
         return;
     }
+    // A comb lambda runs its host code here; its signal accesses take
+    // the virtual path to this island's replica.
     const ElabBlock &blk = elab_->blocks[step.block];
+    auto run = [&] {
+        if (blk.ir)
+            evals_[island]->run(blk, nullptr);
+        else
+            blk.fn();
+    };
     if (ScopeProbe *p = probe_; p && p->shouldTime(step.block)) {
         Stopwatch sw;
-        evals_[island]->run(blk, nullptr);
+        run();
         p->addBlockTime(step.block, sw.elapsed());
         return;
     }
-    evals_[island]->run(blk, nullptr);
+    run();
 }
 
 void
@@ -508,13 +571,17 @@ ParSimulationTool::eval()
 
 // ----------------------------------------------------- signal access
 
+int
+ParSimulationTool::homeReplica(int token) const
+{
+    const int owner = plan_.ownerOf[token];
+    return owner >= 0 ? owner : 0;
+}
+
 ArenaStore &
 ParSimulationTool::replicaFor(int net) const
 {
-    if (tls_island >= 0)
-        return *replicas_[tls_island];
-    int owner = plan_.ownerOf[net];
-    return *replicas_[owner >= 0 ? owner : 0];
+    return *replicas_[tls_island >= 0 ? tls_island : homeReplica(net)];
 }
 
 void
@@ -570,6 +637,11 @@ ParSimulationTool::writeNext(Signal &sig, const Bits &value)
         replica->writeNext(net, value);
     if (!static_island_flop_[net])
         markMainFlop(net);
+    // The net is flopped now (by its owner island, or by flopMainNets
+    // from the home replica), so later non-blocking writes may store
+    // the home replica's next-phase word directly.
+    if (sig.slotBound() && sig.access() == this)
+        sig.bindNextSlot(replicas_[0]->wordsPerPhase());
 }
 
 // ------------------------------------------- SimSnap state capture
@@ -609,18 +681,16 @@ ParSimulationTool::registerDynamicFlops(const std::vector<int> &nets)
 Bits
 ParSimulationTool::readArray(const MemArray &array, uint64_t index) const
 {
-    int owner = plan_.ownerOf[elab_->arrayToken(array.arrayId())];
-    return replicas_[owner >= 0 ? owner : 0]->arrayRead(array.arrayId(),
-                                                        index);
+    return replicas_[homeReplica(elab_->arrayToken(array.arrayId()))]
+        ->arrayRead(array.arrayId(), index);
 }
 
 void
 ParSimulationTool::writeArray(MemArray &array, uint64_t index,
                               const Bits &value)
 {
-    int owner = plan_.ownerOf[elab_->arrayToken(array.arrayId())];
-    replicas_[owner >= 0 ? owner : 0]->arrayWrite(array.arrayId(), index,
-                                                  value);
+    replicas_[homeReplica(elab_->arrayToken(array.arrayId()))]->arrayWrite(
+        array.arrayId(), index, value);
     dirty_ = true;
 }
 

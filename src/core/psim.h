@@ -33,8 +33,8 @@
  *             nets, then pushes post-flop values (and values written
  *             blockingly at tick time) to reader replicas; the
  *             coordinating thread flops nets registered dynamically by
- *             lambda writeNext in every replica. All targets are
- *             disjoint words.
+ *             lambda writeNext in their home replica and copies them
+ *             into every other. All targets are disjoint words.
  *   settle  - as above, always runs.
  *
  * Determinism: islands execute their blocks in the global static
@@ -47,6 +47,12 @@
  * blocks communicate through *blocking* writes with a tick lambda
  * (already tick-order-fragile sequentially); blocking communication
  * between IR tick blocks is detected and the blocks are co-located.
+ *
+ * Signals: the coordinating thread reads each net from its home
+ * replica (the owner island's, or replica 0), so narrow signals are
+ * slot-bound to that replica's words (signal.h). Signals a comb lambda
+ * touches stay on the virtual path, which resolves to the calling
+ * worker's own replica.
  *
  * Requires an arena-hosted backend (optinterp, bytecode, cpp-block or
  * cpp-design; the boxed interp and interp+* hosts are rejected) and a
@@ -174,6 +180,11 @@ class ParSimulationTool : public Simulator
     void runIslandFlop(int island);
     void pushCur(int island, const CopyOp &op);
 
+    void bindSignals();
+    void flopMainNets();
+    /** The replica the coordinator addresses @p token in: its owner's,
+     *  or replica 0 if no island owns it. */
+    int homeReplica(int token) const;
     ArenaStore &replicaFor(int net) const;
     void markMainFlop(int net);
 
@@ -206,8 +217,9 @@ class ParSimulationTool : public Simulator
     // Nets flopped by the coordinating thread (registered dynamically
     // by lambda writeNext; statically flopped nets belong to islands).
     std::vector<int> main_flops_;
-    std::vector<FlopRange> main_flop_plan_; //!< main_flops_ as word ranges
-    size_t main_flops_planned_ = 0;         //!< main_flops_ size it covers
+    /** Per home replica: its main_flops_ as word ranges. */
+    std::vector<std::vector<FlopRange>> main_flop_plans_;
+    size_t main_flops_planned_ = 0; //!< main_flops_ size they cover
     std::vector<char> is_main_flop_;
     std::vector<char> static_island_flop_;
 

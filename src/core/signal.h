@@ -11,11 +11,18 @@
  * backend, which differs per execution mode (boxed dictionary storage
  * for the CPython-analog interpreter, dense arena slots otherwise).
  *
- * The sequential arena kernel additionally slot-binds every narrow
- * (<= 64-bit) signal: reads and non-blocking writes then load or store
- * the net's arena word inline, with no virtual call and no Bits
- * temporary. Blocking writes always take the virtual path, since they
- * must schedule readers.
+ * The arena kernels additionally slot-bind narrow (<= 64-bit)
+ * signals: reads and non-blocking writes then load or store the net's
+ * arena word inline, with no virtual call and no Bits temporary. The
+ * sequential kernel binds every narrow signal to its arena word.
+ * ParSim binds each to the word in the net's home replica (its owner
+ * island's, or replica 0), since only the coordinating thread uses the
+ * binding; signals a comb lambda reads or writes stay unbound, because
+ * that lambda runs on a worker thread against its own replica. The
+ * first non-blocking write takes the virtual path, which registers the
+ * net as flopped, and binds the next-phase word. Blocking writes
+ * always take the virtual path, since they must schedule readers (and,
+ * on ParSim, reach every replica).
  */
 
 #ifndef CMTL_CORE_SIGNAL_H

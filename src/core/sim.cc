@@ -527,8 +527,6 @@ SimulationTool::specialize()
         }
     }
 
-    spec_stats_.numGroups = static_cast<int>(groups.size());
-
     // Each group runs as batches of one block type, ordered by the
     // hazards of running the group's members in schedule order.
     const std::vector<int> type = buildModule(can, *arena_);

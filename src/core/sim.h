@@ -258,7 +258,6 @@ struct SpecStats
     bool cacheHit = false;
     int numBlocks = 0;
     int numSpecialized = 0;
-    int numGroups = 0;
     /** cpp-design: cycle at which the native tier was swapped in
      *  (0 = before the first cycle, -1 = still on the warm-up tier). */
     int64_t tierSwapCycle = -1;

@@ -22,8 +22,8 @@ simulatorReport(const Simulator &sim)
        << cfg.threads << "\n";
     const SpecStats &spec = sim.specStats();
     os << "  blocks: " << spec.numBlocks << " total, "
-       << spec.numSpecialized << " specialized in " << spec.numGroups
-       << " group(s), " << spec.kernelTypes << " kernel(s)\n";
+       << spec.numSpecialized << " specialized, " << spec.kernelTypes
+       << " kernel(s)\n";
     {
         // The snapshot compatibility key (snap.h): two reports showing
         // the same fingerprint can exchange checkpoints.

@@ -666,6 +666,25 @@ class IncChain : public Model
     }
 };
 
+TEST(BackendKernels, ReportCountsBlocksAlikeAtAnyThreadCount)
+{
+    // The "blocks:" line of simulatorReport describes the design's
+    // specialization, not the kernel that runs it.
+    auto blocksLine = [](int threads) {
+        SimConfig cfg = SimConfig::fromString("bytecode");
+        cfg.threads = threads;
+        auto top = makeKernelMesh();
+        auto sim = makeSimulator(top->elaborate(), cfg);
+        const std::string report = simulatorReport(*sim);
+        const size_t at = report.find("  blocks: ");
+        EXPECT_NE(at, std::string::npos) << report;
+        return report.substr(at, report.find('\n', at) - at);
+    };
+    const std::string seq = blocksLine(1);
+    EXPECT_EQ(seq, "  blocks: 353 total, 352 specialized, 6 kernel(s)");
+    EXPECT_EQ(blocksLine(2), seq);
+}
+
 TEST(BackendKernels, TabledSlotsMatchBytecodeInLockstep)
 {
     if (!CppJit::compilerAvailable())

@@ -249,9 +249,11 @@ TEST(DataflowXProp, WitnessChainsToRootAndTaintIsNotReReported)
     // One finding: the root (the flop), not the downstream taint.
     auto issues = dataflowLint(*elab, flow);
     EXPECT_EQ(countCheck(issues, "maybe-uninitialized"), 1);
-    for (const auto &issue : issues)
-        if (issue.check == "maybe-uninitialized")
+    for (const auto &issue : issues) {
+        if (issue.check == "maybe-uninitialized") {
             EXPECT_EQ(issue.path, "top.q");
+        }
+    }
 }
 
 // ------------------------------------------------------- mesh corpus

@@ -139,8 +139,9 @@ TEST(Scope, ParSimPhaseTimingAcrossThreadCounts)
             EXPECT_EQ(pb.nislands, par->plan().nislands);
             // A 16-router RTL mesh partitioned across islands always
             // exchanges boundary values.
-            if (par->plan().nislands > 1)
+            if (par->plan().nislands > 1) {
                 EXPECT_GT(pb.boundary_bytes, 0u);
+            }
         } else {
             EXPECT_EQ(pb.nislands, 1);
             EXPECT_EQ(pb.boundary_bytes, 0u);

@@ -356,7 +356,7 @@ TEST(SimSlotBinding, DestroyingTheOlderSimulatorKeepsTheNewerBinding)
               static_cast<int>(elab->signals.size()));
 }
 
-TEST(SimSlotBinding, ParSimDropsTheSequentialBinding)
+TEST(SimSlotBinding, ParSimBindsCoordinatorSignals)
 {
     auto top = std::make_unique<MuxReg>(nullptr, "top");
     auto elab = top->elaborate();
@@ -364,12 +364,15 @@ TEST(SimSlotBinding, ParSimDropsTheSequentialBinding)
     auto seq = std::make_unique<SimulationTool>(elab, cfg);
     ASSERT_TRUE(top->sel.slotBound());
 
+    // ParSim rebinds every narrow signal to its home replica's word,
+    // and destroying the older sequential kernel leaves that binding.
     cfg.threads = 2;
     auto par = makeSimulator(elab, cfg);
-    for (const Signal *sig : elab->signals)
-        EXPECT_FALSE(sig->slotBound()) << sig->fullName();
-    EXPECT_EQ(par->layoutStats().slot_bound_signals, 0);
     seq.reset();
+    for (const Signal *sig : elab->signals)
+        EXPECT_TRUE(sig->slotBound()) << sig->fullName();
+    EXPECT_EQ(par->layoutStats().slot_bound_signals,
+              static_cast<int>(elab->signals.size()));
 
     top->in_[2].setValue(uint64_t(0x5a));
     top->sel.setValue(uint64_t(2));
@@ -423,6 +426,72 @@ TEST(SimSlotBinding, CombLambdaSetValueWakesReaders)
         top.in_.setValue(uint64_t(20));
         sim.cycle();
         EXPECT_EQ(top.out.u64(), 42u) << ctx;
+    }
+}
+
+/**
+ * A comb lambda between an input and an IR comb block, and a tick
+ * lambda that accumulates the IR block's output into a register an IR
+ * tick block reads.
+ */
+class LambdaMix : public Model
+{
+  public:
+    InPort in_;
+    Wire mid, acc;
+    OutPort out, q;
+
+    LambdaMix()
+        : Model(nullptr, "mix"), in_(this, "in_", 16),
+          mid(this, "mid", 16), acc(this, "acc", 16), out(this, "out", 16),
+          q(this, "q", 16)
+    {
+        combLambda(
+            "inc", [this] { mid.setValue(in_.u64() + 1); }, {&in_},
+            {&mid});
+        auto &c = combinational("dbl");
+        c.assign(out, rd(mid) * lit(16, 2));
+        tickFl("accumulate", [this] { acc.setNext(acc.u64() + out.u64()); });
+        auto &t = tickRtl("seq");
+        t.assign(q, rd(acc) ^ rd(in_));
+    }
+};
+
+TEST(SimSlotBinding, ParSimLeavesCombLambdaSignalsVirtual)
+{
+    auto trace = [](int threads, std::vector<uint64_t> &out) {
+        LambdaMix top;
+        SimConfig cfg = SimConfig::fromString("bytecode");
+        cfg.threads = threads;
+        auto sim = makeSimulator(top.elaborate(), cfg);
+        const std::string ctx = "threads " + std::to_string(threads);
+        if (threads > 1) {
+            // Worker threads run the comb lambda against their own
+            // replica, so what it reads or writes stays virtual.
+            EXPECT_FALSE(top.in_.slotBound()) << ctx;
+            EXPECT_FALSE(top.mid.slotBound()) << ctx;
+            for (Signal *sig :
+                 std::vector<Signal *>{&top.acc, &top.out, &top.q})
+                EXPECT_TRUE(sig->slotBound()) << ctx << sig->name();
+            EXPECT_EQ(sim->layoutStats().slot_bound_signals,
+                      static_cast<int>(sim->elaboration().signals.size()) -
+                          2)
+                << ctx;
+        }
+        for (int c = 0; c < 24; ++c) {
+            top.in_.setValue(uint64_t(c * 37 + 5));
+            sim->cycle();
+            for (Signal *sig :
+                 std::vector<Signal *>{&top.mid, &top.acc, &top.out, &top.q})
+                out.push_back(sig->u64());
+        }
+    };
+    std::vector<uint64_t> golden;
+    trace(1, golden);
+    for (int threads : {2, 4}) {
+        std::vector<uint64_t> got;
+        trace(threads, got);
+        EXPECT_EQ(got, golden) << "threads " << threads;
     }
 }
 

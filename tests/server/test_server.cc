@@ -15,7 +15,7 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -262,10 +262,18 @@ TEST(JobScheduler, BadSpecFailsWithDiagnostic)
 TEST(JobScheduler, CheckpointFilesAreJobTagged)
 {
     // Two concurrent jobs checkpointing to the same base path must not
-    // clobber each other: the manager scopes files by job id.
-    std::string base = "/tmp/cmtl-test-server-ckpt-" +
-                       std::to_string(::getpid());
-    std::remove(base.c_str());
+    // clobber each other: the manager scopes files by job id. The
+    // files, keep-last-N rotations included, live in a directory of
+    // their own that the test deletes however it ends.
+    struct TempDir
+    {
+        std::filesystem::path path;
+        ~TempDir() { std::filesystem::remove_all(path); }
+    } dir{std::filesystem::temp_directory_path() /
+          ("cmtl-test-server-ckpt-" + std::to_string(::getpid()))};
+    std::filesystem::remove_all(dir.path);
+    ASSERT_TRUE(std::filesystem::create_directory(dir.path));
+    const std::string base = (dir.path / "ckpt").string();
     JobScheduler sched(2, 8, defaultCorpusFactory());
     std::string error;
     JobSpec spec = clSpec(300);
@@ -288,8 +296,6 @@ TEST(JobScheduler, CheckpointFilesAreJobTagged)
     SimSnapshot snap_a = snapLoadFile(file_a);
     SimSnapshot snap_b = snapLoadFile(file_b);
     EXPECT_EQ(snap_a.digest(), snap_b.digest());
-    std::remove(file_a.c_str());
-    std::remove(file_b.c_str());
 }
 
 // ------------------------------------------------- sweep over the wire
