@@ -1,5 +1,7 @@
 #include "accessor.h"
 
+#include "partition.h"
+
 namespace cmtl {
 
 void
@@ -10,16 +12,16 @@ NetAccessor::bind(ArenaStore *arena, BoxedStore *boxed,
     boxed_ = boxed;
     in_arena_ = std::move(in_arena);
     replicas_ = nullptr;
-    owner_of_ = nullptr;
+    plan_ = nullptr;
 }
 
 void
 NetAccessor::bindReplicas(
     std::vector<std::unique_ptr<ArenaStore>> *replicas,
-    const std::vector<int> *owner_of)
+    const PartitionPlan *plan)
 {
     replicas_ = replicas;
-    owner_of_ = owner_of;
+    plan_ = plan;
     arena_ = nullptr;
     boxed_ = nullptr;
     in_arena_ = nullptr;
@@ -34,10 +36,8 @@ NetAccessor::onPokeChanged(std::function<void(int)> fn)
 Bits
 NetAccessor::readNetNext(int net) const
 {
-    if (replicas_) {
-        int owner = (*owner_of_)[net];
-        return (*replicas_)[owner >= 0 ? owner : 0]->readNext(net);
-    }
+    if (replicas_)
+        return (*replicas_)[plan_->homeReplica(net)]->readNext(net);
     return in_arena_(net) ? arena_->readNext(net)
                           : boxed_->readNext(net);
 }
@@ -49,9 +49,8 @@ NetAccessor::pokeNet(int net, const Bits &value)
     if (replicas_) {
         // Keep every replica coherent so any reader island sees the
         // restored value next phase; change detection runs against the
-        // owner's (authoritative) copy.
-        int owner = (*owner_of_)[net];
-        changed = (*replicas_)[owner >= 0 ? owner : 0]->write(net, value);
+        // home (authoritative) copy.
+        changed = (*replicas_)[plan_->homeReplica(net)]->write(net, value);
         for (auto &replica : *replicas_)
             replica->write(net, value);
     } else {

@@ -29,6 +29,8 @@
 
 namespace cmtl {
 
+struct PartitionPlan;
+
 class NetAccessor
 {
   public:
@@ -42,12 +44,11 @@ class NetAccessor
               std::function<bool(int)> in_arena);
 
     /**
-     * ParSim binding: reads come from the token owner's replica,
-     * pokes keep every replica coherent. @p owner_of maps tokens to
-     * islands (PartitionPlan::ownerOf; negative = coordinator/any).
+     * ParSim binding: reads come from the token's home replica
+     * (PartitionPlan::homeReplica), pokes keep every replica coherent.
      */
     void bindReplicas(std::vector<std::unique_ptr<ArenaStore>> *replicas,
-                      const std::vector<int> *owner_of);
+                      const PartitionPlan *plan);
 
     /** Hook invoked when pokeNet actually changed a stored value (the
      *  kernel marks dirt / wakes readers there). */
@@ -70,7 +71,7 @@ class NetAccessor
     BoxedStore *boxed_ = nullptr;
     std::function<bool(int)> in_arena_;
     std::vector<std::unique_ptr<ArenaStore>> *replicas_ = nullptr;
-    const std::vector<int> *owner_of_ = nullptr;
+    const PartitionPlan *plan_ = nullptr;
     std::function<void(int)> on_changed_;
 };
 

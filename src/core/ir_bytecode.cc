@@ -1117,14 +1117,10 @@ bcRunBatch(const BcBatch &batch, uint64_t *words, uint64_t *frame)
 // Run BODY for every active lane l; all lanes active is a plain loop.
 // Frame rows are either one row or disjoint, and BODY reads lane l and
 // writes lane l only, so even with d == a the loop has no dependence
-// from one lane to the next and g++ may vectorize it. A one-lane chunk
-// runs BODY once, past the vector loop's set-up.
+// from one lane to the next and g++ may vectorize it.
 #define CMTL_LANES(BODY)                                                 \
     do {                                                                 \
-        if (n == 1) {                                                    \
-            const int l = 0;                                             \
-            BODY;                                                        \
-        } else if (hi - lo == n) {                                       \
+        if (hi - lo == n) {                                              \
             _Pragma("GCC ivdep") for (int l = 0; l < n; ++l) {           \
                 BODY;                                                    \
             }                                                            \

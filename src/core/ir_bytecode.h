@@ -72,8 +72,7 @@
  * (target_clones: x86-64-v4 with AVX-512, x86-64-v3 with AVX2, and the
  * baseline), and the loader picks the widest the host runs. Vectors
  * are 256 bits wide and the remainder stays scalar, which keeps the
- * VM small for batches of a few lanes; a batch of one lane runs each
- * instruction once, outside the loop.
+ * VM small for batches of a few lanes.
  *
  * A batch must be an antichain: no lane reads or writes a token that
  * another lane writes. Then gathering all lanes first and scattering

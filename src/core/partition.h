@@ -75,6 +75,18 @@ struct PartitionPlan
     std::vector<int> ownerOf;
 
     /**
+     * The replica that holds the authoritative copy of @p token: its
+     * owner island's, or replica 0 if no island owns it. Slot bindings,
+     * flops of coordinator-written nets and snapshot access all address
+     * this replica.
+     */
+    int homeReplica(int token) const
+    {
+        const int owner = ownerOf[token];
+        return owner >= 0 ? owner : 0;
+    }
+
+    /**
      * Token -> sorted island indices with a statically known reader
      * (comb or tick). The external participant reads owner replicas
      * directly and never appears here.

@@ -47,7 +47,7 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
         evals_.push_back(std::make_unique<SlotEvaluator>(*replicas_[i]));
     }
 
-    accessor_.bindReplicas(&replicas_, &plan_.ownerOf);
+    accessor_.bindReplicas(&replicas_, &plan_);
     accessor_.onPokeChanged([this](int) { dirty_ = true; });
 
     // Per-island flop copy plans: an island's owned static flops
@@ -118,7 +118,7 @@ ParSimulationTool::bindSignals()
     }
     for (Signal *sig : elab_->signals) {
         const int net = sig->netId();
-        ArenaStore &home = *replicas_[homeReplica(net)];
+        ArenaStore &home = *replicas_[plan_.homeReplica(net)];
         if (home.narrow(net) && !island_lambda[net])
             sig->bindSlot(home.data() + home.offset(net));
     }
@@ -427,7 +427,7 @@ ParSimulationTool::flopMainNets()
     if (main_flops_.size() != main_flops_planned_) {
         std::vector<std::vector<int>> by_home(replicas_.size());
         for (int net : main_flops_)
-            by_home[homeReplica(net)].push_back(net);
+            by_home[plan_.homeReplica(net)].push_back(net);
         main_flop_plans_.clear();
         for (const std::vector<int> &nets : by_home)
             main_flop_plans_.push_back(replicas_[0]->flopPlan(nets));
@@ -571,17 +571,10 @@ ParSimulationTool::eval()
 
 // ----------------------------------------------------- signal access
 
-int
-ParSimulationTool::homeReplica(int token) const
-{
-    const int owner = plan_.ownerOf[token];
-    return owner >= 0 ? owner : 0;
-}
-
 ArenaStore &
 ParSimulationTool::replicaFor(int net) const
 {
-    return *replicas_[tls_island >= 0 ? tls_island : homeReplica(net)];
+    return *replicas_[tls_island >= 0 ? tls_island : plan_.homeReplica(net)];
 }
 
 void
@@ -681,7 +674,7 @@ ParSimulationTool::registerDynamicFlops(const std::vector<int> &nets)
 Bits
 ParSimulationTool::readArray(const MemArray &array, uint64_t index) const
 {
-    return replicas_[homeReplica(elab_->arrayToken(array.arrayId()))]
+    return replicas_[plan_.homeReplica(elab_->arrayToken(array.arrayId()))]
         ->arrayRead(array.arrayId(), index);
 }
 
@@ -689,8 +682,8 @@ void
 ParSimulationTool::writeArray(MemArray &array, uint64_t index,
                               const Bits &value)
 {
-    replicas_[homeReplica(elab_->arrayToken(array.arrayId()))]->arrayWrite(
-        array.arrayId(), index, value);
+    replicas_[plan_.homeReplica(elab_->arrayToken(array.arrayId()))]
+        ->arrayWrite(array.arrayId(), index, value);
     dirty_ = true;
 }
 

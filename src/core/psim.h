@@ -182,9 +182,6 @@ class ParSimulationTool : public Simulator
 
     void bindSignals();
     void flopMainNets();
-    /** The replica the coordinator addresses @p token in: its owner's,
-     *  or replica 0 if no island owns it. */
-    int homeReplica(int token) const;
     ArenaStore &replicaFor(int net) const;
     void markMainFlop(int net);
 
