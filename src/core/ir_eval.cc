@@ -105,8 +105,7 @@ BoxedEvaluator::eval(const IrExprNode *e)
 }
 
 void
-BoxedEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential,
-                     std::vector<int> *changed)
+BoxedEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential)
 {
     for (const IrStmt &s : stmts) {
         switch (s.kind) {
@@ -117,33 +116,26 @@ BoxedEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential,
                 break;
             }
             int net = s.sig->netId();
-            if (s.width < 0) {
-                if (sequential && s.nonblocking) {
-                    store_.writeNext(net, *rhs);
-                } else {
-                    if (store_.write(net, *rhs) && changed)
-                        changed->push_back(net);
-                }
-            } else {
-                Bits whole = (sequential && s.nonblocking)
-                                 ? store_.readNext(net)
-                                 : store_.read(net);
+            const bool next = sequential && s.nonblocking;
+            const Bits *value = rhs.get();
+            Bits whole;
+            if (s.width >= 0) {
+                whole = next ? store_.readNext(net) : store_.read(net);
                 whole.setSlice(s.lsb, rhs->zext(s.width));
-                if (sequential && s.nonblocking) {
-                    store_.writeNext(net, whole);
-                } else {
-                    if (store_.write(net, whole) && changed)
-                        changed->push_back(net);
-                }
+                value = &whole;
             }
+            if (next)
+                store_.writeNext(net, *value);
+            else
+                store_.write(net, *value);
             break;
           }
           case IrStmt::Kind::If: {
             Box cond = eval(s.cond.get());
             if (cond->any())
-                exec(s.thenBody, sequential, changed);
+                exec(s.thenBody, sequential);
             else
-                exec(s.elseBody, sequential, changed);
+                exec(s.elseBody, sequential);
             break;
           }
           case IrStmt::Kind::AWrite: {
@@ -158,10 +150,10 @@ BoxedEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential,
 }
 
 void
-BoxedEvaluator::run(const ElabBlock &blk, std::vector<int> *changed)
+BoxedEvaluator::run(const ElabBlock &blk)
 {
     temps_.assign(blk.ir->temps.size(), nullptr);
-    exec(blk.ir->stmts, blk.ir->sequential, changed);
+    exec(blk.ir->stmts, blk.ir->sequential);
 }
 
 // --------------------------------------------------------- SlotEvaluator
@@ -208,8 +200,7 @@ SlotEvaluator::eval(const IrExprNode *e)
 }
 
 void
-SlotEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential,
-                    std::vector<int> *changed)
+SlotEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential)
 {
     for (const IrStmt &s : stmts) {
         switch (s.kind) {
@@ -220,32 +211,23 @@ SlotEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential,
                 break;
             }
             int net = s.sig->netId();
-            if (s.width < 0) {
-                if (sequential && s.nonblocking) {
-                    store_.writeNext(net, rhs);
-                } else {
-                    if (store_.write(net, rhs) && changed)
-                        changed->push_back(net);
-                }
-            } else {
-                Bits whole = (sequential && s.nonblocking)
-                                 ? store_.readNext(net)
-                                 : store_.read(net);
+            const bool next = sequential && s.nonblocking;
+            if (s.width >= 0) {
+                Bits whole = next ? store_.readNext(net) : store_.read(net);
                 whole.setSlice(s.lsb, rhs.zext(s.width));
-                if (sequential && s.nonblocking) {
-                    store_.writeNext(net, whole);
-                } else {
-                    if (store_.write(net, whole) && changed)
-                        changed->push_back(net);
-                }
+                rhs = std::move(whole);
             }
+            if (next)
+                store_.writeNext(net, rhs);
+            else
+                store_.write(net, rhs);
             break;
           }
           case IrStmt::Kind::If:
             if (eval(s.cond.get()).any())
-                exec(s.thenBody, sequential, changed);
+                exec(s.thenBody, sequential);
             else
-                exec(s.elseBody, sequential, changed);
+                exec(s.elseBody, sequential);
             break;
           case IrStmt::Kind::AWrite:
             store_.arrayWrite(s.array->arrayId(),
@@ -257,10 +239,10 @@ SlotEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential,
 }
 
 void
-SlotEvaluator::run(const ElabBlock &blk, std::vector<int> *changed)
+SlotEvaluator::run(const ElabBlock &blk)
 {
     temps_.assign(blk.ir->temps.size(), Bits());
-    exec(blk.ir->stmts, blk.ir->sequential, changed);
+    exec(blk.ir->stmts, blk.ir->sequential);
 }
 
 } // namespace cmtl

@@ -42,18 +42,13 @@ class BoxedEvaluator
   public:
     explicit BoxedEvaluator(BoxedStore &store) : store_(store) {}
 
-    /**
-     * Execute one IR block. For combinational blocks, nets whose
-     * current value changed are appended to @p changed (when non-null)
-     * to drive the event-driven scheduler.
-     */
-    void run(const ElabBlock &blk, std::vector<int> *changed = nullptr);
+    /** Execute one IR block. */
+    void run(const ElabBlock &blk);
 
   private:
     using Box = std::shared_ptr<const Bits>;
     Box eval(const IrExprNode *e);
-    void exec(const std::vector<IrStmt> &stmts, bool sequential,
-              std::vector<int> *changed);
+    void exec(const std::vector<IrStmt> &stmts, bool sequential);
 
     BoxedStore &store_;
     std::vector<Box> temps_;
@@ -65,12 +60,12 @@ class SlotEvaluator
   public:
     explicit SlotEvaluator(ArenaStore &store) : store_(store) {}
 
-    void run(const ElabBlock &blk, std::vector<int> *changed = nullptr);
+    /** Execute one IR block. */
+    void run(const ElabBlock &blk);
 
   private:
     Bits eval(const IrExprNode *e);
-    void exec(const std::vector<IrStmt> &stmts, bool sequential,
-              std::vector<int> *changed);
+    void exec(const std::vector<IrStmt> &stmts, bool sequential);
 
     ArenaStore &store_;
     std::vector<Bits> temps_;

@@ -47,9 +47,6 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
         evals_.push_back(std::make_unique<SlotEvaluator>(*replicas_[i]));
     }
 
-    accessor_.bindReplicas(&replicas_, &plan_);
-    accessor_.onPokeChanged([this](int) { dirty_ = true; });
-
     // Per-island flop copy plans: an island's owned static flops
     // coalesce into whole-word ranges (disjoint across islands by
     // ownership, since a net never shares a word).
@@ -66,36 +63,15 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
             static_island_flop_[net.id] = 1;
     }
 
-    for (Signal *sig : elab_->signals)
-        sig->setAccess(this);
     bindSignals();
-    try {
-        buildIslandSchedules();
-        double create_before_spec = sw.elapsed();
-        if (specializes_)
-            specialize();
-        startWorkers();
-        spec_stats_.simCreateSeconds =
-            create_before_spec +
-            (sw.elapsed() - create_before_spec -
-             spec_stats_.codegenSeconds - spec_stats_.compileSeconds -
-             spec_stats_.wrapSeconds);
-    } catch (...) {
-        for (Signal *sig : elab_->signals) {
-            if (sig->access() == this)
-                sig->setAccess(nullptr);
-        }
-        throw;
-    }
+    buildIslandSchedules();
+    startWorkers();
+    recordCreate(sw.elapsed());
 }
 
 ParSimulationTool::~ParSimulationTool()
 {
     shutdownWorkers();
-    for (Signal *sig : elab_->signals) {
-        if (sig->access() == this)
-            sig->setAccess(nullptr);
-    }
 }
 
 void
@@ -128,11 +104,7 @@ void
 ParSimulationTool::buildIslandSchedules()
 {
     const auto &blocks = elab_->blocks;
-    spec_stats_.numBlocks = static_cast<int>(blocks.size());
-
     const int n = plan_.nislands;
-    comb_steps_.resize(n);
-    tick_steps_.resize(n);
     comb_pushes_.assign(
         n, std::vector<std::vector<CopyOp>>(plan_.nlevels));
     flop_pushes_.resize(n);
@@ -151,26 +123,22 @@ ParSimulationTool::buildIslandSchedules()
         }
     };
 
+    // comb[island][level]: the island's comb blocks of each superstep.
+    std::vector<std::vector<std::vector<int>>> comb(
+        n, std::vector<std::vector<int>>(plan_.nlevels));
     for (int i = 0; i < n; ++i) {
         const PartitionIsland &isl = plan_.islands[i];
-        for (size_t k = 0; k < isl.combBlocks.size(); ++k) {
-            PStep step;
-            step.block = isl.combBlocks[k];
-            step.level = isl.combLevels[k];
-            comb_steps_[i].push_back(step);
-        }
-        for (int b : isl.tickBlocks) {
-            PStep step;
-            step.block = b;
-            tick_steps_[i].push_back(step);
-        }
+        for (size_t k = 0; k < isl.combBlocks.size(); ++k)
+            comb[i][isl.combLevels[k]].push_back(isl.combBlocks[k]);
 
         // Comb pushes, deduplicated per (level, token).
-        std::set<std::pair<int, int>> seen;
-        for (const PStep &step : comb_steps_[i]) {
-            for (int t : blocks[step.block].writes) {
-                if (seen.insert({step.level, t}).second)
-                    pushTargets(t, i, comb_pushes_[i][step.level]);
+        for (int lvl = 0; lvl < plan_.nlevels; ++lvl) {
+            std::set<int> seen;
+            for (int b : comb[i][lvl]) {
+                for (int t : blocks[b].writes) {
+                    if (seen.insert(t).second)
+                        pushTargets(t, i, comb_pushes_[i][lvl]);
+                }
             }
         }
 
@@ -183,8 +151,8 @@ ParSimulationTool::buildIslandSchedules()
             if (fseen.insert(t).second)
                 pushTargets(t, i, flop_pushes_[i]);
         }
-        for (const PStep &step : tick_steps_[i]) {
-            for (int t : blocks[step.block].writes) {
+        for (int b : isl.tickBlocks) {
+            for (int t : blocks[b].writes) {
                 if (t < static_cast<int>(elab_->nets.size()) &&
                     !elab_->nets[t].floppedStatic && fseen.insert(t).second)
                     pushTargets(t, i, flop_pushes_[i]);
@@ -205,73 +173,20 @@ ParSimulationTool::buildIslandSchedules()
             byTarget(level);
         byTarget(flop_pushes_[i]);
     }
-}
 
-void
-ParSimulationTool::specialize()
-{
-    Stopwatch sw;
-    const auto &blocks = elab_->blocks;
-    specialized_.assign(blocks.size(), 0);
-    for (size_t b = 0; b < blocks.size(); ++b) {
-        if (blocks[b].ir && bcSpecializable(blocks[b], *replicas_[0])) {
-            specialized_[b] = 1;
-            ++spec_stats_.numSpecialized;
+    // Each settle level is scheduled apart (the push points between
+    // levels are immovable), and the tick list as one sequence. One
+    // shared program per block type: every island runs it against its
+    // own replica's data pointer, with a frame of its own.
+    specialize(replicas_[0].get(), n, [&] {
+        comb_steps_.assign(n, {});
+        tick_steps_.assign(n, {});
+        for (int i = 0; i < n; ++i) {
+            for (const std::vector<int> &seq : comb[i])
+                comb_steps_[i].push_back(batchSteps(seq));
+            tick_steps_[i] = batchSteps(plan_.islands[i].tickBlocks);
         }
-    }
-
-    // One shared program per block type: slot tables address the
-    // arena by absolute offset, so every island runs them against its
-    // own replica's data pointer. Frames are per island.
-    const std::vector<int> type = buildModule(specialized_, *replicas_[0]);
-    for (int i = 0; i < plan_.nislands; ++i) {
-        batchSteps(comb_steps_[i], type);
-        batchSteps(tick_steps_[i], type);
-    }
-    // Round each island's frame up to whole cache lines, plus one,
-    // so no two islands' frames share a line.
-    const size_t frame = (bc_.frameWords() + 15) & ~size_t(7);
-    bc_frames_.assign(plan_.nislands, std::vector<uint64_t>(frame, 0));
-    spec_stats_.codegenSeconds = sw.elapsed();
-    if (native_blocks_ || designMode())
-        buildNative();
-}
-
-void
-ParSimulationTool::batchSteps(std::vector<PStep> &steps,
-                              const std::vector<int> &type)
-{
-    // Batch each settle level (the tick list is all level 0) apart:
-    // the push points between levels are immovable. cpp-block crosses
-    // the C ABI once per block, as the sequential kernel does: every
-    // block is a batch of its own, in schedule order.
-    std::vector<PStep> out;
-    size_t k = 0;
-    while (k < steps.size()) {
-        const int level = steps[k].level;
-        std::vector<int> seq;
-        for (; k < steps.size() && steps[k].level == level; ++k)
-            seq.push_back(steps[k].block);
-        std::vector<std::vector<int>> batches;
-        if (native_blocks_) {
-            for (int b : seq)
-                batches.push_back({b});
-        } else {
-            batches = hazardBatches(*elab_, seq, type);
-        }
-        for (const auto &lanes : batches) {
-            PStep step;
-            step.block = lanes.front();
-            step.level = level;
-            if (type[step.block] >= 0) {
-                step.kind = PStep::Kind::Batch;
-                step.batch = static_cast<int>(bc_batches_.size());
-                bc_batches_.push_back(bc_.batch(lanes));
-            }
-            out.push_back(step);
-        }
-    }
-    steps = std::move(out);
+    });
 }
 
 LayoutStats
@@ -284,10 +199,7 @@ ParSimulationTool::layoutStats() const
     s.dynamic_flops = static_cast<int>(main_flops_.size());
     s.dynamic_flop_ranges =
         static_cast<int>(replicas_[0]->flopPlan(main_flops_).size());
-    for (const Signal *sig : elab_->signals) {
-        if (sig->slotBound() && sig->access() == this)
-            ++s.slot_bound_signals;
-    }
+    s.slot_bound_signals = slotBoundSignals();
     return s;
 }
 
@@ -393,15 +305,8 @@ ParSimulationTool::runPhase(Cmd cmd)
     if (cmd == Cmd::Tick) {
         // Tick lambdas (undeclared effects) always run here, in
         // declaration order: sequential semantics by construction.
-        for (int b : plan_.lambdaTicks) {
-            if (probe_ && probe_->shouldTime(b)) {
-                Stopwatch sw;
-                elab_->blocks[b].fn();
-                probe_->addBlockTime(b, sw.elapsed());
-            } else {
-                elab_->blocks[b].fn();
-            }
-        }
+        for (int b : plan_.lambdaTicks)
+            runTimed(b, elab_->blocks[b].fn);
     } else if (cmd == Cmd::Flop) {
         flopMainNets();
     }
@@ -455,32 +360,24 @@ ParSimulationTool::flopMainNets()
 // -------------------------------------------------- island execution
 
 void
-ParSimulationTool::runPStep(int island, const PStep &step)
+ParSimulationTool::runStep(int island, const Step &step)
 {
     // Per-block counters are written only by the executing island's
     // worker (each block belongs to exactly one island), so the probe
     // needs no synchronization here. A batch times itself (runBatch).
-    if (step.kind == PStep::Kind::Batch) {
-        runBatch(step.batch, replicas_[island]->data(),
-                 bc_frames_[island].data());
+    if (step.batch >= 0) {
+        runBatch(step.batch, replicas_[island]->data(), frame(island));
         return;
     }
     // A comb lambda runs its host code here; its signal accesses take
     // the virtual path to this island's replica.
     const ElabBlock &blk = elab_->blocks[step.block];
-    auto run = [&] {
+    runTimed(step.block, [&] {
         if (blk.ir)
-            evals_[island]->run(blk, nullptr);
+            evals_[island]->run(blk);
         else
             blk.fn();
-    };
-    if (ScopeProbe *p = probe_; p && p->shouldTime(step.block)) {
-        Stopwatch sw;
-        run();
-        p->addBlockTime(step.block, sw.elapsed());
-        return;
-    }
-    run();
+    });
 }
 
 void
@@ -498,11 +395,9 @@ ParSimulationTool::pushCur(int island, const CopyOp &op)
 void
 ParSimulationTool::runIslandSettle(int island)
 {
-    const std::vector<PStep> &steps = comb_steps_[island];
-    size_t k = 0;
     for (int lvl = 0; lvl < plan_.nlevels; ++lvl) {
-        for (; k < steps.size() && steps[k].level == lvl; ++k)
-            runPStep(island, steps[k]);
+        for (const Step &step : comb_steps_[island][lvl])
+            runStep(island, step);
         for (const CopyOp &op : comb_pushes_[island][lvl])
             pushCur(island, op);
         // Cross-island readers of this superstep's values run at a
@@ -522,8 +417,8 @@ ParSimulationTool::runIslandSettle(int island)
 void
 ParSimulationTool::runIslandTick(int island)
 {
-    for (const PStep &step : tick_steps_[island])
-        runPStep(island, step);
+    for (const Step &step : tick_steps_[island])
+        runStep(island, step);
 }
 
 void
@@ -537,36 +432,6 @@ ParSimulationTool::runIslandFlop(int island)
     // all concurrent writes land in disjoint words.
     for (const CopyOp &op : flop_pushes_[island])
         pushCur(island, op);
-}
-
-// ------------------------------------------------------- simulation
-
-void
-ParSimulationTool::settlePhase()
-{
-    runPhase(Cmd::Settle);
-    dirty_ = false;
-}
-
-void
-ParSimulationTool::cycle()
-{
-    maybeSwapTier();
-    if (dirty_)
-        settlePhase();
-    runPhase(Cmd::Tick);
-    runPhase(Cmd::Flop);
-    settlePhase();
-    uint64_t now = ncycles_.fetch_add(1, std::memory_order_relaxed) + 1;
-    for (const auto &hook : cycle_hooks_)
-        hook(now);
-}
-
-void
-ParSimulationTool::eval()
-{
-    maybeSwapTier();
-    settlePhase();
 }
 
 // ----------------------------------------------------- signal access
@@ -601,21 +466,14 @@ ParSimulationTool::read(const Signal &sig) const
 void
 ParSimulationTool::write(Signal &sig, const Bits &value)
 {
-    int net = sig.netId();
     if (tls_island >= 0) {
         // Comb lambda on a worker: writes are declared, so the push
         // lists already publish them; change detection is not needed
         // under static scheduling.
-        replicas_[tls_island]->write(net, value);
+        replicas_[tls_island]->write(sig.netId(), value);
         return;
     }
-    // Coordinator (test bench or tick lambda): keep every replica
-    // coherent so any reader island sees the value next phase.
-    bool changed = replicaFor(net).write(net, value);
-    for (auto &replica : replicas_)
-        replica->write(net, value);
-    if (changed)
-        dirty_ = true;
+    pokeNet(sig.netId(), value);
 }
 
 void
@@ -626,8 +484,7 @@ ParSimulationTool::writeNext(Signal &sig, const Bits &value)
         replicas_[tls_island]->writeNext(net, value);
         return;
     }
-    for (auto &replica : replicas_)
-        replica->writeNext(net, value);
+    pokeNetNext(net, value);
     if (!static_island_flop_[net])
         markMainFlop(net);
     // The net is flopped now (by its owner island, or by flopMainNets
@@ -642,25 +499,38 @@ ParSimulationTool::writeNext(Signal &sig, const Bits &value)
 Bits
 ParSimulationTool::readNetNext(int net) const
 {
-    return accessor_.readNetNext(net);
+    return replicas_[plan_.homeReplica(net)]->readNext(net);
 }
 
 void
 ParSimulationTool::pokeNet(int net, const Bits &value)
 {
-    accessor_.pokeNet(net, value);
+    // Coordinator (test bench, tick lambda or restore): keep every
+    // replica coherent so any reader island sees the value next phase;
+    // change detection runs against the home copy.
+    const bool changed = replicas_[plan_.homeReplica(net)]->write(net, value);
+    for (auto &replica : replicas_)
+        replica->write(net, value);
+    if (changed)
+        dirty_ = true;
 }
 
 void
 ParSimulationTool::pokeNetNext(int net, const Bits &value)
 {
-    accessor_.pokeNetNext(net, value);
+    for (auto &replica : replicas_)
+        replica->writeNext(net, value);
 }
 
 std::vector<int>
 ParSimulationTool::dynamicFlopNets() const
 {
-    return NetAccessor::dynamicFlops(*elab_, main_flops_);
+    std::vector<int> out;
+    for (int net : main_flops_) {
+        if (!elab_->nets[net].floppedStatic)
+            out.push_back(net);
+    }
+    return out;
 }
 
 void

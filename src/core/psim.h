@@ -38,11 +38,12 @@
  *   settle  - as above, always runs.
  *
  * Determinism: islands execute their blocks in the global static
- * schedule restricted to the island (bytecode reorders a level or the
- * tick list into batches only where no hazard forbids it; see
- * hazardBatches in sim.h), values cross islands only at barriers, and
- * tick lambdas always run on one thread in declaration order — so
- * results are bit-identical to SimulationTool at any thread count.
+ * schedule restricted to the island (batches reorder a level or the
+ * tick list only where no hazard forbids it; see
+ * Simulator::batchSteps in sim.h), values cross islands only at
+ * barriers, and tick lambdas always run on one thread in declaration
+ * order — so results are bit-identical to SimulationTool at any
+ * thread count.
  * The one pattern outside the guarantee is a design whose tick
  * blocks communicate through *blocking* writes with a tick lambda
  * (already tick-order-fragile sequentially); blocking communication
@@ -120,10 +121,6 @@ class ParSimulationTool : public Simulator
                                SimConfig cfg = SimConfig{});
     ~ParSimulationTool() override;
 
-    using Simulator::cycle;
-    void cycle() override;
-    void eval() override;
-
     Bits readNet(int net) const override;
     Bits readArray(const MemArray &array, uint64_t index) const override;
     void writeArray(MemArray &array, uint64_t index,
@@ -148,16 +145,6 @@ class ParSimulationTool : public Simulator
   private:
     enum class Cmd { Settle, Tick, Flop, Exit };
 
-    /** One scheduled unit of an island. */
-    struct PStep
-    {
-        enum class Kind { Slot, Batch };
-        Kind kind = Kind::Slot;
-        int block = -1; //!< ElabBlock index (Slot), first lane (Batch)
-        int batch = -1; //!< bc_batches_ index (Batch)
-        int level = 0;  //!< settle superstep (comb steps only)
-    };
-
     /** Boundary word copy: cur words [off, off+n) into replica dst. */
     struct CopyOp
     {
@@ -166,15 +153,15 @@ class ParSimulationTool : public Simulator
         int n;
     };
 
+    void settle() override { runPhase(Cmd::Settle); }
+    void tick() override { runPhase(Cmd::Tick); }
+    void flop() override { runPhase(Cmd::Flop); }
     void buildIslandSchedules();
-    void specialize();
-    void batchSteps(std::vector<PStep> &steps, const std::vector<int> &type);
     void startWorkers();
     void shutdownWorkers();
     void workerLoop(int island);
     void runPhase(Cmd cmd);
-    void settlePhase();
-    void runPStep(int island, const PStep &step);
+    void runStep(int island, const Step &step);
     void runIslandSettle(int island);
     void runIslandTick(int island);
     void runIslandFlop(int island);
@@ -188,28 +175,24 @@ class ParSimulationTool : public Simulator
     PartitionPlan plan_;
     std::vector<std::unique_ptr<ArenaStore>> replicas_;
     std::vector<std::unique_ptr<SlotEvaluator>> evals_;
-    /** Snap/poke hooks delegate here (accessor.h). */
-    NetAccessor accessor_;
     /** Per-island flop phase coalesced into whole-word copy ranges
      *  (identical offsets, so ranges are valid in every replica). */
     std::vector<std::vector<FlopRange>> island_flop_plans_;
 
-    // Per-island schedules (comb steps sorted by superstep level).
-    std::vector<std::vector<PStep>> comb_steps_;
-    std::vector<std::vector<PStep>> tick_steps_;
+    // Per-island schedules: comb_steps_[island][level] runs in settle
+    // superstep level. Specialization (Simulator::specialize) is
+    // shared read-only across islands: slot tables and kernel rows
+    // hold absolute arena offsets, identical in every replica, and
+    // each island runs batches with its own frame. The cpp-design tier
+    // swap (Simulator::maybeSwapTier) switches every island's batches
+    // to their kernels on the coordinator, while every worker is
+    // parked before a start barrier.
+    std::vector<std::vector<std::vector<Step>>> comb_steps_;
+    std::vector<std::vector<Step>> tick_steps_;
     /** comb_pushes_[island][level]: copies at the end of a superstep. */
     std::vector<std::vector<std::vector<CopyOp>>> comb_pushes_;
     /** flop_pushes_[island]: copies after the island's flops. */
     std::vector<std::vector<CopyOp>> flop_pushes_;
-
-    // Specialization (bc_, bc_batches_ and cpp_batches_ are shared
-    // read-only across islands; slot tables and kernel rows hold
-    // absolute arena offsets, identical in every replica). The
-    // cpp-design tier swap (Simulator::maybeSwapTier) switches every
-    // island's batches to their kernels on the coordinator, while
-    // every worker is parked before a start barrier.
-    std::vector<std::vector<uint64_t>> bc_frames_; //!< per island
-    std::vector<char> specialized_;
 
     // Nets flopped by the coordinating thread (registered dynamically
     // by lambda writeNext; statically flopped nets belong to islands).
@@ -228,8 +211,6 @@ class ParSimulationTool : public Simulator
     std::atomic<bool> failed_{false};
     std::exception_ptr worker_error_;
     std::mutex error_mu_;
-
-    bool dirty_ = true;
 };
 
 /**

@@ -88,18 +88,97 @@ operator<<(std::ostream &os, const SimConfig &cfg)
 
 // ------------------------------------------------------------- Simulator
 
+namespace {
+
+/** Run @p run, adding its wall time to @p total when a probe is on. */
+template <class F>
+void
+timed(ScopeProbe *p, double ScopeProbe::*total, F &&run)
+{
+    if (!p) {
+        run();
+        return;
+    }
+    Stopwatch sw;
+    run();
+    p->*total += sw.elapsed();
+}
+
+} // namespace
+
 Simulator::Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg)
     : elab_(std::move(elab)), cfg_(cfg),
       boxed_host_(boxedHost(cfg.backend)),
       specializes_(specializes(cfg.backend)),
       native_blocks_(nativeBlocks(cfg.backend))
 {
+    spec_stats_.numBlocks = static_cast<int>(elab_->blocks.size());
+    for (Signal *sig : elab_->signals)
+        sig->setAccess(this);
 }
 
 Simulator::~Simulator()
 {
+    for (Signal *sig : elab_->signals) {
+        if (sig->access() == this)
+            sig->setAccess(nullptr);
+    }
     if (jit_thread_.joinable())
         jit_thread_.join();
+}
+
+void
+Simulator::specialize(const ArenaStore *store, int nframes,
+                      const std::function<void()> &schedule)
+{
+    if (!specializes_) {
+        schedule();
+        return;
+    }
+    Stopwatch sw;
+    const auto &blocks = elab_->blocks;
+    std::vector<int> members;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+        if (blocks[b].ir && bcSpecializable(blocks[b], *store))
+            members.push_back(static_cast<int>(b));
+    }
+    spec_stats_.numSpecialized = static_cast<int>(members.size());
+    bc_ = BcModule(*elab_, *store, members);
+    spec_stats_.kernelTypes = bc_.numPrograms();
+    type_.assign(blocks.size(), -1);
+    for (int b : members)
+        type_[b] = bc_.programOf(b);
+    schedule();
+    // Round each frame up to whole cache lines, plus one, so no two
+    // threads' frames share a line.
+    const size_t words = (bc_.frameWords() + 15) & ~size_t(7);
+    bc_frames_.assign(nframes, std::vector<uint64_t>(words, 0));
+    spec_stats_.codegenSeconds = sw.elapsed();
+    if (native_blocks_ || designMode())
+        buildNative();
+}
+
+std::vector<Simulator::Step>
+Simulator::batchSteps(const std::vector<int> &seq)
+{
+    std::vector<std::vector<int>> batches;
+    if (specializes_ && !native_blocks_) {
+        batches = hazardBatches(*elab_, seq, type_);
+    } else {
+        for (int b : seq)
+            batches.push_back({b});
+    }
+    std::vector<Step> steps;
+    steps.reserve(batches.size());
+    for (const std::vector<int> &blocks : batches) {
+        Step step{blocks.front()};
+        if (specializedBlock(step.block)) {
+            step.batch = static_cast<int>(bc_batches_.size());
+            bc_batches_.push_back(bc_.batch(blocks));
+        }
+        steps.push_back(step);
+    }
+    return steps;
 }
 
 void
@@ -165,10 +244,36 @@ Simulator::maybeSwapTier()
 }
 
 void
+Simulator::cycle()
+{
+    maybeSwapTier();
+    ScopeProbe *p = probe_;
+    timed(p, &ScopeProbe::settle_seconds, [this] {
+        if (dirty_)
+            settle();
+    });
+    timed(p, &ScopeProbe::tick_seconds, [this] { tick(); });
+    timed(p, &ScopeProbe::flop_seconds, [this] { flop(); });
+    timed(p, &ScopeProbe::settle_seconds, [this] { settle(); });
+    dirty_ = false;
+    const uint64_t now = ncycles_.fetch_add(1, std::memory_order_relaxed) + 1;
+    for (const auto &hook : cycle_hooks_)
+        hook(now);
+}
+
+void
 Simulator::cycle(uint64_t n)
 {
     for (uint64_t i = 0; i < n; ++i)
         cycle();
+}
+
+void
+Simulator::eval()
+{
+    maybeSwapTier();
+    timed(probe_, &ScopeProbe::settle_seconds, [this] { settle(); });
+    dirty_ = false;
 }
 
 bool
@@ -205,20 +310,21 @@ Simulator::runBatch(size_t i, uint64_t *words, uint64_t *frame)
     execBatch(i, words, frame);
 }
 
-std::vector<int>
-Simulator::buildModule(const std::vector<char> &can, const ArenaStore &store)
+void
+Simulator::recordCreate(double seconds)
 {
-    std::vector<int> members;
-    for (size_t b = 0; b < can.size(); ++b) {
-        if (can[b])
-            members.push_back(static_cast<int>(b));
-    }
-    bc_ = BcModule(*elab_, store, members);
-    spec_stats_.kernelTypes = bc_.numPrograms();
-    std::vector<int> type(can.size(), -1);
-    for (int b : members)
-        type[b] = bc_.programOf(b);
-    return type;
+    spec_stats_.simCreateSeconds =
+        seconds - spec_stats_.codegenSeconds - spec_stats_.compileSeconds -
+        spec_stats_.wrapSeconds;
+}
+
+int
+Simulator::slotBoundSignals() const
+{
+    int n = 0;
+    for (const Signal *sig : elab_->signals)
+        n += sig->slotBound() && sig->access() == this;
+    return n;
 }
 
 std::string
@@ -267,9 +373,6 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
     if (arena_)
         slot_eval_ = std::make_unique<SlotEvaluator>(*arena_);
 
-    for (Signal *sig : elab_->signals)
-        sig->setAccess(this);
-
     const size_t nnets = elab_->nets.size();
     is_flopped_.assign(nnets, 0);
     for (const Net &net : elab_->nets) {
@@ -278,7 +381,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
     }
     // The static flop set is final here; nets registered later (a
     // lambda's writeNext) append past this prefix. The copy plan
-    // coalesces the static set into whole-word ranges; doFlop keeps a
+    // coalesces the static set into whole-word ranges; flop() keeps a
     // second plan for the dynamic tail.
     n_static_flops_ = flopped_nets_.size();
     dyn_flop_planned_ = n_static_flops_;
@@ -296,22 +399,31 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         }
     }
 
-    buildSchedule();
-    double create_before_spec = sw.elapsed();
-    if (specializes_)
-        specialize();
-
-    accessor_.bind(arena_.get(), boxed_.get(),
-                   [this](int token) { return tokenInArena(token); });
-    accessor_.onPokeChanged([this](int net) {
-        dirty_ = true;
-        if (eventDriven())
-            enqueueReaders(net);
+    // Combinational steps in topological order when available.
+    std::vector<int> comb_order = elab_->combOrder;
+    if (elab_->hasCombCycle) {
+        comb_order.clear();
+        for (size_t i = 0; i < elab_->blocks.size(); ++i) {
+            if (!isTick(elab_->blocks[i].kind))
+                comb_order.push_back(static_cast<int>(i));
+        }
+    }
+    specialize(arena_.get(), 1, [&] {
+        comb_steps_ = batchSteps(comb_order);
+        tick_steps_ = batchSteps(elab_->tickOrder);
     });
+    comb_step_of_block_.assign(elab_->blocks.size(), -1);
+    for (size_t i = 0; i < comb_steps_.size(); ++i) {
+        for (int b : lanes(comb_steps_[i]))
+            comb_step_of_block_[b] = static_cast<int>(i);
+    }
+    if (useBoxed() && specializes_)
+        assignOwnership();
 
     in_worklist_.assign(comb_steps_.size(), 0);
     if (eventDriven()) {
-        // Seed the worklist with every combinational step.
+        // Seed the worklist with every combinational step; ascending
+        // indices already form a min-heap.
         for (size_t i = 0; i < comb_steps_.size(); ++i) {
             worklist_.push_back(static_cast<int>(i));
             in_worklist_[i] = 1;
@@ -330,216 +442,41 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         }
     }
 
-    spec_stats_.simCreateSeconds =
-        create_before_spec +
-        (sw.elapsed() - create_before_spec - spec_stats_.codegenSeconds -
-         spec_stats_.compileSeconds - spec_stats_.wrapSeconds);
-}
-
-SimulationTool::~SimulationTool()
-{
-    for (Signal *sig : elab_->signals) {
-        if (sig->access() == this)
-            sig->setAccess(nullptr);
-    }
-}
-
-SimulationTool::Step
-SimulationTool::makeStep(int idx) const
-{
-    const ElabBlock &blk = elab_->blocks[idx];
-    Step step;
-    step.block = idx;
-    step.reads = &blk.reads;
-    step.writes = &blk.writes;
-    step.sequential = isTick(blk.kind);
-    switch (blk.kind) {
-      case BlockKind::TickFl:
-      case BlockKind::TickCl:
-      case BlockKind::CombLambda:
-        step.kind = Step::Kind::Lambda;
-        break;
-      case BlockKind::TickIr:
-      case BlockKind::CombIr:
-        step.kind = useBoxed() ? Step::Kind::BoxedIr
-                               : Step::Kind::SlotIr;
-        break;
-    }
-    return step;
+    recordCreate(sw.elapsed());
 }
 
 void
-SimulationTool::buildSchedule()
+SimulationTool::assignOwnership()
 {
-    const auto &blocks = elab_->blocks;
-    spec_stats_.numBlocks = static_cast<int>(blocks.size());
-    comb_step_of_block_.assign(blocks.size(), -1);
-
-    // Combinational steps in topological order when available.
-    std::vector<int> comb_order = elab_->combOrder;
-    if (elab_->hasCombCycle) {
-        comb_order.clear();
-        for (size_t i = 0; i < blocks.size(); ++i) {
-            if (!isTick(blocks[i].kind))
-                comb_order.push_back(static_cast<int>(i));
-        }
-    }
-    for (int idx : comb_order) {
-        comb_step_of_block_[idx] = static_cast<int>(comb_steps_.size());
-        comb_steps_.push_back(makeStep(idx));
-    }
-    for (int idx : elab_->tickOrder)
-        tick_steps_.push_back(makeStep(idx));
-}
-
-void
-SimulationTool::specialize()
-{
-    Stopwatch sw;
-    const auto &blocks = elab_->blocks;
-    std::vector<char> can(blocks.size(), 0);
-    for (size_t i = 0; i < blocks.size(); ++i) {
-        if (blocks[i].ir && bcSpecializable(blocks[i], *arena_)) {
-            can[i] = 1;
-            ++spec_stats_.numSpecialized;
-        }
-    }
-
     // Hybrid storage ownership: a token is arena-owned when it has a
     // writer, every writer is specialized, and no unspecialized IR
     // block touches it (lambda blocks and test benches access signals
     // through SignalAccess, which dispatches on ownership; boxed IR
     // evaluation does not).
-    if (useBoxed()) {
-        const size_t ntokens = elab_->nets.size() + elab_->arrays.size();
-        std::vector<char> has_writer(ntokens, 0);
-        std::vector<char> unspec_writer(ntokens, 0);
-        std::vector<char> unspec_ir(ntokens, 0);
-        for (size_t i = 0; i < blocks.size(); ++i) {
-            for (int tok : blocks[i].writes) {
-                has_writer[tok] = 1;
-                if (!can[i])
-                    unspec_writer[tok] = 1;
-            }
-            if (blocks[i].ir && !can[i]) {
-                for (int tok : blocks[i].reads)
-                    unspec_ir[tok] = 1;
-                for (int tok : blocks[i].writes)
-                    unspec_ir[tok] = 1;
-            }
+    const auto &blocks = elab_->blocks;
+    const size_t ntokens = elab_->nets.size() + elab_->arrays.size();
+    std::vector<char> has_writer(ntokens, 0);
+    std::vector<char> unspec_writer(ntokens, 0);
+    std::vector<char> unspec_ir(ntokens, 0);
+    for (size_t i = 0; i < blocks.size(); ++i) {
+        const bool spec = specializedBlock(static_cast<int>(i));
+        for (int tok : blocks[i].writes) {
+            has_writer[tok] = 1;
+            if (!spec)
+                unspec_writer[tok] = 1;
         }
-        token_in_arena_.assign(ntokens, 0);
-        for (size_t tok = 0; tok < ntokens; ++tok) {
-            token_in_arena_[tok] = has_writer[tok] &&
-                                   !unspec_writer[tok] &&
-                                   !unspec_ir[tok];
+        if (blocks[i].ir && !spec) {
+            for (int tok : blocks[i].reads)
+                unspec_ir[tok] = 1;
+            for (int tok : blocks[i].writes)
+                unspec_ir[tok] = 1;
         }
     }
-
-    // Fuse contiguous runs of specializable blocks into groups, the
-    // way SimJIT wraps a whole component subtree: one step, one
-    // marshal boundary, run as batches of one block type each. Fusing
-    // combinational blocks is legal because the comb schedule is a
-    // fixed topological order and running a comb block with unchanged
-    // inputs is idempotent; under event-driven scheduling the fused
-    // group simply becomes the scheduling unit.
-    //
-    // cpp-block deliberately does NOT fuse: every specialized block is
-    // a group, and so a batch, of its own, crossing the C ABI once per
-    // block per phase (the paper's per-component SimJIT granularity
-    // and the baseline cpp-design is measured against).
-    std::vector<std::vector<int>> groups;
-    auto groupSteps = [&](std::vector<Step> &steps) {
-        std::vector<Step> out;
-        size_t i = 0;
-        while (i < steps.size()) {
-            if (!can[steps[i].block]) {
-                out.push_back(steps[i]);
-                ++i;
-                continue;
-            }
-            std::vector<int> group;
-            std::vector<int> reads, writes;
-            size_t j = i;
-            while (j < steps.size() && can[steps[j].block] &&
-                   steps[j].sequential == steps[i].sequential &&
-                   (group.empty() || !native_blocks_)) {
-                group.push_back(steps[j].block);
-                const ElabBlock &blk = blocks[steps[j].block];
-                reads.insert(reads.end(), blk.reads.begin(),
-                             blk.reads.end());
-                writes.insert(writes.end(), blk.writes.begin(),
-                              blk.writes.end());
-                ++j;
-            }
-            std::sort(reads.begin(), reads.end());
-            reads.erase(std::unique(reads.begin(), reads.end()),
-                        reads.end());
-            std::sort(writes.begin(), writes.end());
-            writes.erase(std::unique(writes.begin(), writes.end()),
-                         writes.end());
-
-            Step step;
-            step.kind = Step::Kind::Batches;
-            step.block = steps[i].block;
-            step.group = static_cast<int>(groups.size());
-            step.sequential = steps[i].sequential;
-            groups.push_back(std::move(group));
-            group_reads_.push_back(std::move(reads));
-            group_writes_.push_back(std::move(writes));
-            step.reads = &group_reads_.back();
-            step.writes = &group_writes_.back();
-            out.push_back(step);
-            i = j;
-        }
-        steps = std::move(out);
-    };
-    groupSteps(comb_steps_);
-    groupSteps(tick_steps_);
-
-    // group_reads_/group_writes_ grew by push_back; re-point the steps
-    // now that the vectors' addresses are final.
-    {
-        auto repoint = [&](std::vector<Step> &steps) {
-            for (Step &step : steps) {
-                if (step.group >= 0) {
-                    step.reads = &group_reads_[step.group];
-                    step.writes = &group_writes_[step.group];
-                }
-            }
-        };
-        repoint(comb_steps_);
-        repoint(tick_steps_);
+    token_in_arena_.assign(ntokens, 0);
+    for (size_t tok = 0; tok < ntokens; ++tok) {
+        token_in_arena_[tok] =
+            has_writer[tok] && !unspec_writer[tok] && !unspec_ir[tok];
     }
-
-    // Rebuild the block -> comb step map after fusion: every member
-    // block of a fused group maps to the group's step.
-    comb_step_of_block_.assign(blocks.size(), -1);
-    for (size_t i = 0; i < comb_steps_.size(); ++i) {
-        const Step &step = comb_steps_[i];
-        if (step.group >= 0) {
-            for (int blk : groups[step.group]) {
-                if (!isTick(blocks[blk].kind))
-                    comb_step_of_block_[blk] = static_cast<int>(i);
-            }
-        } else {
-            comb_step_of_block_[step.block] = static_cast<int>(i);
-        }
-    }
-
-    // Each group runs as batches of one block type, ordered by the
-    // hazards of running the group's members in schedule order.
-    const std::vector<int> type = buildModule(can, *arena_);
-    group_batch_begin_.assign(1, 0);
-    for (const auto &group : groups) {
-        for (const auto &lanes : hazardBatches(*elab_, group, type))
-            bc_batches_.push_back(bc_.batch(lanes));
-        group_batch_begin_.push_back(bc_batches_.size());
-    }
-    bc_frame_.assign(bc_.frameWords(), 0);
-    spec_stats_.codegenSeconds = sw.elapsed();
-    if (native_blocks_ || designMode())
-        buildNative();
 }
 
 std::vector<std::vector<int>>
@@ -693,6 +630,7 @@ LayoutStats
 SimulationTool::layoutStats() const
 {
     LayoutStats s;
+    s.slot_bound_signals = slotBoundSignals();
     s.dynamic_flops =
         static_cast<int>(flopped_nets_.size() - n_static_flops_);
     s.dynamic_flop_ranges = s.dynamic_flops; // per-net flop loop
@@ -702,10 +640,6 @@ SimulationTool::layoutStats() const
     s.flop_memcpy_ranges = static_cast<int>(flop_plan_.size());
     if (flopsByRange())
         s.dynamic_flop_ranges = static_cast<int>(dynamicFlopPlan().size());
-    for (const Signal *sig : elab_->signals) {
-        if (sig->slotBound() && sig->access() == this)
-            ++s.slot_bound_signals;
-    }
     return s;
 }
 
@@ -726,6 +660,8 @@ SimulationTool::enqueueReaders(int net)
         if (step >= 0 && !in_worklist_[step]) {
             in_worklist_[step] = 1;
             worklist_.push_back(step);
+            std::push_heap(worklist_.begin(), worklist_.end(),
+                           std::greater<>());
         }
     }
 }
@@ -757,242 +693,164 @@ SimulationTool::copyArrayToBoxed(int token)
 void
 SimulationTool::syncIn(const Step &step)
 {
-    // Marshal boundary state into the arena before a specialized
-    // group runs (the Python -> C++ call boundary). Arena-owned
-    // tokens never cross: the compiled component keeps them.
-    for (int net : *step.reads) {
-        if (tokenInArena(net))
-            continue;
-        if (isArrayToken(net))
-            copyArrayToArena(net);
-        else
-            arena_->write(net, boxed_->read(net));
-    }
-    for (int net : *step.writes) {
-        if (tokenInArena(net))
-            continue;
-        if (isArrayToken(net)) {
-            copyArrayToArena(net);
-        } else if (step.sequential) {
-            arena_->writeNext(net, boxed_->readNext(net));
-        } else {
-            arena_->write(net, boxed_->read(net));
+    // Marshal each lane's boundary state into the arena before a
+    // batch runs (the Python -> C++ call boundary). Arena-owned tokens
+    // never cross: the compiled component keeps them.
+    for (int b : lanes(step)) {
+        const ElabBlock &blk = elab_->blocks[b];
+        for (int net : blk.reads) {
+            if (tokenInArena(net))
+                continue;
+            if (isArrayToken(net))
+                copyArrayToArena(net);
+            else
+                arena_->write(net, boxed_->read(net));
+        }
+        for (int net : blk.writes) {
+            if (tokenInArena(net))
+                continue;
+            if (isArrayToken(net)) {
+                copyArrayToArena(net);
+            } else if (isTick(blk.kind)) {
+                arena_->writeNext(net, boxed_->readNext(net));
+            } else {
+                arena_->write(net, boxed_->read(net));
+            }
         }
     }
 }
 
 void
-SimulationTool::syncOut(const Step &step, std::vector<int> *changed)
+SimulationTool::syncOut(const Step &step)
 {
-    // Marshal boundary results back (the C++ -> Python return
-    // boundary); arena-owned writes stay put (their change detection
-    // runs against the pre-run snapshot, see diffWrites).
-    for (int net : *step.writes) {
-        if (tokenInArena(net))
-            continue;
-        if (isArrayToken(net)) {
-            copyArrayToBoxed(net);
-        } else if (step.sequential) {
-            boxed_->writeNext(net, arena_->readNext(net));
-        } else {
-            if (boxed_->write(net, arena_->read(net)) && changed)
-                changed->push_back(net);
+    // Marshal each lane's boundary results back (the C++ -> Python
+    // return boundary); arena-owned writes stay put.
+    for (int b : lanes(step)) {
+        const ElabBlock &blk = elab_->blocks[b];
+        for (int net : blk.writes) {
+            if (tokenInArena(net))
+                continue;
+            if (isArrayToken(net)) {
+                copyArrayToBoxed(net);
+            } else if (isTick(blk.kind)) {
+                boxed_->writeNext(net, arena_->readNext(net));
+            } else {
+                boxed_->write(net, arena_->read(net));
+            }
         }
     }
+}
+
+Bits
+SimulationTool::stepValue(const Step &step, int net) const
+{
+    return step.batch >= 0 ? arena_->read(net) : readNet(net);
 }
 
 void
 SimulationTool::snapshotWrites(const Step &step)
 {
     write_snapshot_.clear();
-    for (int net : *step.writes) {
-        if (!tokenInArena(net) || isArrayToken(net))
-            continue;
-        const uint64_t *words = arena_->data() + arena_->offset(net);
-        for (int w = 0; w < arena_->nwords(net); ++w)
-            write_snapshot_.push_back(words[w]);
+    for (int b : lanes(step)) {
+        for (int net : elab_->blocks[b].writes) {
+            if (!isArrayToken(net))
+                write_snapshot_.push_back(stepValue(step, net));
+        }
     }
 }
 
 void
-SimulationTool::diffWrites(const Step &step, std::vector<int> *changed)
+SimulationTool::wakeChangedWrites(const Step &step)
 {
     size_t at = 0;
-    for (int net : *step.writes) {
-        if (!tokenInArena(net) || isArrayToken(net))
-            continue;
-        const uint64_t *words = arena_->data() + arena_->offset(net);
-        bool differs = false;
-        for (int w = 0; w < arena_->nwords(net); ++w)
-            differs |= words[w] != write_snapshot_[at++];
-        if (differs)
-            changed->push_back(net);
+    for (int b : lanes(step)) {
+        for (int net : elab_->blocks[b].writes) {
+            if (!isArrayToken(net) &&
+                stepValue(step, net) != write_snapshot_[at++])
+                enqueueReaders(net);
+        }
     }
 }
 
 void
-SimulationTool::runStep(const Step &step, std::vector<int> *changed)
+SimulationTool::runStep(const Step &step, bool wake)
 {
-    if (ScopeProbe *p = probe_) {
-        // A fused group runs many blocks in one step; timing the step
-        // as a whole would credit the entire group to one block id and
-        // starve every other member of heat (SimScope's rankings read
-        // per-block heat). Time each batch instead, and credit its
-        // lanes evenly.
-        if (step.kind == Step::Kind::Batches && !changed && !useBoxed()) {
-            for (size_t i = group_batch_begin_[step.group];
-                 i < group_batch_begin_[step.group + 1]; ++i)
-                runBatch(i, arena_->data(), bc_frame_.data());
-            return;
-        }
-        if (p->shouldTime(step.block)) {
-            Stopwatch sw;
-            runStepImpl(step, changed);
-            p->addBlockTime(step.block, sw.elapsed());
-            return;
-        }
+    // Batches run on the arena. A boxed host marshals around them, so
+    // from syncIn to syncOut the arena holds every net they write.
+    const ElabBlock &blk = elab_->blocks[step.block];
+    const bool batch = step.batch >= 0;
+    const bool marshal = batch && useBoxed();
+    // A lambda's writes route through the SignalAccess interface,
+    // which marks dirt and wakes readers itself.
+    wake = wake && blk.ir;
+    if (marshal)
+        syncIn(step);
+    if (wake)
+        snapshotWrites(step);
+    if (batch) {
+        runBatch(step.batch, arena_->data(), frame(0));
+    } else {
+        runTimed(step.block, [&] {
+            if (!blk.ir)
+                blk.fn();
+            else if (boxed_eval_)
+                boxed_eval_->run(blk);
+            else
+                slot_eval_->run(blk);
+        });
     }
-    runStepImpl(step, changed);
-}
-
-void
-SimulationTool::runStepImpl(const Step &step, std::vector<int> *changed)
-{
-    const bool hybrid = useBoxed() && arena_ != nullptr;
-    switch (step.kind) {
-      case Step::Kind::Lambda:
-        // Writes route through the SignalAccess interface, which
-        // performs change detection and reader scheduling itself.
-        elab_->blocks[step.block].fn();
-        break;
-      case Step::Kind::BoxedIr:
-        boxed_eval_->run(elab_->blocks[step.block], changed);
-        break;
-      case Step::Kind::SlotIr:
-        slot_eval_->run(elab_->blocks[step.block], changed);
-        break;
-      case Step::Kind::Batches: {
-        if (hybrid)
-            syncIn(step);
-        bool track = changed && !step.sequential;
-        if (track)
-            snapshotWrites(step);
-        for (size_t i = group_batch_begin_[step.group];
-             i < group_batch_begin_[step.group + 1]; ++i)
-            execBatch(i, arena_->data(), bc_frame_.data());
-        if (track)
-            diffWrites(step, changed);
-        if (hybrid)
-            syncOut(step, changed);
-        break;
-      }
-    }
+    if (wake)
+        wakeChangedWrites(step);
+    if (marshal)
+        syncOut(step);
 }
 
 void
 SimulationTool::settle()
 {
-    if (eventDriven()) {
-        std::vector<int> changed;
-        size_t head = 0;
-        size_t iterations = 0;
-        const size_t limit = (elab_->blocks.size() + 1) * 10000;
-        while (head < worklist_.size()) {
-            int step = worklist_[head++];
-            in_worklist_[step] = 0;
-            changed.clear();
-            runStep(comb_steps_[step], &changed);
-            for (int net : changed)
-                enqueueReaders(net);
-            if (++iterations > limit) {
-                throw std::runtime_error(
-                    "combinational logic failed to converge "
-                    "(oscillating cycle?)");
-            }
-        }
-        worklist_.clear();
-    } else {
+    if (!eventDriven()) {
         for (const Step &step : comb_steps_)
-            runStep(step, nullptr);
-    }
-    dirty_ = false;
-}
-
-void
-SimulationTool::cycle()
-{
-    maybeSwapTier();
-    if (probe_) {
-        cycleProfiled();
-    } else {
-        if (eventDriven() || dirty_)
-            settle();
-        for (const Step &step : tick_steps_)
-            runStep(step, nullptr);
-        std::vector<int> changed;
-        doFlop(eventDriven() ? &changed : nullptr);
-        if (eventDriven()) {
-            for (int token : tick_array_tokens_)
-                enqueueReaders(token);
-        }
-        settle();
-    }
-    uint64_t now = ncycles_.fetch_add(1, std::memory_order_relaxed) + 1;
-    for (const auto &hook : cycle_hooks_)
-        hook(now);
-}
-
-void
-SimulationTool::cycleProfiled()
-{
-    ScopeProbe *p = probe_;
-    Stopwatch sw;
-    if (eventDriven() || dirty_)
-        settle();
-    p->settle_seconds += sw.elapsed();
-
-    sw.restart();
-    for (const Step &step : tick_steps_)
-        runStep(step, nullptr);
-    p->tick_seconds += sw.elapsed();
-
-    sw.restart();
-    std::vector<int> changed;
-    doFlop(eventDriven() ? &changed : nullptr);
-    if (eventDriven()) {
-        for (int token : tick_array_tokens_)
-            enqueueReaders(token);
-    }
-    p->flop_seconds += sw.elapsed();
-
-    sw.restart();
-    settle();
-    p->settle_seconds += sw.elapsed();
-}
-
-void
-SimulationTool::eval()
-{
-    maybeSwapTier();
-    if (ScopeProbe *p = probe_) {
-        Stopwatch sw;
-        settle();
-        p->settle_seconds += sw.elapsed();
+            runStep(step);
         return;
     }
-    settle();
+    // An IR step wakes the readers of each net it wrote whose value
+    // after the step differs from its value before it. So a block that
+    // re-reads its own earlier write (a default, then a field
+    // override) does not wake itself over its intermediate value. The
+    // worklist is a min-heap of step indices: pending steps run in
+    // schedule order, so on an acyclic design a settle runs each step
+    // at most once.
+    size_t iterations = 0;
+    const size_t limit = (elab_->blocks.size() + 1) * 10000;
+    while (!worklist_.empty()) {
+        std::pop_heap(worklist_.begin(), worklist_.end(), std::greater<>());
+        const int idx = worklist_.back();
+        worklist_.pop_back();
+        in_worklist_[idx] = 0;
+        runStep(comb_steps_[idx], true);
+        if (++iterations > limit) {
+            throw std::runtime_error(
+                "combinational logic failed to converge "
+                "(oscillating cycle?)");
+        }
+    }
+}
+
+void
+SimulationTool::tick()
+{
+    for (const Step &step : tick_steps_)
+        runStep(step);
 }
 
 std::vector<FlopRange>
 SimulationTool::dynamicFlopPlan() const
 {
-    return arena_->flopPlan(std::vector<int>(
-        flopped_nets_.begin() + static_cast<long>(n_static_flops_),
-        flopped_nets_.end()));
+    return arena_->flopPlan(dynamicFlopNets());
 }
 
 void
-SimulationTool::doFlop(std::vector<int> *changed)
+SimulationTool::flop()
 {
     if (flopsByRange()) {
         // No per-net change notification needed: copy the static flop
@@ -1009,8 +867,12 @@ SimulationTool::doFlop(std::vector<int> *changed)
     for (int net : flopped_nets_) {
         bool ch = tokenInArena(net) ? arena_->flop(net)
                                     : boxed_->flop(net);
-        if (ch && changed)
+        if (ch && eventDriven())
             enqueueReaders(net);
+    }
+    if (eventDriven()) {
+        for (int token : tick_array_tokens_)
+            enqueueReaders(token);
     }
 }
 
@@ -1046,32 +908,20 @@ SimulationTool::writeArray(MemArray &array, uint64_t index,
 Bits
 SimulationTool::read(const Signal &sig) const
 {
-    int net = sig.netId();
-    return tokenInArena(net) ? arena_->read(net) : boxed_->read(net);
+    return readNet(sig.netId());
 }
 
 void
 SimulationTool::write(Signal &sig, const Bits &value)
 {
-    int net = sig.netId();
-    bool ch = tokenInArena(net) ? arena_->write(net, value)
-                                : boxed_->write(net, value);
-    if (ch) {
-        dirty_ = true;
-        if (eventDriven())
-            enqueueReaders(net);
-    }
+    pokeNet(sig.netId(), value);
 }
 
 void
 SimulationTool::writeNext(Signal &sig, const Bits &value)
 {
-    int net = sig.netId();
-    markFlopped(net);
-    if (tokenInArena(net))
-        arena_->writeNext(net, value);
-    else
-        boxed_->writeNext(net, value);
+    markFlopped(sig.netId());
+    pokeNetNext(sig.netId(), value);
     // The net is flopped now, so the signal's later non-blocking
     // writes may store its next-phase word directly.
     if (sig.slotBound() && sig.access() == this)
@@ -1083,25 +933,35 @@ SimulationTool::writeNext(Signal &sig, const Bits &value)
 Bits
 SimulationTool::readNetNext(int net) const
 {
-    return accessor_.readNetNext(net);
+    return tokenInArena(net) ? arena_->readNext(net) : boxed_->readNext(net);
 }
 
 void
 SimulationTool::pokeNet(int net, const Bits &value)
 {
-    accessor_.pokeNet(net, value);
+    const bool ch = tokenInArena(net) ? arena_->write(net, value)
+                                      : boxed_->write(net, value);
+    if (ch) {
+        dirty_ = true;
+        if (eventDriven())
+            enqueueReaders(net);
+    }
 }
 
 void
 SimulationTool::pokeNetNext(int net, const Bits &value)
 {
-    accessor_.pokeNetNext(net, value);
+    if (tokenInArena(net))
+        arena_->writeNext(net, value);
+    else
+        boxed_->writeNext(net, value);
 }
 
 std::vector<int>
 SimulationTool::dynamicFlopNets() const
 {
-    return NetAccessor::dynamicFlops(*elab_, flopped_nets_);
+    return {flopped_nets_.begin() + static_cast<long>(n_static_flops_),
+            flopped_nets_.end()};
 }
 
 void

@@ -34,6 +34,12 @@
  * values), flops next->current for registered nets, then settles
  * again. Blocking writes from test benches are visible after the next
  * settle/cycle/eval call.
+ *
+ * The two kernels (SimulationTool below, ParSimulationTool in psim.h)
+ * differ only in storage and in how they execute a schedule. Simulator
+ * owns the rest: the cycle loop and its phase timing, the signal
+ * lifecycle, the specializer and the one rule that turns a block
+ * sequence into batch steps (batchSteps).
  */
 
 #ifndef CMTL_CORE_SIM_H
@@ -49,13 +55,13 @@
 #include <thread>
 #include <vector>
 
-#include "accessor.h"
 #include "ir_bytecode.h"
 #include "ir_cpp.h"
 #include "ir_eval.h"
 #include "jit_cpp.h"
 #include "model.h"
 #include "store.h"
+#include "timing.h"
 
 namespace cmtl {
 
@@ -190,7 +196,9 @@ struct ScopeProbe
     std::vector<uint64_t> block_calls;
     std::vector<uint32_t> until_sample;
 
-    // Sequential-kernel phase totals.
+    // Phase totals, timed around each kernel phase by Simulator::cycle
+    // (on ParSim, the coordinator's wall time; SimScope reports the
+    // per-island breakdown there instead).
     double settle_seconds = 0.0;
     double tick_seconds = 0.0;
     double flop_seconds = 0.0;
@@ -280,21 +288,24 @@ struct SpecStats
  * benches drive either one interchangeably. A simulator doubles as the
  * SignalAccess backend: test benches and lambda blocks transparently
  * read and write through the active storage strategy. One simulator
- * may be live per elaboration at a time.
+ * may be live per elaboration at a time: the constructor attaches
+ * every signal and the destructor detaches them, also when a kernel's
+ * constructor throws.
  */
 class Simulator : public SignalAccess
 {
   public:
     Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg);
-    /** Joins a background compile that is still running. */
+    /** Detaches the signals and joins a background compile that is
+     *  still running. */
     ~Simulator() override;
 
     /** Advance one clock cycle. */
-    virtual void cycle() = 0;
+    void cycle();
     /** Advance @p n clock cycles. */
     void cycle(uint64_t n);
     /** Propagate combinational logic only (no clock edge). */
-    virtual void eval() = 0;
+    void eval();
     /** Assert the implicit reset for @p ncycles cycles. */
     void reset(int ncycles = 1);
 
@@ -398,7 +409,8 @@ class Simulator : public SignalAccess
     /**
      * Arena observability: words per phase and the number of
      * whole-word copy ranges in the kernel's flop plan. Zero on
-     * storage without an arena (pure interp).
+     * storage without an arena (pure interp), but for the slot-bound
+     * signal count.
      */
     virtual LayoutStats layoutStats() const { return LayoutStats{}; }
 
@@ -435,14 +447,56 @@ class Simulator : public SignalAccess
     }
 
   protected:
+    /** One scheduled unit of a kernel: a lone block, or a batch. */
+    struct Step
+    {
+        int block = -1; //!< the block, or the batch's first lane
+        int batch = -1; //!< bc_batches_ index; -1 for a lone block
+    };
+
+    // The kernel's phases; cycle() and eval() run them.
+    virtual void settle() = 0;
+    virtual void tick() = 0;
+    virtual void flop() = 0;
+
     bool designMode() const { return cfg_.backend == Backend::CppDesign; }
+
     /**
-     * The one path from a kernel to CppJit: emit bc_'s kernels, build
-     * each batch's row and constant tables, and compile the kernels
-     * into cpp_lib_. A tiered cpp-design build compiles on a
-     * background thread and maybeSwapTier() adopts the library later.
+     * Specialize and schedule. Builds bc_ over the blocks @p store can
+     * run specialized, in ElabBlock order, so both kernels build one
+     * module, and so one TU, for a design; runs @p schedule, which
+     * turns the kernel's block sequences into steps with batchSteps;
+     * allocates @p nframes bytecode frames; and builds the native tier
+     * where the backend has one. Without specialization it only runs
+     * @p schedule (and @p store may be null).
      */
-    void buildNative();
+    void specialize(const ArenaStore *store, int nframes,
+                    const std::function<void()> &schedule);
+    /** Block @p b runs specialized (bytecode or a native kernel). */
+    bool
+    specializedBlock(int b) const
+    {
+        return !type_.empty() && type_[b] >= 0;
+    }
+    /**
+     * Steps that run the blocks of @p seq, the one schedule rule of
+     * both kernels: an unspecialized block is a step of its own, and
+     * specialized blocks become batches of one type, one block each on
+     * cpp-block (one C-ABI call per block) and hazardBatches elsewhere.
+     * Appends the batches to bc_batches_.
+     */
+    std::vector<Step> batchSteps(const std::vector<int> &seq);
+    /** The blocks @p step runs. */
+    std::span<const int>
+    lanes(const Step &step) const
+    {
+        if (step.batch >= 0)
+            return bc_batches_[step.batch].blocks;
+        return {&step.block, 1};
+    }
+    /** Bytecode frame @p i (one per thread that runs batches). */
+    uint64_t *frame(int i) { return bc_frames_[i].data(); }
+
     /** At a cycle boundary: adopt a finished background compile, or
      *  rethrow its failure once (the warm-up tier stays active). */
     void maybeSwapTier();
@@ -453,25 +507,25 @@ class Simulator : public SignalAccess
      * batch and credits its lanes evenly.
      */
     void runBatch(size_t i, uint64_t *words, uint64_t *frame);
-    /** runBatch without the probe. */
+    /** Run @p run as block @p block, timed when the probe asks. */
+    template <class F>
     void
-    execBatch(size_t i, uint64_t *words, uint64_t *frame)
+    runTimed(int block, F &&run)
     {
-        if (native_) {
-            const CppBatch &c = cpp_batches_[i];
-            cpp_lib_.kernel(c.kernel)(words, c.rows.data(), c.consts.data(),
-                                      c.n);
-        } else {
-            bcRunBatch(bc_batches_[i], words, frame);
+        if (ScopeProbe *p = probe_; p && p->shouldTime(block)) {
+            Stopwatch sw;
+            run();
+            p->addBlockTime(block, sw.elapsed());
+            return;
         }
+        run();
     }
-    /**
-     * Build bc_ over the blocks where @p can is set, in ElabBlock
-     * order, so both kernels build one module, and so one TU, for a
-     * design. Returns each block's program, or -1 where @p can is 0.
-     */
-    std::vector<int> buildModule(const std::vector<char> &can,
-                                 const ArenaStore &store);
+
+    /** Record the constructor's @p seconds, less the specializer's,
+     *  as SpecStats::simCreateSeconds. */
+    void recordCreate(double seconds);
+    /** Signals bound to an arena word of this simulator. */
+    int slotBoundSignals() const;
 
     std::shared_ptr<Elaboration> elab_;
     SimConfig cfg_;
@@ -490,14 +544,38 @@ class Simulator : public SignalAccess
     std::atomic<bool> pause_requested_{false};
     std::vector<std::function<void(uint64_t)>> cycle_hooks_;
     ScopeProbe *probe_ = nullptr;
-    CppJitLibrary cpp_lib_; //!< the adopted library, once native_
-    BcModule bc_; //!< one program per block type
-    std::vector<BcBatch> bc_batches_; //!< the schedule's batches
-    std::vector<CppBatch> cpp_batches_; //!< their kernel calls
-    bool native_ = false; //!< batches run as kernel calls
+    /** An external write is pending: the next cycle settles first. */
+    bool dirty_ = true;
 
   private:
+    /**
+     * The one path from a kernel to CppJit: emit bc_'s kernels, build
+     * each batch's row and constant tables, and compile the kernels
+     * into cpp_lib_. A tiered cpp-design build compiles on a
+     * background thread and maybeSwapTier() adopts the library later.
+     */
+    void buildNative();
     void adoptLibrary(CppJitLibrary lib);
+    /** runBatch without the probe. */
+    void
+    execBatch(size_t i, uint64_t *words, uint64_t *frame)
+    {
+        if (native_) {
+            const CppBatch &c = cpp_batches_[i];
+            cpp_lib_.kernel(c.kernel)(words, c.rows.data(), c.consts.data(),
+                                      c.n);
+        } else {
+            bcRunBatch(bc_batches_[i], words, frame);
+        }
+    }
+
+    CppJitLibrary cpp_lib_; //!< the adopted library, once native_
+    BcModule bc_; //!< one program per block type
+    std::vector<int> type_; //!< each block's program, or -1
+    std::vector<BcBatch> bc_batches_; //!< the schedule's batches
+    std::vector<CppBatch> cpp_batches_; //!< their kernel calls
+    std::vector<std::vector<uint64_t>> bc_frames_;
+    bool native_ = false; //!< batches run as kernel calls
 
     // The background compile touches only these and its own copy of
     // the source, so ~Simulator can join it after the kernel is gone.
@@ -540,18 +618,19 @@ std::vector<std::vector<int>> hazardBatches(const Elaboration &elab,
                                             const std::vector<int> &type);
 
 /**
- * The sequential simulator generator (the paper's kernel).
+ * The sequential simulator generator (the paper's kernel). Its
+ * schedule is the comb order and the tick order as steps (batchSteps);
+ * under event-driven scheduling each comb step is a unit of the
+ * worklist. Storage is the arena, the boxed store, or both on the
+ * hybrid hosts, where a batch marshals its lanes' boundary tokens in
+ * and out (the CFFI call boundary) and tokens that only specialized
+ * blocks write stay in the arena.
  */
 class SimulationTool : public Simulator
 {
   public:
     explicit SimulationTool(std::shared_ptr<Elaboration> elab,
                             SimConfig cfg = SimConfig{});
-    ~SimulationTool() override;
-
-    using Simulator::cycle;
-    void cycle() override;
-    void eval() override;
 
     Bits readNet(int net) const override;
     Bits readArray(const MemArray &array, uint64_t index) const override;
@@ -572,31 +651,21 @@ class SimulationTool : public Simulator
     void writeNext(Signal &sig, const Bits &value) override;
 
   private:
-    struct Step
-    {
-        enum class Kind { Lambda, BoxedIr, SlotIr, Batches };
-        Kind kind;
-        int block = -1; //!< ElabBlock index (Lambda/Ir)
-        int group = -1; //!< specialization group index (Batches)
-        /** Nets to marshal for hybrid boxed+specialized execution. */
-        const std::vector<int> *reads = nullptr;
-        const std::vector<int> *writes = nullptr;
-        bool sequential = false;
-    };
-
     bool useBoxed() const { return boxed_host_; }
     bool eventDriven() const { return event_driven_; }
 
-    Step makeStep(int idx) const;
-    void buildSchedule();
-    void specialize();
-    void runStep(const Step &step, std::vector<int> *changed);
-    void runStepImpl(const Step &step, std::vector<int> *changed);
-    void cycleProfiled();
+    void settle() override;
+    void tick() override;
+    void flop() override;
+    void assignOwnership();
+    /** Run @p step; with @p wake, an IR step wakes the readers of the
+     *  nets whose value it changed. */
+    void runStep(const Step &step, bool wake = false);
     void syncIn(const Step &step);
-    void syncOut(const Step &step, std::vector<int> *changed);
+    void syncOut(const Step &step);
+    Bits stepValue(const Step &step, int net) const;
     void snapshotWrites(const Step &step);
-    void diffWrites(const Step &step, std::vector<int> *changed);
+    void wakeChangedWrites(const Step &step);
     bool isArrayToken(int token) const;
     void copyArrayToArena(int token);
     void copyArrayToBoxed(int token);
@@ -604,7 +673,7 @@ class SimulationTool : public Simulator
      * Hybrid (boxed exec + specialization) storage dispatch: tokens
      * whose every writer is specialized live permanently in the
      * arena — the state a SimJIT-compiled component owns internally —
-     * and only boundary tokens are marshalled at group entry/exit.
+     * and only boundary tokens are marshalled around a batch.
      */
     bool tokenInArena(int token) const
     {
@@ -612,8 +681,6 @@ class SimulationTool : public Simulator
                (token < static_cast<int>(token_in_arena_.size()) &&
                 token_in_arena_[token]);
     }
-    void settle();
-    void settleEvent(std::vector<int> &seed);
     void enqueueReaders(int net);
     void markFlopped(int net);
     /** True when the flop phase copies whole-word ranges with no
@@ -621,14 +688,11 @@ class SimulationTool : public Simulator
     bool flopsByRange() const { return !useBoxed() && !eventDriven(); }
     /** Copy ranges of the dynamically registered flops. */
     std::vector<FlopRange> dynamicFlopPlan() const;
-    void doFlop(std::vector<int> *changed);
 
     std::unique_ptr<BoxedStore> boxed_;
     std::unique_ptr<ArenaStore> arena_;
     std::unique_ptr<BoxedEvaluator> boxed_eval_;
     std::unique_ptr<SlotEvaluator> slot_eval_;
-    /** Snap/poke hooks delegate here (accessor.h). */
-    NetAccessor accessor_;
 
     bool event_driven_ = false;
     std::vector<Step> comb_steps_; //!< static order (or event pool)
@@ -636,32 +700,23 @@ class SimulationTool : public Simulator
     std::vector<int> comb_step_of_block_; //!< block idx -> comb step idx
     size_t n_static_flops_ = 0;
 
-    /** Static-flop copy plan for the arena (doFlop fast path). */
+    /** Static-flop copy plan for the arena (flop() fast path). */
     std::vector<FlopRange> flop_plan_;
     /** Copy plan of the dynamic tail of flopped_nets_, and the
      *  flopped_nets_ size it was built for (rebuilt when it grows). */
     std::vector<FlopRange> dyn_flop_plan_;
     size_t dyn_flop_planned_ = 0;
 
-    std::vector<uint64_t> bc_frame_; //!< bcRunBatch's frame
-    /** Specialization group g runs bc_batches_[group_batch_begin_[g]
-     *  .. group_batch_begin_[g + 1]). */
-    std::vector<size_t> group_batch_begin_;
-    /** Per specialization group: marshal sets. */
-    std::vector<std::vector<int>> group_reads_;
-    std::vector<std::vector<int>> group_writes_;
-
     std::vector<int> flopped_nets_;
     std::vector<char> is_flopped_;
     std::vector<int> tick_array_tokens_; //!< arrays written at ticks
     std::vector<char> token_in_arena_;   //!< hybrid-mode ownership
-    std::vector<uint64_t> write_snapshot_; //!< event change detection
+    /** A comb step's written nets before it ran (event-driven). */
+    std::vector<Bits> write_snapshot_;
 
-    // Event-driven worklist state.
+    // Event-driven worklist: a min-heap of pending comb step indices.
     std::vector<int> worklist_;
     std::vector<char> in_worklist_;
-
-    bool dirty_ = true;
 };
 
 } // namespace cmtl

@@ -627,21 +627,7 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
         std::vector<Signal *> pool = combPool(sh.combs[i].level);
         ExprPool reuse;
 
-        if (w >= 4 && rng.chance(25)) {
-            // Build the whole value from width-covering slice assigns
-            // (the test_sim idiom). Never mixed with a full assign:
-            // the slice-assign's implicit read-modify-write would put
-            // `out` in the block's own read set while the overwritten
-            // intermediate commit re-triggers change detection — a
-            // self-loop the event-driven scheduler cannot settle.
-            int k = rng.irange(1, w - 1);
-            b.assignSlice(out, 0, k,
-                          fit(genExpr(rng, pool, arrs, k, 2, reuse), k));
-            b.assignSlice(out, k, w - k,
-                          fit(genExpr(rng, pool, arrs, w - k, 2, reuse),
-                              w - k));
-            continue;
-        }
+        const bool field = w >= 4 && rng.chance(25);
         IrExpr main = genExpr(rng, pool, arrs, w, 3, reuse);
         IrExpr t;
         if (rng.chance(40)) {
@@ -652,6 +638,14 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
             reuse.push_back(main);
         }
         b.assign(out, fit(main, w));
+        if (field) {
+            // A field override after the default value: the slice
+            // assign re-reads `out` after the block's own full write.
+            int k = rng.irange(1, w - 1);
+            int n = rng.irange(1, w - k);
+            b.assignSlice(out, k, n,
+                          fit(genExpr(rng, pool, arrs, n, 2, reuse), n));
+        }
         if (rng.chance(40)) {
             // Conditional override after the full default assignment —
             // exercises if_ without inferring a latch.

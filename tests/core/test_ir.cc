@@ -756,10 +756,13 @@ TEST(BcFrame, DivergentBranchStoresOnOneSide)
 TEST(BcFrame, MeshBatchesAreAntichains)
 {
     // No lane of a batch may read or write a token that another lane
-    // of the batch writes, on either kernel.
-    for (int threads : {1, 2}) {
+    // of the batch writes, on either kernel or a boxed host.
+    for (auto [backend, threads] :
+         {std::pair<const char *, int>{"bytecode", 1},
+          {"bytecode", 2},
+          {"interp+bytecode", 1}}) {
         net::MeshTrafficTop top("top", net::NetLevel::RTL, 256, 4, 0.30, 1);
-        SimConfig cfg = SimConfig::fromString("bytecode");
+        SimConfig cfg = SimConfig::fromString(backend);
         cfg.threads = threads;
         auto sim = makeSimulator(top.elaborate(), cfg);
         const auto &blocks = sim->elaboration().blocks;
@@ -780,10 +783,14 @@ TEST(BcFrame, MeshBatchesAreAntichains)
                 }
             }
         }
-        EXPECT_EQ(conflicts, 0) << "threads " << threads;
+        EXPECT_EQ(conflicts, 0) << backend << " threads " << threads;
         EXPECT_EQ(seen.size(),
                   static_cast<size_t>(sim->specStats().numSpecialized))
-            << "threads " << threads;
+            << backend << " threads " << threads;
+        // Sequentially, the 16x16 mesh runs 6 batches a cycle.
+        if (threads == 1) {
+            EXPECT_EQ(sim->bytecodeBatches().size(), 6u) << backend;
+        }
     }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <filesystem>
+#include <fstream>
+
+#include <unistd.h>
 
 #include "core/psim.h"
 #include "core/sim.h"
@@ -262,28 +266,81 @@ TEST(SimEquivalence, AllModesProduceIdenticalTraces)
         EXPECT_EQ(run(modes[i]), golden) << modeName(modes[i]);
 }
 
+/**
+ * A default value, then a field override: out = a; out[4:8] = f. The
+ * slice assign re-reads `out` after the block's own full write.
+ */
+class SliceOverride : public Model
+{
+  public:
+    InPort a, f;
+    OutPort out;
+
+    SliceOverride()
+        : Model(nullptr, "top"), a(this, "a", 16), f(this, "f", 4),
+          out(this, "out", 16)
+    {
+        auto &b = combinational("comb");
+        b.assign(out, rd(a));
+        b.assignSlice(out, 4, 4, rd(f));
+    }
+};
+
 TEST(SimEquivalence, EventAndStaticSchedulesAgree)
 {
-    for (Backend backend : {Backend::Interp, Backend::OptInterp}) {
-        std::vector<uint64_t> traces[2];
-        int t = 0;
-        for (SchedMode sched : {SchedMode::Event, SchedMode::Static}) {
-            auto top = std::make_unique<Counter>(nullptr, "top", 8);
-            auto elab = top->elaborate();
-            SimConfig cfg;
-            cfg.backend = backend;
-            cfg.sched = sched;
-            SimulationTool sim(elab, cfg);
-            top->en.setValue(uint64_t(1));
-            for (int i = 0; i < 20; ++i) {
-                if (i == 10)
-                    top->en.setValue(uint64_t(0));
-                sim.cycle();
-                traces[t].push_back(top->count.u64());
-            }
-            ++t;
+    auto counterTrace = [](const SimConfig &cfg) {
+        Counter top(nullptr, "top", 8);
+        SimulationTool sim(top.elaborate(), cfg);
+        top.en.setValue(uint64_t(1));
+        std::vector<uint64_t> trace;
+        for (int i = 0; i < 20; ++i) {
+            if (i == 10)
+                top.en.setValue(uint64_t(0));
+            sim.cycle();
+            trace.push_back(top.count.u64());
         }
-        EXPECT_EQ(traces[0], traces[1]);
+        return trace;
+    };
+    auto sliceTrace = [](const SimConfig &cfg) {
+        SliceOverride top;
+        SimulationTool sim(top.elaborate(), cfg);
+        std::vector<uint64_t> trace;
+        for (auto [a, f] : {std::pair<uint64_t, uint64_t>{0x1234, 0xa},
+                            {0x1234, 0x3},
+                            {0xffff, 0x0}}) {
+            top.a.setValue(a);
+            top.f.setValue(f);
+            sim.eval();
+            trace.push_back(top.out.u64());
+        }
+        EXPECT_EQ(trace.front(), 0x12a4u) << cfg;
+        return trace;
+    };
+
+    // Every backend under both schedules (cpp-design runs only the
+    // static one) traces each design identically.
+    for (auto trace : {+counterTrace, +sliceTrace}) {
+        std::vector<uint64_t> golden;
+        for (const BackendName &row : backendNames()) {
+            const bool native = nativeBlocks(row.backend) ||
+                                row.backend == Backend::CppDesign;
+            if (native && !CppJit::compilerAvailable())
+                continue;
+            for (SchedMode sched : {SchedMode::Event, SchedMode::Static}) {
+                if (row.backend == Backend::CppDesign &&
+                    sched == SchedMode::Event)
+                    continue;
+                SimConfig cfg;
+                cfg.backend = row.backend;
+                cfg.sched = sched;
+                std::vector<uint64_t> got = trace(cfg);
+                if (golden.empty())
+                    golden = got;
+                EXPECT_EQ(got, golden)
+                    << row.name
+                    << (sched == SchedMode::Event ? " event" : " static");
+            }
+        }
     }
 }
 
@@ -296,6 +353,29 @@ TEST(SimLifecycle, AccessDetachesOnDestruction)
         top->in_.setValue(uint64_t(1));
     }
     EXPECT_THROW(top->in_.value(), std::logic_error);
+}
+
+TEST(SimLifecycle, FailedConstructionDetachesSignals)
+{
+    // A constructor that throws leaves no signal attached to the
+    // half-built simulator. Here the JIT cache directory cannot be
+    // created, because its parent is a regular file.
+    const std::string file =
+        (std::filesystem::temp_directory_path() /
+         ("cmtl_not_a_dir_" + std::to_string(::getpid())))
+            .string();
+    std::ofstream(file) << "x";
+    for (int threads : {1, 2}) {
+        Register top(nullptr, "top", 8);
+        auto elab = top.elaborate();
+        SimConfig cfg = SimConfig::fromString("cpp-block");
+        cfg.threads = threads;
+        cfg.jit_cache_dir = file + "/cache";
+        EXPECT_THROW((void)makeSimulator(elab, cfg), std::runtime_error)
+            << "threads " << threads;
+        EXPECT_EQ(top.in_.access(), nullptr) << "threads " << threads;
+    }
+    std::filesystem::remove(file);
 }
 
 TEST(SimLifecycle, CycleHooksFire)
