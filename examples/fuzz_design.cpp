@@ -88,20 +88,14 @@ replayFiles(const std::vector<std::string> &files)
             std::printf("%s: SKIP (no host compiler)\n", path.c_str());
             continue;
         }
-        FuzzRunner::PairOutcome outcome;
+        DivergenceReport outcome;
         bool pass = runner.replay(spec, &outcome);
-        std::printf("%s: seed %llu [%s] vs [%s] -> %s",
+        std::printf("%s: seed %llu [%s] vs [%s] -> %s -- %s\n",
                     path.c_str(),
                     static_cast<unsigned long long>(spec.seed),
                     spec.side_a.str().c_str(), spec.side_b.str().c_str(),
-                    outcome.diverged
-                        ? (outcome.vcd_only ? "diverged (vcd)" : "diverged")
-                        : "agreed");
-        if (outcome.diverged && !outcome.vcd_only)
-            std::printf(" at cycle %llu",
-                        static_cast<unsigned long long>(
-                            outcome.first_cycle));
-        std::printf(" -- %s\n", pass ? "expected" : "UNEXPECTED");
+                    outcome.summary().c_str(),
+                    pass ? "expected" : "UNEXPECTED");
         if (!pass)
             ++failures;
     }

@@ -780,13 +780,13 @@ SimulationTool::runStep(const Step &step, bool wake)
     const ElabBlock &blk = elab_->blocks[step.block];
     const bool batch = step.batch >= 0;
     const bool marshal = batch && useBoxed();
-    // A lambda's writes route through the SignalAccess interface,
-    // which marks dirt and wakes readers itself.
-    wake = wake && blk.ir;
     if (marshal)
         syncIn(step);
     if (wake)
         snapshotWrites(step);
+    // A lambda writes through pokeNet, which leaves the waking to
+    // wakeChangedWrites while the step runs.
+    in_comb_step_ = wake;
     if (batch) {
         runBatch(step.batch, arena_->data(), frame(0));
     } else {
@@ -799,6 +799,7 @@ SimulationTool::runStep(const Step &step, bool wake)
                 slot_eval_->run(blk);
         });
     }
+    in_comb_step_ = false;
     if (wake)
         wakeChangedWrites(step);
     if (marshal)
@@ -813,13 +814,13 @@ SimulationTool::settle()
             runStep(step);
         return;
     }
-    // An IR step wakes the readers of each net it wrote whose value
-    // after the step differs from its value before it. So a block that
-    // re-reads its own earlier write (a default, then a field
-    // override) does not wake itself over its intermediate value. The
-    // worklist is a min-heap of step indices: pending steps run in
-    // schedule order, so on an acyclic design a settle runs each step
-    // at most once.
+    // A step, IR or lambda, wakes the readers of each net it declares
+    // as written whose value after the step differs from its value
+    // before it. So a block that re-reads its own earlier write (a
+    // default, then a field override) does not wake itself over its
+    // intermediate value. The worklist is a min-heap of step indices:
+    // pending steps run in schedule order, so on an acyclic design a
+    // settle runs each step at most once.
     size_t iterations = 0;
     const size_t limit = (elab_->blocks.size() + 1) * 10000;
     while (!worklist_.empty()) {
@@ -943,7 +944,7 @@ SimulationTool::pokeNet(int net, const Bits &value)
                                       : boxed_->write(net, value);
     if (ch) {
         dirty_ = true;
-        if (eventDriven())
+        if (eventDriven() && !in_comb_step_)
             enqueueReaders(net);
     }
 }

@@ -658,8 +658,8 @@ class SimulationTool : public Simulator
     void tick() override;
     void flop() override;
     void assignOwnership();
-    /** Run @p step; with @p wake, an IR step wakes the readers of the
-     *  nets whose value it changed. */
+    /** Run @p step; with @p wake, it wakes the readers of the nets
+     *  whose value it changed. */
     void runStep(const Step &step, bool wake = false);
     void syncIn(const Step &step);
     void syncOut(const Step &step);
@@ -713,6 +713,8 @@ class SimulationTool : public Simulator
     std::vector<char> token_in_arena_;   //!< hybrid-mode ownership
     /** A comb step's written nets before it ran (event-driven). */
     std::vector<Bits> write_snapshot_;
+    /** True while a waking comb step runs (pokeNet does not wake). */
+    bool in_comb_step_ = false;
 
     // Event-driven worklist: a min-heap of pending comb step indices.
     std::vector<int> worklist_;

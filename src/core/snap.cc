@@ -998,7 +998,7 @@ StimTape::loadFile(const std::string &path)
     return decode(ss.str());
 }
 
-// -------------------------------------------------- DivergenceBisector
+// ----------------------------------------------------- findDivergence
 
 std::string
 DivergenceReport::summary() const
@@ -1006,8 +1006,10 @@ DivergenceReport::summary() const
     if (!diverged)
         return "no divergence";
     std::ostringstream os;
-    os << "first divergence at cycle " << first_divergent_cycle << ": "
-       << divergent_nets.size() << " net(s), " << divergent_arrays.size()
+    os << "first divergence at cycle " << first_divergent_cycle << ": ";
+    if (!error.empty())
+        return os.str() + error;
+    os << divergent_nets.size() << " net(s), " << divergent_arrays.size()
        << " array(s), " << divergent_models.size()
        << " model(s) differ";
     size_t shown = 0;
@@ -1024,105 +1026,13 @@ DivergenceReport::summary() const
     return os.str();
 }
 
+namespace {
+
+/** Name the nets, arrays and models whose state differs. */
 void
-DivergenceBisector::advance(Simulator &sim, uint64_t n)
+nameDifferences(const Elaboration &elab, const SimSnapshot &fa,
+                const SimSnapshot &fb, DivergenceReport &rep)
 {
-    if (!stim_) {
-        sim.cycle(n);
-        return;
-    }
-    // Stimulus is a function of numCycles(), so the same cycle sees
-    // the same pokes whether reached straight-line or via a restored
-    // probe.
-    for (uint64_t i = 0; i < n; ++i) {
-        stim_(sim);
-        sim.cycle();
-    }
-}
-
-DivergenceReport
-DivergenceBisector::run(const SimSnapshot &start, uint64_t horizon)
-{
-    DivergenceReport rep;
-
-    auto restorePair = [&](const SimSnapshot &from,
-                           std::unique_ptr<Simulator> &a,
-                           std::unique_ptr<Simulator> &b) {
-        a = make_a_();
-        b = make_b_();
-        snapRestore(*a, from);
-        snapRestore(*b, from);
-    };
-
-    std::unique_ptr<Simulator> a, b;
-    restorePair(start, a, b);
-    if (snapSave(*a).digest() != snapSave(*b).digest()) {
-        // The two sides disagree before a single cycle runs (e.g. a
-        // backend that mis-restores): report the snapshot cycle.
-        rep.diverged = true;
-        rep.first_divergent_cycle = start.cycle;
-    }
-
-    SimSnapshot base = start; //!< last state both sides agree on
-    uint64_t window = 0;      //!< cycles past base bracketing the bug
-
-    if (!rep.diverged) {
-        // Exponential scan: cheap early, coarse late — O(log horizon)
-        // digest comparisons to bracket the divergence.
-        uint64_t done = 0;
-        uint64_t stride = 1;
-        while (done < horizon) {
-            uint64_t n = std::min(stride, horizon - done);
-            advance(*a, n);
-            advance(*b, n);
-            done += n;
-            rep.cycles_executed += 2 * n;
-            SimSnapshot sa = snapSave(*a);
-            if (sa.digest() == snapSave(*b).digest()) {
-                base = std::move(sa);
-                stride *= 2;
-            } else {
-                window = a->numCycles() - base.cycle;
-                break;
-            }
-        }
-        if (window == 0)
-            return rep; // agreed over the whole horizon
-        rep.diverged = true;
-
-        // Binary search (0, window]: states agree `lo` cycles past
-        // base and differ `window` cycles past it. Each probe restores
-        // a fresh pair from base; agreeing probes advance base so the
-        // remaining window shrinks in absolute cycles too.
-        uint64_t lo = 0;
-        while (window - lo > 1) {
-            uint64_t mid = lo + (window - lo) / 2;
-            restorePair(base, a, b);
-            advance(*a, mid);
-            advance(*b, mid);
-            rep.cycles_executed += 2 * mid;
-            SimSnapshot sa = snapSave(*a);
-            if (sa.digest() == snapSave(*b).digest()) {
-                base = std::move(sa);
-                window -= mid;
-                lo = 0;
-            } else {
-                window = mid;
-            }
-        }
-        rep.first_divergent_cycle = base.cycle + 1;
-    }
-
-    // Detail pass: run the single divergent cycle and name what broke.
-    restorePair(base, a, b);
-    if (rep.first_divergent_cycle > base.cycle) {
-        advance(*a, 1);
-        advance(*b, 1);
-        rep.cycles_executed += 2;
-    }
-    SimSnapshot fa = snapSave(*a);
-    SimSnapshot fb = snapSave(*b);
-    const Elaboration &elab = a->elaboration();
     for (const Net &net : elab.nets) {
         if (fa.nets[net.id] != fb.nets[net.id] ||
             fa.nets_next[net.id] != fb.nets_next[net.id])
@@ -1140,7 +1050,42 @@ DivergenceBisector::run(const SimSnapshot &start, uint64_t horizon)
         if (it == blobs_b.end() || *it->second != entry.second)
             rep.divergent_models.push_back(entry.first);
     }
-    return rep;
+}
+
+} // namespace
+
+DivergenceReport
+findDivergence(Simulator &a, Simulator &b, uint64_t cycles,
+               const std::function<void(Simulator &)> &stim)
+{
+    DivergenceReport rep;
+    for (uint64_t done = 0;; ++done) {
+        SimSnapshot sa = snapSave(a);
+        SimSnapshot sb = snapSave(b);
+        if (sa.digest() != sb.digest()) {
+            rep.diverged = true;
+            rep.first_divergent_cycle = a.numCycles();
+            nameDifferences(a.elaboration(), sa, sb, rep);
+            return rep;
+        }
+        if (done == cycles)
+            return rep;
+        const uint64_t next = a.numCycles() + 1;
+        for (Simulator *side : {&a, &b}) {
+            try {
+                if (stim)
+                    stim(*side);
+                side->cycle();
+            } catch (const std::exception &e) {
+                rep.diverged = true;
+                rep.first_divergent_cycle = next;
+                rep.error = std::string("side ") +
+                            (side == &a ? "a" : "b") +
+                            " threw: " + e.what();
+                return rep;
+            }
+        }
+    }
 }
 
 } // namespace cmtl

@@ -1,7 +1,7 @@
 /**
  * @file
  * SimSnap: simulation checkpoint/restore, deterministic stimulus
- * record-replay and cross-backend divergence bisection.
+ * record-replay and a lockstep cross-backend divergence finder.
  *
  * Following the model/tool split, a snapshot is just another tool-side
  * view of an elaborated design: SimSnap captures the complete
@@ -42,7 +42,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -161,7 +160,7 @@ struct SimSnapshot
     /**
      * Order-sensitive FNV-1a digest of the architectural state (nets,
      * next-phase values, arrays, model blobs — not the cycle counter),
-     * the comparison key of the DivergenceBisector.
+     * the comparison key of findDivergence.
      */
     uint64_t digest() const;
 };
@@ -322,7 +321,10 @@ class StimTape
 struct DivergenceReport
 {
     bool diverged = false;
-    /** First cycle whose post-cycle states differ. */
+    /**
+     * numCycles() after the first cycle whose states differ or that
+     * threw; the starting cycle when the sides differ before any cycle.
+     */
     uint64_t first_divergent_cycle = 0;
     /** Hierarchical names of nets whose cur/next values differ. */
     std::vector<std::string> divergent_nets;
@@ -330,60 +332,30 @@ struct DivergenceReport
     std::vector<std::string> divergent_arrays;
     /** Models whose serialized host state differs. */
     std::vector<std::string> divergent_models;
-    /** Total cycles executed across the search (cost accounting). */
-    uint64_t cycles_executed = 0;
+    /** "side a|b threw: <what>" when a side threw; empty otherwise. */
+    std::string error;
 
     std::string summary() const;
 };
 
 /**
- * Pinpoints the first cycle at which two executions of the same design
- * diverge — the equivalence-debugging tool for backend bring-up.
+ * Runs @p a and @p b in lockstep for up to @p cycles cycles and finds
+ * the first cycle at which they disagree: the equivalence oracle of
+ * backend bring-up and of SimFuzz.
  *
- * Both sides are given as factories producing a fresh simulator of the
- * same design (different backends, thread counts, or an intentionally
- * perturbed variant). run() restores both from a shared snapshot,
- * advances them in exponentially growing strides comparing state
- * digests at each checkpoint, then binary-searches the bracketed
- * window — re-restoring fresh pairs from the last agreeing snapshot —
- * down to the exact first divergent cycle, and reports the
- * hierarchical signal paths, arrays and models that differ there.
+ * The two simulators hold the same design (different backends, thread
+ * counts, or an intentionally perturbed variant) at the same cycle;
+ * to start from a snapshot, snapRestore both first. State digests are
+ * compared before the first cycle and after every cycle. The search
+ * stops at the first difference, naming the nets, arrays and models
+ * that differ there, or at the first exception a side throws from
+ * @p stim or cycle(), which counts as a divergence carrying its
+ * message. @p stim, if given, runs on each side before each of its
+ * cycles, e.g. `[&tape](Simulator &s) { tape.applyTo(s); }`.
  */
-class DivergenceBisector
-{
-  public:
-    using Factory = std::function<std::unique_ptr<Simulator>()>;
-
-    DivergenceBisector(Factory make_a, Factory make_b)
-        : make_a_(std::move(make_a)), make_b_(std::move(make_b))
-    {
-    }
-
-    /**
-     * Per-cycle stimulus applied to BOTH sides before every cycle the
-     * search executes (scan, binary search and the final detail pass),
-     * e.g. `[&tape](Simulator &s) { tape.applyTo(s); }`. The callback
-     * must be a pure function of the simulator's cycle number —
-     * StimTape::applyTo indexes by numCycles(), so replayed tapes
-     * qualify — or restored probes would see different inputs than
-     * the straight-line run and the bisection would chase ghosts.
-     */
-    void
-    setStimulus(std::function<void(Simulator &)> stim)
-    {
-        stim_ = std::move(stim);
-    }
-
-    /** Search [start.cycle, start.cycle + horizon] for divergence. */
-    DivergenceReport run(const SimSnapshot &start, uint64_t horizon);
-
-  private:
-    void advance(Simulator &sim, uint64_t n);
-
-    Factory make_a_;
-    Factory make_b_;
-    std::function<void(Simulator &)> stim_;
-};
+DivergenceReport
+findDivergence(Simulator &a, Simulator &b, uint64_t cycles,
+               const std::function<void(Simulator &)> &stim = {});
 
 } // namespace cmtl
 

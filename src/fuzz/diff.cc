@@ -1,26 +1,20 @@
 /**
  * @file
- * SimFuzz differential runner: the backend matrix, straight-line runs
- * with stimulus replay, fault injection, VCD capture, per-cycle digest
- * comparison and bisection. See fuzz.h for the pipeline overview.
+ * SimFuzz differential runner: the backend matrix, fault injection
+ * and lockstep pair comparison. See fuzz.h for the pipeline overview.
  */
 
 #include "fuzz.h"
 
-#include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
-
-#include <unistd.h>
 
 #include "core/jit_cpp.h"
 #include "core/lint.h"
 #include "core/partition.h"
 #include "core/psim.h"
 #include "core/race_audit.h"
-#include "core/vcd.h"
 
 namespace cmtl {
 namespace fuzz {
@@ -86,43 +80,18 @@ fuzzMatrix(bool full)
     return m;
 }
 
-// ------------------------------------------------------ run machinery
+// --------------------------------------------------------- FuzzRunner
 
 namespace {
 
-/** Unique scratch path for a VCD capture (parallel-test safe). */
-std::string
-tmpVcdPath()
-{
-    static std::atomic<unsigned> counter{0};
-    std::ostringstream os;
-    os << "cmtl_fuzz_" << ::getpid() << "_" << counter++ << ".vcd";
-    return os.str();
-}
-
-std::string
-readAndRemove(const std::string &path)
-{
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        bytes = ss.str();
-    }
-    std::remove(path.c_str());
-    return bytes;
-}
-
 /**
  * Register the injected-fault hook: at the end of spec.fault.cycle,
- * flip one bit of one net. Registered before any VcdWriter so the
- * waveform records the post-fault value, and a pure function of the
- * hook's cycle argument so bisector-restored probes replay it.
+ * flip one bit of one net.
  */
 void
-attachFault(Simulator &sim, const FuzzSpec &spec, const Elaboration &elab)
+attachFault(Simulator &sim, const FuzzSpec &spec)
 {
+    const Elaboration &elab = sim.elaboration();
     if (!spec.fault.active || elab.nets.empty())
         return;
     int nnets = static_cast<int>(elab.nets.size());
@@ -141,114 +110,33 @@ attachFault(Simulator &sim, const FuzzSpec &spec, const Elaboration &elab)
     });
 }
 
-/** One straight-line run of a side: final digest + VCD bytes. */
-struct SideRun
-{
-    uint64_t digest = 0;
-    std::string vcd;
-};
-
-SideRun
-runSide(const FuzzSpec &spec, const FuzzSide &side, bool apply_fault)
-{
-    auto top = std::make_shared<FuzzDesign>(spec);
-    auto elab = top->elaborate();
-    auto sim = makeSimulator(elab, side.toSimConfig());
-    if (apply_fault)
-        attachFault(*sim, spec, *elab);
-    StimTape tape = makeFuzzStim(spec);
-    std::string vcd_path = tmpVcdPath();
-    SideRun out;
-    {
-        VcdWriter vcd(*sim, vcd_path);
-        while (sim->numCycles() < spec.cycles) {
-            tape.applyTo(*sim);
-            sim->cycle();
-        }
-        out.digest = stateDigest(*sim);
-        vcd.close();
-    }
-    out.vcd = readAndRemove(vcd_path);
-    return out;
-}
-
 } // namespace
 
-// --------------------------------------------------------- FuzzRunner
-
-FuzzRunner::PairOutcome
+DivergenceReport
 FuzzRunner::comparePair(const FuzzSpec &spec)
 {
-    auto top_a = std::make_shared<FuzzDesign>(spec);
-    auto elab_a = top_a->elaborate();
-    auto sim_a = makeSimulator(elab_a, spec.side_a.toSimConfig());
-    auto top_b = std::make_shared<FuzzDesign>(spec);
-    auto elab_b = top_b->elaborate();
-    auto sim_b = makeSimulator(elab_b, spec.side_b.toSimConfig());
-    attachFault(*sim_b, spec, *elab_b);
-
-    StimTape tape_a = makeFuzzStim(spec);
-    StimTape tape_b = makeFuzzStim(spec);
-    std::string path_a = tmpVcdPath();
-    std::string path_b = tmpVcdPath();
-    PairOutcome out;
-    {
-        VcdWriter vcd_a(*sim_a, path_a);
-        VcdWriter vcd_b(*sim_b, path_b);
-        // Lockstep with a digest checkpoint after every cycle: the
-        // shrinker's predicate must catch divergences that wash out of
-        // the final state.
-        for (uint64_t c = 0; c < spec.cycles && !out.diverged; ++c) {
-            tape_a.applyTo(*sim_a);
-            sim_a->cycle();
-            tape_b.applyTo(*sim_b);
-            sim_b->cycle();
-            if (stateDigest(*sim_a) != stateDigest(*sim_b)) {
-                out.diverged = true;
-                out.first_cycle = c;
-            }
-        }
-        vcd_a.close();
-        vcd_b.close();
+    // Each Elaboration references its model by raw pointer, so the
+    // models are declared before, and outlive, the simulators.
+    FuzzDesign top_a(spec);
+    FuzzDesign top_b(spec);
+    std::unique_ptr<Simulator> sim_a, sim_b;
+    const char *building = "a";
+    try {
+        sim_a = makeSimulator(top_a.elaborate(), spec.side_a.toSimConfig());
+        building = "b";
+        sim_b = makeSimulator(top_b.elaborate(), spec.side_b.toSimConfig());
+    } catch (const std::exception &e) {
+        DivergenceReport rep;
+        rep.diverged = true;
+        rep.error = std::string("side ") + building + " threw: " + e.what();
+        return rep;
     }
-    std::string bytes_a = readAndRemove(path_a);
-    std::string bytes_b = readAndRemove(path_b);
-    if (!out.diverged && bytes_a != bytes_b) {
-        out.diverged = true;
-        out.vcd_only = true;
-    }
-    return out;
-}
-
-DivergenceReport
-FuzzRunner::bisectPair(const FuzzSpec &spec)
-{
-    // The bisector builds fresh simulator pairs while it searches; the
-    // Elaborations reference their FuzzDesign models by raw pointer, so
-    // every model built by a factory is kept alive for the whole run.
-    auto keep =
-        std::make_shared<std::vector<std::shared_ptr<FuzzDesign>>>();
-    auto factory = [keep, spec](const FuzzSide &side, bool fault) {
-        return [keep, spec, side, fault]() -> std::unique_ptr<Simulator> {
-            auto top = std::make_shared<FuzzDesign>(spec);
-            keep->push_back(top);
-            auto elab = top->elaborate();
-            auto sim = makeSimulator(elab, side.toSimConfig());
-            if (fault)
-                attachFault(*sim, spec, *elab);
-            return sim;
-        };
-    };
-    DivergenceBisector bis(factory(spec.side_a, false),
-                           factory(spec.side_b, spec.fault.active));
-    auto tape = std::make_shared<StimTape>(makeFuzzStim(spec));
-    bis.setStimulus([tape](Simulator &sim) { tape->applyTo(sim); });
-
-    auto top = std::make_shared<FuzzDesign>(spec);
-    auto elab = top->elaborate();
-    auto ref = makeSimulator(elab, spec.side_a.toSimConfig());
-    SimSnapshot start = snapSave(*ref);
-    return bis.run(start, spec.cycles);
+    attachFault(*sim_b, spec);
+    // Both designs come from one spec, so their net ids agree and one
+    // tape (indexed by numCycles()) drives both sides.
+    StimTape tape = makeFuzzStim(spec);
+    return findDivergence(*sim_a, *sim_b, spec.cycles,
+                          [&tape](Simulator &s) { tape.applyTo(s); });
 }
 
 FuzzCaseResult
@@ -258,8 +146,8 @@ FuzzRunner::runCase(const FuzzSpec &spec,
     FuzzCaseResult res;
     res.seed = spec.seed;
 
-    auto top = std::make_shared<FuzzDesign>(spec);
-    auto elab = top->elaborate();
+    FuzzDesign top(spec);
+    auto elab = top.elaborate();
     res.fingerprint = designFingerprint(*elab);
     res.nets = static_cast<int>(elab->nets.size());
     res.blocks = static_cast<int>(elab->blocks.size());
@@ -282,60 +170,32 @@ FuzzRunner::runCase(const FuzzSpec &spec,
                                        " islands: " + audit.summary());
     }
 
-    SideRun ref = runSide(spec, spec.side_a, /*apply_fault=*/false);
-    res.ref_digest = ref.digest;
-
     bool have_compiler = CppJit::compilerAvailable();
     for (const FuzzSide &side : matrix) {
         if (side.needsCompiler() && !have_compiler) {
             ++res.matrix_skipped;
             continue;
         }
-        SideRun run = runSide(spec, side, spec.fault.active);
+        FuzzSpec pair = spec;
+        pair.side_b = side;
+        DivergenceReport rep = comparePair(pair);
         ++res.matrix_run;
-        if (run.digest != ref.digest) {
-            FuzzSpec pair = spec;
-            pair.side_b = side;
-            DivergenceReport rep = bisectPair(pair);
-            FuzzDivergence d;
-            d.side = side;
-            d.first_cycle = rep.first_divergent_cycle;
-            d.nets = rep.divergent_nets;
-            d.detail = rep.summary();
-            res.divergences.push_back(std::move(d));
-        } else if (run.vcd != ref.vcd) {
-            size_t n = std::min(run.vcd.size(), ref.vcd.size());
-            size_t at = n;
-            for (size_t i = 0; i < n; ++i) {
-                if (run.vcd[i] != ref.vcd[i]) {
-                    at = i;
-                    break;
-                }
-            }
-            FuzzDivergence d;
-            d.side = side;
-            d.vcd_only = true;
-            d.vcd_byte = at;
-            std::ostringstream os;
-            os << "VCD bytes differ at offset " << at << " ("
-               << ref.vcd.size() << " vs " << run.vcd.size()
-               << " bytes) with identical final state digests";
-            d.detail = os.str();
-            res.divergences.push_back(std::move(d));
-        }
+        if (rep.diverged)
+            res.divergences.push_back(
+                {side, rep.first_divergent_cycle, rep.summary()});
     }
     return res;
 }
 
 bool
-FuzzRunner::replay(const FuzzSpec &spec, PairOutcome *outcome)
+FuzzRunner::replay(const FuzzSpec &spec, DivergenceReport *outcome)
 {
-    PairOutcome po = comparePair(spec);
+    DivergenceReport rep = comparePair(spec);
     if (outcome)
-        *outcome = po;
+        *outcome = rep;
     if (spec.expect < 0)
         return true;
-    return (spec.expect == 1) == po.diverged;
+    return (spec.expect == 1) == rep.diverged;
 }
 
 // ----------------------------------------------------- FuzzCaseResult
@@ -358,13 +218,8 @@ FuzzCaseResult::summary() const
         os << ", " << lint_errors.size() << " lint error(s)";
     if (!audit_errors.empty())
         os << ", " << audit_errors.size() << " race-audit error(s)";
-    for (const FuzzDivergence &d : divergences) {
-        os << ", DIVERGED [" << d.side.str() << "] ";
-        if (d.vcd_only)
-            os << "vcd byte " << d.vcd_byte;
-        else
-            os << "cycle " << d.first_cycle;
-    }
+    for (const FuzzDivergence &d : divergences)
+        os << ", DIVERGED [" << d.side.str() << "] cycle " << d.first_cycle;
     return os.str();
 }
 

@@ -9,11 +9,12 @@
  * graphs (comb + tick IR blocks, wide and narrow nets, MemArrays, a
  * val/rdy channel, a dynamic flop driven from a host lambda) plus a
  * randomized StimTape, then runs every backend x thread-count
- * combination against the boxed-interpreter reference and compares
- * state digests and VCD bytes. On mismatch the DivergenceBisector
- * pinpoints the first divergent cycle and a graph-shrinking loop drops
- * blocks, nets and stimulus channels while the divergence still
- * reproduces, emitting a minimal repro file that replays standalone.
+ * combination in lockstep with the boxed-interpreter reference.
+ * findDivergence (core/snap.h) compares state digests before the first
+ * cycle and after every cycle, and counts a side that throws as a
+ * divergence. On mismatch a graph-shrinking loop drops blocks, nets
+ * and stimulus channels while the same divergence still reproduces,
+ * emitting a minimal repro file that replays standalone.
  *
  * Everything is deterministic in the seed: entity i draws from its own
  * SplitMix64 stream keyed by (seed, kind, i), so disabling entity j
@@ -94,8 +95,8 @@ struct FuzzSide
  * cycle, on side B only. This is the controlled "backend bug" the
  * tests (and the shrinker-convergence acceptance criterion) use to
  * prove the detection/minimization pipeline works end to end. The
- * perturbation is a pure function of the cycle counter, so it replays
- * identically under the bisector's restored probes.
+ * flip happens in the onCycleEnd hook of that cycle, so the pair
+ * first diverges at numCycles() == cycle.
  */
 struct FuzzFault
 {
@@ -253,11 +254,8 @@ std::vector<FuzzSide> fuzzMatrix(bool full);
 struct FuzzDivergence
 {
     FuzzSide side;
-    bool vcd_only = false;     //!< digests agreed, VCD bytes differed
-    uint64_t first_cycle = 0;  //!< from the bisector (digest cases)
-    size_t vcd_byte = 0;       //!< first differing byte (vcd_only)
-    std::vector<std::string> nets; //!< divergent nets at first_cycle
-    std::string detail;        //!< bisector summary / byte context
+    uint64_t first_cycle = 0; //!< DivergenceReport::first_divergent_cycle
+    std::string detail;       //!< DivergenceReport::summary()
 };
 
 /** Outcome of one generated design through lint, audit and matrix. */
@@ -265,7 +263,6 @@ struct FuzzCaseResult
 {
     uint64_t seed = 0;
     uint64_t fingerprint = 0; //!< designFingerprint of the elaboration
-    uint64_t ref_digest = 0;  //!< reference final state digest
     int nets = 0;
     int blocks = 0;
     int matrix_run = 0;     //!< candidates executed
@@ -285,70 +282,50 @@ struct FuzzCaseResult
 };
 
 /**
- * Executes fuzz cases: straight-line runs with stimulus replay and
- * optional fault injection, differential matrix sweeps, per-cycle
- * digest comparison for the shrinker, and bisection for divergence
- * reporting.
+ * Executes fuzz cases: lint, race audit and the differential matrix,
+ * each matrix side compared with side_a by findDivergence.
  */
 class FuzzRunner
 {
   public:
-    /** Outcome of a side-a vs side-b comparison (comparePair). */
-    struct PairOutcome
-    {
-        bool diverged = false;
-        bool vcd_only = false;
-        /** First cycle whose post-cycle digests differ (not vcd_only). */
-        uint64_t first_cycle = 0;
-    };
-
     /**
      * Lint + race-audit the generated design (errors recorded, not
-     * thrown), run the reference side, then every matrix candidate,
-     * comparing final state digests and VCD bytes; digest mismatches
-     * are bisected to their first divergent cycle.
+     * thrown), then comparePair every matrix candidate, as side_b,
+     * against spec.side_a.
      */
     FuzzCaseResult runCase(const FuzzSpec &spec,
                            const std::vector<FuzzSide> &matrix);
 
     /**
-     * Run side_a and side_b (fault applied to b) comparing digests
-     * after every cycle plus final VCD bytes — the shrinker's
-     * reproduction predicate, robust against divergences that wash
-     * out of the final state.
+     * Build side_a and side_b (fault applied to b) and run them through
+     * findDivergence with the spec's stimulus. A side whose simulator
+     * fails to construct diverges before any cycle, with its message.
      */
-    PairOutcome comparePair(const FuzzSpec &spec);
-
-    /**
-     * DivergenceBisector over the pair, stimulus applied through the
-     * setStimulus hook so restored probes see the same pokes as the
-     * straight-line run.
-     */
-    DivergenceReport bisectPair(const FuzzSpec &spec);
+    DivergenceReport comparePair(const FuzzSpec &spec);
 
     /**
      * Corpus replay: comparePair plus the spec's expectation. Returns
      * true when the observed outcome matches spec.expect (or when no
      * expectation is recorded).
      */
-    bool replay(const FuzzSpec &spec, PairOutcome *outcome = nullptr);
+    bool replay(const FuzzSpec &spec, DivergenceReport *outcome = nullptr);
 };
 
 /** Shrinking statistics alongside the minimized spec. */
 struct FuzzShrinkResult
 {
-    FuzzSpec spec;           //!< minimized, still-diverging case
-    uint64_t first_cycle = 0;
-    int tried = 0;           //!< candidate removals attempted
-    int removed = 0;         //!< entities/channels disabled + cycles kept
+    FuzzSpec spec;            //!< minimized, still-diverging case
+    uint64_t first_cycle = 0; //!< first_divergent_cycle of the result
+    int tried = 0;            //!< candidate removals attempted
+    int removed = 0;          //!< entities/channels disabled + cycles kept
 };
 
 /**
  * Greedy delta-debugger over a diverging spec: truncate the cycle
- * budget to just past the first divergent cycle, then repeatedly try
- * disabling each comb block, tick block and stimulus channel, keeping
- * every removal under which the divergence still reproduces, until a
- * full pass removes nothing.
+ * budget to the first divergent cycle, then repeatedly try disabling
+ * each comb block, tick block and stimulus channel, keeping every
+ * removal under which the divergence still reproduces (with the same
+ * message, when a side threw), until a full pass removes nothing.
  */
 class FuzzShrinker
 {

@@ -11,6 +11,7 @@
 
 #include "fuzz.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cmtl {
@@ -19,26 +20,35 @@ namespace fuzz {
 FuzzShrinkResult
 FuzzShrinker::shrink(FuzzSpec spec)
 {
-    FuzzRunner::PairOutcome po = runner_.comparePair(spec);
-    if (!po.diverged)
+    const DivergenceReport orig = runner_.comparePair(spec);
+    if (!orig.diverged)
         throw std::runtime_error(
             "fuzz shrink: seed " + std::to_string(spec.seed) +
             " does not diverge under the given sides");
 
     FuzzShrinkResult res;
-
-    // Phase 1: truncate the cycle budget to just past the first
-    // divergent cycle — every later trial gets cheaper.
-    if (!po.vcd_only && po.first_cycle + 1 < spec.cycles) {
-        FuzzSpec t = spec;
-        t.cycles = po.first_cycle + 1;
+    res.first_cycle = orig.first_divergent_cycle;
+    // A trial reproduces when it diverges the same way: by state, or
+    // by a side throwing the same message.
+    auto tryKeep = [&](FuzzSpec t) {
         ++res.tried;
-        FuzzRunner::PairOutcome tpo = runner_.comparePair(t);
-        if (tpo.diverged) {
-            spec = std::move(t);
-            po = tpo;
-            ++res.removed;
-        }
+        DivergenceReport rep = runner_.comparePair(t);
+        if (!rep.diverged || rep.error != orig.error)
+            return false;
+        res.first_cycle = rep.first_divergent_cycle;
+        spec = std::move(t);
+        ++res.removed;
+        return true;
+    };
+
+    // Phase 1: truncate the cycle budget to the first divergent cycle
+    // — every later trial gets cheaper. A repro runs at least one
+    // cycle, even when the sides differ before any.
+    const uint64_t keep = std::max<uint64_t>(res.first_cycle, 1);
+    if (keep < spec.cycles) {
+        FuzzSpec t = spec;
+        t.cycles = keep;
+        tryKeep(std::move(t));
     }
 
     // Phase 2: greedy entity removal to a fixed point. A removal is
@@ -47,14 +57,7 @@ FuzzShrinker::shrink(FuzzSpec spec)
     auto tryOff = [&](std::vector<int> FuzzSpec::*mask, int id) {
         FuzzSpec t = spec;
         (t.*mask).push_back(id);
-        ++res.tried;
-        FuzzRunner::PairOutcome tpo = runner_.comparePair(t);
-        if (!tpo.diverged)
-            return false;
-        spec = std::move(t);
-        po = tpo;
-        ++res.removed;
-        return true;
+        return tryKeep(std::move(t));
     };
     bool changed = true;
     while (changed) {
@@ -73,7 +76,6 @@ FuzzShrinker::shrink(FuzzSpec spec)
     // The minimized case is a detector regression by construction.
     spec.expect = 1;
     res.spec = std::move(spec);
-    res.first_cycle = po.vcd_only ? 0 : po.first_cycle;
     return res;
 }
 

@@ -268,7 +268,9 @@ TEST(SimEquivalence, AllModesProduceIdenticalTraces)
 
 /**
  * A default value, then a field override: out = a; out[4:8] = f. The
- * slice assign re-reads `out` after the block's own full write.
+ * slice assign re-reads `out` after the block's own full write. The
+ * lambda version does the same in host code, declaring `out` as both
+ * a read and a write.
  */
 class SliceOverride : public Model
 {
@@ -276,15 +278,45 @@ class SliceOverride : public Model
     InPort a, f;
     OutPort out;
 
-    SliceOverride()
+    explicit SliceOverride(bool lambda)
         : Model(nullptr, "top"), a(this, "a", 16), f(this, "f", 4),
           out(this, "out", 16)
     {
+        if (lambda) {
+            combLambda(
+                "comb",
+                [this] {
+                    out.setValue(a.u64());
+                    out.setValue((out.u64() & ~uint64_t(0xf0)) |
+                                 f.u64() << 4);
+                },
+                {&a, &f, &out}, {&out});
+            return;
+        }
         auto &b = combinational("comb");
         b.assign(out, rd(a));
         b.assignSlice(out, 4, 4, rd(f));
     }
 };
+
+template <bool Lambda>
+std::vector<uint64_t>
+sliceTrace(const SimConfig &cfg)
+{
+    SliceOverride top(Lambda);
+    SimulationTool sim(top.elaborate(), cfg);
+    std::vector<uint64_t> trace;
+    for (auto [a, f] : {std::pair<uint64_t, uint64_t>{0x1234, 0xa},
+                        {0x1234, 0x3},
+                        {0xffff, 0x0}}) {
+        top.a.setValue(a);
+        top.f.setValue(f);
+        sim.eval();
+        trace.push_back(top.out.u64());
+    }
+    EXPECT_EQ(trace.front(), 0x12a4u) << cfg;
+    return trace;
+}
 
 TEST(SimEquivalence, EventAndStaticSchedulesAgree)
 {
@@ -301,25 +333,11 @@ TEST(SimEquivalence, EventAndStaticSchedulesAgree)
         }
         return trace;
     };
-    auto sliceTrace = [](const SimConfig &cfg) {
-        SliceOverride top;
-        SimulationTool sim(top.elaborate(), cfg);
-        std::vector<uint64_t> trace;
-        for (auto [a, f] : {std::pair<uint64_t, uint64_t>{0x1234, 0xa},
-                            {0x1234, 0x3},
-                            {0xffff, 0x0}}) {
-            top.a.setValue(a);
-            top.f.setValue(f);
-            sim.eval();
-            trace.push_back(top.out.u64());
-        }
-        EXPECT_EQ(trace.front(), 0x12a4u) << cfg;
-        return trace;
-    };
 
     // Every backend under both schedules (cpp-design runs only the
     // static one) traces each design identically.
-    for (auto trace : {+counterTrace, +sliceTrace}) {
+    for (auto trace :
+         {+counterTrace, &sliceTrace<false>, &sliceTrace<true>}) {
         std::vector<uint64_t> golden;
         for (const BackendName &row : backendNames()) {
             const bool native = nativeBlocks(row.backend) ||

@@ -1,5 +1,5 @@
 /**
- * SimSnap: checkpoint/restore, record-replay and divergence bisection.
+ * SimSnap: checkpoint/restore, record-replay and divergence finding.
  *
  * The contract under test: a snapshot taken under one backend restores
  * into a fresh elaboration under *every* backend and thread count with
@@ -8,7 +8,7 @@
  * (golden file in tests/data/); every malformed input fails with a
  * SnapError diagnostic, never a crash or garbage state; the
  * CheckpointManager rotates atomically; a StimTape replays recorded
- * stimulus deterministically; and the DivergenceBisector pinpoints the
+ * stimulus deterministically; and findDivergence pinpoints the
  * exact first divergent cycle and the signal paths that differ there.
  */
 
@@ -754,57 +754,45 @@ TEST(StimReplay, CorruptedTapeIsDiagnosed)
     EXPECT_THROW(StimTape::decode("CMTLTAPEgarbage"), SnapError);
 }
 
-// -------------------------------------------- divergence bisection
+// -------------------------------------------- divergence finding
 
 TEST(DivergenceBisection, AgreeingBackendsReportNoDivergence)
 {
-    std::vector<std::unique_ptr<MeshTrafficTop>> keep;
-    auto factory = [&](const std::string &backend) {
-        return [&keep, backend]() -> std::unique_ptr<Simulator> {
-            keep.push_back(std::make_unique<MeshTrafficTop>(
-                "top", NetLevel::RTL, 4, 4, 0.3, 9));
-            return makeSimulator(keep.back()->elaborate(),
-                                 backendCfg(backend, 1));
-        };
-    };
+    MeshTrafficTop top_a("top", NetLevel::RTL, 4, 4, 0.3, 9);
+    MeshTrafficTop top_b("top", NetLevel::RTL, 4, 4, 0.3, 9);
+    auto a = makeSimulator(top_a.elaborate(), backendCfg("interp", 1));
+    auto b = makeSimulator(top_b.elaborate(), backendCfg("optinterp", 1));
+    a->reset();
+    a->cycle(19);
+    snapRestore(*b, snapSave(*a));
+    const uint64_t start = a->numCycles();
 
-    auto setup = factory("interp")();
-    setup->reset();
-    setup->cycle(19);
-    SimSnapshot start = snapSave(*setup);
-    setup.reset();
-
-    DivergenceBisector bisect(factory("interp"), factory("optinterp"));
-    DivergenceReport rep = bisect.run(start, /*horizon=*/60);
+    DivergenceReport rep = findDivergence(*a, *b, /*cycles=*/60);
     EXPECT_FALSE(rep.diverged) << rep.summary();
     EXPECT_EQ(rep.summary(), "no divergence");
+    EXPECT_EQ(a->numCycles(), start + 60);
+    EXPECT_EQ(b->numCycles(), start + 60);
 }
 
 TEST(DivergenceBisection, PinpointsTheFirstDivergentCycleAndSignal)
 {
     const uint64_t bug_cycle = 37;
-    std::vector<std::unique_ptr<MeshTrafficTop>> keep;
-
-    auto makeGood = [&]() -> std::unique_ptr<Simulator> {
-        keep.push_back(std::make_unique<MeshTrafficTop>(
-            "top", NetLevel::RTL, 4, 4, 0.3, 9));
-        return makeSimulator(keep.back()->elaborate(),
-                             backendCfg("interp", 1));
-    };
+    MeshTrafficTop top_a("top", NetLevel::RTL, 4, 4, 0.3, 9);
+    MeshTrafficTop top_b("top", NetLevel::RTL, 4, 4, 0.3, 9);
+    auto good = makeSimulator(top_a.elaborate(), backendCfg("interp", 1));
+    auto broken =
+        makeSimulator(top_b.elaborate(), backendCfg("interp", 1));
 
     // Pick a statically flopped net to corrupt: register state
     // persists across the settle, so the perturbation is a genuine
     // state divergence rather than a transient.
     std::string bug_net_name;
     int bug_net = -1;
-    {
-        auto probe = makeGood();
-        for (const Net &net : probe->elaboration().nets) {
-            if (net.floppedStatic) {
-                bug_net = net.id;
-                bug_net_name = net.name;
-                break;
-            }
+    for (const Net &net : good->elaboration().nets) {
+        if (net.floppedStatic) {
+            bug_net = net.id;
+            bug_net_name = net.name;
+            break;
         }
     }
     ASSERT_GE(bug_net, 0) << "no flopped net in the fixture";
@@ -812,40 +800,53 @@ TEST(DivergenceBisection, PinpointsTheFirstDivergentCycleAndSignal)
     // The intentionally broken variant: from bug_cycle on, an
     // onCycleEnd hook flips the low bit of that register — the kind of
     // wrong-at-one-cycle bug a broken backend would introduce.
-    auto makeBroken = [&]() -> std::unique_ptr<Simulator> {
-        auto sim = makeGood();
-        Simulator *raw = sim.get();
-        int net = bug_net;
-        raw->onCycleEnd([raw, net, bug_cycle](uint64_t c) {
-            if (c < bug_cycle)
-                return;
-            Bits v = raw->readNet(net);
-            std::vector<uint64_t> words(v.nwords());
-            for (int w = 0; w < v.nwords(); ++w)
-                words[w] = v.word(w);
-            words[0] ^= 1;
-            raw->pokeNet(net, Bits::fromWords(v.nbits(), words));
-        });
-        return sim;
-    };
+    Simulator *raw = broken.get();
+    raw->onCycleEnd([raw, bug_net, bug_cycle](uint64_t c) {
+        if (c < bug_cycle)
+            return;
+        Bits v = raw->readNet(bug_net);
+        std::vector<uint64_t> words(v.nwords());
+        for (int w = 0; w < v.nwords(); ++w)
+            words[w] = v.word(w);
+        words[0] ^= 1;
+        raw->pokeNet(bug_net, Bits::fromWords(v.nbits(), words));
+    });
 
-    auto setup = makeGood();
-    setup->reset();
-    setup->cycle(19);
-    SimSnapshot start = snapSave(*setup);
-    setup.reset();
+    // Both sides start from a snapshot taken at cycle 19.
+    good->reset();
+    good->cycle(19);
+    snapRestore(*broken, snapSave(*good));
 
-    DivergenceBisector bisect(makeGood, makeBroken);
-    DivergenceReport rep = bisect.run(start, /*horizon=*/100);
+    DivergenceReport rep = findDivergence(*good, *broken, /*cycles=*/100);
     ASSERT_TRUE(rep.diverged);
     EXPECT_EQ(rep.first_divergent_cycle, bug_cycle);
+    EXPECT_EQ(good->numCycles(), bug_cycle);
     bool named = false;
     for (const std::string &net : rep.divergent_nets)
         named |= net == bug_net_name;
-    EXPECT_TRUE(named) << "bisector did not name " << bug_net_name
-                       << ": " << rep.summary();
+    EXPECT_TRUE(named) << "finder did not name " << bug_net_name << ": "
+                       << rep.summary();
     EXPECT_NE(rep.summary().find("cycle 37"), std::string::npos);
-    EXPECT_GT(rep.cycles_executed, 0u);
+    EXPECT_TRUE(rep.error.empty()) << rep.error;
+}
+
+TEST(DivergenceBisection, ThrowIsReportedAsDivergence)
+{
+    MeshTrafficTop top_a("top", NetLevel::RTL, 4, 4, 0.3, 9);
+    MeshTrafficTop top_b("top", NetLevel::RTL, 4, 4, 0.3, 9);
+    auto a = makeSimulator(top_a.elaborate(), backendCfg("interp", 1));
+    auto b = makeSimulator(top_b.elaborate(), backendCfg("optinterp", 1));
+    b->onCycleEnd([](uint64_t c) {
+        if (c == 5)
+            throw std::runtime_error("injected failure");
+    });
+
+    DivergenceReport rep = findDivergence(*a, *b, /*cycles=*/20);
+    ASSERT_TRUE(rep.diverged);
+    EXPECT_EQ(rep.first_divergent_cycle, 5u);
+    EXPECT_EQ(rep.error, "side b threw: injected failure");
+    EXPECT_EQ(rep.summary(),
+              "first divergence at cycle 5: side b threw: injected failure");
 }
 
 // ------------------------------------------------- misc diagnostics

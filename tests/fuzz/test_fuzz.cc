@@ -198,6 +198,40 @@ TEST(FuzzDiff, CleanSeedsAgreeAcrossQuickMatrix)
     }
 }
 
+// A side that throws — here a hybrid backend that ParSim cannot host —
+// is a counted divergence carrying its message, not the end of the
+// campaign.
+TEST(FuzzDiff, ThrowingSideIsCounted)
+{
+    FuzzSpec spec;
+    spec.seed = 1;
+    spec.cycles = 20;
+    FuzzSide side;
+    side.backend = "interp+bytecode";
+    side.threads = 2;
+    FuzzRunner runner;
+    FuzzCaseResult res = runner.runCase(spec, {side});
+    EXPECT_EQ(res.matrix_run, 1);
+    ASSERT_EQ(res.divergences.size(), 1u) << res.summary();
+    EXPECT_EQ(res.divergences[0].first_cycle, 0u);
+    EXPECT_NE(res.divergences[0].detail.find(
+                  "ParSim needs an arena-hosted backend"),
+              std::string::npos)
+        << res.divergences[0].detail;
+
+    // The shrinker keeps a trial that throws the same message.
+    spec.side_b = side;
+    FuzzShrinker shrinker(runner);
+    FuzzShrinkResult sr = shrinker.shrink(spec);
+    EXPECT_EQ(sr.spec.cycles, 1u);
+    EXPECT_GT(sr.removed, 0);
+    DivergenceReport replayed;
+    EXPECT_TRUE(runner.replay(
+        FuzzSpec::decodeText(sr.spec.encodeText()), &replayed));
+    EXPECT_EQ(replayed.error, "side b threw: ParSim needs an "
+                              "arena-hosted backend; got 'interp+bytecode'");
+}
+
 // The acceptance criterion: an intentionally injected backend bug is
 // caught by the differential runner and auto-minimized by the shrinker
 // into a spec that still replays as a divergence.
@@ -213,12 +247,19 @@ TEST(FuzzShrink, InjectedFaultIsCaughtAndMinimized)
     spec.fault.bit = 2;
 
     FuzzRunner runner;
-    FuzzRunner::PairOutcome outcome = runner.comparePair(spec);
+    DivergenceReport outcome = runner.comparePair(spec);
     ASSERT_TRUE(outcome.diverged);
+    // The bit flips in the hook at the end of cycle 30, so both the
+    // pair and the matrix report numCycles() == 30.
+    EXPECT_EQ(outcome.first_divergent_cycle, spec.fault.cycle);
+    FuzzCaseResult res = runner.runCase(spec, {spec.side_b});
+    ASSERT_EQ(res.divergences.size(), 1u) << res.summary();
+    EXPECT_EQ(res.divergences[0].first_cycle, spec.fault.cycle);
 
     FuzzShrinker shrinker(runner);
     FuzzShrinkResult sr = shrinker.shrink(spec);
-    EXPECT_LE(sr.spec.cycles, spec.cycles);
+    EXPECT_EQ(sr.first_cycle, spec.fault.cycle);
+    EXPECT_EQ(sr.spec.cycles, spec.fault.cycle);
     EXPECT_GT(sr.removed, 0);
     EXPECT_GE(sr.tried, sr.removed);
     EXPECT_EQ(sr.spec.expect, 1);
@@ -228,9 +269,10 @@ TEST(FuzzShrink, InjectedFaultIsCaughtAndMinimized)
     // round trip (what the corpus files go through).
     EXPECT_TRUE(runner.replay(sr.spec));
     FuzzSpec reloaded = FuzzSpec::decodeText(sr.spec.encodeText());
-    FuzzRunner::PairOutcome replayed;
+    DivergenceReport replayed;
     EXPECT_TRUE(runner.replay(reloaded, &replayed));
     EXPECT_TRUE(replayed.diverged);
+    EXPECT_EQ(replayed.first_divergent_cycle, spec.fault.cycle);
 }
 
 TEST(FuzzShrink, RefusesAgreeingSpec)
@@ -257,7 +299,7 @@ TEST(FuzzCorpus, ReplayAll)
             !have_compiler)
             continue;
         FuzzRunner runner;
-        FuzzRunner::PairOutcome outcome;
+        DivergenceReport outcome;
         EXPECT_TRUE(runner.replay(spec, &outcome))
             << entry.path().filename() << ": expectation "
             << (spec.expect == 1 ? "diverge" : "agree")
