@@ -3,9 +3,10 @@
  * Microbenchmarks of the framework primitives (google-benchmark).
  *
  * Covers the Bits value type (narrow and wide paths), the three IR
- * execution engines on an operator-torture block, and the two signal
+ * execution engines on an operator-torture block, the two signal
  * storage backends — the primitives whose relative costs produce the
- * macro-level results in Figures 13-15.
+ * macro-level results in Figures 13-15 — and the set-up stages a user
+ * waits for before the first cycle of the 16x16 RTL mesh.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,8 +19,11 @@
 #include "core/ir_cpp.h"
 #include "core/jit_cpp.h"
 #include "core/model.h"
+#include "core/partition.h"
+#include "core/psim.h"
 #include "core/store.h"
 #include "core/timing.h"
+#include "net/traffic.h"
 
 namespace {
 
@@ -263,6 +267,81 @@ BM_StoreArenaReadWrite(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StoreArenaReadWrite);
+
+// ---------------------------------------------------- set-up stages
+//
+// Each row times one stage of bringing up the 16x16 RTL mesh of
+// perfbench's mesh256_par2 workload (30% uniform traffic, bytecode at
+// 2 threads); the stages before it run, and everything is torn down,
+// with the timer paused.
+
+std::unique_ptr<net::MeshTrafficTop>
+setupMesh()
+{
+    return std::make_unique<net::MeshTrafficTop>(
+        "top", net::NetLevel::RTL, 256, 4, 0.30, 1);
+}
+
+void
+BM_SetupConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        auto mesh = setupMesh();
+        benchmark::DoNotOptimize(mesh.get());
+        state.PauseTiming();
+        mesh.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_SetupConstruct)->Unit(benchmark::kMillisecond);
+
+void
+BM_SetupElaborate(benchmark::State &state)
+{
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto mesh = setupMesh();
+        state.ResumeTiming();
+        auto elab = mesh->elaborate();
+        benchmark::DoNotOptimize(elab.get());
+        state.PauseTiming();
+        elab.reset();
+        mesh.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_SetupElaborate)->Unit(benchmark::kMillisecond);
+
+void
+BM_SetupPartition(benchmark::State &state)
+{
+    auto mesh = setupMesh();
+    auto elab = mesh->elaborate();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(partitionDesign(*elab, 2));
+}
+BENCHMARK(BM_SetupPartition)->Unit(benchmark::kMillisecond);
+
+void
+BM_SetupMakeSimulator(benchmark::State &state)
+{
+    SimConfig cfg = SimConfig::fromString("bytecode");
+    cfg.threads = 2;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto mesh = setupMesh();
+        auto elab = mesh->elaborate();
+        state.ResumeTiming();
+        auto sim = makeSimulator(elab, cfg);
+        benchmark::DoNotOptimize(sim.get());
+        state.PauseTiming();
+        sim.reset();
+        elab.reset();
+        mesh.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_SetupMakeSimulator)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -1,6 +1,8 @@
 #include "ir.h"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -47,16 +49,31 @@ binop(IrOp op, const IrExpr &a, const IrExpr &b)
     return makeNode(std::move(n));
 }
 
+IrExpr
+unop(IrUnOp op, int nbits, const IrExprPtr &arg)
+{
+    IrExprNode n;
+    n.kind = IrExprNode::Kind::UnOp;
+    n.unop = op;
+    n.nbits = nbits;
+    n.args = {arg};
+    return makeNode(std::move(n));
+}
+
 } // namespace
 
 IrExpr
 rd(Signal &sig)
 {
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::Ref;
-    n.nbits = sig.nbits();
-    n.sig = &sig;
-    return makeNode(std::move(n));
+    IrExprPtr &ref = sig.refNode();
+    if (!ref) {
+        IrExprNode n;
+        n.kind = IrExprNode::Kind::Ref;
+        n.nbits = sig.nbits();
+        n.sig = &sig;
+        ref = makeNode(std::move(n)).node();
+    }
+    return IrExpr(ref);
 }
 
 IrExpr
@@ -74,11 +91,31 @@ aread(MemArray &array, const IrExpr &index)
 IrExpr
 lit(int nbits, uint64_t value)
 {
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::Const;
-    n.nbits = nbits;
-    n.cval = Bits(nbits, value);
-    return makeNode(std::move(n));
+    // Narrow small constants come from one process-wide table: each
+    // entry is built on first use, under the lock, and published
+    // through its flag, so later calls from any thread share it.
+    constexpr int kBits = 64, kValues = 32;
+    struct Table
+    {
+        std::mutex mu;
+        std::atomic<bool> ready[kBits][kValues] = {};
+        IrExprPtr node[kBits][kValues];
+    };
+    static Table table;
+    const bool shared = nbits >= 1 && nbits <= kBits && value < kValues &&
+                        (nbits >= 64 || value >> nbits == 0);
+    if (shared) {
+        std::atomic<bool> &ready = table.ready[nbits - 1][value];
+        IrExprPtr &node = table.node[nbits - 1][value];
+        if (!ready.load(std::memory_order_acquire)) {
+            std::lock_guard<std::mutex> lock(table.mu);
+            if (!node)
+                node = lit(Bits(nbits, value)).node();
+            ready.store(true, std::memory_order_release);
+        }
+        return IrExpr(node);
+    }
+    return lit(Bits(nbits, value));
 }
 
 IrExpr
@@ -131,60 +168,16 @@ IrExpr::sext(int nbits) const
     return makeNode(std::move(n));
 }
 
-IrExpr
-IrExpr::operator~() const
-{
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::UnOp;
-    n.unop = IrUnOp::Inv;
-    n.nbits = nbits();
-    n.args = {node_};
-    return makeNode(std::move(n));
-}
-
-IrExpr
-IrExpr::operator!() const
-{
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::UnOp;
-    n.unop = IrUnOp::LNot;
-    n.nbits = 1;
-    n.args = {node_};
-    return makeNode(std::move(n));
-}
-
-IrExpr
-IrExpr::reduceOr() const
-{
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::UnOp;
-    n.unop = IrUnOp::ReduceOr;
-    n.nbits = 1;
-    n.args = {node_};
-    return makeNode(std::move(n));
-}
-
-IrExpr
-IrExpr::reduceAnd() const
-{
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::UnOp;
-    n.unop = IrUnOp::ReduceAnd;
-    n.nbits = 1;
-    n.args = {node_};
-    return makeNode(std::move(n));
-}
-
-IrExpr
-IrExpr::reduceXor() const
-{
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::UnOp;
-    n.unop = IrUnOp::ReduceXor;
-    n.nbits = 1;
-    n.args = {node_};
-    return makeNode(std::move(n));
-}
+IrExpr IrExpr::operator~() const
+{ return unop(IrUnOp::Inv, nbits(), node_); }
+IrExpr IrExpr::operator!() const
+{ return unop(IrUnOp::LNot, 1, node_); }
+IrExpr IrExpr::reduceOr() const
+{ return unop(IrUnOp::ReduceOr, 1, node_); }
+IrExpr IrExpr::reduceAnd() const
+{ return unop(IrUnOp::ReduceAnd, 1, node_); }
+IrExpr IrExpr::reduceXor() const
+{ return unop(IrUnOp::ReduceXor, 1, node_); }
 
 IrExpr
 mux(const IrExpr &cond, const IrExpr &a, const IrExpr &b)
@@ -420,73 +413,57 @@ BlockBuilder::ifChain(
 
 namespace {
 
-void
-collectExpr(const IrExprPtr &e, std::vector<Signal *> &reads)
+/** The one walk behind irSummarize. */
+class Summarizer
 {
-    if (!e)
-        return;
-    if (e->kind == IrExprNode::Kind::Ref)
-        reads.push_back(e->sig);
-    for (const auto &arg : e->args)
-        collectExpr(arg, reads);
-}
+  public:
+    explicit Summarizer(IrBlockSummary &out) : out_(out) {}
 
-void
-collectStmts(const std::vector<IrStmt> &stmts, std::vector<Signal *> &reads,
-             std::vector<Signal *> &writes)
-{
-    for (const auto &s : stmts) {
-        switch (s.kind) {
-          case IrStmt::Kind::Assign:
-            collectExpr(s.rhs, reads);
+    void
+    stmts(const std::vector<IrStmt> &list)
+    {
+        for (const IrStmt &s : list) {
+            ++out_.nodes;
+            expr(s.rhs.get());
+            expr(s.cond.get());
+            if (s.kind == IrStmt::Kind::AWrite)
+                out_.arrayWrites.push_back(s.array);
             if (s.sig) {
-                writes.push_back(s.sig);
+                out_.writes.push_back(s.sig);
+                widen(s.sig->nbits());
                 // Partial writes also read the previous contents.
                 if (s.width >= 0 && !s.nonblocking)
-                    reads.push_back(s.sig);
+                    out_.reads.push_back(s.sig);
             }
-            break;
-          case IrStmt::Kind::If:
-            collectExpr(s.cond, reads);
-            collectStmts(s.thenBody, reads, writes);
-            collectStmts(s.elseBody, reads, writes);
-            break;
-          case IrStmt::Kind::AWrite:
-            collectExpr(s.cond, reads); // index
-            collectExpr(s.rhs, reads);
-            break;
+            stmts(s.thenBody);
+            stmts(s.elseBody);
         }
     }
-}
 
-void
-collectArraysExpr(const IrExprPtr &e, std::vector<MemArray *> &reads)
-{
-    if (!e)
-        return;
-    if (e->kind == IrExprNode::Kind::ARead)
-        reads.push_back(e->array);
-    for (const auto &arg : e->args)
-        collectArraysExpr(arg, reads);
-}
-
-void
-collectArraysStmts(const std::vector<IrStmt> &stmts,
-                   std::vector<MemArray *> &reads,
-                   std::vector<MemArray *> &writes)
-{
-    for (const auto &s : stmts) {
-        collectArraysExpr(s.rhs, reads);
-        collectArraysExpr(s.cond, reads);
-        if (s.kind == IrStmt::Kind::AWrite)
-            writes.push_back(s.array);
-        collectArraysStmts(s.thenBody, reads, writes);
-        collectArraysStmts(s.elseBody, reads, writes);
+  private:
+    void
+    expr(const IrExprNode *e)
+    {
+        if (!e)
+            return;
+        ++out_.nodes;
+        widen(e->nbits);
+        if (e->kind == IrExprNode::Kind::Ref)
+            out_.reads.push_back(e->sig);
+        else if (e->kind == IrExprNode::Kind::ARead)
+            out_.arrayReads.push_back(e->array);
+        for (const IrExprPtr &arg : e->args)
+            expr(arg.get());
     }
-}
 
+    void widen(int nbits) { out_.widest = std::max(out_.widest, nbits); }
+
+    IrBlockSummary &out_;
+};
+
+template <typename T>
 void
-dedup(std::vector<Signal *> &v)
+dedup(std::vector<T *> &v)
 {
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
@@ -620,24 +597,18 @@ stmtsToString(const std::vector<IrStmt> &stmts, int indent,
 
 } // namespace
 
-void
-irCollectAccess(const IrBlock &block, std::vector<Signal *> &reads,
-                std::vector<Signal *> &writes)
+IrBlockSummary
+irSummarize(const IrBlock &block)
 {
-    collectStmts(block.stmts, reads, writes);
-    dedup(reads);
-    dedup(writes);
-}
-
-void
-irCollectArrays(const IrBlock &block, std::vector<MemArray *> &reads,
-                std::vector<MemArray *> &writes)
-{
-    collectArraysStmts(block.stmts, reads, writes);
-    std::sort(reads.begin(), reads.end());
-    reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
-    std::sort(writes.begin(), writes.end());
-    writes.erase(std::unique(writes.begin(), writes.end()), writes.end());
+    IrBlockSummary out;
+    for (const IrTemp &t : block.temps)
+        out.widest = std::max(out.widest, t.nbits);
+    Summarizer(out).stmts(block.stmts);
+    dedup(out.reads);
+    dedup(out.writes);
+    dedup(out.arrayReads);
+    dedup(out.arrayWrites);
+    return out;
 }
 
 std::string

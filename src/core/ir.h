@@ -14,6 +14,19 @@
  * operators on the lightweight IrExpr handle; statements are built
  * through a BlockBuilder obtained from Model::combinational() or
  * Model::tickRtl().
+ *
+ * Leaves are shared, not copied: rd(sig) returns the one Ref node
+ * cached on the signal, and lit(nbits, v) returns the one node of a
+ * process-wide table for each small narrow constant. A tree is
+ * therefore a DAG whose leaves many trees and blocks reuse, across
+ * models and threads for constants. Two rules keep that safe, and
+ * every walker must keep them: a node is never changed after it is
+ * built, and no walker keys anything on a node's identity (its
+ * address) — walk the tree and count each use of a node as its own.
+ *
+ * Elaboration walks each block once (irSummarize) and keeps what the
+ * layers after it need: the accesses, the tree size as the block's
+ * partition weight, and the widest value as the specializer's test.
  */
 
 #ifndef CMTL_CORE_IR_H
@@ -257,14 +270,24 @@ class BlockBuilder
     std::vector<std::vector<IrStmt> *> stack_;
 };
 
-/** Collect the signals read / written by a block (for scheduling). */
-void irCollectAccess(const IrBlock &block, std::vector<Signal *> &reads,
-                     std::vector<Signal *> &writes);
+/**
+ * What elaboration needs to know about one block, gathered in one walk
+ * of its statements and expression trees.
+ */
+struct IrBlockSummary
+{
+    std::vector<Signal *> reads;  //!< signals read, sorted and unique
+    std::vector<Signal *> writes; //!< signals written, sorted and unique
+    std::vector<MemArray *> arrayReads;  //!< sorted and unique
+    std::vector<MemArray *> arrayWrites; //!< sorted and unique
+    /** Statements plus expression nodes, a shared node once per use. */
+    long nodes = 0;
+    /** Widest value in bits: any node, temp or assigned signal. */
+    int widest = 0;
+};
 
-/** Collect the memory arrays read / written by a block. */
-void irCollectArrays(const IrBlock &block,
-                     std::vector<MemArray *> &reads,
-                     std::vector<MemArray *> &writes);
+/** Walk @p block once and summarize its accesses and size. */
+IrBlockSummary irSummarize(const IrBlock &block);
 
 /** Human-readable dump (debugging aid). */
 std::string irToString(const IrBlock &block);

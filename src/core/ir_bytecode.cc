@@ -18,51 +18,6 @@ widthMask(int nbits)
     return nbits >= 64 ? ~uint64_t(0) : ((uint64_t(1) << nbits) - 1);
 }
 
-bool
-exprSpecializable(const IrExprNode *e, const ArenaStore &store)
-{
-    if (e->nbits > 64)
-        return false;
-    // ARead indexes are computed values; always representable.
-    if (e->kind == IrExprNode::Kind::Ref &&
-        !store.narrow(e->sig->netId()))
-        return false;
-    for (const auto &arg : e->args) {
-        if (!exprSpecializable(arg.get(), store))
-            return false;
-    }
-    return true;
-}
-
-bool
-stmtsSpecializable(const std::vector<IrStmt> &stmts, const ArenaStore &store)
-{
-    for (const auto &s : stmts) {
-        switch (s.kind) {
-          case IrStmt::Kind::Assign:
-            if (s.sig && !store.narrow(s.sig->netId()))
-                return false;
-            if (!exprSpecializable(s.rhs.get(), store))
-                return false;
-            break;
-          case IrStmt::Kind::If:
-            if (!exprSpecializable(s.cond.get(), store))
-                return false;
-            if (!stmtsSpecializable(s.thenBody, store))
-                return false;
-            if (!stmtsSpecializable(s.elseBody, store))
-                return false;
-            break;
-          case IrStmt::Kind::AWrite:
-            if (!exprSpecializable(s.cond.get(), store) ||
-                !exprSpecializable(s.rhs.get(), store))
-                return false;
-            break;
-        }
-    }
-    return true;
-}
-
 /**
  * Compiles one block into bytecode. While compiling, a register is
  * encoded by kind: a slot s as s, a constant k as kConstTag + k and a
@@ -931,15 +886,9 @@ inRange(uint64_t amt)
 } // namespace
 
 bool
-bcSpecializable(const ElabBlock &blk, const ArenaStore &store)
+bcSpecializable(const ElabBlock &blk)
 {
-    if (!blk.ir)
-        return false;
-    for (const auto &t : blk.ir->temps) {
-        if (t.nbits > 64)
-            return false;
-    }
-    return stmtsSpecializable(blk.ir->stmts, store);
+    return blk.ir && blk.widest <= 64;
 }
 
 BcBlock

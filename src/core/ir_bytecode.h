@@ -286,8 +286,11 @@ class BcModule
     int max_frame_ = 0;
 };
 
-/** True iff the block is within the specializable subset. */
-bool bcSpecializable(const ElabBlock &blk, const ArenaStore &store);
+/**
+ * True iff the block is within the specializable subset: an IR block
+ * whose every value, temp and assigned net fits in 64 bits.
+ */
+bool bcSpecializable(const ElabBlock &blk);
 
 /**
  * Compile an IR block against the arena's word offsets: one instruction

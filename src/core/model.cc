@@ -296,21 +296,20 @@ class Elaborator
                 blk.name = m->fullName() + "." + ir.name;
                 blk.model = m;
                 blk.ir = &ir;
-                std::vector<Signal *> reads, writes;
-                irCollectAccess(ir, reads, writes);
-                for (Signal *sig : reads)
+                const IrBlockSummary sum = irSummarize(ir);
+                blk.weight = std::max<long>(1, sum.nodes);
+                blk.widest = sum.widest;
+                for (Signal *sig : sum.reads)
                     blk.reads.push_back(sig->netId());
-                for (Signal *sig : writes) {
+                for (Signal *sig : sum.writes) {
                     blk.writes.push_back(sig->netId());
                     if (ir.sequential)
                         elab->nets[sig->netId()].floppedStatic = true;
                 }
-                std::vector<MemArray *> areads, awrites;
-                irCollectArrays(ir, areads, awrites);
-                for (MemArray *array : areads)
+                for (MemArray *array : sum.arrayReads)
                     blk.reads.push_back(
                         elab->arrayToken(array->arrayId()));
-                for (MemArray *array : awrites)
+                for (MemArray *array : sum.arrayWrites)
                     blk.writes.push_back(
                         elab->arrayToken(array->arrayId()));
                 dedupNets(blk.reads);

@@ -61,6 +61,15 @@ struct ElabBlock
     const IrBlock *ir = nullptr; //!< IR blocks
     std::vector<int> reads;      //!< net ids read (comb scheduling)
     std::vector<int> writes;     //!< net ids written
+    /**
+     * Per-cycle work estimate for the partitioner: an IR block's
+     * statement and expression-node count (at least 1), a lambda's
+     * fixed 16 (its host code is opaque).
+     */
+    long weight = 16;
+    /** IR blocks: widest value (irSummarize); the bytecode subset
+     *  holds blocks of at most 64 bits. */
+    int widest = 0;
 };
 
 /**

@@ -35,38 +35,6 @@ class BlockUnionFind
     std::vector<int> parent_;
 };
 
-long
-exprCost(const IrExprNode *e)
-{
-    if (!e)
-        return 0;
-    long cost = 1;
-    for (const IrExprPtr &arg : e->args)
-        cost += exprCost(arg.get());
-    return cost;
-}
-
-long
-stmtCost(const std::vector<IrStmt> &stmts)
-{
-    long cost = 0;
-    for (const IrStmt &s : stmts) {
-        cost += 1 + exprCost(s.rhs.get()) + exprCost(s.cond.get());
-        cost += stmtCost(s.thenBody) + stmtCost(s.elseBody);
-    }
-    return cost;
-}
-
-/** Per-cycle work estimate of one block (IR node count proxy). */
-long
-blockWeight(const ElabBlock &blk)
-{
-    if (blk.ir)
-        return std::max<long>(1, stmtCost(blk.ir->stmts));
-    // Lambda blocks: unknown host code; assume a moderate fixed cost.
-    return 16;
-}
-
 /** True for blocks the partitioner may assign to a worker island. */
 bool
 assignable(const ElabBlock &blk)
@@ -232,7 +200,7 @@ partitionDesign(const Elaboration &elab, int nislands)
         }
         int c = it->second;
         clusterOf[i] = c;
-        clusterWeight[c] += blockWeight(blocks[i]);
+        clusterWeight[c] += blocks[i].weight;
         clusterKey[c] = std::min(clusterKey[c],
                                  modelOrder.at(blocks[i].model));
     }
@@ -383,7 +351,7 @@ partitionDesign(const Elaboration &elab, int nislands)
     }
     for (int i = 0; i < nblocks; ++i) {
         if (islandOfBlock[i] >= 0)
-            plan.islands[islandOfBlock[i]].weight += blockWeight(blocks[i]);
+            plan.islands[islandOfBlock[i]].weight += blocks[i].weight;
     }
 
     // Cut size: tokens some non-owner island reads (exchanged between

@@ -18,6 +18,10 @@
  * at most one cross-island comb edge (the backward rdy path), giving
  * a two-superstep settle for meshes of any size.
  *
+ * Clusters are weighed by their blocks' ElabBlock::weight, the
+ * per-block work estimate elaboration records in its one walk of each
+ * IR block, so partitioning reads no expression tree.
+ *
  * Only blocks with statically known effects are assigned to islands:
  * IR blocks (CombIr/TickIr, whose read/write sets come from the IR)
  * and comb lambdas (whose sets are declared). TickFl/TickCl lambdas
@@ -57,7 +61,7 @@ struct PartitionIsland
     std::vector<int> ownedTokens;
     /** Owned nets that are statically flopped. */
     std::vector<int> flopNets;
-    /** Estimated per-cycle work (IR statement count proxy). */
+    /** Estimated per-cycle work: the sum of its blocks' weights. */
     long weight = 0;
 };
 

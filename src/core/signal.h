@@ -28,6 +28,7 @@
 #ifndef CMTL_CORE_SIGNAL_H
 #define CMTL_CORE_SIGNAL_H
 
+#include <memory>
 #include <string>
 
 #include "bits.h"
@@ -36,6 +37,7 @@ namespace cmtl {
 
 class Model;
 class Signal;
+struct IrExprNode; // ir.h
 
 /** Direction of a signal relative to its owning model. */
 enum class SignalDir { Input, Output, Wire };
@@ -135,6 +137,8 @@ class Signal
      */
     void bindNextSlot(int words_per_phase) { next_off_ = words_per_phase; }
     bool slotBound() const { return slot_ != nullptr; }
+    /** The signal's one IR Ref node; the first rd() (ir.h) builds it. */
+    std::shared_ptr<const IrExprNode> &refNode() { return ref_node_; }
 
   private:
     /** Virtual-path read/writeNext; throw outside a simulation. */
@@ -150,6 +154,7 @@ class Signal
     int next_off_ = 0; //!< next-phase word offset from slot_; 0 = unbound
     SignalAccess *access_ = nullptr;
     uint64_t *slot_ = nullptr; //!< bound current-phase word, or null
+    std::shared_ptr<const IrExprNode> ref_node_;
 };
 
 /** An input port. */

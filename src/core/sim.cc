@@ -139,7 +139,7 @@ Simulator::specialize(const ArenaStore *store, int nframes,
     const auto &blocks = elab_->blocks;
     std::vector<int> members;
     for (size_t b = 0; b < blocks.size(); ++b) {
-        if (blocks[b].ir && bcSpecializable(blocks[b], *store))
+        if (bcSpecializable(blocks[b]))
             members.push_back(static_cast<int>(b));
     }
     spec_stats_.numSpecialized = static_cast<int>(members.size());
@@ -417,8 +417,10 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         for (int b : lanes(comb_steps_[i]))
             comb_step_of_block_[b] = static_cast<int>(i);
     }
-    if (useBoxed() && specializes_)
+    if (useBoxed() && specializes_) {
         assignOwnership();
+        buildSyncLists();
+    }
 
     in_worklist_.assign(comb_steps_.size(), 0);
     if (eventDriven()) {
@@ -691,70 +693,91 @@ SimulationTool::copyArrayToBoxed(int token)
 }
 
 void
-SimulationTool::syncIn(const Step &step)
+SimulationTool::buildSyncLists()
 {
-    // Marshal each lane's boundary state into the arena before a
-    // batch runs (the Python -> C++ call boundary). Arena-owned tokens
-    // never cross: the compiled component keeps them.
-    for (int b : lanes(step)) {
-        const ElabBlock &blk = elab_->blocks[b];
-        for (int net : blk.reads) {
-            if (tokenInArena(net))
-                continue;
-            if (isArrayToken(net))
-                copyArrayToArena(net);
-            else
-                arena_->write(net, boxed_->read(net));
+    // A token several lanes of a batch touch, like reset, crosses once.
+    // Arena-owned tokens never cross: the compiled component keeps them.
+    auto boundary = [&](const std::vector<int> &tokens,
+                        std::vector<int> &out) {
+        for (int t : tokens) {
+            if (!tokenInArena(t))
+                out.push_back(t);
         }
-        for (int net : blk.writes) {
-            if (tokenInArena(net))
-                continue;
-            if (isArrayToken(net)) {
-                copyArrayToArena(net);
-            } else if (isTick(blk.kind)) {
-                arena_->writeNext(net, boxed_->readNext(net));
-            } else {
-                arena_->write(net, boxed_->read(net));
-            }
+    };
+    auto dedup = [](std::vector<int> &v) {
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+    };
+    for (const BcBatch &batch : bytecodeBatches()) {
+        BatchSync sync;
+        // A batch's lanes come from one sequence, the comb or the tick
+        // order.
+        sync.tick = isTick(elab_->blocks[batch.blocks.front()].kind);
+        for (int b : batch.blocks) {
+            boundary(elab_->blocks[b].reads, sync.reads);
+            boundary(elab_->blocks[b].writes, sync.writes);
         }
+        dedup(sync.reads);
+        dedup(sync.writes);
+        batch_sync_.push_back(std::move(sync));
     }
 }
 
 void
-SimulationTool::syncOut(const Step &step)
+SimulationTool::syncIn(const BatchSync &sync)
 {
-    // Marshal each lane's boundary results back (the C++ -> Python
-    // return boundary); arena-owned writes stay put.
-    for (int b : lanes(step)) {
-        const ElabBlock &blk = elab_->blocks[b];
-        for (int net : blk.writes) {
-            if (tokenInArena(net))
-                continue;
-            if (isArrayToken(net)) {
-                copyArrayToBoxed(net);
-            } else if (isTick(blk.kind)) {
-                boxed_->writeNext(net, arena_->readNext(net));
-            } else {
-                boxed_->write(net, arena_->read(net));
-            }
-        }
+    // Marshal the batch's boundary state into the arena before it runs
+    // (the Python -> C++ call boundary).
+    for (int net : sync.reads) {
+        if (isArrayToken(net))
+            copyArrayToArena(net);
+        else
+            arena_->write(net, boxed_->read(net));
+    }
+    for (int net : sync.writes) {
+        if (isArrayToken(net))
+            copyArrayToArena(net);
+        else if (sync.tick)
+            arena_->writeNext(net, boxed_->readNext(net));
+        else
+            arena_->write(net, boxed_->read(net));
     }
 }
 
-Bits
-SimulationTool::stepValue(const Step &step, int net) const
+void
+SimulationTool::syncOut(const BatchSync &sync)
 {
-    return step.batch >= 0 ? arena_->read(net) : readNet(net);
+    // Marshal the batch's results back (the C++ -> Python return
+    // boundary).
+    for (int net : sync.writes) {
+        if (isArrayToken(net))
+            copyArrayToBoxed(net);
+        else if (sync.tick)
+            boxed_->writeNext(net, arena_->readNext(net));
+        else
+            boxed_->write(net, arena_->read(net));
+    }
 }
 
 void
 SimulationTool::snapshotWrites(const Step &step)
 {
+    // A batch's values sit in the arena (from syncIn to syncOut on a
+    // hybrid), so its snapshot is raw arena words; a lone block's
+    // values are read through readNet.
     write_snapshot_.clear();
+    write_words_.clear();
     for (int b : lanes(step)) {
         for (int net : elab_->blocks[b].writes) {
-            if (!isArrayToken(net))
-                write_snapshot_.push_back(stepValue(step, net));
+            if (isArrayToken(net))
+                continue;
+            if (step.batch >= 0) {
+                const uint64_t *w = arena_->data() + arena_->offset(net);
+                write_words_.insert(write_words_.end(), w,
+                                    w + arena_->nwords(net));
+            } else {
+                write_snapshot_.push_back(readNet(net));
+            }
         }
     }
 }
@@ -765,8 +788,18 @@ SimulationTool::wakeChangedWrites(const Step &step)
     size_t at = 0;
     for (int b : lanes(step)) {
         for (int net : elab_->blocks[b].writes) {
-            if (!isArrayToken(net) &&
-                stepValue(step, net) != write_snapshot_[at++])
+            if (isArrayToken(net))
+                continue;
+            bool changed;
+            if (step.batch >= 0) {
+                const uint64_t *w = arena_->data() + arena_->offset(net);
+                const int n = arena_->nwords(net);
+                changed = !std::equal(w, w + n, write_words_.data() + at);
+                at += n;
+            } else {
+                changed = readNet(net) != write_snapshot_[at++];
+            }
+            if (changed)
                 enqueueReaders(net);
         }
     }
@@ -781,7 +814,7 @@ SimulationTool::runStep(const Step &step, bool wake)
     const bool batch = step.batch >= 0;
     const bool marshal = batch && useBoxed();
     if (marshal)
-        syncIn(step);
+        syncIn(batch_sync_[step.batch]);
     if (wake)
         snapshotWrites(step);
     // A lambda writes through pokeNet, which leaves the waking to
@@ -803,7 +836,7 @@ SimulationTool::runStep(const Step &step, bool wake)
     if (wake)
         wakeChangedWrites(step);
     if (marshal)
-        syncOut(step);
+        syncOut(batch_sync_[step.batch]);
 }
 
 void

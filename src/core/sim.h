@@ -661,9 +661,15 @@ class SimulationTool : public Simulator
     /** Run @p step; with @p wake, it wakes the readers of the nets
      *  whose value it changed. */
     void runStep(const Step &step, bool wake = false);
-    void syncIn(const Step &step);
-    void syncOut(const Step &step);
-    Bits stepValue(const Step &step, int net) const;
+    /** A hybrid batch's boundary tokens, each once over its lanes. */
+    struct BatchSync
+    {
+        std::vector<int> reads, writes;
+        bool tick = false; //!< tick lanes write next-phase values
+    };
+    void buildSyncLists();
+    void syncIn(const BatchSync &sync);
+    void syncOut(const BatchSync &sync);
     void snapshotWrites(const Step &step);
     void wakeChangedWrites(const Step &step);
     bool isArrayToken(int token) const;
@@ -711,8 +717,11 @@ class SimulationTool : public Simulator
     std::vector<char> is_flopped_;
     std::vector<int> tick_array_tokens_; //!< arrays written at ticks
     std::vector<char> token_in_arena_;   //!< hybrid-mode ownership
-    /** A comb step's written nets before it ran (event-driven). */
+    std::vector<BatchSync> batch_sync_; //!< hybrids: per batch
+    /** A comb step's written nets before it ran (event-driven): a
+     *  lone block's values, or a batch's arena words. */
     std::vector<Bits> write_snapshot_;
+    std::vector<uint64_t> write_words_;
     /** True while a waking comb step runs (pokeNet does not wake). */
     bool in_comb_step_ = false;
 

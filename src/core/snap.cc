@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -22,18 +23,19 @@ namespace {
 const uint32_t *
 crcTable()
 {
-    static uint32_t table[256];
-    static bool built = false;
-    if (!built) {
+    // Built once, thread-safely: SimServer jobs checkpoint from
+    // several scheduler threads at once.
+    static const std::array<uint32_t, 256> table = [] {
+        std::array<uint32_t, 256> t{};
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
+            t[i] = c;
         }
-        built = true;
-    }
-    return table;
+        return t;
+    }();
+    return table.data();
 }
 
 } // namespace

@@ -78,15 +78,14 @@ class ModuleEmitter
     collectRegs()
     {
         for (const IrBlock &blk : model_.ownIrBlocks()) {
-            std::vector<Signal *> reads, writes;
-            irCollectAccess(blk, reads, writes);
-            for (Signal *sig : writes) {
+            const IrBlockSummary sum = irSummarize(blk);
+            for (Signal *sig : sum.writes) {
                 if (sig->owner() != &model_)
                     fail("block '" + blk.name +
                          "' writes a foreign signal " + sig->fullName());
                 regs_.insert(sig);
             }
-            for (Signal *sig : reads) {
+            for (Signal *sig : sum.reads) {
                 if (sig->owner() != &model_)
                     fail("block '" + blk.name +
                          "' reads a foreign signal " + sig->fullName());

@@ -110,6 +110,32 @@ attachFault(Simulator &sim, const FuzzSpec &spec)
     });
 }
 
+/**
+ * The state digests of @p side running @p spec's design under @p tape,
+ * where findDivergence takes them: before the first cycle and after
+ * every cycle. With @p ref, the run stops at the first digest that
+ * differs from ref's. Throws whatever building or running the side
+ * throws.
+ */
+std::vector<uint64_t>
+sideDigests(const FuzzSpec &spec, const FuzzSide &side, bool fault,
+            StimTape &tape, const std::vector<uint64_t> *ref = nullptr)
+{
+    FuzzDesign top(spec);
+    std::unique_ptr<Simulator> sim =
+        makeSimulator(top.elaborate(), side.toSimConfig());
+    if (fault)
+        attachFault(*sim, spec);
+    std::vector<uint64_t> out{stateDigest(*sim)};
+    while (out.size() <= spec.cycles &&
+           (!ref || out.back() == (*ref)[out.size() - 1])) {
+        tape.applyTo(*sim);
+        sim->cycle();
+        out.push_back(stateDigest(*sim));
+    }
+    return out;
+}
+
 } // namespace
 
 DivergenceReport
@@ -170,6 +196,17 @@ FuzzRunner::runCase(const FuzzSpec &spec,
                                        " islands: " + audit.summary());
     }
 
+    // The reference side runs once. A side whose digests all equal its
+    // digests agrees with it; any other side, and every side when the
+    // reference throws, is re-run in lockstep by comparePair, so its
+    // report is the one findDivergence writes.
+    StimTape tape = makeFuzzStim(spec);
+    std::vector<uint64_t> ref;
+    try {
+        ref = sideDigests(spec, spec.side_a, false, tape);
+    } catch (const std::exception &) {
+        // ref stays empty.
+    }
     bool have_compiler = CppJit::compilerAvailable();
     for (const FuzzSide &side : matrix) {
         if (side.needsCompiler() && !have_compiler) {
@@ -178,7 +215,16 @@ FuzzRunner::runCase(const FuzzSpec &spec,
         }
         FuzzSpec pair = spec;
         pair.side_b = side;
-        DivergenceReport rep = comparePair(pair);
+        bool agrees = false;
+        try {
+            agrees = !ref.empty() &&
+                     sideDigests(pair, side, true, tape, &ref) == ref;
+        } catch (const std::exception &) {
+            // A side that throws diverges.
+        }
+        DivergenceReport rep;
+        if (!agrees)
+            rep = comparePair(pair);
         ++res.matrix_run;
         if (rep.diverged)
             res.divergences.push_back(

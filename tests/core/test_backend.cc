@@ -419,7 +419,7 @@ specializedModule(const Elaboration &elab, const ArenaStore &store)
 {
     std::vector<int> specialized;
     for (size_t b = 0; b < elab.blocks.size(); ++b) {
-        if (bcSpecializable(elab.blocks[b], store))
+        if (bcSpecializable(elab.blocks[b]))
             specialized.push_back(static_cast<int>(b));
     }
     return BcModule(elab, store, specialized);
@@ -585,7 +585,7 @@ TEST(BackendKernels, MeshSharesOneBytecodeProgramPerBlockType)
     std::set<std::string> types;
     for (size_t b = 0; b < elab->blocks.size(); ++b) {
         const ElabBlock &blk = elab->blocks[b];
-        if (!bcSpecializable(blk, store))
+        if (!bcSpecializable(blk))
             continue;
         specialized.push_back(static_cast<int>(b));
         types.insert(std::string(typeid(*blk.model).name()) + "." +

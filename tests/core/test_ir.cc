@@ -6,6 +6,7 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <thread>
 
 #include "core/ir_bytecode.h"
 #include "core/ir_cpp.h"
@@ -62,11 +63,81 @@ TEST(IrBuild, AccessCollection)
 {
     testmodels::MuxReg top(nullptr, "top", 8, 4);
     const IrBlock &comb = top.mux_.ownIrBlocks().front();
-    std::vector<Signal *> reads, writes;
-    irCollectAccess(comb, reads, writes);
-    EXPECT_EQ(writes.size(), 1u);
-    EXPECT_EQ(writes[0], &top.mux_.out);
-    EXPECT_EQ(reads.size(), 5u); // sel + 4 inputs
+    const IrBlockSummary sum = irSummarize(comb);
+    EXPECT_EQ(sum.writes.size(), 1u);
+    EXPECT_EQ(sum.writes[0], &top.mux_.out);
+    EXPECT_EQ(sum.reads.size(), 5u); // sel + 4 inputs
+}
+
+TEST(IrBuild, LeavesAreShared)
+{
+    testmodels::Register owner(nullptr, "m", 8);
+    EXPECT_EQ(rd(owner.in_).node(), rd(owner.in_).node());
+    EXPECT_NE(rd(owner.in_).node(), rd(owner.out).node());
+    EXPECT_EQ(lit(4, 3).node(), lit(4, 3).node());
+    EXPECT_NE(lit(4, 3).node(), lit(5, 3).node());
+    EXPECT_NE(lit(4, 3).node(), lit(4, 2).node());
+    // Constants outside the table are built afresh, with their value.
+    EXPECT_NE(lit(40, 1000).node(), lit(40, 1000).node());
+    EXPECT_EQ(lit(40, 1000).node()->cval, Bits(40, 1000));
+    EXPECT_EQ(lit(2, 5).node()->cval, Bits(2, 1));
+}
+
+TEST(IrBuild, SharedConstantsAcrossThreads)
+{
+    // Models may be built on several threads at once (SimServer jobs);
+    // each must get the table's one node.
+    std::vector<const IrExprNode *> seen(4, nullptr);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < seen.size(); ++i)
+        threads.emplace_back([&seen, i] { seen[i] = lit(7, 5).node().get(); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const IrExprNode *node : seen)
+        EXPECT_EQ(node, lit(7, 5).node().get());
+}
+
+/**
+ * A comb block that reads its output net through one shared Ref node
+ * after a first blocking write, before a second one and after it:
+ * out = {w + 1, w'} with w = a and then w' = w ^ 3.
+ */
+class SharedRefAcrossWrites : public Model
+{
+  public:
+    InPort a;
+    Wire w;
+    OutPort out;
+    SharedRefAcrossWrites()
+        : Model(nullptr, "top"), a(this, "a", 8), w(this, "w", 8),
+          out(this, "out", 16)
+    {
+        auto &c = combinational("comb");
+        c.assign(w, rd(a));
+        IrExpr first = c.let("first", rd(w) + 1);
+        c.assign(w, rd(w) ^ lit(8, 3));
+        c.assign(out, cat(first, rd(w)));
+    }
+};
+
+TEST(IrBuild, SharedRefReadsTheValueAtEachUse)
+{
+    for (const char *backend :
+         {"interp", "optinterp", "bytecode", "cpp-design"}) {
+        if (std::string(backend) == "cpp-design" &&
+            !CppJit::compilerAvailable())
+            continue;
+        SharedRefAcrossWrites top;
+        SimConfig cfg = SimConfig::fromString(backend);
+        cfg.jit_tiered = false;
+        auto sim = makeSimulator(top.elaborate(), cfg);
+        for (uint64_t v : {0x00, 0x11, 0xfe, 0x80}) {
+            top.a.setValue(v);
+            sim->eval();
+            EXPECT_EQ(top.out.u64(), ((v + 1) & 0xff) << 8 | (v ^ 3))
+                << backend << " a=" << v;
+        }
+    }
 }
 
 TEST(IrBuild, DumpContainsStructure)
@@ -153,9 +224,8 @@ TEST(IrBytecode, SpecializableSubset)
 {
     AluTorture alu(32);
     auto elab = alu.elaborate();
-    ArenaStore store(*elab);
     ASSERT_EQ(elab->blocks.size(), 1u);
-    EXPECT_TRUE(bcSpecializable(elab->blocks[0], store));
+    EXPECT_TRUE(bcSpecializable(elab->blocks[0]));
 
     // A wide model is outside the subset.
     class WideModel : public Model
@@ -173,8 +243,7 @@ TEST(IrBytecode, SpecializableSubset)
     };
     WideModel wide;
     auto welab = wide.elaborate();
-    ArenaStore wstore(*welab);
-    EXPECT_FALSE(bcSpecializable(welab->blocks[0], wstore));
+    EXPECT_FALSE(bcSpecializable(welab->blocks[0]));
 }
 
 TEST(IrBytecode, ProgramsAreCompact)

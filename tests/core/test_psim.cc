@@ -15,14 +15,18 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/ir_bytecode.h"
 #include "core/jit_cpp.h"
 #include "core/partition.h"
 #include "core/psim.h"
 #include "core/sim.h"
+#include "core/store.h"
 #include "core/vcd.h"
+#include "fuzz/fuzz.h"
 #include "net/mesh.h"
 #include "net/traffic.h"
 #include "tile/multitile.h"
+#include "tile/proc.h"
 
 namespace cmtl {
 namespace {
@@ -325,6 +329,148 @@ TEST(Partition, ClampsAndCompactsDegenerateIslandCounts)
     EXPECT_TRUE(std::isfinite(imb));
     std::string report = partitionReport(*elab, plan);
     EXPECT_NE(report.find("requested 512"), std::string::npos);
+}
+
+// ------------------------------------ per-block summary invariants
+
+/** Statements plus expression nodes, each use of a node counted. */
+long
+treeCount(const IrExprNode *e)
+{
+    if (!e)
+        return 0;
+    long n = 1;
+    for (const IrExprPtr &arg : e->args)
+        n += treeCount(arg.get());
+    return n;
+}
+
+long
+treeCount(const std::vector<IrStmt> &stmts)
+{
+    long n = 0;
+    for (const IrStmt &s : stmts) {
+        n += 1 + treeCount(s.rhs.get()) + treeCount(s.cond.get()) +
+             treeCount(s.thenBody) + treeCount(s.elseBody);
+    }
+    return n;
+}
+
+/** The partition weight the summary must equal. */
+long
+referenceWeight(const ElabBlock &blk)
+{
+    return blk.ir ? std::max<long>(1, treeCount(blk.ir->stmts)) : 16;
+}
+
+/** Every node, referenced net and assigned net fits one arena word. */
+bool
+fitsWord(const IrExprNode *e, const ArenaStore &store)
+{
+    if (!e)
+        return true;
+    if (e->nbits > 64)
+        return false;
+    if (e->kind == IrExprNode::Kind::Ref && !store.narrow(e->sig->netId()))
+        return false;
+    for (const IrExprPtr &arg : e->args) {
+        if (!fitsWord(arg.get(), store))
+            return false;
+    }
+    return true;
+}
+
+bool
+fitsWord(const std::vector<IrStmt> &stmts, const ArenaStore &store)
+{
+    for (const IrStmt &s : stmts) {
+        if (s.sig && !store.narrow(s.sig->netId()))
+            return false;
+        if (!fitsWord(s.rhs.get(), store) || !fitsWord(s.cond.get(), store) ||
+            !fitsWord(s.thenBody, store) || !fitsWord(s.elseBody, store))
+            return false;
+    }
+    return true;
+}
+
+bool
+referenceSpecializable(const ElabBlock &blk, const ArenaStore &store)
+{
+    if (!blk.ir)
+        return false;
+    for (const IrTemp &t : blk.ir->temps) {
+        if (t.nbits > 64)
+            return false;
+    }
+    return fitsWord(blk.ir->stmts, store);
+}
+
+/** Checks every block of @p top; returns its IR blocks over 64 bits. */
+int
+expectSummaryMatchesTreeWalk(Model &top, const std::string &what)
+{
+    auto elab = top.elaborate();
+    ArenaStore store(*elab);
+    int wide = 0;
+    for (const ElabBlock &blk : elab->blocks) {
+        EXPECT_EQ(blk.weight, referenceWeight(blk)) << what << " " << blk.name;
+        EXPECT_EQ(bcSpecializable(blk), referenceSpecializable(blk, store))
+            << what << " " << blk.name;
+        wide += blk.ir && !bcSpecializable(blk);
+    }
+    return wide;
+}
+
+TEST(ElabSummary, WeightAndWidthMatchATreeWalk)
+{
+    for (int nrouters : {64, 256}) {
+        MeshTrafficTop mesh("top", NetLevel::RTL, nrouters, 4, 0.3, 1);
+        expectSummaryMatchesTreeWalk(mesh,
+                                     "mesh" + std::to_string(nrouters));
+    }
+    tile::ProcRTL5 proc(nullptr, "proc");
+    expectSummaryMatchesTreeWalk(proc, "ProcRTL5");
+    int wide = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        fuzz::FuzzSpec spec;
+        spec.seed = seed;
+        fuzz::FuzzDesign top(spec);
+        wide += expectSummaryMatchesTreeWalk(
+            top, "fuzz seed " + std::to_string(seed));
+    }
+    // The generator's 65-96-bit nets keep the other side covered.
+    EXPECT_GT(wide, 0);
+}
+
+TEST(Partition, PlansFollowTheTreeCountWeight)
+{
+    // {routers, islands, cut tokens}: the cut sizes the tree-count
+    // weight gives, pinned so that any change to the weight shows.
+    const int expected[][3] = {
+        {64, 2, 337}, {64, 4, 433}, {256, 2, 1057}, {256, 4, 1249}};
+    for (const auto &[nrouters, nislands, cut] : expected) {
+        MeshTrafficTop mesh("top", NetLevel::RTL, nrouters, 4, 0.3, 1);
+        auto elab = mesh.elaborate();
+        Elaboration reference = *elab;
+        for (ElabBlock &blk : reference.blocks)
+            blk.weight = referenceWeight(blk);
+        const PartitionPlan plan = partitionDesign(*elab, nislands);
+        const PartitionPlan want = partitionDesign(reference, nislands);
+        const std::string ctx = std::to_string(nrouters) + " routers, " +
+                                std::to_string(nislands) + " islands";
+        ASSERT_EQ(plan.nislands, want.nislands) << ctx;
+        for (int i = 0; i < plan.nislands; ++i) {
+            EXPECT_EQ(plan.islands[i].combBlocks, want.islands[i].combBlocks)
+                << ctx;
+            EXPECT_EQ(plan.islands[i].tickBlocks, want.islands[i].tickBlocks)
+                << ctx;
+            EXPECT_EQ(plan.islands[i].weight, want.islands[i].weight) << ctx;
+        }
+        EXPECT_EQ(plan.nlevels, want.nlevels) << ctx;
+        EXPECT_EQ(plan.nlevels, 2) << ctx;
+        EXPECT_EQ(plan.cutTokens, want.cutTokens) << ctx;
+        EXPECT_EQ(plan.cutTokens, cut) << ctx;
+    }
 }
 
 TEST(Psim, RejectsUnsupportedConfigs)
