@@ -81,14 +81,13 @@ main(int argc, char **argv)
     }
     double ref_rate = static_cast<double>(ref_cycles) / ref_sw.elapsed();
 
-    JsonWriter json("BENCH_fig14_mesh.json");
-    json.beginObject();
-    json.field("bench", "fig14_mesh");
+    Json json = Json::object();
+    json.set("bench", Json::string("fig14_mesh"));
     hostFields(json);
-    json.field("nodes", kNodes);
-    json.field("injection_rate", kInjection);
-    json.field("handcpp_cycles_per_second", ref_rate);
-    json.key("levels").beginArray();
+    json.set("nodes", Json::number(kNodes));
+    json.set("injection_rate", Json::number(kInjection));
+    json.set("handcpp_cycles_per_second", Json::number(ref_rate));
+    Json levels = Json::array();
 
     for (NetLevel level :
          {NetLevel::FL, NetLevel::CLSpec, NetLevel::RTL}) {
@@ -109,39 +108,38 @@ main(int argc, char **argv)
                                  measureLevel(level, mode.cfg));
         }
 
-        json.beginObject();
-        json.field("level", netLevelName(level));
-        json.key("configs").beginArray();
+        Json configs = Json::array();
         for (const auto &[mode, r] : results) {
-            json.beginObject();
-            json.field("config", mode.name);
-            json.field("backend", mode.cfg.toString());
-            json.field("cycles_per_second", r.cycles_per_second);
-            json.field("setup_seconds", r.setup_seconds);
-            json.field("codegen_seconds", r.spec.codegenSeconds);
-            json.field("compile_seconds", r.spec.compileSeconds);
-            json.field("compile_ms", r.spec.compileSeconds * 1e3);
+            Json row = Json::object();
+            row.set("config", Json::string(mode.name));
+            row.set("backend", Json::string(mode.cfg.toString()));
+            row.set("cycles_per_second", Json::number(r.cycles_per_second));
+            row.set("setup_seconds", Json::number(r.setup_seconds));
+            row.set("codegen_seconds", Json::number(r.spec.codegenSeconds));
+            row.set("compile_seconds", Json::number(r.spec.compileSeconds));
+            row.set("compile_ms", Json::number(r.spec.compileSeconds * 1e3));
             // -1 = no tier swap (not a tiered backend); 0 = the
             // native module was live before the first cycle.
-            json.field("tier_swap_cycle",
-                       static_cast<int>(r.spec.tierSwapCycle));
-            json.field("cache_hit", r.spec.cacheHit);
-            json.endObject();
+            row.set("tier_swap_cycle",
+                    Json::number(static_cast<int>(r.spec.tierSwapCycle)));
+            row.set("cache_hit", Json::boolean(r.spec.cacheHit));
+            configs.push(std::move(row));
         }
-        json.endArray();
+        Json entry = Json::object();
+        entry.set("level", Json::string(netLevelName(level)));
+        entry.set("configs", std::move(configs));
         // One SimScope'd short run per level (interp config): phase
         // split, hot blocks and val/rdy channel stats for this design.
-        json.key("metrics").rawValue(profileSnapshot(
-            [&] {
-                static std::unique_ptr<MeshTrafficTop> top;
-                top = std::make_unique<MeshTrafficTop>(
-                    "top", level, kNodes, kEntries, kInjection, 1);
-                return std::unique_ptr<Simulator>(
-                    std::make_unique<SimulationTool>(
-                        top->elaborate(), modes.front().cfg));
-            },
-            96));
-        json.endObject();
+        auto make = [&] {
+            static std::unique_ptr<MeshTrafficTop> top;
+            top = std::make_unique<MeshTrafficTop>(
+                "top", level, kNodes, kEntries, kInjection, 1);
+            return std::unique_ptr<Simulator>(
+                std::make_unique<SimulationTool>(top->elaborate(),
+                                                 modes.front().cfg));
+        };
+        entry.set("metrics", profileSnapshot(make, 96));
+        levels.push(std::move(entry));
 
         const RateResult &interp = results.front().second;
         std::printf("%-14s %12s %8s", "config", "cycles/s",
@@ -200,7 +198,7 @@ main(int argc, char **argv)
             }
         }
     }
-    json.endArray();
+    json.set("levels", std::move(levels));
 
     // Code generation on the RTL mesh: per-block (cpp-block) vs
     // per-batch (cpp-design) calls of one library — emitted TU size
@@ -209,7 +207,7 @@ main(int argc, char **argv)
     rule('=');
     std::printf("code generation (RTL mesh)\n");
     rule('=');
-    json.key("codegen").beginArray();
+    Json codegen = Json::array();
     {
         std::vector<SimConfig> cfgs;
         if (CppJit::compilerAvailable()) {
@@ -230,21 +228,23 @@ main(int argc, char **argv)
                         r.spec.compileSeconds * 1e3,
                         r.layout.words_per_phase,
                         r.layout.flop_memcpy_ranges);
-            json.beginObject();
-            json.field("backend", cfg.toString());
-            json.field("cycles_per_second", r.cycles_per_second);
-            json.field("emitted_tu_bytes",
-                       static_cast<uint64_t>(r.spec.emittedTuBytes));
-            json.field("kernel_types", r.spec.kernelTypes);
-            json.field("specialized_blocks", r.spec.numSpecialized);
-            json.field("compile_ms", r.spec.compileSeconds * 1e3);
-            json.field("words_per_phase", r.layout.words_per_phase);
-            json.field("flop_memcpy_ranges",
-                       r.layout.flop_memcpy_ranges);
-            json.endObject();
+            Json row = Json::object();
+            row.set("backend", Json::string(cfg.toString()));
+            row.set("cycles_per_second", Json::number(r.cycles_per_second));
+            row.set("emitted_tu_bytes", Json::number(static_cast<uint64_t>(
+                                            r.spec.emittedTuBytes)));
+            row.set("kernel_types", Json::number(r.spec.kernelTypes));
+            row.set("specialized_blocks",
+                    Json::number(r.spec.numSpecialized));
+            row.set("compile_ms", Json::number(r.spec.compileSeconds * 1e3));
+            row.set("words_per_phase",
+                    Json::number(r.layout.words_per_phase));
+            row.set("flop_memcpy_ranges",
+                    Json::number(r.layout.flop_memcpy_ranges));
+            codegen.push(std::move(row));
         }
     }
-    json.endArray();
+    json.set("codegen", std::move(codegen));
 
     // Checkpoint cost and warm start (SimSnap): snapshot the RTL mesh
     // at a fixed cycle, restore into a fresh simulator and measure the
@@ -268,19 +268,19 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(ws.snap_cycle),
                 static_cast<unsigned long long>(ws.snapshot_bytes),
                 ws.snapshot_ms, ws.restore_ms, ws.cycles_per_second);
-    json.key("checkpoint").beginObject();
-    json.field("level", "rtl");
-    json.field("backend", modes.front().cfg.toString());
-    json.field("snap_cycle", ws.snap_cycle);
-    json.field("snapshot_bytes", ws.snapshot_bytes);
-    json.field("snapshot_ms", ws.snapshot_ms);
-    json.field("restore_ms", ws.restore_ms);
-    json.key("warm_start").beginObject();
-    json.field("cycles_per_second", ws.cycles_per_second);
-    json.endObject();
-    json.endObject();
+    Json ckpt = Json::object();
+    ckpt.set("level", Json::string("rtl"));
+    ckpt.set("backend", Json::string(modes.front().cfg.toString()));
+    ckpt.set("snap_cycle", Json::number(ws.snap_cycle));
+    ckpt.set("snapshot_bytes", Json::number(ws.snapshot_bytes));
+    ckpt.set("snapshot_ms", Json::number(ws.snapshot_ms));
+    ckpt.set("restore_ms", Json::number(ws.restore_ms));
+    ckpt.set("warm_start",
+             Json::object().set("cycles_per_second",
+                                Json::number(ws.cycles_per_second)));
+    json.set("checkpoint", std::move(ckpt));
 
-    json.endObject();
+    writeJson("BENCH_fig14_mesh.json", json);
     std::printf("wrote BENCH_fig14_mesh.json\n");
     return 0;
 }

@@ -97,17 +97,16 @@ main(int argc, char **argv)
                 "(seed %llu)\n",
                 nrouters, static_cast<unsigned long long>(seed));
 
-    JsonWriter json("BENCH_noc_latency.json");
-    json.beginObject();
-    json.field("bench", "noc_latency");
+    Json json = Json::object();
+    json.set("bench", Json::string("noc_latency"));
     hostFields(json);
-    json.field("nrouters", nrouters);
-    json.field("nentries", nentries);
-    json.field("seed", seed);
-    json.field("warmup_cycles", warmup);
-    json.field("measure_cycles", measure);
-    json.field("full", full);
-    json.key("patterns").beginArray();
+    json.set("nrouters", Json::number(nrouters));
+    json.set("nentries", Json::number(nentries));
+    json.set("seed", Json::number(seed));
+    json.set("warmup_cycles", Json::number(warmup));
+    json.set("measure_cycles", Json::number(measure));
+    json.set("full", Json::boolean(full));
+    Json pattern_rows = Json::array();
 
     for (TrafficPattern pattern : patterns) {
         rule('=');
@@ -116,9 +115,7 @@ main(int argc, char **argv)
         std::printf("%10s %14s %14s %12s %10s\n", "offered", "avg lat",
                     "max lat", "throughput", "accepted");
 
-        json.beginObject();
-        json.field("pattern", trafficPatternName(pattern));
-        json.key("points").beginArray();
+        Json points = Json::array();
 
         for (double load : loads) {
             Point p = measurePoint(nrouters, nentries, load, seed,
@@ -128,20 +125,20 @@ main(int argc, char **argv)
                         p.throughput, p.accepted * 100);
             std::fflush(stdout);
 
-            json.beginObject();
-            json.field("injection", p.injection);
-            json.field("avg_latency", p.avg_latency);
-            json.field("max_latency", p.max_latency);
-            json.field("throughput", p.throughput);
-            json.field("accepted", p.accepted);
-            json.endObject();
+            points.push(Json::object()
+                            .set("injection", Json::number(p.injection))
+                            .set("avg_latency", Json::number(p.avg_latency))
+                            .set("max_latency", Json::number(p.max_latency))
+                            .set("throughput", Json::number(p.throughput))
+                            .set("accepted", Json::number(p.accepted)));
         }
-        json.endArray();
-        json.endObject();
+        pattern_rows.push(
+            Json::object()
+                .set("pattern", Json::string(trafficPatternName(pattern)))
+                .set("points", std::move(points)));
     }
-
-    json.endArray();
-    json.endObject();
+    json.set("patterns", std::move(pattern_rows));
+    writeJson("BENCH_noc_latency.json", json);
     std::printf("wrote BENCH_noc_latency.json\n");
     return 0;
 }

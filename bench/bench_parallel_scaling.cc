@@ -130,18 +130,17 @@ main(int argc, char **argv)
         };
     }
 
-    JsonWriter json("BENCH_parallel_scaling.json");
-    json.beginObject();
-    json.field("bench", "parallel_scaling");
+    Json json = Json::object();
+    json.set("bench", Json::string("parallel_scaling"));
     const int host_cpus = hostFields(json);
-    json.field("full", full);
+    json.set("full", Json::boolean(full));
 
     std::printf("ParSim thread scaling (host cpus: %d)\n", host_cpus);
     std::printf("NOTE: points running more OS threads (islands + 1 "
                 "coordinator) than %d host cpus are marked "
                 "oversubscribed (no speedup claim)\n",
                 host_cpus);
-    json.key("scenarios").beginArray();
+    Json scenario_rows = Json::array();
 
     for (const Scenario &sc : scenarios) {
         rule('=');
@@ -151,10 +150,7 @@ main(int argc, char **argv)
         std::printf("%8s %14s %10s %10s %10s\n", "threads",
                     "cycles/s", "speedup", "islands", "cut");
 
-        json.beginObject();
-        json.field("name", sc.name);
-        json.field("backend", backendName(sc.backend));
-        json.key("points").beginArray();
+        Json points = Json::array();
 
         double base_rate = 0.0;
         for (int threads : thread_counts) {
@@ -185,11 +181,11 @@ main(int argc, char **argv)
             }
             const bool oversubscribed =
                 host_cpus > 0 && os_threads > host_cpus;
-            SimScope scope(*probe);
+            SimScope profiler(*probe);
             probe->cycle(sc.probe_cycles);
-            SimScope::PhaseBreakdown pb = scope.phaseBreakdown();
-            std::string metrics = scope.jsonSnapshot();
-            scope.detach();
+            SimScope::PhaseBreakdown pb = profiler.phaseBreakdown();
+            Json metrics = profiler.snapshot();
+            profiler.detach();
 
             if (oversubscribed) {
                 std::printf("%8d %14.0f %10s %10d %10d\n", threads,
@@ -210,37 +206,39 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(pb.boundary_bytes),
                 static_cast<unsigned long long>(sc.probe_cycles));
 
-            json.beginObject();
-            json.field("threads", threads);
-            json.field("os_threads", os_threads);
-            json.field("cycles_per_second", r.cycles_per_second);
-            json.field("min_cycles_per_second", r.min_cycles_per_second);
-            json.field("max_cycles_per_second", r.max_cycles_per_second);
-            json.field("rounds", r.rounds);
-            if (oversubscribed) {
-                // No speedup claim for a point that time-sliced its
-                // spin-barrier workers on too few cores.
-                json.field("oversubscribed", true);
-            } else {
-                json.field("oversubscribed", false);
-                json.field("speedup_vs_1thread", speedup);
-            }
-            json.field("setup_seconds", r.setup_seconds);
-            json.field("measured_cycles", r.measured_cycles);
-            json.field("islands", nislands);
-            json.field("settle_supersteps", nlevels);
-            json.field("cut_tokens", cut);
-            json.field("imbalance", imbalance);
-            json.field("probe_cycles", sc.probe_cycles);
-            json.field("barrier_seconds", pb.barrier_seconds);
-            json.key("metrics").rawValue(metrics);
-            json.endObject();
+            Json pt = Json::object();
+            pt.set("threads", Json::number(threads));
+            pt.set("os_threads", Json::number(os_threads));
+            pt.set("cycles_per_second", Json::number(r.cycles_per_second));
+            pt.set("min_cycles_per_second",
+                   Json::number(r.min_cycles_per_second));
+            pt.set("max_cycles_per_second",
+                   Json::number(r.max_cycles_per_second));
+            pt.set("rounds", Json::number(r.rounds));
+            // No speedup claim for a point that time-sliced its
+            // spin-barrier workers on too few cores.
+            pt.set("oversubscribed", Json::boolean(oversubscribed));
+            if (!oversubscribed)
+                pt.set("speedup_vs_1thread", Json::number(speedup));
+            pt.set("setup_seconds", Json::number(r.setup_seconds));
+            pt.set("measured_cycles", Json::number(r.measured_cycles));
+            pt.set("islands", Json::number(nislands));
+            pt.set("settle_supersteps", Json::number(nlevels));
+            pt.set("cut_tokens", Json::number(cut));
+            pt.set("imbalance", Json::number(imbalance));
+            pt.set("probe_cycles", Json::number(sc.probe_cycles));
+            pt.set("barrier_seconds", Json::number(pb.barrier_seconds));
+            pt.set("metrics", std::move(metrics));
+            points.push(std::move(pt));
         }
-        json.endArray();
-        json.endObject();
+        scenario_rows.push(
+            Json::object()
+                .set("name", Json::string(sc.name))
+                .set("backend", Json::string(backendName(sc.backend)))
+                .set("points", std::move(points)));
     }
-    json.endArray();
-    json.endObject();
+    json.set("scenarios", std::move(scenario_rows));
+    writeJson("BENCH_parallel_scaling.json", json);
     std::printf("wrote BENCH_parallel_scaling.json\n");
     return 0;
 }

@@ -127,18 +127,17 @@ main(int argc, char **argv)
 
     const std::string cache_dir =
         "/tmp/cmtl-bench-server-cache-" + std::to_string(::getpid());
-    JsonWriter json("BENCH_server_throughput.json");
-    json.beginObject()
-        .field("bench", "server_throughput")
-        .field("design", "mesh")
-        .field("level", "cl")
-        .field("nrouters", 16)
-        .field("cycles_per_job", cycles)
-        .field("sweep_points", sweep_points)
-        .field("backend", backend)
-        .field("jit_available", jit);
+    Json json = Json::object()
+                    .set("bench", Json::string("server_throughput"))
+                    .set("design", Json::string("mesh"))
+                    .set("level", Json::string("cl"))
+                    .set("nrouters", Json::number(16))
+                    .set("cycles_per_job", Json::number(cycles))
+                    .set("sweep_points", Json::number(sweep_points))
+                    .set("backend", Json::string(backend))
+                    .set("jit_available", Json::boolean(jit));
     hostFields(json);
-    json.key("results").beginArray();
+    Json results = Json::array();
 
     std::printf("%6s %6s %10s %12s %10s %12s\n", "jobs", "cache",
                 "wall_s", "jobs_per_min", "errors", "mismatches");
@@ -178,20 +177,21 @@ main(int argc, char **argv)
             all_clean = all_clean && res.errors == 0 &&
                         res.mismatches == 0 &&
                         res.points == sweep_points;
-            json.beginObject()
-                .field("jobs", jobs)
-                .field("cache", cache)
-                .field("points_done", res.points)
-                .field("errors", res.errors)
-                .field("digest_mismatches", res.mismatches)
-                .field("preemptions", res.preemptions)
-                .field("wall_s", res.wall_s)
-                .field("jobs_per_min", jobs_per_min)
-                .endObject();
+            results.push(
+                Json::object()
+                    .set("jobs", Json::number(jobs))
+                    .set("cache", Json::string(cache))
+                    .set("points_done", Json::number(res.points))
+                    .set("errors", Json::number(res.errors))
+                    .set("digest_mismatches", Json::number(res.mismatches))
+                    .set("preemptions", Json::number(res.preemptions))
+                    .set("wall_s", Json::number(res.wall_s))
+                    .set("jobs_per_min", Json::number(jobs_per_min)));
         }
         server.stop();
     }
-    json.endArray().endObject();
+    json.set("results", std::move(results));
+    writeJson("BENCH_server_throughput.json", json);
     std::string rm = "rm -rf " + cache_dir;
     if (std::system(rm.c_str()) != 0)
         std::fprintf(stderr, "warning: could not clear %s\n",

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/json.h"
 #include "core/scope.h"
 #include "core/sim.h"
 #include "core/snap.h"
@@ -232,11 +234,11 @@ measureWarmStart(const std::function<std::unique_ptr<Simulator>()> &make,
 }
 
 /**
- * Run a short profiled simulation and return the SimScope JSON
- * snapshot (phases, hot blocks, traced val/rdy channels, metrics) for
- * a BENCH_*.json "metrics" section.
+ * Run a short profiled simulation and return the SimScope snapshot
+ * (phases, hot blocks, traced val/rdy channels, JIT costs) for a
+ * BENCH_*.json "metrics" section.
  */
-inline std::string
+inline Json
 profileSnapshot(const std::function<std::unique_ptr<Simulator>()> &make,
                 uint64_t cycles = 192)
 {
@@ -244,9 +246,7 @@ profileSnapshot(const std::function<std::unique_ptr<Simulator>()> &make,
     SimScope scope(*sim);
     scope.traceAllValRdy();
     sim->cycle(cycles);
-    std::string json = scope.jsonSnapshot();
-    scope.detach();
-    return json;
+    return scope.snapshot();
 }
 
 /** Derived total wall time for simulating @p n target cycles. */
@@ -265,201 +265,44 @@ rule(char c = '-', int width = 78)
     std::putchar('\n');
 }
 
-/**
- * Minimal streaming JSON writer for machine-readable bench baselines
- * (BENCH_*.json). Handles nesting and comma placement; values are
- * written eagerly, so memory use is constant.
- */
-class JsonWriter
+/** Write @p json to @p path as one line (a BENCH_*.json baseline). */
+inline void
+writeJson(const std::string &path, const Json &json)
 {
-  public:
-    explicit JsonWriter(const std::string &path)
-        : out_(std::fopen(path.c_str(), "w"))
-    {
-        if (!out_)
-            std::perror(("cannot write " + path).c_str());
-    }
-
-    ~JsonWriter()
-    {
-        if (out_) {
-            std::fputc('\n', out_);
-            std::fclose(out_);
-        }
-    }
-
-    JsonWriter(const JsonWriter &) = delete;
-    JsonWriter &operator=(const JsonWriter &) = delete;
-
-    JsonWriter &
-    beginObject()
-    {
-        sep();
-        raw("{");
-        fresh_.push_back(true);
-        return *this;
-    }
-
-    JsonWriter &
-    endObject()
-    {
-        fresh_.pop_back();
-        raw("}");
-        return *this;
-    }
-
-    JsonWriter &
-    beginArray()
-    {
-        sep();
-        raw("[");
-        fresh_.push_back(true);
-        return *this;
-    }
-
-    JsonWriter &
-    endArray()
-    {
-        fresh_.pop_back();
-        raw("]");
-        return *this;
-    }
-
-    JsonWriter &
-    key(const std::string &k)
-    {
-        sep();
-        writeString(k);
-        raw(":");
-        pending_value_ = true;
-        return *this;
-    }
-
-    JsonWriter &
-    value(const std::string &v)
-    {
-        sep();
-        writeString(v);
-        return *this;
-    }
-
-    JsonWriter &
-    value(const char *v)
-    {
-        return value(std::string(v));
-    }
-
-    JsonWriter &
-    value(double v)
-    {
-        sep();
-        if (out_)
-            std::fprintf(out_, "%.6g", v);
-        return *this;
-    }
-
-    JsonWriter &
-    value(uint64_t v)
-    {
-        sep();
-        if (out_)
-            std::fprintf(out_, "%llu",
-                         static_cast<unsigned long long>(v));
-        return *this;
-    }
-
-    JsonWriter &
-    value(int v)
-    {
-        sep();
-        if (out_)
-            std::fprintf(out_, "%d", v);
-        return *this;
-    }
-
-    JsonWriter &
-    value(bool v)
-    {
-        sep();
-        raw(v ? "true" : "false");
-        return *this;
-    }
-
-    /** key + scalar value in one call. */
-    template <typename T>
-    JsonWriter &
-    field(const std::string &k, const T &v)
-    {
-        key(k);
-        return value(v);
-    }
-
-    /** Embed pre-serialized JSON (e.g. a SimScope snapshot) verbatim. */
-    JsonWriter &
-    rawValue(const std::string &json)
-    {
-        sep();
-        raw(json.c_str());
-        return *this;
-    }
-
-  private:
-    void
-    sep()
-    {
-        if (pending_value_) {
-            // The comma (if any) was written with the key.
-            pending_value_ = false;
-            return;
-        }
-        if (!fresh_.empty()) {
-            if (!fresh_.back())
-                raw(",");
-            fresh_.back() = false;
-        }
-    }
-
-    void
-    raw(const char *s)
-    {
-        if (out_)
-            std::fputs(s, out_);
-    }
-
-    void
-    writeString(const std::string &s)
-    {
-        if (!out_)
-            return;
-        std::fputc('"', out_);
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                std::fputc('\\', out_);
-            std::fputc(c, out_);
-        }
-        std::fputc('"', out_);
-    }
-
-    std::FILE *out_;
-    std::vector<bool> fresh_; //!< per nesting level: no entry yet
-    bool pending_value_ = false;
-};
+    std::ofstream out(path);
+    out << json.encode() << '\n';
+    if (!out)
+        std::perror(("cannot write " + path).c_str());
+}
 
 /**
- * Record the host a BENCH file was measured on: CPU count, L2 size
- * per core (0 when the C library cannot tell), and the compiler and
- * flags the bench was built with. Returns the CPU count it wrote.
+ * Record the host a BENCH file was measured on: CPU count and model,
+ * L2 size per core (0 when the C library cannot tell), and the
+ * compiler and flags the bench was built with. Returns the CPU count
+ * it wrote.
  */
 inline int
-hostFields(JsonWriter &json)
+hostFields(Json &json)
 {
     const int host_cpus =
         static_cast<int>(std::thread::hardware_concurrency());
-    json.field("host_cpus", host_cpus);
+    // The first "model name" line of /proc/cpuinfo, "" without one.
+    std::string cpu_model;
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            cpu_model = line.substr(line.find(':') + 1);
+            cpu_model.erase(0, cpu_model.find_first_not_of(" \t"));
+            break;
+        }
+    }
     const long l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
-    json.field("l2_cache_bytes", static_cast<uint64_t>(l2 > 0 ? l2 : 0));
-    json.field("compiler", CMTL_BENCH_COMPILER);
-    json.field("cxx_flags", CMTL_BENCH_CXX_FLAGS);
+    json.set("host_cpus", Json::number(host_cpus));
+    json.set("cpu_model", Json::string(cpu_model));
+    json.set("l2_cache_bytes",
+             Json::number(static_cast<uint64_t>(l2 > 0 ? l2 : 0)));
+    json.set("compiler", Json::string(CMTL_BENCH_COMPILER));
+    json.set("cxx_flags", Json::string(CMTL_BENCH_CXX_FLAGS));
     return host_cpus;
 }
 

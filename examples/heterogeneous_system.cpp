@@ -18,7 +18,8 @@
  * (interp, optinterp, bytecode, cpp-block, cpp-design, ...). With
  * --profile the whole run is SimScope-instrumented and ends with
  * the hot-block ranking and val/rdy channel stats; --profile=json
- * emits the machine-readable snapshot as the last line instead.
+ * instead ends the output with one line of JSON, the scope_version 4
+ * SimScope::snapshot().
  *
  * --checkpoint / --resume capture and restore the simulation state
  * (core/snap.h). Mixed-level tiles carry FL/CL host state outside the
@@ -143,7 +144,7 @@ main(int argc, char **argv)
                     sys.memNode().numRequests()));
     if (scope) {
         if (profile_json)
-            std::printf("\n%s\n", scope->jsonSnapshot().c_str());
+            std::printf("\n%s\n", scope->snapshot().encode().c_str());
         else
             std::printf("\n%s", scope->report().c_str());
         scope->detach();

@@ -29,8 +29,9 @@
  * sequential one) and prints its partition report. With --profile a
  * SimScope-instrumented run follows the sweep and prints the
  * hot-block ranking, phase timing and val/rdy channel stats;
- * --profile=json emits the machine-readable snapshot as the last
- * line of output instead.
+ * --profile=json instead ends the output with one line of JSON:
+ * SimScope::snapshot() (scope_version 4: phases, hot blocks,
+ * channels and the JIT costs under perfbench's metric names).
  *
  * With --checkpoint and/or --resume the program switches to a single
  * long fixed-seed run (30% injection) that periodically snapshots its
@@ -199,7 +200,7 @@ main(int argc, char **argv)
         psim->cycle(1000);
         if (profile_json) {
             // Machine-readable snapshot as the last line of output.
-            std::printf("\n%s\n", scope.jsonSnapshot().c_str());
+            std::printf("\n%s\n", scope.snapshot().encode().c_str());
         } else {
             std::printf("\nprofile (injection 30%%, 1000 cycles, %d "
                         "channels traced):\n%s",

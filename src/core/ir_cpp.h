@@ -12,10 +12,11 @@
  * @p w, one instance per row. It names no design, no instance and no
  * schedule: the host keeps the schedule (the kernel's bytecode batch
  * list) and each batch's row and constant tables (CppBatch) as data,
- * and calls a batch's kernel once per run. Designs with the same
- * programs and slot layout therefore share one compiled library, as
- * do the cpp-block and cpp-design backends and ParSim runs of one
- * design. This is PyMTL's SimJIT pipeline with the block type as the
+ * and calls a batch's kernel once per run. Only designs with identical
+ * programs share one compiled library: the cpp-block and cpp-design
+ * backends and ParSim runs of one design do, but meshes of different
+ * sizes do not, since their programs carry wider coordinate fields as
+ * immediates. This is PyMTL's SimJIT pipeline with the block type as the
  * unit of translation: generate C++, compile it to a shared library
  * (see jit_cpp.h), and call it through a C ABI.
  *

@@ -1,49 +1,12 @@
 #include "lint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "dataflow.h"
+#include "json.h"
 
 namespace cmtl {
-
-namespace {
-
-/** Minimal JSON string escaping for the one-finding-per-line format. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 LintTool &
 LintTool::suppress(const std::string &check)
@@ -173,15 +136,20 @@ LintTool::format(const std::vector<LintIssue> &issues)
 std::string
 LintTool::formatJson(const std::vector<LintIssue> &issues)
 {
-    std::ostringstream os;
+    std::string out;
     for (const LintIssue &issue : issues) {
-        os << "{\"check\":\"" << jsonEscape(issue.check)
-           << "\",\"severity\":\""
-           << (issue.severity == LintSeverity::Error ? "error" : "warning")
-           << "\",\"path\":\"" << jsonEscape(issue.path)
-           << "\",\"message\":\"" << jsonEscape(issue.message) << "\"}\n";
+        out += Json::object()
+                   .set("check", Json::string(issue.check))
+                   .set("severity",
+                        Json::string(issue.severity == LintSeverity::Error
+                                         ? "error"
+                                         : "warning"))
+                   .set("path", Json::string(issue.path))
+                   .set("message", Json::string(issue.message))
+                   .encode();
+        out += '\n';
     }
-    return os.str();
+    return out;
 }
 
 } // namespace cmtl

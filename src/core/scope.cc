@@ -2,38 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <sstream>
 
 #include "psim.h"
 
 namespace cmtl {
-
-namespace {
-
-/** JSON string escape (quotes included). */
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-/** Compact double formatting ("%.9g", no locale surprises). */
-void
-jsonNum(std::ostream &os, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    os << buf;
-}
-
-} // namespace
 
 // --------------------------------------------------- ScopeHistogram
 
@@ -62,69 +37,6 @@ ScopeHistogram::buckets() const
             top = i;
     }
     return std::vector<uint64_t>(counts_, counts_ + top + 1);
-}
-
-std::string
-ScopeHistogram::toJson() const
-{
-    std::ostringstream os;
-    os << "{\"count\":" << count_ << ",\"sum\":" << sum_
-       << ",\"min\":" << min() << ",\"max\":" << max_ << ",\"mean\":";
-    jsonNum(os, mean());
-    os << ",\"buckets\":[";
-    std::vector<uint64_t> b = buckets();
-    for (size_t i = 0; i < b.size(); ++i)
-        os << (i ? "," : "") << b[i];
-    os << "]}";
-    return os.str();
-}
-
-// -------------------------------------------------- MetricsRegistry
-
-void
-MetricsRegistry::merge(const MetricsRegistry &other)
-{
-    for (const auto &[name, v] : other.counters_)
-        counters_[name] += v;
-    for (const auto &[name, v] : other.gauges_)
-        gauges_[name] = v;
-    for (const auto &[name, h] : other.histograms_) {
-        // Histograms are merged by value: last write wins per name.
-        histograms_[name] = h;
-    }
-}
-
-std::string
-MetricsRegistry::toJson() const
-{
-    std::ostringstream os;
-    os << "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, v] : counters_) {
-        os << (first ? "" : ",");
-        first = false;
-        jsonString(os, name);
-        os << ":" << v;
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, v] : gauges_) {
-        os << (first ? "" : ",");
-        first = false;
-        jsonString(os, name);
-        os << ":";
-        jsonNum(os, v);
-    }
-    os << "},\"histograms\":{";
-    first = true;
-    for (const auto &[name, h] : histograms_) {
-        os << (first ? "" : ",");
-        first = false;
-        jsonString(os, name);
-        os << ":" << h.toJson();
-    }
-    os << "}}";
-    return os.str();
 }
 
 // ----------------------------------------------------------- SimScope
@@ -331,150 +243,111 @@ SimScope::phaseBreakdown() const
     return pb;
 }
 
-void
-SimScope::exportMetrics(MetricsRegistry &reg) const
+namespace {
+
+/** One island's phase split (the sequential kernel is one island). */
+Json
+islandJson(double settle, double tick, double flop, double barrier,
+           uint64_t boundary_bytes)
 {
-    reg.setCounter("scope.cycles", cycles());
-    // Backend/JIT cost metrics, so --profile=json and the bench
-    // "metrics" sections carry compile overhead and the tier
-    // transition next to the runtime phase numbers.
-    const SpecStats &spec = sim_.specStats();
-    reg.setGauge("scope.jit.codegen_seconds", spec.codegenSeconds);
-    reg.setGauge("scope.jit.compile_seconds", spec.compileSeconds);
-    reg.setCounter("scope.jit.cache_hit", spec.cacheHit ? 1 : 0);
-    if (spec.tiered) {
-        // Tier-transition event: -1 while the warm-up (bytecode) tier
-        // is still running, else the cycle the native module went
-        // live at a cycle boundary.
-        reg.setGauge("scope.jit.tier_swap_cycle",
-                     static_cast<double>(spec.tierSwapCycle));
-        reg.setCounter("scope.jit.tier_swaps",
-                       spec.tierSwapCycle >= 0 ? 1 : 0);
-    }
-    PhaseBreakdown pb = phaseBreakdown();
-    reg.setGauge("scope.phase.settle_seconds", pb.settle_seconds);
-    reg.setGauge("scope.phase.tick_seconds", pb.tick_seconds);
-    reg.setGauge("scope.phase.flop_seconds", pb.flop_seconds);
-    if (parsim_) {
-        reg.setGauge("scope.phase.barrier_seconds", pb.barrier_seconds);
-        reg.setCounter("scope.boundary_bytes", pb.boundary_bytes);
-        for (int i = 0; i < pb.nislands; ++i) {
-            std::string base = "scope.island." + std::to_string(i);
-            reg.setGauge(base + ".compute_seconds",
-                         probe_.island_settle_seconds[i] +
-                             probe_.island_tick_seconds[i] +
-                             probe_.island_flop_seconds[i]);
-            reg.setGauge(base + ".barrier_seconds",
-                         probe_.island_barrier_seconds[i]);
-            reg.setCounter(base + ".boundary_bytes",
-                           probe_.island_boundary_bytes[i]);
-        }
-    }
-    for (const ChannelStats &ch : state_->channels) {
-        std::string base = "scope.channel." + ch.name;
-        reg.setCounter(base + ".transfers", ch.transfers);
-        reg.setCounter(base + ".stall_cycles", ch.stall_cycles);
-        reg.setCounter(base + ".idle_cycles", ch.idle_cycles);
-        reg.setGauge(base + ".occupancy", ch.occupancy());
-        reg.histogram(base + ".latency_cycles") = ch.latency;
-    }
+    return Json::object()
+        .set("compute_seconds", Json::number(settle + tick + flop))
+        .set("settle_seconds", Json::number(settle))
+        .set("tick_seconds", Json::number(tick))
+        .set("flop_seconds", Json::number(flop))
+        .set("barrier_seconds", Json::number(barrier))
+        .set("boundary_bytes", Json::number(boundary_bytes));
 }
 
-std::string
-SimScope::jsonSnapshot() const
+Json
+histogramJson(const ScopeHistogram &h)
 {
-    std::ostringstream os;
-    os << "{\"scope_version\":3,\"kernel\":"
-       << (parsim_ ? "\"parsim\"" : "\"sequential\"")
-       << ",\"backend\":";
-    // Same canonical string SimConfig round-trips and
-    // simulatorReport prints.
-    jsonString(os, sim_.config().toString());
-    os << ",\"timing\":" << (probe_.exact ? "\"exact\"" : "\"sampled\"")
-       << ",\"cycles\":" << cycles();
+    Json buckets = Json::array();
+    for (uint64_t n : h.buckets())
+        buckets.push(Json::number(n));
+    return Json::object()
+        .set("count", Json::number(h.count()))
+        .set("sum", Json::number(h.sum()))
+        .set("min", Json::number(h.min()))
+        .set("max", Json::number(h.max()))
+        .set("mean", Json::number(h.mean()))
+        .set("buckets", std::move(buckets));
+}
 
-    {
-        const LayoutStats lay = sim_.layoutStats();
-        os << ",\"layout\":{\"words_per_phase\":" << lay.words_per_phase
-           << ",\"flop_memcpy_ranges\":" << lay.flop_memcpy_ranges
-           << "}";
-    }
+} // namespace
 
-    PhaseBreakdown pb = phaseBreakdown();
-    os << ",\"phases\":{\"settle_seconds\":";
-    jsonNum(os, pb.settle_seconds);
-    os << ",\"tick_seconds\":";
-    jsonNum(os, pb.tick_seconds);
-    os << ",\"flop_seconds\":";
-    jsonNum(os, pb.flop_seconds);
-    os << ",\"barrier_seconds\":";
-    jsonNum(os, pb.barrier_seconds);
-    os << ",\"boundary_bytes\":" << pb.boundary_bytes
-       << ",\"islands\":[";
+Json
+SimScope::snapshot() const
+{
+    const LayoutStats lay = sim_.layoutStats();
+    const PhaseBreakdown pb = phaseBreakdown();
+    Json islands = Json::array();
     if (parsim_) {
-        for (int i = 0; i < pb.nislands; ++i) {
-            os << (i ? "," : "") << "{\"compute_seconds\":";
-            jsonNum(os, probe_.island_settle_seconds[i] +
-                            probe_.island_tick_seconds[i] +
-                            probe_.island_flop_seconds[i]);
-            os << ",\"settle_seconds\":";
-            jsonNum(os, probe_.island_settle_seconds[i]);
-            os << ",\"tick_seconds\":";
-            jsonNum(os, probe_.island_tick_seconds[i]);
-            os << ",\"flop_seconds\":";
-            jsonNum(os, probe_.island_flop_seconds[i]);
-            os << ",\"barrier_seconds\":";
-            jsonNum(os, probe_.island_barrier_seconds[i]);
-            os << ",\"boundary_bytes\":"
-               << probe_.island_boundary_bytes[i] << "}";
-        }
+        for (int i = 0; i < pb.nislands; ++i)
+            islands.push(islandJson(probe_.island_settle_seconds[i],
+                                    probe_.island_tick_seconds[i],
+                                    probe_.island_flop_seconds[i],
+                                    probe_.island_barrier_seconds[i],
+                                    probe_.island_boundary_bytes[i]));
     } else {
-        // The sequential kernel is one island with no barriers, so
-        // consumers can treat both kernels uniformly.
-        os << "{\"compute_seconds\":";
-        jsonNum(os, pb.settle_seconds + pb.tick_seconds +
-                        pb.flop_seconds);
-        os << ",\"settle_seconds\":";
-        jsonNum(os, pb.settle_seconds);
-        os << ",\"tick_seconds\":";
-        jsonNum(os, pb.tick_seconds);
-        os << ",\"flop_seconds\":";
-        jsonNum(os, pb.flop_seconds);
-        os << ",\"barrier_seconds\":0,\"boundary_bytes\":0}";
+        islands.push(islandJson(pb.settle_seconds, pb.tick_seconds,
+                                pb.flop_seconds, 0.0, 0));
     }
-    os << "]}";
-
-    os << ",\"blocks\":[";
-    bool first = true;
-    for (const BlockCost &b : hotBlocks(20)) {
-        os << (first ? "" : ",") << "{\"path\":";
-        first = false;
-        jsonString(os, b.path);
-        os << ",\"seconds\":";
-        jsonNum(os, b.seconds);
-        os << ",\"calls\":" << b.calls << "}";
+    Json blocks = Json::array();
+    for (const BlockCost &b : hotBlocks(20))
+        blocks.push(Json::object()
+                        .set("path", Json::string(b.path))
+                        .set("seconds", Json::number(b.seconds))
+                        .set("calls", Json::number(b.calls)));
+    Json channels = Json::array();
+    for (const ChannelStats &ch : state_->channels)
+        channels.push(Json::object()
+                          .set("name", Json::string(ch.name))
+                          .set("transfers", Json::number(ch.transfers))
+                          .set("stall_cycles", Json::number(ch.stall_cycles))
+                          .set("idle_cycles", Json::number(ch.idle_cycles))
+                          .set("occupancy", Json::number(ch.occupancy()))
+                          .set("latency", histogramJson(ch.latency)));
+    // The C++ backends' code generation and compile costs, under the
+    // names perfbench's METRICS.md gives them (codegen reads 0 on a
+    // backend that emits no C++).
+    const SpecStats &spec = sim_.specStats();
+    Json jit = Json::object();
+    jit.set("ir_cpp.codegen_s",
+            Json::number(spec.emittedTuBytes ? spec.codegenSeconds : 0.0));
+    jit.set("jit_cpp.compile_s", Json::number(spec.compileSeconds));
+    jit.set("jit_cpp.cache_hit", Json::number(spec.cacheHit ? 1 : 0));
+    if (spec.tiered) {
+        // -1 while the bytecode tier still runs, else the cycle the
+        // native kernels went live at.
+        jit.set("jit_cpp.swap_cycle",
+                Json::number(static_cast<double>(spec.tierSwapCycle)));
     }
-    os << "]";
 
-    os << ",\"channels\":[";
-    first = true;
-    for (const ChannelStats &ch : state_->channels) {
-        os << (first ? "" : ",") << "{\"name\":";
-        first = false;
-        jsonString(os, ch.name);
-        os << ",\"transfers\":" << ch.transfers
-           << ",\"stall_cycles\":" << ch.stall_cycles
-           << ",\"idle_cycles\":" << ch.idle_cycles
-           << ",\"occupancy\":";
-        jsonNum(os, ch.occupancy());
-        os << ",\"latency\":" << ch.latency.toJson() << "}";
-    }
-    os << "]";
-
-    MetricsRegistry merged = user_metrics_;
-    exportMetrics(merged);
-    os << ",\"metrics\":" << merged.toJson() << "}";
-    return os.str();
+    return Json::object()
+        .set("scope_version", Json::number(4))
+        .set("kernel", Json::string(parsim_ ? "parsim" : "sequential"))
+        // Same canonical string SimConfig round-trips and
+        // simulatorReport prints.
+        .set("backend", Json::string(sim_.config().toString()))
+        .set("timing", Json::string(probe_.exact ? "exact" : "sampled"))
+        .set("cycles", Json::number(cycles()))
+        .set("layout",
+             Json::object()
+                 .set("words_per_phase", Json::number(lay.words_per_phase))
+                 .set("flop_memcpy_ranges",
+                      Json::number(lay.flop_memcpy_ranges)))
+        .set("phases",
+             Json::object()
+                 .set("settle_seconds", Json::number(pb.settle_seconds))
+                 .set("tick_seconds", Json::number(pb.tick_seconds))
+                 .set("flop_seconds", Json::number(pb.flop_seconds))
+                 .set("barrier_seconds", Json::number(pb.barrier_seconds))
+                 .set("boundary_bytes", Json::number(pb.boundary_bytes))
+                 .set("islands", std::move(islands)))
+        .set("blocks", std::move(blocks))
+        .set("channels", std::move(channels))
+        .set("jit", std::move(jit));
 }
 
 std::string

@@ -14,10 +14,10 @@
  *    synchronization overhead become visible;
  *  - val/rdy channel tracing: transfers, occupancy, backpressure
  *    stall cycles and a waiting-latency histogram per channel;
- *  - a unified MetricsRegistry (counters / gauges / histograms) with
- *    a one-line JSON snapshot consumed by StatsTool, the benches
- *    (BENCH_*.json "metrics" sections) and the examples' --profile
- *    flag.
+ *  - one JSON snapshot of all of the above plus the backend's JIT
+ *    costs, consumed by the benches (BENCH_*.json "metrics"
+ *    sections), SimServer's profiled jobs and the examples'
+ *    --profile=json flag.
  *
  * Overhead model: while detached the kernels pay one pointer test per
  * phase and per scheduled step (measured ≤2% on the Figure-14 RTL
@@ -34,11 +34,11 @@
 #define CMTL_CORE_SCOPE_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "json.h"
 #include "sim.h"
 
 namespace cmtl {
@@ -66,68 +66,12 @@ class ScopeHistogram
     /** Bucket counts, trimmed to the highest non-empty bucket. */
     std::vector<uint64_t> buckets() const;
 
-    /** {"count":..,"sum":..,"min":..,"max":..,"buckets":[..]} */
-    std::string toJson() const;
-
   private:
     uint64_t counts_[65] = {};
     uint64_t count_ = 0;
     uint64_t sum_ = 0;
     uint64_t min_ = ~0ull;
     uint64_t max_ = 0;
-};
-
-/**
- * Structured metrics container: named counters (monotonic integers),
- * gauges (point-in-time doubles) and histograms, serializable as one
- * JSON object. SimScope exports everything it collects into one of
- * these; user code may add its own entries through
- * SimScope::metrics().
- */
-class MetricsRegistry
-{
-  public:
-    void
-    addCounter(const std::string &name, uint64_t delta = 1)
-    {
-        counters_[name] += delta;
-    }
-    void
-    setCounter(const std::string &name, uint64_t value)
-    {
-        counters_[name] = value;
-    }
-    void
-    setGauge(const std::string &name, double value)
-    {
-        gauges_[name] = value;
-    }
-    ScopeHistogram &
-    histogram(const std::string &name)
-    {
-        return histograms_[name];
-    }
-
-    const std::map<std::string, uint64_t> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, double> &gauges() const { return gauges_; }
-    const std::map<std::string, ScopeHistogram> &histograms() const
-    {
-        return histograms_;
-    }
-
-    /** Merge every entry of @p other into this registry. */
-    void merge(const MetricsRegistry &other);
-
-    /** {"counters":{..},"gauges":{..},"histograms":{..}} */
-    std::string toJson() const;
-
-  private:
-    std::map<std::string, uint64_t> counters_;
-    std::map<std::string, double> gauges_;
-    std::map<std::string, ScopeHistogram> histograms_;
 };
 
 /** The profiling/metrics tool. One per simulator at a time. */
@@ -228,18 +172,13 @@ class SimScope
     /** Raw probe (per-island vectors etc.), always valid. */
     const ScopeProbe &probe() const { return probe_; }
 
-    /** User-extensible registry merged into snapshots. */
-    MetricsRegistry &metrics() { return user_metrics_; }
-
-    /** Export every collected metric into @p reg (scope.* names). */
-    void exportMetrics(MetricsRegistry &reg) const;
-
     /**
-     * One-line JSON snapshot: {"scope_version":3,"kernel":..,
-     * "timing":..,"cycles":..,"phases":{..},"blocks":[..],
-     * "channels":[..],"metrics":{..}}.
+     * Everything collected, as one JSON object: {"scope_version":4,
+     * "kernel":..,"backend":..,"timing":..,"cycles":..,"layout":{..},
+     * "phases":{..,"islands":[..]},"blocks":[..],"channels":[..],
+     * "jit":{..}}. "jit" uses perfbench's METRICS.md names.
      */
-    std::string jsonSnapshot() const;
+    Json snapshot() const;
 
     /** Human-readable report: phases, hot blocks, channels. */
     std::string report(size_t nblocks = 10) const;
@@ -250,7 +189,6 @@ class SimScope
     Simulator &sim_;
     ScopeProbe probe_;
     std::shared_ptr<State> state_;
-    MetricsRegistry user_metrics_;
     bool parsim_ = false;
 };
 

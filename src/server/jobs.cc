@@ -66,7 +66,7 @@ runOneShot(const JobSpec &spec, const DesignFactory &make)
     out.cycles = sim->numCycles();
     out.digest = stateDigest(*sim);
     if (scope) {
-        out.metrics_json = scope->jsonSnapshot();
+        out.metrics_json = scope->snapshot().encode();
         scope->detach();
     }
     out.wall_ms = msSince(t0);
@@ -303,7 +303,7 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
                 res.digest = stateDigest(*sim);
                 res.backend = cfg.toString();
                 if (scope) {
-                    res.metrics_json = scope->jsonSnapshot();
+                    res.metrics_json = scope->snapshot().encode();
                     scope->detach();
                 }
                 res.wall_ms = job->result.wall_ms + msSince(t0);

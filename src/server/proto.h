@@ -26,10 +26,10 @@
  * "error". The sweep verb is the one streaming reply: per-point result
  * frames as jobs complete, terminated by a {"sweep_done":true} frame.
  *
- * The Json value type below is deliberately tiny — objects keep
- * insertion order, numbers are doubles (64-bit digests travel as hex
- * strings) — and jsonParse() rejects anything malformed with a
- * ProtoError rather than guessing.
+ * Frames are built and encoded with the tool layer's one JSON type,
+ * Json (core/json.h, which holds the encoder). The decoder lives here:
+ * jsonParse() is the one reader of outside JSON, and it rejects
+ * anything malformed with a ProtoError rather than guessing.
  */
 
 #ifndef CMTL_SERVER_PROTO_H
@@ -38,8 +38,8 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
+
+#include "core/json.h"
 
 namespace cmtl {
 namespace server {
@@ -57,46 +57,8 @@ constexpr uint32_t kProtoVersion = 1;
 /** Hard ceiling on one frame's payload (sanity, not a quota). */
 constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
-/** A parsed JSON value (null / bool / number / string / array / object). */
-struct Json
-{
-    enum class Kind { Null, Bool, Num, Str, Arr, Obj };
-
-    Kind kind = Kind::Null;
-    bool b = false;
-    double num = 0.0;
-    std::string str;
-    std::vector<Json> arr;
-    std::vector<std::pair<std::string, Json>> obj;
-
-    static Json boolean(bool v);
-    static Json number(double v);
-    static Json number(uint64_t v);
-    static Json number(int v);
-    static Json string(std::string v);
-    static Json array();
-    static Json object();
-
-    /** Object member set (append; overwrite an existing key). */
-    Json &set(const std::string &key, Json v);
-    /** Array element append. */
-    Json &push(Json v);
-
-    /** Object member lookup; nullptr when absent or not an object. */
-    const Json *find(const std::string &key) const;
-
-    // Typed accessors with defaults (never throw; a missing or
-    // differently-typed value yields the default, and asU64 and asInt
-    // also yield it for a number that is not an integer in range).
-    bool asBool(bool dflt = false) const;
-    double asNum(double dflt = 0.0) const;
-    uint64_t asU64(uint64_t dflt = 0) const;
-    int asInt(int dflt = 0) const;
-    std::string asStr(const std::string &dflt = "") const;
-
-    /** Serialize (compact, no whitespace). */
-    std::string encode() const;
-};
+/** The tool layer's one JSON value type and encoder (core/json.h). */
+using cmtl::Json;
 
 /** Parse @p text; throws ProtoError on any malformed input. */
 Json jsonParse(const std::string &text);

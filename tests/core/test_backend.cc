@@ -110,7 +110,7 @@ TEST(BackendNames, SimulatorReportAndScopeNameTheBackend)
 
     SimScope scope(sim);
     sim.cycle(8);
-    std::string snap = scope.jsonSnapshot();
+    std::string snap = scope.snapshot().encode();
     scope.detach();
     EXPECT_NE(snap.find("\"backend\":\"optinterp\""), std::string::npos)
         << snap;

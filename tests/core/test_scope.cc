@@ -2,9 +2,11 @@
  * @file
  * SimScope observability-layer tests: attach/detach, hot-block
  * ranking, ParSim phase timing across thread counts, val/rdy channel
- * accounting against a hand-computed scenario, JSON snapshot schema —
- * plus the SimJIT cache-key regression tests (compiler version and
- * flags in the key, nested cache dirs, mkdir failure reporting).
+ * accounting against a hand-computed scenario, the JSON snapshot
+ * schema and the shared JSON encoder's round trip through the wire
+ * decoder — plus the SimJIT cache-key regression tests (compiler
+ * version and flags in the key, nested cache dirs, mkdir failure
+ * reporting).
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -22,6 +26,7 @@
 #include "core/scope.h"
 #include "core/sim.h"
 #include "net/traffic.h"
+#include "server/proto.h"
 #include "stdlib/valrdy.h"
 #include "test_models.h"
 
@@ -340,7 +345,7 @@ TEST(Scope, TraceAllValRdyFindsMeshChannels)
 }
 
 // ------------------------------------------------------------------
-// Snapshot schema / metrics registry
+// Snapshot schema and the shared JSON encoder
 // ------------------------------------------------------------------
 
 TEST(Scope, JsonSnapshotHasRequiredKeys)
@@ -350,22 +355,91 @@ TEST(Scope, JsonSnapshotHasRequiredKeys)
     SimulationTool sim(elab);
     SimScope scope(sim);
     scope.traceValRdy("top.ch", top->msg, top->val, top->rdy);
-    scope.metrics().addCounter("user.widgets", 3);
     sim.cycle(10);
 
-    std::string json = scope.jsonSnapshot();
+    std::string json = scope.snapshot().encode();
     for (const char *key :
-         {"\"scope_version\":3", "\"kernel\":\"sequential\"",
+         {"\"scope_version\":4", "\"kernel\":\"sequential\"",
           "\"timing\":\"exact\"", "\"cycles\":10", "\"phases\":",
           "\"islands\":", "\"blocks\":", "\"channels\":",
-          "\"metrics\":", "\"user.widgets\":3",
-          "\"scope.cycles\":10"}) {
+          "\"jit\":{\"ir_cpp.codegen_s\":0,\"jit_cpp.compile_s\":0,"
+          "\"jit_cpp.cache_hit\":0}"}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
-    // Per-block costs live in "blocks" only, not mirrored as metrics.
-    EXPECT_EQ(json.find("\"scope.block."), std::string::npos);
+    // Each quantity has one name: no registry mirrors the typed
+    // sections under scope.* names.
+    EXPECT_EQ(json.find("\"metrics\""), std::string::npos);
+    EXPECT_EQ(json.find("\"scope."), std::string::npos);
     // Single-line output (embeddable as a raw JSON value).
     EXPECT_EQ(json.find('\n'), std::string::npos);
+}
+
+TEST(Scope, SnapshotEscapesChannelNames)
+{
+    auto top = std::make_unique<ChannelTop>();
+    auto elab = top->elaborate();
+    SimulationTool sim(elab);
+    SimScope scope(sim);
+    const std::string name = "a\"b\\c\nd";
+    scope.traceValRdy(name, top->msg, top->val, top->rdy);
+    sim.cycle(4);
+
+    std::string json = scope.snapshot().encode();
+    EXPECT_EQ(json.find('\n'), std::string::npos);
+    Json back = server::jsonParse(json);
+    const Json *channels = back.find("channels");
+    ASSERT_NE(channels, nullptr);
+    ASSERT_EQ(channels->arr.size(), 1u);
+    EXPECT_EQ(channels->arr[0].find("name")->asStr(), name);
+}
+
+/** Encoding, decoding and encoding again gives the same bytes. */
+void
+expectStableEncoding(const Json &x)
+{
+    const std::string text = x.encode();
+    EXPECT_EQ(server::jsonParse(text).encode(), text) << text;
+}
+
+TEST(JsonEncode, EveryDoubleIsValidJson)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double two53 = 9007199254740992.0;
+    const double values[] = {
+        std::numeric_limits<double>::quiet_NaN(), inf, -inf, -0.0,
+        two53 - 1, two53, static_cast<double>((1ull << 53) + 1),
+        two53 + 2, 1e300, -1e300, std::numeric_limits<double>::denorm_min(),
+        0.1, -2.5, 18446744073709551616.0};
+    for (double v : values) {
+        expectStableEncoding(Json::number(v));
+        if (std::isfinite(v)) {
+            EXPECT_EQ(server::jsonParse(Json::number(v).encode()).asNum(), v)
+                << v;
+        }
+    }
+    EXPECT_EQ(Json::number(std::nan("")).encode(), "null");
+    EXPECT_EQ(Json::number(-inf).encode(), "null");
+    EXPECT_EQ(Json::number(-0.0).encode(), "0");
+    EXPECT_EQ(Json::number(two53 - 1).encode(), "9007199254740991");
+    EXPECT_EQ(Json::number(0.1).encode(), "0.1");
+    EXPECT_EQ(Json::number(1e300).encode(), "1e+300");
+}
+
+TEST(JsonEncode, EveryControlByteIsEscaped)
+{
+    std::string all;
+    for (int c = 0x01; c <= 0x1f; ++c)
+        all += static_cast<char>(c);
+    all += "\"\\";
+    for (char c : all) {
+        const std::string s = std::string("x") + c + "y";
+        const Json x = Json::string(s);
+        expectStableEncoding(x);
+        EXPECT_EQ(server::jsonParse(x.encode()).asStr(), s);
+        for (char e : x.encode())
+            EXPECT_GE(static_cast<unsigned char>(e), 0x20u);
+    }
+    expectStableEncoding(Json::object().set(all, Json::string(all)));
 }
 
 TEST(Scope, HistogramBucketsArePowersOfTwo)
@@ -387,19 +461,6 @@ TEST(Scope, HistogramBucketsArePowersOfTwo)
     EXPECT_EQ(b[2], 2u);     // values 2,3
     EXPECT_EQ(b[3], 0u);     // values 4..7
     EXPECT_EQ(b[4], 1u);     // value 8
-}
-
-TEST(Scope, MetricsRegistryMerge)
-{
-    MetricsRegistry a, b;
-    a.addCounter("n", 2);
-    b.addCounter("n", 3);
-    b.setGauge("g", 1.5);
-    b.histogram("h").record(4);
-    a.merge(b);
-    EXPECT_EQ(a.counters().at("n"), 5u);
-    EXPECT_DOUBLE_EQ(a.gauges().at("g"), 1.5);
-    EXPECT_EQ(a.histograms().at("h").count(), 1u);
 }
 
 // ------------------------------------------------------------------
