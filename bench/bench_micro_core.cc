@@ -322,6 +322,28 @@ BM_SetupPartition(benchmark::State &state)
 }
 BENCHMARK(BM_SetupPartition)->Unit(benchmark::kMillisecond);
 
+/**
+ * The bytecode module of the specialized blocks alone, on an
+ * elaboration and arena built once; makeSimulator builds it inside.
+ */
+void
+BM_SetupBcModule(benchmark::State &state)
+{
+    auto mesh = setupMesh();
+    auto elab = mesh->elaborate();
+    ArenaStore store(*elab);
+    std::vector<int> blocks;
+    for (size_t b = 0; b < elab->blocks.size(); ++b) {
+        if (bcSpecializable(elab->blocks[b]))
+            blocks.push_back(static_cast<int>(b));
+    }
+    for (auto _ : state) {
+        BcModule mod(*elab, store, blocks);
+        benchmark::DoNotOptimize(mod.numPrograms());
+    }
+}
+BENCHMARK(BM_SetupBcModule)->Unit(benchmark::kMillisecond);
+
 void
 BM_SetupMakeSimulator(benchmark::State &state)
 {

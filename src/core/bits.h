@@ -38,6 +38,13 @@ topWordMask(int nbits)
     return rem == 0 ? ~uint64_t(0) : ((uint64_t(1) << rem) - 1);
 }
 
+/** Mask of the low min(@p nbits, 64) bits. */
+constexpr uint64_t
+widthMask(int nbits)
+{
+    return nbits >= 64 ? ~uint64_t(0) : ((uint64_t(1) << nbits) - 1);
+}
+
 /** Minimum number of bits needed to represent @p value. At least 1. */
 int clog2(uint64_t value);
 

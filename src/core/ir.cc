@@ -413,30 +413,57 @@ BlockBuilder::ifChain(
 
 namespace {
 
-/** The one walk behind irSummarize. */
+/**
+ * The one walk behind irSummarize. It visits statements and operands
+ * in bcCompile's order, so that first uses and literals come out in
+ * the order the compiler numbers them.
+ */
 class Summarizer
 {
   public:
-    explicit Summarizer(IrBlockSummary &out) : out_(out) {}
+    Summarizer(IrBlockSummary &out, IrShape *shape, bool sequential)
+        : out_(out), shape_(shape), seq_(sequential)
+    {}
 
     void
     stmts(const std::vector<IrStmt> &list)
     {
+        put(static_cast<int32_t>(list.size()));
         for (const IrStmt &s : list) {
             ++out_.nodes;
-            expr(s.rhs.get());
-            expr(s.cond.get());
-            if (s.kind == IrStmt::Kind::AWrite)
-                out_.arrayWrites.push_back(s.array);
-            if (s.sig) {
+            put(static_cast<int32_t>(s.kind));
+            switch (s.kind) {
+              case IrStmt::Kind::Assign:
+                expr(s.rhs.get());
+                // A temp target is one negative word, a net target an
+                // operand index, its width and its lsb.
+                if (!s.sig) {
+                    put(-(s.temp + 1));
+                    break;
+                }
                 out_.writes.push_back(s.sig);
                 widen(s.sig->nbits());
                 // Partial writes also read the previous contents.
                 if (s.width >= 0 && !s.nonblocking)
                     out_.reads.push_back(s.sig);
+                put(operand(2 * s.sig->netId() + (seq_ && s.nonblocking)));
+                put(s.width < 0 ? -s.sig->nbits() : s.width);
+                put(s.lsb);
+                break;
+              case IrStmt::Kind::AWrite:
+                // The index is in cond, and it is compiled first.
+                expr(s.cond.get());
+                expr(s.rhs.get());
+                out_.arrayWrites.push_back(s.array);
+                array(s.array);
+                put(s.array->nbits());
+                break;
+              case IrStmt::Kind::If:
+                expr(s.cond.get());
+                stmts(s.thenBody);
+                stmts(s.elseBody);
+                break;
             }
-            stmts(s.thenBody);
-            stmts(s.elseBody);
         }
     }
 
@@ -444,21 +471,94 @@ class Summarizer
     void
     expr(const IrExprNode *e)
     {
-        if (!e)
-            return;
         ++out_.nodes;
         widen(e->nbits);
-        if (e->kind == IrExprNode::Kind::Ref)
+        // Kind, operator and width share one word; a width of 2^22 bits
+        // or more takes a word of its own after it.
+        int32_t sub = 0;
+        if (e->kind == IrExprNode::Kind::BinOp)
+            sub = static_cast<int32_t>(e->op);
+        else if (e->kind == IrExprNode::Kind::UnOp)
+            sub = static_cast<int32_t>(e->unop);
+        const bool wide = e->nbits >= (1 << 22);
+        put(static_cast<int32_t>(e->kind) | sub << 4 |
+            (wide ? 0 : e->nbits) << 9);
+        if (wide)
+            put(e->nbits);
+        switch (e->kind) {
+          case IrExprNode::Kind::Const:
+            literal(e->cval.toUint64() & widthMask(e->nbits));
+            break;
+          case IrExprNode::Kind::Ref:
             out_.reads.push_back(e->sig);
-        else if (e->kind == IrExprNode::Kind::ARead)
+            put(operand(2 * e->sig->netId()));
+            break;
+          case IrExprNode::Kind::Temp:
+            put(e->temp);
+            break;
+          case IrExprNode::Kind::Slice:
+            put(e->lsb);
+            break;
+          case IrExprNode::Kind::Concat:
+            put(static_cast<int32_t>(e->args.size()));
+            break;
+          default:
+            break;
+        }
+        for (size_t i = 0; i < e->args.size(); ++i) {
+            expr(e->args[i].get());
+            // A concatenation shifts in each part after the first by a
+            // constant: the part's width.
+            if (e->kind == IrExprNode::Kind::Concat && i > 0)
+                literal(static_cast<uint64_t>(e->args[i]->nbits));
+        }
+        if (e->kind == IrExprNode::Kind::ARead) {
             out_.arrayReads.push_back(e->array);
-        for (const IrExprPtr &arg : e->args)
-            expr(arg.get());
+            array(e->array);
+        }
+    }
+
+    /** An array access: its index mask, then its base word's use. */
+    void
+    array(const MemArray *a)
+    {
+        put(static_cast<int32_t>(a->indexMask()));
+        put(operand(-(a->arrayId() + 1)));
+    }
+
+    /** Index of @p token in the record, added at its first use. */
+    int32_t
+    operand(int32_t token)
+    {
+        if (!shape_)
+            return 0;
+        std::vector<int32_t> &ops = shape_->operands;
+        auto it = std::find(ops.begin(), ops.end(), token);
+        if (it != ops.end())
+            return static_cast<int32_t>(it - ops.begin());
+        ops.push_back(token);
+        return static_cast<int32_t>(ops.size() - 1);
+    }
+
+    void
+    literal(uint64_t value)
+    {
+        if (shape_)
+            shape_->literals.push_back(value);
+    }
+
+    void
+    put(int32_t word)
+    {
+        if (shape_)
+            shape_->code.push_back(word);
     }
 
     void widen(int nbits) { out_.widest = std::max(out_.widest, nbits); }
 
     IrBlockSummary &out_;
+    IrShape *shape_;
+    bool seq_;
 };
 
 template <typename T>
@@ -598,12 +698,18 @@ stmtsToString(const std::vector<IrStmt> &stmts, int indent,
 } // namespace
 
 IrBlockSummary
-irSummarize(const IrBlock &block)
+irSummarize(const IrBlock &block, IrShape *shape)
 {
     IrBlockSummary out;
     for (const IrTemp &t : block.temps)
         out.widest = std::max(out.widest, t.nbits);
-    Summarizer(out).stmts(block.stmts);
+    if (shape) {
+        shape->code.assign(
+            {block.sequential, static_cast<int32_t>(block.temps.size())});
+        shape->operands.clear();
+        shape->literals.clear();
+    }
+    Summarizer(out, shape, block.sequential).stmts(block.stmts);
     dedup(out.reads);
     dedup(out.writes);
     dedup(out.arrayReads);

@@ -26,12 +26,15 @@
  *
  * Elaboration walks each block once (irSummarize) and keeps what the
  * layers after it need: the accesses, the tree size as the block's
- * partition weight, and the widest value as the specializer's test.
+ * partition weight, the widest value as the specializer's test, and
+ * what the bytecode compiler reads of the block, split into a shape
+ * and an operand record (IrShape).
  */
 
 #ifndef CMTL_CORE_IR_H
 #define CMTL_CORE_IR_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -286,8 +289,32 @@ struct IrBlockSummary
     int widest = 0;
 };
 
-/** Walk @p block once and summarize its accesses and size. */
-IrBlockSummary irSummarize(const IrBlock &block);
+/**
+ * What bcCompile (ir_bytecode.h) reads of a block, gathered by
+ * irSummarize's walk in the order bcCompile reads it. The shape is
+ * everything that reaches the instruction stream: node kinds,
+ * operators, widths, slice bounds, temps, statement kinds and targets,
+ * array masks, and each operand use as its index in `operands`. Two
+ * blocks of one shape compile to one program, and each block's slot
+ * and constant tables follow from its record:
+ *  - operands: each distinct arena word in first-use order, as a
+ *    token: a net's current word is 2 * net, its next word 2 * net + 1,
+ *    and an array's base -(array + 1);
+ *  - literals: each constant operand's value in bcCompile's order,
+ *    masked to its width, a concatenation's shift amounts included.
+ */
+struct IrShape
+{
+    std::vector<int32_t> code; //!< the shape, compared word for word
+    std::vector<int32_t> operands;
+    std::vector<uint64_t> literals;
+};
+
+/**
+ * Walk @p block once and summarize its accesses and size; with
+ * @p shape, also replace *shape with the block's.
+ */
+IrBlockSummary irSummarize(const IrBlock &block, IrShape *shape = nullptr);
 
 /** Human-readable dump (debugging aid). */
 std::string irToString(const IrBlock &block);

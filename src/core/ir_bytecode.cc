@@ -12,12 +12,6 @@ namespace cmtl {
 
 namespace {
 
-uint64_t
-widthMask(int nbits)
-{
-    return nbits >= 64 ? ~uint64_t(0) : ((uint64_t(1) << nbits) - 1);
-}
-
 /**
  * Compiles one block into bytecode. While compiling, a register is
  * encoded by kind: a slot s as s, a constant k as kConstTag + k and a
@@ -900,41 +894,55 @@ bcCompile(const ElabBlock &blk, const ArenaStore &store)
 BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
                    const std::vector<int> &blocks)
 {
-    // The instruction stream with its slot and constant counts is the
-    // fingerprint: scratch, temps and written slots follow from it.
+    // Blocks of one shape compile to one program, so only the first
+    // block of each shape is compiled, and its tables are checked
+    // against its record. Every block's slot table is its operand
+    // record mapped to arena words, and its constants are its
+    // literals. Programs intern by instruction stream with slot and
+    // constant counts (scratch, temps and written slots follow from
+    // it), so shapes that compile alike share one.
     struct Placed
     {
         int prog;
         size_t slots;
-        size_t consts;
     };
-    std::vector<Placed> placed(elab.blocks.size(), Placed{-1, 0, 0});
+    std::vector<Placed> placed(elab.blocks.size(), Placed{-1, 0});
+    std::vector<int> prog_of_shape(elab.irShapes.size(), -1);
     std::vector<BcProgram> raw;
-    std::vector<uint64_t> raw_consts;
     std::unordered_multimap<uint64_t, int> prog_of;
     for (int b : blocks) {
         if (placed[b].prog >= 0)
             continue;
-        BcBlock blk = bcCompile(elab.blocks[b], store);
-        uint64_t h = fingerprint(blk.prog);
-        int prog = -1;
-        auto [lo, hi] = prog_of.equal_range(h);
-        for (auto it = lo; it != hi && prog < 0; ++it) {
-            if (sameProgram(raw[it->second], blk.prog))
-                prog = it->second;
-        }
+        const ElabBlock &blk = elab.blocks[b];
+        const size_t at = slot_pool_.size();
+        for (int32_t token : elab.operands(blk))
+            slot_pool_.push_back(store.operandWord(token));
+        int &prog = prog_of_shape[blk.shape];
         if (prog < 0) {
-            prog = static_cast<int>(raw.size());
-            prog_of.emplace(h, prog);
-            raw.push_back(std::move(blk.prog));
-            members_.emplace_back();
+            BcBlock first = bcCompile(blk, store);
+            const std::span<const uint64_t> literals = elab.literals(blk);
+            if (!std::equal(first.slots.begin(), first.slots.end(),
+                            slot_pool_.begin() + at, slot_pool_.end()) ||
+                !std::equal(first.consts.begin(), first.consts.end(),
+                            literals.begin(), literals.end()))
+                throw std::logic_error("block " + blk.name +
+                                       " compiles to operands other than "
+                                       "its elaboration record");
+            const uint64_t h = fingerprint(first.prog);
+            auto [lo, hi] = prog_of.equal_range(h);
+            for (auto it = lo; it != hi && prog < 0; ++it) {
+                if (sameProgram(raw[it->second], first.prog))
+                    prog = it->second;
+            }
+            if (prog < 0) {
+                prog = static_cast<int>(raw.size());
+                prog_of.emplace(h, prog);
+                raw.push_back(std::move(first.prog));
+                members_.emplace_back();
+            }
         }
         members_[prog].push_back(b);
-        placed[b] = {prog, slot_pool_.size(), raw_consts.size()};
-        slot_pool_.insert(slot_pool_.end(), blk.slots.begin(),
-                          blk.slots.end());
-        raw_consts.insert(raw_consts.end(), blk.consts.begin(),
-                          blk.consts.end());
+        placed[b] = {prog, at};
     }
     // Optimize each program once, against the constants of all its
     // instances; each instance keeps only the columns that vary.
@@ -942,7 +950,7 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
     for (size_t p = 0; p < raw.size(); ++p) {
         std::vector<const uint64_t *> consts;
         for (int b : members_[p])
-            consts.push_back(raw_consts.data() + placed[b].consts);
+            consts.push_back(elab.literals(elab.blocks[b]).data());
         std::vector<int> cols;
         progs_.push_back(Optimizer(raw[p], consts).run(cols));
         max_frame_ = std::max(max_frame_, progs_.back().frameSize());

@@ -20,6 +20,12 @@
  * instance, only its slot table (absolute arena words) and constant
  * table.
  *
+ * Elaboration records what the compiler reads of each block as a shape
+ * and an operand record (IrBlockSummary::shape), so a BcModule
+ * compiles only the first block of each shape. Every other block's
+ * slot table is its record's operands mapped to arena words, and its
+ * constant table is its record's literals.
+ *
  * Constants are folded per module, not numbered per occurrence. Once
  * per distinct program, after deduplication and before any batch is
  * built, BcModule runs one optimization pass over the instances of the
@@ -231,12 +237,13 @@ struct BcBatch
 };
 
 /**
- * The bytecode of a set of blocks: every block compiled once, blocks
- * with identical programs sharing one, and each shared program
- * optimized once against its instances. Slot tables hold absolute
- * offsets, so the module runs against any arena with @p store's
- * layout (every ParSim replica). Immutable once built; moving it keeps
- * its instances and batches valid.
+ * The bytecode of a set of blocks: one block of each shape compiled,
+ * blocks with identical programs sharing one, and each shared program
+ * optimized once against its instances. Throws std::logic_error if a
+ * compiled block's tables differ from its operand record. Slot tables
+ * hold absolute offsets, so the module runs against any arena with
+ * @p store's layout (every ParSim replica). Immutable once built;
+ * moving it keeps its instances and batches valid.
  */
 class BcModule
 {

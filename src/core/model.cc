@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 
 namespace cmtl {
@@ -274,6 +275,49 @@ class Elaborator
     void
     collectBlocks(Elaboration *elab)
     {
+        // Shapes are interned by their words, and literal records by
+        // their values: the hash finds the candidates, and a full
+        // compare decides.
+        IrShape shape;
+        std::vector<std::vector<int32_t>> codes;
+        std::unordered_multimap<size_t, int> shape_of, literals_of;
+        auto hash = [](const auto &v) {
+            return std::hash<std::string_view>{}(std::string_view(
+                reinterpret_cast<const char *>(v.data()),
+                v.size() * sizeof(v[0])));
+        };
+        auto internShape = [&] {
+            const size_t h = hash(shape.code);
+            auto [lo, hi] = shape_of.equal_range(h);
+            for (auto it = lo; it != hi; ++it) {
+                if (codes[it->second] == shape.code)
+                    return it->second;
+            }
+            const int id = static_cast<int>(codes.size());
+            shape_of.emplace(h, id);
+            codes.push_back(shape.code);
+            elab->irShapes.push_back(
+                {static_cast<int>(shape.operands.size()),
+                 static_cast<int>(shape.literals.size())});
+            return id;
+        };
+        std::vector<uint64_t> &literals = elab->irLiterals;
+        auto internLiterals = [&] {
+            const std::vector<uint64_t> &lits = shape.literals;
+            const size_t h = hash(lits);
+            auto [lo, hi] = literals_of.equal_range(h);
+            for (auto it = lo; it != hi; ++it) {
+                const size_t at = static_cast<size_t>(it->second);
+                if (at + lits.size() <= literals.size() &&
+                    std::equal(lits.begin(), lits.end(),
+                               literals.begin() + at))
+                    return it->second;
+            }
+            const int at = static_cast<int>(literals.size());
+            literals_of.emplace(h, at);
+            literals.insert(literals.end(), lits.begin(), lits.end());
+            return at;
+        };
         for (Model *m : elab->models) {
             for (const auto &decl : m->lambda_blocks_) {
                 ElabBlock blk;
@@ -296,9 +340,15 @@ class Elaborator
                 blk.name = m->fullName() + "." + ir.name;
                 blk.model = m;
                 blk.ir = &ir;
-                const IrBlockSummary sum = irSummarize(ir);
+                const IrBlockSummary sum = irSummarize(ir, &shape);
                 blk.weight = std::max<long>(1, sum.nodes);
                 blk.widest = sum.widest;
+                blk.shape = internShape();
+                blk.operandsAt = static_cast<int>(elab->irOperands.size());
+                elab->irOperands.insert(elab->irOperands.end(),
+                                        shape.operands.begin(),
+                                        shape.operands.end());
+                blk.literalsAt = internLiterals();
                 for (Signal *sig : sum.reads)
                     blk.reads.push_back(sig->netId());
                 for (Signal *sig : sum.writes) {
@@ -317,6 +367,8 @@ class Elaborator
                 elab->blocks.push_back(std::move(blk));
             }
         }
+        elab->irOperands.shrink_to_fit();
+        elab->irLiterals.shrink_to_fit();
     }
 
     static void

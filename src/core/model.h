@@ -28,6 +28,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,24 @@ struct ElabBlock
     /** IR blocks: widest value (irSummarize); the bytecode subset
      *  holds blocks of at most 64 bits. */
     int widest = 0;
+    /**
+     * IR blocks: the index of the block's shape in
+     * Elaboration::irShapes, and where its operand record starts in
+     * Elaboration::irOperands and irLiterals (irSummarize, IrShape).
+     * Blocks of one shape compile to one bytecode program; BcModule
+     * compiles one block per shape and builds every other block's
+     * tables from its record.
+     */
+    int shape = -1;
+    int operandsAt = 0;
+    int literalsAt = 0;
+};
+
+/** One IR block shape: the lengths of its blocks' records. */
+struct IrShapeSize
+{
+    int operands = 0;
+    int literals = 0;
 };
 
 /**
@@ -134,6 +153,26 @@ class Elaboration
     std::vector<Net> nets;
     std::vector<MemArray *> arrays;
     std::vector<ElabBlock> blocks;
+    /** Distinct IR block shapes: no two are equal word for word. */
+    std::vector<IrShapeSize> irShapes;
+    /** Every IR block's operand record, back to back. */
+    std::vector<int32_t> irOperands;
+    /** IR blocks' literal records; equal records are stored once. */
+    std::vector<uint64_t> irLiterals;
+
+    /** IR block @p blk's operand and literal records. */
+    std::span<const int32_t>
+    operands(const ElabBlock &blk) const
+    {
+        return {irOperands.data() + blk.operandsAt,
+                static_cast<size_t>(irShapes[blk.shape].operands)};
+    }
+    std::span<const uint64_t>
+    literals(const ElabBlock &blk) const
+    {
+        return {irLiterals.data() + blk.literalsAt,
+                static_cast<size_t>(irShapes[blk.shape].literals)};
+    }
 
     /**
      * Scheduling token for an array: arrays share the net id space

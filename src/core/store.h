@@ -134,6 +134,18 @@ class ArenaStore
     Bits arrayRead(int array_id, uint64_t index) const;
     void arrayWrite(int array_id, uint64_t index, const Bits &value);
 
+    /**
+     * Arena word of an operand token (IrShape::operands): a
+     * net's current or next word, or an array's base.
+     */
+    int
+    operandWord(int32_t token) const
+    {
+        return token < 0 ? array_offset_[-token - 1]
+                         : offset_[token >> 1] +
+                               (token & 1) * words_per_phase_;
+    }
+
   private:
     std::vector<uint64_t> words_; //!< [cur][next][array storage]
     std::vector<int> offset_;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -885,6 +888,109 @@ TEST(BcFrame, PerInstanceConstants)
 }
 
 /**
+ * One model type whose instances differ only in parameters: the width
+ * of its nets, the depth of its array, whether its output block is
+ * registered, and one literal.
+ */
+class ShapeCell : public Model
+{
+  public:
+    InPort a, b;
+    OutPort out;
+    MemArray mem;
+
+    ShapeCell(Model *parent, const std::string &name, int width, int depth,
+              bool registered, uint64_t k)
+        : Model(parent, name), a(this, "a", width), b(this, "b", width),
+          out(this, "out", width), mem(this, "mem", width, depth)
+    {
+        auto &w = tickRtl("fill");
+        w.writeArray(mem, rd(b), rd(a) ^ rd(out));
+        auto &f = registered ? tickRtl("f") : combinational("f");
+        f.assign(out, (rd(a) + rd(b) + lit(width, k)) ^ aread(mem, rd(a)));
+    }
+};
+
+/**
+ * Instances of ShapeCell that must get a shape of their own: wider
+ * nets, a deeper array (the ALoad's index mask), both read ports tied
+ * to one net (one slot for two reads), a nonblocking target. And one,
+ * `lit5`, that differs from `base` only in a literal.
+ */
+class ShapeTop : public Model
+{
+  public:
+    InPort x, y, x16, y16;
+    ShapeCell base, lit5, wide, deep, tied, reg;
+
+    ShapeTop()
+        : Model(nullptr, "top"), x(this, "x", 8), y(this, "y", 8),
+          x16(this, "x16", 16), y16(this, "y16", 16),
+          base(this, "base", 8, 4, false, 3),
+          lit5(this, "lit5", 8, 4, false, 5),
+          wide(this, "wide", 16, 4, false, 3),
+          deep(this, "deep", 8, 8, false, 3),
+          tied(this, "tied", 8, 4, false, 3),
+          reg(this, "reg", 8, 4, true, 3)
+    {
+        for (ShapeCell *c : {&base, &lit5, &deep, &reg}) {
+            connect(x, c->a);
+            connect(y, c->b);
+        }
+        connect(x16, wide.a);
+        connect(y16, wide.b);
+        connect(x, tied.a);
+        connect(x, tied.b);
+    }
+
+    std::vector<Signal *> inputs() { return {&x, &y, &x16, &y16}; }
+};
+
+TEST(BcFrame, ShapesSplitAndShare)
+{
+    ShapeTop top;
+    auto elab = top.elaborate();
+    std::map<std::string, int> at;
+    for (size_t b = 0; b < elab->blocks.size(); ++b)
+        at[elab->blocks[b].name] = static_cast<int>(b);
+    auto shape = [&](const std::string &blk) {
+        return elab->blocks[at.at("top." + blk)].shape;
+    };
+    EXPECT_EQ(shape("lit5.f"), shape("base.f"));
+    EXPECT_EQ(shape("lit5.fill"), shape("base.fill"));
+    EXPECT_EQ(shape("reg.fill"), shape("base.fill"));
+    for (const char *cell : {"wide", "deep", "tied", "reg"}) {
+        EXPECT_NE(shape(std::string(cell) + ".f"), shape("base.f")) << cell;
+    }
+    for (const char *cell : {"wide", "deep", "tied"}) {
+        EXPECT_NE(shape(std::string(cell) + ".fill"), shape("base.fill"))
+            << cell;
+    }
+    EXPECT_EQ(elab->operands(elab->blocks[at.at("top.tied.f")]).size() + 1,
+              elab->operands(elab->blocks[at.at("top.base.f")]).size());
+
+    // Shapes that compile alike share a program: a registered output
+    // is only a different slot. The literal is a column of it.
+    ArenaStore store(*elab);
+    std::vector<int> all(elab->blocks.size());
+    std::iota(all.begin(), all.end(), 0);
+    const BcModule mod(*elab, store, all);
+    auto prog = [&](const std::string &blk) {
+        return mod.programOf(at.at("top." + blk));
+    };
+    EXPECT_EQ(prog("lit5.f"), prog("base.f"));
+    EXPECT_EQ(prog("reg.f"), prog("base.f"));
+    const BcInstance &b3 = mod.instance(at.at("top.base.f"));
+    const BcInstance &b5 = mod.instance(at.at("top.lit5.f"));
+    ASSERT_EQ(b3.prog->nconsts, 1);
+    EXPECT_EQ(b3.consts[0], 3u);
+    EXPECT_EQ(b5.consts[0], 5u);
+    EXPECT_EQ(mod.instance(at.at("top.reg.f")).consts[0], 3u);
+
+    expectFrameSemantics<ShapeTop>(mod.numPrograms());
+}
+
+/**
  * Every lane opcode, once writing over its a operand and once over its
  * b operand. An operand computed into scratch that dies at the op frees
  * its word, and the op's result takes the lowest free word: a's when a
@@ -972,6 +1078,37 @@ class LaneOps : public Model
     }
 };
 
+/**
+ * A directory of its own under the temp dir ($TMPDIR, else /tmp) for
+ * kernels compiled without the cache, removed with its contents
+ * however the test ends.
+ */
+class KernelDir
+{
+  public:
+    KernelDir()
+    {
+        std::string path =
+            (std::filesystem::temp_directory_path() / "cmtl_kernels_XXXXXX")
+                .string();
+        if (!::mkdtemp(path.data()))
+            throw std::runtime_error("mkdtemp failed for " + path);
+        path_ = path;
+    }
+    ~KernelDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+    KernelDir(const KernelDir &) = delete;
+    KernelDir &operator=(const KernelDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
 TEST(BcFrame, InPlaceLaneOpsMatchTheKernel)
 {
     constexpr int kN = 65;
@@ -1007,11 +1144,12 @@ TEST(BcFrame, InPlaceLaneOpsMatchTheKernel)
         }
     }
 
+    const KernelDir dir;
     std::optional<CppProgram> cpp;
     std::optional<CppJitLibrary> lib;
     if (CppJit::compilerAvailable()) {
         cpp = cppEmitProgram(mod);
-        CppJit jit(::testing::TempDir() + "cmtl_lane_ops", false);
+        CppJit jit(dir.path(), false);
         lib = jit.compile(cpp->source, mod.numPrograms());
     }
     std::mt19937_64 rng(7);
@@ -1100,7 +1238,8 @@ struct OneBlock
         }
         CppProgram prog = cppEmitProgram(mod);
         const CppBatch call = cppBatch(prog, mod, {0});
-        CppJit jit(::testing::TempDir() + "cmtl_bcopt", false);
+        const KernelDir dir;
+        CppJit jit(dir.path(), false);
         jit.compile(prog.source, 1).kernel(0)(store.data(), call.rows.data(),
                                               call.consts.data(), call.n);
     }

@@ -16,10 +16,12 @@
 #include <sstream>
 
 #include "core/ir_bytecode.h"
+#include "core/ir_cpp.h"
 #include "core/jit_cpp.h"
 #include "core/partition.h"
 #include "core/psim.h"
 #include "core/sim.h"
+#include "core/snap.h"
 #include "core/store.h"
 #include "core/vcd.h"
 #include "fuzz/fuzz.h"
@@ -440,6 +442,186 @@ TEST(ElabSummary, WeightAndWidthMatchATreeWalk)
     }
     // The generator's 65-96-bit nets keep the other side covered.
     EXPECT_GT(wide, 0);
+}
+
+/**
+ * BcModule compiles one block per shape and builds every other block's
+ * tables from its elaboration record. Checks that against a compile of
+ * every specialized block of @p top: each block's program is the one
+ * interning the compiled programs in module order gives, its slot row
+ * is the compiled slot table, its literals are the compiled constants,
+ * and each constant column holds one compiled constant operand on
+ * every instance of its program. The optimizer then sees what it would
+ * see with every block compiled. Returns the module's program count.
+ */
+int
+expectStampedTablesMatchACompile(Model &top, const std::string &what)
+{
+    auto elab = top.elaborate();
+    ArenaStore store(*elab);
+    std::vector<int> blocks;
+    for (size_t b = 0; b < elab->blocks.size(); ++b) {
+        if (bcSpecializable(elab->blocks[b]))
+            blocks.push_back(static_cast<int>(b));
+    }
+    const BcModule mod(*elab, store, blocks);
+    std::vector<BcProgram> progs;
+    std::vector<std::vector<uint64_t>> consts(elab->blocks.size());
+    for (int b : blocks) {
+        const std::string ctx = what + " " + elab->blocks[b].name;
+        BcBlock want = bcCompile(elab->blocks[b], store);
+        int prog = 0;
+        while (prog < static_cast<int>(progs.size()) &&
+               !(progs[prog].nslots == want.prog.nslots &&
+                 progs[prog].nconsts == want.prog.nconsts &&
+                 progs[prog].insts == want.prog.insts))
+            ++prog;
+        if (prog == static_cast<int>(progs.size()))
+            progs.push_back(want.prog);
+        EXPECT_EQ(mod.programOf(b), prog) << ctx;
+        const BcInstance &got = mod.instance(b);
+        EXPECT_EQ(std::vector<int32_t>(got.slots,
+                                       got.slots + got.prog->nslots),
+                  want.slots)
+            << ctx;
+        const std::span<const uint64_t> literals =
+            elab->literals(elab->blocks[b]);
+        EXPECT_EQ(std::vector<uint64_t>(literals.begin(), literals.end()),
+                  want.consts)
+            << ctx;
+        consts[b] = std::move(want.consts);
+    }
+    EXPECT_EQ(mod.numPrograms(), static_cast<int>(progs.size())) << what;
+    for (int p = 0; p < mod.numPrograms(); ++p) {
+        const std::vector<int> &members = mod.instancesOf(p);
+        const BcProgram &prog = *mod.instance(members[0]).prog;
+        for (int k = 0; k < prog.nconsts; ++k) {
+            bool found = false;
+            for (size_t j = 0; j < consts[members[0]].size() && !found; ++j) {
+                found = true;
+                for (int b : members)
+                    found = found && mod.instance(b).consts[k] == consts[b][j];
+            }
+            EXPECT_TRUE(found) << what << " program " << p << " column " << k;
+        }
+    }
+    return mod.numPrograms();
+}
+
+TEST(ElabSummary, StampedTablesMatchACompileOfEveryBlock)
+{
+    // Program counts as compiling every block gave them.
+    for (int nrouters : {16, 64, 256}) {
+        MeshTrafficTop mesh("top", NetLevel::RTL, nrouters, 4, 0.3, 1);
+        EXPECT_EQ(expectStampedTablesMatchACompile(
+                      mesh, "mesh" + std::to_string(nrouters)),
+                  6);
+    }
+    tile::ProcRTL5 proc(nullptr, "proc");
+    EXPECT_EQ(expectStampedTablesMatchACompile(proc, "ProcRTL5"), 5);
+    using tile::Level;
+    tile::MultiTileSystem multitile(
+        "sys", std::vector<std::array<Level, 3>>(
+                   4, {Level::RTL, Level::RTL, Level::RTL}));
+    EXPECT_EQ(expectStampedTablesMatchACompile(multitile, "multitile"), 11);
+    const int fuzz_programs[] = {4, 3, 2, 4, 3, 3, 7, 3, 5, 1, 5, 2, 1,
+                                 5, 1, 6, 5, 3, 2, 3, 1, 3, 4, 2, 1};
+    for (uint64_t seed = 1; seed <= 25; ++seed) {
+        fuzz::FuzzSpec spec;
+        spec.seed = seed;
+        fuzz::FuzzDesign top(spec);
+        EXPECT_EQ(expectStampedTablesMatchACompile(
+                      top, "fuzz seed " + std::to_string(seed)),
+                  fuzz_programs[seed - 1]);
+    }
+}
+
+/**
+ * The 8x8 mesh's translation unit and its state after 300 cycles, as
+ * compiling every block gave them: stamping changes no byte of either.
+ */
+TEST(ElabSummary, StampedMeshKeepsItsKernelsAndState)
+{
+    MeshTrafficTop mesh("top", NetLevel::RTL, 64, 4, 0.3, 1);
+    auto elab = mesh.elaborate();
+    ArenaStore store(*elab);
+    std::vector<int> blocks;
+    for (size_t b = 0; b < elab->blocks.size(); ++b) {
+        if (bcSpecializable(elab->blocks[b]))
+            blocks.push_back(static_cast<int>(b));
+    }
+    const std::string source =
+        cppEmitProgram(BcModule(*elab, store, blocks)).source;
+    uint64_t fnv = 0xcbf29ce484222325ull;
+    for (char c : source) {
+        fnv ^= static_cast<uint8_t>(c);
+        fnv *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(source.size(), 15483u);
+    EXPECT_EQ(fnv, 0x299cae43402c0617ull);
+    for (int threads : {1, 2}) {
+        MeshTrafficTop top("top", NetLevel::RTL, 64, 4, 0.3, 1);
+        SimConfig cfg = SimConfig::fromString("bytecode");
+        cfg.threads = threads;
+        auto sim = makeSimulator(top.elaborate(), cfg);
+        sim->reset();
+        sim->cycle(300);
+        EXPECT_EQ(stateDigest(*sim), 0xcbbbb7478c7eb6a4ull) << threads;
+    }
+}
+
+/**
+ * BcModule compiles the first block of each shape and no other: a
+ * record changed on any later block of a shape reaches the module's
+ * tables unchecked, and one changed on the first block throws.
+ */
+TEST(ElabSummary, ModuleCompilesOneBlockPerShape)
+{
+    MeshTrafficTop mesh("top", NetLevel::RTL, 256, 4, 0.3, 1);
+    auto elab = mesh.elaborate();
+    ArenaStore store(*elab);
+    std::vector<int> blocks;
+    std::vector<std::vector<int>> of_shape(elab->irShapes.size());
+    for (size_t b = 0; b < elab->blocks.size(); ++b) {
+        const ElabBlock &blk = elab->blocks[b];
+        if (!bcSpecializable(blk))
+            continue;
+        blocks.push_back(static_cast<int>(b));
+        of_shape[blk.shape].push_back(static_cast<int>(b));
+    }
+    const int programs = BcModule(*elab, store, blocks).numPrograms();
+    EXPECT_EQ(programs, 6);
+    int shapes = 0;
+    for (const std::vector<int> &members : of_shape)
+        shapes += !members.empty();
+    EXPECT_LE(shapes, 2 * programs);
+
+    for (const std::vector<int> &members : of_shape) {
+        if (members.size() < 2)
+            continue;
+        // Point a net operand at the net's other phase word.
+        int32_t *later = &elab->irOperands[elab->blocks[members[1]].operandsAt];
+        int i = 0;
+        while (later[i] < 0)
+            ++i;
+        later[i] ^= 1;
+        {
+            const BcModule mod(*elab, store, blocks);
+            EXPECT_EQ(mod.instance(members[1]).slots[i],
+                      store.operandWord(later[i]));
+        }
+        later[i] ^= 1;
+        const ElabBlock &first = elab->blocks[members[0]];
+        elab->irOperands[first.operandsAt + i] ^= 1;
+        EXPECT_THROW(BcModule(*elab, store, blocks), std::logic_error);
+        elab->irOperands[first.operandsAt + i] ^= 1;
+        if (!elab->literals(first).empty()) {
+            ++elab->irLiterals[first.literalsAt];
+            EXPECT_THROW(BcModule(*elab, store, blocks), std::logic_error);
+            --elab->irLiterals[first.literalsAt];
+        }
+    }
+    EXPECT_EQ(BcModule(*elab, store, blocks).numPrograms(), programs);
 }
 
 TEST(Partition, PlansFollowTheTreeCountWeight)
