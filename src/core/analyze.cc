@@ -142,13 +142,13 @@ AnalyzeOptions::emit(std::vector<LintIssue> &issues, LintSeverity fallback,
 // ----------------------------------------------------- constant folder
 
 std::optional<Bits>
-irConstFold(const IrExprPtr &e)
+irConstFold(const IrExprPtr &e, int reset_net)
 {
-    return irConstFold(e.get());
+    return irConstFold(e.get(), reset_net);
 }
 
 std::optional<Bits>
-irConstFold(const IrExprNode *e)
+irConstFold(const IrExprNode *e, int reset_net)
 {
     if (!e)
         return std::nullopt;
@@ -156,24 +156,33 @@ irConstFold(const IrExprNode *e)
       case IrExprNode::Kind::Const:
         return e->cval;
       case IrExprNode::Kind::Ref:
+        if (reset_net >= 0 && e->sig && e->sig->netId() == reset_net)
+            return Bits(e->nbits, 1);
+        return std::nullopt; // depends on run-time state
       case IrExprNode::Kind::Temp:
       case IrExprNode::Kind::ARead:
-        return std::nullopt; // depends on run-time state
+        return std::nullopt;
       case IrExprNode::Kind::BinOp: {
-        auto a = irConstFold(e->args[0]);
-        auto b = irConstFold(e->args[1]);
+        auto a = irConstFold(e->args[0], reset_net);
+        auto b = irConstFold(e->args[1], reset_net);
+        // Short-circuit forms dominate reset conditions
+        // (e.g. "reset || flush"): one decisive operand suffices.
+        if (e->op == IrOp::LAnd && ((a && !a->any()) || (b && !b->any())))
+            return Bits(1, 0);
+        if (e->op == IrOp::LOr && ((a && a->any()) || (b && b->any())))
+            return Bits(1, 1);
         if (!a || !b)
             return std::nullopt;
         return irEvalBinOp(e->op, *a, *b, e->nbits);
       }
       case IrExprNode::Kind::UnOp: {
-        auto a = irConstFold(e->args[0]);
+        auto a = irConstFold(e->args[0], reset_net);
         if (!a)
             return std::nullopt;
         return irEvalUnOp(e->unop, *a);
       }
       case IrExprNode::Kind::Slice: {
-        auto a = irConstFold(e->args[0]);
+        auto a = irConstFold(e->args[0], reset_net);
         if (!a || e->lsb < 0 || e->lsb + e->nbits > a->nbits())
             return std::nullopt; // malformed: reported by range check
         return a->slice(e->lsb, e->nbits);
@@ -182,7 +191,7 @@ irConstFold(const IrExprNode *e)
         Bits out(e->nbits);
         int pos = e->nbits;
         for (const auto &arg : e->args) {
-            auto part = irConstFold(arg);
+            auto part = irConstFold(arg, reset_net);
             if (!part)
                 return std::nullopt;
             pos -= arg->nbits;
@@ -193,22 +202,23 @@ irConstFold(const IrExprNode *e)
         return out;
       }
       case IrExprNode::Kind::Mux: {
-        auto cond = irConstFold(e->args[0]);
+        auto cond = irConstFold(e->args[0], reset_net);
         if (!cond)
             return std::nullopt;
-        auto arm = irConstFold(cond->any() ? e->args[1] : e->args[2]);
+        auto arm =
+            irConstFold(cond->any() ? e->args[1] : e->args[2], reset_net);
         if (!arm)
             return std::nullopt;
         return arm->zext(e->nbits);
       }
       case IrExprNode::Kind::Zext: {
-        auto a = irConstFold(e->args[0]);
+        auto a = irConstFold(e->args[0], reset_net);
         if (!a)
             return std::nullopt;
         return a->zext(e->nbits);
       }
       case IrExprNode::Kind::Sext: {
-        auto a = irConstFold(e->args[0]);
+        auto a = irConstFold(e->args[0], reset_net);
         if (!a)
             return std::nullopt;
         return a->sext(e->nbits);
@@ -343,75 +353,9 @@ irMaxBound(const IrExprPtr &e)
     return w;
 }
 
-// ------------------------------------------------------- BlockAnalyzer
+// ------------------------------------------------------- path coverage
 
 namespace {
-
-/** Which bits of one signal are definitely assigned on this path. */
-class Cover
-{
-  public:
-    Cover() = default;
-    explicit Cover(int nbits) : bits_(nbits, false) {}
-
-    void
-    cover(int lsb, int width)
-    {
-        if (bits_.empty())
-            return;
-        int hi = std::min<int>(lsb + width, static_cast<int>(bits_.size()));
-        for (int i = std::max(lsb, 0); i < hi; ++i)
-            bits_[i] = true;
-    }
-
-    void coverAll() { std::fill(bits_.begin(), bits_.end(), true); }
-
-    bool
-    full() const
-    {
-        return std::all_of(bits_.begin(), bits_.end(),
-                           [](bool b) { return b; });
-    }
-
-    void
-    intersect(const Cover &o)
-    {
-        for (size_t i = 0; i < bits_.size(); ++i)
-            bits_[i] = bits_[i] && i < o.bits_.size() && o.bits_[i];
-    }
-
-    /** Inclusive [msb:lsb] range covering all unassigned bits. */
-    std::pair<int, int>
-    missingRange() const
-    {
-        int lo = -1, hi = -1;
-        for (size_t i = 0; i < bits_.size(); ++i) {
-            if (!bits_[i]) {
-                if (lo < 0)
-                    lo = static_cast<int>(i);
-                hi = static_cast<int>(i);
-            }
-        }
-        return {hi, lo};
-    }
-
-  private:
-    std::vector<bool> bits_;
-};
-
-/** Definite-assignment state along one control path. */
-struct PathState
-{
-    std::map<const Signal *, Cover> sigs;
-    std::set<int> temps;
-
-    bool
-    fullyAssigned(const Signal *sig) const
-    {
-        auto it = sigs.find(sig);
-        return it != sigs.end() && it->second.full();
-    }
-};
 
 /** Intersection of two branch states (both derived from one base). */
 PathState
@@ -433,19 +377,71 @@ mergeStates(const PathState &a, const PathState &b)
     return out;
 }
 
+} // namespace
+
+void
+IrPathWalk::walk(const std::vector<IrStmt> &stmts, PathState &st)
+{
+    for (const IrStmt &s : stmts) {
+        std::optional<Bits> folded;
+        if (s.kind == IrStmt::Kind::If)
+            folded = irConstFold(s.cond, reset_net_);
+        visit(s, st, folded);
+        switch (s.kind) {
+          case IrStmt::Kind::Assign:
+            if (s.sig)
+                st.sigs.try_emplace(s.sig, Cover(s.sig->nbits()))
+                    .first->second.cover(s.lsb, s.width);
+            else
+                st.temps.insert(s.temp);
+            break;
+          case IrStmt::Kind::If: {
+            PathState then_st = st;
+            PathState else_st = st;
+            walk(s.thenBody, then_st);
+            walk(s.elseBody, else_st);
+            if (folded) {
+                // The dead branch was visited, but only the live one
+                // contributes assignments.
+                st = folded->any() ? std::move(then_st)
+                                   : std::move(else_st);
+                break;
+            }
+            join(s, st, then_st, else_st);
+            st = mergeStates(then_st, else_st);
+            break;
+          }
+          case IrStmt::Kind::AWrite:
+            break;
+        }
+    }
+}
+
+PathState
+irPathCoverage(const IrBlock &block, int reset_net)
+{
+    PathState st;
+    IrPathWalk(reset_net).walk(block.stmts, st);
+    return st;
+}
+
+// ------------------------------------------------------- BlockAnalyzer
+
+namespace {
+
 /** Runs every per-block check over one IR block. */
-class BlockAnalyzer
+class BlockAnalyzer : IrPathWalk
 {
   public:
     BlockAnalyzer(const ElabBlock &blk, const AnalyzeOptions &options,
                   std::vector<LintIssue> &issues)
-        : blk_(blk), ir_(*blk.ir), options_(options), issues_(issues)
+        : blk_(blk), ir_(*blk.ir), options_(options), issues_(issues),
+          writes_(irSummarize(ir_).writes)
     {}
 
     void
     run()
     {
-        collectWriteTargets(ir_.stmts);
         PathState st;
         walk(ir_.stmts, st);
         if (!ir_.sequential)
@@ -472,19 +468,6 @@ class BlockAnalyzer
                       "in block '" + blk_.name + "': " + message);
     }
 
-    // ---------------------------------------------- write collection
-
-    void
-    collectWriteTargets(const std::vector<IrStmt> &stmts)
-    {
-        for (const IrStmt &s : stmts) {
-            if (s.kind == IrStmt::Kind::Assign && s.sig)
-                writes_.insert(s.sig);
-            collectWriteTargets(s.thenBody);
-            collectWriteTargets(s.elseBody);
-        }
-    }
-
     // --------------------------------------------- expression checks
 
     void
@@ -503,7 +486,9 @@ class BlockAnalyzer
             }
             break;
           case IrExprNode::Kind::Ref:
-            if (!ir_.sequential && writes_.count(e->sig) &&
+            if (!ir_.sequential &&
+                std::binary_search(writes_.begin(), writes_.end(),
+                                   e->sig) &&
                 !st.fullyAssigned(e->sig)) {
                 emitOnce(LintSeverity::Warning, "comb-read-own-write",
                          e->sig->fullName(),
@@ -531,8 +516,9 @@ class BlockAnalyzer
             checkIndex(e->args[0], e->array, "read");
             break;
           case IrExprNode::Kind::Mux:
-            checkConstCondition(e->args[0], "mux",
-                                /*has_else=*/true);
+            if (auto folded = irConstFold(e->args[0]))
+                reportConstCondition(e->args[0], *folded, "mux",
+                                     /*has_else=*/true);
             break;
           default:
             break;
@@ -574,27 +560,22 @@ class BlockAnalyzer
         }
     }
 
-    /** Returns the folded condition when it is a constant. */
-    std::optional<Bits>
-    checkConstCondition(const IrExprPtr &cond, const char *what,
-                        bool has_else)
+    void
+    reportConstCondition(const IrExprPtr &cond, const Bits &folded,
+                         const char *what, bool has_else)
     {
-        auto folded = irConstFold(cond);
-        if (folded) {
-            bool taken = folded->any();
-            std::string dead = taken
-                                   ? (has_else ? "the else branch is "
-                                                 "unreachable"
-                                               : "the condition is "
-                                                 "redundant")
-                                   : "the then branch is unreachable";
-            emitOnce(LintSeverity::Warning, "constant-condition",
-                     irExprToString(cond) + "|" + what,
-                     std::string(what) + " condition '" +
-                         irExprToString(cond) + "' is always " +
-                         (taken ? "true" : "false") + "; " + dead);
-        }
-        return folded;
+        bool taken = folded.any();
+        std::string dead = taken
+                               ? (has_else ? "the else branch is "
+                                             "unreachable"
+                                           : "the condition is "
+                                             "redundant")
+                               : "the then branch is unreachable";
+        emitOnce(LintSeverity::Warning, "constant-condition",
+                 irExprToString(cond) + "|" + what,
+                 std::string(what) + " condition '" +
+                     irExprToString(cond) + "' is always " +
+                     (taken ? "true" : "false") + "; " + dead);
     }
 
     // ----------------------------------------------- statement checks
@@ -645,77 +626,48 @@ class BlockAnalyzer
     }
 
     void
-    walk(const std::vector<IrStmt> &stmts, PathState &st)
+    visit(const IrStmt &s, const PathState &st,
+          const std::optional<Bits> &folded) override
     {
-        for (const IrStmt &s : stmts) {
-            switch (s.kind) {
-              case IrStmt::Kind::Assign: {
-                checkExpr(s.rhs, st);
-                checkAssignTruncation(s);
-                if (s.sig) {
-                    if (!ir_.sequential && s.nonblocking) {
-                        emitOnce(LintSeverity::Error,
-                                 "nonblocking-in-comb",
-                                 s.sig->fullName(),
-                                 "non-blocking assignment to '" +
-                                     s.sig->fullName() +
-                                     "' in a combinational block",
-                                 s.sig->fullName());
-                    }
-                    if (ir_.sequential && !s.nonblocking) {
-                        emitOnce(LintSeverity::Error, "blocking-in-seq",
-                                 s.sig->fullName(),
-                                 "blocking assignment to sequential "
-                                 "state '" +
-                                     s.sig->fullName() + "'",
-                                 s.sig->fullName());
-                    }
-                    auto [it, inserted] =
-                        st.sigs.try_emplace(s.sig, Cover(s.sig->nbits()));
-                    if (s.width < 0)
-                        it->second.coverAll();
-                    else
-                        it->second.cover(s.lsb, s.width);
-                } else {
-                    st.temps.insert(s.temp);
-                }
-                break;
-              }
-              case IrStmt::Kind::If: {
-                checkExpr(s.cond, st);
-                auto folded =
-                    checkConstCondition(s.cond, "if",
-                                        !s.elseBody.empty());
-                PathState then_st = st;
-                PathState else_st = st;
-                walk(s.thenBody, then_st);
-                walk(s.elseBody, else_st);
-                if (folded) {
-                    // Dead branch was still checked above, but only
-                    // the live branch contributes assignments.
-                    st = folded->any() ? std::move(then_st)
-                                       : std::move(else_st);
-                    break;
-                }
-                recordLatchNotes(s, st, then_st, else_st);
-                st = mergeStates(then_st, else_st);
-                break;
-              }
-              case IrStmt::Kind::AWrite: {
-                if (!ir_.sequential) {
-                    emitOnce(LintSeverity::Error, "awrite-in-comb",
-                             s.array->fullName(),
-                             "write to array '" + s.array->fullName() +
-                                 "' in a combinational block; array "
-                                 "writes are clock-edge effects",
-                             s.array->fullName());
-                }
-                checkExpr(s.cond, st);
-                checkExpr(s.rhs, st);
-                checkIndex(s.cond, s.array, "write");
-                break;
-              }
+        switch (s.kind) {
+          case IrStmt::Kind::Assign:
+            checkExpr(s.rhs, st);
+            checkAssignTruncation(s);
+            if (s.sig && !ir_.sequential && s.nonblocking) {
+                emitOnce(LintSeverity::Error, "nonblocking-in-comb",
+                         s.sig->fullName(),
+                         "non-blocking assignment to '" +
+                             s.sig->fullName() +
+                             "' in a combinational block",
+                         s.sig->fullName());
             }
+            if (s.sig && ir_.sequential && !s.nonblocking) {
+                emitOnce(LintSeverity::Error, "blocking-in-seq",
+                         s.sig->fullName(),
+                         "blocking assignment to sequential state '" +
+                             s.sig->fullName() + "'",
+                         s.sig->fullName());
+            }
+            break;
+          case IrStmt::Kind::If:
+            checkExpr(s.cond, st);
+            if (folded)
+                reportConstCondition(s.cond, *folded, "if",
+                                     !s.elseBody.empty());
+            break;
+          case IrStmt::Kind::AWrite:
+            if (!ir_.sequential) {
+                emitOnce(LintSeverity::Error, "awrite-in-comb",
+                         s.array->fullName(),
+                         "write to array '" + s.array->fullName() +
+                             "' in a combinational block; array "
+                             "writes are clock-edge effects",
+                         s.array->fullName());
+            }
+            checkExpr(s.cond, st);
+            checkExpr(s.rhs, st);
+            checkIndex(s.cond, s.array, "write");
+            break;
         }
     }
 
@@ -725,8 +677,8 @@ class BlockAnalyzer
      * the latch-inferred report.
      */
     void
-    recordLatchNotes(const IrStmt &s, const PathState &base,
-                     const PathState &then_st, const PathState &else_st)
+    join(const IrStmt &s, const PathState &base, const PathState &then_st,
+         const PathState &else_st) override
     {
         if (ir_.sequential)
             return;
@@ -771,7 +723,7 @@ class BlockAnalyzer
     const IrBlock &ir_;
     const AnalyzeOptions &options_;
     std::vector<LintIssue> &issues_;
-    std::set<const Signal *> writes_;
+    const std::vector<Signal *> writes_; //!< sorted (irSummarize)
     std::map<const Signal *, std::string> latch_notes_;
     std::set<std::string> reported_;
 };

@@ -32,11 +32,17 @@
  * Every check can be suppressed or have its severity overridden
  * per-run through AnalyzeOptions; LintTool carries one and forwards
  * its configuration to both the structural checks and this analyzer.
+ *
+ * The constant folder (irConstFold) and the path-coverage walk
+ * (IrPathWalk) are the only ones in the tree: DesignFlow's
+ * X-propagation (dataflow.h) calls them for each driver's all-paths
+ * and reset-path coverage.
  */
 
 #ifndef CMTL_CORE_ANALYZE_H
 #define CMTL_CORE_ANALYZE_H
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -124,14 +130,17 @@ class AnalyzeOptions
 };
 
 /**
- * Fold @p expr to a constant if every leaf is a literal. Uses the
- * exact irEvalBinOp/irEvalUnOp simulation semantics, so a folded
+ * Fold @p expr to a constant if every leaf is a literal or a read of
+ * net @p reset_net, which reads as 1 (the design's reset, to follow
+ * the path Simulator::reset() takes; -1 binds no net). One decisive
+ * operand settles `&&` and `||` (`x && 0` is 0, `x || 1` is 1). Uses
+ * the exact irEvalBinOp/irEvalUnOp simulation semantics, so a folded
  * value is guaranteed to match what any backend would compute.
  * Returns nullopt when the expression depends on run-time state (or
  * would throw, e.g. an out-of-range slice).
  */
-std::optional<Bits> irConstFold(const IrExprPtr &expr);
-std::optional<Bits> irConstFold(const IrExprNode *expr);
+std::optional<Bits> irConstFold(const IrExprPtr &expr, int reset_net = -1);
+std::optional<Bits> irConstFold(const IrExprNode *expr, int reset_net = -1);
 
 /**
  * Saturating static upper bound of @p expr's value (used for array
@@ -140,6 +149,119 @@ std::optional<Bits> irConstFold(const IrExprNode *expr);
  * width is >= 64 bits.
  */
 uint64_t irMaxBound(const IrExprPtr &expr);
+
+/** Which bits of one signal are definitely assigned on a path. */
+class Cover
+{
+  public:
+    Cover() = default;
+    explicit Cover(int nbits) : bits_(nbits, false) {}
+
+    /** Mark bits [lsb, lsb + width); a negative @p width marks all. */
+    void
+    cover(int lsb, int width)
+    {
+        const int n = static_cast<int>(bits_.size());
+        const int hi = width < 0 ? n : std::min(lsb + width, n);
+        for (int i = width < 0 ? 0 : std::max(lsb, 0); i < hi; ++i)
+            bits_[i] = true;
+    }
+
+    bool
+    full() const
+    {
+        return std::all_of(bits_.begin(), bits_.end(),
+                           [](bool b) { return b; });
+    }
+
+    void
+    intersect(const Cover &o)
+    {
+        for (size_t i = 0; i < bits_.size(); ++i)
+            bits_[i] = bits_[i] && i < o.bits_.size() && o.bits_[i];
+    }
+
+    /** Inclusive [msb:lsb] range covering all unassigned bits. */
+    std::pair<int, int>
+    missingRange() const
+    {
+        int lo = -1, hi = -1;
+        for (size_t i = 0; i < bits_.size(); ++i) {
+            if (!bits_[i]) {
+                if (lo < 0)
+                    lo = static_cast<int>(i);
+                hi = static_cast<int>(i);
+            }
+        }
+        return {hi, lo};
+    }
+
+  private:
+    std::vector<bool> bits_;
+};
+
+/** Definite-assignment state along one control path. */
+struct PathState
+{
+    std::map<const Signal *, Cover> sigs;
+    std::set<int> temps;
+
+    bool
+    fullyAssigned(const Signal *sig) const
+    {
+        auto it = sigs.find(sig);
+        return it != sigs.end() && it->second.full();
+    }
+
+    /** Some member signal of @p net is fully assigned. */
+    bool
+    fullyAssigned(const Net &net) const
+    {
+        return std::any_of(net.signals.begin(), net.signals.end(),
+                           [&](const Signal *s) { return fullyAssigned(s); });
+    }
+};
+
+/**
+ * The one path-coverage walk over a block's statements, shared by the
+ * IR analyzer and DesignFlow's X-propagation (dataflow.h). Assignments
+ * mark signal bits and temps. An if whose condition folds
+ * (irConstFold with the walk's reset net) keeps only its live branch's
+ * state; any other if keeps what both branches assign. Both branches
+ * are always visited, so checks hooked into visit() see dead code too.
+ */
+class IrPathWalk
+{
+  public:
+    explicit IrPathWalk(int reset_net = -1) : reset_net_(reset_net) {}
+    virtual ~IrPathWalk() = default;
+
+    /** Walk @p stmts, updating @p st to the state at their end. */
+    void walk(const std::vector<IrStmt> &stmts, PathState &st);
+
+  protected:
+    /**
+     * Called at each statement before it updates @p st; @p folded is
+     * an if's constant condition, nullopt otherwise.
+     */
+    virtual void
+    visit(const IrStmt &, const PathState &, const std::optional<Bits> &)
+    {}
+    /** Called after both branches of an if that does not fold. */
+    virtual void
+    join(const IrStmt &, const PathState & /*base*/,
+         const PathState & /*then_st*/, const PathState & /*else_st*/)
+    {}
+
+  private:
+    int reset_net_;
+};
+
+/**
+ * The state at the end of @p block over every path or, with
+ * @p reset_net, over the path taken while that net reads 1.
+ */
+PathState irPathCoverage(const IrBlock &block, int reset_net = -1);
 
 /**
  * Run every IR check over each IrBlock of @p elab. Lambda (FL/CL)

@@ -1,196 +1,11 @@
 #include "dataflow.h"
 
-#include <algorithm>
 #include <deque>
-#include <map>
-#include <optional>
 #include <set>
 
-#include "ir_eval.h"
 #include "signal.h"
 
 namespace cmtl {
-
-namespace {
-
-// ------------------------------------------------- assignment coverage
-//
-// Per-signal bit coverage accumulated along one control path. Bit
-// granularity (not just whole-signal flags) so slice assignments that
-// together cover a signal count as a full assignment, matching the
-// latch-inference analysis.
-
-struct Coverage
-{
-    std::map<Signal *, std::vector<uint8_t>> bits;
-};
-
-void
-markAssign(Coverage &cov, Signal *sig, int lsb, int width)
-{
-    if (!sig)
-        return;
-    auto &v = cov.bits[sig];
-    if (v.empty())
-        v.assign(static_cast<size_t>(sig->nbits()), 0);
-    if (width < 0) {
-        lsb = 0;
-        width = sig->nbits();
-    }
-    for (int i = lsb; i < lsb + width && i < sig->nbits(); ++i)
-        if (i >= 0)
-            v[static_cast<size_t>(i)] = 1;
-}
-
-/** Path-merge: a bit is covered only when both branches cover it. */
-Coverage
-intersectCov(const Coverage &a, const Coverage &b)
-{
-    Coverage out;
-    for (const auto &[sig, va] : a.bits) {
-        auto it = b.bits.find(sig);
-        if (it == b.bits.end())
-            continue;
-        std::vector<uint8_t> v(va.size(), 0);
-        for (size_t i = 0; i < va.size(); ++i)
-            v[i] = va[i] && it->second[i];
-        out.bits.emplace(sig, std::move(v));
-    }
-    return out;
-}
-
-bool
-fullyCovered(const Coverage &cov, const Net &net)
-{
-    for (Signal *sig : net.signals) {
-        auto it = cov.bits.find(sig);
-        if (it == cov.bits.end())
-            continue;
-        bool all = true;
-        for (uint8_t b : it->second)
-            all = all && b;
-        if (all)
-            return true;
-    }
-    return false;
-}
-
-// --------------------------------------------- folding under reset=1
-//
-// Partial evaluator substituting the design's reset net with constant
-// 1, used to follow the branch a sequential block takes during
-// Simulator::reset(). Shares irEvalBinOp/irEvalUnOp with the
-// simulators so folded values match execution bit-for-bit.
-
-std::optional<Bits>
-foldUnderReset(const IrExprNode *e, int reset_net)
-{
-    if (!e)
-        return std::nullopt;
-    switch (e->kind) {
-      case IrExprNode::Kind::Const:
-        return e->cval;
-      case IrExprNode::Kind::Ref:
-        if (e->sig && e->sig->netId() == reset_net)
-            return Bits(e->nbits, 1);
-        return std::nullopt;
-      case IrExprNode::Kind::BinOp: {
-        auto a = foldUnderReset(e->args[0].get(), reset_net);
-        auto b = foldUnderReset(e->args[1].get(), reset_net);
-        // Short-circuit forms dominate reset conditions
-        // (e.g. "reset || flush"): one decisive operand suffices.
-        if (e->op == IrOp::LAnd) {
-            if ((a && !a->any()) || (b && !b->any()))
-                return Bits(1, 0);
-            if (a && b)
-                return Bits(1, 1);
-            return std::nullopt;
-        }
-        if (e->op == IrOp::LOr) {
-            if ((a && a->any()) || (b && b->any()))
-                return Bits(1, 1);
-            if (a && b)
-                return Bits(1, 0);
-            return std::nullopt;
-        }
-        if (a && b)
-            return irEvalBinOp(e->op, *a, *b, e->nbits);
-        return std::nullopt;
-      }
-      case IrExprNode::Kind::UnOp: {
-        auto a = foldUnderReset(e->args[0].get(), reset_net);
-        if (a)
-            return irEvalUnOp(e->unop, *a);
-        return std::nullopt;
-      }
-      case IrExprNode::Kind::Slice: {
-        auto a = foldUnderReset(e->args[0].get(), reset_net);
-        if (a && e->lsb >= 0 && e->lsb + e->nbits <= a->nbits())
-            return a->slice(e->lsb, e->nbits);
-        return std::nullopt;
-      }
-      case IrExprNode::Kind::Zext: {
-        auto a = foldUnderReset(e->args[0].get(), reset_net);
-        if (a)
-            return a->zext(e->nbits);
-        return std::nullopt;
-      }
-      case IrExprNode::Kind::Sext: {
-        auto a = foldUnderReset(e->args[0].get(), reset_net);
-        if (a)
-            return a->sext(e->nbits);
-        return std::nullopt;
-      }
-      case IrExprNode::Kind::Mux: {
-        auto c = foldUnderReset(e->args[0].get(), reset_net);
-        if (c)
-            return foldUnderReset(e->args[c->any() ? 1 : 2].get(),
-                                  reset_net);
-        return std::nullopt;
-      }
-      default:
-        return std::nullopt;
-    }
-}
-
-/**
- * Walk a statement list accumulating assignment coverage. With
- * @p reset_net >= 0 the walk follows only the branch taken under
- * reset=1 when the condition folds (reset-path coverage); otherwise
- * branches merge by intersection (all-paths coverage).
- */
-void
-walkCoverage(const std::vector<IrStmt> &stmts, Coverage &cov,
-             int reset_net)
-{
-    for (const IrStmt &s : stmts) {
-        switch (s.kind) {
-          case IrStmt::Kind::Assign:
-            if (s.sig)
-                markAssign(cov, s.sig, s.lsb, s.width);
-            break;
-          case IrStmt::Kind::If: {
-            if (reset_net >= 0) {
-                if (auto c = foldUnderReset(s.cond.get(), reset_net)) {
-                    walkCoverage(c->any() ? s.thenBody : s.elseBody,
-                                 cov, reset_net);
-                    break;
-                }
-            }
-            Coverage then_cov = cov;
-            Coverage else_cov = cov;
-            walkCoverage(s.thenBody, then_cov, reset_net);
-            walkCoverage(s.elseBody, else_cov, reset_net);
-            cov = intersectCov(then_cov, else_cov);
-            break;
-          }
-          case IrStmt::Kind::AWrite:
-            break;
-        }
-    }
-}
-
-} // namespace
 
 // ------------------------------------------------------------ liveness
 
@@ -312,8 +127,9 @@ dataflowAnalyze(const Elaboration &elab, const DataflowOptions &opts)
     // Forward reaching-definitions. Candidates are nets with at least
     // one declared driver; everything else belongs to the host/test-
     // bench domain (undriven-net covers the truly dangling ones) and
-    // counts as defined. Reset-path coverage is computed by folding
-    // if-conditions under reset=1.
+    // counts as defined. Each IR driver's coverage comes from the
+    // analyzer's path walk (analyze.h), once over every path and once
+    // over the path taken while reset reads 1.
 
     const int reset_net =
         elab.top ? elab.top->reset.netId() : -1;
@@ -336,10 +152,10 @@ dataflowAnalyze(const Elaboration &elab, const DataflowOptions &opts)
         const bool is_lambda = blk.kind == BlockKind::CombLambda;
         if (!is_ir && !is_lambda)
             continue; // TickFl/TickCl: undeclared writes, no candidates
-        Coverage all_cov, reset_cov;
+        PathState all_paths, reset_path;
         if (is_ir && blk.ir) {
-            walkCoverage(blk.ir->stmts, all_cov, /*reset_net=*/-1);
-            walkCoverage(blk.ir->stmts, reset_cov, reset_net);
+            all_paths = irPathCoverage(*blk.ir);
+            reset_path = irPathCoverage(*blk.ir, reset_net);
         }
         for (int t : blk.writes) {
             if (t < 0 || t >= nnets)
@@ -350,8 +166,8 @@ dataflowAnalyze(const Elaboration &elab, const DataflowOptions &opts)
             d.lambda = is_lambda;
             if (is_ir) {
                 const Net &net = elab.nets[static_cast<size_t>(t)];
-                d.full_all = fullyCovered(all_cov, net);
-                d.full_reset = fullyCovered(reset_cov, net);
+                d.full_all = all_paths.fullyAssigned(net);
+                d.full_reset = reset_path.fullyAssigned(net);
             }
             drivers[static_cast<size_t>(t)].push_back(d);
         }
@@ -492,8 +308,8 @@ dataflowLint(const Elaboration &elab, const DataflowResult &result,
         options.emit(issues, LintSeverity::Warning, "dead-block",
                      blk.name,
                      "combinational block '" + blk.name +
-                         "' drives only dead nets; dead-logic "
-                         "elimination skips it");
+                         "' drives only dead nets; its logic cannot "
+                         "influence any observed sink");
     }
     // Only root causes become findings — fixing the root (add a reset,
     // complete the paths) clears the whole tainted cone, which stays

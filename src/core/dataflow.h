@@ -20,10 +20,17 @@
  *    *defined* when every reader sees a determinate value before its
  *    first use — driven by a comb block that fully assigns it on all
  *    paths from defined inputs, or flopped with full assignment on the
- *    reset path (if-conditions folded under reset=1) or unconditional
- *    full assignment from defined inputs. Nets readable while still
- *    undefined are reported as `maybe-uninitialized` with the full
- *    witness chain back to the root cause (e.g. an unreset flop).
+ *    reset path or unconditional full assignment from defined inputs.
+ *    Nets readable while still undefined are reported as
+ *    `maybe-uninitialized` with the full witness chain back to the
+ *    root cause (e.g. an unreset flop).
+ *
+ * This engine keeps no IR reasoning of its own: a driver's all-paths
+ * and reset-path coverage come from analyze.h's path walk
+ * (irPathCoverage), whose constant folder (irConstFold) follows an if
+ * that folds into its live branch only — with the design's reset net
+ * read as 1 for the reset path. So a comb `if (1) out = in;` assigns
+ * `out` on every path here exactly as it does for latch inference.
  *
  * Soundness of the sink set: host lambda blocks (TickFl/TickCl/
  * CombLambda) have undeclared or partially declared access, so every

@@ -21,6 +21,62 @@ msSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/**
+ * One run of a spec: its model, simulator and side artifacts, built,
+ * attached and finished by the steps runOneShot and a scheduler worker
+ * share. Members are destroyed in reverse: artifacts before the
+ * simulator, the simulator before its model.
+ */
+struct SpecRun
+{
+    std::unique_ptr<Model> model;
+    std::unique_ptr<Simulator> sim;
+    std::unique_ptr<VcdWriter> vcd;
+    std::unique_ptr<CheckpointManager> ckpt;
+    std::unique_ptr<SimScope> scope;
+
+    SpecRun(const JobSpec &spec, const DesignFactory &make)
+        : model(make(spec)),
+          sim(makeSimulator(model->elaborate(), spec.cfg))
+    {}
+
+    /**
+     * Attach the spec's VCD writer, checkpoints (files tagged @p tag)
+     * and profile. A resumed run attaches after its restore, so
+     * waveforms and checkpoints continue the restored timeline exactly.
+     */
+    void
+    attach(const JobSpec &spec, const std::string &tag)
+    {
+        if (!spec.vcd.empty())
+            vcd = std::make_unique<VcdWriter>(*sim, spec.vcd);
+        if (!spec.checkpoint.empty()) {
+            ckpt = std::make_unique<CheckpointManager>(
+                spec.checkpoint, spec.checkpoint_every, 3, tag);
+            ckpt->attach(*sim);
+        }
+        if (spec.profile) {
+            scope = std::make_unique<SimScope>(*sim);
+            scope->traceAllValRdy();
+        }
+    }
+
+    /** The finished run's result, all but its wall time. */
+    JobResult
+    result(const JobSpec &spec)
+    {
+        JobResult out;
+        out.cycles = sim->numCycles();
+        out.digest = stateDigest(*sim);
+        out.backend = spec.cfg.toString();
+        if (scope) {
+            out.metrics_json = scope->snapshot().encode();
+            scope->detach();
+        }
+        return out;
+    }
+};
+
 } // namespace
 
 const char *
@@ -40,35 +96,10 @@ JobResult
 runOneShot(const JobSpec &spec, const DesignFactory &make)
 {
     auto t0 = std::chrono::steady_clock::now();
-    JobResult out;
-    out.backend = spec.cfg.toString();
-
-    std::unique_ptr<Model> model = make(spec);
-    auto elab = model->elaborate();
-    std::unique_ptr<Simulator> sim = makeSimulator(elab, spec.cfg);
-
-    std::unique_ptr<VcdWriter> vcd;
-    if (!spec.vcd.empty())
-        vcd = std::make_unique<VcdWriter>(*sim, spec.vcd);
-    std::unique_ptr<CheckpointManager> ckpt;
-    if (!spec.checkpoint.empty()) {
-        ckpt = std::make_unique<CheckpointManager>(
-            spec.checkpoint, spec.checkpoint_every);
-        ckpt->attach(*sim);
-    }
-    std::unique_ptr<SimScope> scope;
-    if (spec.profile) {
-        scope = std::make_unique<SimScope>(*sim);
-        scope->traceAllValRdy();
-    }
-
-    sim->runUntil(spec.cycles);
-    out.cycles = sim->numCycles();
-    out.digest = stateDigest(*sim);
-    if (scope) {
-        out.metrics_json = scope->snapshot().encode();
-        scope->detach();
-    }
+    SpecRun run(spec, make);
+    run.attach(spec, /*tag=*/"");
+    run.sim->runUntil(spec.cycles);
+    JobResult out = run.result(spec);
     out.wall_ms = msSince(t0);
     return out;
 }
@@ -240,10 +271,8 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
     auto t0 = std::chrono::steady_clock::now();
     const JobSpec &spec = job->spec;
     try {
-        const SimConfig &cfg = spec.cfg;
-        std::unique_ptr<Model> model = make_design_(spec);
-        auto elab = model->elaborate();
-        std::unique_ptr<Simulator> sim = makeSimulator(elab, cfg);
+        SpecRun run(spec, make_design_);
+        Simulator *sim = run.sim.get();
 
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -254,29 +283,13 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
                 snapRestore(*sim, *job->snapshot);
                 job->snapshot.reset();
             }
-            job->live = sim.get();
+            job->live = sim;
             sim->clearPauseRequest();
             if (job->cancel_requested)
                 sim->requestPause();
         }
 
-        // Side artifacts attach after any restore so waveforms and
-        // checkpoints continue the restored timeline exactly.
-        std::unique_ptr<VcdWriter> vcd;
-        if (!spec.vcd.empty())
-            vcd = std::make_unique<VcdWriter>(*sim, spec.vcd);
-        std::unique_ptr<CheckpointManager> ckpt;
-        if (!spec.checkpoint.empty()) {
-            ckpt = std::make_unique<CheckpointManager>(
-                spec.checkpoint, spec.checkpoint_every, 3,
-                "job" + std::to_string(job->id));
-            ckpt->attach(*sim);
-        }
-        std::unique_ptr<SimScope> scope;
-        if (spec.profile) {
-            scope = std::make_unique<SimScope>(*sim);
-            scope->traceAllValRdy();
-        }
+        run.attach(spec, "job" + std::to_string(job->id));
 
         for (;;) {
             bool done = sim->runUntil(spec.cycles);
@@ -298,14 +311,7 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
                 return;
             }
             if (done) {
-                JobResult res;
-                res.cycles = sim->numCycles();
-                res.digest = stateDigest(*sim);
-                res.backend = cfg.toString();
-                if (scope) {
-                    res.metrics_json = scope->snapshot().encode();
-                    scope->detach();
-                }
+                JobResult res = run.result(spec);
                 res.wall_ms = job->result.wall_ms + msSince(t0);
                 std::lock_guard<std::mutex> lock(mu_);
                 job->live = nullptr;

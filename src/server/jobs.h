@@ -102,10 +102,12 @@ using DesignFactory =
     std::function<std::unique_ptr<Model>(const JobSpec &)>;
 
 /**
- * Run one spec to completion in the calling thread — the exact
- * construction and execution path a scheduler worker uses, shared so
- * `sim_client oneshot` and the digest cross-checks compare
- * like-for-like against server runs.
+ * Run one spec to completion in the calling thread. It builds the
+ * simulator, attaches the side artifacts and fills the result through
+ * the same steps a scheduler worker runs (one code path in jobs.cc),
+ * so `sim_client oneshot` and the digest cross-checks compare
+ * like-for-like against server runs. Its checkpoint files carry no
+ * job tag.
  */
 JobResult runOneShot(const JobSpec &spec, const DesignFactory &make);
 

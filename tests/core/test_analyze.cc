@@ -335,21 +335,28 @@ TEST(Analyze, ConstantFalseBranchIsDeadLogic)
 {
     struct M : Model
     {
+        InPort x;
         OutPort out;
-        M() : Model(nullptr, "top"), out(this, "out", 8)
+        explicit M(bool short_circuit)
+            : Model(nullptr, "top"), x(this, "x", 1), out(this, "out", 8)
         {
             auto &b = combinational("comb");
-            b.if_(lit(1, 0), [&] { b.assign(out, 1); },
-                  [&] { b.assign(out, 2); });
+            // A false operand settles && whatever the other one reads.
+            b.if_(short_circuit ? (lit(1, 0) && rd(x)) : lit(1, 0),
+                  [&] { b.assign(out, 1); }, [&] { b.assign(out, 2); });
         }
-    } top;
-    auto issues = analyzeIr(*top.elaborate());
-    const LintIssue *issue = findCheck(issues, "constant-condition");
-    ASSERT_NE(issue, nullptr) << LintTool::format(issues);
-    EXPECT_EQ(issue->severity, LintSeverity::Warning);
-    // The dead 'then' branch must not count as a missing assignment.
-    EXPECT_FALSE(hasCheck(issues, "latch-inferred"))
-        << LintTool::format(issues);
+    };
+    for (bool short_circuit : {false, true}) {
+        M top(short_circuit);
+        auto issues = analyzeIr(*top.elaborate());
+        const LintIssue *issue = findCheck(issues, "constant-condition");
+        ASSERT_NE(issue, nullptr)
+            << short_circuit << "\n" << LintTool::format(issues);
+        EXPECT_EQ(issue->severity, LintSeverity::Warning);
+        // The dead 'then' branch must not count as a missing assignment.
+        EXPECT_FALSE(hasCheck(issues, "latch-inferred"))
+            << LintTool::format(issues);
+    }
 }
 
 TEST(Analyze, ConstantTrueSingleArmIfDoesNotLatch)
@@ -573,6 +580,42 @@ TEST(ConstFold, DoesNotFoldRuntimeState)
         irConstFold((rd(top.in_) + lit(8, 1)).node()).has_value());
     EXPECT_FALSE(
         irConstFold(aread(top.arr, lit(2, 0)).node()).has_value());
+}
+
+TEST(ConstFold, ReadsTheBoundResetNetAsOne)
+{
+    struct M : Model
+    {
+        InPort in_;
+        M() : Model(nullptr, "top"), in_(this, "in_", 1) {}
+    } top;
+    auto elab = top.elaborate();
+    const int r = top.reset.netId();
+    EXPECT_FALSE(irConstFold(rd(top.reset).node()).has_value());
+    auto v = irConstFold(rd(top.reset).node(), r);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->toUint64(), 1u);
+    // Only the bound net folds.
+    EXPECT_FALSE(irConstFold(rd(top.in_).node(), r).has_value());
+    EXPECT_FALSE(
+        irConstFold((rd(top.reset) && rd(top.in_)).node(), r).has_value());
+
+    // One decisive operand settles || and &&.
+    v = irConstFold((rd(top.reset) || rd(top.in_)).node(), r);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->toUint64(), 1u);
+    v = irConstFold((rd(top.in_) && !rd(top.reset)).node(), r);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->toUint64(), 0u);
+
+    // Concatenations fold; a mux's narrower arm is zero-extended.
+    v = irConstFold(cat(rd(top.reset), lit(1, 0)).node(), r);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->toUint64(), 2u);
+    v = irConstFold((~mux(rd(top.reset), lit(1, 1), lit(2, 0))).node(), r);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->nbits(), 2);
+    EXPECT_EQ(v->toUint64(), 2u);
 }
 
 TEST(MaxBound, TracksConstantsWidthsAndRefinements)

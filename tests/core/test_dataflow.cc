@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/dataflow.h"
 #include "core/lint.h"
 #include "net/mesh.h"
@@ -197,6 +199,26 @@ TEST(DataflowXProp, UnresetEnableFlopIsMaybeUninitialized)
     EXPECT_EQ(countCheck(issues, "maybe-uninitialized"), 1);
 }
 
+/** An enable flop that takes its reset branch when @p cond, applied
+ *  to a read of the reset, is true. */
+struct ResetFlop : Model
+{
+    InPort en, in_;
+    Wire q;
+    OutPort obs;
+
+    explicit ResetFlop(const std::function<IrExpr(const IrExpr &)> &cond)
+        : Model(nullptr, "top"), en(this, "en", 1), in_(this, "in_", 8),
+          q(this, "q", 8), obs(this, "obs", 8)
+    {
+        auto &b = tickRtl("seq");
+        b.if_(cond(rd(reset)), [&] { b.assign(q, 0); },
+              [&] { b.if_(rd(en), [&] { b.assign(q, rd(in_)); }); });
+        auto &c = combinational("comb");
+        c.assign(obs, rd(q));
+    }
+};
+
 TEST(DataflowXProp, ResetPathMakesFlopDefined)
 {
     testmodels::Counter top(nullptr, "top", 8);
@@ -205,6 +227,44 @@ TEST(DataflowXProp, ResetPathMakesFlopDefined)
     EXPECT_TRUE(flow.definedNet[top.count.netId()]);
     EXPECT_FALSE(
         hasCheck(dataflowLint(*elab, flow), "maybe-uninitialized"));
+
+    // The reset branch chosen through a concatenation, and through a
+    // mux whose narrower arm is zero-extended before the complement.
+    const std::vector<std::function<IrExpr(const IrExpr &)>> conds = {
+        [](const IrExpr &r) { return r; },
+        [](const IrExpr &r) { return cat(r, lit(1, 0)); },
+        [](const IrExpr &r) { return ~mux(r, lit(1, 1), lit(2, 0)); },
+    };
+    for (size_t i = 0; i < conds.size(); ++i) {
+        ResetFlop flop(conds[i]);
+        auto flop_elab = flop.elaborate();
+        DataflowResult f = dataflowAnalyze(*flop_elab);
+        EXPECT_TRUE(f.definedNet[flop.q.netId()]) << "condition " << i;
+        EXPECT_FALSE(hasCheck(dataflowLint(*flop_elab, f),
+                              "maybe-uninitialized"))
+            << "condition " << i;
+    }
+}
+
+TEST(DataflowXProp, ConstantTrueCombDriverIsDefined)
+{
+    /** `if (1) out = in;` assigns out on every path: X-propagation
+     *  folds the condition as latch inference does. */
+    struct M : Model
+    {
+        InPort in_;
+        OutPort out;
+        M() : Model(nullptr, "top"), in_(this, "in_", 8),
+              out(this, "out", 8)
+        {
+            auto &c = combinational("comb");
+            c.if_(lit(1, 1), [&] { c.assign(out, rd(in_)); });
+        }
+    } top;
+    auto elab = top.elaborate();
+    DataflowResult flow = dataflowAnalyze(*elab);
+    EXPECT_TRUE(flow.definedNet[top.out.netId()]);
+    EXPECT_EQ(flow.xKind[top.out.netId()], XCauseKind::Defined);
 }
 
 TEST(DataflowXProp, UnconditionalFlopAssignIsDefined)
