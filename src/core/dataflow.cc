@@ -43,13 +43,12 @@ dataflowAnalyze(const Elaboration &elab, const DataflowOptions &opts)
 
     // Observed models: the top model (test benches drive and read it
     // directly) and every model owning a host lambda block, whose
-    // access is undeclared or only partially declared.
+    // reads a tick lambda does not declare at all and a comb lambda
+    // only as its sensitivity list.
     std::set<const Model *> observed;
     observed.insert(elab.top);
     for (const ElabBlock &blk : elab.blocks) {
-        if (blk.kind == BlockKind::TickFl ||
-            blk.kind == BlockKind::TickCl ||
-            blk.kind == BlockKind::CombLambda)
+        if (!blk.ir)
             observed.insert(blk.model);
     }
 
@@ -147,13 +146,9 @@ dataflowAnalyze(const Elaboration &elab, const DataflowOptions &opts)
 
     for (int b = 0; b < nblocks; ++b) {
         const ElabBlock &blk = elab.blocks[static_cast<size_t>(b)];
-        const bool is_ir = blk.kind == BlockKind::CombIr ||
-                           blk.kind == BlockKind::TickIr;
-        const bool is_lambda = blk.kind == BlockKind::CombLambda;
-        if (!is_ir && !is_lambda)
-            continue; // TickFl/TickCl: undeclared writes, no candidates
+        const bool is_ir = blk.ir != nullptr;
         PathState all_paths, reset_path;
-        if (is_ir && blk.ir) {
+        if (is_ir) {
             all_paths = irPathCoverage(*blk.ir);
             reset_path = irPathCoverage(*blk.ir, reset_net);
         }
@@ -163,7 +158,7 @@ dataflowAnalyze(const Elaboration &elab, const DataflowOptions &opts)
             DriverCov d;
             d.block = b;
             d.seq = isTick(blk.kind);
-            d.lambda = is_lambda;
+            d.lambda = !is_ir;
             if (is_ir) {
                 const Net &net = elab.nets[static_cast<size_t>(t)];
                 d.full_all = all_paths.fullyAssigned(net);
@@ -201,7 +196,9 @@ dataflowAnalyze(const Elaboration &elab, const DataflowOptions &opts)
                 bool ok = false;
                 if (d.lambda) {
                     // Contract: a comb lambda fully assigns its
-                    // declared writes each settling round.
+                    // declared writes each settling round; a tick
+                    // lambda declares no reads, so its writes are
+                    // defined from the start.
                     ok = firstUndefinedRead(d.block) < 0;
                 } else if (d.seq) {
                     ok = d.full_reset ||

@@ -19,8 +19,9 @@
  *  - **X-propagation** (forward, reaching definitions): a net is
  *    *defined* when every reader sees a determinate value before its
  *    first use — driven by a comb block that fully assigns it on all
- *    paths from defined inputs, or flopped with full assignment on the
- *    reset path or unconditional full assignment from defined inputs.
+ *    paths from defined inputs, flopped with full assignment on the
+ *    reset path or unconditional full assignment from defined inputs,
+ *    or declared by a tick lambda (which declares no reads).
  *    Nets readable while still undefined are reported as
  *    `maybe-uninitialized` with the full witness chain back to the
  *    root cause (e.g. an unreset flop).
@@ -33,7 +34,7 @@
  * `out` on every path here exactly as it does for latch inference.
  *
  * Soundness of the sink set: host lambda blocks (TickFl/TickCl/
- * CombLambda) have undeclared or partially declared access, so every
+ * CombLambda) declare their writes but not all their reads, so every
  * net and array of a model owning one — plus everything reachable
  * from the top model, which test benches drive and observe directly —
  * counts as observed. DataflowOptions::observe_all widens the sink

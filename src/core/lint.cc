@@ -29,6 +29,7 @@ LintTool::run(const Elaboration &elab)
     const size_t nnets = elab.nets.size();
     std::vector<int> comb_writers(nnets, 0);
     std::vector<int> seq_writers(nnets, 0);
+    std::vector<int> lambda_writers(nnets, 0); //!< tick lambdas'
     std::vector<int> readers(nnets, 0);
     std::vector<int> array_writers(elab.arrays.size(), 0);
 
@@ -38,9 +39,10 @@ LintTool::run(const Elaboration &elab)
                 ++array_writers[net - nnets];
                 continue;
             }
-            if (isTick(blk.kind))
+            if (isTick(blk.kind)) {
                 ++seq_writers[net];
-            else
+                lambda_writers[net] += !blk.ir;
+            } else
                 ++comb_writers[net];
         }
         for (int net : blk.reads) {
@@ -90,7 +92,11 @@ LintTool::run(const Elaboration &elab)
                               " is read but never written and has no "
                               "top-level input");
         }
-        if (readers[net.id] == 0 && cw + sw > 0 && !has_top_output) {
+        // A tick lambda's declared write drives the net, but its
+        // readers are mostly host code, which declares no reads: only
+        // IR and comb-lambda writes can be found unread.
+        if (readers[net.id] == 0 && cw + sw > lambda_writers[net.id] &&
+            !has_top_output) {
             options_.emit(issues, LintSeverity::Warning, "unread-net",
                           lintNetPath(net),
                           lintNetLocation(net) +

@@ -107,17 +107,21 @@ Model::connect(Signal &a, Signal &b)
 }
 
 void
-Model::tickFl(const std::string &name, std::function<void()> fn)
+Model::tickFl(const std::string &name, std::function<void()> fn,
+              std::vector<Signal *> writes)
 {
-    lambda_blocks_.push_back(
-        LambdaDecl{BlockKind::TickFl, name, std::move(fn), {}, {}});
+    lambda_blocks_.push_back(LambdaDecl{BlockKind::TickFl, name,
+                                        std::move(fn), {},
+                                        std::move(writes)});
 }
 
 void
-Model::tickCl(const std::string &name, std::function<void()> fn)
+Model::tickCl(const std::string &name, std::function<void()> fn,
+              std::vector<Signal *> writes)
 {
-    lambda_blocks_.push_back(
-        LambdaDecl{BlockKind::TickCl, name, std::move(fn), {}, {}});
+    lambda_blocks_.push_back(LambdaDecl{BlockKind::TickCl, name,
+                                        std::move(fn), {},
+                                        std::move(writes)});
 }
 
 BlockBuilder &

@@ -10,7 +10,8 @@
  * simulation logic*:
  *
  *  - tickFl()/tickCl(): sequential lambda blocks with arbitrary host
- *    code (the analog of PyMTL's @s.tick_fl/@s.tick_cl);
+ *    code and a declared list of the signals they write (the analog
+ *    of PyMTL's @s.tick_fl/@s.tick_cl);
  *  - tickRtl()/combinational(): IR blocks built through a BlockBuilder
  *    (the analog of @s.tick_rtl/@s.combinational — the translatable,
  *    specializable subset);
@@ -226,10 +227,18 @@ class Model
 
     // --- Concurrent block declaration (call from constructors) -----
 
-    /** Functional-level sequential block (arbitrary host code). */
-    void tickFl(const std::string &name, std::function<void()> fn);
-    /** Cycle-level sequential block (arbitrary host code). */
-    void tickCl(const std::string &name, std::function<void()> fn);
+    /**
+     * Functional-level sequential block (arbitrary host code).
+     * @param writes every signal the block may setNext(); these nets
+     *        join the simulator's flop set when it is constructed, and
+     *        a setNext() to any other net throws std::logic_error
+     *        naming the block and the net
+     */
+    void tickFl(const std::string &name, std::function<void()> fn,
+                std::vector<Signal *> writes);
+    /** Cycle-level sequential block; @p writes as for tickFl(). */
+    void tickCl(const std::string &name, std::function<void()> fn,
+                std::vector<Signal *> writes);
     /** RTL sequential block; assignments are non-blocking. */
     BlockBuilder &tickRtl(const std::string &name);
     /** Combinational IR block; assignments are blocking. */

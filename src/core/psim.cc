@@ -55,13 +55,15 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
         island_flop_plans_.push_back(
             replicas_[0]->flopPlan(plan_.islands[i].flopNets));
 
-    const size_t nnets = elab_->nets.size();
-    is_main_flop_.assign(nnets, 0);
-    static_island_flop_.assign(nnets, 0);
+    // The coordinator's flop plan: nets only tick lambdas write, per
+    // home replica.
+    std::vector<std::vector<int>> by_home(replicas_.size());
     for (const Net &net : elab_->nets) {
-        if (net.floppedStatic && plan_.ownerOf[net.id] >= 0)
-            static_island_flop_[net.id] = 1;
+        if (lambda_flop_[net.id] && !net.floppedStatic)
+            by_home[plan_.homeReplica(net.id)].push_back(net.id);
     }
+    for (const std::vector<int> &nets : by_home)
+        main_flop_plans_.push_back(replicas_[0]->flopPlan(nets));
 
     bindSignals();
     buildIslandSchedules();
@@ -80,7 +82,8 @@ ParSimulationTool::bindSignals()
     // Worker threads run comb lambdas against their own replica, so
     // the signals those touch stay on the virtual path; the rest are
     // read and non-blockingly written only by the coordinator, which
-    // addresses each net in its home replica.
+    // addresses each net in its home replica. The tick lambdas'
+    // declared nets take their next-phase word there too.
     std::vector<char> island_lambda(elab_->nets.size(), 0);
     for (const ElabBlock &blk : elab_->blocks) {
         if (blk.kind != BlockKind::CombLambda)
@@ -95,8 +98,11 @@ ParSimulationTool::bindSignals()
     for (Signal *sig : elab_->signals) {
         const int net = sig->netId();
         ArenaStore &home = *replicas_[plan_.homeReplica(net)];
-        if (home.narrow(net) && !island_lambda[net])
-            sig->bindSlot(home.data() + home.offset(net));
+        if (!home.narrow(net) || island_lambda[net])
+            continue;
+        sig->bindSlot(home.data() + home.offset(net));
+        if (lambda_flop_[net])
+            sig->bindNextSlot(home.wordsPerPhase());
     }
 }
 
@@ -196,9 +202,8 @@ ParSimulationTool::layoutStats() const
     s.words_per_phase = replicas_[0]->wordsPerPhase();
     for (const auto &ranges : island_flop_plans_)
         s.flop_memcpy_ranges += static_cast<int>(ranges.size());
-    s.dynamic_flops = static_cast<int>(main_flops_.size());
-    s.dynamic_flop_ranges =
-        static_cast<int>(replicas_[0]->flopPlan(main_flops_).size());
+    for (const auto &ranges : main_flop_plans_)
+        s.flop_memcpy_ranges += static_cast<int>(ranges.size());
     s.slot_bound_signals = slotBoundSignals();
     return s;
 }
@@ -302,42 +307,41 @@ ParSimulationTool::runPhase(Cmd cmd)
 {
     cmd_ = cmd;
     bar_all_.arriveAndWait(); // start
-    if (cmd == Cmd::Tick) {
-        // Tick lambdas (undeclared effects) always run here, in
-        // declaration order: sequential semantics by construction.
-        for (int b : plan_.lambdaTicks)
-            runTimed(b, elab_->blocks[b].fn);
-    } else if (cmd == Cmd::Flop) {
-        flopMainNets();
+    // A lambda that throws still meets the workers at the done
+    // barrier; its error wins over a worker's.
+    std::exception_ptr err;
+    try {
+        if (cmd == Cmd::Tick) {
+            // Tick lambdas always run here, in declaration order:
+            // sequential semantics by construction.
+            for (int b : plan_.lambdaTicks)
+                runTickLambda(b);
+        } else if (cmd == Cmd::Flop) {
+            flopMainNets();
+        }
+    } catch (...) {
+        err = std::current_exception();
     }
     bar_all_.arriveAndWait(); // done
     if (failed_.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(error_mu_);
         failed_.store(false, std::memory_order_relaxed);
-        std::exception_ptr err = worker_error_;
+        if (!err)
+            err = worker_error_;
         worker_error_ = nullptr;
-        std::rethrow_exception(err);
     }
+    if (err)
+        std::rethrow_exception(err);
 }
 
 void
 ParSimulationTool::flopMainNets()
 {
-    // A dynamically registered flop's next value is current in its
-    // home replica (a slot-bound setNext stores only there): flop it
-    // there, then copy the new current words into every other
-    // replica. These nets are disjoint from every island's flop and
-    // push targets. Both steps copy whole-word ranges, replanned when
-    // the set grows.
-    if (main_flops_.size() != main_flops_planned_) {
-        std::vector<std::vector<int>> by_home(replicas_.size());
-        for (int net : main_flops_)
-            by_home[plan_.homeReplica(net)].push_back(net);
-        main_flop_plans_.clear();
-        for (const std::vector<int> &nets : by_home)
-            main_flop_plans_.push_back(replicas_[0]->flopPlan(nets));
-        main_flops_planned_ = main_flops_.size();
-    }
+    // A lambda flop's next value is current in its home replica (a
+    // slot-bound setNext stores only there): flop it there, then copy
+    // the new current words into every other replica. These nets are
+    // disjoint from every island's flop and push targets. Both steps
+    // copy whole-word ranges.
     for (size_t home = 0; home < main_flop_plans_.size(); ++home) {
         const std::vector<FlopRange> &plan = main_flop_plans_[home];
         if (plan.empty())
@@ -442,15 +446,6 @@ ParSimulationTool::replicaFor(int net) const
     return *replicas_[tls_island >= 0 ? tls_island : plan_.homeReplica(net)];
 }
 
-void
-ParSimulationTool::markMainFlop(int net)
-{
-    if (!is_main_flop_[net]) {
-        is_main_flop_[net] = 1;
-        main_flops_.push_back(net);
-    }
-}
-
 Bits
 ParSimulationTool::readNet(int net) const
 {
@@ -479,19 +474,10 @@ ParSimulationTool::write(Signal &sig, const Bits &value)
 void
 ParSimulationTool::writeNext(Signal &sig, const Bits &value)
 {
-    int net = sig.netId();
-    if (tls_island >= 0) {
-        replicas_[tls_island]->writeNext(net, value);
-        return;
-    }
-    pokeNetNext(net, value);
-    if (!static_island_flop_[net])
-        markMainFlop(net);
-    // The net is flopped now (by its owner island, or by flopMainNets
-    // from the home replica), so later non-blocking writes may store
-    // the home replica's next-phase word directly.
-    if (sig.slotBound() && sig.access() == this)
-        sig.bindNextSlot(replicas_[0]->wordsPerPhase());
+    // Tick lambdas run on the coordinator only, so a worker's write
+    // (a comb lambda's) fails the check too.
+    checkDeclaredWrite(sig);
+    pokeNetNext(sig.netId(), value);
 }
 
 // ------------------------------------------- SimSnap state capture
@@ -520,25 +506,6 @@ ParSimulationTool::pokeNetNext(int net, const Bits &value)
 {
     for (auto &replica : replicas_)
         replica->writeNext(net, value);
-}
-
-std::vector<int>
-ParSimulationTool::dynamicFlopNets() const
-{
-    std::vector<int> out;
-    for (int net : main_flops_) {
-        if (!elab_->nets[net].floppedStatic)
-            out.push_back(net);
-    }
-    return out;
-}
-
-void
-ParSimulationTool::registerDynamicFlops(const std::vector<int> &nets)
-{
-    for (int net : nets)
-        if (!static_island_flop_[net])
-            markMainFlop(net);
 }
 
 Bits

@@ -25,16 +25,15 @@
  *             cross-island readers, and joins a workers-only barrier.
  *   tick    - islands run their sequential IR blocks against their
  *             replicas; concurrently the coordinating thread runs every
- *             tick lambda (TickFl/TickCl) in declaration order, since
- *             lambda effects are undeclared. Ticks read current values
- *             and write next values, so the phase needs no internal
- *             synchronization.
+ *             tick lambda (TickFl/TickCl) in declaration order. Ticks
+ *             read current values and write next values, so the phase
+ *             needs no internal synchronization.
  *   flop    - each island copies next->current for its owned flopped
  *             nets, then pushes post-flop values (and values written
  *             blockingly at tick time) to reader replicas; the
- *             coordinating thread flops nets registered dynamically by
- *             lambda writeNext in their home replica and copies them
- *             into every other. All targets are disjoint words.
+ *             coordinating thread flops the nets only tick lambdas
+ *             declare in their home replica and copies them into every
+ *             other. All targets are disjoint words.
  *   settle  - as above, always runs.
  *
  * Determinism: islands execute their blocks in the global static
@@ -51,7 +50,8 @@
  *
  * Signals: the coordinating thread reads each net from its home
  * replica (the owner island's, or replica 0), so narrow signals are
- * slot-bound to that replica's words (signal.h). Signals a comb lambda
+ * slot-bound to that replica's words (signal.h), and a tick lambda's
+ * declared ones to its next-phase words too. Signals a comb lambda
  * touches stay on the virtual path, which resolves to the calling
  * worker's own replica.
  *
@@ -129,8 +129,6 @@ class ParSimulationTool : public Simulator
     Bits readNetNext(int net) const override;
     void pokeNet(int net, const Bits &value) override;
     void pokeNetNext(int net, const Bits &value) override;
-    std::vector<int> dynamicFlopNets() const override;
-    void registerDynamicFlops(const std::vector<int> &nets) override;
 
     LayoutStats layoutStats() const override;
 
@@ -170,7 +168,6 @@ class ParSimulationTool : public Simulator
     void bindSignals();
     void flopMainNets();
     ArenaStore &replicaFor(int net) const;
-    void markMainFlop(int net);
 
     PartitionPlan plan_;
     std::vector<std::unique_ptr<ArenaStore>> replicas_;
@@ -194,14 +191,10 @@ class ParSimulationTool : public Simulator
     /** flop_pushes_[island]: copies after the island's flops. */
     std::vector<std::vector<CopyOp>> flop_pushes_;
 
-    // Nets flopped by the coordinating thread (registered dynamically
-    // by lambda writeNext; statically flopped nets belong to islands).
-    std::vector<int> main_flops_;
-    /** Per home replica: its main_flops_ as word ranges. */
+    /** Per home replica: the nets only tick lambdas write, which the
+     *  coordinating thread flops, as word ranges. (Nets IR tick blocks
+     *  write belong to their owner island's plan.) */
     std::vector<std::vector<FlopRange>> main_flop_plans_;
-    size_t main_flops_planned_ = 0; //!< main_flops_ size they cover
-    std::vector<char> is_main_flop_;
-    std::vector<char> static_island_flop_;
 
     // Thread pool and phase coordination.
     std::vector<std::thread> workers_;

@@ -12,17 +12,19 @@
  * for the CPython-analog interpreter, dense arena slots otherwise).
  *
  * The arena kernels additionally slot-bind narrow (<= 64-bit)
- * signals: reads and non-blocking writes then load or store the net's
- * arena word inline, with no virtual call and no Bits temporary. The
- * sequential kernel binds every narrow signal to its arena word.
- * ParSim binds each to the word in the net's home replica (its owner
- * island's, or replica 0), since only the coordinating thread uses the
- * binding; signals a comb lambda reads or writes stay unbound, because
- * that lambda runs on a worker thread against its own replica. The
- * first non-blocking write takes the virtual path, which registers the
- * net as flopped, and binds the next-phase word. Blocking writes
- * always take the virtual path, since they must schedule readers (and,
- * on ParSim, reach every replica).
+ * signals: reads then load the net's arena word inline, with no
+ * virtual call and no Bits temporary, and so do the non-blocking
+ * writes of the nets a tick lambda declares (Model::tickFl), whose
+ * next-phase word is bound too. The sequential kernel binds every
+ * narrow signal to its arena word. ParSim binds each to the word in
+ * the net's home replica (its owner island's, or replica 0), since
+ * only the coordinating thread uses the binding; signals a comb
+ * lambda reads or writes stay unbound, because that lambda runs on a
+ * worker thread against its own replica. Any other non-blocking write
+ * takes the virtual path, which throws unless the running tick lambda
+ * declares the net (a wide one). Blocking writes always take the
+ * virtual path, since they must schedule readers (and, on ParSim,
+ * reach every replica).
  */
 
 #ifndef CMTL_CORE_SIGNAL_H
@@ -132,8 +134,8 @@ class Signal
     void bindSlot(uint64_t *slot) { slot_ = slot; }
     /**
      * Bind non-blocking writes too, to the word @p words_per_phase
-     * past the current one. Called once the net is registered as
-     * flopped, so the first setNext() always reaches the simulator.
+     * past the current one. A kernel calls it while it is constructed,
+     * for the nets tick lambdas declare.
      */
     void bindNextSlot(int words_per_phase) { next_off_ = words_per_phase; }
     bool slotBound() const { return slot_ != nullptr; }

@@ -113,6 +113,13 @@ Simulator::Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg)
       native_blocks_(nativeBlocks(cfg.backend))
 {
     spec_stats_.numBlocks = static_cast<int>(elab_->blocks.size());
+    lambda_flop_.assign(elab_->nets.size(), 0);
+    for (const ElabBlock &blk : elab_->blocks) {
+        if (isTick(blk.kind) && !blk.ir) {
+            for (int net : blk.writes)
+                lambda_flop_[net] = 1;
+        }
+    }
     for (Signal *sig : elab_->signals)
         sig->setAccess(this);
 }
@@ -318,6 +325,37 @@ Simulator::recordCreate(double seconds)
         spec_stats_.wrapSeconds;
 }
 
+void
+Simulator::runTickLambda(int block)
+{
+    const ElabBlock &blk = elab_->blocks[block];
+    running_lambda_ = &blk;
+    struct Clear
+    {
+        const ElabBlock *&running;
+        ~Clear() { running = nullptr; }
+    } clear{running_lambda_};
+    runTimed(block, blk.fn);
+}
+
+void
+Simulator::checkDeclaredWrite(const Signal &sig) const
+{
+    const ElabBlock *blk = running_lambda_;
+    if (!blk) {
+        throw std::logic_error(
+            "setNext on '" + sig.fullName() +
+            "' outside a tick lambda: only a tick lambda that declares "
+            "a signal may write its next value");
+    }
+    if (!std::binary_search(blk->writes.begin(), blk->writes.end(),
+                            sig.netId())) {
+        throw std::logic_error("tick lambda '" + blk->name + "' writes '" +
+                               sig.fullName() +
+                               "', which it does not declare");
+    }
+}
+
 int
 Simulator::slotBoundSignals() const
 {
@@ -374,17 +412,10 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         slot_eval_ = std::make_unique<SlotEvaluator>(*arena_);
 
     const size_t nnets = elab_->nets.size();
-    is_flopped_.assign(nnets, 0);
     for (const Net &net : elab_->nets) {
-        if (net.floppedStatic)
-            markFlopped(net.id);
+        if (isFlop(net.id))
+            flopped_nets_.push_back(net.id);
     }
-    // The static flop set is final here; nets registered later (a
-    // lambda's writeNext) append past this prefix. The copy plan
-    // coalesces the static set into whole-word ranges; flop() keeps a
-    // second plan for the dynamic tail.
-    n_static_flops_ = flopped_nets_.size();
-    dyn_flop_planned_ = n_static_flops_;
     if (arena_)
         flop_plan_ = arena_->flopPlan(flopped_nets_);
 
@@ -432,15 +463,20 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         }
     }
 
-    // Slot-bind every narrow signal to its arena word (signal.h): the
-    // lambda blocks' and test benches' reads and non-blocking writes
-    // then skip this object. Hybrid boxed hosts stay virtual, since
-    // ownership of a net is decided per token there.
+    // Slot-bind every narrow signal to its arena word (signal.h), and
+    // a tick lambda's declared ones to their next-phase word too: the
+    // lambda blocks' and test benches' reads and the declared
+    // non-blocking writes then skip this object. Hybrid boxed hosts
+    // stay virtual, since ownership of a net is decided per token
+    // there.
     if (!useBoxed()) {
         for (Signal *sig : elab_->signals) {
             const int net = sig->netId();
-            if (arena_->narrow(net))
-                sig->bindSlot(arena_->data() + arena_->offset(net));
+            if (!arena_->narrow(net))
+                continue;
+            sig->bindSlot(arena_->data() + arena_->offset(net));
+            if (lambda_flop_[net])
+                sig->bindNextSlot(arena_->wordsPerPhase());
         }
     }
 
@@ -633,25 +669,11 @@ SimulationTool::layoutStats() const
 {
     LayoutStats s;
     s.slot_bound_signals = slotBoundSignals();
-    s.dynamic_flops =
-        static_cast<int>(flopped_nets_.size() - n_static_flops_);
-    s.dynamic_flop_ranges = s.dynamic_flops; // per-net flop loop
     if (!arena_)
         return s;
     s.words_per_phase = arena_->wordsPerPhase();
     s.flop_memcpy_ranges = static_cast<int>(flop_plan_.size());
-    if (flopsByRange())
-        s.dynamic_flop_ranges = static_cast<int>(dynamicFlopPlan().size());
     return s;
-}
-
-void
-SimulationTool::markFlopped(int net)
-{
-    if (!is_flopped_[net]) {
-        is_flopped_[net] = 1;
-        flopped_nets_.push_back(net);
-    }
 }
 
 void
@@ -822,6 +844,8 @@ SimulationTool::runStep(const Step &step, bool wake)
     in_comb_step_ = wake;
     if (batch) {
         runBatch(step.batch, arena_->data(), frame(0));
+    } else if (!blk.ir && isTick(blk.kind)) {
+        runTickLambda(step.block);
     } else {
         runTimed(step.block, [&] {
             if (!blk.ir)
@@ -877,25 +901,13 @@ SimulationTool::tick()
         runStep(step);
 }
 
-std::vector<FlopRange>
-SimulationTool::dynamicFlopPlan() const
-{
-    return arena_->flopPlan(dynamicFlopNets());
-}
-
 void
 SimulationTool::flop()
 {
     if (flopsByRange()) {
-        // No per-net change notification needed: copy the static flop
-        // set, then the dynamically registered tail, as whole-word
-        // ranges.
+        // No per-net change notification needed: copy the flop set as
+        // whole-word ranges.
         arena_->flopRanges(flop_plan_);
-        if (flopped_nets_.size() != dyn_flop_planned_) {
-            dyn_flop_plan_ = dynamicFlopPlan();
-            dyn_flop_planned_ = flopped_nets_.size();
-        }
-        arena_->flopRanges(dyn_flop_plan_);
         return;
     }
     for (int net : flopped_nets_) {
@@ -954,12 +966,8 @@ SimulationTool::write(Signal &sig, const Bits &value)
 void
 SimulationTool::writeNext(Signal &sig, const Bits &value)
 {
-    markFlopped(sig.netId());
+    checkDeclaredWrite(sig);
     pokeNetNext(sig.netId(), value);
-    // The net is flopped now, so the signal's later non-blocking
-    // writes may store its next-phase word directly.
-    if (sig.slotBound() && sig.access() == this)
-        sig.bindNextSlot(arena_->wordsPerPhase());
 }
 
 // ------------------------------------------- SimSnap state capture
@@ -989,20 +997,6 @@ SimulationTool::pokeNetNext(int net, const Bits &value)
         arena_->writeNext(net, value);
     else
         boxed_->writeNext(net, value);
-}
-
-std::vector<int>
-SimulationTool::dynamicFlopNets() const
-{
-    return {flopped_nets_.begin() + static_cast<long>(n_static_flops_),
-            flopped_nets_.end()};
-}
-
-void
-SimulationTool::registerDynamicFlops(const std::vector<int> &nets)
-{
-    for (int net : nets)
-        markFlopped(net);
 }
 
 } // namespace cmtl

@@ -31,9 +31,10 @@
  *
  * Cycle semantics (two-phase): cycle() settles combinational logic,
  * runs all tick blocks (which read current values and write next
- * values), flops next->current for registered nets, then settles
- * again. Blocking writes from test benches are visible after the next
- * settle/cycle/eval call.
+ * values), flops next->current for the flop set, then settles again.
+ * The flop set is fixed when the kernel is constructed: the nets IR
+ * tick blocks write and the nets tick lambdas declare. Blocking writes
+ * from test benches are visible after the next settle/cycle/eval call.
  *
  * The two kernels (SimulationTool below, ParSimulationTool in psim.h)
  * differ only in storage and in how they execute a schedule. Simulator
@@ -429,16 +430,21 @@ class Simulator : public SignalAccess
     /** Restore a net's current value (blocking-write semantics). */
     virtual void pokeNet(int net, const Bits &value) = 0;
     /**
-     * Restore a net's next-phase value WITHOUT registering the net as
-     * dynamically flopped the way writeNext() does — flop membership
-     * is restored separately through registerDynamicFlops(), so a
-     * restore never turns combinational nets into registers.
+     * Restore a net's next-phase value. Unlike writeNext() it needs
+     * no declaring tick lambda; the value reaches the current phase
+     * only if the net is in the flop set (isFlop()).
      */
     virtual void pokeNetNext(int net, const Bits &value) = 0;
-    /** Nets registered as flopped at run time by lambda writeNext. */
-    virtual std::vector<int> dynamicFlopNets() const = 0;
-    /** Re-register dynamically flopped nets on a fresh simulator. */
-    virtual void registerDynamicFlops(const std::vector<int> &nets) = 0;
+    /**
+     * True for a net of the kernel's flop set, fixed at construction:
+     * the nets IR tick blocks write (Net::floppedStatic) and the nets
+     * tick lambdas declare (Model::tickFl/tickCl).
+     */
+    bool
+    isFlop(int net) const
+    {
+        return elab_->nets[net].floppedStatic || lambda_flop_[net];
+    }
     /** Overwrite the cycle counter (snapshot restore only). */
     void
     setRestoredCycleCount(uint64_t n)
@@ -521,6 +527,16 @@ class Simulator : public SignalAccess
         run();
     }
 
+    /** Run tick lambda @p block, recorded as the running lambda for
+     *  checkDeclaredWrite(). */
+    void runTickLambda(int block);
+    /**
+     * The virtual writeNext path's check: throws std::logic_error
+     * unless a tick lambda runs and declares @p sig's net. Slot-bound
+     * next-phase stores (the declared narrow nets) skip it.
+     */
+    void checkDeclaredWrite(const Signal &sig) const;
+
     /** Record the constructor's @p seconds, less the specializer's,
      *  as SpecStats::simCreateSeconds. */
     void recordCreate(double seconds);
@@ -546,6 +562,8 @@ class Simulator : public SignalAccess
     ScopeProbe *probe_ = nullptr;
     /** An external write is pending: the next cycle settles first. */
     bool dirty_ = true;
+    /** Per net: some tick lambda declares it (the lambda flops). */
+    std::vector<char> lambda_flop_;
 
   private:
     /**
@@ -569,6 +587,7 @@ class Simulator : public SignalAccess
         }
     }
 
+    const ElabBlock *running_lambda_ = nullptr; //!< runTickLambda's
     CppJitLibrary cpp_lib_; //!< the adopted library, once native_
     BcModule bc_; //!< one program per block type
     std::vector<int> type_; //!< each block's program, or -1
@@ -640,8 +659,6 @@ class SimulationTool : public Simulator
     Bits readNetNext(int net) const override;
     void pokeNet(int net, const Bits &value) override;
     void pokeNetNext(int net, const Bits &value) override;
-    std::vector<int> dynamicFlopNets() const override;
-    void registerDynamicFlops(const std::vector<int> &nets) override;
 
     LayoutStats layoutStats() const override;
 
@@ -688,12 +705,9 @@ class SimulationTool : public Simulator
                 token_in_arena_[token]);
     }
     void enqueueReaders(int net);
-    void markFlopped(int net);
     /** True when the flop phase copies whole-word ranges with no
      *  per-net change detection (not boxed or event-driven). */
     bool flopsByRange() const { return !useBoxed() && !eventDriven(); }
-    /** Copy ranges of the dynamically registered flops. */
-    std::vector<FlopRange> dynamicFlopPlan() const;
 
     std::unique_ptr<BoxedStore> boxed_;
     std::unique_ptr<ArenaStore> arena_;
@@ -704,17 +718,10 @@ class SimulationTool : public Simulator
     std::vector<Step> comb_steps_; //!< static order (or event pool)
     std::vector<Step> tick_steps_;
     std::vector<int> comb_step_of_block_; //!< block idx -> comb step idx
-    size_t n_static_flops_ = 0;
 
-    /** Static-flop copy plan for the arena (flop() fast path). */
+    std::vector<int> flopped_nets_; //!< the flop set, by net id
+    /** flopped_nets_ as arena copy ranges (flop() fast path). */
     std::vector<FlopRange> flop_plan_;
-    /** Copy plan of the dynamic tail of flopped_nets_, and the
-     *  flopped_nets_ size it was built for (rebuilt when it grows). */
-    std::vector<FlopRange> dyn_flop_plan_;
-    size_t dyn_flop_planned_ = 0;
-
-    std::vector<int> flopped_nets_;
-    std::vector<char> is_flopped_;
     std::vector<int> tick_array_tokens_; //!< arrays written at ticks
     std::vector<char> token_in_arena_;   //!< hybrid-mode ownership
     std::vector<BatchSync> batch_sync_; //!< hybrids: per batch

@@ -247,8 +247,8 @@ SimSnapshot::encode() const
     }
 
     SnapWriter flop_w;
-    flop_w.u32(static_cast<uint32_t>(dynamic_flops.size()));
-    for (int net : dynamic_flops)
+    flop_w.u32(static_cast<uint32_t>(flop_nets.size()));
+    for (int net : flop_nets)
         flop_w.u32(static_cast<uint32_t>(net));
 
     SnapWriter modl_w;
@@ -385,8 +385,8 @@ SimSnapshot::decode(const std::string &bytes)
                 throw SnapError("snapshot corrupted: implausible "
                                 "flop count " +
                                 std::to_string(count));
-            snap.dynamic_flops.resize(count);
-            for (int &net : snap.dynamic_flops)
+            snap.flop_nets.resize(count);
+            for (int &net : snap.flop_nets)
                 net = static_cast<int>(r.u32());
             seen_flop = true;
         } else if (tag == kTagModl) {
@@ -541,7 +541,6 @@ snapSave(const Simulator &sim)
             static_cast<uint32_t>(elem_words));
     }
 
-    snap.dynamic_flops = sim.dynamicFlopNets();
     snap.layout_policy = "elab";
 
     for (Model *model : elab.models) {
@@ -579,6 +578,17 @@ snapRestore(Simulator &sim, const SimSnapshot &snap)
                         " array(s) in snapshot, " +
                         std::to_string(elab.arrays.size()) +
                         " in design");
+    // An older image lists the nets tick lambdas had flopped; each
+    // must still be in the flop set, which is fixed at construction.
+    for (int net : snap.flop_nets) {
+        if (net < 0 || net >= static_cast<int>(elab.nets.size()))
+            throw SnapError("snapshot corrupted: flop net id " +
+                            std::to_string(net) + " out of range");
+        if (!sim.isFlop(net))
+            throw SnapError("snapshot flops net '" + elab.nets[net].name +
+                            "', which is not in this design's flop set "
+                            "(no tick block writes it)");
+    }
 
     for (const Net &net : elab.nets) {
         const auto &cur = snap.nets[net.id];
@@ -607,12 +617,6 @@ snapRestore(Simulator &sim, const SimSnapshot &snap)
             sim.writeArray(array, i, Bits::fromWords(array.nbits(), elem));
         }
     }
-
-    for (int net : snap.dynamic_flops)
-        if (net < 0 || net >= static_cast<int>(elab.nets.size()))
-            throw SnapError("snapshot corrupted: flop net id " +
-                            std::to_string(net) + " out of range");
-    sim.registerDynamicFlops(snap.dynamic_flops);
 
     std::unordered_map<std::string, Model *> by_name;
     for (Model *model : elab.models)

@@ -6,14 +6,14 @@
  * Following the model/tool split, a snapshot is just another tool-side
  * view of an elaborated design: SimSnap captures the complete
  * architectural state of a running simulator — every net's current and
- * next-phase (flop shadow) value, every MemArray element, the
- * dynamically registered flop set, the cycle counter, and the host
- * state of lambda blocks (RNGs, queues, pending val/rdy messages) via
- * Model::snapSave — into a versioned, checksummed binary image that
- * can be restored into a *fresh* elaboration of the same design on any
- * backend and thread count. Snapshot under "interp", resume under
- * "cpp-design" or ParSim --threads 4: the restored run is bit-identical
- * to the uninterrupted one, including its VCD continuation.
+ * next-phase (flop shadow) value, every MemArray element, the cycle
+ * counter, and the host state of lambda blocks (RNGs, queues, pending
+ * val/rdy messages) via Model::snapSave — into a versioned,
+ * checksummed binary image that can be restored into a *fresh*
+ * elaboration of the same design on any backend and thread count.
+ * Snapshot under "interp", resume under "cpp-design" or ParSim
+ * --threads 4: the restored run is bit-identical to the uninterrupted
+ * one, including its VCD continuation.
  *
  * File format (version 2, all integers little-endian):
  *
@@ -24,7 +24,8 @@
  *   trailer  u32 crc32 over every preceding byte
  *
  * Sections: NETS (current net values), NXTS (next-phase values), ARRY
- * (memory arrays), FLOP (dynamically registered flop net ids), MODL
+ * (memory arrays), FLOP (net ids; older writers listed the nets
+ * lambdas had flopped so far, current ones write an empty list), MODL
  * (per-model opaque host-state blobs keyed by hierarchical name), and
  * since version 2 an optional informational LAYT section naming the
  * capturing simulator's arena layout (writers always emit "elab";
@@ -140,8 +141,13 @@ struct SimSnapshot
     std::vector<std::vector<uint64_t>> arrays;
     /** Element word count per array (layout round-trip check). */
     std::vector<uint32_t> array_elem_words;
-    /** Nets registered as flopped at run time by lambda writeNext. */
-    std::vector<int> dynamic_flops;
+    /**
+     * The FLOP section: older writers listed the nets tick lambdas
+     * had flopped by the capture; now that the flop set is fixed at
+     * construction it is written empty. snapRestore() only checks
+     * that each listed net is in the kernel's flop set.
+     */
+    std::vector<int> flop_nets;
     /** (hierarchical model name, opaque Model::snapSave blob). */
     std::vector<std::pair<std::string, std::string>> model_state;
     /**
@@ -179,8 +185,9 @@ SimSnapshot snapSave(const Simulator &sim);
  * Restore @p snap into @p sim, which must be a freshly constructed (or
  * at least quiescent) simulator of the same design on any backend or
  * thread count. Verifies the design fingerprint, restores every net's
- * current and next-phase value, every array element, the dynamic flop
- * registrations, the per-model host state and the cycle counter.
+ * current and next-phase value, every array element, the per-model
+ * host state and the cycle counter, after checking that every net the
+ * image's FLOP list names is in the simulator's flop set.
  * Attach VcdWriters *after* restoring so the initial dump sees the
  * restored values. Throws SnapError on any mismatch.
  */

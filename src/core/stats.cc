@@ -55,11 +55,9 @@ simulatorReport(const Simulator &sim)
            << " words/phase, flop memcpy ranges "
            << lay.flop_memcpy_ranges << "\n";
         // Signals left unbound take the virtual access path (wide
-        // nets, boxed store, ParSim).
+        // nets, the boxed store, and on ParSim what comb lambdas touch).
         os << "  signals: " << lay.slot_bound_signals << " slot-bound of "
-           << sim.elaboration().signals.size() << "; dynamic flops "
-           << lay.dynamic_flops << " in " << lay.dynamic_flop_ranges
-           << " ranges\n";
+           << sim.elaboration().signals.size() << "\n";
     }
     if (const auto *par = dynamic_cast<const ParSimulationTool *>(&sim)) {
         os << partitionReport(sim.elaboration(), par->plan());

@@ -81,9 +81,7 @@ struct LayoutStats
     int words_per_phase = 0;
     int flop_memcpy_ranges = 0; //!< ranges in the kernel's flop plan
     // simulatorReport only (not in the SimScope JSON):
-    int slot_bound_signals = 0;  //!< signals bound to an arena word
-    int dynamic_flops = 0;       //!< nets flopped by a lambda's setNext
-    int dynamic_flop_ranges = 0; //!< copy runs the dynamic flops take
+    int slot_bound_signals = 0; //!< signals bound to an arena word
 };
 
 /** Dense word-arena storage (PyPy/SimJIT analog). */

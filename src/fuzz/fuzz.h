@@ -7,7 +7,7 @@
  * repo on a handful of hand-written designs. SimFuzz turns the claim
  * adversarial: a seeded generator elaborates randomized block/net
  * graphs (comb + tick IR blocks, wide and narrow nets, MemArrays, a
- * val/rdy channel, a dynamic flop driven from a host lambda) plus a
+ * val/rdy channel, a lambda flop driven from a host lambda) plus a
  * randomized StimTape, then runs every backend x thread-count
  * combination in lockstep with the boxed-interpreter reference.
  * findDivergence (core/snap.h) compares state digests before the first
@@ -195,7 +195,8 @@ FuzzCounts fuzzCounts(uint64_t seed);
  *    block each, read asynchronously from comb and tick logic;
  *  - a val/rdy channel: tick producer drives val/msg, a comb block
  *    drives rdy;
- *  - a dynamic flop: a host tickFl lambda writes a wire with setNext;
+ *  - a lambda flop: a host tickFl lambda declares a wire and writes it
+ *    with setNext;
  *  - an always-on observe block XOR-folding every net and array read
  *    into a 64-bit output port (keeps all logic live).
  *

@@ -75,7 +75,7 @@ struct Shape
     std::vector<int> arr_d;
     int ntick = 0; //!< generated tickRtl blocks (chprod/dyncl extra)
     int ch_w = 0;  //!< val/rdy channel message width
-    int dyn_w = 0; //!< dynamic-flop wire width
+    int dyn_w = 0; //!< lambda-flop wire width
 };
 
 Shape
@@ -752,7 +752,7 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
         });
     }
 
-    // --- dynamic flop from a host lambda (tick entity sh.ntick+1) --
+    // --- lambda flop from a host lambda (tick entity sh.ntick+1) ---
     if (!spec.tickOff(sh.ntick + 1)) {
         FuzzRng rng(spec.seed, "dyncl", 0);
         Signal *src_a = seq_pool[rng.range(seq_pool.size())];
@@ -760,15 +760,15 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
         uint64_t salt = rng.next();
         Wire *target = &dyn;
         int w = dyn.nbits();
-        // setNext from host code registers the wire as a dynamic flop
-        // at run time — the checkpoint/restore and ParSim paths for
-        // lambda-registered state. Pure function of signal values, so
-        // no Model::snapSave override is needed.
+        // The declared wire is a flop from construction, written by
+        // setNext from host code — the checkpoint/restore and ParSim
+        // coordinator paths for lambda flops. Pure function of signal
+        // values, so no Model::snapSave override is needed.
         tickFl("dyn_fl", [src_a, src_b, salt, target, w] {
             uint64_t v = (src_a->value().toUint64() ^ salt) +
                          src_b->value().toUint64();
             target->setNext(Bits(w, v));
-        });
+        }, {target});
     }
 
     // --- observe: always-on XOR fold keeping every net live --------

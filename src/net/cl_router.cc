@@ -18,6 +18,9 @@ RouterCL::RouterCL(Model *parent, const std::string &name, int id,
         out.emplace_back(this, "out" + std::to_string(p), msg_.nbits());
     }
 
+    std::vector<Signal *> writes;
+    for (int p = 0; p < kMeshPorts; ++p)
+        writes.insert(writes.end(), {&out[p].val, &out[p].msg, &in_[p].rdy});
     tickCl("router_logic", [this] {
         // 1. Output registers that fired drain.
         for (int o = 0; o < kMeshPorts; ++o) {
@@ -76,7 +79,7 @@ RouterCL::RouterCL(Model *parent, const std::string &name, int id,
                         static_cast<size_t>(nentries_);
             in_[p].rdy.setNext(uint64_t(room ? 1 : 0));
         }
-    });
+    }, writes);
 }
 
 void

@@ -17,6 +17,9 @@ NetworkFL::NetworkFL(Model *parent, const std::string &name, int nrouters,
     }
     output_fifos_.resize(nrouters);
 
+    std::vector<Signal *> writes;
+    for (int i = 0; i < nrouters; ++i)
+        writes.insert(writes.end(), {&out[i].val, &out[i].msg, &in_[i].rdy});
     tickFl("network_logic", [this] {
         // Dequeue logic: a transfer completed on each firing output.
         for (int i = 0; i < nrouters_; ++i) {
@@ -43,7 +46,7 @@ NetworkFL::NetworkFL(Model *parent, const std::string &name, int nrouters,
             if (!is_empty)
                 out[i].msg.setNext(output_fifos_[i].front());
         }
-    });
+    }, writes);
 }
 
 void

@@ -91,6 +91,11 @@ MeshTrafficTop::MeshTrafficTop(const std::string &name, NetLevel level,
         gens_[t].init(seed, t);
     srcq_.resize(nrouters);
 
+    std::vector<Signal *> writes;
+    for (int t = 0; t < nrouters; ++t) {
+        writes.insert(writes.end(), {&(*net_out_)[t].rdy, &(*net_in_)[t].val,
+                                     &(*net_in_)[t].msg});
+    }
     tickFl("traffic", [this] {
         // Ejection: sinks are always ready; measure completed
         // transfers.
@@ -140,7 +145,7 @@ MeshTrafficTop::MeshTrafficTop(const std::string &name, NetLevel level,
         }
         ++now_;
         ++stats_.cycles;
-    });
+    }, writes);
 }
 
 bool

@@ -9,18 +9,33 @@
  * pop requests, push responses, and the adapter drives val/rdy/msg
  * with correct backpressure. All output driving uses non-blocking
  * (setNext) writes, so adapters behave identically under every
- * scheduling mode.
+ * scheduling mode. writes() lists the signals xtick() drives, for the
+ * tick block's declared writes (writesOf() joins several adapters').
  */
 
 #ifndef CMTL_STDLIB_ADAPTERS_H
 #define CMTL_STDLIB_ADAPTERS_H
 
 #include <deque>
+#include <vector>
 
 #include "stdlib/reqresp.h"
 
 namespace cmtl {
 namespace stdlib {
+
+/** The signals the xtick() of every adapter in @p adapters drives. */
+template <class... Adapters>
+std::vector<Signal *>
+writesOf(const Adapters &...adapters)
+{
+    std::vector<Signal *> out;
+    auto add = [&out](const std::vector<Signal *> &writes) {
+        out.insert(out.end(), writes.begin(), writes.end());
+    };
+    (add(adapters.writes()), ...);
+    return out;
+}
 
 /** Receiving-side adapter: an InValRdy that fills a software queue. */
 class InQueueAdapter
@@ -38,6 +53,7 @@ class InQueueAdapter
             q_.push_back(ifc_.msg.value());
         ifc_.rdy.setNext(uint64_t(q_.size() < capacity_ ? 1 : 0));
     }
+    std::vector<Signal *> writes() const { return {&ifc_.rdy}; }
 
     bool empty() const { return q_.empty(); }
     size_t size() const { return q_.size(); }
@@ -74,6 +90,7 @@ class OutQueueAdapter
         if (!q_.empty())
             ifc_.msg.setNext(q_.front());
     }
+    std::vector<Signal *> writes() const { return {&ifc_.val, &ifc_.msg}; }
 
     bool full() const { return q_.size() >= capacity_; }
     bool empty() const { return q_.empty(); }
@@ -102,6 +119,7 @@ class ChildReqRespQueueAdapter
         req_q.xtick();
         resp_q.xtick();
     }
+    std::vector<Signal *> writes() const { return writesOf(req_q, resp_q); }
 
     Bits getReq() { return req_q.pop(); }
     void pushResp(const Bits &msg) { resp_q.push(msg); }
@@ -132,6 +150,7 @@ class ParentReqRespQueueAdapter
         req_q.xtick();
         resp_q.xtick();
     }
+    std::vector<Signal *> writes() const { return writesOf(req_q, resp_q); }
 
     void pushReq(const Bits &msg) { req_q.push(msg); }
     Bits getResp() { return resp_q.pop(); }

@@ -17,6 +17,11 @@ TestMemory::TestMemory(Model *parent, const std::string &name, int nports,
     }
     pending_.resize(nports);
 
+    std::vector<Signal *> writes;
+    for (const auto &ad : adapters_) {
+        const std::vector<Signal *> w = ad.writes();
+        writes.insert(writes.end(), w.begin(), w.end());
+    }
     tickFl("mem_logic", [this, nports] {
         ++now_;
         for (int p = 0; p < nports; ++p) {
@@ -48,7 +53,7 @@ TestMemory::TestMemory(Model *parent, const std::string &name, int nports,
                 pending_[p].pop_front();
             }
         }
-    });
+    }, writes);
 }
 
 uint32_t

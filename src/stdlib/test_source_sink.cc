@@ -21,7 +21,7 @@ TestSource::TestSource(Model *parent, const std::string &name, int nbits,
         out.val.setNext(uint64_t(send ? 1 : 0));
         if (send)
             out.msg.setNext(msgs_[index_]);
-    });
+    }, {&out.val, &out.msg});
 }
 
 void
@@ -70,7 +70,7 @@ TestSink::TestSink(Model *parent, const std::string &name, int nbits,
         }
         bool accept = wait_ == 0;
         in_.rdy.setNext(uint64_t(accept ? 1 : 0));
-    });
+    }, {&in_.rdy});
 }
 
 void

@@ -16,6 +16,11 @@ MemArbiter::MemArbiter(Model *parent, const std::string &name)
               this, "mem_ifc", memIfcTypes())),
         4);
 
+    std::vector<Signal *> writes = mem_->writes();
+    for (const auto &ad : adapters_) {
+        const std::vector<Signal *> w = ad.writes();
+        writes.insert(writes.end(), w.begin(), w.end());
+    }
     tickCl("arb_logic", [this] {
         for (auto &ad : adapters_)
             ad.xtick();
@@ -38,7 +43,7 @@ MemArbiter::MemArbiter(Model *parent, const std::string &name)
                 break;
             }
         }
-    });
+    }, writes);
 }
 
 } // namespace tile

@@ -104,7 +104,7 @@ CacheCL::CacheCL(Model *parent, const std::string &name, int nlines)
                 }
             }
         }
-    });
+    }, stdlib::writesOf(*proc_, *mem_));
 }
 
 std::string

@@ -20,7 +20,7 @@ CacheFL::CacheFL(Model *parent, const std::string &name)
         }
         while (!mem_->resp_q.empty() && !proc_->resp_q.full())
             proc_->pushResp(mem_->getResp());
-    });
+    }, stdlib::writesOf(*proc_, *mem_));
 }
 
 } // namespace tile

@@ -62,7 +62,7 @@ DotProductCL::DotProductCL(Model *parent, const std::string &name)
               default: break;
             }
         }
-    });
+    }, stdlib::writesOf(*cpu_, *mem_));
 }
 
 std::string

@@ -69,7 +69,7 @@ DotProductFL::DotProductFL(Model *parent, const std::string &name)
               default: break;
             }
         }
-    });
+    }, stdlib::writesOf(*cpu_, *mem_));
 }
 
 std::string

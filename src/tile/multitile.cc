@@ -86,7 +86,7 @@ TileMemBridge::TileMemBridge(Model *parent, const std::string &name,
                 break;
             }
         }
-    });
+    }, stdlib::writesOf(*imem_, *dmem_, *out_, *in_));
 }
 
 // ---------------------------------------------------------------- MemNode
@@ -145,7 +145,7 @@ MemNode::MemNode(Model *parent, const std::string &name,
             out_->push(pending_.front().msg);
             pending_.pop_front();
         }
-    });
+    }, stdlib::writesOf(*in_, *out_));
 }
 
 uint32_t

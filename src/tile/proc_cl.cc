@@ -12,6 +12,8 @@ ProcCL::ProcCL(Model *parent, const std::string &name)
                                                                 4);
     acc_ = std::make_unique<stdlib::ParentReqRespQueueAdapter>(acc_ifc);
 
+    std::vector<Signal *> writes = stdlib::writesOf(*imem_, *dmem_, *acc_);
+    writes.push_back(&halted);
     tickCl("proc_logic", [this] {
         imem_->xtick();
         dmem_->xtick();
@@ -186,7 +188,7 @@ ProcCL::ProcCL(Model *parent, const std::string &name)
             fetch_addrs_.push_back(fetch_pc_);
             fetch_pc_ += 4;
         }
-    });
+    }, writes);
 }
 
 std::string

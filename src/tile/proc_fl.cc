@@ -10,6 +10,8 @@ ProcFL::ProcFL(Model *parent, const std::string &name)
     dmem_ = std::make_unique<stdlib::ParentReqRespQueueAdapter>(dmem_ifc);
     acc_ = std::make_unique<stdlib::ParentReqRespQueueAdapter>(acc_ifc);
 
+    std::vector<Signal *> writes = stdlib::writesOf(*imem_, *dmem_, *acc_);
+    writes.push_back(&halted);
     tickFl("proc_logic", [this] {
         imem_->xtick();
         dmem_->xtick();
@@ -67,7 +69,7 @@ ProcFL::ProcFL(Model *parent, const std::string &name)
             }
             break;
         }
-    });
+    }, writes);
 }
 
 void

@@ -44,7 +44,7 @@ class MixedOwnership : public Model
         c.assign(doubled, rd(count) + rd(count));
         // The unspecialized remainder: a lambda observing the
         // specialized region's outputs through SignalAccess.
-        tickFl("observe", [this] { lambda_last = doubled.u64(); });
+        tickFl("observe", [this] { lambda_last = doubled.u64(); }, {});
     }
 };
 

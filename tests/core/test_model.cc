@@ -154,13 +154,14 @@ TEST(Elaboration, LambdaBlocksCarryDeclaredSensitivity)
     {
       public:
         InPort a;
-        OutPort b;
+        OutPort b, c, d;
         FlThing()
-            : Model(nullptr, "fl"), a(this, "a", 8), b(this, "b", 8)
+            : Model(nullptr, "fl"), a(this, "a", 8), b(this, "b", 8),
+              c(this, "c", 8), d(this, "d", 8)
         {
             combLambda("double", [this] { b.setValue(a.u64() * 2); },
                        {&a}, {&b});
-            tickFl("noop", [] {});
+            tickFl("noop", [] {}, {&d, &c, &d});
         }
     };
     FlThing fl;
@@ -171,6 +172,10 @@ TEST(Elaboration, LambdaBlocksCarryDeclaredSensitivity)
     EXPECT_EQ(comb.reads, std::vector<int>{fl.a.netId()});
     EXPECT_EQ(comb.writes, std::vector<int>{fl.b.netId()});
     EXPECT_EQ(elab->blocks[1].kind, BlockKind::TickFl);
+    // A tick lambda's declared writes are sorted and deduplicated.
+    EXPECT_EQ(elab->blocks[1].writes,
+              (std::vector<int>{fl.c.netId(), fl.d.netId()}));
+    EXPECT_TRUE(elab->blocks[1].reads.empty());
     EXPECT_EQ(elab->tickOrder.size(), 1u);
 }
 

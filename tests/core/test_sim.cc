@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -114,7 +115,7 @@ TEST_P(SimModes, LambdaTickAccumulator)
         {
             tickFl("logic", [this] {
                 sum.setNext(sum.value() + in_.value());
-            });
+            }, {&sum});
         }
     };
     auto top = std::make_unique<Accum>();
@@ -143,7 +144,7 @@ TEST_P(SimModes, MixedIrAndLambdaPipeline)
             : Model(nullptr, "mixed"), stage0(this, "stage0", 32),
               stage1(this, "stage1", 32), out(this, "out", 32)
         {
-            tickFl("produce", [this] { stage0.setNext(++n); });
+            tickFl("produce", [this] { stage0.setNext(++n); }, {&stage0});
             auto &c = combinational("triple");
             c.assign(stage1, rd(stage0) * lit(32, 3));
             auto &t = tickRtl("capture");
@@ -409,30 +410,53 @@ TEST(SimLifecycle, CycleHooksFire)
 
 // ----------------------------------------------- slot-bound signals
 
+/** A tick lambda that stores a host word into an 8-bit register. */
+class HostReg : public Model
+{
+  public:
+    OutPort q;
+    uint64_t word = 0;
+    bool as_bits = false; //!< store through setNext(Bits(16, word))
+
+    HostReg() : Model(nullptr, "host"), q(this, "q", 8)
+    {
+        tickFl(
+            "store",
+            [this] {
+                if (as_bits)
+                    q.setNext(Bits(16, word));
+                else
+                    q.setNext(word);
+            },
+            {&q});
+    }
+};
+
 TEST(SimSlotBinding, AccessThrowsOnceTheSimulatorIsGone)
 {
-    auto top = std::make_unique<Register>(nullptr, "top", 8);
-    auto elab = top->elaborate();
+    HostReg top;
+    auto elab = top.elaborate();
     {
         SimulationTool sim(elab, SimConfig::fromString("optinterp"));
-        ASSERT_TRUE(top->in_.slotBound());
-        // The first setNext registers the flop; later ones store the
-        // bound next-phase word directly, masked to the width.
-        top->in_.setNext(uint64_t(3));
-        top->in_.setNext(Bits(16, 0x1234));
+        ASSERT_TRUE(top.q.slotBound());
+        // The lambda declares q, so its setNext stores the bound
+        // next-phase word directly, masked to the width.
+        top.as_bits = true;
+        top.word = 0x1234;
         sim.cycle();
-        EXPECT_EQ(top->in_.u64(), 0x34u);
-        top->in_.setNext(uint64_t(0x1ff));
+        EXPECT_EQ(top.q.u64(), 0x34u);
+        top.as_bits = false;
+        top.word = 0x1ff;
         sim.cycle();
-        EXPECT_EQ(top->in_.value(), Bits(8, 0xff));
+        EXPECT_EQ(top.q.value(), Bits(8, 0xff));
         EXPECT_EQ(sim.layoutStats().slot_bound_signals,
                   static_cast<int>(elab->signals.size()));
     }
-    EXPECT_FALSE(top->in_.slotBound());
-    EXPECT_THROW(top->in_.u64(), std::logic_error);
-    EXPECT_THROW(top->in_.value(), std::logic_error);
-    EXPECT_THROW(top->in_.setNext(uint64_t(1)), std::logic_error);
-    EXPECT_THROW(top->in_.setNext(Bits(8, 1)), std::logic_error);
+    EXPECT_FALSE(top.q.slotBound());
+    EXPECT_THROW(top.q.u64(), std::logic_error);
+    EXPECT_THROW(top.q.value(), std::logic_error);
+    EXPECT_THROW(top.q.setNext(uint64_t(1)), std::logic_error);
+    EXPECT_THROW(top.q.setNext(Bits(8, 1)), std::logic_error);
 }
 
 TEST(SimSlotBinding, DestroyingTheOlderSimulatorKeepsTheNewerBinding)
@@ -549,7 +573,9 @@ class LambdaMix : public Model
             {&mid});
         auto &c = combinational("dbl");
         c.assign(out, rd(mid) * lit(16, 2));
-        tickFl("accumulate", [this] { acc.setNext(acc.u64() + out.u64()); });
+        tickFl(
+            "accumulate", [this] { acc.setNext(acc.u64() + out.u64()); },
+            {&acc});
         auto &t = tickRtl("seq");
         t.assign(q, rd(acc) ^ rd(in_));
     }
@@ -593,10 +619,99 @@ TEST(SimSlotBinding, ParSimLeavesCombLambdaSignalsVirtual)
     }
 }
 
+// ------------------------------------------ tick lambda declarations
+
+/** The backends and thread counts every tick-lambda test runs on. */
+std::vector<SimConfig>
+tickLambdaConfigs()
+{
+    std::vector<SimConfig> cfgs;
+    for (const char *backend :
+         {"interp", "optinterp", "bytecode", "cpp-design", "interp+bytecode",
+          "interp+cpp-block"})
+        cfgs.push_back(SimConfig::fromString(backend));
+    for (const char *backend : {"bytecode", "cpp-design"}) {
+        cfgs.push_back(SimConfig::fromString(backend));
+        cfgs.back().threads = 2;
+    }
+    for (SimConfig &cfg : cfgs)
+        cfg.jit_tiered = false;
+    return cfgs;
+}
+
+class SimTickLambda : public ::testing::TestWithParam<SimConfig>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const Backend b = GetParam().backend;
+        if ((b == Backend::CppDesign || nativeBlocks(b)) &&
+            !CppJit::compilerAvailable())
+            GTEST_SKIP() << "no host compiler";
+    }
+};
+
+/**
+ * A tick lambda that declares @c ok and, once @c target is set, also
+ * writes it: @c stray, which no block declares, or @c reg, which an IR
+ * tick block flops.
+ */
+class StrayWrite : public Model
+{
+  public:
+    InPort in_;
+    Wire ok, stray;
+    OutPort reg;
+    Signal *target = nullptr;
+
+    StrayWrite()
+        : Model(nullptr, "stray"), in_(this, "in_", 8), ok(this, "ok", 8),
+          stray(this, "stray_net", 8), reg(this, "reg", 8)
+    {
+        tickFl(
+            "drive",
+            [this] {
+                ok.setNext(in_.u64() + 1);
+                if (target)
+                    target->setNext(uint64_t(1));
+            },
+            {&ok});
+        auto &t = tickRtl("capture");
+        t.assign(reg, rd(ok));
+    }
+};
+
+TEST_P(SimTickLambda, UndeclaredWriteThrows)
+{
+    for (bool ir_flop : {false, true}) {
+        StrayWrite top;
+        auto sim = makeSimulator(top.elaborate(), GetParam());
+        top.in_.setValue(uint64_t(4));
+        sim->cycle(3);
+        EXPECT_EQ(top.reg.u64(), 5u);
+        Signal &target = ir_flop ? static_cast<Signal &>(top.reg)
+                                 : static_cast<Signal &>(top.stray);
+        top.target = &target;
+        try {
+            sim->cycle();
+            ADD_FAILURE() << "no throw writing " << target.fullName();
+        } catch (const std::logic_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("stray.drive"), std::string::npos) << msg;
+            EXPECT_NE(msg.find(target.fullName()), std::string::npos)
+                << msg;
+        }
+        // A test bench may not write a next value either.
+        top.target = nullptr;
+        EXPECT_THROW(target.setNext(uint64_t(2)), std::logic_error);
+    }
+}
+
 /**
  * A tick lambda that non-blocking-writes @c a from the first cycle and
- * starts writing @c b, its arena neighbour, only after @p late cycles,
- * growing the dynamic flop set after its copy plan was first built.
+ * starts writing @c b, its arena neighbour, only after @p late cycles.
+ * Both are declared, so both are flops from the start.
  */
 class LateFlop : public Model
 {
@@ -610,59 +725,54 @@ class LateFlop : public Model
         : Model(nullptr, "late"), in_(this, "in_", 8), a(this, "a", 16),
           b(this, "b", 16), out(this, "out", 16)
     {
-        tickFl("drive", [this, late] {
-            ++n;
-            a.setNext(n * 3 + in_.u64());
-            if (n > late)
-                b.setNext(n * 5);
-        });
+        tickFl(
+            "drive",
+            [this, late] {
+                ++n;
+                a.setNext(n * 3 + in_.u64());
+                if (n > late)
+                    b.setNext(n * 5);
+            },
+            {&a, &b});
         auto &t = tickRtl("sum");
         t.assign(out, rd(a) + rd(b));
     }
 };
 
-TEST(SimDynamicFlops, GrowingSetRebuildsTheRangePlan)
+TEST_P(SimTickLambda, LateWritesMatchTheInterpreterTrace)
 {
-    std::vector<SimConfig> cfgs = {SimConfig::fromString("optinterp"),
-                                   SimConfig::fromString("bytecode")};
-    if (CppJit::compilerAvailable()) {
-        cfgs.push_back(SimConfig::fromString("cpp-design"));
-        cfgs.back().jit_tiered = false;
-    }
-    // ParSim's coordinator flops them on every replica the same way.
-    cfgs.push_back(SimConfig::fromString("bytecode"));
-    cfgs.back().threads = 2;
-    std::vector<std::vector<uint64_t>> traces;
-    for (const SimConfig &cfg : cfgs) {
+    auto trace = [](const SimConfig &cfg) {
         LateFlop top(6);
         auto sim = makeSimulator(top.elaborate(), cfg);
-        std::vector<uint64_t> trace;
+        std::vector<uint64_t> out;
         for (int c = 0; c < 20; ++c) {
             top.in_.setValue(uint64_t(c * 7));
             sim->cycle();
-            trace.push_back(top.out.u64());
-            trace.push_back(top.a.u64());
-            trace.push_back(top.b.u64());
-            if (c == 3) {
-                EXPECT_EQ(sim->layoutStats().dynamic_flops, 1)
-                    << cfg.toString();
-            }
+            out.push_back(top.out.u64());
+            out.push_back(top.a.u64());
+            out.push_back(top.b.u64());
         }
-        LayoutStats lay = sim->layoutStats();
-        EXPECT_EQ(lay.dynamic_flops, 2) << cfg.toString();
-        // a and b are adjacent words: one coalesced range once the
-        // plan is rebuilt.
-        EXPECT_EQ(lay.dynamic_flop_ranges, 1) << cfg.toString();
-        EXPECT_EQ(sim->dynamicFlopNets(),
-                  (std::vector<int>{top.a.netId(), top.b.netId()}));
-        traces.push_back(std::move(trace));
-    }
-    // b only starts moving after the growth.
-    EXPECT_EQ(traces[0][3 * 5 + 2], 0u);
-    EXPECT_EQ(traces[0].back(), 20u * 5);
-    for (size_t i = 1; i < traces.size(); ++i)
-        EXPECT_EQ(traces[i], traces[0]) << cfgs[i].toString();
+        return out;
+    };
+    const std::vector<uint64_t> golden =
+        trace(SimConfig::fromString("interp"));
+    // b only starts moving after cycle 6.
+    EXPECT_EQ(golden[3 * 5 + 2], 0u);
+    EXPECT_EQ(golden.back(), 20u * 5);
+    EXPECT_EQ(trace(GetParam()), golden);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    , SimTickLambda, ::testing::ValuesIn(tickLambdaConfigs()),
+    [](const ::testing::TestParamInfo<SimConfig> &info) {
+        std::string name = info.param.toString() + "_t" +
+                           std::to_string(info.param.threads);
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
 
 // ------------------------------------------------- corner net widths
 

@@ -256,11 +256,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * The arena kernels slot-bind the traffic harness's signals and flop
- * its dynamically registered nets as whole-word ranges. A snapshot
+ * the nets its tick lambda declares as whole-word ranges. A snapshot
  * taken mid-run restores into a fresh simulator of the same backend,
- * which re-registers those flops, and the resumed run must end exactly
- * where the uninterrupted one does: same state digest, same traffic
- * statistics.
+ * whose flop set is the same from construction, and the resumed run
+ * must end exactly where the uninterrupted one does: same state
+ * digest, same traffic statistics.
  */
 TEST(SnapSlotBinding, MeshTrafficResumesOnTheSameBackend)
 {
@@ -280,14 +280,16 @@ TEST(SnapSlotBinding, MeshTrafficResumesOnTheSameBackend)
         golden->reset();
         golden->cycle(snap_cycle - golden->numCycles());
         SimSnapshot snap = snapSave(*golden);
-        EXPECT_GT(golden->layoutStats().dynamic_flops, 0) << backend;
+        // The flop set is fixed at construction: the image lists none.
+        EXPECT_TRUE(snap.flop_nets.empty()) << backend;
         golden->cycle(end_cycle - snap_cycle);
 
         auto rt = makeTop();
         auto sim = makeSimulator(rt->elaborate(), cfg);
         snapRestore(*sim, SimSnapshot::decode(snap.encode()));
         EXPECT_EQ(stateDigest(*sim), snap.digest()) << backend;
-        EXPECT_EQ(sim->dynamicFlopNets(), golden->dynamicFlopNets())
+        EXPECT_EQ(sim->layoutStats().flop_memcpy_ranges,
+                  golden->layoutStats().flop_memcpy_ranges)
             << backend;
         sim->cycle(end_cycle - snap_cycle);
 
@@ -471,6 +473,118 @@ TEST(SnapGolden, Version1ImageStillDecodesAndRestores)
     EXPECT_EQ(sim.numCycles(), ref.numCycles());
     expectSameState(ref, sim, "v1 golden restore");
     EXPECT_EQ(snap.digest(), snapSave(ref).digest());
+}
+
+/**
+ * A tick lambda that accumulates into @c acc from the first cycle and
+ * starts writing @c late after cycle 9, with its host counter as model
+ * state. golden_snap_lambda_v2.bin is this fixture after 6 cycles on
+ * interp, written when a lambda's first setNext still registered its
+ * net as a flop: its FLOP section lists @c acc.
+ */
+class LambdaSnapFixture : public Model
+{
+  public:
+    InPort in_;
+    Wire acc, late;
+    OutPort out;
+    uint64_t n = 0;
+
+    LambdaSnapFixture()
+        : Model(nullptr, "lfix"), in_(this, "in_", 8), acc(this, "acc", 16),
+          late(this, "late", 16), out(this, "out", 16)
+    {
+        tickFl(
+            "accumulate",
+            [this] {
+                ++n;
+                acc.setNext(acc.u64() + in_.u64());
+                if (n > 9)
+                    late.setNext(n * 3);
+            },
+            {&acc, &late});
+        auto &t = tickRtl("mix");
+        t.assign(out, rd(acc) ^ rd(late));
+    }
+    void snapSave(SnapWriter &w) const override { w.u64(n); }
+    void snapLoad(SnapReader &r) override { n = r.u64(); }
+};
+
+/** Cycle @p sim to @p until, with an input derived from the cycle. */
+void
+driveLambdaFixture(LambdaSnapFixture &fix, Simulator &sim, uint64_t until)
+{
+    while (sim.numCycles() < until) {
+        fix.in_.setValue(sim.numCycles() * 5 + 1);
+        sim.cycle();
+    }
+}
+
+std::string
+lambdaGoldenImage()
+{
+    return slurp(std::string(CMTL_TEST_DATA_DIR) +
+                 "/golden_snap_lambda_v2.bin");
+}
+
+TEST(SnapGolden, LambdaFlopImageRestoresAndContinues)
+{
+    const std::string image = lambdaGoldenImage();
+    ASSERT_FALSE(image.empty()) << "missing golden_snap_lambda_v2.bin";
+    const SimSnapshot snap = SimSnapshot::decode(image);
+    ASSERT_EQ(snap.cycle, 6u);
+    {
+        LambdaSnapFixture probe;
+        probe.elaborate();
+        EXPECT_EQ(snap.flop_nets, std::vector<int>{probe.acc.netId()});
+    }
+    for (const std::string backend : {"interp", "optinterp", "bytecode"}) {
+        for (int threads : {1, 2}) {
+            if (threads > 1 && backend == "interp")
+                continue;
+            const std::string ctx =
+                backend + " t" + std::to_string(threads);
+            LambdaSnapFixture fix, ref;
+            auto sim = makeSimulator(fix.elaborate(),
+                                     backendCfg(backend, threads));
+            snapRestore(*sim, snap);
+            EXPECT_EQ(stateDigest(*sim), snap.digest()) << ctx;
+            // Nothing but the FLOP list differs from a fresh save.
+            EXPECT_TRUE(snapSave(*sim).flop_nets.empty()) << ctx;
+
+            auto fresh = makeSimulator(ref.elaborate(),
+                                       backendCfg("interp", 1));
+            driveLambdaFixture(ref, *fresh, 6);
+            ASSERT_EQ(stateDigest(*fresh), snap.digest()) << ctx;
+            for (uint64_t c = 7; c <= 20; ++c) {
+                driveLambdaFixture(fix, *sim, c);
+                driveLambdaFixture(ref, *fresh, c);
+                ASSERT_EQ(stateDigest(*sim), stateDigest(*fresh))
+                    << ctx << " at cycle " << c;
+            }
+            EXPECT_EQ(fix.late.u64(), 20u * 3) << ctx;
+        }
+    }
+}
+
+TEST(SnapGolden, FlopListOutsideTheFlopSetIsRefused)
+{
+    LambdaSnapFixture fix;
+    SimulationTool sim(fix.elaborate(), backendCfg("bytecode", 1));
+    // The image, edited to list the input, which nothing flops.
+    SimSnapshot snap = SimSnapshot::decode(lambdaGoldenImage());
+    snap.flop_nets.push_back(fix.in_.netId());
+    try {
+        snapRestore(sim, SimSnapshot::decode(snap.encode()));
+        ADD_FAILURE() << "restored a FLOP list naming lfix.in_";
+    } catch (const SnapError &e) {
+        EXPECT_NE(std::string(e.what()).find("lfix.in_"),
+                  std::string::npos)
+            << e.what();
+    }
+    // An IR-flopped net and a lambda-declared one are both accepted.
+    snap.flop_nets = {fix.out.netId(), fix.late.netId()};
+    EXPECT_NO_THROW(snapRestore(sim, SimSnapshot::decode(snap.encode())));
 }
 
 // ------------------------------------------------- failure handling
@@ -861,7 +975,7 @@ TEST(SnapMisc, OpaqueStateModelsAreListedConservatively)
         uint64_t state = 0;
         OpaqueFl() : Model(nullptr, "opq")
         {
-            tickFl("step", [this] { ++state; });
+            tickFl("step", [this] { ++state; }, {});
         }
     };
     OpaqueFl opq;

@@ -69,7 +69,7 @@ TEST(Translate, LambdaModelsAreRejected)
       public:
         FlModel() : Model(nullptr, "fl")
         {
-            tickFl("logic", [] {});
+            tickFl("logic", [] {}, {});
         }
     };
     FlModel fl;

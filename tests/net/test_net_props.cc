@@ -79,6 +79,11 @@ class PropHarness : public Model
           }
         }
         const int n = nrouters;
+        std::vector<Signal *> writes;
+        for (int t = 0; t < n; ++t) {
+            writes.insert(writes.end(),
+                          {&(*nout)[t].rdy, &(*nin)[t].val, &(*nin)[t].msg});
+        }
         tickFl("drive", [this, n] {
             for (int t = 0; t < n; ++t) {
                 if ((*nout)[t].fire())
@@ -93,7 +98,7 @@ class PropHarness : public Model
                     (*nin)[t].msg.setNext(srcq[t].front());
             }
             ++now;
-        });
+        }, writes);
     }
 
     void

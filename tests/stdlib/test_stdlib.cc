@@ -247,7 +247,7 @@ class MemHarness : public Model
     {
         connectReqResp(*this, mem_ifc, mem.ifc[0]);
         adapter = std::make_unique<ParentReqRespQueueAdapter>(mem_ifc);
-        tickFl("drive", [this] { adapter->xtick(); });
+        tickFl("drive", [this] { adapter->xtick(); }, adapter->writes());
     }
 };
 

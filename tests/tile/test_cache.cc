@@ -46,7 +46,7 @@ class CacheHarness : public Model
         connectReqResp(*this, cache->mem_ifc, mem.ifc[0]);
         driver = std::make_unique<stdlib::ParentReqRespQueueAdapter>(
             port, 4);
-        tickFl("drive", [this] { driver->xtick(); });
+        tickFl("drive", [this] { driver->xtick(); }, driver->writes());
     }
 
     Bits

@@ -43,7 +43,7 @@ class AccelHarness : public Model
         connectReqResp(*this, cpu, accel->cpu_ifc);
         connectReqResp(*this, accel->mem_ifc, mem.ifc[0]);
         driver = std::make_unique<stdlib::ParentReqRespQueueAdapter>(cpu);
-        tickFl("drive", [this] { driver->xtick(); });
+        tickFl("drive", [this] { driver->xtick(); }, driver->writes());
     }
 
     /** Run one dot product through the control protocol. */
