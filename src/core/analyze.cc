@@ -142,86 +142,80 @@ AnalyzeOptions::emit(std::vector<LintIssue> &issues, LintSeverity fallback,
 // ----------------------------------------------------- constant folder
 
 std::optional<Bits>
-irConstFold(const IrExprPtr &e, int reset_net)
-{
-    return irConstFold(e.get(), reset_net);
-}
-
-std::optional<Bits>
-irConstFold(const IrExprNode *e, int reset_net)
+irConstFold(IrView e, int reset_net)
 {
     if (!e)
         return std::nullopt;
-    switch (e->kind) {
-      case IrExprNode::Kind::Const:
-        return e->cval;
-      case IrExprNode::Kind::Ref:
-        if (reset_net >= 0 && e->sig && e->sig->netId() == reset_net)
-            return Bits(e->nbits, 1);
+    switch (e.kind()) {
+      case IrKind::Const:
+        return e.value();
+      case IrKind::Ref:
+        if (reset_net >= 0 && e.sig() && e.sig()->netId() == reset_net)
+            return Bits(e.nbits(), 1);
         return std::nullopt; // depends on run-time state
-      case IrExprNode::Kind::Temp:
-      case IrExprNode::Kind::ARead:
+      case IrKind::Temp:
+      case IrKind::ARead:
         return std::nullopt;
-      case IrExprNode::Kind::BinOp: {
-        auto a = irConstFold(e->args[0], reset_net);
-        auto b = irConstFold(e->args[1], reset_net);
+      case IrKind::BinOp: {
+        auto a = irConstFold(e.arg(0), reset_net);
+        auto b = irConstFold(e.arg(1), reset_net);
         // Short-circuit forms dominate reset conditions
         // (e.g. "reset || flush"): one decisive operand suffices.
-        if (e->op == IrOp::LAnd && ((a && !a->any()) || (b && !b->any())))
+        if (e.op() == IrOp::LAnd && ((a && !a->any()) || (b && !b->any())))
             return Bits(1, 0);
-        if (e->op == IrOp::LOr && ((a && a->any()) || (b && b->any())))
+        if (e.op() == IrOp::LOr && ((a && a->any()) || (b && b->any())))
             return Bits(1, 1);
         if (!a || !b)
             return std::nullopt;
-        return irEvalBinOp(e->op, *a, *b, e->nbits);
+        return irEvalBinOp(e.op(), *a, *b, e.nbits());
       }
-      case IrExprNode::Kind::UnOp: {
-        auto a = irConstFold(e->args[0], reset_net);
+      case IrKind::UnOp: {
+        auto a = irConstFold(e.arg(0), reset_net);
         if (!a)
             return std::nullopt;
-        return irEvalUnOp(e->unop, *a);
+        return irEvalUnOp(e.unop(), *a);
       }
-      case IrExprNode::Kind::Slice: {
-        auto a = irConstFold(e->args[0], reset_net);
-        if (!a || e->lsb < 0 || e->lsb + e->nbits > a->nbits())
+      case IrKind::Slice: {
+        auto a = irConstFold(e.arg(0), reset_net);
+        if (!a || e.lsb() < 0 || e.lsb() + e.nbits() > a->nbits())
             return std::nullopt; // malformed: reported by range check
-        return a->slice(e->lsb, e->nbits);
+        return a->slice(e.lsb(), e.nbits());
       }
-      case IrExprNode::Kind::Concat: {
-        Bits out(e->nbits);
-        int pos = e->nbits;
-        for (const auto &arg : e->args) {
+      case IrKind::Concat: {
+        Bits out(e.nbits());
+        int pos = e.nbits();
+        for (IrView arg : e.args()) {
             auto part = irConstFold(arg, reset_net);
             if (!part)
                 return std::nullopt;
-            pos -= arg->nbits;
+            pos -= arg.nbits();
             if (pos < 0)
                 return std::nullopt;
             out.setSlice(pos, *part);
         }
         return out;
       }
-      case IrExprNode::Kind::Mux: {
-        auto cond = irConstFold(e->args[0], reset_net);
+      case IrKind::Mux: {
+        auto cond = irConstFold(e.arg(0), reset_net);
         if (!cond)
             return std::nullopt;
         auto arm =
-            irConstFold(cond->any() ? e->args[1] : e->args[2], reset_net);
+            irConstFold(cond->any() ? e.arg(1) : e.arg(2), reset_net);
         if (!arm)
             return std::nullopt;
-        return arm->zext(e->nbits);
+        return arm->zext(e.nbits());
       }
-      case IrExprNode::Kind::Zext: {
-        auto a = irConstFold(e->args[0], reset_net);
+      case IrKind::Zext: {
+        auto a = irConstFold(e.arg(0), reset_net);
         if (!a)
             return std::nullopt;
-        return a->zext(e->nbits);
+        return a->zext(e.nbits());
       }
-      case IrExprNode::Kind::Sext: {
-        auto a = irConstFold(e->args[0], reset_net);
+      case IrKind::Sext: {
+        auto a = irConstFold(e.arg(0), reset_net);
         if (!a)
             return std::nullopt;
-        return a->sext(e->nbits);
+        return a->sext(e.nbits());
       }
     }
     return std::nullopt;
@@ -268,24 +262,24 @@ satShl(uint64_t a, uint64_t amount)
 } // namespace
 
 uint64_t
-irMaxBound(const IrExprPtr &e)
+irMaxBound(IrView e)
 {
     if (!e)
         return ~uint64_t(0);
-    const uint64_t w = widthBound(e->nbits);
+    const uint64_t w = widthBound(e.nbits());
     if (auto folded = irConstFold(e); folded && folded->fitsUint64())
         return folded->toUint64();
-    switch (e->kind) {
-      case IrExprNode::Kind::Const:
-        return e->cval.fitsUint64() ? e->cval.toUint64() : w;
-      case IrExprNode::Kind::Ref:
-      case IrExprNode::Kind::Temp:
-      case IrExprNode::Kind::ARead:
+    switch (e.kind()) {
+      case IrKind::Const:
+        return e.value().fitsUint64() ? e.value().toUint64() : w;
+      case IrKind::Ref:
+      case IrKind::Temp:
+      case IrKind::ARead:
         return w;
-      case IrExprNode::Kind::BinOp: {
-        uint64_t a = irMaxBound(e->args[0]);
-        uint64_t b = irMaxBound(e->args[1]);
-        switch (e->op) {
+      case IrKind::BinOp: {
+        uint64_t a = irMaxBound(e.arg(0));
+        uint64_t b = irMaxBound(e.arg(1));
+        switch (e.op()) {
           case IrOp::Add: return std::min(satAdd(a, b), w);
           case IrOp::Mul: return std::min(satMul(a, b), w);
           case IrOp::And: return std::min({a, b, w});
@@ -294,8 +288,8 @@ irMaxBound(const IrExprPtr &e)
           case IrOp::Shr:
             // Bound of the lhs is only a sound magnitude bound when
             // the lhs value itself fits a machine word.
-            if (e->args[0]->nbits <= 64) {
-                if (auto c = irConstFold(e->args[1]);
+            if (e.arg(0).nbits() <= 64) {
+                if (auto c = irConstFold(e.arg(1));
                     c && c->fitsUint64()) {
                     uint64_t amt = c->toUint64();
                     return amt >= 64 ? 0 : std::min(a >> amt, w);
@@ -304,7 +298,7 @@ irMaxBound(const IrExprPtr &e)
             }
             return w;
           case IrOp::Shl:
-            if (auto c = irConstFold(e->args[1]); c && c->fitsUint64())
+            if (auto c = irConstFold(e.arg(1)); c && c->fitsUint64())
                 return std::min(satShl(a, c->toUint64()), w);
             return w;
           case IrOp::Eq: case IrOp::Ne: case IrOp::Lt: case IrOp::Le:
@@ -314,8 +308,8 @@ irMaxBound(const IrExprPtr &e)
             return w;
         }
       }
-      case IrExprNode::Kind::UnOp:
-        switch (e->unop) {
+      case IrKind::UnOp:
+        switch (e.unop()) {
           case IrUnOp::LNot:
           case IrUnOp::ReduceOr:
           case IrUnOp::ReduceAnd:
@@ -324,27 +318,27 @@ irMaxBound(const IrExprPtr &e)
           default:
             return w;
         }
-      case IrExprNode::Kind::Slice:
-        if (e->args[0]->nbits <= 64 && e->lsb >= 0 && e->lsb < 64)
-            return std::min(irMaxBound(e->args[0]) >> e->lsb, w);
+      case IrKind::Slice:
+        if (e.arg(0).nbits() <= 64 && e.lsb() >= 0 && e.lsb() < 64)
+            return std::min(irMaxBound(e.arg(0)) >> e.lsb(), w);
         return w;
-      case IrExprNode::Kind::Concat: {
+      case IrKind::Concat: {
         uint64_t acc = 0;
-        for (const auto &arg : e->args)
-            acc = satAdd(satShl(acc, arg->nbits), irMaxBound(arg));
+        for (IrView arg : e.args())
+            acc = satAdd(satShl(acc, arg.nbits()), irMaxBound(arg));
         return std::min(acc, w);
       }
-      case IrExprNode::Kind::Mux:
+      case IrKind::Mux:
         return std::min(
-            std::max(irMaxBound(e->args[1]), irMaxBound(e->args[2])), w);
-      case IrExprNode::Kind::Zext:
-        return std::min(irMaxBound(e->args[0]), w);
-      case IrExprNode::Kind::Sext: {
-        const IrExprPtr &arg = e->args[0];
-        if (arg->nbits <= 64) {
+            std::max(irMaxBound(e.arg(1)), irMaxBound(e.arg(2))), w);
+      case IrKind::Zext:
+        return std::min(irMaxBound(e.arg(0)), w);
+      case IrKind::Sext: {
+        IrView arg = e.arg(0);
+        if (arg.nbits() <= 64) {
             uint64_t a = irMaxBound(arg);
             // If the sign bit can never be set, sext behaves as zext.
-            if (a < (uint64_t(1) << (arg->nbits - 1)))
+            if (a < (uint64_t(1) << (arg.nbits() - 1)))
                 return std::min(a, w);
         }
         return w;
@@ -471,64 +465,64 @@ class BlockAnalyzer : IrPathWalk
     // --------------------------------------------- expression checks
 
     void
-    checkExpr(const IrExprPtr &e, const PathState &st)
+    checkExpr(IrView e, const PathState &st)
     {
         if (!e)
             return;
-        switch (e->kind) {
-          case IrExprNode::Kind::Temp:
-            if (!st.temps.count(e->temp)) {
+        switch (e.kind()) {
+          case IrKind::Temp:
+            if (!st.temps.count(e.temp())) {
                 emitOnce(LintSeverity::Error, "temp-read-before-write",
-                         tempName(e->temp),
-                         "temp '" + tempName(e->temp) +
+                         tempName(e.temp()),
+                         "temp '" + tempName(e.temp()) +
                              "' is read before any assignment on some "
                              "path");
             }
             break;
-          case IrExprNode::Kind::Ref:
+          case IrKind::Ref:
             if (!ir_.sequential &&
                 std::binary_search(writes_.begin(), writes_.end(),
-                                   e->sig) &&
-                !st.fullyAssigned(e->sig)) {
+                                   e.sig()) &&
+                !st.fullyAssigned(e.sig())) {
                 emitOnce(LintSeverity::Warning, "comb-read-own-write",
-                         e->sig->fullName(),
-                         "signal '" + e->sig->fullName() +
+                         e.sig()->fullName(),
+                         "signal '" + e.sig()->fullName() +
                              "' is read before the block's own "
                              "assignment to it; the read observes the "
                              "previous settling round",
-                         e->sig->fullName());
+                         e.sig()->fullName());
             }
             break;
-          case IrExprNode::Kind::Slice: {
-            const IrExprPtr &arg = e->args[0];
-            if (e->lsb < 0 || e->lsb + e->nbits > arg->nbits) {
+          case IrKind::Slice: {
+            IrView arg = e.arg(0);
+            if (e.lsb() < 0 || e.lsb() + e.nbits() > arg.nbits()) {
                 emitOnce(LintSeverity::Error, "slice-out-of-range",
                          irExprToString(e),
-                         "slice [" + std::to_string(e->lsb + e->nbits - 1) +
-                             ":" + std::to_string(e->lsb) +
+                         "slice [" + std::to_string(e.lsb() + e.nbits() - 1) +
+                             ":" + std::to_string(e.lsb()) +
                              "] exceeds the " +
-                             std::to_string(arg->nbits) +
+                             std::to_string(arg.nbits()) +
                              "-bit operand '" + irExprToString(arg) + "'");
             }
             break;
           }
-          case IrExprNode::Kind::ARead:
-            checkIndex(e->args[0], e->array, "read");
+          case IrKind::ARead:
+            checkIndex(e.arg(0), e.array(), "read");
             break;
-          case IrExprNode::Kind::Mux:
-            if (auto folded = irConstFold(e->args[0]))
-                reportConstCondition(e->args[0], *folded, "mux",
+          case IrKind::Mux:
+            if (auto folded = irConstFold(e.arg(0)))
+                reportConstCondition(e.arg(0), *folded, "mux",
                                      /*has_else=*/true);
             break;
           default:
             break;
         }
-        for (const auto &arg : e->args)
+        for (IrView arg : e.args())
             checkExpr(arg, st);
     }
 
     void
-    checkIndex(const IrExprPtr &idx, const MemArray *array,
+    checkIndex(IrView idx, const MemArray *array,
                const char *what)
     {
         const uint64_t depth = static_cast<uint64_t>(array->depth());
@@ -561,7 +555,7 @@ class BlockAnalyzer : IrPathWalk
     }
 
     void
-    reportConstCondition(const IrExprPtr &cond, const Bits &folded,
+    reportConstCondition(IrView cond, const Bits &folded,
                          const char *what, bool has_else)
     {
         bool taken = folded.any();
@@ -599,28 +593,28 @@ class BlockAnalyzer : IrPathWalk
         } else {
             target_width = s.temp < static_cast<int>(ir_.temps.size())
                                ? ir_.temps[s.temp].nbits
-                               : s.rhs->nbits;
+                               : s.rhs.nbits();
             target = "temp '" + tempName(s.temp) + "'";
         }
         // Builder-inserted truncation shows up as a width-reducing
         // extension at the root of the rhs; hand-built IR may carry a
         // plainly wider rhs. Proving the value fits silences it.
-        const IrExprPtr *wide = nullptr;
-        if (s.rhs->nbits > target_width) {
-            wide = &s.rhs;
-        } else if ((s.rhs->kind == IrExprNode::Kind::Zext ||
-                    s.rhs->kind == IrExprNode::Kind::Sext) &&
-                   s.rhs->args[0]->nbits > s.rhs->nbits) {
-            wide = &s.rhs->args[0];
+        IrView wide;
+        if (s.rhs.nbits() > target_width) {
+            wide = s.rhs;
+        } else if ((s.rhs.kind() == IrKind::Zext ||
+                    s.rhs.kind() == IrKind::Sext) &&
+                   s.rhs.arg(0).nbits() > s.rhs.nbits()) {
+            wide = s.rhs.arg(0);
         }
         if (!wide)
             return;
-        if (irMaxBound(*wide) <= widthBound(target_width))
+        if (irMaxBound(wide) <= widthBound(target_width))
             return; // value provably fits: not lossy
         emitOnce(LintSeverity::Warning, "lossy-truncation",
-                 target + "|" + std::to_string((*wide)->nbits),
+                 target + "|" + std::to_string(wide.nbits()),
                  "assignment to " + target + " truncates a " +
-                     std::to_string((*wide)->nbits) + "-bit value to " +
+                     std::to_string(wide.nbits()) + "-bit value to " +
                      std::to_string(target_width) + " bits",
                  s.sig ? s.sig->fullName() : std::string());
     }

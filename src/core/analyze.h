@@ -139,8 +139,7 @@ class AnalyzeOptions
  * Returns nullopt when the expression depends on run-time state (or
  * would throw, e.g. an out-of-range slice).
  */
-std::optional<Bits> irConstFold(const IrExprPtr &expr, int reset_net = -1);
-std::optional<Bits> irConstFold(const IrExprNode *expr, int reset_net = -1);
+std::optional<Bits> irConstFold(IrView expr, int reset_net = -1);
 
 /**
  * Saturating static upper bound of @p expr's value (used for array
@@ -148,7 +147,7 @@ std::optional<Bits> irConstFold(const IrExprNode *expr, int reset_net = -1);
  * when nothing better than "any value of the width" is known and the
  * width is >= 64 bits.
  */
-uint64_t irMaxBound(const IrExprPtr &expr);
+uint64_t irMaxBound(IrView expr);
 
 /** Which bits of one signal are definitely assigned on a path. */
 class Cover

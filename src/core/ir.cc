@@ -1,8 +1,7 @@
 #include "ir.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
+#include <array>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,53 +10,229 @@
 
 namespace cmtl {
 
+// ----------------------------------------------------------- IrArena
+
 namespace {
 
-IrExpr
-makeNode(IrExprNode node)
+/** Operand count of each kind; a Concat's is its node's aux. */
+constexpr uint8_t kArity[] = {0, 0, 0, 2, 1, 1, 0, 3, 1, 1, 1};
+static_assert(std::size(kArity) == static_cast<size_t>(IrKind::ARead) + 1);
+
+} // namespace
+
+std::span<const IrId>
+IrArena::args(IrId id) const
 {
-    return IrExpr(std::make_shared<const IrExprNode>(std::move(node)));
+    const IrNode &n = nodes_[id];
+    if (n.kind == IrKind::Concat)
+        return {lists_.data() + n.arg[0], static_cast<size_t>(n.aux)};
+    return {n.arg, kArity[static_cast<int>(n.kind)]};
 }
 
-void
-requireValid(const IrExpr &e, const char *what)
+Bits
+IrArena::value(IrId id) const
 {
-    if (!e.valid())
-        throw std::invalid_argument(std::string("invalid IrExpr in ") + what);
+    const IrNode &n = nodes_[id];
+    if (n.nbits <= 64)
+        return Bits(n.nbits, n.value);
+    return Bits::fromWords(
+        n.nbits, std::vector<uint64_t>(words_.begin() + n.value,
+                                       words_.begin() + n.value +
+                                           bitsToWords(n.nbits)));
+}
+
+IrId
+IrArena::add(const IrNode &node)
+{
+    nodes_.push_back(node);
+    return static_cast<IrId>(nodes_.size() - 1);
+}
+
+IrId
+IrArena::constant(const Bits &value)
+{
+    constexpr int kBits = 64, kValues = 32;
+    constexpr IrId kNone = ~IrId(0);
+    IrNode n;
+    n.nbits = value.nbits();
+    IrId *shared = nullptr;
+    if (n.nbits <= kBits && value.toUint64() < kValues) {
+        if (small_.empty())
+            small_.assign(kBits * kValues, kNone);
+        shared = &small_[(n.nbits - 1) * kValues + value.toUint64()];
+        if (*shared != kNone)
+            return *shared;
+    }
+    if (n.nbits <= 64) {
+        n.value = value.toUint64();
+    } else {
+        n.value = words_.size();
+        for (int i = 0; i < value.nwords(); ++i)
+            words_.push_back(value.word(i));
+    }
+    const IrId id = add(n);
+    if (shared)
+        *shared = id;
+    return id;
+}
+
+IrId
+IrArena::addConcat(int nbits, std::span<const IrId> parts)
+{
+    IrNode n;
+    n.kind = IrKind::Concat;
+    n.nbits = nbits;
+    n.aux = static_cast<int32_t>(parts.size());
+    n.arg[0] = static_cast<IrId>(lists_.size());
+    lists_.insert(lists_.end(), parts.begin(), parts.end());
+    return add(n);
+}
+
+IrId
+IrArena::import(const IrArena &from, IrId id)
+{
+    const IrNode &n = from[id];
+    if (n.kind == IrKind::Const)
+        return constant(from.value(id));
+    std::vector<IrId> args;
+    for (IrId a : from.args(id))
+        args.push_back(import(from, a));
+    if (n.kind == IrKind::Concat)
+        return addConcat(n.nbits, args);
+    IrNode copy = n;
+    std::copy(args.begin(), args.end(), copy.arg);
+    return add(copy);
+}
+
+// ------------------------------------------------------------ IrExpr
+
+IrExpr::IrExpr(IrArena &arena, IrId id)
+    : arena_(&arena), id_(id), nbits_(arena[id].nbits)
+{}
+
+/** Builds nodes behind IrExpr handles (the handles' friend). */
+struct IrBuilder
+{
+    /** The tree arena @p e lives in, or null if it belongs to none. */
+    static IrArena *
+    tree(const IrExpr &e)
+    {
+        return e.own_ ? nullptr : e.arena_;
+    }
+
+    /** @p e as a node of @p to, copied there if it lives elsewhere. */
+    static IrId
+    place(const IrExpr &e, IrArena &to)
+    {
+        if (e.arena_ == &to)
+            return e.id_;
+        if (tree(e))
+            throw std::logic_error(
+                "IR expression joins two different model trees");
+        if (!e.arena_)
+            return to.constant(Bits(e.nbits_, e.value_));
+        return to.import(*e.arena_, e.id_);
+    }
+
+    /**
+     * A node @p n over @p parts (IrExpr pointers), added to the one
+     * tree they and @p home share, or to a fresh arena of its own if
+     * none of them is in a tree. A Concat's parts go to its operand
+     * list.
+     */
+    template <class Parts>
+    static IrExpr
+    make(IrNode n, const Parts &parts, const char *what,
+         IrArena *home = nullptr)
+    {
+        IrExpr out;
+        out.arena_ = home;
+        for (const IrExpr *p : parts) {
+            if (!p->valid())
+                throw std::invalid_argument(
+                    std::string("invalid IrExpr in ") + what);
+            IrArena *t = tree(*p);
+            if (t && out.arena_ && t != out.arena_)
+                throw std::logic_error(
+                    "IR expression joins two different model trees");
+            if (t)
+                out.arena_ = t;
+        }
+        if (!out.arena_) {
+            out.own_ = std::make_shared<IrArena>();
+            out.arena_ = out.own_.get();
+        }
+        out.nbits_ = n.nbits;
+        if (n.kind == IrKind::Concat) {
+            std::vector<IrId> ids;
+            for (const IrExpr *p : parts)
+                ids.push_back(place(*p, *out.arena_));
+            out.id_ = out.arena_->addConcat(n.nbits, ids);
+            return out;
+        }
+        size_t i = 0;
+        for (const IrExpr *p : parts)
+            n.arg[i++] = place(*p, *out.arena_);
+        out.id_ = out.arena_->add(n);
+        return out;
+    }
+
+    /** A literal: held in the handle if narrow, else in its own arena. */
+    static IrExpr
+    literal(const Bits &value)
+    {
+        IrExpr out;
+        out.nbits_ = value.nbits();
+        if (value.nbits() <= 64) {
+            out.value_ = value.toUint64();
+            return out;
+        }
+        out.own_ = std::make_shared<IrArena>();
+        out.arena_ = out.own_.get();
+        out.id_ = out.arena_->constant(value);
+        return out;
+    }
+};
+
+namespace {
+
+IrNode
+node(IrKind kind, int nbits, int aux = 0, uint8_t op = 0)
+{
+    IrNode n;
+    n.kind = kind;
+    n.nbits = nbits;
+    n.aux = aux;
+    n.op = op;
+    return n;
 }
 
 IrExpr
 binop(IrOp op, const IrExpr &a, const IrExpr &b)
 {
-    requireValid(a, "binop");
-    requireValid(b, "binop");
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::BinOp;
-    n.op = op;
+    int nbits;
     switch (op) {
       case IrOp::Eq: case IrOp::Ne: case IrOp::Lt: case IrOp::Le:
       case IrOp::Gt: case IrOp::Ge: case IrOp::LAnd: case IrOp::LOr:
-        n.nbits = 1;
+        nbits = 1;
         break;
       case IrOp::Shl: case IrOp::Shr: case IrOp::Sra:
-        n.nbits = a.nbits();
+        nbits = a.nbits();
         break;
       default:
-        n.nbits = std::max(a.nbits(), b.nbits());
+        nbits = std::max(a.nbits(), b.nbits());
     }
-    n.args = {a.node(), b.node()};
-    return makeNode(std::move(n));
+    return IrBuilder::make(
+        node(IrKind::BinOp, nbits, 0, static_cast<uint8_t>(op)),
+        std::array{&a, &b}, "binop");
 }
 
 IrExpr
-unop(IrUnOp op, int nbits, const IrExprPtr &arg)
+unop(IrUnOp op, int nbits, const IrExpr &arg)
 {
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::UnOp;
-    n.unop = op;
-    n.nbits = nbits;
-    n.args = {arg};
-    return makeNode(std::move(n));
+    return IrBuilder::make(
+        node(IrKind::UnOp, nbits, 0, static_cast<uint8_t>(op)),
+        std::array{&arg}, "unop");
 }
 
 } // namespace
@@ -65,147 +240,101 @@ unop(IrUnOp op, int nbits, const IrExprPtr &arg)
 IrExpr
 rd(Signal &sig)
 {
-    IrExprPtr &ref = sig.refNode();
-    if (!ref) {
-        IrExprNode n;
-        n.kind = IrExprNode::Kind::Ref;
-        n.nbits = sig.nbits();
+    if (!sig.owner())
+        throw std::logic_error("rd of '" + sig.name() +
+                               "', which belongs to no model");
+    IrArena &arena = sig.owner()->irArena();
+    IrId &ref = sig.irRef();
+    if (ref == kNoIrNode) {
+        IrNode n = node(IrKind::Ref, sig.nbits());
         n.sig = &sig;
-        ref = makeNode(std::move(n)).node();
+        ref = arena.add(n);
     }
-    return IrExpr(ref);
+    return IrExpr(arena, ref);
 }
 
 IrExpr
 aread(MemArray &array, const IrExpr &index)
 {
-    requireValid(index, "aread");
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::ARead;
-    n.nbits = array.nbits();
+    IrNode n = node(IrKind::ARead, array.nbits());
     n.array = &array;
-    n.args = {index.node()};
-    return makeNode(std::move(n));
+    return IrBuilder::make(
+        n, std::array{&index}, "aread",
+        array.owner() ? &array.owner()->irArena() : nullptr);
 }
 
 IrExpr
 lit(int nbits, uint64_t value)
 {
-    // Narrow small constants come from one process-wide table: each
-    // entry is built on first use, under the lock, and published
-    // through its flag, so later calls from any thread share it.
-    constexpr int kBits = 64, kValues = 32;
-    struct Table
-    {
-        std::mutex mu;
-        std::atomic<bool> ready[kBits][kValues] = {};
-        IrExprPtr node[kBits][kValues];
-    };
-    static Table table;
-    const bool shared = nbits >= 1 && nbits <= kBits && value < kValues &&
-                        (nbits >= 64 || value >> nbits == 0);
-    if (shared) {
-        std::atomic<bool> &ready = table.ready[nbits - 1][value];
-        IrExprPtr &node = table.node[nbits - 1][value];
-        if (!ready.load(std::memory_order_acquire)) {
-            std::lock_guard<std::mutex> lock(table.mu);
-            if (!node)
-                node = lit(Bits(nbits, value)).node();
-            ready.store(true, std::memory_order_release);
-        }
-        return IrExpr(node);
-    }
-    return lit(Bits(nbits, value));
+    return IrBuilder::literal(Bits(nbits, value));
 }
 
 IrExpr
 lit(const Bits &value)
 {
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::Const;
-    n.nbits = value.nbits();
-    n.cval = value;
-    return makeNode(std::move(n));
+    return IrBuilder::literal(value);
 }
 
 IrExpr
 IrExpr::slice(int lsb, int len) const
 {
-    requireValid(*this, "slice");
+    if (!valid())
+        throw std::invalid_argument("invalid IrExpr in slice");
     if (lsb < 0 || len < 1 || lsb + len > nbits())
         throw std::out_of_range("IR slice out of range");
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::Slice;
-    n.nbits = len;
-    n.lsb = lsb;
-    n.args = {node_};
-    return makeNode(std::move(n));
+    return IrBuilder::make(node(IrKind::Slice, len, lsb), std::array{this},
+                           "slice");
 }
 
 IrExpr
 IrExpr::zext(int nbits) const
 {
-    requireValid(*this, "zext");
-    if (nbits == this->nbits())
+    if (valid() && nbits == this->nbits())
         return *this;
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::Zext;
-    n.nbits = nbits;
-    n.args = {node_};
-    return makeNode(std::move(n));
+    return IrBuilder::make(node(IrKind::Zext, nbits), std::array{this},
+                           "zext");
 }
 
 IrExpr
 IrExpr::sext(int nbits) const
 {
-    requireValid(*this, "sext");
-    if (nbits == this->nbits())
+    if (valid() && nbits == this->nbits())
         return *this;
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::Sext;
-    n.nbits = nbits;
-    n.args = {node_};
-    return makeNode(std::move(n));
+    return IrBuilder::make(node(IrKind::Sext, nbits), std::array{this},
+                           "sext");
 }
 
 IrExpr IrExpr::operator~() const
-{ return unop(IrUnOp::Inv, nbits(), node_); }
+{ return unop(IrUnOp::Inv, nbits(), *this); }
 IrExpr IrExpr::operator!() const
-{ return unop(IrUnOp::LNot, 1, node_); }
+{ return unop(IrUnOp::LNot, 1, *this); }
 IrExpr IrExpr::reduceOr() const
-{ return unop(IrUnOp::ReduceOr, 1, node_); }
+{ return unop(IrUnOp::ReduceOr, 1, *this); }
 IrExpr IrExpr::reduceAnd() const
-{ return unop(IrUnOp::ReduceAnd, 1, node_); }
+{ return unop(IrUnOp::ReduceAnd, 1, *this); }
 IrExpr IrExpr::reduceXor() const
-{ return unop(IrUnOp::ReduceXor, 1, node_); }
+{ return unop(IrUnOp::ReduceXor, 1, *this); }
 
 IrExpr
 mux(const IrExpr &cond, const IrExpr &a, const IrExpr &b)
 {
-    requireValid(cond, "mux");
-    requireValid(a, "mux");
-    requireValid(b, "mux");
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::Mux;
-    n.nbits = std::max(a.nbits(), b.nbits());
-    n.args = {cond.node(), a.node(), b.node()};
-    return makeNode(std::move(n));
+    return IrBuilder::make(
+        node(IrKind::Mux, std::max(a.nbits(), b.nbits())),
+        std::array{&cond, &a, &b}, "mux");
 }
 
 IrExpr
 cat(std::initializer_list<IrExpr> parts)
 {
-    IrExprNode n;
-    n.kind = IrExprNode::Kind::Concat;
-    n.nbits = 0;
-    for (const auto &p : parts) {
-        requireValid(p, "cat");
-        n.nbits += p.nbits();
-        n.args.push_back(p.node());
-    }
-    if (n.args.empty())
+    if (parts.size() == 0)
         throw std::invalid_argument("cat of zero parts");
-    return makeNode(std::move(n));
+    std::vector<const IrExpr *> ptrs;
+    int nbits = 0;
+    for (const IrExpr &p : parts) {
+        ptrs.push_back(&p);
+        nbits += p.nbits();
+    }
+    return IrBuilder::make(node(IrKind::Concat, nbits), ptrs, "cat");
 }
 
 IrExpr
@@ -270,7 +399,8 @@ IrExpr operator<<(const IrExpr &a, int b)
 IrExpr operator>>(const IrExpr &a, int b)
 { return a >> lit(32, static_cast<uint64_t>(b)); }
 
-BlockBuilder::BlockBuilder(IrBlock *block) : block_(block)
+BlockBuilder::BlockBuilder(IrBlock *block, IrArena *arena)
+    : block_(block), arena_(arena)
 {
     stack_.push_back(&block_->stmts);
 }
@@ -281,36 +411,46 @@ BlockBuilder::push(const IrStmt &stmt)
     current()->push_back(stmt);
 }
 
+IrView
+BlockBuilder::place(const IrExpr &e, int nbits)
+{
+    if (nbits && e.nbits() != nbits)
+        return place(e.zext(nbits));
+    return {arena_, IrBuilder::place(e, *arena_)};
+}
+
 IrExpr
 BlockBuilder::let(const std::string &name, const IrExpr &rhs)
 {
     if (!rhs.valid())
         throw std::invalid_argument("let: invalid rhs");
     int idx = static_cast<int>(block_->temps.size());
-    block_->temps.push_back(IrTemp{name, rhs.nbits()});
-
     IrStmt stmt;
     stmt.kind = IrStmt::Kind::Assign;
     stmt.temp = idx;
-    stmt.rhs = rhs.node();
+    stmt.rhs = place(rhs);
+    block_->temps.push_back(IrTemp{name, rhs.nbits()});
     push(stmt);
 
-    IrExprNode ref;
-    ref.kind = IrExprNode::Kind::Temp;
+    IrNode ref;
+    ref.kind = IrKind::Temp;
     ref.nbits = rhs.nbits();
-    ref.temp = idx;
-    return IrExpr(std::make_shared<const IrExprNode>(std::move(ref)));
+    ref.aux = idx;
+    return IrExpr(*arena_, arena_->add(ref));
 }
 
 void
 BlockBuilder::setTemp(const IrExpr &temp, const IrExpr &rhs)
 {
-    if (!temp.valid() || temp.node()->kind != IrExprNode::Kind::Temp)
+    const IrView t = temp.view();
+    if (!t || t.arena() != arena_ || t.kind() != IrKind::Temp)
         throw std::invalid_argument("setTemp: target is not a temp");
+    if (!rhs.valid())
+        throw std::invalid_argument("setTemp: invalid rhs");
     IrStmt stmt;
     stmt.kind = IrStmt::Kind::Assign;
-    stmt.temp = temp.node()->temp;
-    stmt.rhs = rhs.node();
+    stmt.temp = t.temp();
+    stmt.rhs = place(rhs);
     push(stmt);
 }
 
@@ -323,9 +463,7 @@ BlockBuilder::assign(Signal &target, const IrExpr &rhs)
     stmt.kind = IrStmt::Kind::Assign;
     stmt.sig = &target;
     stmt.nonblocking = block_->sequential;
-    stmt.rhs = rhs.nbits() == target.nbits()
-                   ? rhs.node()
-                   : rhs.zext(target.nbits()).node();
+    stmt.rhs = place(rhs, target.nbits());
     push(stmt);
 }
 
@@ -341,13 +479,15 @@ BlockBuilder::assignSlice(Signal &target, int lsb, int width,
 {
     if (lsb < 0 || width < 1 || lsb + width > target.nbits())
         throw std::out_of_range("assignSlice out of range");
+    if (!rhs.valid())
+        throw std::invalid_argument("assignSlice: invalid rhs");
     IrStmt stmt;
     stmt.kind = IrStmt::Kind::Assign;
     stmt.sig = &target;
     stmt.lsb = lsb;
     stmt.width = width;
     stmt.nonblocking = block_->sequential;
-    stmt.rhs = rhs.nbits() == width ? rhs.node() : rhs.zext(width).node();
+    stmt.rhs = place(rhs, width);
     push(stmt);
 }
 
@@ -363,10 +503,8 @@ BlockBuilder::writeArray(MemArray &target, const IrExpr &index,
     IrStmt stmt;
     stmt.kind = IrStmt::Kind::AWrite;
     stmt.array = &target;
-    stmt.cond = index.node();
-    stmt.rhs = rhs.nbits() == target.nbits()
-                   ? rhs.node()
-                   : rhs.zext(target.nbits()).node();
+    stmt.cond = place(index);
+    stmt.rhs = place(rhs, target.nbits());
     push(stmt);
 }
 
@@ -378,7 +516,7 @@ BlockBuilder::if_(const IrExpr &cond, const std::function<void()> &then_,
         throw std::invalid_argument("if_: invalid condition");
     IrStmt stmt;
     stmt.kind = IrStmt::Kind::If;
-    stmt.cond = cond.node();
+    stmt.cond = place(cond);
     push(stmt);
     IrStmt &placed = current()->back();
 
@@ -434,7 +572,7 @@ class Summarizer
             put(static_cast<int32_t>(s.kind));
             switch (s.kind) {
               case IrStmt::Kind::Assign:
-                expr(s.rhs.get());
+                expr(s.rhs);
                 // A temp target is one negative word, a net target an
                 // operand index, its width and its lsb.
                 if (!s.sig) {
@@ -452,14 +590,14 @@ class Summarizer
                 break;
               case IrStmt::Kind::AWrite:
                 // The index is in cond, and it is compiled first.
-                expr(s.cond.get());
-                expr(s.rhs.get());
+                expr(s.cond);
+                expr(s.rhs);
                 out_.arrayWrites.push_back(s.array);
                 array(s.array);
                 put(s.array->nbits());
                 break;
               case IrStmt::Kind::If:
-                expr(s.cond.get());
+                expr(s.cond);
                 stmts(s.thenBody);
                 stmts(s.elseBody);
                 break;
@@ -469,52 +607,55 @@ class Summarizer
 
   private:
     void
-    expr(const IrExprNode *e)
+    expr(IrView v)
     {
+        const IrArena &arena = *v.arena();
+        expr(arena, v.id());
+    }
+
+    void
+    expr(const IrArena &arena, IrId id)
+    {
+        const IrNode &e = arena[id];
         ++out_.nodes;
-        widen(e->nbits);
+        widen(e.nbits);
         // Kind, operator and width share one word; a width of 2^22 bits
         // or more takes a word of its own after it.
-        int32_t sub = 0;
-        if (e->kind == IrExprNode::Kind::BinOp)
-            sub = static_cast<int32_t>(e->op);
-        else if (e->kind == IrExprNode::Kind::UnOp)
-            sub = static_cast<int32_t>(e->unop);
-        const bool wide = e->nbits >= (1 << 22);
-        put(static_cast<int32_t>(e->kind) | sub << 4 |
-            (wide ? 0 : e->nbits) << 9);
+        const int32_t sub =
+            e.kind == IrKind::BinOp || e.kind == IrKind::UnOp ? e.op : 0;
+        const bool wide = e.nbits >= (1 << 22);
+        put(static_cast<int32_t>(e.kind) | sub << 4 |
+            (wide ? 0 : e.nbits) << 9);
         if (wide)
-            put(e->nbits);
-        switch (e->kind) {
-          case IrExprNode::Kind::Const:
-            literal(e->cval.toUint64() & widthMask(e->nbits));
+            put(e.nbits);
+        switch (e.kind) {
+          case IrKind::Const:
+            literal(IrView(&arena, id).word());
             break;
-          case IrExprNode::Kind::Ref:
-            out_.reads.push_back(e->sig);
-            put(operand(2 * e->sig->netId()));
+          case IrKind::Ref:
+            out_.reads.push_back(e.sig);
+            put(operand(2 * e.sig->netId()));
             break;
-          case IrExprNode::Kind::Temp:
-            put(e->temp);
-            break;
-          case IrExprNode::Kind::Slice:
-            put(e->lsb);
-            break;
-          case IrExprNode::Kind::Concat:
-            put(static_cast<int32_t>(e->args.size()));
+          case IrKind::Temp:
+          case IrKind::Slice:
+          case IrKind::Concat:
+            // Temp index, slice lsb or part count.
+            put(e.aux);
             break;
           default:
             break;
         }
-        for (size_t i = 0; i < e->args.size(); ++i) {
-            expr(e->args[i].get());
+        const std::span<const IrId> args = arena.args(id);
+        for (size_t i = 0; i < args.size(); ++i) {
+            expr(arena, args[i]);
             // A concatenation shifts in each part after the first by a
             // constant: the part's width.
-            if (e->kind == IrExprNode::Kind::Concat && i > 0)
-                literal(static_cast<uint64_t>(e->args[i]->nbits));
+            if (e.kind == IrKind::Concat && i > 0)
+                literal(static_cast<uint64_t>(arena[args[i]].nbits));
         }
-        if (e->kind == IrExprNode::Kind::ARead) {
-            out_.arrayReads.push_back(e->array);
-            array(e->array);
+        if (e.kind == IrKind::ARead) {
+            out_.arrayReads.push_back(e.array);
+            array(e.array);
         }
     }
 
@@ -608,53 +749,55 @@ unopSymbol(IrUnOp op)
 }
 
 std::string
-exprToString(const IrExprPtr &e)
+exprToString(IrView e)
 {
     if (!e)
         return "<null>";
     std::ostringstream os;
-    switch (e->kind) {
-      case IrExprNode::Kind::Const:
-        os << e->cval.toHexString();
+    switch (e.kind()) {
+      case IrKind::Const:
+        os << e.value().toHexString();
         break;
-      case IrExprNode::Kind::Ref:
-        os << e->sig->fullName();
+      case IrKind::Ref:
+        os << e.sig()->fullName();
         break;
-      case IrExprNode::Kind::Temp:
-        os << "t" << e->temp;
+      case IrKind::Temp:
+        os << "t" << e.temp();
         break;
-      case IrExprNode::Kind::BinOp:
-        os << "(" << exprToString(e->args[0]) << " " << opSymbol(e->op)
-           << " " << exprToString(e->args[1]) << ")";
+      case IrKind::BinOp:
+        os << "(" << exprToString(e.arg(0)) << " " << opSymbol(e.op())
+           << " " << exprToString(e.arg(1)) << ")";
         break;
-      case IrExprNode::Kind::UnOp:
-        os << "(" << unopSymbol(e->unop) << exprToString(e->args[0])
-           << ")";
+      case IrKind::UnOp:
+        os << "(" << unopSymbol(e.unop()) << exprToString(e.arg(0)) << ")";
         break;
-      case IrExprNode::Kind::Slice:
-        os << exprToString(e->args[0]) << "[" << (e->lsb + e->nbits - 1)
-           << ":" << e->lsb << "]";
+      case IrKind::Slice:
+        os << exprToString(e.arg(0)) << "[" << (e.lsb() + e.nbits() - 1)
+           << ":" << e.lsb() << "]";
         break;
-      case IrExprNode::Kind::Concat:
+      case IrKind::Concat: {
         os << "{";
-        for (size_t i = 0; i < e->args.size(); ++i)
-            os << (i ? "," : "") << exprToString(e->args[i]);
+        const char *sep = "";
+        for (IrView part : e.args()) {
+            os << sep << exprToString(part);
+            sep = ",";
+        }
         os << "}";
         break;
-      case IrExprNode::Kind::Mux:
-        os << "(" << exprToString(e->args[0]) << " ? "
-           << exprToString(e->args[1]) << " : " << exprToString(e->args[2])
+      }
+      case IrKind::Mux:
+        os << "(" << exprToString(e.arg(0)) << " ? "
+           << exprToString(e.arg(1)) << " : " << exprToString(e.arg(2))
            << ")";
         break;
-      case IrExprNode::Kind::Zext:
-        os << "zext(" << exprToString(e->args[0]) << "," << e->nbits << ")";
+      case IrKind::Zext:
+        os << "zext(" << exprToString(e.arg(0)) << "," << e.nbits() << ")";
         break;
-      case IrExprNode::Kind::Sext:
-        os << "sext(" << exprToString(e->args[0]) << "," << e->nbits << ")";
+      case IrKind::Sext:
+        os << "sext(" << exprToString(e.arg(0)) << "," << e.nbits() << ")";
         break;
-      case IrExprNode::Kind::ARead:
-        os << e->array->fullName() << "[" << exprToString(e->args[0])
-           << "]";
+      case IrKind::ARead:
+        os << e.array()->fullName() << "[" << exprToString(e.arg(0)) << "]";
         break;
     }
     return os.str();
@@ -718,7 +861,7 @@ irSummarize(const IrBlock &block, IrShape *shape)
 }
 
 std::string
-irExprToString(const IrExprPtr &expr)
+irExprToString(IrView expr)
 {
     return exprToString(expr);
 }

@@ -10,19 +10,26 @@
  * or C++ by the SimJIT specializers, and pretty-printed as
  * Verilog-2001 by the translation tool.
  *
- * Expressions are immutable shared nodes built with overloaded
- * operators on the lightweight IrExpr handle; statements are built
- * through a BlockBuilder obtained from Model::combinational() or
- * Model::tickRtl().
+ * Expressions are built with overloaded operators on the lightweight
+ * IrExpr handle; statements are built through a BlockBuilder obtained
+ * from Model::combinational() or Model::tickRtl().
  *
- * Leaves are shared, not copied: rd(sig) returns the one Ref node
- * cached on the signal, and lit(nbits, v) returns the one node of a
- * process-wide table for each small narrow constant. A tree is
- * therefore a DAG whose leaves many trees and blocks reuse, across
- * models and threads for constants. Two rules keep that safe, and
- * every walker must keep them: a node is never changed after it is
- * built, and no walker keys anything on a node's identity (its
- * address) — walk the tree and count each use of a node as its own.
+ * Every node lives in one append-only arena per model tree (IrArena):
+ * the top model owns it, and each child reaches it through its parent
+ * when it is constructed. A node is a fixed-size record whose operands
+ * are 32-bit indices of nodes added before it, so the arena is in
+ * topological order as it is built, and a walk is a pass over index
+ * arrays rather than a chase of heap pointers. Nothing is counted or
+ * freed per node: the arena goes with the top model, so no expression
+ * or block may outlive it.
+ *
+ * A signal's Ref node is made by its first rd() and reused by every
+ * later one, and so is a small narrow constant's node in each arena,
+ * so a leaf use adds no node. A tree is therefore a DAG whose leaves
+ * many trees and blocks of one model tree reuse. Two rules keep that
+ * safe, and every walker must keep them: a node is never changed after
+ * it is added, and a walk counts each use of a node as its own (tree
+ * sizes, first uses and literals follow the tree, not the DAG).
  *
  * Elaboration walks each block once (irSummarize) and keeps what the
  * layers after it need: the accesses, the tree size as the block's
@@ -37,6 +44,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,48 +72,152 @@ enum class IrUnOp
     ReduceOr, ReduceAnd, ReduceXor,
 };
 
-struct IrExprNode;
-using IrExprPtr = std::shared_ptr<const IrExprNode>;
+class IrArena;
 
-/** One node of an expression tree. */
-struct IrExprNode
+/** Index of a node in its model tree's IrArena. */
+using IrId = uint32_t;
+
+/** Node kinds. */
+enum class IrKind : uint8_t
 {
-    enum class Kind { Const, Ref, Temp, BinOp, UnOp, Slice, Concat, Mux,
-                      Zext, Sext, ARead };
-
-    Kind kind;
-    int nbits;
-
-    // Const
-    Bits cval;
-    // Ref
-    Signal *sig = nullptr;
-    // ARead (index expression in args[0])
-    MemArray *array = nullptr;
-    // Temp
-    int temp = -1;
-    // BinOp / UnOp
-    IrOp op = IrOp::Add;
-    IrUnOp unop = IrUnOp::Inv;
-    // Slice
-    int lsb = 0;
-    // Operands (BinOp: 2, UnOp/Slice/Zext/Sext: 1, Mux: 3, Concat: n)
-    std::vector<IrExprPtr> args;
+    Const, Ref, Temp, BinOp, UnOp, Slice, Concat, Mux, Zext, Sext, ARead
 };
 
 /**
- * Value-semantics handle to an expression node, with the operator
+ * One expression node: a fixed-size record whose operands are indices
+ * of earlier nodes of the same arena.
+ */
+struct IrNode
+{
+    IrKind kind = IrKind::Const;
+    uint8_t op = 0;    //!< BinOp: an IrOp; UnOp: an IrUnOp
+    int32_t nbits = 0;
+    int32_t aux = 0;   //!< Slice: lsb; Temp: its index; Concat: part count
+    IrId arg[3] = {};  //!< operands; Concat: arg[0] is where its parts
+                       //!< start in the arena's operand lists
+    union
+    {
+        /** Const: the value, or where its words start if over 64 bits. */
+        uint64_t value = 0;
+        Signal *sig;     //!< Ref
+        MemArray *array; //!< ARead (index in arg[0])
+    };
+};
+static_assert(sizeof(IrNode) <= 32, "IrNode must stay a small record");
+
+/**
+ * The expression nodes of one model tree, append-only. A node's
+ * operands are added before it, so the arena is in topological order
+ * as it is built. Concatenation operand lists and constants wider than
+ * 64 bits live out of line, in the arena's own pools.
+ */
+class IrArena
+{
+  public:
+    size_t size() const { return nodes_.size(); }
+    const IrNode &operator[](IrId id) const { return nodes_[id]; }
+    /** Operands of node @p id (a Concat's most significant first). */
+    std::span<const IrId> args(IrId id) const;
+    /** Value of Const node @p id. */
+    Bits value(IrId id) const;
+
+    /** Append @p node; its operands must already be in the arena. */
+    IrId add(const IrNode &node);
+    /**
+     * A Const node holding @p value. A small narrow constant's node is
+     * made by its first use and shared by every later one.
+     */
+    IrId constant(const Bits &value);
+    /** Append a Concat node of @p parts, most significant first. */
+    IrId addConcat(int nbits, std::span<const IrId> parts);
+    /**
+     * Copy node @p id of another arena @p from, and every node it
+     * reaches, here; returns the copy's index.
+     */
+    IrId import(const IrArena &from, IrId id);
+
+  private:
+    std::vector<IrNode> nodes_;
+    std::vector<IrId> lists_;
+    std::vector<uint64_t> words_;
+    /** Per width and small value: its shared Const node, or kNone. */
+    std::vector<IrId> small_;
+};
+
+/** A node and the arena holding it: what the IR walkers pass around. */
+class IrView
+{
+  public:
+    IrView() = default;
+    IrView(const IrArena *arena, IrId id) : arena_(arena), id_(id) {}
+
+    explicit operator bool() const { return arena_ != nullptr; }
+    const IrArena *arena() const { return arena_; }
+    IrId id() const { return id_; }
+
+    const IrNode &node() const { return (*arena_)[id_]; }
+    IrKind kind() const { return node().kind; }
+    int nbits() const { return node().nbits; }
+    IrOp op() const { return static_cast<IrOp>(node().op); }
+    IrUnOp unop() const { return static_cast<IrUnOp>(node().op); }
+    int lsb() const { return node().aux; }
+    int temp() const { return node().aux; }
+    Signal *sig() const { return node().sig; }
+    MemArray *array() const { return node().array; }
+    /** A Const node's value. */
+    Bits value() const { return arena_->value(id_); }
+    /** A Const node's low 64 bits, masked to its width. */
+    uint64_t
+    word() const
+    {
+        const IrNode &n = node();
+        return (n.nbits <= 64 ? n.value : arena_->value(id_).toUint64()) &
+               widthMask(n.nbits);
+    }
+
+    IrView
+    arg(size_t i) const
+    {
+        const IrNode &n = node();
+        return {arena_,
+                n.kind == IrKind::Concat ? arena_->args(id_)[i] : n.arg[i]};
+    }
+    /** The operands as views, for range-for. */
+    auto
+    args() const
+    {
+        const IrArena *a = arena_;
+        return arena_->args(id_) |
+               std::views::transform([a](IrId i) { return IrView(a, i); });
+    }
+
+  private:
+    const IrArena *arena_ = nullptr;
+    IrId id_ = 0;
+};
+
+/**
+ * Value-semantics handle to an expression, with the operator
  * overloads that make model code read like Verilog.
+ *
+ * An expression over a signal or an array lives in its model tree's
+ * arena. A constant-only one belongs to no tree: a narrow literal is
+ * held in the handle itself, anything larger in a small arena of its
+ * own, and either is copied into a tree's arena where it joins an
+ * expression of that tree. Joining expressions of two different trees
+ * throws std::logic_error.
  */
 class IrExpr
 {
   public:
     IrExpr() = default;
-    explicit IrExpr(IrExprPtr node) : node_(std::move(node)) {}
+    /** Node @p id of a model tree's @p arena (framework internal). */
+    IrExpr(IrArena &arena, IrId id);
 
-    const IrExprPtr &node() const { return node_; }
-    bool valid() const { return node_ != nullptr; }
-    int nbits() const { return node_->nbits; }
+    bool valid() const { return nbits_ > 0; }
+    int nbits() const { return nbits_; }
+    /** The expression's node; null for a literal held in the handle. */
+    IrView view() const { return arena_ ? IrView(arena_, id_) : IrView(); }
 
     /** Bits [lsb, lsb+len). */
     IrExpr slice(int lsb, int len) const;
@@ -127,7 +240,13 @@ class IrExpr
     IrExpr reduceXor() const;
 
   private:
-    IrExprPtr node_;
+    friend struct IrBuilder; // ir.cc
+
+    IrArena *arena_ = nullptr;      //!< null for a literal in the handle
+    std::shared_ptr<IrArena> own_;  //!< a constant-only expression's arena
+    IrId id_ = 0;
+    int nbits_ = 0;
+    uint64_t value_ = 0;            //!< the literal in the handle
 };
 
 /** Expression referencing a signal's current value. */
@@ -195,10 +314,10 @@ struct IrStmt
     int lsb = 0;       //!< target slice lsb (0 for whole)
     int width = -1;    //!< target slice width (-1 = whole signal)
     bool nonblocking = false;
-    IrExprPtr rhs;
+    IrView rhs;
 
     // If
-    IrExprPtr cond;
+    IrView cond;
     std::vector<IrStmt> thenBody;
     std::vector<IrStmt> elseBody;
 };
@@ -215,6 +334,7 @@ struct IrBlock
 {
     std::string name;
     bool sequential = false; //!< tick_rtl (non-blocking) vs combinational
+    const IrArena *arena = nullptr; //!< its model tree's, holding its nodes
     std::vector<IrTemp> temps;
     std::vector<IrStmt> stmts;
 };
@@ -231,7 +351,8 @@ struct IrBlock
 class BlockBuilder
 {
   public:
-    explicit BlockBuilder(IrBlock *block);
+    /** Builds into @p block, whose nodes go to @p arena (block->arena). */
+    BlockBuilder(IrBlock *block, IrArena *arena);
 
     /** Declare a named temporary and assign it; returns a Temp ref. */
     IrExpr let(const std::string &name, const IrExpr &rhs);
@@ -268,8 +389,11 @@ class BlockBuilder
   private:
     std::vector<IrStmt> *current() { return stack_.back(); }
     void push(const IrStmt &stmt);
+    /** @p e in the block's arena, zero-extended to @p nbits if given. */
+    IrView place(const IrExpr &e, int nbits = 0);
 
     IrBlock *block_;
+    IrArena *arena_;
     std::vector<std::vector<IrStmt> *> stack_;
 };
 
@@ -324,7 +448,7 @@ std::string irToString(const IrBlock &block);
  * "(top.count + 0x01)". Shared by irToString and the lint/analysis
  * tools, which quote conditions and indexes in their findings.
  */
-std::string irExprToString(const IrExprPtr &expr);
+std::string irExprToString(IrView expr);
 
 } // namespace cmtl
 

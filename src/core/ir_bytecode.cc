@@ -122,22 +122,22 @@ class Compiler
 
     /** Compile an expression; returns the register holding the value. */
     int32_t
-    compileExpr(const IrExprNode *e)
+    compileExpr(IrView e)
     {
-        switch (e->kind) {
-          case IrExprNode::Kind::Const:
-            return constant(e->cval.toUint64() & widthMask(e->nbits));
-          case IrExprNode::Kind::Ref:
-            return curSlot(e->sig->netId());
-          case IrExprNode::Kind::Temp:
-            return temp_reg_[e->temp];
-          case IrExprNode::Kind::BinOp: {
-            int32_t a = compileExpr(e->args[0].get());
-            int32_t b = compileExpr(e->args[1].get());
+        switch (e.kind()) {
+          case IrKind::Const:
+            return constant(e.word());
+          case IrKind::Ref:
+            return curSlot(e.sig()->netId());
+          case IrKind::Temp:
+            return temp_reg_[e.temp()];
+          case IrKind::BinOp: {
+            int32_t a = compileExpr(e.arg(0));
+            int32_t b = compileExpr(e.arg(1));
             int32_t dst = allocScratch();
             Bc op = Bc::Add;
             int32_t imm = 0;
-            switch (e->op) {
+            switch (e.op()) {
               case IrOp::Add: op = Bc::Add; break;
               case IrOp::Sub: op = Bc::Sub; break;
               case IrOp::Mul: op = Bc::Mul; break;
@@ -148,7 +148,7 @@ class Compiler
               case IrOp::Shr: op = Bc::Shr; break;
               case IrOp::Sra:
                 op = Bc::Sra;
-                imm = e->args[0]->nbits;
+                imm = e.arg(0).nbits();
                 break;
               case IrOp::Eq: op = Bc::Eq; break;
               case IrOp::Ne: op = Bc::Ne; break;
@@ -161,15 +161,15 @@ class Compiler
               default:
                 throw std::logic_error("unhandled binop");
             }
-            emit({op, 0, dst, a, b, 0, imm, widthMask(e->nbits)});
+            emit({op, 0, dst, a, b, 0, imm, widthMask(e.nbits())});
             return dst;
           }
-          case IrExprNode::Kind::UnOp: {
-            int32_t a = compileExpr(e->args[0].get());
+          case IrKind::UnOp: {
+            int32_t a = compileExpr(e.arg(0));
             int32_t dst = allocScratch();
             Bc op = Bc::Inv;
-            uint64_t mask = widthMask(e->nbits);
-            switch (e->unop) {
+            uint64_t mask = widthMask(e.nbits());
+            switch (e.unop()) {
               case IrUnOp::Inv: op = Bc::Inv; break;
               case IrUnOp::LNot: op = Bc::LNot; break;
               case IrUnOp::ReduceOr: op = Bc::ROr; break;
@@ -177,66 +177,66 @@ class Compiler
                 // The result is one bit; mask carries the operand's
                 // all-ones value instead.
                 op = Bc::RAnd;
-                mask = widthMask(e->args[0]->nbits);
+                mask = widthMask(e.arg(0).nbits());
                 break;
               case IrUnOp::ReduceXor: op = Bc::RXor; break;
             }
             emit({op, 0, dst, a, 0, 0, 0, mask});
             return dst;
           }
-          case IrExprNode::Kind::Slice: {
-            int32_t a = compileExpr(e->args[0].get());
+          case IrKind::Slice: {
+            int32_t a = compileExpr(e.arg(0));
             int32_t dst = allocScratch();
-            emit({Bc::Slice, static_cast<uint8_t>(e->lsb), dst, a, 0, 0, 0,
-                  widthMask(e->nbits)});
+            emit({Bc::Slice, static_cast<uint8_t>(e.lsb()), dst, a, 0, 0, 0,
+                  widthMask(e.nbits())});
             return dst;
           }
-          case IrExprNode::Kind::Concat: {
+          case IrKind::Concat: {
             // Fold parts most-significant-first: acc = (acc << w) | part.
             int32_t acc = allocScratch();
             bool first = true;
-            for (const auto &argp : e->args) {
-                int32_t part = compileExpr(argp.get());
+            for (IrView argp : e.args()) {
+                int32_t part = compileExpr(argp);
                 if (first) {
                     emit({Bc::Mov, 0, acc, part, 0, 0, 0,
-                          widthMask(argp->nbits)});
+                          widthMask(argp.nbits())});
                     first = false;
                 } else {
                     int32_t amt =
-                        constant(static_cast<uint64_t>(argp->nbits));
+                        constant(static_cast<uint64_t>(argp.nbits()));
                     emit({Bc::Shl, 0, acc, acc, amt, 0, 0,
-                          widthMask(e->nbits)});
+                          widthMask(e.nbits())});
                     emit({Bc::Or, 0, acc, acc, part, 0, 0,
-                          widthMask(e->nbits)});
+                          widthMask(e.nbits())});
                 }
             }
             return acc;
           }
-          case IrExprNode::Kind::Mux: {
-            int32_t c = compileExpr(e->args[0].get());
-            int32_t a = compileExpr(e->args[1].get());
-            int32_t b = compileExpr(e->args[2].get());
+          case IrKind::Mux: {
+            int32_t c = compileExpr(e.arg(0));
+            int32_t a = compileExpr(e.arg(1));
+            int32_t b = compileExpr(e.arg(2));
             int32_t dst = allocScratch();
-            emit({Bc::Mux, 0, dst, a, b, c, 0, widthMask(e->nbits)});
+            emit({Bc::Mux, 0, dst, a, b, c, 0, widthMask(e.nbits())});
             return dst;
           }
-          case IrExprNode::Kind::Zext:
+          case IrKind::Zext:
             // Values are kept masked; widening is free.
-            return compileExpr(e->args[0].get());
-          case IrExprNode::Kind::Sext: {
-            int32_t a = compileExpr(e->args[0].get());
+            return compileExpr(e.arg(0));
+          case IrKind::Sext: {
+            int32_t a = compileExpr(e.arg(0));
             int32_t dst = allocScratch();
-            emit({Bc::Sext, 0, dst, a, 0, 0, e->args[0]->nbits,
-                  widthMask(e->nbits)});
+            emit({Bc::Sext, 0, dst, a, 0, 0, e.arg(0).nbits(),
+                  widthMask(e.nbits())});
             return dst;
           }
-          case IrExprNode::Kind::ARead: {
-            int32_t idx = compileExpr(e->args[0].get());
+          case IrKind::ARead: {
+            int32_t idx = compileExpr(e.arg(0));
             int32_t dst = allocScratch();
-            int id = e->array->arrayId();
+            int id = e.array()->arrayId();
             emit({Bc::ALoad, 0, dst, idx, 0,
                   static_cast<int32_t>(store_.arrayIndexMask(id)),
-                  slot(store_.arrayOffset(id)), widthMask(e->nbits)});
+                  slot(store_.arrayOffset(id)), widthMask(e.nbits())});
             return dst;
           }
         }
@@ -251,10 +251,10 @@ class Compiler
             int expr_base = next_scratch_;
             switch (s.kind) {
               case IrStmt::Kind::Assign: {
-                int32_t rhs = compileExpr(s.rhs.get());
+                int32_t rhs = compileExpr(s.rhs);
                 if (s.temp >= 0 && !s.sig) {
                     emit({Bc::Mov, 0, temp_reg_[s.temp], rhs, 0, 0, 0,
-                          widthMask(s.rhs->nbits)});
+                          widthMask(s.rhs.nbits())});
                 } else {
                     int net = s.sig->netId();
                     int32_t dst =
@@ -271,8 +271,8 @@ class Compiler
                 break;
               }
               case IrStmt::Kind::AWrite: {
-                int32_t idx = compileExpr(s.cond.get());
-                int32_t val = compileExpr(s.rhs.get());
+                int32_t idx = compileExpr(s.cond);
+                int32_t val = compileExpr(s.rhs);
                 int id = s.array->arrayId();
                 emit({Bc::AStore, 0, 0, idx, val,
                       static_cast<int32_t>(store_.arrayIndexMask(id)),
@@ -282,7 +282,7 @@ class Compiler
               }
               case IrStmt::Kind::If: {
                 auto &insts = out_.prog.insts;
-                int32_t cond = compileExpr(s.cond.get());
+                int32_t cond = compileExpr(s.cond);
                 size_t jz_at = insts.size();
                 emit({Bc::Jz, 0, 0, cond, 0, 0, 0, 0});
                 compileStmts(s.thenBody);
@@ -920,7 +920,7 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
         int &prog = prog_of_shape[blk.shape];
         if (prog < 0) {
             BcBlock first = bcCompile(blk, store);
-            const std::span<const uint64_t> literals = elab.literals(blk);
+            const std::vector<uint64_t> literals = elab.literals(blk);
             if (!std::equal(first.slots.begin(), first.slots.end(),
                             slot_pool_.begin() + at, slot_pool_.end()) ||
                 !std::equal(first.consts.begin(), first.consts.end(),
@@ -948,9 +948,16 @@ BcModule::BcModule(const Elaboration &elab, const ArenaStore &store,
     // instances; each instance keeps only the columns that vary.
     std::vector<size_t> const_at(elab.blocks.size(), 0);
     for (size_t p = 0; p < raw.size(); ++p) {
+        // Each instance's literals, stamped from its shape's base and
+        // its own exceptions.
+        const size_t n = static_cast<size_t>(raw[p].nconsts);
+        std::vector<uint64_t> table(members_[p].size() * n);
         std::vector<const uint64_t *> consts;
-        for (int b : members_[p])
-            consts.push_back(elab.literals(elab.blocks[b]).data());
+        for (size_t i = 0; i < members_[p].size(); ++i) {
+            uint64_t *row = table.data() + i * n;
+            elab.stampLiterals(elab.blocks[members_[p][i]], row);
+            consts.push_back(row);
+        }
         std::vector<int> cols;
         progs_.push_back(Optimizer(raw[p], consts).run(cols));
         max_frame_ = std::max(max_frame_, progs_.back().frameSize());

@@ -21,10 +21,10 @@
  * table.
  *
  * Elaboration records what the compiler reads of each block as a shape
- * and an operand record (IrBlockSummary::shape), so a BcModule
- * compiles only the first block of each shape. Every other block's
- * slot table is its record's operands mapped to arena words, and its
- * constant table is its record's literals.
+ * and an operand record (IrShape), so a BcModule compiles only the
+ * first block of each shape. Every other block's slot table is its
+ * record's operands mapped to arena words, and its constant table is
+ * its shape's base literals with the block's patches applied.
  *
  * Constants are folded per module, not numbered per occurrence. Once
  * per distinct program, after deduplication and before any batch is

@@ -48,60 +48,60 @@ irEvalUnOp(IrUnOp op, const Bits &a)
 // -------------------------------------------------------- BoxedEvaluator
 
 BoxedEvaluator::Box
-BoxedEvaluator::eval(const IrExprNode *e)
+BoxedEvaluator::eval(IrView e)
 {
     // Every intermediate allocates a fresh box: CPython object churn.
-    switch (e->kind) {
-      case IrExprNode::Kind::Const:
-        return std::make_shared<const Bits>(e->cval);
-      case IrExprNode::Kind::Ref:
-        return std::make_shared<const Bits>(store_.read(e->sig->netId()));
-      case IrExprNode::Kind::Temp:
-        return temps_[e->temp];
-      case IrExprNode::Kind::BinOp: {
-        Box a = eval(e->args[0].get());
-        Box b = eval(e->args[1].get());
+    switch (e.kind()) {
+      case IrKind::Const:
+        return std::make_shared<const Bits>(e.value());
+      case IrKind::Ref:
+        return std::make_shared<const Bits>(store_.read(e.sig()->netId()));
+      case IrKind::Temp:
+        return temps_[e.temp()];
+      case IrKind::BinOp: {
+        Box a = eval(e.arg(0));
+        Box b = eval(e.arg(1));
         return std::make_shared<const Bits>(
-            irEvalBinOp(e->op, *a, *b, e->nbits));
+            irEvalBinOp(e.op(), *a, *b, e.nbits()));
       }
-      case IrExprNode::Kind::UnOp: {
-        Box a = eval(e->args[0].get());
-        return std::make_shared<const Bits>(irEvalUnOp(e->unop, *a));
+      case IrKind::UnOp: {
+        Box a = eval(e.arg(0));
+        return std::make_shared<const Bits>(irEvalUnOp(e.unop(), *a));
       }
-      case IrExprNode::Kind::Slice: {
-        Box a = eval(e->args[0].get());
-        return std::make_shared<const Bits>(a->slice(e->lsb, e->nbits));
+      case IrKind::Slice: {
+        Box a = eval(e.arg(0));
+        return std::make_shared<const Bits>(a->slice(e.lsb(), e.nbits()));
       }
-      case IrExprNode::Kind::Concat: {
-        Bits out(e->nbits);
-        int pos = e->nbits;
-        for (const auto &arg : e->args) {
-            Box part = eval(arg.get());
-            pos -= arg->nbits;
+      case IrKind::Concat: {
+        Bits out(e.nbits());
+        int pos = e.nbits();
+        for (IrView arg : e.args()) {
+            Box part = eval(arg);
+            pos -= arg.nbits();
             out.setSlice(pos, *part);
         }
         return std::make_shared<const Bits>(std::move(out));
       }
-      case IrExprNode::Kind::Mux: {
-        Box c = eval(e->args[0].get());
-        Box v = c->any() ? eval(e->args[1].get()) : eval(e->args[2].get());
-        return std::make_shared<const Bits>(v->zext(e->nbits));
+      case IrKind::Mux: {
+        Box c = eval(e.arg(0));
+        Box v = c->any() ? eval(e.arg(1)) : eval(e.arg(2));
+        return std::make_shared<const Bits>(v->zext(e.nbits()));
       }
-      case IrExprNode::Kind::Zext: {
-        Box a = eval(e->args[0].get());
-        return std::make_shared<const Bits>(a->zext(e->nbits));
+      case IrKind::Zext: {
+        Box a = eval(e.arg(0));
+        return std::make_shared<const Bits>(a->zext(e.nbits()));
       }
-      case IrExprNode::Kind::Sext: {
-        Box a = eval(e->args[0].get());
-        return std::make_shared<const Bits>(a->sext(e->nbits));
+      case IrKind::Sext: {
+        Box a = eval(e.arg(0));
+        return std::make_shared<const Bits>(a->sext(e.nbits()));
       }
-      case IrExprNode::Kind::ARead: {
-        Box idx = eval(e->args[0].get());
+      case IrKind::ARead: {
+        Box idx = eval(e.arg(0));
         return std::make_shared<const Bits>(
-            store_.arrayRead(e->array->arrayId(), idx->toUint64()));
+            store_.arrayRead(e.array()->arrayId(), idx->toUint64()));
       }
     }
-    throw std::logic_error("unhandled IrExprNode kind");
+    throw std::logic_error("unhandled IrKind");
 }
 
 void
@@ -110,7 +110,7 @@ BoxedEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential)
     for (const IrStmt &s : stmts) {
         switch (s.kind) {
           case IrStmt::Kind::Assign: {
-            Box rhs = eval(s.rhs.get());
+            Box rhs = eval(s.rhs);
             if (s.temp >= 0 && !s.sig) {
                 temps_[s.temp] = rhs;
                 break;
@@ -131,7 +131,7 @@ BoxedEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential)
             break;
           }
           case IrStmt::Kind::If: {
-            Box cond = eval(s.cond.get());
+            Box cond = eval(s.cond);
             if (cond->any())
                 exec(s.thenBody, sequential);
             else
@@ -139,8 +139,8 @@ BoxedEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential)
             break;
           }
           case IrStmt::Kind::AWrite: {
-            Box idx = eval(s.cond.get());
-            Box val = eval(s.rhs.get());
+            Box idx = eval(s.cond);
+            Box val = eval(s.rhs);
             store_.arrayWrite(s.array->arrayId(), idx->toUint64(),
                               *val);
             break;
@@ -159,44 +159,43 @@ BoxedEvaluator::run(const ElabBlock &blk)
 // --------------------------------------------------------- SlotEvaluator
 
 Bits
-SlotEvaluator::eval(const IrExprNode *e)
+SlotEvaluator::eval(IrView e)
 {
-    switch (e->kind) {
-      case IrExprNode::Kind::Const:
-        return e->cval;
-      case IrExprNode::Kind::Ref:
-        return store_.read(e->sig->netId());
-      case IrExprNode::Kind::Temp:
-        return temps_[e->temp];
-      case IrExprNode::Kind::BinOp:
-        return irEvalBinOp(e->op, eval(e->args[0].get()),
-                         eval(e->args[1].get()), e->nbits);
-      case IrExprNode::Kind::UnOp:
-        return irEvalUnOp(e->unop, eval(e->args[0].get()));
-      case IrExprNode::Kind::Slice:
-        return eval(e->args[0].get()).slice(e->lsb, e->nbits);
-      case IrExprNode::Kind::Concat: {
-        Bits out(e->nbits);
-        int pos = e->nbits;
-        for (const auto &arg : e->args) {
-            pos -= arg->nbits;
-            out.setSlice(pos, eval(arg.get()));
+    switch (e.kind()) {
+      case IrKind::Const:
+        return e.value();
+      case IrKind::Ref:
+        return store_.read(e.sig()->netId());
+      case IrKind::Temp:
+        return temps_[e.temp()];
+      case IrKind::BinOp:
+        return irEvalBinOp(e.op(), eval(e.arg(0)), eval(e.arg(1)),
+                           e.nbits());
+      case IrKind::UnOp:
+        return irEvalUnOp(e.unop(), eval(e.arg(0)));
+      case IrKind::Slice:
+        return eval(e.arg(0)).slice(e.lsb(), e.nbits());
+      case IrKind::Concat: {
+        Bits out(e.nbits());
+        int pos = e.nbits();
+        for (IrView arg : e.args()) {
+            pos -= arg.nbits();
+            out.setSlice(pos, eval(arg));
         }
         return out;
       }
-      case IrExprNode::Kind::Mux:
-        return (eval(e->args[0].get()).any() ? eval(e->args[1].get())
-                                             : eval(e->args[2].get()))
-            .zext(e->nbits);
-      case IrExprNode::Kind::Zext:
-        return eval(e->args[0].get()).zext(e->nbits);
-      case IrExprNode::Kind::Sext:
-        return eval(e->args[0].get()).sext(e->nbits);
-      case IrExprNode::Kind::ARead:
-        return store_.arrayRead(e->array->arrayId(),
-                                eval(e->args[0].get()).toUint64());
+      case IrKind::Mux:
+        return (eval(e.arg(0)).any() ? eval(e.arg(1)) : eval(e.arg(2)))
+            .zext(e.nbits());
+      case IrKind::Zext:
+        return eval(e.arg(0)).zext(e.nbits());
+      case IrKind::Sext:
+        return eval(e.arg(0)).sext(e.nbits());
+      case IrKind::ARead:
+        return store_.arrayRead(e.array()->arrayId(),
+                                eval(e.arg(0)).toUint64());
     }
-    throw std::logic_error("unhandled IrExprNode kind");
+    throw std::logic_error("unhandled IrKind");
 }
 
 void
@@ -205,7 +204,7 @@ SlotEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential)
     for (const IrStmt &s : stmts) {
         switch (s.kind) {
           case IrStmt::Kind::Assign: {
-            Bits rhs = eval(s.rhs.get());
+            Bits rhs = eval(s.rhs);
             if (s.temp >= 0 && !s.sig) {
                 temps_[s.temp] = std::move(rhs);
                 break;
@@ -224,15 +223,15 @@ SlotEvaluator::exec(const std::vector<IrStmt> &stmts, bool sequential)
             break;
           }
           case IrStmt::Kind::If:
-            if (eval(s.cond.get()).any())
+            if (eval(s.cond).any())
                 exec(s.thenBody, sequential);
             else
                 exec(s.elseBody, sequential);
             break;
           case IrStmt::Kind::AWrite:
             store_.arrayWrite(s.array->arrayId(),
-                              eval(s.cond.get()).toUint64(),
-                              eval(s.rhs.get()));
+                              eval(s.cond).toUint64(),
+                              eval(s.rhs));
             break;
         }
     }

@@ -47,7 +47,7 @@ class BoxedEvaluator
 
   private:
     using Box = std::shared_ptr<const Bits>;
-    Box eval(const IrExprNode *e);
+    Box eval(IrView e);
     void exec(const std::vector<IrStmt> &stmts, bool sequential);
 
     BoxedStore &store_;
@@ -64,7 +64,7 @@ class SlotEvaluator
     void run(const ElabBlock &blk);
 
   private:
-    Bits eval(const IrExprNode *e);
+    Bits eval(IrView e);
     void exec(const std::vector<IrStmt> &stmts, bool sequential);
 
     ArenaStore &store_;

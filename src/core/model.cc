@@ -82,7 +82,10 @@ MemArray::fullName() const
 // ----------------------------------------------------------------- Model
 
 Model::Model(Model *parent, std::string name)
-    : parent_(parent), name_(std::move(name)), reset(this, "reset", 1)
+    : parent_(parent), name_(std::move(name)),
+      own_arena_(parent ? nullptr : std::make_unique<IrArena>()),
+      arena_(parent ? parent->arena_ : own_arena_.get()),
+      reset(this, "reset", 1)
 {
     if (parent_)
         parent_->children_.push_back(this);
@@ -127,16 +130,16 @@ Model::tickCl(const std::string &name, std::function<void()> fn,
 BlockBuilder &
 Model::tickRtl(const std::string &name)
 {
-    ir_blocks_.push_back(IrBlock{name, /*sequential=*/true, {}, {}});
-    builders_.emplace_back(&ir_blocks_.back());
+    ir_blocks_.push_back(IrBlock{name, /*sequential=*/true, arena_, {}, {}});
+    builders_.emplace_back(&ir_blocks_.back(), arena_);
     return builders_.back();
 }
 
 BlockBuilder &
 Model::combinational(const std::string &name)
 {
-    ir_blocks_.push_back(IrBlock{name, /*sequential=*/false, {}, {}});
-    builders_.emplace_back(&ir_blocks_.back());
+    ir_blocks_.push_back(IrBlock{name, /*sequential=*/false, arena_, {}, {}});
+    builders_.emplace_back(&ir_blocks_.back(), arena_);
     return builders_.back();
 }
 
@@ -279,19 +282,16 @@ class Elaborator
     void
     collectBlocks(Elaboration *elab)
     {
-        // Shapes are interned by their words, and literal records by
-        // their values: the hash finds the candidates, and a full
-        // compare decides.
+        // Shapes are interned by their words: the hash finds the
+        // candidates, and a full compare decides. A shape's first block
+        // gives its base literals.
         IrShape shape;
         std::vector<std::vector<int32_t>> codes;
-        std::unordered_multimap<size_t, int> shape_of, literals_of;
-        auto hash = [](const auto &v) {
-            return std::hash<std::string_view>{}(std::string_view(
-                reinterpret_cast<const char *>(v.data()),
-                v.size() * sizeof(v[0])));
-        };
+        std::unordered_multimap<size_t, int> shape_of;
         auto internShape = [&] {
-            const size_t h = hash(shape.code);
+            const size_t h = std::hash<std::string_view>{}(std::string_view(
+                reinterpret_cast<const char *>(shape.code.data()),
+                shape.code.size() * sizeof(int32_t)));
             auto [lo, hi] = shape_of.equal_range(h);
             for (auto it = lo; it != hi; ++it) {
                 if (codes[it->second] == shape.code)
@@ -302,25 +302,12 @@ class Elaborator
             codes.push_back(shape.code);
             elab->irShapes.push_back(
                 {static_cast<int>(shape.operands.size()),
-                 static_cast<int>(shape.literals.size())});
+                 static_cast<int>(shape.literals.size()),
+                 static_cast<int>(elab->irLiterals.size())});
+            elab->irLiterals.insert(elab->irLiterals.end(),
+                                    shape.literals.begin(),
+                                    shape.literals.end());
             return id;
-        };
-        std::vector<uint64_t> &literals = elab->irLiterals;
-        auto internLiterals = [&] {
-            const std::vector<uint64_t> &lits = shape.literals;
-            const size_t h = hash(lits);
-            auto [lo, hi] = literals_of.equal_range(h);
-            for (auto it = lo; it != hi; ++it) {
-                const size_t at = static_cast<size_t>(it->second);
-                if (at + lits.size() <= literals.size() &&
-                    std::equal(lits.begin(), lits.end(),
-                               literals.begin() + at))
-                    return it->second;
-            }
-            const int at = static_cast<int>(literals.size());
-            literals_of.emplace(h, at);
-            literals.insert(literals.end(), lits.begin(), lits.end());
-            return at;
         };
         for (Model *m : elab->models) {
             for (const auto &decl : m->lambda_blocks_) {
@@ -352,7 +339,18 @@ class Elaborator
                 elab->irOperands.insert(elab->irOperands.end(),
                                         shape.operands.begin(),
                                         shape.operands.end());
-                blk.literalsAt = internLiterals();
+                const uint64_t *base =
+                    elab->irLiterals.data() +
+                    elab->irShapes[blk.shape].literalsAt;
+                blk.patchesAt =
+                    static_cast<int>(elab->irLiteralPatches.size());
+                for (size_t i = 0; i < shape.literals.size(); ++i) {
+                    if (shape.literals[i] != base[i])
+                        elab->irLiteralPatches.push_back(
+                            {static_cast<int32_t>(i), shape.literals[i]});
+                }
+                blk.patches = static_cast<int>(
+                    elab->irLiteralPatches.size() - blk.patchesAt);
                 for (Signal *sig : sum.reads)
                     blk.reads.push_back(sig->netId());
                 for (Signal *sig : sum.writes) {
@@ -373,6 +371,7 @@ class Elaborator
         }
         elab->irOperands.shrink_to_fit();
         elab->irLiterals.shrink_to_fit();
+        elab->irLiteralPatches.shrink_to_fit();
     }
 
     static void

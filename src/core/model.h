@@ -26,6 +26,7 @@
 #ifndef CMTL_CORE_MODEL_H
 #define CMTL_CORE_MODEL_H
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -74,22 +75,36 @@ struct ElabBlock
     int widest = 0;
     /**
      * IR blocks: the index of the block's shape in
-     * Elaboration::irShapes, and where its operand record starts in
-     * Elaboration::irOperands and irLiterals (irSummarize, IrShape).
-     * Blocks of one shape compile to one bytecode program; BcModule
-     * compiles one block per shape and builds every other block's
-     * tables from its record.
+     * Elaboration::irShapes, where its operand record starts in
+     * Elaboration::irOperands, and where its literal exceptions start
+     * in Elaboration::irLiteralPatches and how many there are
+     * (irSummarize, IrShape). Blocks of one shape compile to one
+     * bytecode program; BcModule compiles one block per shape and
+     * builds every other block's tables from its record.
      */
     int shape = -1;
     int operandsAt = 0;
-    int literalsAt = 0;
+    int patchesAt = 0;
+    int patches = 0;
 };
 
-/** One IR block shape: the lengths of its blocks' records. */
+/**
+ * One IR block shape: the lengths of its blocks' records, and where
+ * its base literals (its first block's) start in
+ * Elaboration::irLiterals.
+ */
 struct IrShapeSize
 {
     int operands = 0;
     int literals = 0;
+    int literalsAt = 0;
+};
+
+/** A literal of one block that differs from its shape's base. */
+struct IrLiteralPatch
+{
+    int32_t at;     //!< index in the literal record
+    uint64_t value;
 };
 
 /**
@@ -158,21 +173,35 @@ class Elaboration
     std::vector<IrShapeSize> irShapes;
     /** Every IR block's operand record, back to back. */
     std::vector<int32_t> irOperands;
-    /** IR blocks' literal records; equal records are stored once. */
+    /** Each shape's base literal record, back to back. */
     std::vector<uint64_t> irLiterals;
+    /** Each IR block's literals that differ from its shape's base. */
+    std::vector<IrLiteralPatch> irLiteralPatches;
 
-    /** IR block @p blk's operand and literal records. */
+    /** IR block @p blk's operand record. */
     std::span<const int32_t>
     operands(const ElabBlock &blk) const
     {
         return {irOperands.data() + blk.operandsAt,
                 static_cast<size_t>(irShapes[blk.shape].operands)};
     }
-    std::span<const uint64_t>
+    /** Write IR block @p blk's literal record to @p out: its shape's
+     *  base with the block's patches applied. */
+    void
+    stampLiterals(const ElabBlock &blk, uint64_t *out) const
+    {
+        const IrShapeSize &sh = irShapes[blk.shape];
+        std::copy_n(irLiterals.begin() + sh.literalsAt, sh.literals, out);
+        for (int i = blk.patchesAt; i < blk.patchesAt + blk.patches; ++i)
+            out[irLiteralPatches[i].at] = irLiteralPatches[i].value;
+    }
+    /** The same record, as a vector. */
+    std::vector<uint64_t>
     literals(const ElabBlock &blk) const
     {
-        return {irLiterals.data() + blk.literalsAt,
-                static_cast<size_t>(irShapes[blk.shape].literals)};
+        std::vector<uint64_t> out(irShapes[blk.shape].literals);
+        stampLiterals(blk, out.data());
+        return out;
     }
 
     /**
@@ -283,6 +312,9 @@ class Model
         return connections_;
     }
     const std::deque<IrBlock> &ownIrBlocks() const { return ir_blocks_; }
+    /** The expression arena of this model's tree (ir.h). */
+    IrArena &irArena() { return *arena_; }
+    const IrArena &irArena() const { return *arena_; }
 
   private:
     friend class Elaborator;
@@ -298,6 +330,9 @@ class Model
 
     Model *parent_;
     std::string name_;
+    /** The top model owns its tree's arena; every model points at it. */
+    std::unique_ptr<IrArena> own_arena_;
+    IrArena *arena_;
     std::vector<Model *> children_;
     std::vector<Signal *> signals_;
     std::vector<MemArray *> arrays_;

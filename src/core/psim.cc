@@ -59,7 +59,7 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
     // home replica.
     std::vector<std::vector<int>> by_home(replicas_.size());
     for (const Net &net : elab_->nets) {
-        if (lambda_flop_[net.id] && !net.floppedStatic)
+        if (lambda_writer_[net.id] && !net.floppedStatic)
             by_home[plan_.homeReplica(net.id)].push_back(net.id);
     }
     for (const std::vector<int> &nets : by_home)
@@ -101,8 +101,7 @@ ParSimulationTool::bindSignals()
         if (!home.narrow(net) || island_lambda[net])
             continue;
         sig->bindSlot(home.data() + home.offset(net));
-        if (lambda_flop_[net])
-            sig->bindNextSlot(home.wordsPerPhase());
+        bindLambdaNext(*sig, home.wordsPerPhase());
     }
 }
 
@@ -504,8 +503,10 @@ ParSimulationTool::pokeNet(int net, const Bits &value)
 void
 ParSimulationTool::pokeNetNext(int net, const Bits &value)
 {
-    for (auto &replica : replicas_)
-        replica->writeNext(net, value);
+    // Only the home replica's next word is ever flopped: islands flop
+    // their owned nets in their own replica, and flopMainNets flops
+    // the lambda nets at home.
+    replicas_[plan_.homeReplica(net)]->writeNext(net, value);
 }
 
 Bits

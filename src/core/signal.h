@@ -15,22 +15,24 @@
  * signals: reads then load the net's arena word inline, with no
  * virtual call and no Bits temporary, and so do the non-blocking
  * writes of the nets a tick lambda declares (Model::tickFl), whose
- * next-phase word is bound too. The sequential kernel binds every
+ * next-phase word is bound too, for that lambda only: the store
+ * compares the running lambda with the declaring one, and any other
+ * writer takes the virtual path. The sequential kernel binds every
  * narrow signal to its arena word. ParSim binds each to the word in
  * the net's home replica (its owner island's, or replica 0), since
  * only the coordinating thread uses the binding; signals a comb
  * lambda reads or writes stay unbound, because that lambda runs on a
  * worker thread against its own replica. Any other non-blocking write
  * takes the virtual path, which throws unless the running tick lambda
- * declares the net (a wide one). Blocking writes always take the
- * virtual path, since they must schedule readers (and, on ParSim,
- * reach every replica).
+ * declares the net (a wide one, or one a second lambda declares too).
+ * Blocking writes always take the virtual path, since they must
+ * schedule readers (and, on ParSim, reach every replica).
  */
 
 #ifndef CMTL_CORE_SIGNAL_H
 #define CMTL_CORE_SIGNAL_H
 
-#include <memory>
+#include <cstdint>
 #include <string>
 
 #include "bits.h"
@@ -39,7 +41,10 @@ namespace cmtl {
 
 class Model;
 class Signal;
-struct IrExprNode; // ir.h
+struct ElabBlock; // model.h
+
+/** No IR node: a signal's Ref node before its first rd() (ir.h). */
+inline constexpr uint32_t kNoIrNode = ~uint32_t(0);
 
 /** Direction of a signal relative to its owning model. */
 enum class SignalDir { Input, Output, Wire };
@@ -101,7 +106,7 @@ class Signal
     void
     setNext(const Bits &v)
     {
-        if (next_off_)
+        if (next_off_ && *running_ == writer_)
             slot_[next_off_] = v.toUint64() & valueMask();
         else
             writeNext(v);
@@ -109,7 +114,7 @@ class Signal
     void
     setNext(uint64_t v)
     {
-        if (next_off_)
+        if (next_off_ && *running_ == writer_)
             slot_[next_off_] = v & valueMask();
         else
             writeNext(Bits(nbits_, v));
@@ -134,13 +139,26 @@ class Signal
     void bindSlot(uint64_t *slot) { slot_ = slot; }
     /**
      * Bind non-blocking writes too, to the word @p words_per_phase
-     * past the current one. A kernel calls it while it is constructed,
-     * for the nets tick lambdas declare.
+     * past the current one, for the tick lambda @p writer that
+     * declares the net: a store goes straight to the word while
+     * *@p running is @p writer, and any other writer takes the virtual
+     * path, which checks it. A kernel calls it while it is
+     * constructed, for the nets tick lambdas declare.
      */
-    void bindNextSlot(int words_per_phase) { next_off_ = words_per_phase; }
+    void
+    bindNextSlot(int words_per_phase, const ElabBlock *writer,
+                 const ElabBlock *const *running)
+    {
+        next_off_ = words_per_phase;
+        writer_ = writer;
+        running_ = running;
+    }
     bool slotBound() const { return slot_ != nullptr; }
-    /** The signal's one IR Ref node; the first rd() (ir.h) builds it. */
-    std::shared_ptr<const IrExprNode> &refNode() { return ref_node_; }
+    /**
+     * Index of the signal's one IR Ref node in its model tree's arena;
+     * the first rd() (ir.h) adds it.
+     */
+    uint32_t &irRef() { return ir_ref_; }
 
   private:
     /** Virtual-path read/writeNext; throw outside a simulation. */
@@ -156,7 +174,9 @@ class Signal
     int next_off_ = 0; //!< next-phase word offset from slot_; 0 = unbound
     SignalAccess *access_ = nullptr;
     uint64_t *slot_ = nullptr; //!< bound current-phase word, or null
-    std::shared_ptr<const IrExprNode> ref_node_;
+    const ElabBlock *writer_ = nullptr; //!< the bound next word's lambda
+    const ElabBlock *const *running_ = nullptr; //!< the running lambda
+    uint32_t ir_ref_ = kNoIrNode;
 };
 
 /** An input port. */

@@ -113,11 +113,13 @@ Simulator::Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg)
       native_blocks_(nativeBlocks(cfg.backend))
 {
     spec_stats_.numBlocks = static_cast<int>(elab_->blocks.size());
-    lambda_flop_.assign(elab_->nets.size(), 0);
+    lambda_writer_.assign(elab_->nets.size(), nullptr);
     for (const ElabBlock &blk : elab_->blocks) {
         if (isTick(blk.kind) && !blk.ir) {
-            for (int net : blk.writes)
-                lambda_flop_[net] = 1;
+            for (int net : blk.writes) {
+                if (!lambda_writer_[net])
+                    lambda_writer_[net] = &blk;
+            }
         }
     }
     for (Signal *sig : elab_->signals)
@@ -356,6 +358,13 @@ Simulator::checkDeclaredWrite(const Signal &sig) const
     }
 }
 
+void
+Simulator::bindLambdaNext(Signal &sig, int words_per_phase) const
+{
+    if (const ElabBlock *writer = lambda_writer_[sig.netId()])
+        sig.bindNextSlot(words_per_phase, writer, &running_lambda_);
+}
+
 int
 Simulator::slotBoundSignals() const
 {
@@ -475,8 +484,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
             if (!arena_->narrow(net))
                 continue;
             sig->bindSlot(arena_->data() + arena_->offset(net));
-            if (lambda_flop_[net])
-                sig->bindNextSlot(arena_->wordsPerPhase());
+            bindLambdaNext(*sig, arena_->wordsPerPhase());
         }
     }
 

@@ -443,7 +443,7 @@ class Simulator : public SignalAccess
     bool
     isFlop(int net) const
     {
-        return elab_->nets[net].floppedStatic || lambda_flop_[net];
+        return elab_->nets[net].floppedStatic || lambda_writer_[net];
     }
     /** Overwrite the cycle counter (snapshot restore only). */
     void
@@ -536,6 +536,12 @@ class Simulator : public SignalAccess
      * next-phase stores (the declared narrow nets) skip it.
      */
     void checkDeclaredWrite(const Signal &sig) const;
+    /**
+     * Bind @p sig's non-blocking writes, @p words_per_phase past its
+     * bound word, if a tick lambda declares its net; only that lambda,
+     * while it runs, takes the bound store (Signal::bindNextSlot).
+     */
+    void bindLambdaNext(Signal &sig, int words_per_phase) const;
 
     /** Record the constructor's @p seconds, less the specializer's,
      *  as SpecStats::simCreateSeconds. */
@@ -562,8 +568,11 @@ class Simulator : public SignalAccess
     ScopeProbe *probe_ = nullptr;
     /** An external write is pending: the next cycle settles first. */
     bool dirty_ = true;
-    /** Per net: some tick lambda declares it (the lambda flops). */
-    std::vector<char> lambda_flop_;
+    /**
+     * Per net: the first tick lambda declaring it (the lambda flops),
+     * or null.
+     */
+    std::vector<const ElabBlock *> lambda_writer_;
 
   private:
     /**

@@ -242,20 +242,20 @@ class ModuleEmitter
     }
 
     std::string
-    expr(const IrExprNode *e, const IrBlock &blk, int blk_idx)
+    expr(IrView e, const IrBlock &blk, int blk_idx)
     {
-        switch (e->kind) {
-          case IrExprNode::Kind::Const:
-            return vlogConst(e->cval);
-          case IrExprNode::Kind::Ref:
-            return vlogId(e->sig->name());
-          case IrExprNode::Kind::Temp:
-            return tempName(blk_idx, e->temp, blk);
-          case IrExprNode::Kind::BinOp: {
-            std::string a = expr(e->args[0].get(), blk, blk_idx);
-            std::string b = expr(e->args[1].get(), blk, blk_idx);
+        switch (e.kind()) {
+          case IrKind::Const:
+            return vlogConst(e.value());
+          case IrKind::Ref:
+            return vlogId(e.sig()->name());
+          case IrKind::Temp:
+            return tempName(blk_idx, e.temp(), blk);
+          case IrKind::BinOp: {
+            std::string a = expr(e.arg(0), blk, blk_idx);
+            std::string b = expr(e.arg(1), blk, blk_idx);
             const char *op = nullptr;
-            switch (e->op) {
+            switch (e.op()) {
               case IrOp::Add: op = "+"; break;
               case IrOp::Sub: op = "-"; break;
               case IrOp::Mul: op = "*"; break;
@@ -274,14 +274,14 @@ class ModuleEmitter
               case IrOp::LAnd: op = "&&"; break;
               case IrOp::LOr: op = "||"; break;
             }
-            if (e->op == IrOp::Sra) {
+            if (e.op() == IrOp::Sra) {
                 return "($signed(" + a + ") >>> " + b + ")";
             }
             return "(" + a + " " + op + " " + b + ")";
           }
-          case IrExprNode::Kind::UnOp: {
-            std::string a = expr(e->args[0].get(), blk, blk_idx);
-            switch (e->unop) {
+          case IrKind::UnOp: {
+            std::string a = expr(e.arg(0), blk, blk_idx);
+            switch (e.unop()) {
               case IrUnOp::Inv: return "(~" + a + ")";
               case IrUnOp::LNot: return "(!" + a + ")";
               case IrUnOp::ReduceOr: return "(|" + a + ")";
@@ -290,65 +290,62 @@ class ModuleEmitter
             }
             fail("unhandled unary op");
           }
-          case IrExprNode::Kind::Slice: {
-            const IrExprNode *base = e->args[0].get();
-            if (base->kind != IrExprNode::Kind::Ref &&
-                base->kind != IrExprNode::Kind::Temp)
+          case IrKind::Slice: {
+            IrView base = e.arg(0);
+            if (base.kind() != IrKind::Ref && base.kind() != IrKind::Temp)
                 fail("block '" + blk.name +
                      "': Verilog cannot slice a compound expression; "
                      "bind it to a temporary with let() first");
             std::string name = expr(base, blk, blk_idx);
-            if (e->nbits == 1)
-                return name + "[" + std::to_string(e->lsb) + "]";
-            return name + "[" + std::to_string(e->lsb + e->nbits - 1) +
-                   ":" + std::to_string(e->lsb) + "]";
+            if (e.nbits() == 1)
+                return name + "[" + std::to_string(e.lsb()) + "]";
+            return name + "[" + std::to_string(e.lsb() + e.nbits() - 1) +
+                   ":" + std::to_string(e.lsb()) + "]";
           }
-          case IrExprNode::Kind::Concat: {
+          case IrKind::Concat: {
             std::string out = "{";
-            for (size_t i = 0; i < e->args.size(); ++i) {
-                if (i)
+            for (IrView part : e.args()) {
+                if (out.size() > 1)
                     out += ", ";
-                out += expr(e->args[i].get(), blk, blk_idx);
+                out += expr(part, blk, blk_idx);
             }
             return out + "}";
           }
-          case IrExprNode::Kind::Mux:
-            return "(" + expr(e->args[0].get(), blk, blk_idx) + " ? " +
-                   expr(e->args[1].get(), blk, blk_idx) + " : " +
-                   expr(e->args[2].get(), blk, blk_idx) + ")";
-          case IrExprNode::Kind::Zext: {
-            int pad = e->nbits - e->args[0]->nbits;
+          case IrKind::Mux:
+            return "(" + expr(e.arg(0), blk, blk_idx) + " ? " +
+                   expr(e.arg(1), blk, blk_idx) + " : " +
+                   expr(e.arg(2), blk, blk_idx) + ")";
+          case IrKind::Zext: {
+            int pad = e.nbits() - e.arg(0).nbits();
             if (pad <= 0)
-                return expr(e->args[0].get(), blk, blk_idx);
+                return expr(e.arg(0), blk, blk_idx);
             return "{{" + std::to_string(pad) + "{1'b0}}, " +
-                   expr(e->args[0].get(), blk, blk_idx) + "}";
+                   expr(e.arg(0), blk, blk_idx) + "}";
           }
-          case IrExprNode::Kind::ARead: {
-            if (e->array->owner() != &model_)
+          case IrKind::ARead: {
+            if (e.array()->owner() != &model_)
                 fail("array read reaches a foreign array " +
-                     e->array->fullName());
-            return vlogId(e->array->name()) + "[" +
-                   expr(e->args[0].get(), blk, blk_idx) + "]";
+                     e.array()->fullName());
+            return vlogId(e.array()->name()) + "[" +
+                   expr(e.arg(0), blk, blk_idx) + "]";
           }
-          case IrExprNode::Kind::Sext: {
-            const IrExprNode *base = e->args[0].get();
+          case IrKind::Sext: {
+            IrView base = e.arg(0);
             // The sign bit must be individually selectable: the base
             // must be a (possibly sliced) signal or temporary.
             std::string msb;
-            if (base->kind == IrExprNode::Kind::Ref ||
-                base->kind == IrExprNode::Kind::Temp) {
+            if (base.kind() == IrKind::Ref || base.kind() == IrKind::Temp) {
                 msb = expr(base, blk, blk_idx) + "[" +
-                      std::to_string(base->nbits - 1) + "]";
-            } else if (base->kind == IrExprNode::Kind::Slice &&
-                       (base->args[0]->kind == IrExprNode::Kind::Ref ||
-                        base->args[0]->kind ==
-                            IrExprNode::Kind::Temp)) {
-                msb = expr(base->args[0].get(), blk, blk_idx) + "[" +
-                      std::to_string(base->lsb + base->nbits - 1) + "]";
+                      std::to_string(base.nbits() - 1) + "]";
+            } else if (base.kind() == IrKind::Slice &&
+                       (base.arg(0).kind() == IrKind::Ref ||
+                        base.arg(0).kind() == IrKind::Temp)) {
+                msb = expr(base.arg(0), blk, blk_idx) + "[" +
+                      std::to_string(base.lsb() + base.nbits() - 1) + "]";
             } else {
                 fail("sext of a compound expression; use let() first");
             }
-            int pad = e->nbits - base->nbits;
+            int pad = e.nbits() - base.nbits();
             std::string name = expr(base, blk, blk_idx);
             if (pad <= 0)
                 return name;
@@ -373,7 +370,7 @@ class ModuleEmitter
                     (blk.sequential && s.nonblocking) ? "<=" : "=";
                 if (s.temp >= 0 && !s.sig) {
                     os_ << tempName(blk_idx, s.temp, blk) << " = "
-                        << expr(s.rhs.get(), blk, blk_idx) << ";\n";
+                        << expr(s.rhs, blk, blk_idx) << ";\n";
                     break;
                 }
                 os_ << vlogId(s.sig->name());
@@ -385,12 +382,12 @@ class ModuleEmitter
                             << s.lsb << "]";
                 }
                 os_ << " " << assign_op << " "
-                    << expr(s.rhs.get(), blk, blk_idx) << ";\n";
+                    << expr(s.rhs, blk, blk_idx) << ";\n";
                 break;
               }
               case IrStmt::Kind::If:
                 os_ << pad << "if ("
-                    << expr(s.cond.get(), blk, blk_idx) << ") begin\n";
+                    << expr(s.cond, blk, blk_idx) << ") begin\n";
                 emitStmts(s.thenBody, blk, blk_idx, indent + 2);
                 if (!s.elseBody.empty()) {
                     os_ << pad << "end else begin\n";
@@ -403,8 +400,8 @@ class ModuleEmitter
                     fail("array write reaches a foreign array " +
                          s.array->fullName());
                 os_ << pad << vlogId(s.array->name()) << "["
-                    << expr(s.cond.get(), blk, blk_idx)
-                    << "] <= " << expr(s.rhs.get(), blk, blk_idx)
+                    << expr(s.cond, blk, blk_idx)
+                    << "] <= " << expr(s.rhs, blk, blk_idx)
                     << ";\n";
                 break;
             }

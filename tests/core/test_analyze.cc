@@ -210,12 +210,12 @@ struct BadSliceModel : Model
                       out(this, "out", 4)
     {
         auto &b = combinational("comb");
-        auto n = std::make_shared<IrExprNode>();
-        n->kind = IrExprNode::Kind::Slice;
-        n->nbits = 4;
-        n->lsb = 6; // bits [9:6] of an 8-bit operand
-        n->args = {rd(in_).node()};
-        b.assign(out, IrExpr(n));
+        IrNode n;
+        n.kind = IrKind::Slice;
+        n.nbits = 4;
+        n.aux = 6; // bits [9:6] of an 8-bit operand
+        n.arg[0] = rd(in_).view().id();
+        b.assign(out, IrExpr(irArena(), irArena().add(n)));
     }
 };
 
@@ -546,21 +546,21 @@ TEST(Analyze, StructuralFindingsNameHierarchicalPath)
 
 TEST(ConstFold, FoldsArithmeticWithSimulatorSemantics)
 {
-    auto v = irConstFold((lit(8, 3) + lit(8, 4)).node());
+    auto v = irConstFold((lit(8, 3) + lit(8, 4)).view());
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->toUint64(), 7u);
 
     // Wrap-around must match the simulator, not host arithmetic.
-    v = irConstFold((lit(8, 255) + lit(8, 1)).node());
+    v = irConstFold((lit(8, 255) + lit(8, 1)).view());
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->toUint64(), 0u);
 
-    v = irConstFold((lit(8, 5) == lit(8, 5)).node());
+    v = irConstFold((lit(8, 5) == lit(8, 5)).view());
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->nbits(), 1);
     EXPECT_EQ(v->toUint64(), 1u);
 
-    v = irConstFold(mux(lit(1, 0), lit(8, 1), lit(8, 2)).node());
+    v = irConstFold(mux(lit(1, 0), lit(8, 1), lit(8, 2)).view());
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->toUint64(), 2u);
 }
@@ -575,11 +575,11 @@ TEST(ConstFold, DoesNotFoldRuntimeState)
               arr(this, "arr", 8, 4)
         {}
     } top;
-    EXPECT_FALSE(irConstFold(rd(top.in_).node()).has_value());
+    EXPECT_FALSE(irConstFold(rd(top.in_).view()).has_value());
     EXPECT_FALSE(
-        irConstFold((rd(top.in_) + lit(8, 1)).node()).has_value());
+        irConstFold((rd(top.in_) + lit(8, 1)).view()).has_value());
     EXPECT_FALSE(
-        irConstFold(aread(top.arr, lit(2, 0)).node()).has_value());
+        irConstFold(aread(top.arr, lit(2, 0)).view()).has_value());
 }
 
 TEST(ConstFold, ReadsTheBoundResetNetAsOne)
@@ -591,28 +591,28 @@ TEST(ConstFold, ReadsTheBoundResetNetAsOne)
     } top;
     auto elab = top.elaborate();
     const int r = top.reset.netId();
-    EXPECT_FALSE(irConstFold(rd(top.reset).node()).has_value());
-    auto v = irConstFold(rd(top.reset).node(), r);
+    EXPECT_FALSE(irConstFold(rd(top.reset).view()).has_value());
+    auto v = irConstFold(rd(top.reset).view(), r);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->toUint64(), 1u);
     // Only the bound net folds.
-    EXPECT_FALSE(irConstFold(rd(top.in_).node(), r).has_value());
+    EXPECT_FALSE(irConstFold(rd(top.in_).view(), r).has_value());
     EXPECT_FALSE(
-        irConstFold((rd(top.reset) && rd(top.in_)).node(), r).has_value());
+        irConstFold((rd(top.reset) && rd(top.in_)).view(), r).has_value());
 
     // One decisive operand settles || and &&.
-    v = irConstFold((rd(top.reset) || rd(top.in_)).node(), r);
+    v = irConstFold((rd(top.reset) || rd(top.in_)).view(), r);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->toUint64(), 1u);
-    v = irConstFold((rd(top.in_) && !rd(top.reset)).node(), r);
+    v = irConstFold((rd(top.in_) && !rd(top.reset)).view(), r);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->toUint64(), 0u);
 
     // Concatenations fold; a mux's narrower arm is zero-extended.
-    v = irConstFold(cat(rd(top.reset), lit(1, 0)).node(), r);
+    v = irConstFold(cat(rd(top.reset), lit(1, 0)).view(), r);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->toUint64(), 2u);
-    v = irConstFold((~mux(rd(top.reset), lit(1, 1), lit(2, 0))).node(), r);
+    v = irConstFold((~mux(rd(top.reset), lit(1, 1), lit(2, 0))).view(), r);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->nbits(), 2);
     EXPECT_EQ(v->toUint64(), 2u);
@@ -628,14 +628,15 @@ TEST(MaxBound, TracksConstantsWidthsAndRefinements)
         {}
     } top;
 
-    EXPECT_EQ(irMaxBound(lit(8, 5).node()), 5u);
-    EXPECT_EQ(irMaxBound(rd(top.narrow).node()), 7u);
-    EXPECT_EQ(irMaxBound(rd(top.wide).node()), 255u);
+    // A literal is a node once it joins a tree.
+    EXPECT_EQ(irMaxBound((rd(top.wide) + lit(8, 5)).view().arg(1)), 5u);
+    EXPECT_EQ(irMaxBound(rd(top.narrow).view()), 7u);
+    EXPECT_EQ(irMaxBound(rd(top.wide).view()), 255u);
     // Slices and masks tighten the bound below the width's maximum.
-    EXPECT_EQ(irMaxBound(rd(top.wide).slice(0, 2).node()), 3u);
-    EXPECT_EQ(irMaxBound((rd(top.wide) & lit(8, 0x7)).node()), 7u);
+    EXPECT_EQ(irMaxBound(rd(top.wide).slice(0, 2).view()), 3u);
+    EXPECT_EQ(irMaxBound((rd(top.wide) & lit(8, 0x7)).view()), 7u);
     // Comparisons are 1-bit.
-    EXPECT_EQ(irMaxBound((rd(top.wide) == lit(8, 3)).node()), 1u);
+    EXPECT_EQ(irMaxBound((rd(top.wide) == lit(8, 3)).view()), 1u);
 }
 
 // ------------------------------------------------- clean corpus

@@ -72,32 +72,178 @@ TEST(IrBuild, AccessCollection)
     EXPECT_EQ(sum.reads.size(), 5u); // sel + 4 inputs
 }
 
-TEST(IrBuild, LeavesAreShared)
+TEST(IrBuild, LeafUsesAddNoNode)
 {
     testmodels::Register owner(nullptr, "m", 8);
-    EXPECT_EQ(rd(owner.in_).node(), rd(owner.in_).node());
-    EXPECT_NE(rd(owner.in_).node(), rd(owner.out).node());
-    EXPECT_EQ(lit(4, 3).node(), lit(4, 3).node());
-    EXPECT_NE(lit(4, 3).node(), lit(5, 3).node());
-    EXPECT_NE(lit(4, 3).node(), lit(4, 2).node());
-    // Constants outside the table are built afresh, with their value.
-    EXPECT_NE(lit(40, 1000).node(), lit(40, 1000).node());
-    EXPECT_EQ(lit(40, 1000).node()->cval, Bits(40, 1000));
-    EXPECT_EQ(lit(2, 5).node()->cval, Bits(2, 1));
+    const IrArena &arena = owner.irArena();
+    const IrView in = rd(owner.in_).view();
+    const IrView out = rd(owner.out).view();
+    const size_t size = arena.size();
+    EXPECT_EQ(in.arena(), &arena);
+    EXPECT_EQ(in.kind(), IrKind::Ref);
+    EXPECT_EQ(in.sig(), &owner.in_);
+    EXPECT_EQ(rd(owner.in_).view().id(), in.id());
+    EXPECT_EQ(rd(owner.out).view().id(), out.id());
+    EXPECT_NE(in.id(), out.id());
+    EXPECT_EQ(arena.size(), size);
+    // A literal stays in its handle until it joins a tree.
+    EXPECT_FALSE(lit(4, 3).view());
+    EXPECT_FALSE(lit(40, 1000).view());
+    EXPECT_EQ(arena.size(), size);
+    // An operator adds its own node and its literal, and reads add none.
+    const IrView sum = (rd(owner.in_) + lit(40, 1000)).view();
+    EXPECT_EQ(arena.size(), size + 2);
+    EXPECT_EQ(sum.arg(0).id(), in.id());
+    EXPECT_EQ(sum.arg(1).value(), Bits(40, 1000));
+    // A small narrow constant's node is shared from its second use on;
+    // a larger one is made per use.
+    const IrView three = (rd(owner.in_) + lit(8, 3)).view().arg(1);
+    EXPECT_EQ(arena.size(), size + 4);
+    EXPECT_EQ((rd(owner.out) - lit(8, 3)).view().arg(1).id(), three.id());
+    EXPECT_EQ(arena.size(), size + 5);
+    EXPECT_NE((rd(owner.out) - lit(7, 3)).view().arg(1).id(), three.id());
+    EXPECT_NE((rd(owner.out) - lit(40, 1000)).view().arg(1).id(),
+              sum.arg(1).id());
+    EXPECT_EQ((rd(owner.in_) ^ lit(2, 5)).view().arg(1).value(), Bits(2, 1));
+    const Bits wide = Bits::fromString(100, "0x123456789abcdef0123");
+    EXPECT_EQ(cat(rd(owner.in_), lit(wide)).view().arg(1).value(), wide);
 }
 
-TEST(IrBuild, SharedConstantsAcrossThreads)
+/** Builds a 4x4 RTL mesh; returns its arena size and its blocks' text. */
+std::pair<size_t, std::string>
+meshIr()
 {
-    // Models may be built on several threads at once (SimServer jobs);
-    // each must get the table's one node.
-    std::vector<const IrExprNode *> seen(4, nullptr);
+    net::MeshTrafficTop top("top", net::NetLevel::RTL, 16, 4, 0.30, 1);
+    std::string text;
+    auto elab = top.elaborate();
+    for (const ElabBlock &blk : elab->blocks) {
+        if (blk.ir)
+            text += irToString(*blk.ir);
+    }
+    return {top.irArena().size(), text};
+}
+
+TEST(IrBuild, TreesBuildOnSeveralThreadsAtOnce)
+{
+    // Models may be built on several threads at once (SimServer jobs).
+    // Each tree builds into its own arena, so each gets what one
+    // thread alone builds: the same nodes and the same blocks.
+    const std::pair<size_t, std::string> want = meshIr();
+    std::vector<std::pair<size_t, std::string>> seen(4);
     std::vector<std::thread> threads;
     for (size_t i = 0; i < seen.size(); ++i)
-        threads.emplace_back([&seen, i] { seen[i] = lit(7, 5).node().get(); });
+        threads.emplace_back([&seen, i] { seen[i] = meshIr(); });
     for (std::thread &t : threads)
         t.join();
-    for (const IrExprNode *node : seen)
-        EXPECT_EQ(node, lit(7, 5).node().get());
+    for (const auto &got : seen) {
+        EXPECT_EQ(got.first, want.first);
+        EXPECT_EQ(got.second, want.second);
+    }
+}
+
+/** A child builds an expression over its port; its parent assigns it. */
+class ChildExprTop : public Model
+{
+  public:
+    struct Child : Model
+    {
+        InPort a;
+        IrExpr plus1;
+
+        explicit Child(Model *parent)
+            : Model(parent, "child"), a(this, "a", 8), plus1(rd(a) + 1)
+        {}
+    };
+
+    InPort x;
+    OutPort out;
+    Child child;
+
+    ChildExprTop()
+        : Model(nullptr, "top"), x(this, "x", 8), out(this, "out", 8),
+          child(this)
+    {
+        connect(x, child.a);
+        combinational("comb").assign(out, child.plus1 ^ rd(x));
+    }
+};
+
+TEST(IrArena, ChildExpressionAssignedInTheParent)
+{
+    for (const char *backend : {"interp", "optinterp", "bytecode"}) {
+        ChildExprTop top;
+        EXPECT_EQ(&top.child.irArena(), &top.irArena());
+        auto sim =
+            makeSimulator(top.elaborate(), SimConfig::fromString(backend));
+        for (uint64_t v : {0x00, 0x11, 0xff}) {
+            top.x.setValue(v);
+            sim->eval();
+            EXPECT_EQ(top.out.u64(), ((v + 1) & 0xff) ^ v)
+                << backend << " x=" << v;
+        }
+    }
+}
+
+/** Assigns expressions built before it, outside any model tree. */
+class ConstOnlyTop : public Model
+{
+  public:
+    OutPort narrow, wide;
+
+    ConstOnlyTop(const IrExpr &n, const IrExpr &w)
+        : Model(nullptr, "top"), narrow(this, "narrow", 8),
+          wide(this, "wide", 72)
+    {
+        auto &c = combinational("comb");
+        c.assign(narrow, n);
+        c.assign(wide, w);
+    }
+};
+
+TEST(IrArena, ConstantOnlyExpressionsBuild)
+{
+    const IrExpr n = ((lit(8, 3) + lit(8, 4)) ^ lit(8, 1)).zext(8);
+    const Bits big = Bits::fromString(70, "0x2a0000000000000001");
+    const IrExpr w = cat(lit(big), lit(2, 1));
+    EXPECT_EQ(n.nbits(), 8);
+    EXPECT_EQ(w.nbits(), 72);
+    // They belong to no tree, so two trees may both use them.
+    for (const char *backend : {"interp", "optinterp", "bytecode"}) {
+        ConstOnlyTop top(n, w);
+        auto sim =
+            makeSimulator(top.elaborate(), SimConfig::fromString(backend));
+        sim->eval();
+        EXPECT_EQ(top.narrow.u64(), 6u) << backend;
+        EXPECT_EQ(top.wide.value(), concat(big, Bits(2, 1))) << backend;
+    }
+}
+
+TEST(IrArena, JoiningTwoTreesThrows)
+{
+    testmodels::Register a(nullptr, "a", 8);
+    testmodels::Register b(nullptr, "b", 8);
+    EXPECT_THROW(rd(a.in_) + rd(b.in_), std::logic_error);
+    EXPECT_THROW(mux(rd(a.in_).bit(0), lit(8, 1), rd(b.in_)),
+                 std::logic_error);
+    EXPECT_THROW(cat({rd(a.in_), lit(4, 1), rd(b.in_)}), std::logic_error);
+    EXPECT_THROW(a.combinational("late").assign(a.out, rd(b.in_)),
+                 std::logic_error);
+    // A constant-only operand joins either tree.
+    EXPECT_NO_THROW(rd(a.in_) + (lit(8, 1) + lit(8, 2)));
+    EXPECT_NO_THROW(rd(b.in_) + (lit(8, 1) + lit(8, 2)));
+}
+
+TEST(IrArena, MeshNodesAreInTopologicalOrder)
+{
+    net::MeshTrafficTop top("top", net::NetLevel::RTL, 256, 4, 0.30, 1);
+    const IrArena &arena = top.irArena();
+    // 26,880 Ref nodes, 28 shared constants and 1,280 temps among
+    // them; every node is reachable from some block.
+    EXPECT_EQ(arena.size(), 238108u);
+    for (IrId id = 0; id < arena.size(); ++id) {
+        for (IrId arg : arena.args(id))
+            ASSERT_LT(arg, id);
+    }
 }
 
 /**

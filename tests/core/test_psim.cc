@@ -29,6 +29,8 @@
 #include "net/traffic.h"
 #include "tile/multitile.h"
 #include "tile/proc.h"
+#include "tile/programs.h"
+#include "tile/tile.h"
 
 namespace cmtl {
 namespace {
@@ -249,6 +251,70 @@ TEST(PsimMultiTile, MvmultBitIdentical)
     }
 }
 
+// ------------------------------------------ next-phase writes at home
+
+/** makeSimulator on bytecode: the sequential kernel at 1 thread. */
+std::unique_ptr<Simulator>
+bytecodeSim(Model &top, int threads)
+{
+    SimConfig cfg = SimConfig::fromString("bytecode");
+    cfg.threads = threads;
+    return makeSimulator(top.elaborate(), cfg);
+}
+
+/**
+ * ParSim writes a next value to the net's home replica only, the one
+ * that flops it. The 8x8 RTL and CL meshes and the CL tile end in the
+ * sequential run's state at 2 and 4 threads, and so do the meshes
+ * resumed from a snapshot taken halfway, whose restore writes every
+ * flop's next value.
+ */
+TEST(PsimNextWrites, DigestsAndSnapshotsMatchTheSequentialRun)
+{
+    for (NetLevel level : {NetLevel::RTL, NetLevel::CL}) {
+        auto run = [level](int threads, bool resume) {
+            MeshTrafficTop top("top", level, 64, 4, 0.3, 1);
+            auto sim = bytecodeSim(top, threads);
+            sim->reset();
+            sim->cycle(150);
+            if (resume) {
+                const SimSnapshot snap = snapSave(*sim);
+                MeshTrafficTop fresh("top", level, 64, 4, 0.3, 1);
+                auto again = bytecodeSim(fresh, threads);
+                snapRestore(*again, snap);
+                again->cycle(150);
+                return stateDigest(*again);
+            }
+            sim->cycle(150);
+            return stateDigest(*sim);
+        };
+        const uint64_t want = run(1, false);
+        for (int threads : {2, 4}) {
+            const std::string ctx = std::string(level == NetLevel::RTL
+                                                    ? "rtl"
+                                                    : "cl") +
+                                    " threads " + std::to_string(threads);
+            EXPECT_EQ(run(threads, false), want) << ctx;
+            EXPECT_EQ(run(threads, true), want) << ctx << " resumed";
+        }
+    }
+    auto tileDigest = [](int threads) {
+        using namespace tile;
+        const Workload w = makeMvmultScalar(4, 4);
+        Tile t("tile", Level::CL, Level::CL, Level::CL);
+        t.loadProgram(w.image);
+        loadMvmultData(t.mem(), w);
+        auto sim = bytecodeSim(t, threads);
+        sim->reset();
+        sim->cycle(2000);
+        EXPECT_TRUE(t.proc().numInsts() > 0) << threads;
+        return stateDigest(*sim);
+    };
+    const uint64_t want = tileDigest(1);
+    for (int threads : {2, 4})
+        EXPECT_EQ(tileDigest(threads), want) << "tile threads " << threads;
+}
+
 // ------------------------------------------------ partition sanity
 
 TEST(Partition, InvariantsOnMeshRtl)
@@ -335,68 +401,83 @@ TEST(Partition, ClampsAndCompactsDegenerateIslandCounts)
 
 // ------------------------------------ per-block summary invariants
 
-/** Statements plus expression nodes, each use of a node counted. */
-long
-treeCount(const IrExprNode *e)
+/**
+ * Per-node facts of a model tree's whole arena, from one forward pass.
+ * A node's operands come before it, so its tree size (every use of a
+ * shared node counted) and whether every node, referenced net and
+ * array of its tree fits one arena word follow from theirs.
+ */
+struct ArenaFacts
 {
-    if (!e)
-        return 0;
-    long n = 1;
-    for (const IrExprPtr &arg : e->args)
-        n += treeCount(arg.get());
-    return n;
-}
+    const IrArena &arena;
+    std::vector<long> size;
+    std::vector<char> fits;
 
-long
-treeCount(const std::vector<IrStmt> &stmts)
-{
-    long n = 0;
-    for (const IrStmt &s : stmts) {
-        n += 1 + treeCount(s.rhs.get()) + treeCount(s.cond.get()) +
-             treeCount(s.thenBody) + treeCount(s.elseBody);
+    ArenaFacts(const IrArena &a, const ArenaStore &store) : arena(a)
+    {
+        for (IrId id = 0; id < arena.size(); ++id) {
+            const IrNode &n = arena[id];
+            long sz = 1;
+            bool ok = n.nbits <= 64 && (n.kind != IrKind::Ref ||
+                                        store.narrow(n.sig->netId()));
+            for (IrId arg : arena.args(id)) {
+                EXPECT_LT(arg, id) << "operand after its user";
+                sz += size[arg];
+                ok = ok && fits[arg];
+            }
+            size.push_back(sz);
+            fits.push_back(ok);
+        }
     }
-    return n;
-}
+
+    long
+    treeCount(IrView e) const
+    {
+        return e ? size[e.id()] : 0;
+    }
+
+    /** Statements plus expression nodes, each use of a node counted. */
+    long
+    treeCount(const std::vector<IrStmt> &stmts) const
+    {
+        long n = 0;
+        for (const IrStmt &s : stmts) {
+            n += 1 + treeCount(s.rhs) + treeCount(s.cond) +
+                 treeCount(s.thenBody) + treeCount(s.elseBody);
+        }
+        return n;
+    }
+
+    bool
+    fitsWord(IrView e) const
+    {
+        return !e || fits[e.id()];
+    }
+
+    bool
+    fitsWord(const std::vector<IrStmt> &stmts, const ArenaStore &store) const
+    {
+        for (const IrStmt &s : stmts) {
+            if (s.sig && !store.narrow(s.sig->netId()))
+                return false;
+            if (!fitsWord(s.rhs) || !fitsWord(s.cond) ||
+                !fitsWord(s.thenBody, store) || !fitsWord(s.elseBody, store))
+                return false;
+        }
+        return true;
+    }
+};
 
 /** The partition weight the summary must equal. */
 long
-referenceWeight(const ElabBlock &blk)
+referenceWeight(const ElabBlock &blk, const ArenaFacts &facts)
 {
-    return blk.ir ? std::max<long>(1, treeCount(blk.ir->stmts)) : 16;
-}
-
-/** Every node, referenced net and assigned net fits one arena word. */
-bool
-fitsWord(const IrExprNode *e, const ArenaStore &store)
-{
-    if (!e)
-        return true;
-    if (e->nbits > 64)
-        return false;
-    if (e->kind == IrExprNode::Kind::Ref && !store.narrow(e->sig->netId()))
-        return false;
-    for (const IrExprPtr &arg : e->args) {
-        if (!fitsWord(arg.get(), store))
-            return false;
-    }
-    return true;
+    return blk.ir ? std::max<long>(1, facts.treeCount(blk.ir->stmts)) : 16;
 }
 
 bool
-fitsWord(const std::vector<IrStmt> &stmts, const ArenaStore &store)
-{
-    for (const IrStmt &s : stmts) {
-        if (s.sig && !store.narrow(s.sig->netId()))
-            return false;
-        if (!fitsWord(s.rhs.get(), store) || !fitsWord(s.cond.get(), store) ||
-            !fitsWord(s.thenBody, store) || !fitsWord(s.elseBody, store))
-            return false;
-    }
-    return true;
-}
-
-bool
-referenceSpecializable(const ElabBlock &blk, const ArenaStore &store)
+referenceSpecializable(const ElabBlock &blk, const ArenaFacts &facts,
+                       const ArenaStore &store)
 {
     if (!blk.ir)
         return false;
@@ -404,7 +485,7 @@ referenceSpecializable(const ElabBlock &blk, const ArenaStore &store)
         if (t.nbits > 64)
             return false;
     }
-    return fitsWord(blk.ir->stmts, store);
+    return facts.fitsWord(blk.ir->stmts, store);
 }
 
 /** Checks every block of @p top; returns its IR blocks over 64 bits. */
@@ -413,10 +494,17 @@ expectSummaryMatchesTreeWalk(Model &top, const std::string &what)
 {
     auto elab = top.elaborate();
     ArenaStore store(*elab);
+    const ArenaFacts facts(top.irArena(), store);
     int wide = 0;
     for (const ElabBlock &blk : elab->blocks) {
-        EXPECT_EQ(blk.weight, referenceWeight(blk)) << what << " " << blk.name;
-        EXPECT_EQ(bcSpecializable(blk), referenceSpecializable(blk, store))
+        if (blk.ir) {
+            EXPECT_EQ(blk.ir->arena, &top.irArena())
+                << what << " " << blk.name;
+        }
+        EXPECT_EQ(blk.weight, referenceWeight(blk, facts))
+            << what << " " << blk.name;
+        EXPECT_EQ(bcSpecializable(blk),
+                  referenceSpecializable(blk, facts, store))
             << what << " " << blk.name;
         wide += blk.ir && !bcSpecializable(blk);
     }
@@ -484,11 +572,7 @@ expectStampedTablesMatchACompile(Model &top, const std::string &what)
                                        got.slots + got.prog->nslots),
                   want.slots)
             << ctx;
-        const std::span<const uint64_t> literals =
-            elab->literals(elab->blocks[b]);
-        EXPECT_EQ(std::vector<uint64_t>(literals.begin(), literals.end()),
-                  want.consts)
-            << ctx;
+        EXPECT_EQ(elab->literals(elab->blocks[b]), want.consts) << ctx;
         consts[b] = std::move(want.consts);
     }
     EXPECT_EQ(mod.numPrograms(), static_cast<int>(progs.size())) << what;
@@ -616,12 +700,46 @@ TEST(ElabSummary, ModuleCompilesOneBlockPerShape)
         EXPECT_THROW(BcModule(*elab, store, blocks), std::logic_error);
         elab->irOperands[first.operandsAt + i] ^= 1;
         if (!elab->literals(first).empty()) {
-            ++elab->irLiterals[first.literalsAt];
+            uint64_t &base =
+                elab->irLiterals[elab->irShapes[first.shape].literalsAt];
+            ++base;
             EXPECT_THROW(BcModule(*elab, store, blocks), std::logic_error);
-            --elab->irLiterals[first.literalsAt];
+            --base;
         }
     }
     EXPECT_EQ(BcModule(*elab, store, blocks).numPrograms(), programs);
+}
+
+/**
+ * Literal records are one base per shape, its first block's, and per
+ * block only the literals that differ from it. Pinned on the 16x16
+ * mesh, where whole records deduplicated took 32,058 words.
+ */
+TEST(ElabSummary, LiteralsAreShapeBasesAndPatches)
+{
+    MeshTrafficTop mesh("top", NetLevel::RTL, 256, 4, 0.3, 1);
+    auto elab = mesh.elaborate();
+    std::vector<char> seen(elab->irShapes.size(), 0);
+    size_t literals = 0;
+    for (const ElabBlock &blk : elab->blocks) {
+        if (!blk.ir)
+            continue;
+        literals += elab->irShapes[blk.shape].literals;
+        if (!seen[blk.shape]++) {
+            EXPECT_EQ(blk.patches, 0) << blk.name;
+        }
+        for (int i = blk.patchesAt; i < blk.patchesAt + blk.patches; ++i) {
+            const IrLiteralPatch &p = elab->irLiteralPatches[i];
+            EXPECT_NE(p.value,
+                      elab->irLiterals[elab->irShapes[blk.shape].literalsAt +
+                                       p.at])
+                << blk.name;
+        }
+    }
+    // 183 base words and 4,800 two-word patches: 9,783 words.
+    EXPECT_EQ(literals, 101120u);
+    EXPECT_EQ(elab->irLiterals.size(), 183u);
+    EXPECT_EQ(elab->irLiteralPatches.size(), 4800u);
 }
 
 TEST(Partition, PlansFollowTheTreeCountWeight)
@@ -634,8 +752,9 @@ TEST(Partition, PlansFollowTheTreeCountWeight)
         MeshTrafficTop mesh("top", NetLevel::RTL, nrouters, 4, 0.3, 1);
         auto elab = mesh.elaborate();
         Elaboration reference = *elab;
+        const ArenaFacts facts(mesh.irArena(), ArenaStore(*elab));
         for (ElabBlock &blk : reference.blocks)
-            blk.weight = referenceWeight(blk);
+            blk.weight = referenceWeight(blk, facts);
         const PartitionPlan plan = partitionDesign(*elab, nislands);
         const PartitionPlan want = partitionDesign(reference, nislands);
         const std::string ctx = std::to_string(nrouters) + " routers, " +

@@ -630,7 +630,8 @@ tickLambdaConfigs()
          {"interp", "optinterp", "bytecode", "cpp-design", "interp+bytecode",
           "interp+cpp-block"})
         cfgs.push_back(SimConfig::fromString(backend));
-    for (const char *backend : {"bytecode", "cpp-design"}) {
+    // ParSim takes the arena-hosted backends.
+    for (const char *backend : {"optinterp", "bytecode", "cpp-design"}) {
         cfgs.push_back(SimConfig::fromString(backend));
         cfgs.back().threads = 2;
     }
@@ -705,6 +706,61 @@ TEST_P(SimTickLambda, UndeclaredWriteThrows)
         // A test bench may not write a next value either.
         top.target = nullptr;
         EXPECT_THROW(target.setNext(uint64_t(2)), std::logic_error);
+    }
+}
+
+/**
+ * Two tick lambdas: @c owner declares @c held, and @c other declares
+ * @c mine and, once @c poach is set, also writes @c held. On the arena
+ * backends @c held's next word is slot-bound for @c owner.
+ */
+class TwoWriters : public Model
+{
+  public:
+    InPort in_;
+    Wire held, mine;
+    OutPort out;
+    bool poach = false;
+
+    TwoWriters()
+        : Model(nullptr, "two"), in_(this, "in_", 8), held(this, "held", 8),
+          mine(this, "mine", 8), out(this, "out", 8)
+    {
+        tickFl(
+            "owner", [this] { held.setNext(in_.u64() + 1); }, {&held});
+        tickFl(
+            "other",
+            [this] {
+                mine.setNext(in_.u64() + 2);
+                if (poach)
+                    held.setNext(uint64_t(7));
+            },
+            {&mine});
+        combinational("mix").assign(out, rd(held) ^ rd(mine));
+    }
+};
+
+TEST_P(SimTickLambda, OtherWritersOfADeclaredNetThrow)
+{
+    TwoWriters top;
+    auto sim = makeSimulator(top.elaborate(), GetParam());
+    top.in_.setValue(uint64_t(4));
+    sim->cycle(2);
+    EXPECT_EQ(top.out.u64(), 5u ^ 6u);
+    // A test bench may not write the declared net's next value...
+    EXPECT_THROW(top.held.setNext(uint64_t(2)), std::logic_error);
+    EXPECT_THROW(top.held.setNext(Bits(8, 2)), std::logic_error);
+    sim->cycle();
+    EXPECT_EQ(top.held.u64(), 5u);
+    // ...and neither may a lambda that does not declare it.
+    top.poach = true;
+    try {
+        sim->cycle();
+        ADD_FAILURE() << "no throw writing two.held";
+    } catch (const std::logic_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("two.other"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("two.held"), std::string::npos) << msg;
     }
 }
 
