@@ -5,8 +5,9 @@
  * Covers the Bits value type (narrow and wide paths), the three IR
  * execution engines on an operator-torture block, the two signal
  * storage backends — the primitives whose relative costs produce the
- * macro-level results in Figures 13-15 — and the set-up stages a user
- * waits for before the first cycle of the 16x16 RTL mesh.
+ * macro-level results in Figures 13-15 — the set-up stages a user
+ * waits for before the first cycle of the 16x16 RTL mesh, and the
+ * state digest that reads its results.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 #include "core/model.h"
 #include "core/partition.h"
 #include "core/psim.h"
+#include "core/snap.h"
 #include "core/store.h"
 #include "core/timing.h"
 #include "net/traffic.h"
@@ -364,6 +366,22 @@ BM_SetupMakeSimulator(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SetupMakeSimulator)->Unit(benchmark::kMillisecond);
+
+/** The results read: the state digest of the same simulator after
+ *  100 cycles. */
+void
+BM_StateDigest(benchmark::State &state)
+{
+    SimConfig cfg = SimConfig::fromString("bytecode");
+    cfg.threads = 2;
+    auto mesh = setupMesh();
+    auto sim = makeSimulator(mesh->elaborate(), cfg);
+    sim->reset();
+    sim->cycle(100);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(stateDigest(*sim));
+}
+BENCHMARK(BM_StateDigest)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -673,12 +673,18 @@ class Summarizer
     {
         if (!shape_)
             return 0;
-        std::vector<int32_t> &ops = shape_->operands;
-        auto it = std::find(ops.begin(), ops.end(), token);
-        if (it != ops.end())
-            return static_cast<int32_t>(it - ops.begin());
-        ops.push_back(token);
-        return static_cast<int32_t>(ops.size() - 1);
+        std::vector<IrShape::Seen> &table =
+            token >= 0 ? shape_->seenNets : shape_->seenArrays;
+        const size_t at = token >= 0 ? token : -(token + 1);
+        if (at >= table.size())
+            table.resize(std::max(at + 1, 2 * table.size()));
+        IrShape::Seen &seen = table[at];
+        if (seen.block != shape_->blocks) {
+            seen = {shape_->blocks,
+                    static_cast<int32_t>(shape_->operands.size())};
+            shape_->operands.push_back(token);
+        }
+        return seen.index;
     }
 
     void
@@ -851,6 +857,7 @@ irSummarize(const IrBlock &block, IrShape *shape)
             {block.sequential, static_cast<int32_t>(block.temps.size())});
         shape->operands.clear();
         shape->literals.clear();
+        ++shape->blocks;
     }
     Summarizer(out, shape, block.sequential).stmts(block.stmts);
     dedup(out.reads);

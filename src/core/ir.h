@@ -432,6 +432,21 @@ struct IrShape
     std::vector<int32_t> code; //!< the shape, compared word for word
     std::vector<int32_t> operands;
     std::vector<uint64_t> literals;
+
+    /**
+     * irSummarize's operand lookup, kept across the blocks summarized
+     * into one IrShape: per token, the number of the block that last
+     * used it and its index in that block's record. Net words are
+     * looked up at the token, arrays at -(token + 1).
+     */
+    struct Seen
+    {
+        uint32_t block = 0;
+        int32_t index = 0;
+    };
+    std::vector<Seen> seenNets;
+    std::vector<Seen> seenArrays;
+    uint32_t blocks = 0; //!< blocks summarized so far
 };
 
 /**

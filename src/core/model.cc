@@ -4,7 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string_view>
-#include <unordered_map>
 
 namespace cmtl {
 
@@ -83,8 +82,8 @@ MemArray::fullName() const
 
 Model::Model(Model *parent, std::string name)
     : parent_(parent), name_(std::move(name)),
-      own_arena_(parent ? nullptr : std::make_unique<IrArena>()),
-      arena_(parent ? parent->arena_ : own_arena_.get()),
+      own_tree_(parent ? nullptr : std::make_unique<Tree>()),
+      tree_(parent ? parent->tree_ : own_tree_.get()),
       reset(this, "reset", 1)
 {
     if (parent_)
@@ -128,19 +127,24 @@ Model::tickCl(const std::string &name, std::function<void()> fn,
 }
 
 BlockBuilder &
+Model::addIrBlock(const std::string &name, bool sequential)
+{
+    IrBlock &block = tree_->irBlocks.emplace_back(
+        IrBlock{name, sequential, &tree_->arena, {}, {}});
+    ir_blocks_.push_back(&block);
+    return tree_->builders.emplace_back(&block, &tree_->arena);
+}
+
+BlockBuilder &
 Model::tickRtl(const std::string &name)
 {
-    ir_blocks_.push_back(IrBlock{name, /*sequential=*/true, arena_, {}, {}});
-    builders_.emplace_back(&ir_blocks_.back(), arena_);
-    return builders_.back();
+    return addIrBlock(name, /*sequential=*/true);
 }
 
 BlockBuilder &
 Model::combinational(const std::string &name)
 {
-    ir_blocks_.push_back(IrBlock{name, /*sequential=*/false, arena_, {}, {}});
-    builders_.emplace_back(&ir_blocks_.back(), arena_);
-    return builders_.back();
+    return addIrBlock(name, /*sequential=*/false);
 }
 
 void
@@ -181,17 +185,6 @@ class UnionFind
     std::vector<int> parent_;
 };
 
-int
-hierarchyDepth(const Model *m)
-{
-    int depth = 0;
-    while (m->parent()) {
-        ++depth;
-        m = m->parent();
-    }
-    return depth;
-}
-
 } // namespace
 
 /** Performs elaboration of a model hierarchy (framework internal). */
@@ -205,45 +198,75 @@ class Elaborator
         elab->top = top;
         collectModels(top, elab->models);
 
-        // Collect signals and assign dense ids.
-        std::unordered_map<const Signal *, int> sig_idx;
+        // Each model's full name and depth, once, parents first.
+        const size_t nmodels = elab->models.size();
+        names_.resize(nmodels);
+        std::vector<int> depth(nmodels, 0);
+        for (size_t i = 0; i < nmodels; ++i) {
+            Model *m = elab->models[i];
+            m->preorder_ = static_cast<int>(i);
+            if (const Model *p = m->parent()) {
+                names_[i] = names_[p->preorder_] + "." + m->instName();
+                depth[i] = depth[p->preorder_] + 1;
+            } else {
+                names_[i] = m->instName();
+            }
+        }
+
+        // Collect signals and assign dense ids, which each signal
+        // holds in its net id until the nets are numbered.
         for (Model *m : elab->models) {
             for (Signal *sig : m->ownSignals()) {
-                sig_idx[sig] = static_cast<int>(elab->signals.size());
+                sig->setNetId(static_cast<int>(elab->signals.size()));
                 elab->signals.push_back(sig);
             }
         }
+        auto index = [&](const Signal *sig) {
+            const int i = sig->netId();
+            if (i < 0 || i >= static_cast<int>(elab->signals.size()) ||
+                elab->signals[i] != sig)
+                throw std::logic_error("connection to '" + sig->fullName() +
+                                       "', which is outside the design");
+            return i;
+        };
 
         // Resolve connectivity (including implicit reset chaining).
         UnionFind uf(elab->signals.size());
         for (Model *m : elab->models) {
             for (const auto &[a, b] : m->ownConnections())
-                uf.unite(sig_idx.at(a), sig_idx.at(b));
+                uf.unite(index(a), index(b));
             if (m->parent())
-                uf.unite(sig_idx.at(&m->reset),
-                         sig_idx.at(&m->parent()->reset));
+                uf.unite(index(&m->reset), index(&m->parent()->reset));
         }
 
-        // Build nets from union-find roots.
-        std::unordered_map<int, int> root_to_net;
+        // Build nets from union-find roots. Each is named after its
+        // first shallowest member signal.
+        std::vector<int> root_to_net(elab->signals.size(), -1);
+        std::vector<const Signal *> named;
         for (size_t i = 0; i < elab->signals.size(); ++i) {
             Signal *sig = elab->signals[i];
-            int root = uf.find(static_cast<int>(i));
-            auto [it, inserted] =
-                root_to_net.try_emplace(root,
-                                        static_cast<int>(elab->nets.size()));
-            if (inserted) {
+            int &id = root_to_net[uf.find(static_cast<int>(i))];
+            if (id < 0) {
+                id = static_cast<int>(elab->nets.size());
                 Net net;
-                net.id = it->second;
+                net.id = id;
                 net.nbits = sig->nbits();
                 elab->nets.push_back(std::move(net));
+                named.push_back(sig);
             }
-            Net &net = elab->nets[it->second];
+            Net &net = elab->nets[id];
             if (net.nbits != sig->nbits())
                 throw std::logic_error("net width mismatch at " +
                                        sig->fullName());
             net.signals.push_back(sig);
-            sig->setNetId(net.id);
+            sig->setNetId(id);
+            if (depth[sig->owner()->preorder_] <
+                depth[named[id]->owner()->preorder_])
+                named[id] = sig;
+        }
+        for (Net &net : elab->nets) {
+            const Signal *sig = named[net.id];
+            net.name = names_[sig->owner()->preorder_] + "." + sig->name();
         }
 
         // Collect memory arrays.
@@ -252,17 +275,6 @@ class Elaborator
                 array->setArrayId(static_cast<int>(elab->arrays.size()));
                 elab->arrays.push_back(array);
             }
-        }
-
-        // Name each net after its shallowest member signal.
-        for (Net &net : elab->nets) {
-            Signal *best = net.signals.front();
-            for (Signal *sig : net.signals) {
-                if (hierarchyDepth(sig->owner()) <
-                    hierarchyDepth(best->owner()))
-                    best = sig;
-            }
-            net.name = best->fullName();
         }
 
         collectBlocks(elab.get());
@@ -313,7 +325,7 @@ class Elaborator
             for (const auto &decl : m->lambda_blocks_) {
                 ElabBlock blk;
                 blk.kind = decl.kind;
-                blk.name = m->fullName() + "." + decl.name;
+                blk.name = names_[m->preorder_] + "." + decl.name;
                 blk.model = m;
                 blk.fn = decl.fn;
                 for (Signal *sig : decl.reads)
@@ -324,14 +336,14 @@ class Elaborator
                 dedupNets(blk.writes);
                 elab->blocks.push_back(std::move(blk));
             }
-            for (const IrBlock &ir : m->ownIrBlocks()) {
+            for (const IrBlock *ir : m->ownIrBlocks()) {
                 ElabBlock blk;
                 blk.kind =
-                    ir.sequential ? BlockKind::TickIr : BlockKind::CombIr;
-                blk.name = m->fullName() + "." + ir.name;
+                    ir->sequential ? BlockKind::TickIr : BlockKind::CombIr;
+                blk.name = names_[m->preorder_] + "." + ir->name;
                 blk.model = m;
-                blk.ir = &ir;
-                const IrBlockSummary sum = irSummarize(ir, &shape);
+                blk.ir = ir;
+                const IrBlockSummary sum = irSummarize(*ir, &shape);
                 blk.weight = std::max<long>(1, sum.nodes);
                 blk.widest = sum.widest;
                 blk.shape = internShape();
@@ -355,7 +367,7 @@ class Elaborator
                     blk.reads.push_back(sig->netId());
                 for (Signal *sig : sum.writes) {
                     blk.writes.push_back(sig->netId());
-                    if (ir.sequential)
+                    if (ir->sequential)
                         elab->nets[sig->netId()].floppedStatic = true;
                 }
                 for (MemArray *array : sum.arrayReads)
@@ -404,28 +416,27 @@ class Elaborator
         }
 
         // Topological order of comb blocks: edge writer -> reader.
-        std::unordered_map<int, std::vector<int>> writers; // net -> blocks
-        for (int i : comb_blocks) {
-            for (int net : elab->blocks[i].writes)
-                writers[net].push_back(i);
-        }
-        std::unordered_map<int, std::vector<int>> edges;
-        std::unordered_map<int, int> indeg;
-        for (int i : comb_blocks)
-            indeg[i] = 0;
-        for (int i : comb_blocks) {
-            for (int net : elab->blocks[i].reads) {
-                auto it = writers.find(net);
-                if (it == writers.end())
-                    continue;
-                for (int w : it->second) {
-                    if (w == i)
-                        continue;
-                    edges[w].push_back(i);
-                    ++indeg[i];
+        const auto &blocks = elab->blocks;
+        const FlatLists writers(
+            static_cast<int>(elab->netReaders.size()), [&](auto add) {
+                for (int i : comb_blocks) {
+                    for (int net : blocks[i].writes)
+                        add(net, i);
+                }
+            });
+        const FlatLists edges(nblocks, [&](auto add) {
+            for (int i : comb_blocks) {
+                for (int net : blocks[i].reads) {
+                    for (int w : writers[net]) {
+                        if (w != i)
+                            add(w, i);
+                    }
                 }
             }
-        }
+        });
+        std::vector<int> indeg(nblocks, 0);
+        for (int i : edges.items())
+            ++indeg[i];
         std::vector<int> ready;
         for (int i : comb_blocks) {
             if (indeg[i] == 0)
@@ -443,6 +454,9 @@ class Elaborator
         if (elab->combOrder.size() != comb_blocks.size())
             elab->hasCombCycle = true;
     }
+
+    /** Each model's full name, by pre-order index. */
+    std::vector<std::string> names_;
 };
 
 std::shared_ptr<Elaboration>

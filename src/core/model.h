@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -152,6 +153,42 @@ struct Net
     std::string name;             //!< shallowest member signal's full name
     bool floppedStatic = false;   //!< written by a non-blocking IR assign
     std::vector<Signal *> signals;
+};
+
+/**
+ * Lists of ints keyed by a dense id and stored back to back
+ * (compressed sparse rows): the set-up layers' per-token and
+ * per-block adjacency, built without a heap block per list.
+ */
+class FlatLists
+{
+  public:
+    /**
+     * Lists for keys [0, @p nkeys). @p each(add) must call add(key,
+     * item) for every entry, in list order; it runs twice, once to
+     * count and once to fill.
+     */
+    template <typename Each>
+    FlatLists(int nkeys, Each &&each) : start_(nkeys + 1, 0)
+    {
+        each([&](int key, int) { ++start_[key + 1]; });
+        std::partial_sum(start_.begin(), start_.end(), start_.begin());
+        items_.resize(start_.back());
+        std::vector<int> at(start_.begin(), start_.end() - 1);
+        each([&](int key, int item) { items_[at[key]++] = item; });
+    }
+
+    std::span<const int>
+    operator[](int key) const
+    {
+        return {items_.data() + start_[key], items_.data() + start_[key + 1]};
+    }
+    /** Every entry, key by key. */
+    const std::vector<int> &items() const { return items_; }
+
+  private:
+    std::vector<int> start_;
+    std::vector<int> items_;
 };
 
 /**
@@ -311,13 +348,29 @@ class Model
     {
         return connections_;
     }
-    const std::deque<IrBlock> &ownIrBlocks() const { return ir_blocks_; }
+    /** This model's IR blocks, in declaration order. */
+    const std::vector<IrBlock *> &ownIrBlocks() const { return ir_blocks_; }
     /** The expression arena of this model's tree (ir.h). */
-    IrArena &irArena() { return *arena_; }
-    const IrArena &irArena() const { return *arena_; }
+    IrArena &irArena() { return tree_->arena; }
+    const IrArena &irArena() const { return tree_->arena; }
+    /** Index in Elaboration::models; valid after elaboration (-1 before). */
+    int preorder() const { return preorder_; }
 
   private:
     friend class Elaborator;
+
+    /**
+     * What the models of one tree build into, owned by the top model
+     * like its arena: a model without IR blocks allocates nothing, and
+     * a block keeps its address while later ones are added.
+     */
+    struct Tree
+    {
+        IrArena arena;
+        std::deque<IrBlock> irBlocks;
+        std::deque<BlockBuilder> builders;
+    };
+    BlockBuilder &addIrBlock(const std::string &name, bool sequential);
 
     struct LambdaDecl
     {
@@ -330,16 +383,16 @@ class Model
 
     Model *parent_;
     std::string name_;
-    /** The top model owns its tree's arena; every model points at it. */
-    std::unique_ptr<IrArena> own_arena_;
-    IrArena *arena_;
+    /** The top model owns its tree's storage; every model points at it. */
+    std::unique_ptr<Tree> own_tree_;
+    Tree *tree_;
+    int preorder_ = -1;
     std::vector<Model *> children_;
     std::vector<Signal *> signals_;
     std::vector<MemArray *> arrays_;
     std::vector<std::pair<Signal *, Signal *>> connections_;
     std::vector<LambdaDecl> lambda_blocks_;
-    std::deque<IrBlock> ir_blocks_;
-    std::deque<BlockBuilder> builders_;
+    std::vector<IrBlock *> ir_blocks_;
 
   public:
     /**

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace cmtl {
 
@@ -123,24 +122,25 @@ partitionDesign(const Elaboration &elab, int nislands)
     //        mutable bulk state; co-locating all touchers keeps array
     //        storage island-local and avoids per-cycle array copies.
     // ---------------------------------------------------------------
-    std::vector<std::vector<int>> tokenWriters(ntokens);
-    std::vector<std::vector<int>> tokenCombWriters(ntokens);
-    std::vector<std::vector<int>> tokenReaders(ntokens);
-    for (int i = 0; i < nblocks; ++i) {
-        if (!assignable(blocks[i]))
-            continue;
-        for (int t : blocks[i].writes) {
-            tokenWriters[t].push_back(i);
-            if (!isTick(blocks[i].kind))
-                tokenCombWriters[t].push_back(i);
-        }
-        for (int t : blocks[i].reads)
-            tokenReaders[t].push_back(i);
-    }
+    // Per token, the assignable blocks that write it (all, or the
+    // comb ones only) and those that read it.
+    auto perToken = [&](std::vector<int> ElabBlock::*tokens, bool comb) {
+        return FlatLists(ntokens, [&](auto add) {
+            for (int i = 0; i < nblocks; ++i) {
+                if (!assignable(blocks[i]) || (comb && isTick(blocks[i].kind)))
+                    continue;
+                for (int t : blocks[i].*tokens)
+                    add(t, i);
+            }
+        });
+    };
+    const FlatLists tokenWriters = perToken(&ElabBlock::writes, false);
+    const FlatLists tokenCombWriters = perToken(&ElabBlock::writes, true);
+    const FlatLists tokenReaders = perToken(&ElabBlock::reads, false);
 
     BlockUnionFind uf(static_cast<size_t>(nblocks));
     for (int t = 0; t < ntokens; ++t) {
-        const auto &writers = tokenWriters[t];
+        const std::span<const int> writers = tokenWriters[t];
         for (size_t k = 1; k < writers.size(); ++k)
             uf.unite(writers[0], writers[k]);
         // (c) a tick block writing a *non-flopped* net mutates the
@@ -180,29 +180,23 @@ partitionDesign(const Elaboration &elab, int nislands)
     // of one model subtree sort adjacently, so chunking the sorted
     // cluster list cuts the design along its structural hierarchy —
     // e.g. a mesh falls into contiguous strips of whole routers).
-    std::unordered_map<const Model *, int> modelOrder;
-    for (size_t i = 0; i < elab.models.size(); ++i)
-        modelOrder[elab.models[i]] = static_cast<int>(i);
-
-    std::unordered_map<int, int> rootToCluster;
+    std::vector<int> rootToCluster(nblocks, -1);
     std::vector<long> clusterWeight;
     std::vector<int> clusterKey;
     std::vector<int> clusterOf(nblocks, -1);
     for (int i = 0; i < nblocks; ++i) {
         if (!assignable(blocks[i]))
             continue;
-        int root = uf.find(i);
-        auto [it, inserted] = rootToCluster.try_emplace(
-            root, static_cast<int>(clusterWeight.size()));
-        if (inserted) {
+        const int key = blocks[i].model->preorder();
+        int &c = rootToCluster[uf.find(i)];
+        if (c < 0) {
+            c = static_cast<int>(clusterWeight.size());
             clusterWeight.push_back(0);
-            clusterKey.push_back(modelOrder.at(blocks[i].model));
+            clusterKey.push_back(key);
         }
-        int c = it->second;
         clusterOf[i] = c;
         clusterWeight[c] += blocks[i].weight;
-        clusterKey[c] = std::min(clusterKey[c],
-                                 modelOrder.at(blocks[i].model));
+        clusterKey[c] = std::min(clusterKey[c], key);
     }
     const int nclusters = static_cast<int>(clusterWeight.size());
     plan.nclusters = nclusters;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <stdexcept>
 
 #include "timing.h"
@@ -128,6 +127,17 @@ ParSimulationTool::buildIslandSchedules()
         }
     };
 
+    // Each push list takes a token once: seen[token] holds the number
+    // of the last list that took it.
+    std::vector<int> seen(elab_->nets.size() + elab_->arrays.size(), -1);
+    int list = 0;
+    auto once = [&](int token) {
+        if (seen[token] == list)
+            return false;
+        seen[token] = list;
+        return true;
+    };
+
     // comb[island][level]: the island's comb blocks of each superstep.
     std::vector<std::vector<std::vector<int>>> comb(
         n, std::vector<std::vector<int>>(plan_.nlevels));
@@ -137,11 +147,10 @@ ParSimulationTool::buildIslandSchedules()
             comb[i][isl.combLevels[k]].push_back(isl.combBlocks[k]);
 
         // Comb pushes, deduplicated per (level, token).
-        for (int lvl = 0; lvl < plan_.nlevels; ++lvl) {
-            std::set<int> seen;
+        for (int lvl = 0; lvl < plan_.nlevels; ++lvl, ++list) {
             for (int b : comb[i][lvl]) {
                 for (int t : blocks[b].writes) {
-                    if (seen.insert(t).second)
+                    if (once(t))
                         pushTargets(t, i, comb_pushes_[i][lvl]);
                 }
             }
@@ -151,18 +160,18 @@ ParSimulationTool::buildIslandSchedules()
         // nets this island's tick blocks write blockingly (a tick
         // write to a net that is not statically flopped mutates the
         // current value directly).
-        std::set<int> fseen;
         for (int t : isl.flopNets) {
-            if (fseen.insert(t).second)
+            if (once(t))
                 pushTargets(t, i, flop_pushes_[i]);
         }
         for (int b : isl.tickBlocks) {
             for (int t : blocks[b].writes) {
                 if (t < static_cast<int>(elab_->nets.size()) &&
-                    !elab_->nets[t].floppedStatic && fseen.insert(t).second)
+                    !elab_->nets[t].floppedStatic && once(t))
                     pushTargets(t, i, flop_pushes_[i]);
             }
         }
+        ++list;
 
         // Order each push list by (destination replica, word) so the
         // copies walk every replica's arena in address order.

@@ -641,7 +641,45 @@ snapRestore(Simulator &sim, const SimSnapshot &snap)
 uint64_t
 stateDigest(const Simulator &sim)
 {
-    return snapSave(sim).digest();
+    // SimSnapshot::digest()'s byte sequence, read straight from the
+    // simulator.
+    const Elaboration &elab = sim.elaboration();
+    uint64_t h = kFnvOffset;
+    for (bool next : {false, true}) {
+        fnvU64(h, elab.nets.size());
+        for (const Net &net : elab.nets) {
+            const Bits value =
+                next ? sim.readNetNext(net.id) : sim.readNet(net.id);
+            fnvU64(h, static_cast<uint64_t>(value.nwords()));
+            for (int w = 0; w < value.nwords(); ++w)
+                fnvU64(h, value.word(w));
+        }
+    }
+    fnvU64(h, elab.arrays.size());
+    for (const MemArray *array : elab.arrays) {
+        const int elem_words = bitsToWords(array->nbits());
+        fnvU64(h, static_cast<uint64_t>(array->depth()) * elem_words);
+        for (int i = 0; i < array->depth(); ++i) {
+            const Bits value = sim.readArray(*array, i);
+            for (int w = 0; w < elem_words; ++w)
+                fnvU64(h, value.word(w));
+        }
+    }
+    // The blob count is hashed before the blobs, so they are kept
+    // until it is known.
+    std::vector<std::pair<const Model *, std::string>> blobs;
+    for (const Model *model : elab.models) {
+        SnapWriter w;
+        model->snapSave(w);
+        if (!w.buffer().empty())
+            blobs.emplace_back(model, w.take());
+    }
+    fnvU64(h, blobs.size());
+    for (const auto &[model, blob] : blobs) {
+        fnvStr(h, model->fullName());
+        fnvStr(h, blob);
+    }
+    return h;
 }
 
 std::vector<std::string>
@@ -1066,12 +1104,10 @@ findDivergence(Simulator &a, Simulator &b, uint64_t cycles,
 {
     DivergenceReport rep;
     for (uint64_t done = 0;; ++done) {
-        SimSnapshot sa = snapSave(a);
-        SimSnapshot sb = snapSave(b);
-        if (sa.digest() != sb.digest()) {
+        if (stateDigest(a) != stateDigest(b)) {
             rep.diverged = true;
             rep.first_divergent_cycle = a.numCycles();
-            nameDifferences(a.elaboration(), sa, sb, rep);
+            nameDifferences(a.elaboration(), snapSave(a), snapSave(b), rep);
             return rep;
         }
         if (done == cycles)

@@ -199,7 +199,10 @@ void snapSaveFile(const Simulator &sim, const std::string &path);
 /** Read and decode @p path; throws SnapError on any defect. */
 SimSnapshot snapLoadFile(const std::string &path);
 
-/** snapSave(sim).digest(): one number summarizing the whole state. */
+/**
+ * snapSave(sim).digest(), one number summarizing the whole state,
+ * hashed as it is read from @p sim without building the snapshot.
+ */
 uint64_t stateDigest(const Simulator &sim);
 
 /**
@@ -352,8 +355,9 @@ struct DivergenceReport
  *
  * The two simulators hold the same design (different backends, thread
  * counts, or an intentionally perturbed variant) at the same cycle;
- * to start from a snapshot, snapRestore both first. State digests are
- * compared before the first cycle and after every cycle. The search
+ * to start from a snapshot, snapRestore both first. State digests
+ * (stateDigest) are compared before the first cycle and after every
+ * cycle; snapshots are taken only where they differ. The search
  * stops at the first difference, naming the nets, arrays and models
  * that differ there, or at the first exception a side throws from
  * @p stim or cycle(), which counts as a divergence carrying its

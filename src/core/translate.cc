@@ -77,7 +77,8 @@ class ModuleEmitter
     void
     collectRegs()
     {
-        for (const IrBlock &blk : model_.ownIrBlocks()) {
+        for (const IrBlock *ir : model_.ownIrBlocks()) {
+            const IrBlock &blk = *ir;
             const IrBlockSummary sum = irSummarize(blk);
             for (Signal *sig : sum.writes) {
                 if (sig->owner() != &model_)
@@ -137,7 +138,8 @@ class ModuleEmitter
             os_ << "  wire " << vlogRange(nbits) << name << ";\n";
         // Block temporaries.
         int blk_idx = 0;
-        for (const IrBlock &blk : model_.ownIrBlocks()) {
+        for (const IrBlock *ir : model_.ownIrBlocks()) {
+            const IrBlock &blk = *ir;
             for (size_t t = 0; t < blk.temps.size(); ++t) {
                 os_ << "  reg  " << vlogRange(blk.temps[t].nbits)
                     << tempName(blk_idx, static_cast<int>(t), blk)
@@ -412,7 +414,8 @@ class ModuleEmitter
     emitBlocks()
     {
         int blk_idx = 0;
-        for (const IrBlock &blk : model_.ownIrBlocks()) {
+        for (const IrBlock *ir : model_.ownIrBlocks()) {
+            const IrBlock &blk = *ir;
             os_ << "  // " << blk.name << "\n";
             if (blk.sequential)
                 os_ << "  always @(posedge clk) begin\n";

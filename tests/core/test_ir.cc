@@ -65,7 +65,7 @@ TEST(IrBuild, InvalidExprRejected)
 TEST(IrBuild, AccessCollection)
 {
     testmodels::MuxReg top(nullptr, "top", 8, 4);
-    const IrBlock &comb = top.mux_.ownIrBlocks().front();
+    const IrBlock &comb = *top.mux_.ownIrBlocks().front();
     const IrBlockSummary sum = irSummarize(comb);
     EXPECT_EQ(sum.writes.size(), 1u);
     EXPECT_EQ(sum.writes[0], &top.mux_.out);
@@ -292,7 +292,7 @@ TEST(IrBuild, SharedRefReadsTheValueAtEachUse)
 TEST(IrBuild, DumpContainsStructure)
 {
     testmodels::Counter top(nullptr, "top", 8);
-    std::string dump = irToString(top.ownIrBlocks().front());
+    std::string dump = irToString(*top.ownIrBlocks().front());
     EXPECT_NE(dump.find("tick_rtl"), std::string::npos);
     EXPECT_NE(dump.find("if"), std::string::npos);
     EXPECT_NE(dump.find("top.count"), std::string::npos);

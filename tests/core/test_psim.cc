@@ -742,6 +742,196 @@ TEST(ElabSummary, LiteralsAreShapeBasesAndPatches)
     EXPECT_EQ(elab->irLiteralPatches.size(), 4800u);
 }
 
+/** FNV-1a over the words and strings the set-up pins hash. */
+struct SetupHash
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    byte(uint8_t b)
+    {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    void
+    word(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(v >> (8 * i)));
+    }
+    void
+    ints(const std::vector<int> &v)
+    {
+        word(v.size());
+        for (int x : v)
+            word(static_cast<uint64_t>(x));
+    }
+    void
+    text(const std::string &s)
+    {
+        word(s.size());
+        for (char c : s)
+            byte(static_cast<uint8_t>(c));
+    }
+};
+
+/**
+ * What elaboration and partitioning make of one design, as hashes:
+ * the design fingerprint (net ids, names, widths and flop classes),
+ * combOrder, tickOrder, netReaders, each block's name, reads and
+ * writes, and the partition plan and its report at 2 and 4 islands.
+ */
+std::string
+setupPins(Model &top)
+{
+    auto elab = top.elaborate();
+    SetupHash comb, tick, readers, blocks;
+    comb.ints(elab->combOrder);
+    tick.ints(elab->tickOrder);
+    readers.word(elab->netReaders.size());
+    for (const std::vector<int> &r : elab->netReaders)
+        readers.ints(r);
+    for (const ElabBlock &blk : elab->blocks) {
+        blocks.text(blk.name);
+        blocks.ints(blk.reads);
+        blocks.ints(blk.writes);
+    }
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%016llx %016llx %016llx %016llx %016llx",
+                  static_cast<unsigned long long>(designFingerprint(*elab)),
+                  static_cast<unsigned long long>(comb.h),
+                  static_cast<unsigned long long>(tick.h),
+                  static_cast<unsigned long long>(readers.h),
+                  static_cast<unsigned long long>(blocks.h));
+    std::string out = buf;
+    for (int nislands : {2, 4}) {
+        const PartitionPlan plan = partitionDesign(*elab, nislands);
+        SetupHash p;
+        p.text(partitionReport(*elab, plan));
+        for (const PartitionIsland &isl : plan.islands) {
+            p.ints(isl.combBlocks);
+            p.ints(isl.combLevels);
+            p.ints(isl.tickBlocks);
+            p.ints(isl.ownedTokens);
+            p.ints(isl.flopNets);
+        }
+        p.ints(plan.ownerOf);
+        for (const std::vector<int> &r : plan.readerIslands)
+            p.ints(r);
+        p.ints(plan.lambdaTicks);
+        std::snprintf(buf, sizeof buf, " %016llx",
+                      static_cast<unsigned long long>(p.h));
+        out += buf;
+    }
+    return out;
+}
+
+/**
+ * Elaboration and partitioning number, name and order everything as
+ * they did when they kept hash maps and per-token lists: pinned on
+ * the meshes, a tile, the multi-tile system and generated designs.
+ * stateDigest, which hashes in place, equals the snapshot's digest on
+ * every kernel.
+ */
+TEST(Elaboration, DenseSetupKeepsIdsOrderAndPlans)
+{
+    using tile::Level;
+    std::vector<std::pair<std::string, std::unique_ptr<Model>>> designs;
+    for (NetLevel level : {NetLevel::RTL, NetLevel::CL}) {
+        for (int nrouters : {16, 64, 256}) {
+            designs.emplace_back(
+                std::string(net::netLevelName(level)) +
+                    std::to_string(nrouters),
+                std::make_unique<MeshTrafficTop>("top", level, nrouters, 4,
+                                                 0.3, 1));
+        }
+    }
+    designs.emplace_back("tile CL", std::make_unique<tile::Tile>(
+                                        "tile", Level::CL, Level::CL,
+                                        Level::CL));
+    designs.emplace_back(
+        "multitile RTL",
+        std::make_unique<tile::MultiTileSystem>(
+            "sys", std::vector<std::array<Level, 3>>(
+                       4, {Level::RTL, Level::RTL, Level::RTL})));
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+        fuzz::FuzzSpec spec;
+        spec.seed = seed;
+        designs.emplace_back("fuzz seed " + std::to_string(seed),
+                             std::make_unique<fuzz::FuzzDesign>(spec));
+    }
+    const char *const pinned[] = {
+        "f8325f60ee8e3517 8944158a88f55a61 b9d2b803750a7df7 165667e4dfd8598f "
+        "46c817550d553a7b 2589826aa8cfd15c ac625826189b78ab",
+        "7c1f57ce529198f5 036835ec37e5e985 6b864c8f2e8f7728 e77eeace001e61f7 "
+        "0fc0a6028873f0cb d464400f5d0ac270 f2c4b751daff284f",
+        "0dba6685bf46c5b7 a1defd7146558a25 b7d45c2efc3a1520 bdefe642f4456c43 "
+        "9d066914c26a9302 22fab76bdc029606 4b247da51f403548",
+        "81b85caa9e42b8a9 a8c7f832281a39c5 db0d76276963aa24 8216dee1a75092af "
+        "7155d579a02e1cf8 f2d7d5032607ba3e 0da4333162e52a78",
+        "acdb25ef5a1288e0 a8c7f832281a39c5 f7ec140f2c9b6624 934ac26990bf23d8 "
+        "96e08a4a7f97b542 1d5868ee29486ce0 d1dc989b64b518a2",
+        "64ab15adcf95b766 a8c7f832281a39c5 d19a2bddcae9dd84 dee976fedc9ca90a "
+        "c61f9dbdfc496847 622c1745f5fb4d45 f5c65c4c61c7160f",
+        "ee1530a61791db0c a8c7f832281a39c5 c16c997e7ca8c1a2 57ae22d8e3fa7fa9 "
+        "84c2f1defdf45d74 7a5a1676f24d7cf9 b7e650dd05e17247",
+        "2e181c5672b60b72 1d71e612b5f656a1 9bf8697b5441a87a e7457f5cc398b820 "
+        "4734edccfd3b176b 2680092ff7fac4f7 63d990282e170d59",
+        "52795d93d6b3c74c d95e0e4b00d4954b 7d381219680e1748 5a2377b9eba977fa "
+        "c721dbb3d30722bf b75fde779b57be39 678b35d96febccbd",
+        "1c445aa2b38b84ca 591880d1681bf68f 26c2060f24db40c7 809bba2b17175098 "
+        "cc5f16c45d89aeba f3a23477fa1def6e 7a6fc23a80efdc0c",
+        "a5e37d268894a844 3c5dea073d5099cf 26c2060f24db40c7 ef2a527f817ff6d5 "
+        "b458909e1d6ea1cd 716b56efc8c47464 44c5084d352ab860",
+        "39fe5bc149949afe 591880d1681bf68f 26c2060f24db40c7 c6fe16acf7fe14df "
+        "754cab26b94ad030 ba35ee6cfc1e5ef1 12a5d46486188211",
+        "2132976ec42dad1c 19c04b37f5d20b2c f951a021588d5ec5 fb48100a53a5dbd1 "
+        "84067c0dedc47dd7 f87265bdecac0a48 54b3c3d36a567217",
+        "b40022003a2dc10f e209eebc2013f1e8 f3aad17dcd069120 fb33baa06b160313 "
+        "9a143d361b921c5e 3ed84cea786c8733 631e1758c3c938ff",
+        "37072557f5d46a27 c9fbfa811eb466ee 815953ab6dfc742c 46da55ac8acd3a32 "
+        "6a3d7820ad34591c 6f59e3e96f8bfc06 5dfdf116702813af",
+        "693e53ef53a59068 e209eebc2013f1e8 f3aad17dcd069120 5e61252871c833d7 "
+        "3b1f21e6b940bae8 165811d603c34e82 8080037c96958de1",
+        "c57a0f1025853f35 6906a9171f126848 f3aad17dcd069120 53220f64ac120452 "
+        "4a200c331e9e84a0 86614fe080884bd7 f1db00f74b57c6e1",
+        "917b1f9f8f926575 591880d1681bf68f 26c2060f24db40c7 e21239d6c685681a "
+        "5d83454375a057ae 45e7f742152a69f1 c6976c94ab1a78e0",
+    };
+    ASSERT_EQ(std::size(pinned), designs.size());
+    for (size_t i = 0; i < designs.size(); ++i)
+        EXPECT_EQ(setupPins(*designs[i].second), pinned[i])
+            << designs[i].first;
+
+    // A mesh carries model host state, a generated design arrays and
+    // wide nets.
+    std::vector<std::string> kernels = {"interp", "optinterp", "bytecode"};
+    if (CppJit::compilerAvailable())
+        kernels.push_back("cpp-design");
+    for (const std::string &kernel : kernels) {
+        for (int threads : {1, 2}) {
+            if (kernel == "interp" && threads == 2)
+                continue; // ParSim needs an arena-hosted backend
+            SimConfig cfg = SimConfig::fromString(kernel);
+            cfg.threads = threads;
+            const std::string ctx = kernel + " t" + std::to_string(threads);
+            MeshTrafficTop mesh("top", NetLevel::RTL, 16, 4, 0.3, 1);
+            auto msim = makeSimulator(mesh.elaborate(), cfg);
+            msim->reset();
+            msim->cycle(100);
+            EXPECT_EQ(stateDigest(*msim), snapSave(*msim).digest()) << ctx;
+            fuzz::FuzzSpec spec;
+            spec.seed = 3;
+            fuzz::FuzzDesign top(spec);
+            StimTape tape = fuzz::makeFuzzStim(spec);
+            auto fsim = makeSimulator(top.elaborate(), cfg);
+            while (tape.applyTo(*fsim))
+                fsim->cycle();
+            EXPECT_EQ(stateDigest(*fsim), snapSave(*fsim).digest()) << ctx;
+        }
+    }
+}
+
 TEST(Partition, PlansFollowTheTreeCountWeight)
 {
     // {routers, islands, cut tokens}: the cut sizes the tree-count
