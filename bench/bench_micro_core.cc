@@ -5,13 +5,16 @@
  * Covers the Bits value type (narrow and wide paths), the three IR
  * execution engines on an operator-torture block, the two signal
  * storage backends — the primitives whose relative costs produce the
- * macro-level results in Figures 13-15 — the set-up stages a user
- * waits for before the first cycle of the 16x16 RTL mesh, and the
- * state digest that reads its results.
+ * macro-level results in Figures 13-15 — the native cycle of the 8x8
+ * RTL mesh, the set-up stages a user waits for before the first cycle
+ * of the 16x16 RTL mesh, and the state digest that reads its results.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <memory>
 #include <numeric>
 
@@ -269,6 +272,47 @@ BM_StoreArenaReadWrite(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StoreArenaReadWrite);
+
+// ------------------------------------------------------ native cycle
+
+/**
+ * One cycle of the 8x8 RTL mesh of perfbench's mesh64 workloads (30%
+ * uniform traffic) on cpp-design's fused kernels, not tiered: the
+ * library is compiled into a private cache before the timed loop, so
+ * the loop times the kernels, the flops and the traffic lambda alone,
+ * without perfbench's per-process set-up.
+ */
+void
+BM_NativeMeshCycle(benchmark::State &state)
+{
+    if (!CppJit::compilerAvailable()) {
+        state.SkipWithError("no host compiler");
+        return;
+    }
+    std::string dir =
+        (std::filesystem::temp_directory_path() / "cmtl-jit-bench-XXXXXX")
+            .string();
+    if (!::mkdtemp(dir.data())) {
+        state.SkipWithError("cannot create a private JIT cache");
+        return;
+    }
+    SimConfig cfg = SimConfig::fromString("cpp-design");
+    cfg.jit_tiered = false;
+    cfg.jit_cache_dir = dir;
+    auto mesh = std::make_unique<net::MeshTrafficTop>(
+        "top", net::NetLevel::RTL, 64, 4, 0.30, 1);
+    auto sim = makeSimulator(mesh->elaborate(), cfg);
+    sim->reset();
+    sim->cycle(1000);
+    for (auto _ : state) {
+        sim->cycle();
+        benchmark::DoNotOptimize(sim->numCycles());
+    }
+    state.SetItemsProcessed(state.iterations());
+    sim.reset();
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_NativeMeshCycle)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------- set-up stages
 //

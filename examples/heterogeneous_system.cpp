@@ -17,9 +17,9 @@
  * --backend selects the execution backend by its canonical name
  * (interp, optinterp, bytecode, cpp-block, cpp-design, ...). With
  * --profile the whole run is SimScope-instrumented and ends with
- * the hot-block ranking and val/rdy channel stats; --profile=json
- * instead ends the output with one line of JSON, the scope_version 4
- * SimScope::snapshot().
+ * the hot kernel-type and hot-block rankings and val/rdy channel
+ * stats; --profile=json instead ends the output with one line of
+ * JSON, the scope_version 5 SimScope::snapshot().
  *
  * --checkpoint / --resume capture and restore the simulation state
  * (core/snap.h). Mixed-level tiles carry FL/CL host state outside the

@@ -28,10 +28,11 @@
  * sweep runs on the parallel ParSim kernel (bit-identical to the
  * sequential one) and prints its partition report. With --profile a
  * SimScope-instrumented run follows the sweep and prints the
- * hot-block ranking, phase timing and val/rdy channel stats;
- * --profile=json instead ends the output with one line of JSON:
- * SimScope::snapshot() (scope_version 4: phases, hot blocks,
- * channels and the JIT costs under perfbench's metric names).
+ * hot kernel-type and hot-block rankings, phase timing and val/rdy
+ * channel stats; --profile=json instead ends the output with one line
+ * of JSON: SimScope::snapshot() (scope_version 5: phases, hot blocks,
+ * kernel types, channels and the JIT costs under perfbench's metric
+ * names).
  *
  * With --checkpoint and/or --resume the program switches to a single
  * long fixed-seed run (30% injection) that periodically snapshots its
@@ -190,8 +191,9 @@ main(int argc, char **argv)
     }
 
     if (profile) {
-        // Profiled run near saturation: hot blocks with hierarchical
-        // paths, phase timing and every val/rdy channel in the design.
+        // Profiled run near saturation: hot kernel types, hot blocks
+        // with hierarchical paths, phase timing and every val/rdy
+        // channel in the design.
         auto ptop = std::make_unique<MeshTrafficTop>(
             "top", level, nrouters, 4, 0.30, seed, pattern);
         auto psim = makeSimulator(ptop->elaborate(), cfg);

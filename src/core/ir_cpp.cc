@@ -148,9 +148,15 @@ scratchLocals(const BcProgram &p)
  * Scratch past the temps holds intermediate values. A definition that
  * scratchLocals lets inline is emitted inside the expression that reads
  * it rather than as a statement of its own, which rebuilds the IR's
- * expression trees: g++ then sees whole expressions, and Mux arms are
- * evaluated lazily, as `?:`. Any other definition is assigned to its
- * own local.
+ * expression trees: g++ then sees whole expressions. Any other
+ * definition is assigned to its own local.
+ *
+ * Only Jz and Jmp branch. A Mux is cmtl_mux, a mask select over arms
+ * already evaluated, and LAnd and LOr are `(a != 0) & (b != 0)` and
+ * `(a | b) != 0`, so g++ -O1 emits no conditional jump for them. Their
+ * selects and handshakes change every cycle, and as `?:`, `&&` and
+ * `||` they cost more in mispredicted branches than both arms cost to
+ * compute (see DESIGN.md).
  */
 void
 emitKernel(std::ostringstream &os, int t, const BcProgram &p,
@@ -266,10 +272,11 @@ emitKernel(std::ostringstream &os, int t, const BcProgram &p,
           case Bc::Gt: compare(" > "); break;
           case Bc::Ge: compare(" >= "); break;
           case Bc::LAnd:
-            v = "uint64_t(" + reg(in.a) + " != 0 && " + reg(in.b) + " != 0)";
+            v = "uint64_t((" + reg(in.a) + " != 0) & (" + reg(in.b) +
+                " != 0))";
             break;
           case Bc::LOr:
-            v = "uint64_t(" + reg(in.a) + " != 0 || " + reg(in.b) + " != 0)";
+            v = "uint64_t((" + reg(in.a) + " | " + reg(in.b) + ") != 0)";
             break;
           case Bc::Inv: v = masked("~" + reg(in.a), in.mask); break;
           case Bc::LNot: v = "uint64_t(" + reg(in.a) + " == 0)"; break;
@@ -293,7 +300,7 @@ emitKernel(std::ostringstream &os, int t, const BcProgram &p,
             break;
           }
           case Bc::Mux:
-            v = masked("(" + reg(in.c) + " ? " + reg(in.a) + " : " +
+            v = masked("cmtl_mux(" + reg(in.c) + ", " + reg(in.a) + ", " +
                            reg(in.b) + ")",
                        in.mask);
             break;
@@ -345,6 +352,9 @@ emitPrelude(std::ostringstream &os)
        << "  return (uint64_t)(v >> (n > 63 ? 63 : (int)n)); }\n"
        << "static inline uint64_t cmtl_sext(uint64_t a, int nb)\n"
        << "{ return (uint64_t)((int64_t)(a << (64 - nb)) >> (64 - nb)); }\n"
+       << "static inline uint64_t cmtl_mux(uint64_t c, uint64_t a, "
+          "uint64_t b)\n"
+       << "{ uint64_t m = -(uint64_t)(c != 0); return (a & m) | (b & ~m); }\n"
        << "\n";
 }
 

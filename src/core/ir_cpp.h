@@ -24,8 +24,13 @@
  * and temps become statements, Jz/Jmp become labels and gotos, and an
  * intermediate value read once, with no write to what it reads before
  * that read, is emitted inside the expression that reads it, which
- * rebuilds the IR's expression trees (Mux arms stay lazy). Any other
- * intermediate value gets a local of its own. Per row:
+ * rebuilds the IR's expression trees. Any other intermediate value
+ * gets a local of its own. No expression branches on data: a Mux is
+ * the select cmtl_mux over both arms, evaluated eagerly, and LAnd and
+ * LOr combine their operands' truth values bitwise, as bcRunBatch
+ * does. This is exact because IR arms have no side effects and every
+ * array index is masked to its power-of-two depth; the Jz/Jmp gotos
+ * are the kernel's only branches. Per row:
  *
  *  - Slots. The instance base `b = w + row[0]` is the instance's word
  *    of the first slot whose word differs across the module's

@@ -221,6 +221,40 @@ SimScope::hotBlocks(size_t n) const
     return out;
 }
 
+std::vector<SimScope::KernelCost>
+SimScope::hotKernels(size_t n) const
+{
+    const Elaboration &elab = sim_.elaboration();
+    std::vector<KernelCost> out;
+    std::vector<int> of_shape(elab.irShapes.size(), -1);
+    std::map<std::string, int> of_lambda;
+    for (size_t i = 0; i < probe_.block_calls.size(); ++i) {
+        if (!probe_.block_calls[i])
+            continue;
+        const ElabBlock &blk = elab.blocks[i];
+        std::string name = blk.model->typeName() +
+                           blk.name.substr(blk.name.rfind('.'));
+        int &at = blk.shape >= 0 ? of_shape[blk.shape]
+                                 : of_lambda.try_emplace(name, -1)
+                                       .first->second;
+        if (at < 0) {
+            at = static_cast<int>(out.size());
+            out.push_back({std::move(name)});
+        }
+        KernelCost &k = out[at];
+        ++k.lanes;
+        k.seconds += probe_.block_seconds[i];
+        k.calls += probe_.block_calls[i];
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const KernelCost &a, const KernelCost &b) {
+                         return a.seconds > b.seconds;
+                     });
+    if (out.size() > n)
+        out.resize(n);
+    return out;
+}
+
 SimScope::PhaseBreakdown
 SimScope::phaseBreakdown() const
 {
@@ -299,6 +333,13 @@ SimScope::snapshot() const
                         .set("path", Json::string(b.path))
                         .set("seconds", Json::number(b.seconds))
                         .set("calls", Json::number(b.calls)));
+    Json kernels = Json::array();
+    for (const KernelCost &k : hotKernels(20))
+        kernels.push(Json::object()
+                         .set("name", Json::string(k.name))
+                         .set("lanes", Json::number(k.lanes))
+                         .set("seconds", Json::number(k.seconds))
+                         .set("calls", Json::number(k.calls)));
     Json channels = Json::array();
     for (const ChannelStats &ch : state_->channels)
         channels.push(Json::object()
@@ -325,7 +366,7 @@ SimScope::snapshot() const
     }
 
     return Json::object()
-        .set("scope_version", Json::number(4))
+        .set("scope_version", Json::number(5))
         .set("kernel", Json::string(parsim_ ? "parsim" : "sequential"))
         // Same canonical string SimConfig round-trips and
         // simulatorReport prints.
@@ -346,6 +387,7 @@ SimScope::snapshot() const
                  .set("boundary_bytes", Json::number(pb.boundary_bytes))
                  .set("islands", std::move(islands)))
         .set("blocks", std::move(blocks))
+        .set("kernels", std::move(kernels))
         .set("channels", std::move(channels))
         .set("jit", std::move(jit));
 }
@@ -386,10 +428,23 @@ SimScope::report(size_t nblocks) const
         }
     }
 
-    std::vector<BlockCost> hot = hotBlocks(nblocks);
     double total = 0.0;
     for (double s : probe_.block_seconds)
         total += s;
+    const std::vector<KernelCost> kernels = hotKernels(nblocks);
+    os << "  hot kernel types (self time, summed over lanes):\n";
+    for (size_t i = 0; i < kernels.size(); ++i) {
+        std::snprintf(buf, sizeof(buf),
+                      "  %3zu. %10.6fs %5.1f%% %10llu calls %5d lanes  "
+                      "%s\n",
+                      i + 1, kernels[i].seconds,
+                      total > 0 ? 100.0 * kernels[i].seconds / total : 0.0,
+                      static_cast<unsigned long long>(kernels[i].calls),
+                      kernels[i].lanes, kernels[i].name.c_str());
+        os << buf;
+    }
+
+    std::vector<BlockCost> hot = hotBlocks(nblocks);
     os << "  hot blocks (self time):\n";
     for (size_t i = 0; i < hot.size(); ++i) {
         std::snprintf(buf, sizeof(buf),

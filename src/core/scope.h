@@ -7,7 +7,8 @@
  * and collects the measurements every perf argument needs to rest on:
  *
  *  - per-block self time (exact, or sampled one-out-of-N for lower
- *    overhead), ranked and mapped back to hierarchical model paths;
+ *    overhead), ranked and mapped back to hierarchical model paths,
+ *    and summed per kernel type (the blocks of one IR shape);
  *  - per-phase timing: settle/tick/flop on the sequential kernel,
  *    per-island compute + barrier-wait + boundary-exchange bytes on
  *    the bulk-synchronous ParSim kernel, so load imbalance and
@@ -157,6 +158,27 @@ class SimScope
     /** The @p n most expensive blocks by cumulative self time. */
     std::vector<BlockCost> hotBlocks(size_t n = 10) const;
 
+    /**
+     * One entry of the kernel-type ranking: the blocks of one IR shape,
+     * which share one bytecode program and one native kernel, or the
+     * lambda blocks of one model type and block name.
+     */
+    struct KernelCost
+    {
+        std::string name; //!< the first lane's typeName().block
+        int lanes = 0;    //!< blocks of the type that ran
+        double seconds = 0.0;
+        uint64_t calls = 0; //!< block executions, summed over lanes
+    };
+
+    /**
+     * The @p n most expensive kernel types by their blocks' summed self
+     * time. On the bytecode and native tiers, where one block of a
+     * 64-lane type reads a share too small to rank, this shows where
+     * the time goes.
+     */
+    std::vector<KernelCost> hotKernels(size_t n = 10) const;
+
     /** Aggregated phase timing (either kernel). */
     struct PhaseBreakdown
     {
@@ -173,14 +195,16 @@ class SimScope
     const ScopeProbe &probe() const { return probe_; }
 
     /**
-     * Everything collected, as one JSON object: {"scope_version":4,
+     * Everything collected, as one JSON object: {"scope_version":5,
      * "kernel":..,"backend":..,"timing":..,"cycles":..,"layout":{..},
-     * "phases":{..,"islands":[..]},"blocks":[..],"channels":[..],
-     * "jit":{..}}. "jit" uses perfbench's METRICS.md names.
+     * "phases":{..,"islands":[..]},"blocks":[..],"kernels":[..],
+     * "channels":[..],"jit":{..}}. "jit" uses perfbench's METRICS.md
+     * names.
      */
     Json snapshot() const;
 
-    /** Human-readable report: phases, hot blocks, channels. */
+    /** Human-readable report: phases, hot kernel types, hot blocks,
+     *  channels. */
     std::string report(size_t nblocks = 10) const;
 
   private:

@@ -571,6 +571,27 @@ TEST(BackendKernels, NativeConfigurationsShareOneLibrary)
 }
 
 /**
+ * The kernels branch on data only at Jz and Jmp: on the 8x8 RTL mesh,
+ * whose selects and handshakes change every cycle, no kernel body
+ * holds a `?:`, `&&` or `||` (the helper prelude before the first
+ * kernel may).
+ */
+TEST(BackendKernels, MeshKernelsHaveNoLazyOperators)
+{
+    MeshTrafficTop top("top", NetLevel::RTL, 64, 4, 0.3, 1);
+    auto elab = top.elaborate();
+    ArenaStore store(*elab);
+    const std::string source =
+        cppEmitProgram(specializedModule(*elab, store)).source;
+    const size_t first = source.find("extern \"C\"");
+    ASSERT_NE(first, std::string::npos);
+    const std::string kernels = source.substr(first);
+    EXPECT_NE(kernels.find("cmtl_mux("), std::string::npos);
+    for (const char *op : {" ? ", "&&", "||"})
+        EXPECT_EQ(kernels.find(op), std::string::npos) << op;
+}
+
+/**
  * The bytecode tier shares one program per block type too. Unlike the
  * C++ kernels, constants are per-instance operands, so every router's
  * route_comb shares one program despite its own coordinates: a block

@@ -1586,6 +1586,73 @@ TEST(BcOpt, NoLoadMergedPastStore)
     }
 }
 
+/**
+ * Logic ops and selects on operands a bitwise shortcut gets wrong: LAnd
+ * and LOr of nonzero values that share no bit, a Mux whose select has
+ * only its top bit set, and a Mux with a load arm whose index is wider
+ * than the array's depth.
+ */
+class SelectsOnTruth : public Model
+{
+  public:
+    InPort a, b, sel, i, y;
+    OutPort land, lor, pick, load;
+    MemArray mem;
+
+    SelectsOnTruth()
+        : Model(nullptr, "top"), a(this, "a", 8), b(this, "b", 8),
+          sel(this, "sel", 64), i(this, "i", 8), y(this, "y", 8),
+          land(this, "land", 1), lor(this, "lor", 1),
+          pick(this, "pick", 8), load(this, "load", 8),
+          mem(this, "mem", 8, 4)
+    {
+        auto &c = combinational("comb");
+        c.assign(land, rd(a) && rd(b));
+        c.assign(lor, rd(a) || rd(b));
+        c.assign(pick, mux(rd(sel), rd(a), rd(b)));
+        c.assign(load, mux(rd(sel), aread(mem, rd(i)), rd(y)));
+    }
+};
+
+TEST(BcOpt, SelectsAndLogicOpsTestTruth)
+{
+    SelectsOnTruth top;
+    OneBlock blk(top);
+    EXPECT_EQ(countOps(blk.prog(), Bc::Mux), 2);
+    EXPECT_EQ(countOps(blk.prog(), Bc::ALoad), 1);
+    struct Case
+    {
+        uint64_t a, b, sel, land, lor, pick, load;
+    };
+    // The load reads mem[0xfe & 3] even when its arm is not taken.
+    const Case cases[] = {
+        {2, 4, uint64_t(1) << 63, 1, 1, 2, 0x5c},
+        {2, 4, 0, 1, 1, 4, 0x33},
+        {2, 0, uint64_t(1) << 63, 0, 1, 2, 0x5c},
+        {0, 4, 0, 0, 1, 4, 0x33},
+        {0, 0, uint64_t(1) << 63, 0, 0, 0, 0x5c},
+    };
+    for (bool native : engines()) {
+        for (const Case &k : cases) {
+            blk.store.arrayWrite(top.mem.arrayId(), 2, Bits(8, 0x5c));
+            blk.set(top.a, k.a);
+            blk.set(top.b, k.b);
+            blk.set(top.sel, k.sel);
+            blk.set(top.i, 0xfe);
+            blk.set(top.y, 0x33);
+            blk.run(native);
+            const std::string ctx = std::to_string(k.a) + "," +
+                                    std::to_string(k.b) + "," +
+                                    std::to_string(k.sel) + " native " +
+                                    std::to_string(native);
+            EXPECT_EQ(blk.get(top.land), k.land) << ctx;
+            EXPECT_EQ(blk.get(top.lor), k.lor) << ctx;
+            EXPECT_EQ(blk.get(top.pick), k.pick) << ctx;
+            EXPECT_EQ(blk.get(top.load), k.load) << ctx;
+        }
+    }
+}
+
 /** Uses its per-instance constant k twice, and one constant all share. */
 class LaneConst : public Model
 {

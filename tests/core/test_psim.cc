@@ -621,8 +621,10 @@ TEST(ElabSummary, StampedTablesMatchACompileOfEveryBlock)
 }
 
 /**
- * The 8x8 mesh's translation unit and its state after 300 cycles, as
- * compiling every block gave them: stamping changes no byte of either.
+ * The 8x8 mesh's translation unit and its state after 300 cycles. The
+ * state is the one compiling every block gave, so stamping changes no
+ * bit of it; the TU is pinned as emitted from the stamped module with
+ * Mux, LAnd and LOr as eager selects.
  */
 TEST(ElabSummary, StampedMeshKeepsItsKernelsAndState)
 {
@@ -641,8 +643,8 @@ TEST(ElabSummary, StampedMeshKeepsItsKernelsAndState)
         fnv ^= static_cast<uint8_t>(c);
         fnv *= 0x100000001b3ull;
     }
-    EXPECT_EQ(source.size(), 15483u);
-    EXPECT_EQ(fnv, 0x299cae43402c0617ull);
+    EXPECT_EQ(source.size(), 16359u);
+    EXPECT_EQ(fnv, 0x0595ff62595f65f6ull);
     for (int threads : {1, 2}) {
         MeshTrafficTop top("top", NetLevel::RTL, 64, 4, 0.3, 1);
         SimConfig cfg = SimConfig::fromString("bytecode");

@@ -225,6 +225,64 @@ TEST(Scope, NativeKernelsHeatEveryBlockType)
     }
 }
 
+TEST(Scope, KernelsSumTheirBlocksPerShape)
+{
+    // The kernel ranking sums the blocks of each IR shape: the 4x4
+    // mesh's 16 route_comb blocks are one entry of 16 lanes, and the
+    // entries together hold every timed second and every call.
+    for (int threads : {1, 2}) {
+        auto top = std::make_unique<MeshTrafficTop>(
+            "top", NetLevel::RTL, 16, 4, 0.30, 1);
+        auto elab = top->elaborate();
+        SimConfig cfg = SimConfig::fromString("bytecode");
+        cfg.threads = threads;
+        auto sim = makeSimulator(elab, cfg);
+        SimScope scope(*sim);
+        sim->cycle(64);
+
+        const std::vector<SimScope::KernelCost> kernels =
+            scope.hotKernels(elab->blocks.size());
+        double seconds = 0.0;
+        uint64_t calls = 0;
+        int lanes = 0;
+        int route = 0;
+        for (const SimScope::KernelCost &k : kernels) {
+            seconds += k.seconds;
+            calls += k.calls;
+            lanes += k.lanes;
+            const std::string tail = ".route_comb";
+            if (k.name.size() > tail.size() &&
+                k.name.compare(k.name.size() - tail.size(), tail.size(),
+                               tail) == 0) {
+                ++route;
+                EXPECT_EQ(k.lanes, 16);
+                EXPECT_GE(k.calls, 16u * 64);
+            }
+        }
+        EXPECT_EQ(route, 1) << "threads " << threads;
+        const ScopeProbe &probe = scope.probe();
+        double want_seconds = 0.0;
+        uint64_t want_calls = 0;
+        int ran = 0;
+        for (size_t b = 0; b < probe.block_calls.size(); ++b) {
+            want_seconds += probe.block_seconds[b];
+            want_calls += probe.block_calls[b];
+            ran += probe.block_calls[b] > 0;
+        }
+        EXPECT_NEAR(seconds, want_seconds, 1e-9 + 1e-9 * want_seconds);
+        EXPECT_EQ(calls, want_calls);
+        EXPECT_EQ(lanes, ran);
+        EXPECT_LT(static_cast<int>(kernels.size()), ran);
+        EXPECT_TRUE(std::is_sorted(
+            kernels.begin(), kernels.end(),
+            [](const SimScope::KernelCost &a,
+               const SimScope::KernelCost &b) {
+                return a.seconds > b.seconds;
+            }));
+        scope.detach();
+    }
+}
+
 // ------------------------------------------------------------------
 // Val/rdy channel accounting
 // ------------------------------------------------------------------
@@ -359,9 +417,10 @@ TEST(Scope, JsonSnapshotHasRequiredKeys)
 
     std::string json = scope.snapshot().encode();
     for (const char *key :
-         {"\"scope_version\":4", "\"kernel\":\"sequential\"",
+         {"\"scope_version\":5", "\"kernel\":\"sequential\"",
           "\"timing\":\"exact\"", "\"cycles\":10", "\"phases\":",
-          "\"islands\":", "\"blocks\":", "\"channels\":",
+          "\"islands\":", "\"blocks\":", "\"kernels\":[{\"name\":",
+          "\"lanes\":1,", "\"channels\":",
           "\"jit\":{\"ir_cpp.codegen_s\":0,\"jit_cpp.compile_s\":0,"
           "\"jit_cpp.cache_hit\":0}"}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
